@@ -187,6 +187,8 @@ class _Context:
         self.ssd_tolerance = tolerance if tolerance is not None else DEFAULT_MEMBERSHIP_TOL
         self.mesh = mesh or LogMesh()
         self.depth = depth if depth is not None else DEFAULT_SUBDIVISION_DEPTH
+        if self.depth < 0:
+            raise ValueError(f"subdivision depth must be nonnegative, got {self.depth}")
         self.polyhedron = problem.constraint_polyhedron()
         self.smooth_constraint = (
             problem.fixture.constraint if problem.fixture is not None else None
@@ -597,7 +599,7 @@ def run_analysis(
 
 
 def _rational_vec(values) -> RationalVector:
-    return RationalVector([Fraction(a) if isinstance(a, str) else Fraction(float(a)) for a in values])
+    return RationalVector([Fraction(a) for a in values])
 
 
 class _Revalidator:
@@ -645,8 +647,7 @@ class _Revalidator:
         return poly.tangent_cone(self._point())
 
     def _point(self) -> RationalVector:
-        return RationalVector([Fraction(a) if isinstance(a, str) else Fraction(float(a))
-                               for a in self.problem.query.point])
+        return _rational_vec(self.problem.query.point)
 
     def _gradient_exact(self) -> RationalVector:
         if self.problem.quadratic is not None and self.exact:

@@ -1,30 +1,47 @@
 """Double description: generator enumeration for polyhedral cones.
 
 Converts a homogeneous system  {v | B v = 0, G v <= 0}  into generators
-(extreme rays plus a lineality basis).  The incremental algorithm keeps the
-pair (lineality basis L, ray list R) exact at every step:
+(extreme rays plus a lineality basis), the way cddlib does (Fukuda & Prodon,
+"Double description method revisited", 1996).  Each row is scaled once to a
+primitive integer vector, which leaves the cone unchanged, so the whole
+computation runs on Python ints.  The incremental algorithm keeps the pair
+(lineality basis L, ray list R) exact at every step:
 
-* a constraint that cuts the current lineality space removes one basis
-  vector, which re-enters the ray list oriented to the feasible side, and
-  projects every other generator onto the constraint hyperplane;
-* a constraint orthogonal to the lineality space performs the classical
-  ray step, pairing strictly-feasible with strictly-violating rays; the
-  combinatorial adjacency test (no third ray whose zero set contains the
-  common zero set of the pair) prunes non-extreme combinations.
+* L is held as integer rows in reduced echelon form: each row's first
+  nonzero entry sits in its pivot column, where every other row is zero.
+  Rays are primitive integer vectors that vanish in every pivot column,
+  i.e. canonical representatives modulo L;
+* a constraint that cuts L removes the cutting row with the largest pivot,
+  which re-enters the ray list oriented to the feasible side, and projects
+  every other generator onto the constraint hyperplane along it.  Taking
+  the largest pivot keeps the remaining rows in echelon form and every
+  projected vector zero in the remaining pivot columns, so nothing needs
+  reducing again;
+* a constraint orthogonal to L performs the classical ray step, pairing
+  strictly-feasible with strictly-violating rays.  Each ray carries its
+  incidence set (the processed rows it is tight on) as an int bitmask, and
+  a pair is adjacent when no third ray's mask contains the pair's common
+  mask.  The new ray is tight exactly on  common | bit:  a positive
+  combination of two rays that are <= 0 on a processed row, one of them
+  strictly, is strictly < 0 on it.  A projection along a vector of L keeps
+  every processed row's value, so the cut step derives its masks too, and
+  no mask is ever recomputed against the processed rows.
 
-All data is rational, all choices are index-ordered, and output rays are
-reduced modulo the lineality space and scaled to coprime integers, so
-identical inputs give bit-identical generator sets.
+All choices are index-ordered, and output rays are reduced modulo the
+lineality space and scaled to coprime integers, so identical inputs give
+bit-identical generator sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import islice
+from math import gcd, lcm
+from operator import mul
+from typing import Sequence
 
-from .errors import DimensionCapExceededError
-from .linalg import RationalMatrix, RationalVector, rref
+from .errors import DimensionCapExceededError, DimensionMismatchError
+from .linalg import RationalVector
 
 DEFAULT_DIMENSION_CAP = 10
 
@@ -46,107 +63,81 @@ class GeneratorSet:
         return self.rays + self.lineality + negs
 
 
-def _canonical_lineality(vectors: Sequence[RationalVector], dim: int) -> tuple[RationalVector, ...]:
-    if not vectors:
-        return ()
-    rows, pivots = rref(RationalMatrix(vectors, dim))
-    return tuple(
-        sorted(
-            (RationalVector(rows[i]).primitive() for i in range(len(pivots))),
-            key=lambda v: v.entries,
-        )
-    )
+def _primitive(entries: Sequence[int]) -> tuple[int, ...]:
+    """Divide a nonzero integer vector by the gcd of its entries."""
+    g = gcd(*entries)
+    return tuple(k // g for k in entries)
 
 
-def _reduce_mod(vec: RationalVector, basis_rows: list[list[Fraction]], pivots: list[int]) -> RationalVector:
-    """Canonical representative of ``vec`` modulo the span of an RREF basis."""
-    entries = list(vec.entries)
-    for row, pc in zip(basis_rows, pivots):
-        factor = entries[pc]
-        if factor != 0:
-            entries = [a - factor * b for a, b in zip(entries, row)]
-    return RationalVector(entries)
+def _integer_row(row: RationalVector, dim: int) -> tuple[int, ...]:
+    if row.dim != dim:
+        raise DimensionMismatchError(f"row of dimension {row.dim} in a cone of dimension {dim}")
+    scale = lcm(*(a.denominator for a in row.entries))
+    return _primitive([a.numerator * (scale // a.denominator) for a in row.entries])
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
 
 
 class _State:
     def __init__(self, dim: int):
         self.dim = dim
-        self.lineality: list[RationalVector] = [RationalVector.unit(dim, i) for i in range(dim)]
-        self._refresh_basis()
-        self.rays: list[RationalVector] = []
-        self.processed: list[RationalVector] = []
+        self.lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        self.rays: list[tuple[int, ...]] = []
+        self.masks: list[int] = []
+        self.processed = 0
 
-    def _refresh_basis(self) -> None:
-        if self.lineality:
-            self._basis_rows, self._pivots = rref(RationalMatrix(self.lineality, self.dim))
-            self.lineality = [
-                RationalVector(self._basis_rows[i]) for i in range(len(self._pivots))
-            ]
-        else:
-            self._basis_rows, self._pivots = [], []
-
-    def _canonical_ray(self, vec: RationalVector) -> RationalVector:
-        return _reduce_mod(vec, self._basis_rows, self._pivots).primitive()
-
-    def _dedupe(self, rays: Iterable[RationalVector]) -> list[RationalVector]:
-        seen: dict[tuple, RationalVector] = {}
-        for r in rays:
-            if not r.is_zero():
-                seen.setdefault(r.entries, r)
-        return list(seen.values())
-
-    def add_constraint(self, normal: RationalVector) -> None:
+    def add_constraint(self, normal: tuple[int, ...]) -> None:
         """Intersect the current cone with {v | normal . v <= 0}."""
-        lin_values = [normal.dot(l) for l in self.lineality]
-        cut = next((i for i, val in enumerate(lin_values) if val != 0), None)
+        bit = 1 << self.processed
+        self.processed += 1
+        lin_values = [_dot(normal, l) for l in self.lineality]
+        cut = next((i for i in reversed(range(len(lin_values))) if lin_values[i]), None)
         if cut is not None:
-            pivot_vec, pivot_val = self.lineality[cut], lin_values[cut]
+            pivot_vec, pivot_val = self.lineality.pop(cut), lin_values.pop(cut)
             if pivot_val > 0:
-                pivot_vec, pivot_val = -pivot_vec, -pivot_val
-            self.lineality = [
-                l - pivot_vec.scale(normal.dot(l) / pivot_val)
-                for i, l in enumerate(self.lineality)
-                if i != cut
-            ]
-            self._refresh_basis()
-            adjusted = [
-                r - pivot_vec.scale(normal.dot(r) / pivot_val) for r in self.rays
-            ]
-            adjusted.append(pivot_vec)
-            self.rays = self._dedupe(self._canonical_ray(r) for r in adjusted)
-        else:
-            values = [normal.dot(r) for r in self.rays]
-            keep = [r for r, val in zip(self.rays, values) if val <= 0]
-            plus = [(r, val) for r, val in zip(self.rays, values) if val > 0]
-            minus = [(r, val) for r, val in zip(self.rays, values) if val < 0]
-            if plus and minus:
-                zero_sets = {
-                    r.entries: frozenset(
-                        k for k, g in enumerate(self.processed) if g.dot(r) == 0
-                    )
-                    for r in self.rays
-                }
-                combos = []
-                for rp, vp in plus:
-                    for rm, vm in minus:
-                        common = zero_sets[rp.entries] & zero_sets[rm.entries]
-                        if any(
-                            zero_sets[other.entries] >= common
-                            for other in self.rays
-                            if other.entries not in (rp.entries, rm.entries)
-                        ):
-                            continue
-                        combos.append(rm.scale(vp) - rp.scale(vm))
-                keep.extend(self._canonical_ray(c) for c in combos)
-            self.rays = self._dedupe(keep)
-        self.processed.append(normal)
+                pivot_vec, pivot_val = tuple(-x for x in pivot_vec), -pivot_val
+
+            def project(v: tuple[int, ...], val: int) -> tuple[int, ...]:
+                # -pivot_val * (v - (val / pivot_val) * pivot_vec): a positive multiple
+                if not val:
+                    return v
+                return _primitive([val * p - pivot_val * x for x, p in zip(v, pivot_vec)])
+
+            self.lineality = [project(l, val) for l, val in zip(self.lineality, lin_values)]
+            self.rays = [project(r, _dot(normal, r)) for r in self.rays] + [pivot_vec]
+            self.masks = [m | bit for m in self.masks] + [bit - 1]
+            return
+        values = [_dot(normal, r) for r in self.rays]
+        masks = self.masks
+        keep = [i for i, val in enumerate(values) if val <= 0]
+        rays = [self.rays[i] for i in keep]
+        new_masks = [masks[i] | bit if values[i] == 0 else masks[i] for i in keep]
+        minus = [i for i in keep if values[i] < 0]
+        for p, vp in enumerate(values):
+            if vp <= 0:
+                continue
+            rp, mp = self.rays[p], masks[p]
+            for m in minus:
+                common = mp & masks[m]
+                # p and m contain common themselves; a third ray doing so
+                # means the pair spans no edge of the cone
+                if next(islice((1 for o in masks if o & common == common), 2, None), 0):
+                    continue
+                vm = values[m]
+                rays.append(_primitive([vp * x - vm * y for x, y in zip(self.rays[m], rp)]))
+                new_masks.append(common | bit)
+        self.rays, self.masks = rays, new_masks
 
     def result(self) -> GeneratorSet:
-        rays = tuple(sorted(self.rays, key=lambda v: v.entries))
+        lineality = sorted(
+            l if next(x for x in l if x) > 0 else tuple(-x for x in l) for l in self.lineality
+        )
         return GeneratorSet(
             dim=self.dim,
-            rays=rays,
-            lineality=_canonical_lineality(self.lineality, self.dim),
+            rays=tuple(RationalVector(r) for r in sorted(self.rays)),
+            lineality=tuple(RationalVector(l) for l in lineality),
         )
 
 
@@ -167,9 +158,10 @@ def double_description(
     state = _State(dim)
     for row in eq_rows:
         if not row.is_zero():
-            state.add_constraint(row)
-            state.add_constraint(-row)
+            normal = _integer_row(row, dim)
+            state.add_constraint(normal)
+            state.add_constraint(tuple(-x for x in normal))
     for row in ineq_rows:
         if not row.is_zero():
-            state.add_constraint(row)
+            state.add_constraint(_integer_row(row, dim))
     return state.result()

@@ -2,6 +2,8 @@ import json
 import math
 import os
 
+import pytest
+
 from cone_audit.analysis import revalidate_report, run_analysis
 from cone_audit.cli import main
 from cone_audit.problem import parse_problem
@@ -99,6 +101,45 @@ def test_verify_subcommand(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--input", str(report_path))
     assert code == 0
     assert "verification passed" in out
+
+
+def test_verify_exact_non_dyadic_point(tmp_path, capsys):
+    # x = (1/3, 0) sits on the row -x1 <= -1/3, which a binary64 rounding
+    # of 1/3 would leave; verify must re-read the point exactly
+    problem = {
+        "version": "1",
+        "constraint": {
+            "type": "polyhedron",
+            "dimension": 2,
+            "inequalities": {"rows": [["-1", "0"], ["0", "-1"]], "bounds": ["-1/3", "0"]},
+        },
+        "objective": {
+            "type": "quadratic",
+            "matrix": [["1", "0"], ["0", "1"]],
+            "linear": ["0", "0"],
+        },
+        "query": {"point": ["1/3", "0"], "regime": "exact"},
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(problem))
+    code, out, _ = run_cli(capsys, "qp", "--input", str(path), "--format", "json")
+    assert code == 0
+    report_path = tmp_path / "report.json"
+    report_path.write_text(out)
+    code, out, err = run_cli(capsys, "verify", "--input", str(report_path))
+    assert code == 0, err
+    assert "verification passed" in out
+
+
+def test_negative_depth_rejected(capsys):
+    path = os.path.join(PROBLEMS, "orthant_qp.json")
+    code, _, err = run_cli(capsys, "qp", "--input", path, "--depth", "-5")
+    assert code == 3
+    assert err.startswith("error: ")
+    with open(path, encoding="utf-8") as handle:
+        problem = parse_problem(handle.read())
+    with pytest.raises(ValueError):
+        run_analysis(problem, "qp", depth=-1)
 
 
 def test_verify_rejects_non_report(tmp_path, capsys):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cone_audit.dd import double_description
 from cone_audit.errors import DimensionCapExceededError
@@ -198,3 +200,70 @@ def test_output_rays_are_extreme():
                 )
             )
             assert sub.membership_lp(ray).status is not LPStatus.OPTIMAL
+
+
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 5)))
+positive_fractions = st.builds(Fraction, st.integers(1, 6), st.sampled_from((1, 2, 3, 7)))
+
+
+def derandomized(max_examples):
+    return settings(
+        derandomize=True,
+        deadline=None,
+        max_examples=max_examples,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+
+
+def rows_of(dim, min_size, max_size):
+    vectors = st.lists(small_fractions, min_size=dim, max_size=dim).map(RationalVector)
+    return st.lists(vectors, min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def degenerate_systems(draw):
+    """Small systems with duplicated (rescaled) rows, negated row pairs,
+    equality rows, non-integer entries and several rows tight at one apex.
+    Rows ending in -1 make the cone one over a polygon or polytope."""
+    dim = draw(st.integers(2, 4))
+    ineq = draw(rows_of(dim, 1, 5))
+    if draw(st.booleans()):
+        ineq = [RationalVector(r.entries[:-1] + (Fraction(-1),)) for r in ineq]
+    apex = draw(rows_of(dim, 1, 1))[0]
+    if not apex.is_zero():
+        for row in draw(rows_of(dim, 0, 3)):
+            ineq.append(row - apex.scale(row.dot(apex) / apex.dot(apex)))
+    for row in draw(st.lists(st.sampled_from(ineq), max_size=1)):
+        ineq.append(row.scale(draw(positive_fractions)))
+    for row in draw(st.lists(st.sampled_from(ineq), max_size=1)):
+        ineq.append(-row)
+    eqs = draw(rows_of(dim, 0, 1))
+    ineq = draw(st.permutations(ineq))
+    return dim, [r for r in eqs if not r.is_zero()], [r for r in ineq if not r.is_zero()]
+
+
+@derandomized(max_examples=150)
+@given(degenerate_systems())
+def test_degenerate_systems_agree_with_brute_force(system):
+    dim, eqs, ineq = system
+    gens = double_description(dim, eqs, ineq)
+    assert (gens.rays, gens.lineality) == brute_force_generators(dim, eqs, ineq)
+
+
+@st.composite
+def scaled_wide_systems(draw):
+    """A system of the size the ``cones`` command meets (dimension 8-10,
+    12-13 rows), with every row multiplied by its own positive rational."""
+    dim = draw(st.integers(8, 10))
+    eqs = draw(rows_of(dim, 0, 1))
+    ineq = draw(rows_of(dim, 12 - len(eqs), 13 - len(eqs)))
+    scaled_eqs = [r.scale(draw(positive_fractions)) for r in eqs]
+    scaled_ineq = [r.scale(draw(positive_fractions)) for r in ineq]
+    return dim, (eqs, ineq), (scaled_eqs, scaled_ineq)
+
+
+@derandomized(max_examples=25)
+@given(scaled_wide_systems())
+def test_positive_row_scaling_gives_identical_generators(system):
+    dim, (eqs, ineq), (scaled_eqs, scaled_ineq) = system
+    assert double_description(dim, scaled_eqs, scaled_ineq) == double_description(dim, eqs, ineq)
