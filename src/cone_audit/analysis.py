@@ -21,15 +21,11 @@ from .geometry import PolyhedralCone
 from .linalg import RationalVector
 from .objectives import AffineRegion, QuadraticObjective, SmoothObjective
 from .optimality import (
-    ConditionId,
     ConditionReport,
     CopositivityResult,
     LagrangeCertificate,
     Verdict,
-    assess_direction_polyhedral,
-    check_c1,
     check_qp,
-    classical_second_order_check,
     critical_cone,
     first_order_check,
     theorem33_check,
@@ -315,50 +311,22 @@ def _run_first_order(ctx: _Context) -> tuple[dict, int]:
 
 def _run_second_order(ctx: _Context) -> tuple[dict, int]:
     directions = ctx.require_directions("second-order")
-    verdicts: list[Verdict] = []
-    entries = []
     quad = ctx.quadratic_objective()
     if ctx.polyhedron is not None and quad is not None and ctx.exact:
-        point = ctx.point_rational()
-        gradient = quad.gradient(point)
-        for v in directions:
-            direction = RationalVector([Fraction(a) for a in v])
-            flags = assess_direction_polyhedral(
-                ctx.polyhedron, point, direction, gradient.dot(direction), 0
+        objective = quad
+        directions = [_rational_vec(v) for v in directions]
+    else:
+        objective = ctx.smooth_objective()
+        if objective.hessian is None:
+            raise AnalysisError(
+                "second-order analysis needs a Hessian",
+                hint="use a quadratic objective or a fixture with second derivatives",
             )
-            second = ctx.polyhedron.second_order_tangent_set(point, direction)
-            curvature = quad.quadratic_form(direction)
-            c1 = check_c1(gradient, second, 0)
-            c2 = ConditionReport(
-                condition=ConditionId.C2,
-                verdict=Verdict.HOLDS if curvature >= 0 else Verdict.FAILS,
-                witness=None if curvature >= 0 else direction,
-                margin=curvature,
-            )
-            classical = classical_second_order_check(gradient, curvature, second, 0)
-            verdicts += [c1.verdict, c2.verdict, classical.verdict]
-            entries.append(
-                {
-                    "direction": _vector_json(direction),
-                    "critical_flags": _flags_json(flags),
-                    "second_order_set": _cone_json(second),
-                    "c1": _condition_json(c1),
-                    "c2_at_direction": _condition_json(c2),
-                    "classical": _condition_json(classical),
-                }
-            )
-        return {"mode": "polyhedral", "directions": entries}, _exit_of(verdicts)
-
-    objective = ctx.smooth_objective()
-    if objective.hessian is None:
-        raise AnalysisError(
-            "second-order analysis needs a Hessian",
-            hint="use a quadratic objective or a fixture with second derivatives",
-        )
     constraint = ctx.polyhedron if ctx.polyhedron is not None else ctx.smooth_constraint
-    point = ctx.point_floats()
+    verdicts: list[Verdict] = []
+    entries = []
     for v in directions:
-        bundle = theorem33_check(objective, constraint, point, tuple(float(a) for a in v), ctx.tolerance)
+        bundle = theorem33_check(objective, constraint, ctx.problem.query.point, v, ctx.tolerance)
         verdicts += [
             bundle.strengthened_gradient.verdict,
             bundle.curvature_at_direction.verdict,
@@ -372,15 +340,9 @@ def _run_second_order(ctx: _Context) -> tuple[dict, int]:
             "classical": _condition_json(bundle.classical),
         }
         if ctx.polyhedron is None:
-            entry["second_order_region"] = _region_json(
-                ctx.smooth_constraint.second_order_tangent_set(point, v, ctx.tolerance)
-            )
+            entry["second_order_region"] = _region_json(bundle.second_order_set)
         else:
-            entry["second_order_set"] = _cone_json(
-                ctx.polyhedron.second_order_tangent_set(
-                    ctx.point_rational(), RationalVector([Fraction(float(a)) for a in v])
-                )
-            )
+            entry["second_order_set"] = _cone_json(bundle.second_order_set)
         entries.append(entry)
     mode = "polyhedral" if ctx.polyhedron is not None else "smooth"
     return {"mode": mode, "directions": entries}, _exit_of(verdicts)
@@ -512,7 +474,6 @@ def _run_theorem41(ctx: _Context) -> tuple[dict, int]:
         )
     objective = ctx.smooth_objective()
     directions = ctx.require_directions("theorem41")
-    point = ctx.point_floats()
     tolerance = ctx.tolerance if ctx.tolerance else 1e-9
     entries = []
     exit_code = EXIT_ALL_HOLD
@@ -520,8 +481,8 @@ def _run_theorem41(ctx: _Context) -> tuple[dict, int]:
         report = theorem41_check(
             objective,
             ctx.polyhedron,
-            point,
-            tuple(float(a) for a in v),
+            ctx.problem.query.point,
+            v,
             [tuple(float(a) for a in z) for z in ctx.problem.query.z_candidates],
             tolerance,
         )
@@ -688,19 +649,16 @@ class _Revalidator:
             )
         if verdict == "holds" and entry.get("certificate") and entry["certificate"].get("type") == "lagrange":
             cert = entry["certificate"]
-            grad = self._gradient_exact()
-            total = RationalVector.zero(grad.dim)
-            ok = True
-            for item in cert["inequality_multipliers"]:
-                lam = Fraction(item["value"])
-                if lam < 0:
-                    ok = False
-                total = total + cone.ineq_rows.row(item["position"]).scale(lam)
-            for j, mu in enumerate(cert["equality_multipliers"]):
-                total = total + cone.eq_rows.row(j).scale(Fraction(mu))
+            certificate = LagrangeCertificate(
+                inequality_multipliers=tuple(
+                    (item["position"], item.get("origin_row"), Fraction(item["value"]))
+                    for item in cert["inequality_multipliers"]
+                ),
+                equality_multipliers=_rational_vec(cert["equality_multipliers"]),
+            )
             self.add(
                 label + ": Lagrange certificate identity",
-                ok and total == -grad,
+                certificate.verify(self._gradient_exact(), cone),
                 "-grad = sum(lambda_i row_i) + A^T mu re-verified exactly",
             )
 

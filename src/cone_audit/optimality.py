@@ -17,9 +17,12 @@ x of  min f over C:
 * QP (c0)/(c1')/(c2') are the same three specialized to quadratic data,
   run entirely in exact arithmetic.
 
-The universal quantifier over critical directions in (c1') is resolved by
-enumerating the critical cone's generators (rays and both signs of the
-lineality basis); reports list the checked directions explicitly.
+Over a polyhedron (c1) at any one critical direction is equivalent to (c0)
+and to (c1) at every critical direction: T(x) lies inside each second-order
+tangent set T^2(x, v), and a (c0) multiplier is positive only on active rows
+that stay tight along every critical v.  So the (c1') quantifier needs no
+enumeration, and the classical check over a polyhedral second-order set is
+(c1) read exactly plus the curvature sign.
 
 Exact checks take tolerance 0.  Float-regime checks treat violations within
 the tolerance as boundary Holds, because irrational candidate points make
@@ -39,7 +42,7 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .geometry import PolyhedralCone, Polyhedron
 from .linalg import RationalMatrix, RationalVector
-from .lp import LPStatus, solve_lp
+from .lp import LPResult, LPStatus, solve_lp
 from .objectives import (
     AffineRegion,
     QuadraticObjective,
@@ -185,26 +188,34 @@ def assess_direction_region(
 
 
 def _as_rational_vector(values) -> RationalVector:
+    """Exact entries: Fraction(a) is exact for rationals and binary64 floats alike."""
     if isinstance(values, RationalVector):
         return values
-    return RationalVector([Fraction(float(a)) for a in np.asarray(values, dtype=float).reshape(-1)])
+    return RationalVector([Fraction(a) for a in np.asarray(values, dtype=object).reshape(-1)])
 
 
-def _linear_condition_on_cone(
-    gradient: RationalVector,
-    cone: PolyhedralCone,
-    tolerance,
-    condition: ConditionId,
-) -> ConditionReport:
+def _pairing_lp(gradient: RationalVector, cone: PolyhedralCone) -> LPResult:
+    """min <gradient, w> over the cone: optimal at 0 with its multipliers, or
+    unbounded along a ray."""
     if gradient.dim != cone.dim:
         raise DimensionMismatchError("gradient dimension does not match the cone")
-    result = solve_lp(
+    return solve_lp(
         gradient,
         eq_matrix=cone.eq_rows,
         eq_rhs=RationalVector.zero(cone.eq_rows.nrows),
         ineq_matrix=cone.ineq_rows,
         ineq_rhs=RationalVector.zero(cone.ineq_rows.nrows),
     )
+
+
+def _linear_condition_on_cone(
+    gradient: RationalVector,
+    cone: PolyhedralCone,
+    result: LPResult,
+    tolerance,
+    condition: ConditionId,
+) -> ConditionReport:
+    """Read the pairing LP ``result`` as <gradient, .> >= 0 on the cone."""
     if result.status is LPStatus.OPTIMAL:
         # The infimum over a cone is 0; the dual multipliers certify
         # -gradient = sum(lambda_i row_i) + sum(mu_j eq_j).
@@ -286,8 +297,9 @@ def first_order_check(
     affine regions use the closed form.
     """
     if isinstance(tangent, PolyhedralCone):
+        grad = _as_rational_vector(gradient)
         return _linear_condition_on_cone(
-            _as_rational_vector(gradient), tangent, tolerance, condition
+            grad, tangent, _pairing_lp(grad, tangent), tolerance, condition
         )
     return _linear_condition_on_region(gradient, tangent, float(tolerance), condition)
 
@@ -299,8 +311,9 @@ def check_c1(
 ) -> ConditionReport:
     """Strengthened condition: <gradient, w> >= 0 on the second-order tangent set."""
     if isinstance(second_order_set, PolyhedralCone):
+        grad = _as_rational_vector(gradient)
         return _linear_condition_on_cone(
-            _as_rational_vector(gradient), second_order_set, tolerance, ConditionId.C1
+            grad, second_order_set, _pairing_lp(grad, second_order_set), tolerance, ConditionId.C1
         )
     return _linear_condition_on_region(
         gradient, second_order_set, float(tolerance), ConditionId.C1
@@ -586,24 +599,39 @@ def classical_second_order_check(
     infimum is 0 or -inf; over the one-constraint affine descriptors it has
     the closed form handled by the region itself.
     """
-    certificate = None
     if isinstance(second_order_set, PolyhedralCone):
         grad = _as_rational_vector(gradient)
-        linear = _linear_condition_on_cone(
-            grad, second_order_set, 0, ConditionId.CLASSICAL_32
+        return _classical_on_cone(
+            grad, curvature, second_order_set, _pairing_lp(grad, second_order_set), tolerance
         )
-        if linear.verdict is Verdict.HOLDS:
-            infimum: Fraction | float = Fraction(0)
-            witness_point: RationalVector | tuple | None = RationalVector.zero(grad.dim)
-            certificate = linear.certificate
-        else:
-            infimum = float("-inf")
-            witness_point = linear.witness
-    else:
-        infimum, attained, ray = second_order_set.linear_infimum(
-            gradient, float(tolerance)
+    infimum, attained, ray = second_order_set.linear_infimum(gradient, float(tolerance))
+    witness_point = tuple(float(a) for a in (ray if ray is not None else attained))
+    return _classical_report(infimum, witness_point, None, curvature, tolerance)
+
+
+def _classical_on_cone(
+    gradient: RationalVector,
+    curvature: Fraction | float,
+    cone: PolyhedralCone,
+    result: LPResult,
+    tolerance: float | Fraction,
+) -> ConditionReport:
+    """The classical check read off the pairing LP ``result`` with tolerance 0."""
+    linear = _linear_condition_on_cone(gradient, cone, result, 0, ConditionId.CLASSICAL_32)
+    if linear.verdict is Verdict.HOLDS:
+        return _classical_report(
+            Fraction(0), RationalVector.zero(gradient.dim), linear.certificate, curvature, tolerance
         )
-        witness_point = tuple(float(a) for a in (ray if ray is not None else attained))
+    return _classical_report(float("-inf"), linear.witness, None, curvature, tolerance)
+
+
+def _classical_report(
+    infimum: Fraction | float,
+    witness_point: RationalVector | tuple,
+    certificate: LagrangeCertificate | None,
+    curvature: Fraction | float,
+    tolerance: float | Fraction,
+) -> ConditionReport:
     if infimum == float("-inf"):
         return ConditionReport(
             condition=ConditionId.CLASSICAL_32,
@@ -635,20 +663,22 @@ def classical_second_order_check(
 class SecondOrderBundle:
     """Checks performed at one critical direction.
 
-    ``strengthened_gradient`` is (c1) on the second-order tangent set,
-    ``curvature_at_direction`` the single-direction (c2) sign test, and
-    ``classical`` the combined inequality those two strengthen, kept for
-    comparison: the classical condition can hold while (c2) fails.
+    ``strengthened_gradient`` is (c1) on ``second_order_set``, the
+    second-order tangent set at the direction; ``curvature_at_direction``
+    the single-direction (c2) sign test, and ``classical`` the combined
+    inequality those two strengthen, kept for comparison: the classical
+    condition can hold while (c2) fails.
     """
 
     direction: CriticalDirection
+    second_order_set: PolyhedralCone | AffineRegion
     strengthened_gradient: ConditionReport
     curvature_at_direction: ConditionReport
     classical: ConditionReport
 
 
 def theorem33_check(
-    objective: SmoothObjective,
+    objective: SmoothObjective | QuadraticObjective,
     constraint: Polyhedron | SmoothLevelSetConstraint,
     point,
     direction,
@@ -656,15 +686,28 @@ def theorem33_check(
 ) -> SecondOrderBundle:
     """Bundle (c1), the (c2) sign at one direction, and the classical check.
 
-    ``constraint`` is either an exact polyhedron (cones computed exactly,
-    gradients converted to exact rationals) or a single smooth level-set
-    constraint (affine descriptors, float arithmetic with tolerances).
+    A :class:`QuadraticObjective` over a polyhedron is checked exactly, with
+    tolerance 0; the ``tolerance`` argument is ignored for such data.  A
+    :class:`SmoothObjective` is evaluated in float over an exact polyhedron
+    (cones computed exactly at the exact point, the gradient converted to
+    exact rationals) or a single smooth level-set constraint (affine
+    descriptors, float arithmetic with tolerances).
     """
-    grad = objective.gradient_at(point)
-    hessian = objective.hessian_at(point)
-    vec = np.asarray(direction, dtype=float).reshape(-1)
-    curvature = float(vec @ hessian @ vec)
-    pairing = float(grad @ vec)
+    exact = isinstance(objective, QuadraticObjective)
+    if exact:
+        if not isinstance(constraint, Polyhedron):
+            raise TypeError("exact quadratic data needs a polyhedral constraint set")
+        tolerance = 0
+        vec = _as_rational_vector(direction)
+        grad = objective.gradient(_as_rational_vector(point))
+        curvature = objective.quadratic_form(vec)
+        pairing = grad.dot(vec)
+    else:
+        grad = objective.gradient_at(point)
+        hessian = objective.hessian_at(point)
+        vec = np.asarray(direction, dtype=float).reshape(-1)
+        curvature = float(vec @ hessian @ vec)
+        pairing = float(grad @ vec)
 
     if isinstance(constraint, Polyhedron):
         point_r = _as_rational_vector(point)
@@ -673,29 +716,34 @@ def theorem33_check(
             constraint, point_r, direction_r, pairing, tolerance
         )
         second_order = constraint.second_order_tangent_set(point_r, direction_r)
+        grad_r = _as_rational_vector(grad)
+        result = _pairing_lp(grad_r, second_order)
+        c1 = _linear_condition_on_cone(grad_r, second_order, result, tolerance, ConditionId.C1)
+        classical = _classical_on_cone(grad_r, curvature, second_order, result, tolerance)
     else:
         region = constraint.tangent_cone(point, tolerance)
         critical = assess_direction_region(region, vec, pairing, tolerance)
         second_order = constraint.second_order_tangent_set(point, vec, tolerance)
+        c1 = check_c1(grad, second_order, tolerance)
+        classical = classical_second_order_check(grad, curvature, second_order, tolerance)
 
-    c1 = check_c1(grad, second_order, tolerance)
     if curvature >= -tolerance:
         c2_at_v = ConditionReport(
             condition=ConditionId.C2,
             verdict=Verdict.HOLDS,
             margin=curvature,
-            boundary=abs(curvature) <= tolerance,
+            boundary=(not exact) and abs(curvature) <= tolerance,
         )
     else:
         c2_at_v = ConditionReport(
             condition=ConditionId.C2,
             verdict=Verdict.FAILS,
-            witness=tuple(float(a) for a in vec),
+            witness=vec if exact else tuple(float(a) for a in vec),
             margin=curvature,
         )
-    classical = classical_second_order_check(grad, curvature, second_order, tolerance)
     return SecondOrderBundle(
         direction=critical,
+        second_order_set=second_order,
         strengthened_gradient=c1,
         curvature_at_direction=c2_at_v,
         classical=classical,
@@ -735,10 +783,11 @@ def check_qp(
 ) -> QPConditions:
     """Exact (c0)/(c1')/(c2') verification for min (1/2)<Mx,x> + <q,x> over a polyhedron.
 
-    (c0) is the first-order check with gradient M x + q; (c1') runs the
-    strengthened gradient condition over the second-order tangent set at
-    every generator of the critical cone; (c2') tests copositivity of M on
-    the critical cone.
+    (c0) is the first-order check with gradient M x + q; (c1') is (c1) on the
+    second-order tangent set at the first critical-cone generator, which
+    over a polyhedron decides it for every critical direction, and
+    ``checked_directions`` lists all the generators it covers; (c2') tests
+    copositivity of M on the critical cone.
     """
     constraint_set.require_member(point)
     gradient = objective.gradient(point)
@@ -746,36 +795,27 @@ def check_qp(
     c0 = first_order_check(gradient, tangent, 0, ConditionId.QP_C0)
 
     crit = critical_cone(gradient, tangent)
-    directions = list(crit.generators().spanning_vectors())
-    if not directions:
-        directions = [RationalVector.zero(constraint_set.dim)]
-
-    c1_reports = []
-    failing = None
-    for v in directions:
-        second_order = constraint_set.second_order_tangent_set(point, v)
-        report = check_c1(gradient, second_order, 0)
-        c1_reports.append(report)
-        if report.verdict is Verdict.FAILS and failing is None:
-            failing = (v, report)
-    if failing is None:
-        certificates = [r.certificate for r in c1_reports]
+    directions = tuple(crit.generators().spanning_vectors()) or (
+        RationalVector.zero(constraint_set.dim),
+    )
+    v = directions[0]
+    c1 = check_c1(gradient, constraint_set.second_order_tangent_set(point, v), 0)
+    if c1.verdict is Verdict.HOLDS:
         c1p = ConditionReport(
             condition=ConditionId.QP_C1P,
             verdict=Verdict.HOLDS,
-            certificate=certificates[0] if certificates else None,
+            certificate=c1.certificate,
             margin=Fraction(0),
-            checked_directions=tuple(directions),
-            notes="checked at every critical-cone generator",
+            checked_directions=directions,
+            notes="holds at the first critical-cone generator, hence at every critical direction",
         )
     else:
-        v, report = failing
         c1p = ConditionReport(
             condition=ConditionId.QP_C1P,
             verdict=Verdict.FAILS,
-            witness=report.witness,
-            margin=report.margin,
-            checked_directions=tuple(directions),
+            witness=c1.witness,
+            margin=c1.margin,
+            checked_directions=directions,
             witness_direction=v,
             notes=f"violated at critical direction {v}",
         )
@@ -801,5 +841,5 @@ def check_qp(
         curvature_on_critical_cone=c2p,
         tangent_cone=tangent,
         critical_cone=crit,
-        checked_directions=tuple(directions),
+        checked_directions=directions,
     )

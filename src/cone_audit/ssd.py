@@ -35,6 +35,7 @@ from .optimality import (
     ConditionReport,
     CriticalDirection,
     Verdict,
+    _as_rational_vector,
     assess_direction_polyhedral,
     check_c1,
 )
@@ -391,9 +392,9 @@ def linear_equality_check(
 
 
 def _as_rational(values, dim: int) -> RationalVector:
-    vec = np.asarray(values, dtype=float).reshape(-1)
-    if vec.shape != (dim,):
+    vec = _as_rational_vector(values)
+    if vec.dim != dim:
         raise DimensionMismatchError(
-            f"expected a point of dimension {dim}, got shape {vec.shape}"
+            f"expected a point of dimension {dim}, got shape {(vec.dim,)}"
         )
-    return RationalVector([Fraction(float(a)) for a in vec])
+    return vec

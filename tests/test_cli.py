@@ -131,6 +131,48 @@ def test_verify_exact_non_dyadic_point(tmp_path, capsys):
     assert "verification passed" in out
 
 
+# The ex31 objective (evaluated in float) over an exact triangle: x = (1/3, 2/3)
+# sits on the row x1 + x2 <= 1, which the binary64 rounding of x leaves.
+EX31_AT_NON_DYADIC_POINT = {
+    "version": "1",
+    "constraint": {
+        "type": "polyhedron",
+        "dimension": 2,
+        "inequalities": {"rows": [["1", "1"], ["-1", "0"]], "bounds": ["1", "0"]},
+    },
+    "objective": {"type": "fixture", "name": "ex31"},
+    "query": {"point": ["1/3", "2/3"], "directions": [["1", "-1"]], "regime": "exact"},
+}
+
+
+def test_second_order_uses_exact_point_with_fixture_objective(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(EX31_AT_NON_DYADIC_POINT))
+    code, out, _ = run_cli(capsys, "second-order", "--input", str(path), "--format", "json")
+    assert code == 1  # ex31 has negative curvature along (1, -1)
+    entry = json.loads(out)["results"]["directions"][0]
+    # (c1) is checked on the second-order set the report prints
+    assert entry["second_order_set"]["inequalities"] == [["1", "1"]]
+    assert entry["c1"]["verdict"] == "holds"
+    assert entry["c2_at_direction"]["verdict"] == "fails"
+    assert entry["classical"]["verdict"] == "fails"
+    assert entry["classical"]["margin"] == -6.0
+    report_path = tmp_path / "report.json"
+    report_path.write_text(out)
+    code, out, err = run_cli(capsys, "verify", "--input", str(report_path))
+    assert code == 0, err
+    assert "verification passed" in out
+
+
+def test_theorem41_uses_exact_point_with_fixture_objective(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(EX31_AT_NON_DYADIC_POINT))
+    code, out, _ = run_cli(capsys, "theorem41", "--input", str(path))
+    assert code == 0
+    assert "direction v = (1.0, -1.0): Holds" in out
+    assert "C1: HOLDS" in out
+
+
 def test_negative_depth_rejected(capsys):
     path = os.path.join(PROBLEMS, "orthant_qp.json")
     code, _, err = run_cli(capsys, "qp", "--input", path, "--depth", "-5")

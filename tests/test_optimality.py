@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from cone_audit import optimality
 from cone_audit.geometry import PolyhedralCone, Polyhedron, cone_equal
 from cone_audit.linalg import RationalMatrix, RationalVector, matrix, vector
 from cone_audit.objectives import AffineRegion, QuadraticObjective, RegionKind, fixture
@@ -300,16 +301,20 @@ def test_qp_c2_failure_witnessed():
 
 
 def test_qp_c1_implies_first_order_on_random_instances():
-    """(c1) at a critical direction is at least as strong as stationarity.
+    """Over a polyhedron (c1') is equivalent to (c0) and to (c1) at every
+    critical direction; check_qp decides it with one LP.
 
-    Gradients are drawn from the normal cone at the base point (so the
-    critical cone is a nontrivial face) and, interleaved, fully at random.
+    The oracle is (c1) checked at every critical-cone generator.  Gradients
+    are drawn from the normal cone at the base point (so the critical cone
+    is a nontrivial face) and, interleaved, fully at random.
     """
     rng = random.Random(23)
-    observed = 0
-    for trial in range(40):
-        dim = rng.randint(1, 3)
-        polyhedron, base = random_feasible_polyhedron(rng, dim, rng.randint(1, 4))
+    observed = {Verdict.HOLDS: 0, Verdict.FAILS: 0}
+    for trial in range(60):
+        dim = rng.randint(1, 4)
+        polyhedron, base = random_feasible_polyhedron(
+            rng, dim, rng.randint(1, 6), num_eq=rng.randint(0, 1)
+        )
         if trial % 2 == 0:
             # -gradient = nonneg combination of active rows: stationary point
             gradient = RationalVector.zero(dim)
@@ -319,14 +324,56 @@ def test_qp_c1_implies_first_order_on_random_instances():
         else:
             gradient = random_vector(rng, dim)
         tangent = polyhedron.tangent_cone(base)
-        crit = critical_cone(gradient, tangent)
-        for v in crit.generators().spanning_vectors():
+        # 0 is always critical, and T^2(x, 0) = T(x)
+        generators = list(critical_cone(gradient, tangent).generators().spanning_vectors())
+        generators = generators or [RationalVector.zero(dim)]
+        # f(x) = <gradient, x> has the drawn gradient everywhere
+        objective = QuadraticObjective(RationalMatrix.zeros(dim, dim), gradient)
+        report = check_qp(objective, polyhedron, base)
+        c0 = report.stationarity.verdict
+        for v in generators:
             second = polyhedron.second_order_tangent_set(base, v)
-            c1 = check_c1(gradient, second)
-            if c1.verdict is Verdict.HOLDS:
-                observed += 1
-                assert first_order_check(gradient, tangent).verdict is Verdict.HOLDS
-    assert observed > 10
+            assert check_c1(gradient, second).verdict is c0
+        c1p = report.strengthened_gradient
+        assert c1p.verdict is c0
+        assert list(c1p.checked_directions) == generators
+        if c1p.verdict is Verdict.HOLDS:
+            second = polyhedron.second_order_tangent_set(base, c1p.checked_directions[0])
+            assert c1p.certificate.verify(gradient, second)
+        else:
+            second = polyhedron.second_order_tangent_set(base, c1p.witness_direction)
+            assert second.contains(c1p.witness)
+            assert gradient.dot(c1p.witness) < 0
+        observed[c1p.verdict] += 1
+    assert min(observed.values()) > 10
+
+
+def test_lp_count_one_per_second_order_question(monkeypatch):
+    calls = []
+    real = optimality.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimality, "solve_lp", counting)
+    orthant = Polyhedron.nonnegative_orthant(4)
+    origin = RationalVector.zero(4)
+    quad = QuadraticObjective(RationalMatrix.identity(4), origin)
+    # zero gradient: the critical cone is the whole orthant, 4 generators
+    report = check_qp(quad, orthant, origin)
+    assert len(report.checked_directions) == 4
+    assert report.all_hold
+    assert len(calls) == 2  # (c0) and (c1')
+
+    directions = [RationalVector.unit(4, i) for i in range(4)]
+    for objective, point in ((quad, origin), (quad.as_smooth(), (0.0,) * 4)):
+        calls.clear()
+        for v in directions:
+            bundle = theorem33_check(objective, orthant, point, v)
+            assert bundle.strengthened_gradient.verdict is Verdict.HOLDS
+            assert bundle.classical.verdict is Verdict.HOLDS
+        assert len(calls) == len(directions)
 
 
 def test_equivalence_classical_vs_c1_plus_curvature():
