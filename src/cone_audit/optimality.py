@@ -32,9 +32,12 @@ exact zeros unattainable in binary64.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +58,7 @@ DEFAULT_FLOAT_TOL = 1e-9
 DEFAULT_SUBDIVISION_DEPTH = 12
 DEFAULT_FALSIFIER_SAMPLES = 100_000
 _EIG_TOL = 1e-10
+_FALSIFIER_BLOCK = 4096
 
 
 class Verdict(Enum):
@@ -385,6 +389,34 @@ def _quadratic_form(matrix: RationalMatrix, v: RationalVector) -> Fraction:
     return matrix.matvec(v).dot(v)
 
 
+def _integer_gram(matrix: RationalMatrix, vectors: Sequence[RationalVector]):
+    """``(unit, denom, ints, products, inner)``: ``ints[a] = denom * vectors[a]``
+    in integers, ``products[a][b] = ints[a] . (scale * matrix) ints[b]`` and
+    ``inner[a][b] = ints[a] . ints[b]``; positive lcms of the denominators as
+    scale and denom keep every sign and every comparison of lengths, and a
+    pairing of the vectors is ``products[a][b] / unit``."""
+    scale = lcm(*(x.denominator for row in matrix for x in row))
+    denom = lcm(*(x.denominator for v in vectors for x in v))
+    rows = [[int(x * scale) for x in row] for row in matrix]
+    ints = tuple(tuple(int(x * denom) for x in v) for v in vectors)
+    images = [[sum(map(mul, row, v)) for row in rows] for v in ints]
+    products = [[sum(map(mul, a, image)) for image in images] for a in ints]
+    inner = [[sum(map(mul, a, b)) for b in ints] for a in ints]
+    return scale * denom * denom, denom, ints, products, inner
+
+
+def _with_midpoint(gram: list[list[int]], i: int, j: int, slot: int, denom: int, c: int):
+    """A copy of a symmetric Gram matrix, vertex ``slot`` now (v_i + v_j) * denom / c."""
+    row = [denom * (x + y) // c for x, y in zip(gram[i], gram[j])]
+    diagonal = denom * (row[i] + row[j]) // c
+    child = [r[:] for r in gram]
+    for r, x in zip(child, row):
+        r[slot] = x
+    row[slot] = diagonal
+    child[slot] = row
+    return child
+
+
 def _copositivity_exact(
     matrix: RationalMatrix,
     cone: PolyhedralCone,
@@ -399,8 +431,8 @@ def _copositivity_exact(
         # Pure subspace: copositivity there is positive semidefiniteness of
         # the restriction to the lineality basis, decided exactly.
         basis = list(gens.lineality)
-        restricted = [[_pairing(matrix, a, b) for b in basis] for a in basis]
-        witness_coords = _psd_witness(restricted)
+        unit, _, _, products, _ = _integer_gram(matrix, basis)
+        witness_coords = _psd_witness([[Fraction(p, unit) for p in row] for row in products])
         if witness_coords is None:
             return CopositivityResult(
                 status=CopositivityStatus.COPOSITIVE, method="subspace-factorization"
@@ -416,48 +448,52 @@ def _copositivity_exact(
             method="subspace-factorization",
         )
 
+    # A cell is (vertices as integer tuples, their products, their inner
+    # products, depth); each child inherits its parent's Gram matrices.
     generators = list(gens.spanning_vectors())
-    queue: list[tuple[tuple[RationalVector, ...], int]] = [(tuple(generators), 0)]
-    cells_certified = 0
-    depth_reached = 0
+    unit, denom, ints, products, inner = _integer_gram(matrix, generators)
+    queue = deque([(ints, products, inner, 0)])
+    cells_certified = depth_reached = 0
     inconclusive = False
     while queue:
-        cell, depth = queue.pop(0)
+        cell, products, inner, depth = queue.popleft()
         depth_reached = max(depth_reached, depth)
-        products = [[_pairing(matrix, a, b) for b in cell] for a in cell]
-        negative_vertex = next(
-            (i for i in range(len(cell)) if products[i][i] < 0), None
-        )
+        negative_vertex = next((i for i, row in enumerate(products) if row[i] < 0), None)
         if negative_vertex is not None:
-            witness = cell[negative_vertex]
             return CopositivityResult(
                 status=CopositivityStatus.NOT_COPOSITIVE,
-                witness=witness,
-                witness_value=products[negative_vertex][negative_vertex],
+                witness=RationalVector(Fraction(x, denom) for x in cell[negative_vertex]),
+                witness_value=Fraction(products[negative_vertex][negative_vertex], unit),
                 depth_reached=depth_reached,
                 cells_certified=cells_certified,
                 method="simplicial-partition",
             )
-        if all(
-            products[i][j] >= 0
-            for i in range(len(cell))
-            for j in range(i, len(cell))
-        ):
+        if min(map(min, products)) >= 0:
             cells_certified += 1
             continue
         if depth >= max_depth:
             inconclusive = True
             continue
-        split = _longest_edge(cell)
+        # the longest edge, the first in index order among equally long ones
+        split, longest = None, 0
+        for a, row in enumerate(inner):
+            for b in range(a + 1, len(row)):
+                length = row[a] + inner[b][b] - 2 * row[b]
+                if length > longest:
+                    split, longest = (a, b), length
         if split is None:  # degenerate cell, nothing to bisect
             inconclusive = True
             continue
         i, j = split
-        midpoint = (cell[i] + cell[j]).primitive()
-        left = tuple(midpoint if k == i else v for k, v in enumerate(cell))
-        right = tuple(midpoint if k == j else v for k, v in enumerate(cell))
-        queue.append((left, depth + 1))
-        queue.append((right, depth + 1))
+        # primitive(v_i + v_j), times denom; the zero sum of a lineality pair
+        # +-v stays zero (c = 1), as primitive() leaves it
+        total = [x + y for x, y in zip(cell[i], cell[j])]
+        c = gcd(*total) or 1
+        midpoint = tuple(denom * x // c for x in total)
+        for slot in (i, j):
+            queue.append((cell[:slot] + (midpoint,) + cell[slot + 1:],
+                          _with_midpoint(products, i, j, slot, denom, c),
+                          _with_midpoint(inner, i, j, slot, denom, c), depth + 1))
 
     if not inconclusive:
         return CopositivityResult(
@@ -486,22 +522,6 @@ def _copositivity_exact(
     )
 
 
-def _pairing(matrix: RationalMatrix, a: RationalVector, b: RationalVector) -> Fraction:
-    return matrix.matvec(b).dot(a)
-
-
-def _longest_edge(cell: Sequence[RationalVector]) -> tuple[int, int] | None:
-    best = None
-    best_len = Fraction(0)
-    for i in range(len(cell)):
-        for j in range(i + 1, len(cell)):
-            diff = cell[i] - cell[j]
-            length = diff.dot(diff)
-            if length > best_len:
-                best, best_len = (i, j), length
-    return best
-
-
 def _sphere_sampling_falsifier(
     matrix: RationalMatrix,
     generators: list[RationalVector],
@@ -509,24 +529,25 @@ def _sphere_sampling_falsifier(
 ) -> tuple[RationalVector, Fraction] | None:
     """Seeded random search for a cone direction with negative quadratic form.
 
-    Candidates are convex combinations of the generators, screened in float
-    and confirmed in exact arithmetic before being reported.
+    Candidates are convex combinations of the k generators, sample s taking
+    draws s*k to s*k+k-1 of ``random.Random(1789)``.  They are screened in
+    float, a block at a time, and confirmed in exact arithmetic in order.
     """
     rng = random.Random(1789)
     float_gens = np.array([g.as_floats() for g in generators], dtype=float)
     float_matrix = np.array(matrix.as_float_rows(), dtype=float)
-    for _ in range(samples):
-        coeffs = np.array([rng.random() for _ in generators])
-        candidate = coeffs @ float_gens
-        norm = float(np.linalg.norm(candidate))
-        if norm < 1e-12:
-            continue
-        candidate /= norm
-        if float(candidate @ float_matrix @ candidate) < -1e-9:
-            exact = RationalVector.zero(len(candidate))
-            for c, g in zip(coeffs, generators):
-                exact = exact + g.scale(Fraction(float(c)))
-            exact = exact.primitive()
+    k = len(generators)
+    for start in range(0, samples, _FALSIFIER_BLOCK):
+        count = min(_FALSIFIER_BLOCK, samples - start)
+        coeffs = np.array([rng.random() for _ in range(count * k)]).reshape(count, k)
+        candidates = coeffs @ float_gens
+        norms = np.linalg.norm(candidates, axis=1)
+        usable = norms >= 1e-12
+        candidates /= np.where(usable, norms, 1.0)[:, None]
+        values = np.einsum("ij,ij->i", candidates @ float_matrix, candidates)
+        for s in np.flatnonzero(usable & (values < -1e-9)):
+            terms = (g.scale(Fraction(float(c))) for c, g in zip(coeffs[s], generators))
+            exact = sum(terms, RationalVector.zero(float_gens.shape[1])).primitive()
             value = _quadratic_form(matrix, exact)
             if value < 0:
                 return exact, value
@@ -566,17 +587,20 @@ def check_c2_copositivity(
 ) -> CopositivityResult:
     """Is <matrix v, v> >= 0 for every v in the cone?
 
-    Exact rational cones: a pure subspace is decided completely by pivoted
-    factorization of the restricted matrix; otherwise the simplicial
-    partition over the generators certifies cells with all pairwise products
-    nonnegative, reports any vertex with negative form as a witness, and
-    bisects the longest edge up to ``max_depth``, falling back to a seeded
-    sphere-sampling falsifier before answering Inconclusive.  Float regions
-    are decided by an eigenvalue threshold of 1e-10 on the restricted matrix.
+    Exact rational cones need an exactly symmetric matrix (ValueError
+    otherwise).  A pure subspace is decided by pivoted factorization of the
+    restricted matrix; otherwise a simplicial partition over the generators
+    runs on integer Gram matrices that each cell inherits from its parent.
+    It certifies cells with all pairwise products nonnegative, reports a
+    vertex with negative form as a witness and bisects the longest edge up to
+    ``max_depth``, then tries a seeded sphere-sampling falsifier before
+    answering Inconclusive.  Float regions use an eigenvalue threshold of 1e-10.
     """
     if isinstance(cone, PolyhedralCone):
         if not isinstance(matrix, RationalMatrix):
             raise TypeError("exact copositivity requires a RationalMatrix")
+        if not matrix.is_symmetric():
+            raise ValueError("copositivity matrix must be exactly symmetric")
         return _copositivity_exact(matrix, cone, max_depth, falsifier_samples)
     return _copositivity_float(matrix, cone)
 

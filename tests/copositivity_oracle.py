@@ -1,0 +1,151 @@
+"""Reference copositivity partition on `Fraction` vectors, for differential tests.
+
+This is the partition `optimality._copositivity_exact` ran before it moved to
+integer Gram matrices: every cell recomputes its k x k pairings with a fresh
+`matvec`, the longest edge is measured on the vectors themselves, and the
+falsifier draws and screens one sample at a time.  It must give the same
+`CopositivityResult` as the package, witness bytes included.
+"""
+
+import random
+from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
+
+from cone_audit.linalg import RationalMatrix, RationalVector
+from cone_audit.optimality import (
+    CopositivityResult,
+    CopositivityStatus,
+    _psd_witness,
+    _quadratic_form,
+)
+
+
+def oracle_copositivity(
+    matrix: RationalMatrix, cone, max_depth: int, falsifier_samples: int
+) -> CopositivityResult:
+    gens = cone.generators()
+    if gens.is_origin():
+        return CopositivityResult(status=CopositivityStatus.COPOSITIVE, method="trivial")
+
+    if not gens.rays:
+        basis = list(gens.lineality)
+        restricted = [[_pairing(matrix, a, b) for b in basis] for a in basis]
+        witness_coords = _psd_witness(restricted)
+        if witness_coords is None:
+            return CopositivityResult(
+                status=CopositivityStatus.COPOSITIVE, method="subspace-factorization"
+            )
+        witness = RationalVector.zero(cone.dim)
+        for coord, vec in zip(witness_coords, basis):
+            witness = witness + vec.scale(coord)
+        witness = witness.primitive()
+        return CopositivityResult(
+            status=CopositivityStatus.NOT_COPOSITIVE,
+            witness=witness,
+            witness_value=_quadratic_form(matrix, witness),
+            method="subspace-factorization",
+        )
+
+    generators = list(gens.spanning_vectors())
+    queue = [(tuple(generators), 0)]
+    cells_certified = 0
+    depth_reached = 0
+    inconclusive = False
+    while queue:
+        cell, depth = queue.pop(0)
+        depth_reached = max(depth_reached, depth)
+        products = [[_pairing(matrix, a, b) for b in cell] for a in cell]
+        negative_vertex = next((i for i in range(len(cell)) if products[i][i] < 0), None)
+        if negative_vertex is not None:
+            return CopositivityResult(
+                status=CopositivityStatus.NOT_COPOSITIVE,
+                witness=cell[negative_vertex],
+                witness_value=products[negative_vertex][negative_vertex],
+                depth_reached=depth_reached,
+                cells_certified=cells_certified,
+                method="simplicial-partition",
+            )
+        if all(
+            products[i][j] >= 0 for i in range(len(cell)) for j in range(i, len(cell))
+        ):
+            cells_certified += 1
+            continue
+        if depth >= max_depth:
+            inconclusive = True
+            continue
+        split = _longest_edge(cell)
+        if split is None:
+            inconclusive = True
+            continue
+        i, j = split
+        midpoint = (cell[i] + cell[j]).primitive()
+        left = tuple(midpoint if k == i else v for k, v in enumerate(cell))
+        right = tuple(midpoint if k == j else v for k, v in enumerate(cell))
+        queue.append((left, depth + 1))
+        queue.append((right, depth + 1))
+
+    if not inconclusive:
+        return CopositivityResult(
+            status=CopositivityStatus.COPOSITIVE,
+            depth_reached=depth_reached,
+            cells_certified=cells_certified,
+            method="simplicial-partition",
+        )
+
+    sampled = _sphere_sampling_falsifier(matrix, generators, falsifier_samples)
+    if sampled is not None:
+        witness, value = sampled
+        return CopositivityResult(
+            status=CopositivityStatus.NOT_COPOSITIVE,
+            witness=witness,
+            witness_value=value,
+            depth_reached=depth_reached,
+            cells_certified=cells_certified,
+            method="sphere-sampling",
+        )
+    return CopositivityResult(
+        status=CopositivityStatus.INCONCLUSIVE,
+        depth_reached=depth_reached,
+        cells_certified=cells_certified,
+        method="simplicial-partition",
+    )
+
+
+def _pairing(matrix: RationalMatrix, a: RationalVector, b: RationalVector) -> Fraction:
+    return matrix.matvec(b).dot(a)
+
+
+def _longest_edge(cell: Sequence[RationalVector]) -> tuple[int, int] | None:
+    best = None
+    best_len = Fraction(0)
+    for i in range(len(cell)):
+        for j in range(i + 1, len(cell)):
+            diff = cell[i] - cell[j]
+            length = diff.dot(diff)
+            if length > best_len:
+                best, best_len = (i, j), length
+    return best
+
+
+def _sphere_sampling_falsifier(matrix, generators, samples):
+    rng = random.Random(1789)
+    float_gens = np.array([g.as_floats() for g in generators], dtype=float)
+    float_matrix = np.array(matrix.as_float_rows(), dtype=float)
+    for _ in range(samples):
+        coeffs = np.array([rng.random() for _ in generators])
+        candidate = coeffs @ float_gens
+        norm = float(np.linalg.norm(candidate))
+        if norm < 1e-12:
+            continue
+        candidate /= norm
+        if float(candidate @ float_matrix @ candidate) < -1e-9:
+            exact = RationalVector.zero(len(candidate))
+            for c, g in zip(coeffs, generators):
+                exact = exact + g.scale(Fraction(float(c)))
+            exact = exact.primitive()
+            value = _quadratic_form(matrix, exact)
+            if value < 0:
+                return exact, value
+    return None
