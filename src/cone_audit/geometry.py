@@ -28,7 +28,6 @@ from .errors import (
     NotTangentDirectionError,
 )
 from .linalg import RationalMatrix, RationalVector, row_space_basis
-from .lp import LPResult, solve_lp
 
 _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
@@ -161,39 +160,28 @@ class PolyhedralCone:
             dim_cap=self.dim_cap,
         )
 
-    def membership_lp(self, v: RationalVector) -> LPResult:
-        """Feasibility LP deciding v in cone(rays) + span(lineality).
+    def tangent_cone_at(self, v: RationalVector) -> "PolyhedralCone":
+        """The tangent cone at a member v: the equality rows and the
+        inequality rows tight at v, with their origins.
 
-        Independent of the H-form row checks; used by tests to cross-validate
-        the double description output.
+        For the tangent cone T(x) of a polyhedron this is the second-order
+        tangent set T2(x, v).  Raises :class:`NotTangentDirectionError` when
+        v is not in the cone.
         """
-        gens = self.generators()
-        columns = list(gens.rays) + list(gens.lineality)
-        k_rays = len(gens.rays)
-        if not columns:
-            # Only the origin; encode 0 = v through an empty-variable system.
-            feasible = v.is_zero()
-            if feasible:
-                return solve_lp(RationalVector([]))
-            return solve_lp(
-                RationalVector([]),
-                eq_matrix=RationalMatrix([RationalVector([])] * v.dim, 0),
-                eq_rhs=v,
+        eq, ineq = self.eq_rows, self.ineq_rows
+        values = [row.dot(v) for row in ineq.rows]
+        if any(row.dot(v) != 0 for row in eq.rows) or any(a > 0 for a in values):
+            raise NotTangentDirectionError(
+                "direction is not tangent at the base point; the second-order "
+                "tangent set is only defined for tangent directions"
             )
-        eq = RationalMatrix(
-            [RationalVector(col[i] for col in columns) for i in range(self.dim)],
-            len(columns),
-        )
-        ineq_rows = [
-            RationalVector([-_ONE if j == r else Fraction(0) for j in range(len(columns))])
-            for r in range(k_rays)
-        ]
-        return solve_lp(
-            RationalVector([Fraction(0)] * len(columns)),
-            eq_matrix=eq,
-            eq_rhs=v,
-            ineq_matrix=RationalMatrix(ineq_rows, len(columns)),
-            ineq_rhs=RationalVector([Fraction(0)] * k_rays),
+        tight = [k for k, a in enumerate(values) if a == 0]
+        return PolyhedralCone(
+            self.dim,
+            eq_rows=eq,
+            ineq_rows=RationalMatrix([ineq.row(k) for k in tight], self.dim),
+            ineq_origins=tuple(self.ineq_origins[k] for k in tight),
+            dim_cap=self.dim_cap,
         )
 
     def __repr__(self) -> str:
@@ -226,7 +214,7 @@ def cone_equal(first: PolyhedralCone, second: PolyhedralCone) -> tuple[bool, Rat
 class Polyhedron:
     """H-form convex polyhedron {x | A x = y, <row_i, x> <= bound_i}.
 
-    The set may be empty; feasibility is queryable rather than assumed.
+    The set may be empty; methods that take a point check its membership.
     All data is exact, all methods are pure.
     """
 
@@ -307,16 +295,6 @@ class Polyhedron:
                     violation=value - self.ineq_rhs[k],
                 )
 
-    def feasibility(self) -> LPResult:
-        """Feasibility LP: OPTIMAL with a point, or INFEASIBLE with Farkas multipliers."""
-        return solve_lp(
-            RationalVector.zero(self.dim),
-            eq_matrix=self.eq_matrix,
-            eq_rhs=self.eq_rhs,
-            ineq_matrix=self.ineq_matrix,
-            ineq_rhs=self.ineq_rhs,
-        )
-
     def _active_rows(self, x: RationalVector) -> list[int]:
         return [
             k
@@ -349,14 +327,7 @@ class Polyhedron:
 
     def directionally_active_indices(self, x: RationalVector, v: RationalVector) -> tuple[int, ...]:
         """Active rows that stay tight along a tangent direction (1-based)."""
-        self.require_member(x)
-        active = self._active_rows(x)
-        if not self._is_tangent(x, v, active):
-            raise NotTangentDirectionError(
-                "direction is not tangent at the base point; the second-order "
-                "tangent set is only defined for tangent directions"
-            )
-        return tuple(k + 1 for k in active if self.ineq_matrix.row(k).dot(v) == 0)
+        return self.second_order_tangent_set(x, v).ineq_origins
 
     def second_order_tangent_set(self, x: RationalVector, v: RationalVector) -> PolyhedralCone:
         """{w | A w = 0, <row_i, w> <= 0 for active rows orthogonal to v}.
@@ -365,14 +336,7 @@ class Polyhedron:
         so callers can report which constraints stay binding at second order.
         Raises :class:`NotTangentDirectionError` when v is not tangent.
         """
-        tight = self.directionally_active_indices(x, v)
-        return PolyhedralCone(
-            self.dim,
-            eq_rows=self.eq_matrix,
-            ineq_rows=RationalMatrix([self.ineq_matrix.row(k - 1) for k in tight], self.dim),
-            ineq_origins=tight,
-            dim_cap=self.dim_cap,
-        )
+        return self.tangent_cone(x).tangent_cone_at(v)
 
     def normal_cone(self, x: RationalVector) -> PolyhedralCone:
         """Normal cone by generators: active rows as rays, row space of A as lineality."""

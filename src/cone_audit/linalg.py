@@ -195,12 +195,6 @@ class RationalMatrix:
             )
         return RationalVector(r.dot(v) for r in self.rows)
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [RationalVector(r[j] for r in self.rows) for j in range(self.ncols)],
-            self.nrows,
-        )
-
     def stack(self, other: "RationalMatrix") -> "RationalMatrix":
         if other.ncols != self.ncols:
             raise DimensionMismatchError("cannot stack matrices of different widths")
@@ -267,22 +261,6 @@ def row_space_basis(mat: RationalMatrix) -> tuple[RationalVector, ...]:
     """Canonical basis (RREF rows) of the row space."""
     rows, pivots = rref(mat)
     return tuple(RationalVector(rows[i]) for i in range(len(pivots)))
-
-
-def kernel_basis(mat: RationalMatrix) -> tuple[RationalVector, ...]:
-    """Canonical basis of the null space {v | mat v = 0}."""
-    rows, pivots = rref(mat)
-    ncols = mat.ncols
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
-        basis.append(RationalVector(v))
-    return tuple(basis)
 
 
 def solve_linear(mat: RationalMatrix, rhs: RationalVector) -> RationalVector | None:

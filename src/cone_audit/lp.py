@@ -1,10 +1,18 @@
 """Exact two-phase simplex with Farkas certificates.
 
 Solves   min c.x   subject to   E x = f,  G x <= h   over free variables x,
-entirely in rational arithmetic.  Bland's pivoting rule makes the solver
-deterministic and immune to cycling; problem sizes here are tiny, so the
-dense tableau with per-iteration reduced-cost recomputation is the simple
-and obviously-correct choice.
+exactly.  Bland's pivoting rule makes the solver deterministic and immune
+to cycling.
+
+An inequality row with a nonnegative right-hand side starts with its slack
+basic; only equality rows and rows with a negative right-hand side get an
+artificial variable, and phase 1 runs only when there is one.  Every cone
+LP without equality rows therefore starts at the origin in phase 2.  The
+tableau is held in Python ints over one common denominator and pivoted with
+Bareiss's exact division ("Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 1968); ratio tests and
+reduced-cost signs compare integers, and Fractions appear only in the
+extracted point, ray and duals.
 
 Every terminal status carries an exactly checkable certificate:
 
@@ -20,15 +28,15 @@ Every terminal status carries an exactly checkable certificate:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import DimensionMismatchError
-from .linalg import RationalMatrix, RationalVector, solve_linear
+from .linalg import RationalMatrix, RationalVector
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class LPStatus(Enum):
@@ -84,93 +92,132 @@ def solve_lp(
     return _Simplex(objective, eq_matrix, eq_rhs, ineq_matrix, ineq_rhs).solve()
 
 
+def _integers(values) -> tuple[list[int], int]:
+    """``values`` times the lcm of their denominators, and that lcm."""
+    scale = 1
+    for a in values:
+        scale = scale * a.denominator // math.gcd(scale, a.denominator)
+    return [a.numerator * (scale // a.denominator) for a in values], scale
+
+
 class _Simplex:
     """Internal solver state for one LP instance.
 
-    Standard-form layout: columns [0, n) are x+, [n, 2n) are x-, then one
-    slack per inequality row, then the phase-1 artificials.  Rows are the
-    equalities followed by the inequalities, each scaled by +-1 so the
-    right-hand side is nonnegative.
+    Columns: [0, n) are x+, [n, 2n) are x-, then one slack per inequality
+    row, then one artificial per row that needs one (equality rows and rows
+    with a negative right-hand side), in row order.  Rows are the equalities
+    followed by the inequalities.  Row i is the input row times
+    ``row_sign[i] * scale[i]``, where the sign makes the right-hand side
+    nonnegative and ``scale[i]`` is the lcm of the row's denominators; its
+    slack and artificial count in units of ``1/scale[i]``, so their columns
+    are unit vectors up to sign.  Each row has one unit column at the start,
+    ``unit_col[i]``, its slack or its artificial, which starts basic.
+
+    ``tab`` holds ``denom`` times the current tableau in integers, with the
+    right-hand side last; ``denom`` > 0 is the determinant of the current
+    basis in these scaled columns.  ``reduced`` is ``denom`` times the
+    reduced costs, pivoted along.
     """
 
     def __init__(self, objective, eq_matrix, eq_rhs, ineq_matrix, ineq_rhs):
-        self.n = objective.dim
+        n = self.n = objective.dim
         self.objective = objective
         self.eq_matrix, self.eq_rhs = eq_matrix, eq_rhs
         self.ineq_matrix, self.ineq_rhs = ineq_matrix, ineq_rhs
         self.m_eq, self.m_in = eq_matrix.nrows, ineq_matrix.nrows
-        m = self.m_eq + self.m_in
-        self.num_real = 2 * self.n + self.m_in
-        self.art_start = self.num_real
+        self.num_real = 2 * n + self.m_in
+        rows = [(eq_matrix.row(i).entries, eq_rhs[i], None) for i in range(self.m_eq)]
+        rows += [(ineq_matrix.row(k).entries, ineq_rhs[k], k) for k in range(self.m_in)]
 
-        # Build the sign-normalized standard-form rows.
-        self.std_rows: list[list[Fraction]] = []
-        self.std_rhs: list[Fraction] = []
-        self.row_sign: list[Fraction] = []
-        for i in range(self.m_eq):
-            self._append_row(list(eq_matrix.row(i).entries), None, eq_rhs[i])
-        for k in range(self.m_in):
-            self._append_row(list(ineq_matrix.row(k).entries), k, ineq_rhs[k])
-
-        # Tableau with artificial columns appended; artificials start basic.
-        self.tab = [
-            row + [(_ONE if j == i else _ZERO) for j in range(m)] + [self.std_rhs[i]]
-            for i, row in enumerate(self.std_rows)
-        ]
-        self.basis = [self.art_start + i for i in range(m)]
-        self.row_origin = list(range(m))
-
-    def _append_row(self, coeffs: list[Fraction], slack_index: int | None, rhs: Fraction):
-        row = list(coeffs) + [-a for a in coeffs] + [_ZERO] * self.m_in
-        if slack_index is not None:
-            row[2 * self.n + slack_index] = _ONE
-        sign = _ONE
-        if rhs < 0:
-            row = [-a for a in row]
-            rhs, sign = -rhs, -sign
-        self.std_rows.append(row)
-        self.std_rhs.append(rhs)
-        self.row_sign.append(sign)
+        needs_artificial = [slack is None or rhs < 0 for _, rhs, slack in rows]
+        num_art = sum(needs_artificial)
+        self.tab: list[list[int]] = []
+        self.basis: list[int] = []
+        self.scale: list[int] = []
+        self.row_sign: list[int] = []
+        self.artificial_rows: list[int] = []
+        for i, (coeffs, rhs, slack) in enumerate(rows):
+            ints, scale = _integers(coeffs + (rhs,))
+            sign = -1 if rhs < 0 else 1
+            ints = [sign * a for a in ints]
+            row = ints[:n] + [-a for a in ints[:n]] + [0] * (self.m_in + num_art) + [ints[n]]
+            if slack is not None:
+                row[2 * n + slack] = sign
+            if needs_artificial[i]:
+                unit = self.num_real + len(self.artificial_rows)
+                self.artificial_rows.append(i)
+                row[unit] = 1
+            else:
+                unit = 2 * n + slack
+            self.tab.append(row)
+            self.basis.append(unit)
+            self.scale.append(scale)
+            self.row_sign.append(sign)
+        self.unit_col = list(self.basis)
+        self.row_origin = list(range(len(rows)))
+        self.denom = 1
+        self.reduced: list[int] = []
 
     # -- tableau mechanics -------------------------------------------------
 
     def _pivot(self, row: int, col: int) -> None:
-        tab = self.tab
-        pivot = tab[row][col]
-        tab[row] = [a / pivot for a in tab[row]]
-        for i in range(len(tab)):
-            if i != row and tab[i][col] != 0:
-                factor = tab[i][col]
-                tab[i] = [a - factor * b for a, b in zip(tab[i], tab[row])]
+        """Bareiss step: every other row becomes (p*r - r[col]*pivot_row) / denom.
+
+        The division is exact because each entry is a minor of the scaled
+        input.  A negative pivot (only when driving out artificials) flips
+        the sign of every row, so that ``denom`` stays positive.
+        """
+        tab, d = self.tab, self.denom
+        pivot_row = tab[row]
+        p = pivot_row[col]
+        if p < 0:
+            p = -p
+            pivot_row = tab[row] = [-a for a in pivot_row]
+        for i, r in enumerate(tab):
+            if i != row:
+                tab[i] = self._eliminated(r, pivot_row, p, col, d)
+        self.reduced = self._eliminated(self.reduced, pivot_row, p, col, d)
+        self.denom = p
         self.basis[row] = col
 
-    def _reduced_costs(self, costs: list[Fraction], allowed: range) -> list[Fraction]:
-        basis_costs = [costs[b] for b in self.basis]
-        reduced = list(costs[: allowed.stop])
-        for i, cb in enumerate(basis_costs):
-            if cb != 0:
-                row = self.tab[i]
-                for j in allowed:
-                    if row[j] != 0:
-                        reduced[j] -= cb * row[j]
-        return reduced
+    @staticmethod
+    def _eliminated(r: list[int], pivot_row: list[int], p: int, col: int, d: int) -> list[int]:
+        f = r[col]
+        if f:
+            return [(p * a - f * b) // d for a, b in zip(r, pivot_row)]
+        if p == d:
+            return r
+        return [p * a // d for a in r]
 
-    def _run(self, costs: list[Fraction], allowed: range) -> int | None:
+    def _set_costs(self, costs: list[int]) -> None:
+        """``denom`` times the reduced costs of the integer ``costs``."""
+        reduced = [self.denom * c for c in costs] + [0]
+        for i, b in enumerate(self.basis):
+            cb = costs[b]
+            if cb:
+                reduced = [a - cb * t for a, t in zip(reduced, self.tab[i])]
+        self.reduced = reduced
+
+    def _run(self, costs: list[int], allowed: range) -> int | None:
         """Iterate to optimality; returns the entering column on unboundedness."""
+        self._set_costs(costs)
         while True:
-            reduced = self._reduced_costs(costs, allowed)
+            reduced = self.reduced
             entering = next((j for j in allowed if reduced[j] < 0), None)
             if entering is None:
                 return None
-            leaving, best = None, None
+            # Bland's leaving row: least ratio rhs/coeff over positive
+            # coefficients (compared by cross-multiplication), ties to the
+            # least basic column.
+            leaving, best_rhs, best_coeff = None, 0, 1
             for i, row in enumerate(self.tab):
                 coeff = row[entering]
                 if coeff > 0:
-                    ratio = row[-1] / coeff
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leaving]
+                    lhs, rhs = row[-1] * best_coeff, best_rhs * coeff
+                    if leaving is None or lhs < rhs or (
+                        lhs == rhs and self.basis[i] < self.basis[leaving]
                     ):
-                        leaving, best = i, ratio
+                        leaving, best_rhs, best_coeff = i, row[-1], coeff
             if leaving is None:
                 return entering
             self._pivot(leaving, entering)
@@ -178,47 +225,28 @@ class _Simplex:
     # -- solution extraction ----------------------------------------------
 
     def _basic_point(self) -> RationalVector:
-        values = [_ZERO] * (self.num_real + self.m_eq + self.m_in)
+        values = [0] * (2 * self.n)
         for i, b in enumerate(self.basis):
-            values[b] = self.tab[i][-1]
+            if b < 2 * self.n:
+                values[b] = self.tab[i][-1]
         return RationalVector(
-            values[j] - values[self.n + j] for j in range(self.n)
+            Fraction(values[j] - values[self.n + j], self.denom) for j in range(self.n)
         )
 
-    def _duals(self, costs: list[Fraction]) -> tuple[RationalVector, RationalVector]:
-        """Dual multipliers for the original rows, from the final basis.
+    def _duals(self, costs: list[int], cost_scale: int) -> tuple[RationalVector, RationalVector]:
+        """Dual multipliers for the original rows, from the final tableau.
 
-        Solves  B' y = c_B  exactly, where B collects the original
-        standard-form columns of the basic variables (artificial columns are
-        unit vectors), then undoes the row sign normalization.  Rows dropped
-        as redundant during phase transition get multiplier zero.
+        y = c_B B^-1, and the unit columns of the starting basis hold
+        ``denom`` times B^-1; the row scales and signs are undone here.  Rows
+        dropped as redundant during phase transition get multiplier zero.
         """
-        m_cur = len(self.row_origin)
-        art_full = self.m_eq + self.m_in
-
-        def std_column(var: int) -> list[Fraction]:
-            if var >= self.art_start:
-                orig = var - self.art_start
-                return [_ONE if self.row_origin[i] == orig else _ZERO for i in range(m_cur)]
-            return [self.std_rows[self.row_origin[i]][var] for i in range(m_cur)]
-
-        basis_matrix = RationalMatrix(
-            [RationalVector(std_column(b)) for b in self.basis], m_cur
-        )  # rows indexed by basic variable -> this is B^T already
-        cb = RationalVector([costs[b] for b in self.basis])
-        y_cur = solve_linear(basis_matrix, cb)
-        if y_cur is None:  # cannot happen for a valid basis
-            raise RuntimeError("singular simplex basis during dual extraction")
-
-        y_full = [_ZERO] * art_full
-        for i, orig in enumerate(self.row_origin):
-            y_full[orig] = y_cur[i]
-        dual_eq = RationalVector(
-            self.row_sign[i] * y_full[i] for i in range(self.m_eq)
-        )
-        dual_in = RationalVector(
-            -self.row_sign[self.m_eq + k] * y_full[self.m_eq + k] for k in range(self.m_in)
-        )
+        y = [_ZERO] * (self.m_eq + self.m_in)
+        for orig in self.row_origin:
+            col = self.unit_col[orig]
+            total = sum(costs[b] * self.tab[i][col] for i, b in enumerate(self.basis))
+            y[orig] = Fraction(self.row_sign[orig] * self.scale[orig] * total, self.denom * cost_scale)
+        dual_eq = RationalVector(y[: self.m_eq])
+        dual_in = RationalVector(-a for a in y[self.m_eq:])
         return dual_eq, dual_in
 
     def _verify_dual(self, dual_eq, dual_in, target: RationalVector) -> None:
@@ -236,55 +264,60 @@ class _Simplex:
                 raise RuntimeError("LP dual certificate failed exact verification")
 
     def _ray(self, entering: int) -> RationalVector:
-        direction = [_ZERO] * (self.num_real + self.m_eq + self.m_in)
-        direction[entering] = _ONE
+        direction = [0] * (2 * self.n)
+        if entering < 2 * self.n:
+            direction[entering] = self.denom
         for i, b in enumerate(self.basis):
-            direction[b] = -self.tab[i][entering]
+            if b < 2 * self.n:
+                direction[b] = -self.tab[i][entering]
+        # A slack counts in units of 1/scale of its row, so one unit of the
+        # input row's slack is scale units of the tableau's.
+        unit = 1 if entering < 2 * self.n else self.scale[self.m_eq + entering - 2 * self.n]
         return RationalVector(
-            direction[j] - direction[self.n + j] for j in range(self.n)
+            Fraction(unit * (direction[j] - direction[self.n + j]), self.denom)
+            for j in range(self.n)
         )
 
     # -- driver ------------------------------------------------------------
 
     def solve(self) -> LPResult:
-        m = self.m_eq + self.m_in
-        phase1_costs = [_ZERO] * self.num_real + [_ONE] * m
-        unbounded = self._run(phase1_costs, range(self.num_real + m))
-        if unbounded is not None:  # sum of artificials is bounded below by 0
-            raise RuntimeError("phase-1 simplex reported unbounded")
-        infeasibility = sum((self.tab[i][-1] for i, b in enumerate(self.basis)
-                             if b >= self.art_start), _ZERO)
-        if infeasibility > 0:
-            dual_eq, dual_in = self._duals(phase1_costs)
-            self._verify_dual(dual_eq, dual_in, RationalVector.zero(self.n))
-            result = LPResult(
-                status=LPStatus.INFEASIBLE,
-                dual_equalities=dual_eq,
-                dual_inequalities=dual_in,
+        if self.artificial_rows:
+            # An artificial counts in units of 1/scale of its row, so the
+            # phase-1 objective (the sum of the original artificials) puts
+            # cost 1/scale on it, made integer by the lcm of those scales.
+            phase1, cost_scale = _integers(
+                [_ZERO] * self.num_real + [Fraction(1, self.scale[i]) for i in self.artificial_rows]
             )
-            if result.certificate_bound(self.eq_rhs, self.ineq_rhs) <= 0:
-                raise RuntimeError("Farkas certificate failed exact verification")
-            return result
+            unbounded = self._run(phase1, range(len(phase1)))
+            if unbounded is not None:  # sum of artificials is bounded below by 0
+                raise RuntimeError("phase-1 simplex reported unbounded")
+            if any(self.tab[i][-1] > 0 for i, b in enumerate(self.basis) if b >= self.num_real):
+                dual_eq, dual_in = self._duals(phase1, cost_scale)
+                self._verify_dual(dual_eq, dual_in, RationalVector.zero(self.n))
+                result = LPResult(
+                    status=LPStatus.INFEASIBLE,
+                    dual_equalities=dual_eq,
+                    dual_inequalities=dual_in,
+                )
+                if result.certificate_bound(self.eq_rhs, self.ineq_rhs) <= 0:
+                    raise RuntimeError("Farkas certificate failed exact verification")
+                return result
+            self._drive_out_artificials()
 
-        self._drive_out_artificials()
-
-        costs = (
-            list(self.objective.entries)
-            + [-a for a in self.objective.entries]
-            + [_ZERO] * self.m_in
-            + [_ZERO] * m
+        entries = self.objective.entries
+        costs, cost_scale = _integers(
+            entries + tuple(-a for a in entries) + (_ZERO,) * (self.m_in + len(self.artificial_rows))
         )
         entering = self._run(costs, range(self.num_real))
         if entering is not None:
-            ray = self._ray(entering)
             return LPResult(
                 status=LPStatus.UNBOUNDED,
-                witness=ray,
+                witness=self._ray(entering),
                 feasible_point=self._basic_point(),
             )
         point = self._basic_point()
         optimum = self.objective.dot(point)
-        dual_eq, dual_in = self._duals(costs)
+        dual_eq, dual_in = self._duals(costs, cost_scale)
         self._verify_dual(dual_eq, dual_in, self.objective)
         result = LPResult(
             status=LPStatus.OPTIMAL,
@@ -303,7 +336,7 @@ class _Simplex:
         whose real part is entirely zero (redundant constraints)."""
         row = 0
         while row < len(self.tab):
-            if self.basis[row] >= self.art_start:
+            if self.basis[row] >= self.num_real:
                 col = next(
                     (j for j in range(self.num_real) if self.tab[row][j] != 0), None
                 )

@@ -554,8 +554,7 @@ def _sphere_sampling_falsifier(
     return None
 
 
-def _copositivity_float(matrix, region: AffineRegion) -> CopositivityResult:
-    m = np.asarray(matrix, dtype=float)
+def _copositivity_float(m: np.ndarray, region: AffineRegion) -> CopositivityResult:
     if region.kind is RegionKind.HYPERPLANE:
         unit = region.normal / np.linalg.norm(region.normal)
         _, _, vh = np.linalg.svd(unit.reshape(1, -1))
@@ -587,10 +586,11 @@ def check_c2_copositivity(
 ) -> CopositivityResult:
     """Is <matrix v, v> >= 0 for every v in the cone?
 
-    Exact rational cones need an exactly symmetric matrix (ValueError
-    otherwise).  A pure subspace is decided by pivoted factorization of the
-    restricted matrix; otherwise a simplicial partition over the generators
-    runs on integer Gram matrices that each cell inherits from its parent.
+    The matrix must be symmetric, exactly for rational cones and to 1e-12
+    relative for float regions (ValueError otherwise).  A pure subspace is
+    decided by pivoted factorization of the restricted matrix; otherwise a
+    simplicial partition over the generators runs on integer Gram matrices
+    that each cell inherits from its parent.
     It certifies cells with all pairwise products nonnegative, reports a
     vertex with negative form as a witness and bisects the longest edge up to
     ``max_depth``, then tries a seeded sphere-sampling falsifier before
@@ -602,7 +602,10 @@ def check_c2_copositivity(
         if not matrix.is_symmetric():
             raise ValueError("copositivity matrix must be exactly symmetric")
         return _copositivity_exact(matrix, cone, max_depth, falsifier_samples)
-    return _copositivity_float(matrix, cone)
+    m = np.asarray(matrix, dtype=float)
+    if float(np.max(np.abs(m - m.T))) > 1e-12 * max(1.0, float(np.max(np.abs(m)))):
+        raise ValueError("copositivity matrix must be exactly symmetric")
+    return _copositivity_float(m, cone)
 
 
 # ---------------------------------------------------------------------------
@@ -813,9 +816,8 @@ def check_qp(
     ``checked_directions`` lists all the generators it covers; (c2') tests
     copositivity of M on the critical cone.
     """
-    constraint_set.require_member(point)
-    gradient = objective.gradient(point)
     tangent = constraint_set.tangent_cone(point)
+    gradient = objective.gradient(point)
     c0 = first_order_check(gradient, tangent, 0, ConditionId.QP_C0)
 
     crit = critical_cone(gradient, tangent)
@@ -823,7 +825,7 @@ def check_qp(
         RationalVector.zero(constraint_set.dim),
     )
     v = directions[0]
-    c1 = check_c1(gradient, constraint_set.second_order_tangent_set(point, v), 0)
+    c1 = check_c1(gradient, tangent.tangent_cone_at(v), 0)
     if c1.verdict is Verdict.HOLDS:
         c1p = ConditionReport(
             condition=ConditionId.QP_C1P,

@@ -1,10 +1,12 @@
-"""Shared test helpers: random rational polyhedra built around known feasible points."""
+"""Shared test helpers: random rational polyhedra built around known feasible
+points, and the LP and linear-algebra helpers only the tests use."""
 
 import random
 from fractions import Fraction
 
-from cone_audit.geometry import Polyhedron
-from cone_audit.linalg import RationalMatrix, RationalVector
+from cone_audit.geometry import PolyhedralCone, Polyhedron
+from cone_audit.linalg import RationalMatrix, RationalVector, rref
+from cone_audit.lp import LPResult, solve_lp
 
 
 def small_fraction(rng: random.Random, span: int = 3) -> Fraction:
@@ -66,3 +68,68 @@ def tangent_membership_by_rows(polyhedron: Polyhedron, base, direction) -> bool:
     if any(row.dot(direction) != 0 for row in polyhedron.eq_matrix.rows):
         return False
     return all(polyhedron.ineq_matrix.row(k).dot(direction) <= 0 for k in active)
+
+
+def transpose(mat: RationalMatrix) -> RationalMatrix:
+    return RationalMatrix(
+        [RationalVector(r[j] for r in mat.rows) for j in range(mat.ncols)],
+        mat.nrows,
+    )
+
+
+def kernel_basis(mat: RationalMatrix) -> tuple[RationalVector, ...]:
+    """Canonical basis of the null space {v | mat v = 0}."""
+    rows, pivots = rref(mat)
+    ncols = mat.ncols
+    pivot_set = set(pivots)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivot_set):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][fc]
+        basis.append(RationalVector(v))
+    return tuple(basis)
+
+
+def feasibility(polyhedron: Polyhedron) -> LPResult:
+    """Feasibility LP: OPTIMAL with a point, or INFEASIBLE with Farkas multipliers."""
+    return solve_lp(
+        RationalVector.zero(polyhedron.dim),
+        eq_matrix=polyhedron.eq_matrix,
+        eq_rhs=polyhedron.eq_rhs,
+        ineq_matrix=polyhedron.ineq_matrix,
+        ineq_rhs=polyhedron.ineq_rhs,
+    )
+
+
+def membership_lp(cone: PolyhedralCone, v: RationalVector) -> LPResult:
+    """Feasibility LP deciding v in cone(rays) + span(lineality).
+
+    Independent of the H-form row checks; cross-validates the double
+    description output.
+    """
+    gens = cone.generators()
+    columns = list(gens.rays) + list(gens.lineality)
+    k_rays = len(gens.rays)
+    if not columns:
+        # Only the origin; encode 0 = v through an empty-variable system.
+        if v.is_zero():
+            return solve_lp(RationalVector([]))
+        return solve_lp(
+            RationalVector([]),
+            eq_matrix=RationalMatrix([RationalVector([])] * v.dim, 0),
+            eq_rhs=v,
+        )
+    eq = RationalMatrix(
+        [RationalVector(col[i] for col in columns) for i in range(cone.dim)],
+        len(columns),
+    )
+    ineq_rows = [-RationalVector.unit(len(columns), r) for r in range(k_rays)]
+    return solve_lp(
+        RationalVector.zero(len(columns)),
+        eq_matrix=eq,
+        eq_rhs=v,
+        ineq_matrix=RationalMatrix(ineq_rows, len(columns)),
+        ineq_rhs=RationalVector.zero(k_rays),
+    )

