@@ -239,10 +239,10 @@ def _run_cones(ctx: _Context) -> tuple[dict, int]:
     if ctx.polyhedron is not None:
         point = ctx.point_rational()
         tangent = ctx.polyhedron.tangent_cone(point)
-        normal = ctx.polyhedron.normal_cone(point)
+        normal = tangent.polar()
         for v in ctx.directions():
             direction = RationalVector([Fraction(a) for a in v])
-            cone2 = ctx.polyhedron.second_order_tangent_set(point, direction)
+            cone2 = tangent.tangent_cone_at(direction)
             entries.append(
                 {
                     "direction": _vector_json(direction),
@@ -252,7 +252,7 @@ def _run_cones(ctx: _Context) -> tuple[dict, int]:
             )
         results = {
             "mode": "polyhedral",
-            "active_rows": list(ctx.polyhedron.active_set(point).indices),
+            "active_rows": list(tangent.ineq_origins),
             "tangent_cone": _cone_json(tangent),
             "normal_cone": _cone_json(normal),
             "second_order_tangent_sets": entries,

@@ -21,11 +21,17 @@ computation runs on Python ints.  The incremental algorithm keeps the pair
   strictly-feasible with strictly-violating rays.  Each ray carries its
   incidence set (the processed rows it is tight on) as an int bitmask, and
   a pair is adjacent when no third ray's mask contains the pair's common
-  mask.  The new ray is tight exactly on  common | bit:  a positive
-  combination of two rays that are <= 0 on a processed row, one of them
-  strictly, is strictly < 0 on it.  A projection along a vector of L keeps
-  every processed row's value, so the cut step derives its masks too, and
-  no mask is ever recomputed against the processed rows.
+  mask.  Before that scan a rank test rejects the pair when its common
+  mask has fewer than  dim - dim L - 2  bits: the rows tight on an edge
+  (a two-dimensional face modulo L) have that rank, and a mask counts at
+  least its rank (an equality row, processed as two opposing rows, counts
+  twice).  Fukuda & Prodon give both tests; the rank one is only
+  necessary, so it drops no edge.  The new ray is tight exactly on
+  common | bit:  a positive combination of two rays that are <= 0 on a
+  processed row, one of them strictly, is strictly < 0 on it.  A
+  projection along a vector of L keeps every processed row's value, so the
+  cut step derives its masks too, and no mask is ever recomputed against
+  the processed rows.
 
 All choices are index-ordered, and output rays are reduced modulo the
 lineality space and scaled to coprime integers, so identical inputs give
@@ -115,6 +121,7 @@ class _State:
         rays = [self.rays[i] for i in keep]
         new_masks = [masks[i] | bit if values[i] == 0 else masks[i] for i in keep]
         minus = [i for i in keep if values[i] < 0]
+        edge_rank = self.dim - len(self.lineality) - 2
         for p, vp in enumerate(values):
             if vp <= 0:
                 continue
@@ -123,7 +130,9 @@ class _State:
                 common = mp & masks[m]
                 # p and m contain common themselves; a third ray doing so
                 # means the pair spans no edge of the cone
-                if next(islice((1 for o in masks if o & common == common), 2, None), 0):
+                if common.bit_count() < edge_rank or next(
+                    islice((1 for o in masks if o & common == common), 2, None), 0
+                ):
                     continue
                 vm = values[m]
                 rays.append(_primitive([vp * x - vm * y for x, y in zip(self.rays[m], rp)]))

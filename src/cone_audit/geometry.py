@@ -6,7 +6,8 @@ From a feasible base point it produces, in exact arithmetic:
 * the contingent (tangent) cone,
 * second-order tangent sets in a tangent direction, together with the
   active rows that remain tight along that direction,
-* the normal cone (by generators: active rows plus the row space of A),
+* the normal cone, as the tangent cone's polar (by generators: active rows
+  plus the row space of A),
 * polars, and
 * brute-force step oracles that decide tangency by actually stepping into
   the set at an exactly computed step length.  For polyhedra the finite
@@ -44,11 +45,14 @@ class ActiveSet:
 class PolyhedralCone:
     """A polyhedral cone, held as {v | eq v = 0, ineq v <= 0} and/or generators.
 
-    Whichever representation is missing is computed on demand through the
-    double description method and cached; instances are immutable apart from
-    that cache, so concurrent read-only use is safe.  ``ineq_origins`` tags
-    each inequality row with the 1-based row of the polyhedron it came from
-    (None for rows without such provenance).
+    Whichever representation is missing is computed on demand and cached:
+    the generators by double description, the H-form as the polar's
+    generators, read from the cone :meth:`polar` was called on where there
+    is one (the normal cone N(x) = T(x)° reads the tangent cone's).
+    Instances are immutable apart from those caches, so concurrent read-only
+    use is safe.  ``ineq_origins`` tags each inequality row with the 1-based
+    row of the polyhedron it came from (None for rows without such
+    provenance).
     """
 
     def __init__(
@@ -81,16 +85,13 @@ class PolyhedralCone:
         if generators is not None and generators.dim != dim:
             raise DimensionMismatchError("generators do not match cone dimension")
         self._generators = generators
+        self._polar: PolyhedralCone | None = None
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def full_space(cls, dim: int) -> "PolyhedralCone":
         return cls(dim)
-
-    @classmethod
-    def from_generators(cls, generators: GeneratorSet, *, dim_cap: int = DEFAULT_DIMENSION_CAP) -> "PolyhedralCone":
-        return cls(generators.dim, generators=generators, dim_cap=dim_cap)
 
     @classmethod
     def nonnegative_orthant(cls, dim: int) -> "PolyhedralCone":
@@ -123,13 +124,9 @@ class PolyhedralCone:
     def _ensure_h(self) -> None:
         if self._eq is not None:
             return
-        # H-form of cone(R) + span(L): enumerate the polar's generators; each
-        # polar ray gives one inequality, each polar lineality vector one
-        # equality (the polar's H-form is read off this cone's generators).
-        gens = self._generators
-        polar_gens = double_description(
-            self.dim, gens.lineality, gens.rays, dim_cap=self.dim_cap
-        )
+        # H-form of cone(R) + span(L): each polar ray gives one inequality,
+        # each polar lineality vector one equality
+        polar_gens = (self._polar if self._polar is not None else self.polar()).generators()
         self._eq = RationalMatrix(polar_gens.lineality, self.dim)
         self._ineq = RationalMatrix(polar_gens.rays, self.dim)
         self.ineq_origins = (None,) * self._ineq.nrows
@@ -147,18 +144,33 @@ class PolyhedralCone:
         )
 
     def polar(self) -> "PolyhedralCone":
-        """The cone of functionals nonpositive on this cone, in H-form.
+        """The cone of functionals nonpositive on this cone.
 
-        One inequality per generator ray, one equality per lineality basis
-        vector.
+        Each representation of the polar is this cone's other one.  H-form
+        rows give the polar's generators: inequality rows as rays, the RREF
+        basis of the equality rows as lineality, primitive and sorted.
+        Generators give its H-form: one inequality per ray, one equality per
+        lineality basis vector.
         """
-        gens = self.generators()
-        return PolyhedralCone(
-            self.dim,
-            eq_rows=RationalMatrix(gens.lineality, self.dim),
-            ineq_rows=RationalMatrix(gens.rays, self.dim),
-            dim_cap=self.dim_cap,
-        )
+        if self._eq is None:
+            gens = self._generators
+            polar = PolyhedralCone(
+                self.dim,
+                eq_rows=RationalMatrix(gens.lineality, self.dim),
+                ineq_rows=RationalMatrix(gens.rays, self.dim),
+                dim_cap=self.dim_cap,
+            )
+        else:
+            rays = {r.primitive() for r in self._ineq.rows}
+            lineality = [l.primitive() for l in row_space_basis(self._eq)]
+            gens = GeneratorSet(
+                self.dim,
+                tuple(sorted(rays, key=lambda r: r.entries)),
+                tuple(sorted(lineality, key=lambda r: r.entries)),
+            )
+            polar = PolyhedralCone(self.dim, generators=gens, dim_cap=self.dim_cap)
+        polar._polar = self
+        return polar
 
     def tangent_cone_at(self, v: RationalVector) -> "PolyhedralCone":
         """The tangent cone at a member v: the equality rows and the
@@ -259,10 +271,6 @@ class Polyhedron:
 
     # -- basic queries -------------------------------------------------
 
-    @property
-    def num_inequalities(self) -> int:
-        return self.ineq_matrix.nrows
-
     def _check_point(self, x: RationalVector) -> None:
         if x.dim != self.dim:
             raise DimensionMismatchError(
@@ -325,10 +333,6 @@ class Polyhedron:
             self.ineq_matrix.row(k).dot(v) <= 0 for k in active
         )
 
-    def directionally_active_indices(self, x: RationalVector, v: RationalVector) -> tuple[int, ...]:
-        """Active rows that stay tight along a tangent direction (1-based)."""
-        return self.second_order_tangent_set(x, v).ineq_origins
-
     def second_order_tangent_set(self, x: RationalVector, v: RationalVector) -> PolyhedralCone:
         """{w | A w = 0, <row_i, w> <= 0 for active rows orthogonal to v}.
 
@@ -339,17 +343,9 @@ class Polyhedron:
         return self.tangent_cone(x).tangent_cone_at(v)
 
     def normal_cone(self, x: RationalVector) -> PolyhedralCone:
-        """Normal cone by generators: active rows as rays, row space of A as lineality."""
-        self.require_member(x)
-        active = self._active_rows(x)
-        rays = tuple(self.ineq_matrix.row(k).primitive() for k in active)
-        lineality = row_space_basis(self.eq_matrix)
-        gens = GeneratorSet(
-            dim=self.dim,
-            rays=tuple(sorted(set(rays), key=lambda r: r.entries)),
-            lineality=tuple(sorted((l.primitive() for l in lineality), key=lambda r: r.entries)),
-        )
-        return PolyhedralCone.from_generators(gens, dim_cap=self.dim_cap)
+        """N(x) = T(x)°, by generators: active rows as rays, row space of A
+        as lineality.  Its H-form is the tangent cone's generators."""
+        return self.tangent_cone(x).polar()
 
     # -- step oracles --------------------------------------------------
 

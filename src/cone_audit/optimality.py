@@ -156,17 +156,16 @@ class CriticalDirection:
 
 
 def assess_direction_polyhedral(
-    constraint_set: Polyhedron,
-    point: RationalVector,
+    tangent: PolyhedralCone,
     direction: RationalVector,
     gradient_pairing: Fraction | float,
     tolerance: float | Fraction = 0,
 ) -> CriticalDirection:
-    cone = constraint_set.tangent_cone(point)
+    """Flags of a direction against the tangent cone T(x) of a polyhedron."""
     return CriticalDirection(
         vector=tuple(direction.entries),
-        in_tangent_cone=cone.contains(direction),
-        negation_in_tangent_cone=cone.contains(-direction),
+        in_tangent_cone=tangent.contains(direction),
+        negation_in_tangent_cone=tangent.contains(-direction),
         gradient_orthogonal=abs(gradient_pairing) <= tolerance,
     )
 
@@ -737,12 +736,10 @@ def theorem33_check(
         pairing = float(grad @ vec)
 
     if isinstance(constraint, Polyhedron):
-        point_r = _as_rational_vector(point)
+        tangent = constraint.tangent_cone(_as_rational_vector(point))
         direction_r = _as_rational_vector(direction)
-        critical = assess_direction_polyhedral(
-            constraint, point_r, direction_r, pairing, tolerance
-        )
-        second_order = constraint.second_order_tangent_set(point_r, direction_r)
+        critical = assess_direction_polyhedral(tangent, direction_r, pairing, tolerance)
+        second_order = tangent.tangent_cone_at(direction_r)
         grad_r = _as_rational_vector(grad)
         result = _pairing_lp(grad_r, second_order)
         c1 = _linear_condition_on_cone(grad_r, second_order, result, tolerance, ConditionId.C1)

@@ -328,16 +328,14 @@ def theorem41_check(
     """
     point_r = _as_rational(point, constraint_set.dim)
     direction_r = _as_rational(direction, constraint_set.dim)
-    constraint_set.require_member(point_r)
+    tangent = constraint_set.tangent_cone(point_r)
     grad = objective.gradient_at(point)
     vec = np.asarray(direction, dtype=float).reshape(-1)
     pairing = float(grad @ vec)
-    critical = assess_direction_polyhedral(
-        constraint_set, point_r, direction_r, pairing, tolerance
-    )
+    critical = assess_direction_polyhedral(tangent, direction_r, pairing, tolerance)
     gradient_condition = None
     if critical.in_tangent_cone:
-        second_order = constraint_set.second_order_tangent_set(point_r, direction_r)
+        second_order = tangent.tangent_cone_at(direction_r)
         gradient_condition = check_c1(grad, second_order, tolerance)
     entries = []
     for z in candidates:

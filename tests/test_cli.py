@@ -1,9 +1,11 @@
 import json
 import math
 import os
+from collections import Counter
 
 import pytest
 
+from cone_audit import geometry
 from cone_audit.analysis import revalidate_report, run_analysis
 from cone_audit.cli import main
 from cone_audit.problem import parse_problem
@@ -367,3 +369,52 @@ def test_run_analysis_matches_direct_calls():
     ) < 1e-9
     ok, checks = revalidate_report(report)
     assert ok, checks
+
+
+def test_cones_enumerates_one_tangent_cone_per_point(monkeypatch):
+    """``cones`` runs double description once for T(x), whose generators are
+    also the normal cone's H-form, and once per T2(x, v), and checks the
+    point once; ``second-order`` checks it once per direction."""
+    counts = Counter()
+
+    def counted(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(geometry, "double_description", counted("dd", geometry.double_description))
+    for name in ("require_member", "_active_rows"):
+        monkeypatch.setattr(geometry.Polyhedron, name, counted(name, getattr(geometry.Polyhedron, name)))
+    directions = [["1", "0", "-1"], ["0", "1", "-1"], ["1", "1", "-2"]]
+    problem = parse_problem(
+        json.dumps(
+            {
+                "version": "1",
+                "constraint": {
+                    "type": "polyhedron",
+                    "dimension": 3,
+                    "equalities": {"matrix": [["1", "1", "1"]], "rhs": ["1"]},
+                    "inequalities": {
+                        "rows": [["-1", "0", "0"], ["0", "-1", "0"], ["1", "1", "0"]],
+                        "bounds": ["0", "0", "1"],
+                    },
+                },
+                "objective": {
+                    "type": "quadratic",
+                    "matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                    "linear": ["0", "0", "0"],
+                },
+                "query": {"point": ["0", "0", "1"], "directions": directions, "regime": "exact"},
+            }
+        )
+    )
+    counts.clear()
+    report = run_analysis(problem, "cones")
+    assert report["results"]["active_rows"] == [1, 2]
+    assert len(report["results"]["second_order_tangent_sets"]) == len(directions)
+    assert counts == {"dd": 1 + len(directions), "require_member": 1, "_active_rows": 1}
+    counts.clear()
+    run_analysis(problem, "second-order")
+    assert counts["require_member"] == counts["_active_rows"] == len(directions)

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cone_audit.dd import double_description
@@ -12,7 +12,7 @@ from cone_audit.geometry import PolyhedralCone
 from cone_audit.linalg import RationalMatrix, RationalVector, rref, vector
 from cone_audit.lp import LPStatus
 
-from conftest import kernel_basis, membership_lp, random_vector
+from conftest import kernel_basis, membership_lp, random_feasible_polyhedron, random_vector
 
 
 def brute_force_generators(dim, eq_rows, ineq_rows):
@@ -192,12 +192,13 @@ def test_output_rays_are_extreme():
         for i, ray in enumerate(rays):
             from cone_audit.dd import GeneratorSet
 
-            sub = PolyhedralCone.from_generators(
-                GeneratorSet(
+            sub = PolyhedralCone(
+                dim,
+                generators=GeneratorSet(
                     dim=dim,
                     rays=tuple(rays[:i] + rays[i + 1:]),
                     lineality=gens.lineality,
-                )
+                ),
             )
             assert membership_lp(sub, ray).status is not LPStatus.OPTIMAL
 
@@ -248,6 +249,66 @@ def test_degenerate_systems_agree_with_brute_force(system):
     dim, eqs, ineq = system
     gens = double_description(dim, eqs, ineq)
     assert (gens.rays, gens.lineality) == brute_force_generators(dim, eqs, ineq)
+
+
+@st.composite
+def systems_with_lineality(draw):
+    """Systems whose rows all vanish on one or two drawn vectors, so the
+    cone keeps a lineality space to the end, with zero to two equality rows:
+    the rank bound of the adjacency test depends on both."""
+    dim = draw(st.integers(3, 5))
+    basis = []
+
+    def off_basis(row):
+        for b in basis:
+            row = row - b.scale(row.dot(b) / b.dot(b))
+        return row
+
+    for u in draw(rows_of(dim, 1, 2)):
+        if not off_basis(u).is_zero():
+            basis.append(off_basis(u))
+    assume(basis)
+    eqs = [off_basis(r) for r in draw(rows_of(dim, 0, 2))]
+    ineq = [off_basis(r) for r in draw(rows_of(dim, 2, 7))]
+    for row in draw(st.lists(st.sampled_from(ineq), max_size=1)):
+        ineq.append(row.scale(draw(positive_fractions)))
+    return dim, [r for r in eqs if not r.is_zero()], [r for r in ineq if not r.is_zero()]
+
+
+@derandomized(max_examples=150)
+@given(systems_with_lineality())
+def test_systems_with_lineality_agree_with_brute_force(system):
+    dim, eqs, ineq = system
+    gens = double_description(dim, eqs, ineq)
+    assert gens.lineality
+    assert (gens.rays, gens.lineality) == brute_force_generators(dim, eqs, ineq)
+
+
+@derandomized(max_examples=80)
+@given(st.integers(0, 2**32), st.integers(2, 6), st.integers(0, 2))
+def test_normal_cone_generators_give_tangent_generators(seed, dim, num_eq):
+    """DD output is canonical: enumerating the polar of the normal cone's
+    generator set (the active rows and a basis of the row space of A) gives
+    the tangent cone's generators field for field, and so do the tangent
+    cone's rows permuted or with a positive combination of two appended."""
+    rng = random.Random(seed)
+    polyhedron, base = random_feasible_polyhedron(
+        rng, dim, rng.randint(1, 2 * dim), num_eq, active_probability=0.7
+    )
+    tangent = polyhedron.tangent_cone(base)
+    expected = tangent.generators()
+    normal = polyhedron.normal_cone(base).generators()
+    assert double_description(dim, normal.lineality, normal.rays) == expected
+    eqs, ineq = list(tangent.eq_rows.rows), list(tangent.ineq_rows.rows)
+    rng.shuffle(eqs)
+    rng.shuffle(ineq)
+    assert double_description(dim, eqs, ineq) == expected
+    if len(ineq) >= 2:
+        first, second = rng.sample(ineq, 2)
+        combination = first.scale(Fraction(rng.randint(1, 3))) + second.scale(
+            Fraction(1, rng.randint(1, 3))
+        )
+        assert double_description(dim, eqs, ineq + [combination]) == expected
 
 
 @st.composite

@@ -249,7 +249,7 @@ def copositivity_problems(draw):
     else:
         rays = draw(st.lists(vectors_of(dim), max_size=5))
         lineality = draw(st.lists(vectors_of(dim), max_size=2))
-        cone = PolyhedralCone.from_generators(GeneratorSet(dim, tuple(rays), tuple(lineality)))
+        cone = PolyhedralCone(dim, generators=GeneratorSet(dim, tuple(rays), tuple(lineality)))
     max_depth = draw(st.integers(0, 6))
     samples = draw(st.one_of(st.integers(0, 40), st.integers(4090, 4200)))
     return m, cone, max_depth, samples
