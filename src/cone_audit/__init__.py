@@ -65,12 +65,10 @@ from .ssd import (
     PiecewiseGradientDescriptor,
     SSDQuery,
     estimate_calmness,
-    linear_equality_check,
     ssd_hessian_closed_form,
     ssd_interval_1d_example_family,
     ssd_membership,
     theorem41_check,
-    unconstrained_check,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

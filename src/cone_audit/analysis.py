@@ -11,6 +11,7 @@ recorded witness back into its defining inequality.
 from __future__ import annotations
 
 import datetime
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -19,12 +20,13 @@ from ._version import __version__ as _version
 from .errors import AnalysisError
 from .geometry import PolyhedralCone
 from .linalg import RationalVector
-from .objectives import AffineRegion, QuadraticObjective, SmoothObjective
+from .objectives import AffineRegion, QuadraticObjective, RegionKind, SmoothObjective
 from .optimality import (
     ConditionReport,
     CopositivityResult,
     LagrangeCertificate,
     Verdict,
+    _as_rational_vector,
     check_qp,
     critical_cone,
     first_order_check,
@@ -37,6 +39,7 @@ from .ssd import (
     EX41_GRADIENT_FAMILY,
     LogMesh,
     SSDQuery,
+    _membership_quotient,
     estimate_calmness,
     ssd_hessian_closed_form,
     ssd_interval_1d_example_family,
@@ -175,6 +178,7 @@ class _Context:
     def __init__(self, problem: ProblemFile, tolerance: float | None,
                  mesh: LogMesh | None, depth: int | None):
         self.problem = problem
+        self.tolerance_override = tolerance
         self.regime = problem.query.regime
         self.exact = self.regime == "exact"
         self.tolerance = 0.0 if self.exact else (
@@ -211,10 +215,15 @@ class _Context:
         return dirs
 
     def point_rational(self) -> RationalVector:
-        return RationalVector([Fraction(a) for a in self.problem.query.point])
+        return self.problem.query.point_rational()
 
     def point_floats(self) -> tuple[float, ...]:
-        return tuple(float(a) for a in self.problem.query.point)
+        return self.problem.query.point_floats()
+
+    @functools.cached_property
+    def tangent(self) -> PolyhedralCone:
+        """T(x) of the constraint polyhedron, built on first use."""
+        return self.polyhedron.tangent_cone(self.point_rational())
 
     def smooth_objective(self) -> SmoothObjective:
         obj = self.problem.smooth_objective()
@@ -237,8 +246,7 @@ class _Context:
 def _run_cones(ctx: _Context) -> tuple[dict, int]:
     entries = []
     if ctx.polyhedron is not None:
-        point = ctx.point_rational()
-        tangent = ctx.polyhedron.tangent_cone(point)
+        tangent = ctx.tangent
         normal = tangent.polar()
         for v in ctx.directions():
             direction = RationalVector([Fraction(a) for a in v])
@@ -289,13 +297,12 @@ def _gradient_for(ctx: _Context):
 def _run_first_order(ctx: _Context) -> tuple[dict, int]:
     gradient = _gradient_for(ctx)
     if ctx.polyhedron is not None:
-        tangent = ctx.polyhedron.tangent_cone(ctx.point_rational())
-        report = first_order_check(gradient, tangent, ctx.tolerance)
+        report = first_order_check(gradient, ctx.tangent, ctx.tolerance)
         results = {
             "mode": "polyhedral",
             "gradient": _vector_json(gradient),
             "condition": _condition_json(report),
-            "tangent_cone": _cone_json(tangent),
+            "tangent_cone": _cone_json(ctx.tangent),
         }
     else:
         region = ctx.smooth_constraint.tangent_cone(ctx.point_floats(), ctx.tolerance)
@@ -314,7 +321,7 @@ def _run_second_order(ctx: _Context) -> tuple[dict, int]:
     quad = ctx.quadratic_objective()
     if ctx.polyhedron is not None and quad is not None and ctx.exact:
         objective = quad
-        directions = [_rational_vec(v) for v in directions]
+        directions = [_as_rational_vector(v) for v in directions]
     else:
         objective = ctx.smooth_objective()
         if objective.hessian is None:
@@ -559,33 +566,34 @@ def run_analysis(
 # ---------------------------------------------------------------------------
 
 
-def _rational_vec(values) -> RationalVector:
-    return RationalVector([Fraction(a) for a in values])
-
-
 class _Revalidator:
+    """Re-runs a report and substitutes its witnesses back, on one
+    :class:`_Context` built from the echoed problem and configuration."""
+
     def __init__(self, report: dict):
         self.report = report
         self.checks: list[dict] = []
-        self.problem = parse_problem_dict(report["problem"])
         config = report.get("configuration", {})
         self.tolerance = float(config.get("tolerance", 1e-9))
-        self.tolerance_override = config.get("tolerance_override")
-        self.mesh = LogMesh.parse(config.get("mesh", "1.0:8.0:0.5"))
-        self.depth = int(config.get("depth", 12))
-        self.exact = self.problem.query.regime == "exact"
+        self.ctx = _Context(
+            parse_problem_dict(report["problem"]),
+            config.get("tolerance_override"),
+            LogMesh.parse(config.get("mesh", "1.0:8.0:0.5")),
+            int(config.get("depth", 12)),
+        )
 
     def add(self, label: str, ok: bool, detail: str = "") -> None:
         self.checks.append({"check": label, "ok": bool(ok), "detail": detail})
 
     def run(self) -> list[dict]:
         command = self.report.get("command")
+        ctx = self.ctx
         rerun = run_analysis(
-            self.problem,
+            ctx.problem,
             command,
-            tolerance=self.tolerance_override,
-            mesh=self.mesh,
-            depth=self.depth,
+            tolerance=ctx.tolerance_override,
+            mesh=ctx.mesh,
+            depth=ctx.depth,
         )
         old = {k: v for k, v in self.report.items() if k != "timestamp"}
         new = {k: v for k, v in rerun.items() if k != "timestamp"}
@@ -603,20 +611,18 @@ class _Revalidator:
 
     # -- helpers ---------------------------------------------------------
 
-    def _tangent_cone(self):
-        poly = self.problem.constraint_polyhedron()
-        return poly.tangent_cone(self._point())
+    @functools.cached_property
+    def gradient(self) -> RationalVector:
+        return _as_rational_vector(_gradient_for(self.ctx))
 
-    def _point(self) -> RationalVector:
-        return _rational_vec(self.problem.query.point)
-
-    def _gradient_exact(self) -> RationalVector:
-        if self.problem.quadratic is not None and self.exact:
-            return self.problem.quadratic.gradient(self._point())
-        grad = self.problem.smooth_objective().gradient_at(
-            [float(a) for a in self.problem.query.point]
-        )
-        return RationalVector([Fraction(float(a)) for a in grad])
+    def _recedes(self, region: AffineRegion, ray) -> bool:
+        """Is the float vector ``ray`` a recession direction of the
+        half-space or hyperplane ``region``, one its normal does not oppose?"""
+        along = float(np.asarray(region.normal) @ np.asarray(ray))
+        bound = self.tolerance * max(1.0, float(np.linalg.norm(region.normal)))
+        if region.kind is RegionKind.HYPERPLANE:
+            return abs(along) <= bound
+        return along <= bound
 
     def _check_linear_condition(self, label: str, entry: dict, cone) -> None:
         """Substitute a Fails witness / verify a Holds Lagrange certificate."""
@@ -624,24 +630,18 @@ class _Revalidator:
             return
         verdict = entry.get("verdict")
         if verdict == "fails" and entry.get("witness") is not None:
-            witness = _rational_vec(entry["witness"])
-            grad = self._gradient_exact()
+            witness = _as_rational_vector(entry["witness"])
             if isinstance(cone, PolyhedralCone):
                 inside = cone.contains(witness)
             elif entry.get("margin") == "-inf":
                 # the witness is a recession direction of the region, not a point
-                along = float(np.asarray(cone.normal) @ np.asarray(witness.as_floats()))
-                scale = max(1.0, float(np.linalg.norm(cone.normal)))
-                inside = (
-                    abs(along) <= self.tolerance * scale
-                    if cone.kind.value == "hyperplane"
-                    else along <= self.tolerance * scale
-                )
+                inside = self._recedes(cone, witness.as_floats())
             else:
-                inside = cone.contains([float(a) for a in witness.as_floats()], self.tolerance)
-            pairing = grad.dot(witness)
+                inside = cone.contains(witness.as_floats(), self.tolerance)
+            pairing = self.gradient.dot(witness)
             sup = max(abs(a) for a in witness.entries)
-            violated = pairing / sup < (0 if self.exact else -self.tolerance)
+            # the zero vector violates nothing
+            violated = sup != 0 and pairing / sup < (0 if self.ctx.exact else -self.tolerance)
             self.add(
                 label + ": witness violates the inequality",
                 inside and violated,
@@ -654,11 +654,11 @@ class _Revalidator:
                     (item["position"], item.get("origin_row"), Fraction(item["value"]))
                     for item in cert["inequality_multipliers"]
                 ),
-                equality_multipliers=_rational_vec(cert["equality_multipliers"]),
+                equality_multipliers=_as_rational_vector(cert["equality_multipliers"]),
             )
             self.add(
                 label + ": Lagrange certificate identity",
-                certificate.verify(self._gradient_exact(), cone),
+                certificate.verify(self.gradient, cone),
                 "-grad = sum(lambda_i row_i) + A^T mu re-verified exactly",
             )
 
@@ -682,38 +682,35 @@ class _Revalidator:
     def _verify_first_order(self, results: dict) -> None:
         if results.get("mode") != "polyhedral":
             return
-        self._check_linear_condition("first-order", results.get("condition"), self._tangent_cone())
+        self._check_linear_condition("first-order", results.get("condition"), self.ctx.tangent)
 
     def _verify_second_order(self, results: dict) -> None:
+        ctx = self.ctx
         smooth = results.get("mode") == "smooth"
-        poly = None if smooth else self.problem.constraint_polyhedron()
-        constraint = self.problem.fixture.constraint if smooth else None
         for entry in results.get("directions", []):
-            direction = _rational_vec(entry["direction"])
+            direction = _as_rational_vector(entry["direction"])
             if smooth:
-                point = [float(a) for a in self.problem.query.point]
-                second = constraint.second_order_tangent_set(
-                    point, direction.as_floats(), self.tolerance
+                second = ctx.smooth_constraint.second_order_tangent_set(
+                    ctx.point_floats(), direction.as_floats(), self.tolerance
                 )
             else:
-                second = poly.second_order_tangent_set(self._point(), direction)
+                second = ctx.tangent.tangent_cone_at(direction)
             self._check_linear_condition("c1", entry.get("c1"), second)
             self._check_classical(entry.get("classical"), second, direction)
             c2 = entry.get("c2_at_direction")
             if c2 and c2.get("verdict") == "fails":
+                curvature = self._curvature(direction)
                 self.add(
                     "c2: negative curvature reproduces",
-                    self._curvature(direction) < 0,
-                    f"<Mv, v> = {float(self._curvature(direction)):.6g}",
+                    curvature < 0,
+                    f"<Mv, v> = {float(curvature):.6g}",
                 )
 
     def _curvature(self, direction: RationalVector) -> Fraction:
-        quad = self.problem.quadratic
+        quad = self.ctx.quadratic_objective()
         if quad is not None:
             return quad.quadratic_form(direction)
-        hess = self.problem.smooth_objective().hessian_at(
-            [float(a) for a in self.problem.query.point]
-        )
+        hess = self.ctx.smooth_objective().hessian_at(self.ctx.point_floats())
         vec = np.asarray(direction.as_floats())
         return Fraction(float(vec @ hess @ vec))
 
@@ -730,28 +727,17 @@ class _Revalidator:
         curvature = self._curvature(direction)
         unbounded = entry.get("margin") == "-inf"
         if isinstance(second, PolyhedralCone):
-            witness = _rational_vec(entry["witness"])
-            pairing = self._gradient_exact().dot(witness)
+            witness = _as_rational_vector(entry["witness"])
+            pairing = self.gradient.dot(witness)
             violation = pairing if unbounded else pairing + curvature
             ok = second.contains(witness) and violation < 0
             detail = f"violation = {float(violation):.6g}"
         else:
             witness = np.asarray([float(a) for a in entry["witness"]])
-            grad = self.problem.smooth_objective().gradient_at(
-                [float(a) for a in self.problem.query.point]
-            )
+            grad = self.ctx.smooth_objective().gradient_at(self.ctx.point_floats())
             pairing = float(grad @ witness)
             if unbounded:
-                # a recession direction of a half-space/hyperplane is one the
-                # normal does not oppose
-                along = float(np.asarray(second.normal) @ witness)
-                scale = max(1.0, float(np.linalg.norm(second.normal)))
-                recession = (
-                    abs(along) <= self.tolerance * scale
-                    if second.kind.value == "hyperplane"
-                    else along <= self.tolerance * scale
-                )
-                ok = recession and pairing < 0
+                ok = self._recedes(second, witness) and pairing < 0
                 detail = f"<grad, ray> = {pairing:.6g}"
             else:
                 violation = pairing + float(curvature)
@@ -760,23 +746,22 @@ class _Revalidator:
         self.add("classical: witness reproduces the violation", ok, detail)
 
     def _verify_qp(self, results: dict) -> None:
-        tangent = self._tangent_cone()
+        tangent = self.ctx.tangent
         self._check_linear_condition("c0", results.get("c0"), tangent)
-        c1p = results.get("c1_prime")
-        poly = self.problem.constraint_polyhedron()
-        if c1p is not None and c1p.get("verdict") == "fails":
-            direction = _rational_vec(c1p["witness_direction"])
-            second = poly.second_order_tangent_set(self._point(), direction)
-            self._check_linear_condition("c1'", c1p, second)
-        elif c1p is not None and c1p.get("checked_directions"):
-            direction = _rational_vec(c1p["checked_directions"][0])
-            second = poly.second_order_tangent_set(self._point(), direction)
-            self._check_linear_condition("c1'", c1p, second)
+        # (c1') is checked on T2(x, v) at its witness direction, else at the
+        # first checked direction
+        c1p = results.get("c1_prime") or {}
+        fails = c1p.get("verdict") == "fails"
+        if fails or c1p.get("checked_directions"):
+            direction = c1p["witness_direction"] if fails else c1p["checked_directions"][0]
+            self._check_linear_condition(
+                "c1'", c1p, tangent.tangent_cone_at(_as_rational_vector(direction))
+            )
         c2p = results.get("c2_prime")
         if c2p and c2p.get("verdict") == "fails" and c2p.get("witness"):
-            witness = _rational_vec(c2p["witness"])
-            crit = critical_cone(self._gradient_exact(), tangent)
-            value = self.problem.quadratic.quadratic_form(witness)
+            witness = _as_rational_vector(c2p["witness"])
+            crit = critical_cone(self.gradient, tangent)
+            value = self.ctx.quadratic_objective().quadratic_form(witness)
             self.add(
                 "c2': witness is a critical direction with negative form",
                 crit.contains(witness) and value < 0,
@@ -799,38 +784,25 @@ class _Revalidator:
                 )
 
     def _verify_ssd(self, results: dict) -> None:
-        objective = self.problem.smooth_objective()
+        objective = self.ctx.smooth_objective()
         for entry in results.get("memberships", []):
-            query = SSDQuery(
-                objective,
-                float(self.problem.query.point[0]),
-                entry["direction"],
-                entry["candidate"],
-            )
-            sample = entry["attaining_sample"]
-            base = float(self.problem.query.point[0])
+            base = self.ctx.point_floats()[0]
+            query = SSDQuery(objective, base, entry["direction"], entry["candidate"])
             grad_base = float(objective.gradient_at([base])[0])
-            grad_x = float(objective.gradient_at([sample])[0])
-            denominator = abs(sample - base) + abs(grad_x - grad_base)
-            numerator = (
-                query.candidate * (sample - base)
-                - grad_x * query.direction
-                + grad_base * query.direction
-            )
-            quotient = numerator / denominator
+            quotient = _membership_quotient(query, entry["attaining_sample"], base, grad_base)
             self.add(
                 "ssd: attaining sample reproduces the worst quotient",
-                abs(quotient - entry["worst_quotient"]) <= 1e-12,
-                f"quotient = {quotient:.6g}",
+                quotient is not None and abs(quotient - entry["worst_quotient"]) <= 1e-12,
+                "zero denominator" if quotient is None else f"quotient = {quotient:.6g}",
             )
 
 
 def _generators_match(cone_json: dict) -> bool:
-    eq = [_rational_vec(r) for r in cone_json["equalities"]]
-    ineq = [_rational_vec(r) for r in cone_json["inequalities"]]
-    vectors = [_rational_vec(r) for r in cone_json["rays"]]
+    eq = [_as_rational_vector(r) for r in cone_json["equalities"]]
+    ineq = [_as_rational_vector(r) for r in cone_json["inequalities"]]
+    vectors = [_as_rational_vector(r) for r in cone_json["rays"]]
     for lin in cone_json["lineality"]:
-        v = _rational_vec(lin)
+        v = _as_rational_vector(lin)
         vectors.extend([v, -v])
     for v in vectors:
         if any(row.dot(v) != 0 for row in eq):

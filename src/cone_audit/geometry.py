@@ -8,11 +8,11 @@ From a feasible base point it produces, in exact arithmetic:
   active rows that remain tight along that direction,
 * the normal cone, as the tangent cone's polar (by generators: active rows
   plus the row space of A),
-* polars, and
-* brute-force step oracles that decide tangency by actually stepping into
-  the set at an exactly computed step length.  For polyhedra the finite
-  step test is equivalent to the limit definition, which makes the oracles
-  an independent cross-check of the cone formulas.
+* polars.
+
+The tests cross-check these formulas against brute-force step oracles
+that decide tangency by stepping into the set at an exactly computed step
+length.
 
 Inequality rows are numbered 1..p on all public surfaces (active sets,
 provenance tags, error messages).
@@ -21,18 +21,13 @@ provenance tags, error messages).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from .dd import DEFAULT_DIMENSION_CAP, GeneratorSet, double_description
+from .dd import GeneratorSet, double_description
 from .errors import (
     DimensionMismatchError,
     NotInSetError,
     NotTangentDirectionError,
 )
 from .linalg import RationalMatrix, RationalVector, row_space_basis
-
-_HALF = Fraction(1, 2)
-_ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class ActiveSet:
@@ -63,13 +58,11 @@ class PolyhedralCone:
         ineq_origins: tuple[int | None, ...] | None = None,
         *,
         generators: GeneratorSet | None = None,
-        dim_cap: int = DEFAULT_DIMENSION_CAP,
     ):
         if eq_rows is None and ineq_rows is None and generators is None:
             eq_rows = RationalMatrix([], dim)
             ineq_rows = RationalMatrix([], dim)
         self.dim = dim
-        self.dim_cap = dim_cap
         has_h = eq_rows is not None or ineq_rows is not None
         self._eq = eq_rows if eq_rows is not None else (RationalMatrix([], dim) if has_h else None)
         self._ineq = ineq_rows if ineq_rows is not None else (RationalMatrix([], dim) if has_h else None)
@@ -117,7 +110,7 @@ class PolyhedralCone:
     def generators(self) -> GeneratorSet:
         if self._generators is None:
             self._generators = double_description(
-                self.dim, tuple(self._eq.rows), tuple(self._ineq.rows), dim_cap=self.dim_cap
+                self.dim, tuple(self._eq.rows), tuple(self._ineq.rows)
             )
         return self._generators
 
@@ -158,7 +151,6 @@ class PolyhedralCone:
                 self.dim,
                 eq_rows=RationalMatrix(gens.lineality, self.dim),
                 ineq_rows=RationalMatrix(gens.rays, self.dim),
-                dim_cap=self.dim_cap,
             )
         else:
             rays = {r.primitive() for r in self._ineq.rows}
@@ -168,7 +160,7 @@ class PolyhedralCone:
                 tuple(sorted(rays, key=lambda r: r.entries)),
                 tuple(sorted(lineality, key=lambda r: r.entries)),
             )
-            polar = PolyhedralCone(self.dim, generators=gens, dim_cap=self.dim_cap)
+            polar = PolyhedralCone(self.dim, generators=gens)
         polar._polar = self
         return polar
 
@@ -193,7 +185,6 @@ class PolyhedralCone:
             eq_rows=eq,
             ineq_rows=RationalMatrix([ineq.row(k) for k in tight], self.dim),
             ineq_origins=tuple(self.ineq_origins[k] for k in tight),
-            dim_cap=self.dim_cap,
         )
 
     def __repr__(self) -> str:
@@ -237,11 +228,8 @@ class Polyhedron:
         eq_rhs: RationalVector | None = None,
         ineq_matrix: RationalMatrix | None = None,
         ineq_rhs: RationalVector | None = None,
-        *,
-        dim_cap: int = DEFAULT_DIMENSION_CAP,
     ):
         self.dim = dim
-        self.dim_cap = dim_cap
         self.eq_matrix = eq_matrix if eq_matrix is not None else RationalMatrix([], dim)
         self.eq_rhs = eq_rhs if eq_rhs is not None else RationalVector([])
         self.ineq_matrix = ineq_matrix if ineq_matrix is not None else RationalMatrix([], dim)
@@ -263,11 +251,6 @@ class Polyhedron:
     @classmethod
     def full_space(cls, dim: int) -> "Polyhedron":
         return cls(dim)
-
-    @classmethod
-    def from_affine_equations(cls, matrix: RationalMatrix, offset: RationalVector) -> "Polyhedron":
-        """The affine set {x | matrix x + offset = 0}."""
-        return cls(matrix.ncols, eq_matrix=matrix, eq_rhs=-offset)
 
     # -- basic queries -------------------------------------------------
 
@@ -325,12 +308,6 @@ class Polyhedron:
             eq_rows=self.eq_matrix,
             ineq_rows=RationalMatrix([self.ineq_matrix.row(k) for k in active], self.dim),
             ineq_origins=tuple(k + 1 for k in active),
-            dim_cap=self.dim_cap,
-        )
-
-    def _is_tangent(self, x: RationalVector, v: RationalVector, active: list[int]) -> bool:
-        return all(row.dot(v) == 0 for row in self.eq_matrix.rows) and all(
-            self.ineq_matrix.row(k).dot(v) <= 0 for k in active
         )
 
     def second_order_tangent_set(self, x: RationalVector, v: RationalVector) -> PolyhedralCone:
@@ -346,58 +323,6 @@ class Polyhedron:
         """N(x) = T(x)°, by generators: active rows as rays, row space of A
         as lineality.  Its H-form is the tangent cone's generators."""
         return self.tangent_cone(x).polar()
-
-    # -- step oracles --------------------------------------------------
-
-    def tangent_step_oracle(self, x: RationalVector, v: RationalVector) -> bool:
-        """Decide tangency by stepping: is x + t* v in the set?
-
-        t* is half of min(slack_i / max(1, |<row_i, v>|)) over inactive rows,
-        so no inactive row can flip within the step; membership of the
-        stepped point is then exactly equivalent to tangency of v.
-        """
-        self.require_member(x)
-        if v.dim != self.dim:
-            raise DimensionMismatchError("direction dimension does not match the set")
-        step = _ONE
-        for k, row in enumerate(self.ineq_matrix.rows):
-            slack = self.ineq_rhs[k] - row.dot(x)
-            if slack > 0:
-                speed = abs(row.dot(v))
-                step = min(step, slack / max(_ONE, speed))
-        return self.contains(x + v.scale(step * _HALF))
-
-    def second_order_step_oracle(
-        self, x: RationalVector, v: RationalVector, w: RationalVector
-    ) -> bool:
-        """Decide membership in the second-order tangent set by stepping.
-
-        Tests x + t v + (t^2/2) w at a rational t small enough that neither
-        inactive rows nor active rows with strictly negative <row, v> can be
-        violated by the quadratic term; the remaining rows then decide
-        membership exactly.  Requires v tangent at x.
-        """
-        self.require_member(x)
-        active = set(self._active_rows(x))
-        if not self._is_tangent(x, v, sorted(active)):
-            raise NotTangentDirectionError(
-                "direction is not tangent at the base point"
-            )
-        if w.dim != self.dim:
-            raise DimensionMismatchError("second-order direction dimension mismatch")
-        step = _ONE
-        for k, row in enumerate(self.ineq_matrix.rows):
-            first = row.dot(v)
-            second = abs(row.dot(w))
-            if k in active:
-                if first < 0:
-                    step = min(step, -first / max(_ONE, second * _HALF))
-            else:
-                slack = self.ineq_rhs[k] - row.dot(x)
-                step = min(step, slack / max(_ONE, abs(first) + second * _HALF))
-        t = step * _HALF
-        probe = x + v.scale(t) + w.scale(t * t * _HALF)
-        return self.contains(probe)
 
     def __repr__(self) -> str:
         return (

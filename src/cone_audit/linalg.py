@@ -182,9 +182,6 @@ class RationalMatrix:
     def row(self, i: int) -> RationalVector:
         return self.rows[i]
 
-    def column(self, j: int) -> RationalVector:
-        return RationalVector(r[j] for r in self.rows)
-
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 

@@ -339,7 +339,6 @@ def critical_cone(gradient, tangent: PolyhedralCone) -> PolyhedralCone:
         eq_rows=eq,
         ineq_rows=tangent.ineq_rows,
         ineq_origins=tangent.ineq_origins,
-        dim_cap=tangent.dim_cap,
     )
 
 

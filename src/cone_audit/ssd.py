@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, UnsupportedFamilyError
 from .geometry import Polyhedron
-from .linalg import RationalMatrix, RationalVector
+from .linalg import RationalVector
 from .objectives import SmoothObjective
 from .optimality import (
     ConditionReport,
@@ -353,39 +353,6 @@ def theorem41_check(
         hypothesis_holds=critical.is_bidirectional,
         gradient_condition=gradient_condition,
         pairings=tuple(entries),
-    )
-
-
-def unconstrained_check(objective, point, direction, candidates, tolerance=1e-9):
-    """Preset: the whole space as constraint set (stationarity plus
-    positive-semidefiniteness of the second-order action)."""
-    return theorem41_check(
-        objective,
-        Polyhedron.full_space(objective.dimension),
-        point,
-        direction,
-        candidates,
-        tolerance,
-    )
-
-
-def linear_equality_check(
-    objective, matrix: RationalMatrix, offset: RationalVector,
-    point, direction, candidates, tolerance=1e-9,
-):
-    """Preset: constraint set {x | matrix x + offset = 0}.
-
-    The Lagrangian's gradient differs from the objective's by a constant
-    functional, so its second-order action coincides with the objective's
-    and the check delegates unchanged.
-    """
-    return theorem41_check(
-        objective,
-        Polyhedron.from_affine_equations(matrix, offset),
-        point,
-        direction,
-        candidates,
-        tolerance,
     )
 
 

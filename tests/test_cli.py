@@ -1,14 +1,20 @@
 import json
 import math
 import os
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cone_audit import geometry
 from cone_audit.analysis import revalidate_report, run_analysis
 from cone_audit.cli import main
+from cone_audit.linalg import RationalVector
 from cone_audit.problem import parse_problem
+
+from conftest import random_feasible_polyhedron, random_vector, small_fraction
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
 
@@ -418,3 +424,131 @@ def test_cones_enumerates_one_tangent_cone_per_point(monkeypatch):
     counts.clear()
     run_analysis(problem, "second-order")
     assert counts["require_member"] == counts["_active_rows"] == len(directions)
+
+
+def test_verify_fails_ssd_sample_at_base_point(tmp_path, capsys):
+    """A sample at the base point has a zero quotient denominator: the check
+    fails instead of dividing by zero."""
+    problem = {
+        "version": "1",
+        "constraint": {"type": "fixture", "name": "ex41"},
+        "query": {"point": [0.0], "directions": [[1.0]], "z_candidates": [-0.5], "regime": "float"},
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(problem))
+    code, out, _ = run_cli(capsys, "ssd", "--input", str(path), "--format", "json")
+    report = json.loads(out)
+    report["results"]["memberships"][0]["attaining_sample"] = 0.0
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "verify", "--input", str(tampered))
+    assert code == 1
+    assert "[FAIL] ssd: attaining sample reproduces the worst quotient  (zero denominator)" in out
+    assert err == ""
+
+
+def test_verify_fails_zero_witness(tmp_path, capsys):
+    """The zero vector violates no inequality: a `fails` entry that names it
+    fails its check instead of dividing by zero."""
+    code, out, _ = run_cli(
+        capsys, "qp", "--input", os.path.join(PROBLEMS, "orthant_qp.json"), "--format", "json"
+    )
+    report = json.loads(out)
+    report["results"]["c0"]["verdict"] = "fails"
+    report["results"]["c0"]["witness"] = ["0", "0"]
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "verify", "--input", str(tampered))
+    assert code == 1
+    assert "[FAIL] c0: witness violates the inequality  (<grad, w> = 0)" in out
+    assert err == ""
+
+
+def _fractions(values) -> list[str]:
+    return [str(a) for a in values]
+
+
+def random_qp_problem(seed: int, dim: int, num_eq: int, num_directions: int, stationary: bool) -> dict:
+    """A QP over a random polyhedron at its known feasible point, with
+    directions drawn as nonnegative combinations of the tangent cone's
+    generators; q = -M x makes the point stationary."""
+    rng = random.Random(seed)
+    polyhedron, base = random_feasible_polyhedron(
+        rng, dim, rng.randint(1, 2 * dim), num_eq, active_probability=0.7
+    )
+    entries = {(i, j): small_fraction(rng) for i in range(dim) for j in range(i, dim)}
+    hessian = [[entries[min(i, j), max(i, j)] for j in range(dim)] for i in range(dim)]
+    linear = (
+        RationalVector([-sum(h * b for h, b in zip(row, base)) for row in hessian])
+        if stationary
+        else random_vector(rng, dim)
+    )
+    spanning = polyhedron.tangent_cone(base).generators().spanning_vectors()
+    directions = []
+    for _ in range(num_directions):
+        direction = RationalVector.zero(dim)
+        for g in spanning:
+            direction = direction + g.scale(rng.randint(0, 2))
+        directions.append(_fractions(direction))
+    constraint = {
+        "type": "polyhedron",
+        "dimension": dim,
+        "inequalities": {
+            "rows": [_fractions(r) for r in polyhedron.ineq_matrix.rows],
+            "bounds": _fractions(polyhedron.ineq_rhs),
+        },
+    }
+    if num_eq:
+        constraint["equalities"] = {
+            "matrix": [_fractions(r) for r in polyhedron.eq_matrix.rows],
+            "rhs": _fractions(polyhedron.eq_rhs),
+        }
+    return {
+        "version": "1",
+        "constraint": constraint,
+        "objective": {
+            "type": "quadratic",
+            "matrix": [_fractions(r) for r in hessian],
+            "linear": _fractions(linear),
+        },
+        "query": {"point": _fractions(base), "directions": directions, "regime": "exact"},
+    }
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=40,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.integers(0, 2**32), st.integers(2, 5), st.integers(0, 2), st.integers(1, 3), st.booleans())
+def test_random_qp_reports_revalidate(seed, dim, num_eq, num_directions, stationary):
+    """Every polyhedral command's JSON report re-verifies: it reproduces and
+    its witnesses and certificates substitute back."""
+    problem = parse_problem(json.dumps(random_qp_problem(seed, dim, num_eq, num_directions, stationary)))
+    for command in ("cones", "first-order", "second-order", "qp"):
+        report = json.loads(json.dumps(run_analysis(problem, command)))
+        ok, checks = revalidate_report(report)
+        assert ok, (command, checks)
+
+
+def test_verify_builds_one_tangent_cone_beyond_the_rerun(monkeypatch):
+    """`verify` re-runs the command, then reads every T2(x, v) and the
+    critical cone from one tangent cone T(x)."""
+    counts = Counter()
+    real = geometry.Polyhedron.tangent_cone
+
+    def counted(self, x):
+        counts["tangent_cone"] += 1
+        return real(self, x)
+
+    monkeypatch.setattr(geometry.Polyhedron, "tangent_cone", counted)
+    problem = parse_problem(json.dumps(random_qp_problem(3, 3, 1, 2, True)))
+    for command, extra in (("cones", 0), ("first-order", 1), ("second-order", 1), ("qp", 1)):
+        counts.clear()
+        report = run_analysis(problem, command)
+        bare = counts["tangent_cone"]
+        counts.clear()
+        ok, checks = revalidate_report(report)
+        assert ok, checks
+        assert counts["tangent_cone"] == bare + extra, command

@@ -18,6 +18,7 @@ from conftest import (
     random_vector,
     tangent_membership_by_rows,
 )
+from step_oracles import second_order_step_oracle, tangent_step_oracle
 
 
 def simplex_face():
@@ -69,7 +70,7 @@ def test_tangent_cone():
     for a in grid:
         for b in grid:
             v = RationalVector([a, b])
-            assert face.tangent_step_oracle(vector(0, 1), v) == cone.contains(v)
+            assert tangent_step_oracle(face, vector(0, 1), v) == cone.contains(v)
 
 
 def test_second_order_tangent_set():
@@ -136,14 +137,14 @@ def test_cone_equal_strictness_witness():
 def test_step_oracles_known_values():
     orthant = Polyhedron.nonnegative_orthant(2)
     origin = vector(0, 0)
-    assert orthant.tangent_step_oracle(origin, vector(0, 1))
-    assert not orthant.tangent_step_oracle(origin, vector(-1, 0))
-    assert simplex_face().tangent_step_oracle(vector(0, 1), vector(1, -1))
-    assert orthant.second_order_step_oracle(origin, vector(1, 0), vector(-5, 1))
-    assert not orthant.second_order_step_oracle(origin, vector(1, 0), vector(0, -1))
-    assert orthant.second_order_step_oracle(origin, vector(0, 0), vector(1, 1))
+    assert tangent_step_oracle(orthant, origin, vector(0, 1))
+    assert not tangent_step_oracle(orthant, origin, vector(-1, 0))
+    assert tangent_step_oracle(simplex_face(), vector(0, 1), vector(1, -1))
+    assert second_order_step_oracle(orthant, origin, vector(1, 0), vector(-5, 1))
+    assert not second_order_step_oracle(orthant, origin, vector(1, 0), vector(0, -1))
+    assert second_order_step_oracle(orthant, origin, vector(0, 0), vector(1, 1))
     with pytest.raises(NotTangentDirectionError):
-        orthant.second_order_step_oracle(origin, vector(-1, 0), vector(0, 0))
+        second_order_step_oracle(orthant, origin, vector(-1, 0), vector(0, 0))
 
 
 def test_second_order_oracle_large_coefficients():
@@ -154,7 +155,7 @@ def test_second_order_oracle_large_coefficients():
     v = vector(1, Fraction(1, 50))  # row 1 strictly negative, row 2 too
     w = vector(-1, -200)            # second-order pull against row 2
     # both rows leave the active set at first order, so any w is admissible
-    assert orthant.second_order_step_oracle(origin, v, w)
+    assert second_order_step_oracle(orthant, origin, v, w)
 
 
 def test_empty_polyhedron():
@@ -181,7 +182,7 @@ def test_oracle_equivalence_random():
         for _ in range(8):
             v = random_vector(rng, dim)
             by_formula = tangent.contains(v)
-            assert by_formula == polyhedron.tangent_step_oracle(base, v)
+            assert by_formula == tangent_step_oracle(polyhedron, base, v)
             assert by_formula == tangent_membership_by_rows(polyhedron, base, v)
 
 

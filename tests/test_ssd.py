@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cone_audit.errors import UnsupportedFamilyError
+from cone_audit.geometry import Polyhedron
 from cone_audit.linalg import matrix, vector
 from cone_audit.objectives import QuadraticObjective, SmoothObjective, fixture
 from cone_audit.optimality import Verdict
@@ -14,12 +15,10 @@ from cone_audit.ssd import (
     PiecewiseGradientDescriptor,
     SSDQuery,
     estimate_calmness,
-    linear_equality_check,
     ssd_hessian_closed_form,
     ssd_interval_1d_example_family,
     ssd_membership,
     theorem41_check,
-    unconstrained_check,
 )
 
 
@@ -166,7 +165,7 @@ def test_theorem41_hypothesis_satisfied():
         gradient=lambda x: np.array([x[0]]),
         hessian=lambda x: np.array([[1.0]]),
     )
-    report = unconstrained_check(half_sq, (0.0,), (1.0,), [(1.0,)])
+    report = theorem41_check(half_sq, Polyhedron.full_space(1), (0.0,), (1.0,), [(1.0,)])
     assert report.status == "Holds"
     assert report.direction.is_bidirectional
 
@@ -176,8 +175,12 @@ def test_theorem41_hypothesis_satisfied():
         gradient=lambda x: np.array([x[0], 0.0]),
         hessian=lambda x: np.array([[1.0, 0.0], [0.0, 0.0]]),
     )
-    report = linear_equality_check(
-        plane, matrix([[0, 1]]), vector(0), (0.0, 0.0), (1.0, 0.0), [(1.0, 0.0)]
+    report = theorem41_check(
+        plane,
+        Polyhedron(2, eq_matrix=matrix([[0, 1]]), eq_rhs=-vector(0)),
+        (0.0, 0.0),
+        (1.0, 0.0),
+        [(1.0, 0.0)],
     )
     assert report.status == "Holds"
     assert report.gradient_condition.verdict is Verdict.HOLDS
@@ -191,5 +194,5 @@ def test_theorem41_fails_on_bad_pairing():
         gradient=lambda x: np.array([x[0]]),
         hessian=lambda x: np.array([[1.0]]),
     )
-    report = unconstrained_check(half_sq, (0.0,), (1.0,), [(-1.0,)])
+    report = theorem41_check(half_sq, Polyhedron.full_space(1), (0.0,), (1.0,), [(-1.0,)])
     assert report.status == "Fails"
