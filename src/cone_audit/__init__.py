@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedFamilyError,
     VanishingGradientError,
 )
-from .geometry import ActiveSet, PolyhedralCone, Polyhedron, cone_equal, cone_subset
+from .geometry import PolyhedralCone, Polyhedron, cone_equal, cone_subset
 from .linalg import Rational, RationalMatrix, RationalVector, matrix, rational, vector
 from .lp import LPResult, LPStatus, solve_lp
 from .objectives import (

@@ -574,13 +574,15 @@ class _Revalidator:
         self.report = report
         self.checks: list[dict] = []
         config = report.get("configuration", {})
-        self.tolerance = float(config.get("tolerance", 1e-9))
         self.ctx = _Context(
             parse_problem_dict(report["problem"]),
             config.get("tolerance_override"),
             LogMesh.parse(config.get("mesh", "1.0:8.0:0.5")),
             int(config.get("depth", 12)),
         )
+        # the analysis' tolerance; theorem41 decides with 1e-9 where that is 0
+        self.theorem41 = report.get("command") == "theorem41"
+        self.tolerance = (self.ctx.tolerance or 1e-9) if self.theorem41 else self.ctx.tolerance
 
     def add(self, label: str, ok: bool, detail: str = "") -> None:
         self.checks.append({"check": label, "ok": bool(ok), "detail": detail})
@@ -613,7 +615,10 @@ class _Revalidator:
 
     @functools.cached_property
     def gradient(self) -> RationalVector:
-        return _as_rational_vector(_gradient_for(self.ctx))
+        ctx = self.ctx
+        if self.theorem41:  # theorem41_check decides on the float gradient
+            return _as_rational_vector(ctx.smooth_objective().gradient_at(ctx.point_floats()))
+        return _as_rational_vector(_gradient_for(ctx))
 
     def _recedes(self, region: AffineRegion, ray) -> bool:
         """Is the float vector ``ray`` a recession direction of the
@@ -641,7 +646,7 @@ class _Revalidator:
             pairing = self.gradient.dot(witness)
             sup = max(abs(a) for a in witness.entries)
             # the zero vector violates nothing
-            violated = sup != 0 and pairing / sup < (0 if self.ctx.exact else -self.tolerance)
+            violated = sup != 0 and pairing / sup < -self.tolerance
             self.add(
                 label + ": witness violates the inequality",
                 inside and violated,
@@ -680,9 +685,11 @@ class _Revalidator:
             )
 
     def _verify_first_order(self, results: dict) -> None:
-        if results.get("mode") != "polyhedral":
-            return
-        self._check_linear_condition("first-order", results.get("condition"), self.ctx.tangent)
+        if results.get("mode") == "polyhedral":
+            tangent = self.ctx.tangent
+        else:
+            tangent = self.ctx.smooth_constraint.tangent_cone(self.ctx.point_floats(), self.tolerance)
+        self._check_linear_condition("first-order", results.get("condition"), tangent)
 
     def _verify_second_order(self, results: dict) -> None:
         ctx = self.ctx
@@ -769,7 +776,11 @@ class _Revalidator:
             )
 
     def _verify_theorem41(self, results: dict) -> None:
-        for entry in results.get("directions", []):
+        for v, entry in zip(self.ctx.directions(), results.get("directions", [])):
+            condition = entry.get("gradient_condition")
+            if condition is not None:
+                second = self.ctx.tangent.tangent_cone_at(_as_rational_vector(v))
+                self._check_linear_condition("gradient condition", condition, second)
             direction = np.asarray(entry["direction"], dtype=float)
             for pairing in entry.get("pairings", []):
                 z = np.asarray(pairing["candidate"], dtype=float)

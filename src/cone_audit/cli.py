@@ -37,34 +37,33 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="cone-audit",
-        description=(
-            "Exact tangent/normal cone computations for polyhedral constraint "
-            "sets and verification of first- and second-order necessary "
-            "optimality conditions at candidate points."
-        ),
-    )
-    parser.add_argument(
-        "command",
-        choices=COMMANDS + ("verify",),
-        help="analysis to run; 'verify' re-validates a previously produced report",
-    )
-    parser.add_argument("--input", required=True, help="problem file (JSON); for 'verify', a report file")
-    parser.add_argument("--format", choices=("human", "json"), default="human")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="override the verdict tolerance (float regime / ssd oracle)")
-    parser.add_argument("--mesh", default=None,
-                        help="ssd probe mesh as start:stop:step exponents (default 1:8:0.5)")
-    parser.add_argument("--depth", type=int, default=None,
-                        help="copositivity subdivision depth limit (default 12)")
-    return parser
+# built once per process; parse_args leaves the parser unchanged
+_PARSER = _Parser(
+    prog="cone-audit",
+    description=(
+        "Exact tangent/normal cone computations for polyhedral constraint "
+        "sets and verification of first- and second-order necessary "
+        "optimality conditions at candidate points."
+    ),
+)
+_PARSER.add_argument(
+    "command",
+    choices=COMMANDS + ("verify",),
+    help="analysis to run; 'verify' re-validates a previously produced report",
+)
+_PARSER.add_argument("--input", required=True, help="problem file (JSON); for 'verify', a report file")
+_PARSER.add_argument("--format", choices=("human", "json"), default="human")
+_PARSER.add_argument("--tolerance", type=float, default=None,
+                     help="override the verdict tolerance (float regime / ssd oracle)")
+_PARSER.add_argument("--mesh", default=None,
+                     help="ssd probe mesh as start:stop:step exponents (default 1:8:0.5)")
+_PARSER.add_argument("--depth", type=int, default=None,
+                     help="copositivity subdivision depth limit (default 12)")
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError:
         return EXIT_ERROR
     try:

@@ -14,13 +14,12 @@ The tests cross-check these formulas against brute-force step oracles
 that decide tangency by stepping into the set at an exactly computed step
 length.
 
-Inequality rows are numbered 1..p on all public surfaces (active sets,
-provenance tags, error messages).
+Inequality rows are numbered 1..p on all public surfaces (a tangent cone's
+``ineq_origins``, error messages).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from .dd import GeneratorSet, double_description
 from .errors import (
     DimensionMismatchError,
@@ -28,14 +27,6 @@ from .errors import (
     NotTangentDirectionError,
 )
 from .linalg import RationalMatrix, RationalVector, row_space_basis
-
-@dataclass(frozen=True)
-class ActiveSet:
-    """Inequality rows satisfied with equality at a feasible point (1-based)."""
-
-    point: RationalVector
-    indices: tuple[int, ...]
-
 
 class PolyhedralCone:
     """A polyhedral cone, held as {v | eq v = 0, ineq v <= 0} and/or generators.
@@ -292,10 +283,6 @@ class Polyhedron:
             for k, row in enumerate(self.ineq_matrix.rows)
             if row.dot(x) == self.ineq_rhs[k]
         ]
-
-    def active_set(self, x: RationalVector) -> ActiveSet:
-        self.require_member(x)
-        return ActiveSet(point=x, indices=tuple(k + 1 for k in self._active_rows(x)))
 
     # -- cones -------------------------------------------------------------
 

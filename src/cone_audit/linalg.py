@@ -163,14 +163,6 @@ class RationalMatrix:
         object.__setattr__(self, "rows", vecs)
         object.__setattr__(self, "ncols", ncols)
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([RationalVector.unit(n, i) for i in range(n)], n)
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls([RationalVector.zero(ncols) for _ in range(nrows)], ncols)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)

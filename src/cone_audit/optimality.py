@@ -313,14 +313,7 @@ def check_c1(
     tolerance: float | Fraction = 0,
 ) -> ConditionReport:
     """Strengthened condition: <gradient, w> >= 0 on the second-order tangent set."""
-    if isinstance(second_order_set, PolyhedralCone):
-        grad = _as_rational_vector(gradient)
-        return _linear_condition_on_cone(
-            grad, second_order_set, _pairing_lp(grad, second_order_set), tolerance, ConditionId.C1
-        )
-    return _linear_condition_on_region(
-        gradient, second_order_set, float(tolerance), ConditionId.C1
-    )
+    return first_order_check(gradient, second_order_set, tolerance, ConditionId.C1)
 
 
 def critical_cone(gradient, tangent: PolyhedralCone) -> PolyhedralCone:
@@ -388,19 +381,33 @@ def _quadratic_form(matrix: RationalMatrix, v: RationalVector) -> Fraction:
 
 
 def _integer_gram(matrix: RationalMatrix, vectors: Sequence[RationalVector]):
-    """``(unit, denom, ints, products, inner)``: ``ints[a] = denom * vectors[a]``
-    in integers, ``products[a][b] = ints[a] . (scale * matrix) ints[b]`` and
-    ``inner[a][b] = ints[a] . ints[b]``; positive lcms of the denominators as
-    scale and denom keep every sign and every comparison of lengths, and a
-    pairing of the vectors is ``products[a][b] / unit``."""
+    """``(unit, denom, ints, images)``: ``ints[a] = denom * vectors[a]`` in
+    integers and ``images[a] = (scale * matrix) ints[a]``; positive lcms of the
+    denominators as scale and denom keep every sign and every comparison of
+    lengths, and a pairing of the vectors is ``ints[a] . images[b] / unit``."""
     scale = lcm(*(x.denominator for row in matrix for x in row))
     denom = lcm(*(x.denominator for v in vectors for x in v))
-    rows = [[int(x * scale) for x in row] for row in matrix]
-    ints = tuple(tuple(int(x * denom) for x in v) for v in vectors)
+    rows = [[x.numerator * (scale // x.denominator) for x in row] for row in matrix]
+    ints = tuple(tuple(x.numerator * (denom // x.denominator) for x in v) for v in vectors)
     images = [[sum(map(mul, row, v)) for row in rows] for v in ints]
-    products = [[sum(map(mul, a, image)) for image in images] for a in ints]
-    inner = [[sum(map(mul, a, b)) for b in ints] for a in ints]
-    return scale * denom * denom, denom, ints, products, inner
+    return scale * denom * denom, denom, ints, images
+
+
+def _pairings(left, right) -> list[list[int]]:
+    return [[sum(map(mul, a, b)) for b in right] for a in left]
+
+
+def _refuted_at_vertex(cell, diagonal, denom: int, unit: int, depth: int, cells: int):
+    """Not copositive at the first vertex whose form (``diagonal``) is negative, else None."""
+    vertex = next((i for i, value in enumerate(diagonal) if value < 0), None)
+    return None if vertex is None else CopositivityResult(
+        status=CopositivityStatus.NOT_COPOSITIVE,
+        witness=RationalVector(Fraction(x, denom) for x in cell[vertex]),
+        witness_value=Fraction(diagonal[vertex], unit),
+        depth_reached=depth,
+        cells_certified=cells,
+        method="simplicial-partition",
+    )
 
 
 def _with_midpoint(gram: list[list[int]], i: int, j: int, slot: int, denom: int, c: int):
@@ -429,7 +436,8 @@ def _copositivity_exact(
         # Pure subspace: copositivity there is positive semidefiniteness of
         # the restriction to the lineality basis, decided exactly.
         basis = list(gens.lineality)
-        unit, _, _, products, _ = _integer_gram(matrix, basis)
+        unit, _, ints, images = _integer_gram(matrix, basis)
+        products = _pairings(ints, images)
         witness_coords = _psd_witness([[Fraction(p, unit) for p in row] for row in products])
         if witness_coords is None:
             return CopositivityResult(
@@ -447,25 +455,24 @@ def _copositivity_exact(
         )
 
     # A cell is (vertices as integer tuples, their products, their inner
-    # products, depth); each child inherits its parent's Gram matrices.
+    # products, depth); each child inherits its parent's Gram matrices.  The
+    # root's diagonal comes first: a negative vertex needs no k x k matrices.
     generators = list(gens.spanning_vectors())
-    unit, denom, ints, products, inner = _integer_gram(matrix, generators)
-    queue = deque([(ints, products, inner, 0)])
+    unit, denom, ints, images = _integer_gram(matrix, generators)
+    diagonal = [sum(map(mul, a, image)) for a, image in zip(ints, images)]
+    refuted = _refuted_at_vertex(ints, diagonal, denom, unit, 0, 0)
+    if refuted is not None:
+        return refuted
+    queue = deque([(ints, _pairings(ints, images), _pairings(ints, ints), 0)])
     cells_certified = depth_reached = 0
     inconclusive = False
     while queue:
         cell, products, inner, depth = queue.popleft()
         depth_reached = max(depth_reached, depth)
-        negative_vertex = next((i for i, row in enumerate(products) if row[i] < 0), None)
-        if negative_vertex is not None:
-            return CopositivityResult(
-                status=CopositivityStatus.NOT_COPOSITIVE,
-                witness=RationalVector(Fraction(x, denom) for x in cell[negative_vertex]),
-                witness_value=Fraction(products[negative_vertex][negative_vertex], unit),
-                depth_reached=depth_reached,
-                cells_certified=cells_certified,
-                method="simplicial-partition",
-            )
+        diagonal = [row[i] for i, row in enumerate(products)]
+        refuted = _refuted_at_vertex(cell, diagonal, denom, unit, depth_reached, cells_certified)
+        if refuted is not None:
+            return refuted
         if min(map(min, products)) >= 0:
             cells_certified += 1
             continue
@@ -530,14 +537,18 @@ def _sphere_sampling_falsifier(
     Candidates are convex combinations of the k generators, sample s taking
     draws s*k to s*k+k-1 of ``random.Random(1789)``.  They are screened in
     float, a block at a time, and confirmed in exact arithmetic in order.
+    numpy's MT19937 is the same generator with the same doubles, so loaded
+    with that state it draws the stream a block at a time.
     """
-    rng = random.Random(1789)
+    key = random.Random(1789).getstate()[1]
+    stream = np.random.RandomState()
+    stream.set_state(("MT19937", key[:-1], key[-1]))
     float_gens = np.array([g.as_floats() for g in generators], dtype=float)
     float_matrix = np.array(matrix.as_float_rows(), dtype=float)
     k = len(generators)
     for start in range(0, samples, _FALSIFIER_BLOCK):
         count = min(_FALSIFIER_BLOCK, samples - start)
-        coeffs = np.array([rng.random() for _ in range(count * k)]).reshape(count, k)
+        coeffs = stream.random(count * k).reshape(count, k)
         candidates = coeffs @ float_gens
         norms = np.linalg.norm(candidates, axis=1)
         usable = norms >= 1e-12

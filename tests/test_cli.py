@@ -464,6 +464,84 @@ def test_verify_fails_zero_witness(tmp_path, capsys):
     assert err == ""
 
 
+def test_main_twice_in_one_process(capsys):
+    """One parser serves every call: arguments do not leak from one call to
+    the next, and a usage error exits 3 with the same stderr each time."""
+    orthant = os.path.join(PROBLEMS, "orthant_qp.json")
+    for extra, depth in ((["--depth", "0"], 0), ([], 12)):
+        code, out, _ = run_cli(capsys, "qp", "--input", orthant, "--format", "json", *extra)
+        assert code == 0
+        assert json.loads(out)["configuration"]["depth"] == depth
+    code, out, _ = run_cli(capsys, "cones", "--input", orthant)
+    assert code == 0
+    assert out.startswith("cone-audit ") and "tangent cone:" in out
+    errors = []
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "cones", "--input", orthant, "--format", "xml")
+        assert code == 3 and out == ""
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("usage: cone-audit ")
+    assert "argument --format: invalid choice: 'xml'" in errors[0]
+
+
+def _tampered_verify(report: dict, capsys, tmp_path) -> str:
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert code == 1 and err == ""
+    assert "[FAIL] deterministic reproduction" in out
+    return out
+
+
+def test_verify_substitutes_smooth_first_order_witness(tmp_path, capsys):
+    """A smooth-mode first-order witness is checked on the tangent region."""
+    problem = parse_problem(
+        json.dumps(
+            {
+                "version": "1",
+                "constraint": {"type": "fixture", "name": "ex32"},
+                "query": {"point": [1.0 / math.sqrt(2.0), 0.5], "regime": "float"},
+            }
+        )
+    )
+    report = run_analysis(problem, "first-order")
+    assert report["results"]["condition"]["verdict"] == "fails"
+    ok, checks = revalidate_report(report)
+    assert ok and checks[-1]["check"] == "first-order: witness violates the inequality"
+    report["results"]["condition"]["witness"] = [123.0, -7.0]
+    out = _tampered_verify(report, capsys, tmp_path)
+    assert "[FAIL] first-order: witness violates the inequality" in out
+
+
+def test_verify_substitutes_theorem41_gradient_condition_witness(tmp_path, capsys):
+    """x^2/2 - x over x >= 0 at 0, direction 0: the gradient condition fails
+    with witness 1, and a swapped witness is checked on T2(x, v)."""
+    problem = {
+        "version": "1",
+        "constraint": {
+            "type": "polyhedron",
+            "dimension": 1,
+            "inequalities": {"rows": [["-1"]], "bounds": ["0"]},
+        },
+        "objective": {"type": "quadratic", "matrix": [["1"]], "linear": ["-1"]},
+        "query": {"point": ["0"], "directions": [["0"]], "regime": "exact"},
+    }
+    report = run_analysis(parse_problem(json.dumps(problem)), "theorem41")
+    condition = report["results"]["directions"][0]["gradient_condition"]
+    assert (condition["verdict"], condition["witness"]) == ("fails", ["1"])
+    ok, checks = revalidate_report(report)
+    assert ok and checks[-1]["check"] == "gradient condition: witness violates the inequality"
+    # -5 lies outside T2(x, v) = {w >= 0}; 5, a positive multiple of the
+    # ray, is still a witness, so only the reproduction check flags it
+    condition["witness"] = ["-5"]
+    out = _tampered_verify(report, capsys, tmp_path)
+    assert "[FAIL] gradient condition: witness violates the inequality  (<grad, w> = 5)" in out
+    condition["witness"] = ["5"]
+    out = _tampered_verify(report, capsys, tmp_path)
+    assert "[ok ] gradient condition: witness violates the inequality  (<grad, w> = -5)" in out
+
+
 def _fractions(values) -> list[str]:
     return [str(a) for a in values]
 
@@ -526,7 +604,7 @@ def test_random_qp_reports_revalidate(seed, dim, num_eq, num_directions, station
     """Every polyhedral command's JSON report re-verifies: it reproduces and
     its witnesses and certificates substitute back."""
     problem = parse_problem(json.dumps(random_qp_problem(seed, dim, num_eq, num_directions, stationary)))
-    for command in ("cones", "first-order", "second-order", "qp"):
+    for command in ("cones", "first-order", "second-order", "qp", "theorem41"):
         report = json.loads(json.dumps(run_analysis(problem, command)))
         ok, checks = revalidate_report(report)
         assert ok, (command, checks)

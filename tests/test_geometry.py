@@ -42,12 +42,13 @@ def test_contains():
 
 
 def test_active_set():
+    # the active rows, 1-based, are the tangent cone's row origins
     orthant = Polyhedron.nonnegative_orthant(2)
-    assert orthant.active_set(vector(0, 0)).indices == (1, 2)
-    assert orthant.active_set(vector(1, 1)).indices == ()
-    assert orthant.active_set(vector(0, 3)).indices == (1,)
+    assert orthant.tangent_cone(vector(0, 0)).ineq_origins == (1, 2)
+    assert orthant.tangent_cone(vector(1, 1)).ineq_origins == ()
+    assert orthant.tangent_cone(vector(0, 3)).ineq_origins == (1,)
     with pytest.raises(NotInSetError) as info:
-        orthant.active_set(vector(-1, 0))
+        orthant.tangent_cone(vector(-1, 0))
     assert info.value.violated_row == 1
 
 
@@ -166,7 +167,7 @@ def test_empty_polyhedron():
     assert result.status is LPStatus.INFEASIBLE
     assert result.dual_inequalities is not None
     with pytest.raises(NotInSetError):
-        empty.active_set(vector(0))
+        empty.tangent_cone(vector(0))
     feasible = feasibility(Polyhedron.nonnegative_orthant(2))
     assert feasible.status is LPStatus.OPTIMAL
 

@@ -265,6 +265,44 @@ def test_copositivity_matches_fraction_oracle(problem):
     assert result == expected
 
 
+def test_falsifier_stream_is_python_random_draw_for_draw(monkeypatch):
+    """numpy's MT19937, loaded with random.Random(1789)'s state, gives the
+    falsifier the same doubles, in blocks of 4096 samples of k draws."""
+    blocks = []
+
+    class Recording(np.random.RandomState):
+        def random(self, size=None):
+            blocks.append(super().random(size))
+            return blocks[-1]
+
+    monkeypatch.setattr(optimality.np.random, "RandomState", Recording)
+    samples = 2 * optimality._FALSIFIER_BLOCK + 100
+    for k in (3, 5):
+        blocks.clear()
+        identity = matrix([[int(i == j) for j in range(k)] for i in range(k)])
+        units = [RationalVector.unit(k, i) for i in range(k)]
+        assert optimality._sphere_sampling_falsifier(identity, units, samples) is None
+        assert [len(b) for b in blocks] == [4096 * k, 4096 * k, 100 * k]
+        rng = random.Random(1789)
+        assert np.concatenate(blocks).tolist() == [rng.random() for _ in range(samples * k)]
+
+
+def test_copositivity_root_diagonal_refutes_at_a_later_vertex():
+    """The root cell's first negative vertex form, at an index above 0, is
+    the witness the partition gives: depth 0, no cell certified."""
+    m = matrix([[-2, 1, 2], [1, -1, -3], [2, -3, 1]])
+    cone = PolyhedralCone.nonnegative_orthant(3)
+    generators = list(cone.generators().spanning_vectors())
+    forms = [m.matvec(g).dot(g) for g in generators]
+    first = next(i for i, value in enumerate(forms) if value < 0)
+    assert first > 0
+    result = check_c2_copositivity(m, cone)
+    assert result == oracle_copositivity(m, cone, 12, 100_000)
+    assert result.status is CopositivityStatus.NOT_COPOSITIVE
+    assert (result.witness, result.witness_value) == (generators[first], forms[first])
+    assert (result.depth_reached, result.cells_certified) == (0, 0)
+
+
 def test_copositivity_twenty_generator_cone_inconclusive_at_depth_12():
     # The partition on this problem's 20-generator critical cone took 219 s
     # when every cell recomputed its products with Fraction matvecs.  It
@@ -411,7 +449,7 @@ def test_qp_c1_implies_first_order_on_random_instances():
         generators = list(critical_cone(gradient, tangent).generators().spanning_vectors())
         generators = generators or [RationalVector.zero(dim)]
         # f(x) = <gradient, x> has the drawn gradient everywhere
-        objective = QuadraticObjective(RationalMatrix.zeros(dim, dim), gradient)
+        objective = QuadraticObjective(matrix([[0] * dim] * dim), gradient)
         report = check_qp(objective, polyhedron, base)
         c0 = report.stationarity.verdict
         for v in generators:
@@ -442,7 +480,7 @@ def test_lp_count_one_per_second_order_question(monkeypatch):
     monkeypatch.setattr(optimality, "solve_lp", counting)
     orthant = Polyhedron.nonnegative_orthant(4)
     origin = RationalVector.zero(4)
-    quad = QuadraticObjective(RationalMatrix.identity(4), origin)
+    quad = QuadraticObjective(matrix([[int(i == j) for j in range(4)] for i in range(4)]), origin)
     # zero gradient: the critical cone is the whole orthant, 4 generators
     report = check_qp(quad, orthant, origin)
     assert len(report.checked_directions) == 4
