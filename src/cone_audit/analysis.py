@@ -17,9 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from ._version import __version__ as _version
+from .dd import GeneratorSet
 from .errors import AnalysisError
 from .geometry import PolyhedralCone
-from .linalg import RationalVector
+from .linalg import RationalMatrix, RationalVector
 from .objectives import AffineRegion, QuadraticObjective, RegionKind, SmoothObjective
 from .optimality import (
     ConditionReport,
@@ -63,15 +64,11 @@ EXIT_ERROR = 3
 # ---------------------------------------------------------------------------
 
 
-def _rat(value: Fraction) -> str:
-    return str(value)
-
-
 def _value_json(value):
     if value is None:
         return None
     if isinstance(value, Fraction):
-        return _rat(value)
+        return str(value)
     if isinstance(value, float):
         return value
     if isinstance(value, int):
@@ -83,7 +80,8 @@ def _vector_json(vec):
     if vec is None:
         return None
     if isinstance(vec, RationalVector):
-        return [_rat(a) for a in vec]
+        ints, scale = vec.integer_form
+        return list(map(str, ints if scale == 1 else vec))
     return [float(a) for a in np.asarray(vec, dtype=float).reshape(-1)]
 
 
@@ -115,7 +113,7 @@ def _certificate_json(cert) -> dict | None:
         return {
             "type": "lagrange",
             "inequality_multipliers": [
-                {"position": pos, "origin_row": origin, "value": _rat(lam)}
+                {"position": pos, "origin_row": origin, "value": str(lam)}
                 for pos, origin, lam in cert.inequality_multipliers
             ],
             "equality_multipliers": _vector_json(cert.equality_multipliers),
@@ -329,7 +327,7 @@ def _run_second_order(ctx: _Context) -> tuple[dict, int]:
                 "second-order analysis needs a Hessian",
                 hint="use a quadratic objective or a fixture with second derivatives",
             )
-    constraint = ctx.polyhedron if ctx.polyhedron is not None else ctx.smooth_constraint
+    constraint = ctx.tangent if ctx.polyhedron is not None else ctx.smooth_constraint
     verdicts: list[Verdict] = []
     entries = []
     for v in directions:
@@ -434,7 +432,7 @@ def _run_ssd(ctx: _Context) -> tuple[dict, int]:
                     EX41_GRADIENT_FAMILY, Fraction(float(v[0]))
                 )
                 intervals.append(
-                    {"direction": float(v[0]), "interval": [_rat(lo), _rat(hi)]}
+                    {"direction": float(v[0]), "interval": [str(lo), str(hi)]}
                 )
             results["closed_form_intervals"] = intervals
         calmness = estimate_calmness(objective, point, CALMNESS_RADIUS, CALMNESS_SAMPLES)
@@ -479,7 +477,8 @@ def _run_theorem41(ctx: _Context) -> tuple[dict, int]:
             "this command needs a polyhedral constraint set",
             hint="use constraint.type = 'polyhedron' or the ex41 fixture",
         )
-    objective = ctx.smooth_objective()
+    quad = ctx.quadratic_objective()
+    objective = quad if quad is not None and ctx.exact else ctx.smooth_objective()
     directions = ctx.require_directions("theorem41")
     tolerance = ctx.tolerance if ctx.tolerance else 1e-9
     entries = []
@@ -487,7 +486,7 @@ def _run_theorem41(ctx: _Context) -> tuple[dict, int]:
     for v in directions:
         report = theorem41_check(
             objective,
-            ctx.polyhedron,
+            ctx.tangent,
             ctx.problem.query.point,
             v,
             [tuple(float(a) for a in z) for z in ctx.problem.query.z_candidates],
@@ -581,8 +580,8 @@ class _Revalidator:
             int(config.get("depth", 12)),
         )
         # the analysis' tolerance; theorem41 decides with 1e-9 where that is 0
-        self.theorem41 = report.get("command") == "theorem41"
-        self.tolerance = (self.ctx.tolerance or 1e-9) if self.theorem41 else self.ctx.tolerance
+        theorem41 = report.get("command") == "theorem41"
+        self.tolerance = (self.ctx.tolerance or 1e-9) if theorem41 else self.ctx.tolerance
 
     def add(self, label: str, ok: bool, detail: str = "") -> None:
         self.checks.append({"check": label, "ok": bool(ok), "detail": detail})
@@ -615,10 +614,7 @@ class _Revalidator:
 
     @functools.cached_property
     def gradient(self) -> RationalVector:
-        ctx = self.ctx
-        if self.theorem41:  # theorem41_check decides on the float gradient
-            return _as_rational_vector(ctx.smooth_objective().gradient_at(ctx.point_floats()))
-        return _as_rational_vector(_gradient_for(ctx))
+        return _as_rational_vector(_gradient_for(self.ctx))
 
     def _recedes(self, region: AffineRegion, ray) -> bool:
         """Is the float vector ``ray`` a recession direction of the
@@ -809,18 +805,13 @@ class _Revalidator:
 
 
 def _generators_match(cone_json: dict) -> bool:
-    eq = [_as_rational_vector(r) for r in cone_json["equalities"]]
-    ineq = [_as_rational_vector(r) for r in cone_json["inequalities"]]
-    vectors = [_as_rational_vector(r) for r in cone_json["rays"]]
-    for lin in cone_json["lineality"]:
-        v = _as_rational_vector(lin)
-        vectors.extend([v, -v])
-    for v in vectors:
-        if any(row.dot(v) != 0 for row in eq):
-            return False
-        if any(row.dot(v) > 0 for row in ineq):
-            return False
-    return True
+    dim = cone_json["dimension"]
+    eq, ineq, rays, lineality = (
+        tuple(_as_rational_vector(r) for r in cone_json[key])
+        for key in ("equalities", "inequalities", "rays", "lineality")
+    )
+    cone = PolyhedralCone(dim, RationalMatrix(eq, dim), RationalMatrix(ineq, dim))
+    return all(map(cone.contains, GeneratorSet(dim, rays, lineality).spanning_vectors()))
 
 
 def revalidate_report(report: dict) -> tuple[bool, list[dict]]:

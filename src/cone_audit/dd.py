@@ -2,10 +2,11 @@
 
 Converts a homogeneous system  {v | B v = 0, G v <= 0}  into generators
 (extreme rays plus a lineality basis), the way cddlib does (Fukuda & Prodon,
-"Double description method revisited", 1996).  Each row is scaled once to a
-primitive integer vector, which leaves the cone unchanged, so the whole
-computation runs on Python ints.  The incremental algorithm keeps the pair
-(lineality basis L, ray list R) exact at every step:
+"Double description method revisited", 1996).  Each row enters as its
+integer form made primitive, which leaves the cone unchanged, so the whole
+computation runs on Python ints, down to the output vectors' integer forms.
+The incremental algorithm keeps the pair (lineality basis L, ray list R)
+exact at every step:
 
 * L is held as integer rows in reduced echelon form: each row's first
   nonzero entry sits in its pivot column, where every other row is zero.
@@ -22,10 +23,11 @@ computation runs on Python ints.  The incremental algorithm keeps the pair
   incidence set (the processed rows it is tight on) as an int bitmask, and
   a pair is adjacent when no third ray's mask contains the pair's common
   mask.  Before that scan a rank test rejects the pair when its common
-  mask has fewer than  dim - dim L - 2  bits: the rows tight on an edge
-  (a two-dimensional face modulo L) have that rank, and a mask counts at
-  least its rank (an equality row, processed as two opposing rows, counts
-  twice).  Fukuda & Prodon give both tests; the rank one is only
+  mask has fewer than  dim - dim L - 2 + e  bits, e the number of processed
+  equality rows: the rows tight on an edge (a two-dimensional face modulo
+  L) have rank  dim - dim L - 2, and a mask counts at least its rank plus e
+  (each equality is two opposing rows, tight on every ray: two bits, rank
+  at most one).  Fukuda & Prodon give both tests; the rank one is only
   necessary, so it drops no edge.  The new ray is tight exactly on
   common | bit:  a positive combination of two rays that are <= 0 on a
   processed row, one of them strictly, is strictly < 0 on it.  A
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -78,8 +80,7 @@ def _primitive(entries: Sequence[int]) -> tuple[int, ...]:
 def _integer_row(row: RationalVector, dim: int) -> tuple[int, ...]:
     if row.dim != dim:
         raise DimensionMismatchError(f"row of dimension {row.dim} in a cone of dimension {dim}")
-    scale = lcm(*(a.denominator for a in row.entries))
-    return _primitive([a.numerator * (scale // a.denominator) for a in row.entries])
+    return _primitive(row.integer_form[0])
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -93,6 +94,7 @@ class _State:
         self.rays: list[tuple[int, ...]] = []
         self.masks: list[int] = []
         self.processed = 0
+        self.equalities = 0
 
     def add_constraint(self, normal: tuple[int, ...]) -> None:
         """Intersect the current cone with {v | normal . v <= 0}."""
@@ -121,7 +123,7 @@ class _State:
         rays = [self.rays[i] for i in keep]
         new_masks = [masks[i] | bit if values[i] == 0 else masks[i] for i in keep]
         minus = [i for i in keep if values[i] < 0]
-        edge_rank = self.dim - len(self.lineality) - 2
+        edge_rank = self.dim - len(self.lineality) - 2 + self.equalities
         for p, vp in enumerate(values):
             if vp <= 0:
                 continue
@@ -145,8 +147,8 @@ class _State:
         )
         return GeneratorSet(
             dim=self.dim,
-            rays=tuple(RationalVector(r) for r in sorted(self.rays)),
-            lineality=tuple(RationalVector(l) for l in lineality),
+            rays=tuple(RationalVector.from_ints(r) for r in sorted(self.rays)),
+            lineality=tuple(RationalVector.from_ints(l) for l in lineality),
         )
 
 
@@ -170,6 +172,7 @@ def double_description(
             normal = _integer_row(row, dim)
             state.add_constraint(normal)
             state.add_constraint(tuple(-x for x in normal))
+            state.equalities += 1
     for row in ineq_rows:
         if not row.is_zero():
             state.add_constraint(_integer_row(row, dim))

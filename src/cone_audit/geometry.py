@@ -10,9 +10,11 @@ From a feasible base point it produces, in exact arithmetic:
   plus the row space of A),
 * polars.
 
-The tests cross-check these formulas against brute-force step oracles
-that decide tangency by stepping into the set at an exactly computed step
-length.
+Memberships and active sets are decided on integer forms (see
+:mod:`cone_audit.linalg`), each vector scaled once however often it is
+tested.  The tests cross-check these formulas against brute-force step
+oracles that decide tangency by stepping into the set at an exactly
+computed step length, and against membership decided in `Fraction`s.
 
 Inequality rows are numbered 1..p on all public surfaces (a tangent cone's
 ``ineq_origins``, error messages).
@@ -74,10 +76,6 @@ class PolyhedralCone:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def full_space(cls, dim: int) -> "PolyhedralCone":
-        return cls(dim)
-
-    @classmethod
     def nonnegative_orthant(cls, dim: int) -> "PolyhedralCone":
         return cls(
             dim,
@@ -123,8 +121,8 @@ class PolyhedralCone:
                 f"vector dimension {v.dim} does not match cone dimension {self.dim}"
             )
         self._ensure_h()
-        return all(row.dot(v) == 0 for row in self._eq.rows) and all(
-            row.dot(v) <= 0 for row in self._ineq.rows
+        return all(row.scaled_dot(v) == 0 for row in self._eq.rows) and all(
+            row.scaled_dot(v) <= 0 for row in self._ineq.rows
         )
 
     def polar(self) -> "PolyhedralCone":
@@ -144,12 +142,12 @@ class PolyhedralCone:
                 ineq_rows=RationalMatrix(gens.rays, self.dim),
             )
         else:
-            rays = {r.primitive() for r in self._ineq.rows}
+            rays = {r.integer_form[0]: r for r in map(RationalVector.primitive, self._ineq.rows)}
             lineality = [l.primitive() for l in row_space_basis(self._eq)]
             gens = GeneratorSet(
                 self.dim,
-                tuple(sorted(rays, key=lambda r: r.entries)),
-                tuple(sorted(lineality, key=lambda r: r.entries)),
+                tuple(rays[key] for key in sorted(rays)),
+                tuple(sorted(lineality, key=lambda r: r.integer_form[0])),
             )
             polar = PolyhedralCone(self.dim, generators=gens)
         polar._polar = self
@@ -164,8 +162,8 @@ class PolyhedralCone:
         v is not in the cone.
         """
         eq, ineq = self.eq_rows, self.ineq_rows
-        values = [row.dot(v) for row in ineq.rows]
-        if any(row.dot(v) != 0 for row in eq.rows) or any(a > 0 for a in values):
+        values = [row.scaled_dot(v) for row in ineq.rows]
+        if any(row.scaled_dot(v) != 0 for row in eq.rows) or any(a > 0 for a in values):
             raise NotTangentDirectionError(
                 "direction is not tangent at the base point; the second-order "
                 "tangent set is only defined for tangent directions"
@@ -239,57 +237,44 @@ class Polyhedron:
         rows = RationalMatrix([-RationalVector.unit(dim, i) for i in range(dim)], dim)
         return cls(dim, ineq_matrix=rows, ineq_rhs=RationalVector.zero(dim))
 
-    @classmethod
-    def full_space(cls, dim: int) -> "Polyhedron":
-        return cls(dim)
+    # -- cones -------------------------------------------------------------
 
-    # -- basic queries -------------------------------------------------
+    def tangent_cone(self, x: RationalVector) -> PolyhedralCone:
+        """Contingent cone: {v | A v = 0, <row_i, v> <= 0 for active i}.
 
-    def _check_point(self, x: RationalVector) -> None:
+        One pass over the rows checks that x is a member, raising
+        :class:`NotInSetError` at the first violated row (equalities
+        first), and collects the active inequality rows.
+        """
         if x.dim != self.dim:
             raise DimensionMismatchError(
                 f"point dimension {x.dim} does not match ambient dimension {self.dim}"
             )
 
-    def contains(self, x: RationalVector) -> bool:
-        self._check_point(x)
-        return all(
-            row.dot(x) == self.eq_rhs[i] for i, row in enumerate(self.eq_matrix.rows)
-        ) and all(
-            row.dot(x) <= self.ineq_rhs[k] for k, row in enumerate(self.ineq_matrix.rows)
-        )
+        def excess(row: RationalVector, bound) -> int:
+            """A positive multiple of row . x - bound, in integers."""
+            scales = row.integer_form[1] * x.integer_form[1]
+            return row.scaled_dot(x) * bound.denominator - bound.numerator * scales
 
-    def require_member(self, x: RationalVector) -> None:
-        self._check_point(x)
         for i, row in enumerate(self.eq_matrix.rows):
-            value = row.dot(x)
-            if value != self.eq_rhs[i]:
+            if excess(row, self.eq_rhs[i]):
+                value = row.dot(x)
                 raise NotInSetError(
                     f"point violates equality row {i + 1}: got {value}, expected {self.eq_rhs[i]}",
                     violation=value - self.eq_rhs[i],
                 )
+        active = []
         for k, row in enumerate(self.ineq_matrix.rows):
-            value = row.dot(x)
-            if value > self.ineq_rhs[k]:
+            sign = excess(row, self.ineq_rhs[k])
+            if sign > 0:
+                value = row.dot(x)
                 raise NotInSetError(
                     f"point violates inequality row {k + 1}: {value} > {self.ineq_rhs[k]}",
                     violated_row=k + 1,
                     violation=value - self.ineq_rhs[k],
                 )
-
-    def _active_rows(self, x: RationalVector) -> list[int]:
-        return [
-            k
-            for k, row in enumerate(self.ineq_matrix.rows)
-            if row.dot(x) == self.ineq_rhs[k]
-        ]
-
-    # -- cones -------------------------------------------------------------
-
-    def tangent_cone(self, x: RationalVector) -> PolyhedralCone:
-        """Contingent cone: {v | A v = 0, <row_i, v> <= 0 for active i}."""
-        self.require_member(x)
-        active = self._active_rows(x)
+            if sign == 0:
+                active.append(k)
         return PolyhedralCone(
             self.dim,
             eq_rows=self.eq_matrix,

@@ -1,18 +1,22 @@
 """Exact dense linear algebra over arbitrary-precision rationals.
 
-Every polyhedral computation in this package runs on `fractions.Fraction`
-scalars, so memberships, active sets and cone equalities are decided without
-tolerances.  The containers here are deliberately dense and small: problem
-sizes are desk scale (dimension <= 10, a few dozen rows), and clarity beats
-scalability.
+Exact data is `fractions.Fraction` scalars, so memberships, active sets and
+cone equalities are decided without tolerances.  The kernels read signs of
+dot products and primitive rays off a vector's integer form instead (its
+entries times the lcm of their denominators, a positive multiple of it),
+which :class:`RationalVector` computes at most once.  The containers are
+dense and small: problem sizes are desk scale (dimension <= 10, a few dozen
+rows), and clarity beats scalability.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError
@@ -50,18 +54,45 @@ def rational(value: int | str | Fraction) -> Fraction:
     raise ValueError(f"invalid rational: {value!r}")
 
 
-def _coerce_entries(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(rational(v) for v in values)
+def integer_form(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """``(ints, scale)``: ``values`` times ``scale``, the lcm of their denominators."""
+    scale = math.lcm(*[a.denominator for a in values])
+    return tuple([a.numerator * (scale // a.denominator) for a in values]), scale
 
 
-@dataclass(frozen=True)
 class RationalVector:
-    """Immutable dense vector of exact rationals."""
+    """Immutable dense vector of exact rationals.
 
-    entries: tuple[Fraction, ...]
+    ``entries`` and :attr:`integer_form` are each computed at most once;
+    a vector made :meth:`from_ints` boxes its entries only on first use."""
 
     def __init__(self, entries: Iterable):
-        object.__setattr__(self, "entries", _coerce_entries(entries))
+        self.__dict__["entries"] = tuple(rational(v) for v in entries)
+
+    @classmethod
+    def from_ints(cls, ints: tuple[int, ...]) -> "RationalVector":
+        """The vector with integer entries ``ints``, boxed into `Fraction`s on first use."""
+        vec = object.__new__(cls)
+        vec.__dict__["integer_form"] = (ints, 1)
+        return vec
+
+    @functools.cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self.integer_form[0]))
+
+    @functools.cached_property
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """:func:`integer_form` of the entries, computed on first use."""
+        return integer_form(self.entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: RationalVector is immutable")
+
+    def __eq__(self, other):
+        return self.entries == other.entries if isinstance(other, RationalVector) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
 
     @classmethod
     def zero(cls, dim: int) -> "RationalVector":
@@ -75,10 +106,11 @@ class RationalVector:
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        """The length, read without boxing a vector made :meth:`from_ints`."""
+        return len(self.__dict__.get("entries") or self.integer_form[0])
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.dim
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.entries)
@@ -111,8 +143,13 @@ class RationalVector:
         self._check_dim(other)
         return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
 
+    def scaled_dot(self, other: "RationalVector") -> int:
+        """``self . other`` times both integer-form scales: same sign, in ints."""
+        self._check_dim(other)
+        return sum(map(mul, self.integer_form[0], other.integer_form[0]))
+
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not any(self.integer_form[0])
 
     def primitive(self) -> "RationalVector":
         """Scale to a coprime integer vector with the same direction.
@@ -120,16 +157,11 @@ class RationalVector:
         The zero vector is returned unchanged.  Used to canonicalize rays,
         where only the direction matters.
         """
-        if self.is_zero():
+        ints, scale = self.integer_form
+        g = math.gcd(*ints)
+        if g == 0 or g == scale == 1:
             return self
-        denom_lcm = 1
-        for a in self.entries:
-            denom_lcm = denom_lcm * a.denominator // math.gcd(denom_lcm, a.denominator)
-        ints = [int(a * denom_lcm) for a in self.entries]
-        g = 0
-        for k in ints:
-            g = math.gcd(g, abs(k))
-        return RationalVector(Fraction(k, g) for k in ints)
+        return RationalVector.from_ints(tuple(k // g for k in ints))
 
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(a) for a in self.entries)
@@ -166,10 +198,6 @@ class RationalMatrix:
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
 
     def row(self, i: int) -> RationalVector:
         return self.rows[i]

@@ -28,13 +28,12 @@ Every terminal status carries an exactly checkable certificate:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import DimensionMismatchError
-from .linalg import RationalMatrix, RationalVector
+from .linalg import RationalMatrix, RationalVector, integer_form
 
 _ZERO = Fraction(0)
 
@@ -92,14 +91,6 @@ def solve_lp(
     return _Simplex(objective, eq_matrix, eq_rhs, ineq_matrix, ineq_rhs).solve()
 
 
-def _integers(values) -> tuple[list[int], int]:
-    """``values`` times the lcm of their denominators, and that lcm."""
-    scale = 1
-    for a in values:
-        scale = scale * a.denominator // math.gcd(scale, a.denominator)
-    return [a.numerator * (scale // a.denominator) for a in values], scale
-
-
 class _Simplex:
     """Internal solver state for one LP instance.
 
@@ -137,7 +128,7 @@ class _Simplex:
         self.row_sign: list[int] = []
         self.artificial_rows: list[int] = []
         for i, (coeffs, rhs, slack) in enumerate(rows):
-            ints, scale = _integers(coeffs + (rhs,))
+            ints, scale = integer_form(coeffs + (rhs,))
             sign = -1 if rhs < 0 else 1
             ints = [sign * a for a in ints]
             row = ints[:n] + [-a for a in ints[:n]] + [0] * (self.m_in + num_art) + [ints[n]]
@@ -285,7 +276,7 @@ class _Simplex:
             # An artificial counts in units of 1/scale of its row, so the
             # phase-1 objective (the sum of the original artificials) puts
             # cost 1/scale on it, made integer by the lcm of those scales.
-            phase1, cost_scale = _integers(
+            phase1, cost_scale = integer_form(
                 [_ZERO] * self.num_real + [Fraction(1, self.scale[i]) for i in self.artificial_rows]
             )
             unbounded = self._run(phase1, range(len(phase1)))
@@ -305,7 +296,7 @@ class _Simplex:
             self._drive_out_artificials()
 
         entries = self.objective.entries
-        costs, cost_scale = _integers(
+        costs, cost_scale = integer_form(
             entries + tuple(-a for a in entries) + (_ZERO,) * (self.m_in + len(self.artificial_rows))
         )
         entering = self._run(costs, range(self.num_real))

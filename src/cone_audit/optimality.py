@@ -38,7 +38,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -380,15 +380,20 @@ def _quadratic_form(matrix: RationalMatrix, v: RationalVector) -> Fraction:
     return matrix.matvec(v).dot(v)
 
 
+def _common_integer_form(vectors: Iterable[RationalVector]):
+    """``(denom, ints)``: ``ints[a] = denom * vectors[a]`` in integers, ``denom`` > 0."""
+    forms = [v.integer_form for v in vectors]
+    denom = lcm(*[scale for _, scale in forms])
+    return denom, tuple([tuple([k * (denom // scale) for k in ints]) for ints, scale in forms])
+
+
 def _integer_gram(matrix: RationalMatrix, vectors: Sequence[RationalVector]):
     """``(unit, denom, ints, images)``: ``ints[a] = denom * vectors[a]`` in
     integers and ``images[a] = (scale * matrix) ints[a]``; positive lcms of the
     denominators as scale and denom keep every sign and every comparison of
     lengths, and a pairing of the vectors is ``ints[a] . images[b] / unit``."""
-    scale = lcm(*(x.denominator for row in matrix for x in row))
-    denom = lcm(*(x.denominator for v in vectors for x in v))
-    rows = [[x.numerator * (scale // x.denominator) for x in row] for row in matrix]
-    ints = tuple(tuple(x.numerator * (denom // x.denominator) for x in v) for v in vectors)
+    scale, rows = _common_integer_form(matrix)
+    denom, ints = _common_integer_form(vectors)
     images = [[sum(map(mul, row, v)) for row in rows] for v in ints]
     return scale * denom * denom, denom, ints, images
 
@@ -715,24 +720,26 @@ class SecondOrderBundle:
 
 def theorem33_check(
     objective: SmoothObjective | QuadraticObjective,
-    constraint: Polyhedron | SmoothLevelSetConstraint,
+    constraint: PolyhedralCone | SmoothLevelSetConstraint,
     point,
     direction,
     tolerance: float = DEFAULT_FLOAT_TOL,
 ) -> SecondOrderBundle:
     """Bundle (c1), the (c2) sign at one direction, and the classical check.
 
-    A :class:`QuadraticObjective` over a polyhedron is checked exactly, with
+    Over a polyhedron, ``constraint`` is its tangent cone T(x) at ``point``
+    (:meth:`Polyhedron.tangent_cone`), which every direction at the point
+    shares.  A :class:`QuadraticObjective` there is checked exactly, with
     tolerance 0; the ``tolerance`` argument is ignored for such data.  A
-    :class:`SmoothObjective` is evaluated in float over an exact polyhedron
-    (cones computed exactly at the exact point, the gradient converted to
-    exact rationals) or a single smooth level-set constraint (affine
-    descriptors, float arithmetic with tolerances).
+    :class:`SmoothObjective` is evaluated in float over the exact cones (the
+    gradient converted to exact rationals) or over a single smooth
+    level-set constraint (affine descriptors, float arithmetic with
+    tolerances).
     """
     exact = isinstance(objective, QuadraticObjective)
     if exact:
-        if not isinstance(constraint, Polyhedron):
-            raise TypeError("exact quadratic data needs a polyhedral constraint set")
+        if not isinstance(constraint, PolyhedralCone):
+            raise TypeError("exact quadratic data needs the tangent cone of a polyhedral set")
         tolerance = 0
         vec = _as_rational_vector(direction)
         grad = objective.gradient(_as_rational_vector(point))
@@ -745,11 +752,10 @@ def theorem33_check(
         curvature = float(vec @ hessian @ vec)
         pairing = float(grad @ vec)
 
-    if isinstance(constraint, Polyhedron):
-        tangent = constraint.tangent_cone(_as_rational_vector(point))
+    if isinstance(constraint, PolyhedralCone):
         direction_r = _as_rational_vector(direction)
-        critical = assess_direction_polyhedral(tangent, direction_r, pairing, tolerance)
-        second_order = tangent.tangent_cone_at(direction_r)
+        critical = assess_direction_polyhedral(constraint, direction_r, pairing, tolerance)
+        second_order = constraint.tangent_cone_at(direction_r)
         grad_r = _as_rational_vector(grad)
         result = _pairing_lp(grad_r, second_order)
         c1 = _linear_condition_on_cone(grad_r, second_order, result, tolerance, ConditionId.C1)

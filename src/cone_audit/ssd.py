@@ -27,10 +27,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatchError, UnsupportedFamilyError
-from .geometry import Polyhedron
-from .linalg import RationalVector
-from .objectives import SmoothObjective
+from .errors import UnsupportedFamilyError
+from .geometry import PolyhedralCone
+from .objectives import QuadraticObjective, SmoothObjective
 from .optimality import (
     ConditionReport,
     CriticalDirection,
@@ -312,8 +311,8 @@ class HypothesisReport:
 
 
 def theorem41_check(
-    objective: SmoothObjective,
-    constraint_set: Polyhedron,
+    objective: SmoothObjective | QuadraticObjective,
+    tangent: PolyhedralCone,
     point,
     direction,
     candidates,
@@ -321,17 +320,22 @@ def theorem41_check(
 ) -> HypothesisReport:
     """Check the hypothesis triple and both second-order inequalities.
 
-    The gradient condition (<grad f, w> >= 0 on the second-order tangent
+    ``tangent`` is the tangent cone T(x) of the polyhedral constraint set
+    at ``point`` (:meth:`Polyhedron.tangent_cone`).  The gradient is exact,
+    M x + q, for a :class:`QuadraticObjective` and float otherwise.  The
+    gradient condition (<grad f, w> >= 0 on the second-order tangent
     set) is evaluated whenever v is tangent, even if -v is not, so a failed
     hypothesis still yields a fully populated report; the pairing condition
     <z, v> >= 0 is evaluated for every supplied candidate.
     """
-    point_r = _as_rational(point, constraint_set.dim)
-    direction_r = _as_rational(direction, constraint_set.dim)
-    tangent = constraint_set.tangent_cone(point_r)
-    grad = objective.gradient_at(point)
+    direction_r = _as_rational_vector(direction)
     vec = np.asarray(direction, dtype=float).reshape(-1)
-    pairing = float(grad @ vec)
+    if isinstance(objective, QuadraticObjective):
+        grad = objective.gradient(_as_rational_vector(point))
+        pairing = grad.dot(direction_r)
+    else:
+        grad = objective.gradient_at(point)
+        pairing = float(grad @ vec)
     critical = assess_direction_polyhedral(tangent, direction_r, pairing, tolerance)
     gradient_condition = None
     if critical.in_tangent_cone:
@@ -354,12 +358,3 @@ def theorem41_check(
         gradient_condition=gradient_condition,
         pairings=tuple(entries),
     )
-
-
-def _as_rational(values, dim: int) -> RationalVector:
-    vec = _as_rational_vector(values)
-    if vec.dim != dim:
-        raise DimensionMismatchError(
-            f"expected a point of dimension {dim}, got shape {(vec.dim,)}"
-        )
-    return vec

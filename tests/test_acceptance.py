@@ -34,7 +34,7 @@ from cone_audit.ssd import (
 )
 
 from conftest import random_feasible_polyhedron, random_vector
-from step_oracles import second_order_step_oracle, tangent_step_oracle
+from step_oracles import contains, second_order_step_oracle, tangent_step_oracle
 
 
 def criterion(number, budget_seconds, description):
@@ -124,7 +124,8 @@ def test_criterion_4_ex41():
             member = ssd_membership(SSDQuery(fx.objective, 0.0, float(v), z)).member
             assert member == (lo <= Fraction(z) <= hi), (v, z)
 
-    report = theorem41_check(fx.objective, fx.polyhedron, (0.0,), (1.0,), [(-1.0,)])
+    tangent = fx.polyhedron.tangent_cone(vector(0))
+    report = theorem41_check(fx.objective, tangent, (0.0,), (1.0,), [(-1.0,)])
     assert report.status == "HypothesisViolated"
     assert report.pairings[0].pairing == -1.0
     assert report.gradient_condition.verdict is Verdict.HOLDS
@@ -278,7 +279,7 @@ def _kkt_minima(quad: QuadraticObjective, polyhedron: Polyhedron):
         lams = solution.entries[dim : dim + len(active)]
         if any(l < 0 for l in lams):
             continue
-        if not polyhedron.contains(x):
+        if not contains(polyhedron, x):
             continue
         if all(existing != x for existing in minima):
             minima.append(x)

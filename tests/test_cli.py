@@ -3,6 +3,7 @@ import math
 import os
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +14,7 @@ from cone_audit.analysis import revalidate_report, run_analysis
 from cone_audit.cli import main
 from cone_audit.linalg import RationalVector
 from cone_audit.problem import parse_problem
+from cone_audit.ssd import theorem41_check
 
 from conftest import random_feasible_polyhedron, random_vector, small_fraction
 
@@ -379,8 +381,9 @@ def test_run_analysis_matches_direct_calls():
 
 def test_cones_enumerates_one_tangent_cone_per_point(monkeypatch):
     """``cones`` runs double description once for T(x), whose generators are
-    also the normal cone's H-form, and once per T2(x, v), and checks the
-    point once; ``second-order`` checks it once per direction."""
+    also the normal cone's H-form, and once per T2(x, v); it and
+    ``second-order`` build T(x), checking the point, once for all
+    directions."""
     counts = Counter()
 
     def counted(key, real):
@@ -391,8 +394,9 @@ def test_cones_enumerates_one_tangent_cone_per_point(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(geometry, "double_description", counted("dd", geometry.double_description))
-    for name in ("require_member", "_active_rows"):
-        monkeypatch.setattr(geometry.Polyhedron, name, counted(name, getattr(geometry.Polyhedron, name)))
+    monkeypatch.setattr(
+        geometry.Polyhedron, "tangent_cone", counted("tangent_cone", geometry.Polyhedron.tangent_cone)
+    )
     directions = [["1", "0", "-1"], ["0", "1", "-1"], ["1", "1", "-2"]]
     problem = parse_problem(
         json.dumps(
@@ -420,10 +424,10 @@ def test_cones_enumerates_one_tangent_cone_per_point(monkeypatch):
     report = run_analysis(problem, "cones")
     assert report["results"]["active_rows"] == [1, 2]
     assert len(report["results"]["second_order_tangent_sets"]) == len(directions)
-    assert counts == {"dd": 1 + len(directions), "require_member": 1, "_active_rows": 1}
+    assert counts == {"dd": 1 + len(directions), "tangent_cone": 1}
     counts.clear()
     run_analysis(problem, "second-order")
-    assert counts["require_member"] == counts["_active_rows"] == len(directions)
+    assert counts["tangent_cone"] == 1
 
 
 def test_verify_fails_ssd_sample_at_base_point(tmp_path, capsys):
@@ -540,6 +544,47 @@ def test_verify_substitutes_theorem41_gradient_condition_witness(tmp_path, capsy
     condition["witness"] = ["5"]
     out = _tampered_verify(report, capsys, tmp_path)
     assert "[ok ] gradient condition: witness violates the inequality  (<grad, w> = -5)" in out
+
+
+def test_theorem41_decides_exact_quadratic_data_on_the_exact_gradient():
+    """-x1/3 over x1 <= 0 at the origin, direction e2: the gradient M x + q =
+    (-1/3, 0) is not a binary64 number.  The report's multiplier is exactly
+    1/3 and its Lagrange identity holds exactly; on the float gradient the
+    same check certifies another multiplier."""
+    problem = parse_problem(
+        json.dumps(
+            {
+                "version": "1",
+                "constraint": {
+                    "type": "polyhedron",
+                    "dimension": 2,
+                    "inequalities": {"rows": [["1", "0"]], "bounds": ["0"]},
+                },
+                "objective": {
+                    "type": "quadratic",
+                    "matrix": [["0", "0"], ["0", "0"]],
+                    "linear": ["-1/3", "0"],
+                },
+                "query": {"point": ["0", "0"], "directions": [["0", "1"]], "regime": "exact"},
+            }
+        )
+    )
+    report = run_analysis(problem, "theorem41")
+    entry = report["results"]["directions"][0]
+    assert entry["status"] == "Holds"
+    certificate = entry["gradient_condition"]["certificate"]
+    assert [m["value"] for m in certificate["inequality_multipliers"]] == ["1/3"]
+    ok, checks = revalidate_report(report)
+    assert ok, checks
+    assert checks[-1] == {
+        "check": "gradient condition: Lagrange certificate identity",
+        "ok": True,
+        "detail": "-grad = sum(lambda_i row_i) + A^T mu re-verified exactly",
+    }
+    tangent = problem.constraint_polyhedron().tangent_cone(RationalVector.zero(2))
+    floated = theorem41_check(problem.smooth_objective(), tangent, (0.0, 0.0), (0.0, 1.0), [])
+    ((_, _, multiplier),) = floated.gradient_condition.certificate.inequality_multipliers
+    assert multiplier == Fraction(1 / 3) != Fraction(1, 3)
 
 
 def _fractions(values) -> list[str]:

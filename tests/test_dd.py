@@ -252,6 +252,42 @@ def test_degenerate_systems_agree_with_brute_force(system):
 
 
 @st.composite
+def systems_with_equalities(draw):
+    """Cones cut by one or two equality rows, sometimes repeated as a positive
+    multiple (two more mask bits for no more rank), and by inequality rows
+    that either pass through one apex ray in the equality subspace or, with
+    equality rows ending in 0, make a cone over a polytope; both give many
+    pairs of rays that share tight rows without spanning an edge."""
+    dim = draw(st.integers(4, 6))
+    ineq = draw(rows_of(dim, 4, 7))
+    eqs = draw(rows_of(dim, 1, 2))
+    if draw(st.booleans()):
+        ineq = [RationalVector(r.entries[:-1] + (Fraction(-1),)) for r in ineq]
+        eqs = [RationalVector(r.entries[:-1] + (Fraction(0),)) for r in eqs]
+    else:
+        apex = draw(rows_of(dim, 1, 1))[0]
+        assume(not apex.is_zero())
+        eqs, ineq = ([r - apex.scale(r.dot(apex) / apex.dot(apex)) for r in rows] for rows in (eqs, ineq))
+        ineq += draw(rows_of(dim, 1, 2))
+    for row in draw(st.lists(st.sampled_from(eqs), max_size=1)):
+        eqs.append(row.scale(draw(positive_fractions)))
+    ineq = draw(st.permutations(ineq))
+    return dim, [r for r in eqs if not r.is_zero()], [r for r in ineq if not r.is_zero()]
+
+
+@derandomized(max_examples=80)
+@given(systems_with_equalities())
+def test_systems_with_equalities_lose_no_edge(system):
+    """DD agrees with brute force after every inequality row.  Each adjacent
+    pair of a step gives an extreme ray of that step's cone, so an edge the
+    rank test rejected in error would leave a ray out of some prefix."""
+    dim, eqs, ineq = system
+    for k in range(1, len(ineq) + 1):
+        gens = double_description(dim, eqs, ineq[:k])
+        assert (gens.rays, gens.lineality) == brute_force_generators(dim, eqs, ineq[:k])
+
+
+@st.composite
 def systems_with_lineality(draw):
     """Systems whose rows all vanish on one or two drawn vectors, so the
     cone keeps a lineality space to the end, with zero to two equality rows:

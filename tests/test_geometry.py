@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cone_audit.errors import (
     DimensionMismatchError,
@@ -9,7 +11,7 @@ from cone_audit.errors import (
     NotTangentDirectionError,
 )
 from cone_audit.geometry import PolyhedralCone, Polyhedron, cone_equal, cone_subset
-from cone_audit.linalg import RationalVector, matrix, vector
+from cone_audit.linalg import RationalMatrix, RationalVector, matrix, vector
 from cone_audit.lp import LPStatus
 
 from conftest import (
@@ -18,7 +20,16 @@ from conftest import (
     random_vector,
     tangent_membership_by_rows,
 )
-from step_oracles import second_order_step_oracle, tangent_step_oracle
+from step_oracles import (
+    active_rows,
+    cone_contains,
+    contains,
+    polar_generators,
+    require_member,
+    second_order_step_oracle,
+    tangent_step_oracle,
+    tight_rows,
+)
 
 
 def simplex_face():
@@ -33,12 +44,18 @@ def simplex_face():
 
 
 def test_contains():
+    """``tangent_cone`` accepts exactly the members the oracle accepts."""
     orthant = Polyhedron.nonnegative_orthant(2)
-    assert orthant.contains(vector(0, 0))
-    assert not orthant.contains(vector(-1, 0))
-    assert simplex_face().contains(vector("1/3", "2/3"))
-    with pytest.raises(DimensionMismatchError):
-        orthant.contains(vector(1))
+    assert contains(orthant, vector(0, 0))
+    orthant.tangent_cone(vector(0, 0))
+    assert not contains(orthant, vector(-1, 0))
+    with pytest.raises(NotInSetError, match="inequality row 1"):
+        orthant.tangent_cone(vector(-1, 0))
+    assert contains(simplex_face(), vector("1/3", "2/3"))
+    simplex_face().tangent_cone(vector("1/3", "2/3"))
+    for bad in (orthant.tangent_cone, lambda x: contains(orthant, x)):
+        with pytest.raises(DimensionMismatchError):
+            bad(vector(1))
 
 
 def test_active_set():
@@ -58,7 +75,7 @@ def test_tangent_cone():
     equal, _ = cone_equal(at_corner, PolyhedralCone.nonnegative_orthant(2))
     assert equal
     interior = orthant.tangent_cone(vector(1, 1))
-    equal, _ = cone_equal(interior, PolyhedralCone.full_space(2))
+    equal, _ = cone_equal(interior, PolyhedralCone(2))
     assert equal
     # face point of {x1+x2=1, x1>=0}: tangent cone {v1+v2=0, v1>=0}
     cone = simplex_face().tangent_cone(vector(0, 1))
@@ -89,7 +106,7 @@ def test_second_order_tangent_set():
     assert cone0.ineq_origins == (1, 2)
     # strictly inward direction frees every row
     cone_in = orthant.second_order_tangent_set(origin, vector(1, 1))
-    equal, _ = cone_equal(cone_in, PolyhedralCone.full_space(2))
+    equal, _ = cone_equal(cone_in, PolyhedralCone(2))
     assert equal
     with pytest.raises(NotTangentDirectionError):
         orthant.second_order_tangent_set(origin, vector(-1, 0))
@@ -116,7 +133,7 @@ def test_polar():
     line = PolyhedralCone(2, eq_rows=matrix([[1, 0]]))
     equal, _ = cone_equal(line.polar(), PolyhedralCone(2, eq_rows=matrix([[0, 1]])))
     assert equal
-    full = PolyhedralCone.full_space(2)
+    full = PolyhedralCone(2)
     assert full.polar().generators().is_origin()
     # bipolar returns the original cone
     equal, _ = cone_equal(orthant.polar().polar(), orthant)
@@ -232,3 +249,69 @@ def test_tangent_cone_included_in_second_order_sets():
             second = polyhedron.second_order_tangent_set(base, v)
             included, witness = cone_subset(tangent, second)
             assert included, witness
+
+
+fractions = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 1, 2, 3, 5, 7)))
+# a row's bound is its value at the point plus one of these: 0 makes the
+# row active, a positive offset slack, a negative one violated
+ineq_offsets = st.sampled_from((0, 0, 0, Fraction(1, 3), 1, 2, Fraction(-2, 7), -1))
+eq_offsets = st.sampled_from((0, 0, 0, 0, Fraction(2, 5)))
+
+
+@st.composite
+def polyhedra_with_points(draw):
+    """A polyhedron with rational rows, a non-dyadic point that is usually a
+    member with active rows, and directions, some of them tangent."""
+    dim = draw(st.integers(1, 4))
+    vectors = st.lists(fractions, min_size=dim, max_size=dim).map(RationalVector)
+    x = draw(vectors)
+    eq_rows = draw(st.lists(vectors, max_size=2))
+    ineq_rows = draw(st.lists(vectors, min_size=1, max_size=6))
+    polyhedron = Polyhedron(
+        dim,
+        eq_matrix=RationalMatrix(eq_rows, dim),
+        eq_rhs=RationalVector(row.dot(x) + draw(eq_offsets) for row in eq_rows),
+        ineq_matrix=RationalMatrix(ineq_rows, dim),
+        ineq_rhs=RationalVector(row.dot(x) + draw(ineq_offsets) for row in ineq_rows),
+    )
+    directions = draw(st.lists(vectors, min_size=1, max_size=4))
+    return polyhedron, x, directions + [-v for v in directions] + [RationalVector.zero(dim)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(polyhedra_with_points())
+def test_integer_cone_layer_matches_fraction_oracles(case):
+    """``tangent_cone``, ``tangent_cone_at``, ``contains`` and ``polar`` decide
+    on integer forms; the oracles of ``step_oracles`` decide in `Fraction`s.
+    They agree on membership, the error and its text for points outside
+    the set, active and tight rows, and polar generators."""
+    polyhedron, x, directions = case
+    try:
+        require_member(polyhedron, x)
+    except NotInSetError as expected:
+        with pytest.raises(NotInSetError) as raised:
+            polyhedron.tangent_cone(x)
+        got = raised.value
+        assert (str(got), got.violated_row, got.violation) == (
+            str(expected), expected.violated_row, expected.violation
+        )
+        return
+    tangent = polyhedron.tangent_cone(x)
+    active = active_rows(polyhedron, x)
+    assert tangent.ineq_origins == tuple(k + 1 for k in active)
+    assert tangent.ineq_rows.rows == tuple(polyhedron.ineq_matrix.row(k) for k in active)
+    normal = tangent.polar()
+    assert normal.generators() == polar_generators(tangent)
+    for v in directions:
+        assert tangent.contains(v) == cone_contains(tangent, v)
+        assert normal.contains(v) == cone_contains(normal, v)
+        try:
+            tight = tight_rows(tangent, v)
+        except NotTangentDirectionError as expected:
+            with pytest.raises(NotTangentDirectionError, match=str(expected)):
+                tangent.tangent_cone_at(v)
+            continue
+        second = tangent.tangent_cone_at(v)
+        assert second.ineq_origins == tuple(tangent.ineq_origins[k] for k in tight)
+        assert second.polar().generators() == polar_generators(second)

@@ -5,6 +5,7 @@ import pytest
 from cone_audit.errors import DimensionMismatchError
 from cone_audit.linalg import (
     RationalMatrix,
+    RationalVector,
     matrix,
     rational,
     row_space_basis,
@@ -47,6 +48,22 @@ def test_primitive_scaling():
     assert vector(-2, 4).primitive().entries == (Fraction(-1), Fraction(2))
 
 
+def test_integer_form_and_integer_vectors():
+    """The integer form is the entries times the lcm of their denominators;
+    a vector made from ints equals, hashes and measures like one made from
+    Fractions, and boxes its entries only when they are read."""
+    v = vector("2/3", "-4/3", 0)
+    assert v.integer_form == ((2, -4, 0), 3)
+    assert v.scaled_dot(vector(3, 1, 5)) == 3 * v.dot(vector(3, 1, 5)) == 2
+    ints = RationalVector.from_ints((1, -2, 0))
+    assert ints.dim == len(ints) == 3 and "entries" not in ints.__dict__
+    assert ints.primitive() is ints and v.primitive() == ints
+    assert ints == vector(1, -2, 0) and len({ints, vector(1, -2, 0)}) == 1
+    assert ints.entries == (Fraction(1), Fraction(-2), Fraction(0))
+    with pytest.raises(AttributeError):
+        ints.entries = ()
+
+
 def test_matrix_basics():
     m = matrix([[1, 2], [3, 4]])
     assert m.matvec(vector(1, 1)).entries == (Fraction(3), Fraction(7))
@@ -54,7 +71,7 @@ def test_matrix_basics():
     assert not m.is_symmetric()
     assert matrix([[1, 2], [2, 5]]).is_symmetric()
     empty = RationalMatrix([], 3)
-    assert empty.shape == (0, 3)
+    assert (empty.nrows, empty.ncols) == (0, 3)
     assert empty.matvec(vector(1, 2, 3)).dim == 0
 
 

@@ -21,6 +21,8 @@ from cone_audit.objectives import (
     fixture,
 )
 
+from step_oracles import contains
+
 
 def test_quadratic_gradient():
     identity = QuadraticObjective(matrix([[1, 0], [0, 1]]), vector(0, 0))
@@ -171,7 +173,7 @@ def test_fixtures_catalog():
     assert fixture("ex32").constraint.kind is ConstraintKind.EQUALITY
     ex41 = fixture("ex41")
     assert ex41.dimension == 1
-    assert ex41.polyhedron.contains(vector(0))
+    assert contains(ex41.polyhedron, vector(0))
     assert ex41.objective.hessian is None
     grad = ex41.objective.gradient_at([-0.5])
     assert abs(float(grad[0]) - 0.5) < 1e-15

@@ -85,7 +85,7 @@ def test_critical_cone():
 def test_check_c1_cases():
     right = PolyhedralCone(2, ineq_rows=matrix([[-1, 0]]))  # {w | w1 >= 0}
     assert check_c1(vector(1, 0), right).verdict is Verdict.HOLDS
-    full = PolyhedralCone.full_space(2)
+    full = PolyhedralCone(2)
     report = check_c1(vector(1, 0), full)
     assert report.verdict is Verdict.FAILS
     assert report.witness == vector(-1, 0)
@@ -374,9 +374,8 @@ def test_theorem33_smooth_ex32():
 def test_theorem33_polyhedral_convex():
     # f = ||x||^2 / 2 over the orthant at the origin: everything holds
     quad = QuadraticObjective(matrix([[1, 0], [0, 1]]), vector(0, 0))
-    bundle = theorem33_check(
-        quad.as_smooth(), Polyhedron.nonnegative_orthant(2), (0.0, 0.0), (0.0, 1.0)
-    )
+    tangent = Polyhedron.nonnegative_orthant(2).tangent_cone(vector(0, 0))
+    bundle = theorem33_check(quad.as_smooth(), tangent, (0.0, 0.0), (0.0, 1.0))
     assert bundle.strengthened_gradient.verdict is Verdict.HOLDS
     assert bundle.curvature_at_direction.verdict is Verdict.HOLDS
     assert bundle.classical.verdict is Verdict.HOLDS
@@ -488,10 +487,11 @@ def test_lp_count_one_per_second_order_question(monkeypatch):
     assert len(calls) == 2  # (c0) and (c1')
 
     directions = [RationalVector.unit(4, i) for i in range(4)]
+    tangent = orthant.tangent_cone(origin)
     for objective, point in ((quad, origin), (quad.as_smooth(), (0.0,) * 4)):
         calls.clear()
         for v in directions:
-            bundle = theorem33_check(objective, orthant, point, v)
+            bundle = theorem33_check(objective, tangent, point, v)
             assert bundle.strengthened_gradient.verdict is Verdict.HOLDS
             assert bundle.classical.verdict is Verdict.HOLDS
         assert len(calls) == len(directions)

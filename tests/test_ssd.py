@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cone_audit.errors import UnsupportedFamilyError
-from cone_audit.geometry import Polyhedron
+from cone_audit.geometry import PolyhedralCone, Polyhedron
 from cone_audit.linalg import matrix, vector
 from cone_audit.objectives import QuadraticObjective, SmoothObjective, fixture
 from cone_audit.optimality import Verdict
@@ -147,7 +147,8 @@ def test_calmness_monotone_in_samples():
 
 def test_theorem41_counterexample_fixture():
     fx = fixture("ex41")
-    report = theorem41_check(fx.objective, fx.polyhedron, (0.0,), (1.0,), [(-1.0,)])
+    tangent = fx.polyhedron.tangent_cone(vector(0))
+    report = theorem41_check(fx.objective, tangent, (0.0,), (1.0,), [(-1.0,)])
     assert report.status == "HypothesisViolated"
     assert report.direction.in_tangent_cone
     assert not report.direction.negation_in_tangent_cone
@@ -165,7 +166,7 @@ def test_theorem41_hypothesis_satisfied():
         gradient=lambda x: np.array([x[0]]),
         hessian=lambda x: np.array([[1.0]]),
     )
-    report = theorem41_check(half_sq, Polyhedron.full_space(1), (0.0,), (1.0,), [(1.0,)])
+    report = theorem41_check(half_sq, PolyhedralCone(1), (0.0,), (1.0,), [(1.0,)])
     assert report.status == "Holds"
     assert report.direction.is_bidirectional
 
@@ -177,7 +178,7 @@ def test_theorem41_hypothesis_satisfied():
     )
     report = theorem41_check(
         plane,
-        Polyhedron(2, eq_matrix=matrix([[0, 1]]), eq_rhs=-vector(0)),
+        Polyhedron(2, eq_matrix=matrix([[0, 1]]), eq_rhs=-vector(0)).tangent_cone(vector(0, 0)),
         (0.0, 0.0),
         (1.0, 0.0),
         [(1.0, 0.0)],
@@ -194,5 +195,5 @@ def test_theorem41_fails_on_bad_pairing():
         gradient=lambda x: np.array([x[0]]),
         hessian=lambda x: np.array([[1.0]]),
     )
-    report = theorem41_check(half_sq, Polyhedron.full_space(1), (0.0,), (1.0,), [(-1.0,)])
+    report = theorem41_check(half_sq, PolyhedralCone(1), (0.0,), (1.0,), [(-1.0,)])
     assert report.status == "Fails"
