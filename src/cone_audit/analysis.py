@@ -33,7 +33,6 @@ from .optimality import (
     first_order_check,
     theorem33_check,
 )
-from .optimality import DEFAULT_SUBDIVISION_DEPTH
 from .problem import ProblemFile, parse_problem_dict
 from .ssd import (
     DEFAULT_MEMBERSHIP_TOL,
@@ -55,7 +54,6 @@ CALMNESS_SAMPLES = 512
 
 EXIT_ALL_HOLD = 0
 EXIT_SOME_FAIL = 1
-EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
 
 
@@ -124,7 +122,6 @@ def _certificate_json(cert) -> dict | None:
             "status": cert.status.value,
             "witness": _vector_json(cert.witness),
             "witness_value": _value_json(cert.witness_value),
-            "depth_reached": cert.depth_reached,
             "cells_certified": cert.cells_certified,
             "method": cert.method,
         }
@@ -160,11 +157,7 @@ def _flags_json(direction) -> dict:
 
 
 def _exit_of(verdicts: list[Verdict]) -> int:
-    if any(v is Verdict.FAILS for v in verdicts):
-        return EXIT_SOME_FAIL
-    if any(v is Verdict.INCONCLUSIVE for v in verdicts):
-        return EXIT_INCONCLUSIVE
-    return EXIT_ALL_HOLD
+    return EXIT_SOME_FAIL if Verdict.FAILS in verdicts else EXIT_ALL_HOLD
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +166,7 @@ def _exit_of(verdicts: list[Verdict]) -> int:
 
 
 class _Context:
-    def __init__(self, problem: ProblemFile, tolerance: float | None,
-                 mesh: LogMesh | None, depth: int | None):
+    def __init__(self, problem: ProblemFile, tolerance: float | None, mesh: LogMesh | None):
         self.problem = problem
         self.tolerance_override = tolerance
         self.regime = problem.query.regime
@@ -184,9 +176,6 @@ class _Context:
         )
         self.ssd_tolerance = tolerance if tolerance is not None else DEFAULT_MEMBERSHIP_TOL
         self.mesh = mesh or LogMesh()
-        self.depth = depth if depth is not None else DEFAULT_SUBDIVISION_DEPTH
-        if self.depth < 0:
-            raise ValueError(f"subdivision depth must be nonnegative, got {self.depth}")
         self.polyhedron = problem.constraint_polyhedron()
         self.smooth_constraint = (
             problem.fixture.constraint if problem.fixture is not None else None
@@ -370,7 +359,7 @@ def _run_qp(ctx: _Context) -> tuple[dict, int]:
             "the qp command runs in exact arithmetic only",
             hint="set query.regime = 'exact' and use rational entries",
         )
-    conditions = check_qp(quad, ctx.polyhedron, ctx.point_rational(), max_depth=ctx.depth)
+    conditions = check_qp(quad, ctx.polyhedron, ctx.point_rational())
     results = {
         "c0": _condition_json(conditions.stationarity),
         "c1_prime": _condition_json(conditions.strengthened_gradient),
@@ -480,7 +469,6 @@ def _run_theorem41(ctx: _Context) -> tuple[dict, int]:
     quad = ctx.quadratic_objective()
     objective = quad if quad is not None and ctx.exact else ctx.smooth_objective()
     directions = ctx.require_directions("theorem41")
-    tolerance = ctx.tolerance if ctx.tolerance else 1e-9
     entries = []
     exit_code = EXIT_ALL_HOLD
     for v in directions:
@@ -490,7 +478,7 @@ def _run_theorem41(ctx: _Context) -> tuple[dict, int]:
             ctx.problem.query.point,
             v,
             [tuple(float(a) for a in z) for z in ctx.problem.query.z_candidates],
-            tolerance,
+            ctx.tolerance,
         )
         entries.append(
             {
@@ -533,14 +521,13 @@ def run_analysis(
     *,
     tolerance: float | None = None,
     mesh: LogMesh | None = None,
-    depth: int | None = None,
 ) -> dict:
     """Run one command over a validated problem and return the report document."""
     if command not in _HANDLERS:
         raise AnalysisError(
             f"unknown command {command!r}", hint=f"one of: {', '.join(COMMANDS)}"
         )
-    ctx = _Context(problem, tolerance, mesh, depth)
+    ctx = _Context(problem, tolerance, mesh)
     results, exit_code = _HANDLERS[command](ctx)
     return {
         "tool": {"name": "cone-audit", "version": _version},
@@ -551,7 +538,6 @@ def run_analysis(
             "ssd_tolerance": ctx.ssd_tolerance,
             "tolerance_override": tolerance,
             "mesh": f"{ctx.mesh.exponent_start}:{ctx.mesh.exponent_stop}:{ctx.mesh.exponent_step}",
-            "depth": ctx.depth,
         },
         "problem": problem.source,
         "results": results,
@@ -577,11 +563,7 @@ class _Revalidator:
             parse_problem_dict(report["problem"]),
             config.get("tolerance_override"),
             LogMesh.parse(config.get("mesh", "1.0:8.0:0.5")),
-            int(config.get("depth", 12)),
         )
-        # the analysis' tolerance; theorem41 decides with 1e-9 where that is 0
-        theorem41 = report.get("command") == "theorem41"
-        self.tolerance = (self.ctx.tolerance or 1e-9) if theorem41 else self.ctx.tolerance
 
     def add(self, label: str, ok: bool, detail: str = "") -> None:
         self.checks.append({"check": label, "ok": bool(ok), "detail": detail})
@@ -594,7 +576,6 @@ class _Revalidator:
             command,
             tolerance=ctx.tolerance_override,
             mesh=ctx.mesh,
-            depth=ctx.depth,
         )
         old = {k: v for k, v in self.report.items() if k != "timestamp"}
         new = {k: v for k, v in rerun.items() if k != "timestamp"}
@@ -620,7 +601,7 @@ class _Revalidator:
         """Is the float vector ``ray`` a recession direction of the
         half-space or hyperplane ``region``, one its normal does not oppose?"""
         along = float(np.asarray(region.normal) @ np.asarray(ray))
-        bound = self.tolerance * max(1.0, float(np.linalg.norm(region.normal)))
+        bound = self.ctx.tolerance * max(1.0, float(np.linalg.norm(region.normal)))
         if region.kind is RegionKind.HYPERPLANE:
             return abs(along) <= bound
         return along <= bound
@@ -638,11 +619,11 @@ class _Revalidator:
                 # the witness is a recession direction of the region, not a point
                 inside = self._recedes(cone, witness.as_floats())
             else:
-                inside = cone.contains(witness.as_floats(), self.tolerance)
+                inside = cone.contains(witness.as_floats(), self.ctx.tolerance)
             pairing = self.gradient.dot(witness)
             sup = max(abs(a) for a in witness.entries)
             # the zero vector violates nothing
-            violated = sup != 0 and pairing / sup < -self.tolerance
+            violated = sup != 0 and pairing / sup < -self.ctx.tolerance
             self.add(
                 label + ": witness violates the inequality",
                 inside and violated,
@@ -684,7 +665,8 @@ class _Revalidator:
         if results.get("mode") == "polyhedral":
             tangent = self.ctx.tangent
         else:
-            tangent = self.ctx.smooth_constraint.tangent_cone(self.ctx.point_floats(), self.tolerance)
+            ctx = self.ctx
+            tangent = ctx.smooth_constraint.tangent_cone(ctx.point_floats(), ctx.tolerance)
         self._check_linear_condition("first-order", results.get("condition"), tangent)
 
     def _verify_second_order(self, results: dict) -> None:
@@ -694,7 +676,7 @@ class _Revalidator:
             direction = _as_rational_vector(entry["direction"])
             if smooth:
                 second = ctx.smooth_constraint.second_order_tangent_set(
-                    ctx.point_floats(), direction.as_floats(), self.tolerance
+                    ctx.point_floats(), direction.as_floats(), ctx.tolerance
                 )
             else:
                 second = ctx.tangent.tangent_cone_at(direction)
@@ -744,7 +726,7 @@ class _Revalidator:
                 detail = f"<grad, ray> = {pairing:.6g}"
             else:
                 violation = pairing + float(curvature)
-                ok = second.contains(witness, self.tolerance) and violation < 0
+                ok = second.contains(witness, self.ctx.tolerance) and violation < 0
                 detail = f"violation = {violation:.6g}"
         self.add("classical: witness reproduces the violation", ok, detail)
 
@@ -782,7 +764,7 @@ class _Revalidator:
                 z = np.asarray(pairing["candidate"], dtype=float)
                 value = float(z @ direction)
                 consistent = abs(value - pairing["pairing"]) <= 1e-12 and (
-                    (value >= -self.tolerance) == pairing["holds"]
+                    (value >= -self.ctx.tolerance) == pairing["holds"]
                 )
                 self.add(
                     "pairing <z, v> reproduces",

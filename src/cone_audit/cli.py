@@ -1,11 +1,11 @@
 """Command-line front end.
 
     cone-audit <command> --input FILE [--format human|json]
-                         [--tolerance T] [--mesh SPEC] [--depth N]
+                         [--tolerance T] [--mesh SPEC]
 
 Commands: cones, first-order, second-order, qp, ssd, theorem41, verify.
-Exit codes: 0 all checked conditions hold, 1 some condition fails,
-2 some check is inconclusive, 3 on input or usage errors.
+Exit codes: 0 all checked conditions hold, 1 some condition fails, 3 on
+input or usage errors.  Every check is decided, so no command exits 2.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # exit code 2 is reserved for inconclusive verdicts; usage errors are 3
+    # usage errors exit 3, as input errors do; 2 is kept for an inconclusive verdict
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -57,8 +57,6 @@ _PARSER.add_argument("--tolerance", type=float, default=None,
                      help="override the verdict tolerance (float regime / ssd oracle)")
 _PARSER.add_argument("--mesh", default=None,
                      help="ssd probe mesh as start:stop:step exponents (default 1:8:0.5)")
-_PARSER.add_argument("--depth", type=int, default=None,
-                     help="copositivity subdivision depth limit (default 12)")
 
 
 def main(argv=None) -> int:
@@ -83,7 +81,6 @@ def main(argv=None) -> int:
             args.command,
             tolerance=args.tolerance,
             mesh=mesh,
-            depth=args.depth,
         )
     except ProblemFormatError as exc:
         for line in exc.errors:
@@ -159,7 +156,7 @@ def _fmt_condition(entry: dict, indent: str = "  ") -> str:
         elif cert["type"] == "copositivity":
             lines.append(
                 f"{indent}  copositivity: {cert['status']} via {cert['method']}"
-                f" (depth {cert['depth_reached']}, certified cells {cert['cells_certified']})"
+                f" (certified cells {cert['cells_certified']})"
             )
     if entry.get("notes"):
         lines.append(f"{indent}  note: {entry['notes']}")

@@ -1,9 +1,9 @@
 """First- and second-order necessary optimality condition checkers.
 
-Every check reports one of Holds / Fails / Inconclusive with re-checkable
-evidence: a failing check carries a witness vector that violates the
-defining inequality when substituted back, and a rational-arithmetic Holds
-carries an exact certificate (Lagrange multipliers or a copositivity trace).
+Every check reports Holds or Fails with re-checkable evidence: a failing
+check carries a witness vector that violates the defining inequality when
+substituted back, and a rational-arithmetic Holds carries an exact
+certificate (Lagrange multipliers, or the copositivity test's record).
 
 The checks mirror the standard necessary conditions at a candidate point
 x of  min f over C:
@@ -31,20 +31,20 @@ exact zeros unattainable in binary64.
 
 from __future__ import annotations
 
-import random
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .dd import double_description
 from .errors import DimensionMismatchError
 from .geometry import PolyhedralCone, Polyhedron
-from .linalg import RationalMatrix, RationalVector
+from .linalg import RationalMatrix, RationalVector, row_space_basis
 from .lp import LPResult, LPStatus, solve_lp
 from .objectives import (
     AffineRegion,
@@ -55,16 +55,12 @@ from .objectives import (
 )
 
 DEFAULT_FLOAT_TOL = 1e-9
-DEFAULT_SUBDIVISION_DEPTH = 12
-DEFAULT_FALSIFIER_SAMPLES = 100_000
 _EIG_TOL = 1e-10
-_FALSIFIER_BLOCK = 4096
 
 
 class Verdict(Enum):
     HOLDS = "holds"
     FAILS = "fails"
-    INCONCLUSIVE = "inconclusive"
 
 
 class ConditionId(Enum):
@@ -103,7 +99,6 @@ class LagrangeCertificate:
 class CopositivityStatus(Enum):
     COPOSITIVE = "copositive"
     NOT_COPOSITIVE = "not copositive"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -112,6 +107,8 @@ class CopositivityResult:
 
     On NOT_COPOSITIVE the witness lies in the cone and its quadratic form
     value is negative (exact whenever the data is rational).
+    ``cells_certified`` counts the simplicial cells certified; ``depth_reached``
+    is always 0, kept for callers that read it (clibench's tracer).
     """
 
     status: CopositivityStatus
@@ -340,17 +337,22 @@ def critical_cone(gradient, tangent: PolyhedralCone) -> PolyhedralCone:
 # ---------------------------------------------------------------------------
 
 
-def _psd_witness(q: list[list[Fraction]]) -> list[Fraction] | None:
-    """None if the symmetric rational matrix is PSD, else u with u'Qu < 0.
+def _psd_witness(q: list[list[Fraction]], free: int, rest) -> list[Fraction] | None:
+    """None if the symmetric rational matrix is PSD on its first ``free``
+    coordinates and the orthant of the others, else u with u'Qu < 0 there.
 
-    Pivoted congruence elimination: a negative diagonal entry is an
-    immediate witness; a zero diagonal with a nonzero off-diagonal entry
-    yields an explicit indefinite 2x2 witness; a positive pivot reduces to
-    the Schur complement, through which witnesses lift exactly.
+    Pivoted congruence elimination of the free coordinates: a negative
+    diagonal entry is an immediate witness; a zero diagonal with a nonzero
+    off-diagonal entry yields an explicit indefinite 2x2 witness; a
+    positive pivot reduces to the Schur complement, through which
+    witnesses lift exactly.  The matrix left on the other coordinates is
+    the minimum of the form over the free ones; ``rest`` decides it and
+    returns a witness >= 0 for it or None (``rest`` is None when no
+    coordinate is left).
     """
     k = len(q)
-    if k == 0:
-        return None
+    if free == 0:
+        return None if rest is None else rest(q)
     head = q[0][0]
     if head < 0:
         return [Fraction(1)] + [Fraction(0)] * (k - 1)
@@ -363,21 +365,17 @@ def _psd_witness(q: list[list[Fraction]]) -> list[Fraction] | None:
             u[j] = Fraction(1)
             return u
         sub = [[q[i][c] for c in range(1, k)] for i in range(1, k)]
-        tail = _psd_witness(sub)
+        tail = _psd_witness(sub, free - 1, rest)
         return None if tail is None else [Fraction(0)] + tail
     schur = [
         [q[i][c] - q[0][i] * q[0][c] / head for c in range(1, k)]
         for i in range(1, k)
     ]
-    tail = _psd_witness(schur)
+    tail = _psd_witness(schur, free - 1, rest)
     if tail is None:
         return None
     cross = sum((q[0][i + 1] * tail[i] for i in range(k - 1)), Fraction(0))
     return [-cross / head] + tail
-
-
-def _quadratic_form(matrix: RationalMatrix, v: RationalVector) -> Fraction:
-    return matrix.matvec(v).dot(v)
 
 
 def _common_integer_form(vectors: Iterable[RationalVector]):
@@ -390,8 +388,8 @@ def _common_integer_form(vectors: Iterable[RationalVector]):
 def _integer_gram(matrix: RationalMatrix, vectors: Sequence[RationalVector]):
     """``(unit, denom, ints, images)``: ``ints[a] = denom * vectors[a]`` in
     integers and ``images[a] = (scale * matrix) ints[a]``; positive lcms of the
-    denominators as scale and denom keep every sign and every comparison of
-    lengths, and a pairing of the vectors is ``ints[a] . images[b] / unit``."""
+    denominators as scale and denom keep every sign, and a pairing of the
+    vectors is ``ints[a] . images[b] / unit``."""
     scale, rows = _common_integer_form(matrix)
     denom, ints = _common_integer_form(vectors)
     images = [[sum(map(mul, row, v)) for row in rows] for v in ints]
@@ -402,37 +400,157 @@ def _pairings(left, right) -> list[list[int]]:
     return [[sum(map(mul, a, b)) for b in right] for a in left]
 
 
-def _refuted_at_vertex(cell, diagonal, denom: int, unit: int, depth: int, cells: int):
-    """Not copositive at the first vertex whose form (``diagonal``) is negative, else None."""
-    vertex = next((i for i, value in enumerate(diagonal) if value < 0), None)
-    return None if vertex is None else CopositivityResult(
+def _quadratic_form(matrix: RationalMatrix, v: RationalVector) -> Fraction:
+    unit, _, (ints,), (image,) = _integer_gram(matrix, [v])
+    return Fraction(sum(map(mul, ints, image)), unit)
+
+
+def _det_adjugate(b: list[list[int]]) -> tuple[int, list[list[int]] | None]:
+    """``(det B, adj B)`` of a square integer matrix, adj B None when B is
+    singular.
+
+    Fraction-free Gauss-Jordan elimination of [B | I] with Bareiss
+    division, as in the LP tableau: every entry stays a minor, so each
+    division is exact, and [B | I] ends as [d I | d B^-1] with d the
+    determinant of B with its rows swapped.
+    """
+    n = len(b)
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(b)]
+    sign = prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        pivot = rows[k]
+        d = pivot[k]
+        for i, row in enumerate(rows):
+            f = row[k]
+            if i != k and (f or d != prev):
+                rows[i] = [(d * a - f * c) // prev for a, c in zip(row, pivot)]
+        prev = d
+    return sign * prev, [[sign * a for a in row[n:]] for row in rows]
+
+
+def _principal_witness(b: list[list[int]], subset: tuple[int, ...]) -> list[int] | None:
+    """adj(B')·1 when the principal submatrix B' of ``b`` on ``subset`` has
+    det B' < 0 and adj B' >= 0, else None (Cottle, Habetler & Lemke 1970;
+    Hadeler 1983: a symmetric B is copositive iff no B' is such).
+
+    Then x = adj(B')·1 >= 0 and B'x = det B'·1, so x'B'x < 0.  That
+    also means every row of B' has a negative entry, which most subsets
+    fail without a determinant.
+    """
+    sub = [[b[i][j] for j in subset] for i in subset]
+    if any(min(row) >= 0 for row in sub):
+        return None
+    det, adj = _det_adjugate(sub)
+    if det >= 0 or min(map(min, adj)) < 0:
+        return None
+    return [sum(row) for row in adj]
+
+
+def _pulling_triangulation(masks: Sequence[int], full: int) -> list[int]:
+    """The simplicial cells of a pointed cone, as bit masks over its rays.
+
+    ``full`` holds every extreme ray and ``masks[a]`` those tight on
+    inequality row a.  A face is the set of rays it holds, and the facets
+    of a face F are the maximal proper sets ``F & masks[a]``.  A face is
+    coned from its first ray over the cells of its facets without that ray,
+    so each face is triangulated once, and alike in every cell holding it.
+    """
+    cells: dict[int, list[int]] = {}
+
+    def triangulate(face: int) -> list[int]:
+        if face & (face - 1) == 0:
+            return [face]
+        if face not in cells:
+            first = face & -face
+            faces = sorted({face & m for m in masks} - {face})
+            cells[face] = [
+                cell | first
+                for g in faces
+                if not g & first and not any(g != h and g & h == g for h in faces)
+                for cell in triangulate(g)
+            ]
+        return cells[face]
+
+    return triangulate(full)
+
+
+def _cell_witness(s: list[list], masks: Sequence[int]) -> tuple[list[int] | None, int]:
+    """``(u, certified)``: u >= 0 over the rays with u' s u < 0, or None
+    when the form ``s`` on the rays' coefficients is copositive, and the
+    number of simplicial cells certified before u was found.
+
+    A simplicial cell is copositive iff its principal block of ``s`` is
+    copositive on the orthant, which the Cottle-Habetler-Lemke test
+    decides.  The test runs on each cell's principal submatrices, smallest
+    first, in integers; neighbouring cells share faces, so each submatrix
+    is tested once.
+    """
+    scale = lcm(*[x.denominator for row in s for x in row])
+    b = [[(x * scale).numerator for x in row] for row in s]
+    cells = _pulling_triangulation(masks, (1 << len(b)) - 1)
+    tested: dict[tuple[int, ...], list[int] | None] = {}
+    for certified, cell in enumerate(cells):
+        rays = [j for j in range(len(b)) if cell >> j & 1]
+        if min(b[i][j] for i in rays for j in rays) >= 0:
+            continue
+        for size in range(1, len(rays) + 1):
+            for subset in combinations(rays, size):
+                if subset not in tested:
+                    tested[subset] = _principal_witness(b, subset)
+                if tested[subset] is not None:
+                    u = [0] * len(b)
+                    for j, x in zip(subset, tested[subset]):
+                        u[j] = x
+                    return u, certified
+    return None, len(cells)
+
+
+def _witness(matrix: RationalMatrix, lineality: Sequence[RationalVector],
+             rays: Sequence[RationalVector], rest=None) -> RationalVector | None:
+    """A member of span(lineality) + cone(rays) with negative form, or None.
+
+    :func:`_psd_witness` runs on the Gram matrix of the vectors, with the
+    lineality coefficients free and ``rest`` deciding the rays' (in
+    integers when nothing is eliminated); the witness is the coefficients'
+    combination of the vectors, primitive.
+    """
+    vectors = list(lineality) + list(rays)
+    unit, _, ints, images = _integer_gram(matrix, vectors)
+    gram = _pairings(ints, images)
+    if lineality:
+        gram = [[Fraction(p, unit) for p in row] for row in gram]
+    coords = _psd_witness(gram, len(lineality), rest if rays else None)
+    if coords is None:
+        return None
+    scale = lcm(*[c.denominator for c in coords])
+    weights = [(c * scale).numerator for c in coords]
+    total = tuple(sum(map(mul, weights, column)) for column in zip(*ints))
+    return RationalVector.from_ints(total).primitive()
+
+
+def _verdict(
+    matrix: RationalMatrix, witness: RationalVector | None, method: str, cells_certified: int = 0
+) -> CopositivityResult:
+    if witness is None:
+        return CopositivityResult(
+            status=CopositivityStatus.COPOSITIVE, cells_certified=cells_certified, method=method
+        )
+    return CopositivityResult(
         status=CopositivityStatus.NOT_COPOSITIVE,
-        witness=RationalVector(Fraction(x, denom) for x in cell[vertex]),
-        witness_value=Fraction(diagonal[vertex], unit),
-        depth_reached=depth,
-        cells_certified=cells,
-        method="simplicial-partition",
+        witness=witness,
+        witness_value=_quadratic_form(matrix, witness),
+        cells_certified=cells_certified,
+        method=method,
     )
 
 
-def _with_midpoint(gram: list[list[int]], i: int, j: int, slot: int, denom: int, c: int):
-    """A copy of a symmetric Gram matrix, vertex ``slot`` now (v_i + v_j) * denom / c."""
-    row = [denom * (x + y) // c for x, y in zip(gram[i], gram[j])]
-    diagonal = denom * (row[i] + row[j]) // c
-    child = [r[:] for r in gram]
-    for r, x in zip(child, row):
-        r[slot] = x
-    row[slot] = diagonal
-    child[slot] = row
-    return child
-
-
-def _copositivity_exact(
-    matrix: RationalMatrix,
-    cone: PolyhedralCone,
-    max_depth: int,
-    falsifier_samples: int,
-) -> CopositivityResult:
+def _copositivity_exact(matrix: RationalMatrix, cone: PolyhedralCone) -> CopositivityResult:
     gens = cone.generators()
     if gens.is_origin():
         return CopositivityResult(status=CopositivityStatus.COPOSITIVE, method="trivial")
@@ -440,132 +558,45 @@ def _copositivity_exact(
     if not gens.rays:
         # Pure subspace: copositivity there is positive semidefiniteness of
         # the restriction to the lineality basis, decided exactly.
-        basis = list(gens.lineality)
-        unit, _, ints, images = _integer_gram(matrix, basis)
-        products = _pairings(ints, images)
-        witness_coords = _psd_witness([[Fraction(p, unit) for p in row] for row in products])
-        if witness_coords is None:
-            return CopositivityResult(
-                status=CopositivityStatus.COPOSITIVE, method="subspace-factorization"
-            )
-        witness = RationalVector.zero(cone.dim)
-        for coord, vec in zip(witness_coords, basis):
-            witness = witness + vec.scale(coord)
-        witness = witness.primitive()
-        return CopositivityResult(
-            status=CopositivityStatus.NOT_COPOSITIVE,
-            witness=witness,
-            witness_value=_quadratic_form(matrix, witness),
-            method="subspace-factorization",
-        )
+        return _verdict(matrix, _witness(matrix, gens.lineality, ()), "subspace-factorization")
 
-    # A cell is (vertices as integer tuples, their products, their inner
-    # products, depth); each child inherits its parent's Gram matrices.  The
-    # root's diagonal comes first: a negative vertex needs no k x k matrices.
+    # The generators decide most cones: one with negative form refutes (the
+    # root diagonal comes first, so a refutation needs no k x k matrix), and
+    # pairwise products all >= 0 certify.
     generators = list(gens.spanning_vectors())
     unit, denom, ints, images = _integer_gram(matrix, generators)
     diagonal = [sum(map(mul, a, image)) for a, image in zip(ints, images)]
-    refuted = _refuted_at_vertex(ints, diagonal, denom, unit, 0, 0)
-    if refuted is not None:
-        return refuted
-    queue = deque([(ints, _pairings(ints, images), _pairings(ints, ints), 0)])
-    cells_certified = depth_reached = 0
-    inconclusive = False
-    while queue:
-        cell, products, inner, depth = queue.popleft()
-        depth_reached = max(depth_reached, depth)
-        diagonal = [row[i] for i, row in enumerate(products)]
-        refuted = _refuted_at_vertex(cell, diagonal, denom, unit, depth_reached, cells_certified)
-        if refuted is not None:
-            return refuted
-        if min(map(min, products)) >= 0:
-            cells_certified += 1
-            continue
-        if depth >= max_depth:
-            inconclusive = True
-            continue
-        # the longest edge, the first in index order among equally long ones
-        split, longest = None, 0
-        for a, row in enumerate(inner):
-            for b in range(a + 1, len(row)):
-                length = row[a] + inner[b][b] - 2 * row[b]
-                if length > longest:
-                    split, longest = (a, b), length
-        if split is None:  # degenerate cell, nothing to bisect
-            inconclusive = True
-            continue
-        i, j = split
-        # primitive(v_i + v_j), times denom; the zero sum of a lineality pair
-        # +-v stays zero (c = 1), as primitive() leaves it
-        total = [x + y for x, y in zip(cell[i], cell[j])]
-        c = gcd(*total) or 1
-        midpoint = tuple(denom * x // c for x in total)
-        for slot in (i, j):
-            queue.append((cell[:slot] + (midpoint,) + cell[slot + 1:],
-                          _with_midpoint(products, i, j, slot, denom, c),
-                          _with_midpoint(inner, i, j, slot, denom, c), depth + 1))
-
-    if not inconclusive:
-        return CopositivityResult(
-            status=CopositivityStatus.COPOSITIVE,
-            depth_reached=depth_reached,
-            cells_certified=cells_certified,
-            method="simplicial-partition",
-        )
-
-    sampled = _sphere_sampling_falsifier(matrix, generators, falsifier_samples)
-    if sampled is not None:
-        witness, value = sampled
+    vertex = next((i for i, value in enumerate(diagonal) if value < 0), None)
+    if vertex is not None:
         return CopositivityResult(
             status=CopositivityStatus.NOT_COPOSITIVE,
-            witness=witness,
-            witness_value=value,
-            depth_reached=depth_reached,
-            cells_certified=cells_certified,
-            method="sphere-sampling",
+            witness=RationalVector(Fraction(x, denom) for x in ints[vertex]),
+            witness_value=Fraction(diagonal[vertex], unit),
+            method="generators",
         )
-    return CopositivityResult(
-        status=CopositivityStatus.INCONCLUSIVE,
-        depth_reached=depth_reached,
-        cells_certified=cells_certified,
-        method="simplicial-partition",
-    )
+    if min(map(min, _pairings(ints, images))) >= 0:
+        return CopositivityResult(status=CopositivityStatus.COPOSITIVE, method="generators")
+    # Positive semidefinite on the cone's span is copositive on the cone; this
+    # spares convex data a triangulation, which can have 10^5 cells at dim 10.
+    if _witness(matrix, row_space_basis(RationalMatrix(generators, cone.dim)), ()) is None:
+        return CopositivityResult(status=CopositivityStatus.COPOSITIVE, method="subspace-factorization")
 
+    # Otherwise the lineality is eliminated and the pointed rest triangulated,
+    # on the extreme rays of the H-form: given generators need not be extreme.
+    canonical = double_description(cone.dim, cone.eq_rows.rows, cone.ineq_rows.rows)
+    masks = [
+        sum(1 << j for j, ray in enumerate(canonical.rays) if row.scaled_dot(ray) == 0)
+        for row in cone.ineq_rows.rows
+    ]
+    certified = 0
 
-def _sphere_sampling_falsifier(
-    matrix: RationalMatrix,
-    generators: list[RationalVector],
-    samples: int,
-) -> tuple[RationalVector, Fraction] | None:
-    """Seeded random search for a cone direction with negative quadratic form.
+    def cell_witness(s):
+        nonlocal certified
+        u, certified = _cell_witness(s, masks)
+        return u
 
-    Candidates are convex combinations of the k generators, sample s taking
-    draws s*k to s*k+k-1 of ``random.Random(1789)``.  They are screened in
-    float, a block at a time, and confirmed in exact arithmetic in order.
-    numpy's MT19937 is the same generator with the same doubles, so loaded
-    with that state it draws the stream a block at a time.
-    """
-    key = random.Random(1789).getstate()[1]
-    stream = np.random.RandomState()
-    stream.set_state(("MT19937", key[:-1], key[-1]))
-    float_gens = np.array([g.as_floats() for g in generators], dtype=float)
-    float_matrix = np.array(matrix.as_float_rows(), dtype=float)
-    k = len(generators)
-    for start in range(0, samples, _FALSIFIER_BLOCK):
-        count = min(_FALSIFIER_BLOCK, samples - start)
-        coeffs = stream.random(count * k).reshape(count, k)
-        candidates = coeffs @ float_gens
-        norms = np.linalg.norm(candidates, axis=1)
-        usable = norms >= 1e-12
-        candidates /= np.where(usable, norms, 1.0)[:, None]
-        values = np.einsum("ij,ij->i", candidates @ float_matrix, candidates)
-        for s in np.flatnonzero(usable & (values < -1e-9)):
-            terms = (g.scale(Fraction(float(c))) for c, g in zip(coeffs[s], generators))
-            exact = sum(terms, RationalVector.zero(float_gens.shape[1])).primitive()
-            value = _quadratic_form(matrix, exact)
-            if value < 0:
-                return exact, value
-    return None
+    witness = _witness(matrix, canonical.lineality, canonical.rays, cell_witness)
+    return _verdict(matrix, witness, "cottle-habetler-lemke", certified)
 
 
 def _copositivity_float(m: np.ndarray, region: AffineRegion) -> CopositivityResult:
@@ -591,31 +622,25 @@ def _copositivity_float(m: np.ndarray, region: AffineRegion) -> CopositivityResu
     )
 
 
-def check_c2_copositivity(
-    matrix,
-    cone: PolyhedralCone | AffineRegion,
-    *,
-    max_depth: int = DEFAULT_SUBDIVISION_DEPTH,
-    falsifier_samples: int = DEFAULT_FALSIFIER_SAMPLES,
-) -> CopositivityResult:
+def check_c2_copositivity(matrix, cone: PolyhedralCone | AffineRegion) -> CopositivityResult:
     """Is <matrix v, v> >= 0 for every v in the cone?
 
     The matrix must be symmetric, exactly for rational cones and to 1e-12
-    relative for float regions (ValueError otherwise).  A pure subspace is
-    decided by pivoted factorization of the restricted matrix; otherwise a
-    simplicial partition over the generators runs on integer Gram matrices
-    that each cell inherits from its parent.
-    It certifies cells with all pairwise products nonnegative, reports a
-    vertex with negative form as a witness and bisects the longest edge up to
-    ``max_depth``, then tries a seeded sphere-sampling falsifier before
-    answering Inconclusive.  Float regions use an eigenvalue threshold of 1e-10.
+    relative for float regions (ValueError otherwise).  A rational cone is
+    always decided, exactly: a pure subspace by pivoted factorization of
+    the restricted matrix, most cones on their generators or by the same
+    factorization on their span, and the rest by eliminating the lineality
+    through Schur complements and testing each cell of a pulling
+    triangulation with the Cottle-Habetler-Lemke criterion: no principal
+    submatrix B' of the cell's Gram matrix has det B' < 0 and adj B' >= 0.
+    Float regions use an eigenvalue threshold of 1e-10.
     """
     if isinstance(cone, PolyhedralCone):
         if not isinstance(matrix, RationalMatrix):
             raise TypeError("exact copositivity requires a RationalMatrix")
         if not matrix.is_symmetric():
             raise ValueError("copositivity matrix must be exactly symmetric")
-        return _copositivity_exact(matrix, cone, max_depth, falsifier_samples)
+        return _copositivity_exact(matrix, cone)
     m = np.asarray(matrix, dtype=float)
     if float(np.max(np.abs(m - m.T))) > 1e-12 * max(1.0, float(np.max(np.abs(m)))):
         raise ValueError("copositivity matrix must be exactly symmetric")
@@ -817,9 +842,6 @@ def check_qp(
     objective: QuadraticObjective,
     constraint_set: Polyhedron,
     point: RationalVector,
-    *,
-    max_depth: int = DEFAULT_SUBDIVISION_DEPTH,
-    falsifier_samples: int = DEFAULT_FALSIFIER_SAMPLES,
 ) -> QPConditions:
     """Exact (c0)/(c1')/(c2') verification for min (1/2)<Mx,x> + <q,x> over a polyhedron.
 
@@ -859,17 +881,11 @@ def check_qp(
             notes=f"violated at critical direction {v}",
         )
 
-    copositivity = check_c2_copositivity(
-        objective.matrix, crit, max_depth=max_depth, falsifier_samples=falsifier_samples
-    )
-    verdict = {
-        CopositivityStatus.COPOSITIVE: Verdict.HOLDS,
-        CopositivityStatus.NOT_COPOSITIVE: Verdict.FAILS,
-        CopositivityStatus.INCONCLUSIVE: Verdict.INCONCLUSIVE,
-    }[copositivity.status]
+    copositivity = check_c2_copositivity(objective.matrix, crit)
+    copositive = copositivity.status is CopositivityStatus.COPOSITIVE
     c2p = ConditionReport(
         condition=ConditionId.QP_C2P,
-        verdict=verdict,
+        verdict=Verdict.HOLDS if copositive else Verdict.FAILS,
         witness=copositivity.witness,
         certificate=copositivity,
         margin=copositivity.witness_value,

@@ -1,10 +1,11 @@
 """Reference copositivity partition on `Fraction` vectors, for differential tests.
 
-This is the partition `optimality._copositivity_exact` ran before it moved to
-integer Gram matrices: every cell recomputes its k x k pairings with a fresh
-`matvec`, the longest edge is measured on the vectors themselves, and the
-falsifier draws and screens one sample at a time.  It must give the same
-`CopositivityResult` as the package, witness bytes included.
+This is the bisection partition `optimality._copositivity_exact` ran before
+the Cottle-Habetler-Lemke test replaced it: every cell recomputes its k x k
+pairings with a fresh `matvec`, the longest edge is measured on the vectors
+themselves, and a seeded falsifier draws and screens one sample at a time.
+It returns None where the partition ended Inconclusive.  The package may
+decide those cases but must agree with every verdict the partition reached.
 """
 
 import random
@@ -24,7 +25,7 @@ from cone_audit.optimality import (
 
 def oracle_copositivity(
     matrix: RationalMatrix, cone, max_depth: int, falsifier_samples: int
-) -> CopositivityResult:
+) -> CopositivityResult | None:
     gens = cone.generators()
     if gens.is_origin():
         return CopositivityResult(status=CopositivityStatus.COPOSITIVE, method="trivial")
@@ -32,7 +33,7 @@ def oracle_copositivity(
     if not gens.rays:
         basis = list(gens.lineality)
         restricted = [[_pairing(matrix, a, b) for b in basis] for a in basis]
-        witness_coords = _psd_witness(restricted)
+        witness_coords = _psd_witness(restricted, len(restricted), None)
         if witness_coords is None:
             return CopositivityResult(
                 status=CopositivityStatus.COPOSITIVE, method="subspace-factorization"
@@ -105,12 +106,7 @@ def oracle_copositivity(
             cells_certified=cells_certified,
             method="sphere-sampling",
         )
-    return CopositivityResult(
-        status=CopositivityStatus.INCONCLUSIVE,
-        depth_reached=depth_reached,
-        cells_certified=cells_certified,
-        method="simplicial-partition",
-    )
+    return None
 
 
 def _pairing(matrix: RationalMatrix, a: RationalVector, b: RationalVector) -> Fraction:

@@ -5,7 +5,6 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -183,17 +182,6 @@ def test_theorem41_uses_exact_point_with_fixture_objective(tmp_path, capsys):
     assert "C1: HOLDS" in out
 
 
-def test_negative_depth_rejected(capsys):
-    path = os.path.join(PROBLEMS, "orthant_qp.json")
-    code, _, err = run_cli(capsys, "qp", "--input", path, "--depth", "-5")
-    assert code == 3
-    assert err.startswith("error: ")
-    with open(path, encoding="utf-8") as handle:
-        problem = parse_problem(handle.read())
-    with pytest.raises(ValueError):
-        run_analysis(problem, "qp", depth=-1)
-
-
 def test_verify_rejects_non_report(tmp_path, capsys):
     path = tmp_path / "not_report.json"
     path.write_text('{"version": "1"}')
@@ -219,34 +207,6 @@ def test_verify_detects_tampering(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--input", str(tampered))
     assert code == 1
     assert "FAIL" in out
-
-
-def test_inconclusive_exit_two(tmp_path, capsys):
-    # PSD-singular quadratic over the orthant with zero gradient: the
-    # critical cone is the whole orthant and a zero subdivision budget
-    # leaves copositivity undecided
-    problem = {
-        "version": "1",
-        "constraint": {
-            "type": "polyhedron",
-            "dimension": 2,
-            "inequalities": {"rows": [[-1, 0], [0, -1]], "bounds": [0, 0]},
-        },
-        "objective": {
-            "type": "quadratic",
-            "matrix": [["1", "-1"], ["-1", "1"]],
-            "linear": ["0", "0"],
-        },
-        "query": {"point": ["0", "0"], "regime": "exact"},
-    }
-    path = tmp_path / "p.json"
-    path.write_text(json.dumps(problem))
-    code, out, _ = run_cli(capsys, "qp", "--input", str(path), "--depth", "0")
-    assert code == 2
-    assert "INCONCLUSIVE" in out.upper()
-    # with the default depth the same problem certifies
-    code, out, _ = run_cli(capsys, "qp", "--input", str(path))
-    assert code == 0
 
 
 def test_cones_command_smooth(tmp_path, capsys):
@@ -472,10 +432,10 @@ def test_main_twice_in_one_process(capsys):
     """One parser serves every call: arguments do not leak from one call to
     the next, and a usage error exits 3 with the same stderr each time."""
     orthant = os.path.join(PROBLEMS, "orthant_qp.json")
-    for extra, depth in ((["--depth", "0"], 0), ([], 12)):
+    for extra, override in ((["--tolerance", "0.5"], 0.5), ([], None)):
         code, out, _ = run_cli(capsys, "qp", "--input", orthant, "--format", "json", *extra)
         assert code == 0
-        assert json.loads(out)["configuration"]["depth"] == depth
+        assert json.loads(out)["configuration"]["tolerance_override"] == override
     code, out, _ = run_cli(capsys, "cones", "--input", orthant)
     assert code == 0
     assert out.startswith("cone-audit ") and "tangent cone:" in out
@@ -585,6 +545,83 @@ def test_theorem41_decides_exact_quadratic_data_on_the_exact_gradient():
     floated = theorem41_check(problem.smooth_objective(), tangent, (0.0, 0.0), (0.0, 1.0), [])
     ((_, _, multiplier),) = floated.gradient_condition.certificate.inequality_multipliers
     assert multiplier == Fraction(1 / 3) != Fraction(1, 3)
+
+
+def test_theorem41_decides_exact_data_with_tolerance_zero(tmp_path, capsys):
+    """x1/10^10 over x1 <= 0 at the origin, direction e2: <grad, w> = w1/10^10
+    is negative on T2(x, v) = {w1 <= 0}.  In the exact regime theorem41
+    decides with tolerance 0, as second-order does, where a tolerance of
+    1e-9 would call the violation a boundary Holds."""
+    problem = {
+        "version": "1",
+        "constraint": {
+            "type": "polyhedron",
+            "dimension": 2,
+            "inequalities": {"rows": [["1", "0"]], "bounds": ["0"]},
+        },
+        "objective": {
+            "type": "quadratic",
+            "matrix": [["0", "0"], ["0", "0"]],
+            "linear": ["1/10000000000", "0"],
+        },
+        "query": {"point": ["0", "0"], "directions": [["0", "1"]], "regime": "exact"},
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(problem))
+    code, out, _ = run_cli(capsys, "theorem41", "--input", str(path), "--format", "json")
+    assert code == 1
+    entry = json.loads(out)["results"]["directions"][0]
+    condition = entry["gradient_condition"]
+    assert (entry["status"], condition["verdict"]) == ("Fails", "fails")
+    assert (condition["margin"], condition["boundary"]) == ("-1/10000000000", False)
+    code, second, _ = run_cli(capsys, "second-order", "--input", str(path), "--format", "json")
+    c1 = json.loads(second)["results"]["directions"][0]["c1"]
+    assert (c1["verdict"], c1["margin"], c1["witness"]) == ("fails", "-1/10000000000", condition["witness"])
+    report_path = tmp_path / "report.json"
+    report_path.write_text(out)
+    code, out, err = run_cli(capsys, "verify", "--input", str(report_path))
+    assert code == 0, err
+    assert "[ok ] gradient condition: witness violates the inequality" in out
+
+
+# x1 >= 0, x2 >= 0 in R^3 at the origin with zero gradient: the critical cone
+# has the lineality line e3 and the rays e1, e2.  Each matrix has nonnegative
+# forms on all four generators +-e3, e1, e2 and a negative pairwise product,
+# so the cell test decides it after eliminating e3: the minimum of the form
+# over x3 is copositive on (x1, x2) for the first ([[1, 2], [2, 1]]) and not
+# for the second ([[1, -2], [-2, 1]], witness (1, 1, -1) with form -2).
+LINEALITY_AND_RAYS = (
+    ([["2", "2", "1"], ["2", "1", "0"], ["1", "0", "1"]], "holds", None),
+    ([["2", "-2", "1"], ["-2", "1", "0"], ["1", "0", "1"]], "fails", ["1", "1", "-1"]),
+)
+
+
+def test_qp_decides_cones_with_lineality_and_rays(tmp_path, capsys):
+    for matrix, verdict, witness in LINEALITY_AND_RAYS:
+        problem = {
+            "version": "1",
+            "constraint": {
+                "type": "polyhedron",
+                "dimension": 3,
+                "inequalities": {"rows": [["-1", "0", "0"], ["0", "-1", "0"]], "bounds": ["0", "0"]},
+            },
+            "objective": {"type": "quadratic", "matrix": matrix, "linear": ["0", "0", "0"]},
+            "query": {"point": ["0", "0", "0"], "regime": "exact"},
+        }
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(problem))
+        code, out, _ = run_cli(capsys, "qp", "--input", str(path), "--format", "json")
+        c2p = json.loads(out)["results"]["c2_prime"]
+        assert code == (0 if verdict == "holds" else 1)
+        assert (c2p["verdict"], c2p["witness"]) == (verdict, witness)
+        assert c2p["certificate"]["method"] == "cottle-habetler-lemke"
+        assert c2p["margin"] == (None if witness is None else "-2")
+        report_path = tmp_path / "report.json"
+        report_path.write_text(out)
+        code, out, err = run_cli(capsys, "verify", "--input", str(report_path))
+        assert code == 0, err
+        if witness is not None:
+            assert "[ok ] c2': witness is a critical direction with negative form" in out
 
 
 def _fractions(values) -> list[str]:

@@ -1,13 +1,17 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from cone_audit import optimality
-from cone_audit.dd import GeneratorSet
+from cone_audit.dd import GeneratorSet, double_description
 from cone_audit.geometry import PolyhedralCone, Polyhedron, cone_equal
 from cone_audit.linalg import RationalMatrix, RationalVector, matrix, vector
 from cone_audit.objectives import AffineRegion, QuadraticObjective, RegionKind, fixture
@@ -150,28 +154,27 @@ def test_copositivity_mixed_lineality_and_rays():
 
 
 def test_copositivity_needs_subdivision():
-    # Indefinite matrix, copositive on the orthant, with a negative pairwise
-    # product so the root cell cannot be certified at depth zero.
+    # A negative pairwise product, so the generators cannot certify it; the
+    # matrix is positive definite, which the factorization on the span shows.
     m = matrix([[1, -1], [-1, 2]])
     result = check_c2_copositivity(m, orthant_cone())
     assert result.status is CopositivityStatus.COPOSITIVE
-    assert result.depth_reached >= 1
+    assert (result.method, result.cells_certified) == ("subspace-factorization", 0)
 
 
 def test_copositivity_depth_limit_is_honest():
-    # copositive but PSD-singular: the root cell cannot certify, so a zero
-    # depth budget must answer Inconclusive (the falsifier finds nothing)
+    # copositive but PSD-singular: the generators cannot certify it, and it
+    # is decided with no depth or sample budget, by a factorization
     m = matrix([[1, -1], [-1, 1]])
-    res = check_c2_copositivity(m, orthant_cone(), max_depth=0, falsifier_samples=500)
-    assert res.status is CopositivityStatus.INCONCLUSIVE
     res = check_c2_copositivity(m, orthant_cone())
     assert res.status is CopositivityStatus.COPOSITIVE
-    assert res.depth_reached == 1
+    assert (res.method, res.depth_reached) == ("subspace-factorization", 0)
 
 
-def test_copositivity_boundary_zero_matrix_inconclusive():
-    # classical copositive matrix with zeros on the cone boundary: pure
-    # subdivision cannot certify it, and no witness exists to find
+def test_copositivity_horn_matrix_copositive():
+    # Horn's matrix is copositive, not PSD and not a sum of a PSD and a
+    # nonnegative matrix; its form vanishes on the cone's boundary, so no
+    # subdivision certifies it
     horn = matrix(
         [
             [1, -1, 1, 1, -1],
@@ -181,10 +184,31 @@ def test_copositivity_boundary_zero_matrix_inconclusive():
             [-1, 1, 1, -1, 1],
         ]
     )
-    res = check_c2_copositivity(
-        horn, PolyhedralCone.nonnegative_orthant(5), max_depth=4, falsifier_samples=2000
-    )
-    assert res.status is CopositivityStatus.INCONCLUSIVE
+    res = check_c2_copositivity(horn, PolyhedralCone.nonnegative_orthant(5))
+    assert res.status is CopositivityStatus.COPOSITIVE
+    assert (res.method, res.cells_certified) == ("cottle-habetler-lemke", 1)
+
+
+def test_copositivity_strictly_copositive_not_psd():
+    """Unit diagonal, off-diagonal 1, -1/4, -1/2: strictly copositive, and
+    bisection left it Inconclusive after 12 certified cells."""
+    m = matrix([["1", "1", "-1/4"], ["1", "1", "-1/2"], ["-1/4", "-1/2", "1"]])
+    res = check_c2_copositivity(m, PolyhedralCone.nonnegative_orthant(3))
+    assert res.status is CopositivityStatus.COPOSITIVE
+    assert res.method == "cottle-habetler-lemke"
+
+
+def test_copositivity_verdict_independent_of_coordinate_order():
+    """Bisection broke ties between equally long edges by index, so one
+    permutation of this matrix was certified and another left Inconclusive."""
+    base = [[1, 1, 1], [1, 1, -1], [1, -1, 1]]
+    orthant = PolyhedralCone.nonnegative_orthant(3)
+    results = set()
+    for p in itertools.permutations(range(3)):
+        permuted = matrix([[base[p[i]][p[j]] for j in range(3)] for i in range(3)])
+        res = check_c2_copositivity(permuted, orthant)
+        results.add((res.status, res.method, res.cells_certified))
+    assert results == {(CopositivityStatus.COPOSITIVE, "cottle-habetler-lemke", 1)}
 
 
 def test_copositivity_witness_after_subdivision():
@@ -229,8 +253,9 @@ def vectors_of(dim):
 @st.composite
 def copositivity_problems(draw):
     """A symmetric M with non-integer entries and a small cone: H-form with
-    few rows (hence lineality, whose +-v pairs bisect to the origin), or
-    V-form with non-integer rays and lineality vectors."""
+    few rows (hence lineality), or V-form with non-integer rays and
+    lineality vectors, which need be neither extreme nor independent; and
+    the oracle's depth and sample budgets."""
     dim = draw(st.integers(2, 4))
     # mostly positive diagonals, so that cells need bisecting before a verdict
     diagonal = st.builds(Fraction, st.integers(-1, 4), st.sampled_from((1, 2, 3)))
@@ -259,37 +284,115 @@ def copositivity_problems(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(copositivity_problems())
 def test_copositivity_matches_fraction_oracle(problem):
+    """Every verdict the bisection partition reached stands, every one it
+    left Inconclusive is decided, and every refutation substitutes back."""
     m, cone, max_depth, samples = problem
     expected = oracle_copositivity(m, cone, max_depth, samples)
-    result = check_c2_copositivity(m, cone, max_depth=max_depth, falsifier_samples=samples)
-    assert result == expected
+    result = check_c2_copositivity(m, cone)
+    if expected is not None:
+        assert result.status is expected.status
+    if result.status is CopositivityStatus.NOT_COPOSITIVE:
+        assert cone.contains(result.witness)
+        assert m.matvec(result.witness).dot(result.witness) == result.witness_value < 0
+    else:
+        assert result.status is CopositivityStatus.COPOSITIVE
 
 
-def test_falsifier_stream_is_python_random_draw_for_draw(monkeypatch):
-    """numpy's MT19937, loaded with random.Random(1789)'s state, gives the
-    falsifier the same doubles, in blocks of 4096 samples of k draws."""
-    blocks = []
+def _kaplan_copositive(m: list[list[Fraction]]) -> bool:
+    """Kaplan (LAA 2000): m is copositive iff no principal submatrix has an
+    eigenvector with all entries positive and a negative eigenvalue."""
+    q = np.array(m, dtype=float)
+    for size in range(1, len(q) + 1):
+        for subset in itertools.combinations(range(len(q)), size):
+            values, vectors = np.linalg.eigh(q[np.ix_(subset, subset)])
+            for value, vec in zip(values, vectors.T):
+                if value < -1e-9 and (np.all(vec > 0) or np.all(vec < 0)):
+                    return False
+    return True
 
-    class Recording(np.random.RandomState):
-        def random(self, size=None):
-            blocks.append(super().random(size))
-            return blocks[-1]
 
-    monkeypatch.setattr(optimality.np.random, "RandomState", Recording)
-    samples = 2 * optimality._FALSIFIER_BLOCK + 100
-    for k in (3, 5):
-        blocks.clear()
-        identity = matrix([[int(i == j) for j in range(k)] for i in range(k)])
-        units = [RationalVector.unit(k, i) for i in range(k)]
-        assert optimality._sphere_sampling_falsifier(identity, units, samples) is None
-        assert [len(b) for b in blocks] == [4096 * k, 4096 * k, 100 * k]
-        rng = random.Random(1789)
-        assert np.concatenate(blocks).tolist() == [rng.random() for _ in range(samples * k)]
+def test_copositivity_agrees_with_kaplan_on_the_orthant():
+    rng = random.Random(3)
+    decided = Counter()
+    for _ in range(500):
+        n = rng.randint(1, 5)
+        m = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if i == j:
+                    m[i][i] = Fraction(rng.randint(-1, 4), rng.choice((1, 2, 3)))
+                else:
+                    m[i][j] = m[j][i] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 4)))
+        res = check_c2_copositivity(RationalMatrix(m), PolyhedralCone.nonnegative_orthant(n))
+        copositive = res.status is CopositivityStatus.COPOSITIVE
+        assert copositive == _kaplan_copositive(m), m
+        decided[copositive, res.method] += 1
+    # every path is exercised, the cell test both ways
+    assert min(decided.values()) >= 10 and len(decided) == 5, decided
+
+
+def _fraction_det_inverse(b: list[list[int]]):
+    """det B and B^-1 (None when singular) by Gauss-Jordan in `Fraction`s."""
+    n = len(b)
+    rows = [[Fraction(a) for a in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(b)]
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            rows[k], rows[p], det = rows[p], rows[k], -det
+        det *= rows[k][k]
+        rows[k] = [a / rows[k][k] for a in rows[k]]
+        for i in range(n):
+            if i != k:
+                rows[i] = [a - rows[i][k] * c for a, c in zip(rows[i], rows[k])]
+    return det, [row[n:] for row in rows]
+
+
+def test_det_adjugate_matches_fraction_elimination():
+    rng = random.Random(4)
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        b = [[rng.randint(-3, 3) * (rng.random() < 0.8) for _ in range(n)] for _ in range(n)]
+        det, adj = optimality._det_adjugate(b)
+        expected_det, inverse = _fraction_det_inverse(b)
+        assert det == expected_det
+        assert adj == (None if inverse is None else [[det * a for a in row] for row in inverse])
+
+
+def test_pulling_triangulation_covers_the_cone_once():
+    """On random pointed cones cut to {x : c.x <= 1}, with c.x > 0 on the
+    cone, every cell is a simplex of independent extreme rays and the cells'
+    volumes add up to the convex hull's: no gap, no overlap."""
+    rng = random.Random(6)
+    checked = 0
+    while checked < 40:
+        dim = rng.randint(2, 4)
+        rows = [RationalVector([rng.randint(-3, 3) for _ in range(dim)]) for _ in range(rng.randint(dim, dim + 5))]
+        gens = double_description(dim, (), rows)
+        if gens.lineality or len(gens.rays) < dim:
+            continue
+        c = [-sum(row[i] for row in rows) for i in range(dim)]
+        rays = [np.array(r.as_floats()) / float(sum(a * b for a, b in zip(c, r))) for r in gens.rays]
+        if np.linalg.matrix_rank(np.array(rays)) < dim:
+            continue
+        masks = [sum(1 << j for j, r in enumerate(gens.rays) if row.dot(r) == 0) for row in rows]
+        cells = optimality._pulling_triangulation(masks, (1 << len(rays)) - 1)
+        assert len(set(cells)) == len(cells)
+        volume = 0.0
+        for cell in cells:
+            vertices = np.array([rays[j] for j in range(len(rays)) if cell >> j & 1])
+            assert len(vertices) == dim
+            volume += abs(np.linalg.det(vertices)) / factorial(dim)
+            assert abs(np.linalg.det(vertices)) > 1e-12
+        assert volume == pytest.approx(ConvexHull(np.vstack([np.zeros(dim)] + rays)).volume, rel=1e-9)
+        checked += 1
 
 
 def test_copositivity_root_diagonal_refutes_at_a_later_vertex():
-    """The root cell's first negative vertex form, at an index above 0, is
-    the witness the partition gives: depth 0, no cell certified."""
+    """The first generator with negative form, at an index above 0, is the
+    witness, as the partition gave it, and no cell is triangulated."""
     m = matrix([[-2, 1, 2], [1, -1, -3], [2, -3, 1]])
     cone = PolyhedralCone.nonnegative_orthant(3)
     generators = list(cone.generators().spanning_vectors())
@@ -297,16 +400,20 @@ def test_copositivity_root_diagonal_refutes_at_a_later_vertex():
     first = next(i for i, value in enumerate(forms) if value < 0)
     assert first > 0
     result = check_c2_copositivity(m, cone)
-    assert result == oracle_copositivity(m, cone, 12, 100_000)
+    expected = oracle_copositivity(m, cone, 12, 100_000)
+    assert (result.status, result.witness, result.witness_value) == (
+        expected.status, expected.witness, expected.witness_value
+    )
     assert result.status is CopositivityStatus.NOT_COPOSITIVE
     assert (result.witness, result.witness_value) == (generators[first], forms[first])
-    assert (result.depth_reached, result.cells_certified) == (0, 0)
+    assert (result.method, result.cells_certified) == ("generators", 0)
 
 
-def test_copositivity_twenty_generator_cone_inconclusive_at_depth_12():
-    # The partition on this problem's 20-generator critical cone took 219 s
-    # when every cell recomputed its products with Fraction matvecs.  It
-    # still ends Inconclusive at the depth limit; bounding it is open work.
+def test_copositivity_twenty_generator_cone_copositive():
+    # Bisection took 219 s on this problem's 20-generator critical cone when
+    # every cell recomputed its products with Fraction matvecs, and ended
+    # Inconclusive at depth 12 after 397 certified cells.  The cone is
+    # strictly copositive; its pulling triangulation has 35 simplices.
     rng = random.Random(1)
     for _ in range(10):
         polyhedron, base = random_feasible_polyhedron(rng, 6, 14, active_probability=0.7)
@@ -317,8 +424,8 @@ def test_copositivity_twenty_generator_cone_inconclusive_at_depth_12():
     m = RationalMatrix(rows)
     objective = QuadraticObjective(m, -m.matvec(base))
     result = check_qp(objective, polyhedron, base).curvature_on_critical_cone.certificate
-    assert result.status is CopositivityStatus.INCONCLUSIVE
-    assert (result.depth_reached, result.cells_certified) == (12, 397)
+    assert result.status is CopositivityStatus.COPOSITIVE
+    assert (result.method, result.cells_certified) == ("cottle-habetler-lemke", 35)
 
 
 # --- classical second-order -------------------------------------------------
