@@ -67,9 +67,7 @@ def _value_json(value):
         return None
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, float):
-        return value
-    if isinstance(value, int):
+    if isinstance(value, (float, int)):
         return value
     raise TypeError(f"cannot serialize {value!r}")
 
@@ -477,7 +475,7 @@ def _run_theorem41(ctx: _Context) -> tuple[dict, int]:
             ctx.tangent,
             ctx.problem.query.point,
             v,
-            [tuple(float(a) for a in z) for z in ctx.problem.query.z_candidates],
+            ctx.problem.query.z_candidates,
             ctx.tolerance,
         )
         entries.append(
@@ -754,22 +752,27 @@ class _Revalidator:
             )
 
     def _verify_theorem41(self, results: dict) -> None:
+        # exact quadratic data pair the echoed rational z and v exactly
+        exact = self.ctx.exact and self.ctx.quadratic_objective() is not None
+        candidates = self.ctx.problem.query.z_candidates
         for v, entry in zip(self.ctx.directions(), results.get("directions", [])):
             condition = entry.get("gradient_condition")
             if condition is not None:
                 second = self.ctx.tangent.tangent_cone_at(_as_rational_vector(v))
                 self._check_linear_condition("gradient condition", condition, second)
             direction = np.asarray(entry["direction"], dtype=float)
-            for pairing in entry.get("pairings", []):
-                z = np.asarray(pairing["candidate"], dtype=float)
-                value = float(z @ direction)
-                consistent = abs(value - pairing["pairing"]) <= 1e-12 and (
+            for z, pairing in zip(candidates, entry.get("pairings", [])):
+                if exact:
+                    value = _as_rational_vector(z).dot(_as_rational_vector(v))
+                else:
+                    value = float(np.asarray(pairing["candidate"], dtype=float) @ direction)
+                consistent = abs(float(value) - pairing["pairing"]) <= 1e-12 and (
                     (value >= -self.ctx.tolerance) == pairing["holds"]
                 )
                 self.add(
                     "pairing <z, v> reproduces",
                     consistent,
-                    f"<z, v> = {value:.6g}",
+                    f"<z, v> = {float(value):.6g}",
                 )
 
     def _verify_ssd(self, results: dict) -> None:

@@ -14,12 +14,7 @@ import argparse
 import json
 import sys
 
-from .analysis import (
-    COMMANDS,
-    EXIT_ERROR,
-    revalidate_report,
-    run_analysis,
-)
+from .analysis import COMMANDS, EXIT_ERROR, revalidate_report, run_analysis
 from .errors import ConeAuditError, ProblemFormatError
 from .problem import parse_problem
 from .ssd import LogMesh
@@ -30,7 +25,7 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage errors exit 3, as input errors do; 2 is kept for an inconclusive verdict
+    # usage errors exit 3, as input errors do, not argparse's 2
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

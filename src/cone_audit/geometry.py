@@ -71,6 +71,7 @@ class PolyhedralCone:
         if generators is not None and generators.dim != dim:
             raise DimensionMismatchError("generators do not match cone dimension")
         self._generators = generators
+        self._extreme: GeneratorSet | None = None
         self._polar: PolyhedralCone | None = None
 
     # -- constructors --------------------------------------------------
@@ -98,10 +99,16 @@ class PolyhedralCone:
 
     def generators(self) -> GeneratorSet:
         if self._generators is None:
-            self._generators = double_description(
-                self.dim, tuple(self._eq.rows), tuple(self._ineq.rows)
-            )
+            self._generators = self.extreme_generators()
         return self._generators
+
+    def extreme_generators(self) -> GeneratorSet:
+        """Extreme rays and a lineality basis by double description of the
+        H-form; computed apart from :meth:`generators` only for given ones."""
+        if self._extreme is None:
+            self._ensure_h()
+            self._extreme = double_description(self.dim, tuple(self._eq.rows), tuple(self._ineq.rows))
+        return self._extreme
 
     def _ensure_h(self) -> None:
         if self._eq is not None:

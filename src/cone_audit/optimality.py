@@ -41,7 +41,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dd import double_description
 from .errors import DimensionMismatchError
 from .geometry import PolyhedralCone, Polyhedron
 from .linalg import RationalMatrix, RationalVector, row_space_basis
@@ -583,7 +582,7 @@ def _copositivity_exact(matrix: RationalMatrix, cone: PolyhedralCone) -> Coposit
 
     # Otherwise the lineality is eliminated and the pointed rest triangulated,
     # on the extreme rays of the H-form: given generators need not be extreme.
-    canonical = double_description(cone.dim, cone.eq_rows.rows, cone.ineq_rows.rows)
+    canonical = cone.extreme_generators()
     masks = [
         sum(1 << j for j, ray in enumerate(canonical.rays) if row.scaled_dot(ray) == 0)
         for row in cone.ineq_rows.rows
@@ -828,14 +827,8 @@ class QPConditions:
 
     @property
     def all_hold(self) -> bool:
-        return all(
-            r.verdict is Verdict.HOLDS
-            for r in (
-                self.stationarity,
-                self.strengthened_gradient,
-                self.curvature_on_critical_cone,
-            )
-        )
+        reports = (self.stationarity, self.strengthened_gradient, self.curvature_on_critical_cone)
+        return all(r.verdict is Verdict.HOLDS for r in reports)
 
 
 def check_qp(
@@ -856,9 +849,7 @@ def check_qp(
     c0 = first_order_check(gradient, tangent, 0, ConditionId.QP_C0)
 
     crit = critical_cone(gradient, tangent)
-    directions = tuple(crit.generators().spanning_vectors()) or (
-        RationalVector.zero(constraint_set.dim),
-    )
+    directions = crit.generators().spanning_vectors() or (RationalVector.zero(constraint_set.dim),)
     v = directions[0]
     c1 = check_c1(gradient, tangent.tangent_cone_at(v), 0)
     if c1.verdict is Verdict.HOLDS:

@@ -326,7 +326,8 @@ def theorem41_check(
     gradient condition (<grad f, w> >= 0 on the second-order tangent
     set) is evaluated whenever v is tangent, even if -v is not, so a failed
     hypothesis still yields a fully populated report; the pairing condition
-    <z, v> >= 0 is evaluated for every supplied candidate.
+    <z, v> >= 0 is evaluated for every supplied candidate, exactly for a
+    :class:`QuadraticObjective` (where <z, v> = 0 must not round below 0).
     """
     direction_r = _as_rational_vector(direction)
     vec = np.asarray(direction, dtype=float).reshape(-1)
@@ -344,11 +345,14 @@ def theorem41_check(
     entries = []
     for z in candidates:
         z_vec = np.asarray(z, dtype=float).reshape(-1)
-        value = float(z_vec @ vec)
+        if isinstance(objective, QuadraticObjective):
+            value = _as_rational_vector(z).dot(direction_r)
+        else:
+            value = float(z_vec @ vec)
         entries.append(
             PairingEntry(
                 candidate=tuple(float(a) for a in z_vec),
-                pairing=value,
+                pairing=float(value),
                 holds=value >= -tolerance,
             )
         )

@@ -584,6 +584,44 @@ def test_theorem41_decides_exact_data_with_tolerance_zero(tmp_path, capsys):
     assert "[ok ] gradient condition: witness violates the inequality" in out
 
 
+def test_theorem41_pairs_exact_candidates_exactly(tmp_path, capsys):
+    """An interior point of R^3, so v and -v are tangent and <z, v> = 0 for
+    z = (-1, -1, 1) and v = (1/10, 1/5, 3/10); in binary64 the product is
+    about -5.6e-17, which tolerance 0 would call a failed pairing."""
+    problem = {
+        "version": "1",
+        "constraint": {
+            "type": "polyhedron",
+            "dimension": 3,
+            "inequalities": {"rows": [["1", "0", "0"]], "bounds": ["1"]},
+        },
+        "objective": {
+            "type": "quadratic",
+            "matrix": [["0", "0", "0"]] * 3,
+            "linear": ["0", "0", "0"],
+        },
+        "query": {
+            "point": ["0", "0", "0"],
+            "directions": [["1/10", "1/5", "3/10"]],
+            "z_candidates": [["-1", "-1", "1"]],
+            "regime": "exact",
+        },
+    }
+    assert float(-0.1 - 0.2 + 0.3) < 0
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(problem))
+    code, out, _ = run_cli(capsys, "theorem41", "--input", str(path), "--format", "json")
+    assert code == 0
+    entry = json.loads(out)["results"]["directions"][0]
+    assert entry["status"] == "Holds"
+    assert entry["pairings"] == [{"candidate": [-1.0, -1.0, 1.0], "pairing": 0.0, "holds": True}]
+    report_path = tmp_path / "report.json"
+    report_path.write_text(out)
+    code, out, err = run_cli(capsys, "verify", "--input", str(report_path))
+    assert code == 0, err
+    assert "[ok ] pairing <z, v> reproduces  (<z, v> = 0)" in out
+
+
 # x1 >= 0, x2 >= 0 in R^3 at the origin with zero gradient: the critical cone
 # has the lineality line e3 and the rays e1, e2.  Each matrix has nonnegative
 # forms on all four generators +-e3, e1, e2 and a negative pairwise product,

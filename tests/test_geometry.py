@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cone_audit.dd import GeneratorSet
 from cone_audit.errors import (
     DimensionMismatchError,
     NotInSetError,
@@ -138,6 +139,19 @@ def test_polar():
     # bipolar returns the original cone
     equal, _ = cone_equal(orthant.polar().polar(), orthant)
     assert equal
+
+
+def test_extreme_generators():
+    """An H-form cone's generators are its extreme generators, computed
+    once; given generators keep their non-extreme ray, and the extreme
+    ones come from the H-form."""
+    orthant = PolyhedralCone.nonnegative_orthant(2)
+    assert orthant.extreme_generators() is orthant.generators()
+    given = GeneratorSet(2, (vector(1, 0), vector(1, 1), vector(0, 1)), ())
+    cone = PolyhedralCone(2, generators=given)
+    assert cone.generators() is given
+    assert set(cone.extreme_generators().rays) == {vector(1, 0), vector(0, 1)}
+    assert cone.extreme_generators() is cone.extreme_generators()
 
 
 def test_cone_equal_strictness_witness():

@@ -285,7 +285,8 @@ def copositivity_problems(draw):
 @given(copositivity_problems())
 def test_copositivity_matches_fraction_oracle(problem):
     """Every verdict the bisection partition reached stands, every one it
-    left Inconclusive is decided, and every refutation substitutes back."""
+    left Inconclusive is decided, every refutation substitutes back, and
+    every certificate passes Kaplan's test apart from the cell test."""
     m, cone, max_depth, samples = problem
     expected = oracle_copositivity(m, cone, max_depth, samples)
     result = check_c2_copositivity(m, cone)
@@ -296,6 +297,11 @@ def test_copositivity_matches_fraction_oracle(problem):
         assert m.matvec(result.witness).dot(result.witness) == result.witness_value < 0
     else:
         assert result.status is CopositivityStatus.COPOSITIVE
+        # the cone is the nonnegative hull of its spanning vectors G (given
+        # ones, not necessarily extreme), so M is copositive on it iff
+        # G M G^T is copositive on the orthant
+        spanning = cone.generators().spanning_vectors()
+        assert _kaplan_copositive([[m.matvec(a).dot(b) for b in spanning] for a in spanning])
 
 
 def _kaplan_copositive(m: list[list[Fraction]]) -> bool:
@@ -329,6 +335,50 @@ def test_copositivity_agrees_with_kaplan_on_the_orthant():
         decided[copositive, res.method] += 1
     # every path is exercised, the cell test both ways
     assert min(decided.values()) >= 10 and len(decided) == 5, decided
+
+
+def test_copositivity_agrees_with_kaplan_on_cones_with_lineality():
+    """H-form cones with fewer rows than dimensions (hence lineality) and
+    cones given by generators that need be neither extreme nor pointed:
+    the verdict is Kaplan's on the Gram matrix of the spanning vectors,
+    whose nonnegative hull is the cone."""
+    rng = random.Random(5)
+    decided = Counter()
+    for _ in range(1000):
+        dim = rng.randint(2, 4)
+        m = [[None] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                if i == j:
+                    m[i][i] = Fraction(rng.randint(0, 4), rng.choice((1, 2, 3)))
+                else:
+                    m[i][j] = m[j][i] = Fraction(rng.randint(-2, 4), rng.choice((1, 2, 3, 4)))
+
+        def vec():
+            return RationalVector([Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 4)))
+                                   for _ in range(dim)])
+
+        h_form = rng.random() < 0.5
+        if h_form:
+            rows = [vec() for _ in range(rng.randint(1, dim - 1))]
+            cone = PolyhedralCone(dim, RationalMatrix([], dim), RationalMatrix(rows, dim))
+        else:
+            rays = tuple(vec() for _ in range(rng.randint(2, 4)))
+            lineality = tuple(vec() for _ in range(rng.randint(0, 1)))
+            cone = PolyhedralCone(dim, generators=GeneratorSet(dim, rays, lineality))
+        res = check_c2_copositivity(RationalMatrix(m), cone)
+        spanning = cone.generators().spanning_vectors()
+        gram = [[RationalMatrix(m).matvec(a).dot(b) for b in spanning] for a in spanning]
+        copositive = res.status is CopositivityStatus.COPOSITIVE
+        assert copositive == _kaplan_copositive(gram), (m, cone.generators())
+        if not copositive:
+            assert cone.contains(res.witness) and res.witness_value < 0
+        decided[copositive, res.method, h_form, bool(cone.generators().lineality)] += 1
+    # the cell test certifies on H-form cones with lineality and on given
+    # generators with and without it
+    assert decided[True, "cottle-habetler-lemke", True, True] >= 10, decided
+    assert decided[True, "cottle-habetler-lemke", False, True] >= 10, decided
+    assert decided[True, "cottle-habetler-lemke", False, False] >= 10, decided
 
 
 def _fraction_det_inverse(b: list[list[int]]):
