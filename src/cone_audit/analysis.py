@@ -317,8 +317,8 @@ def _run_second_order(ctx: _Context) -> tuple[dict, int]:
     constraint = ctx.tangent if ctx.polyhedron is not None else ctx.smooth_constraint
     verdicts: list[Verdict] = []
     entries = []
-    for v in directions:
-        bundle = theorem33_check(objective, constraint, ctx.problem.query.point, v, ctx.tolerance)
+    bundles = theorem33_check(objective, constraint, ctx.problem.query.point, directions, ctx.tolerance)
+    for v, bundle in zip(directions, bundles):
         verdicts += [
             bundle.strengthened_gradient.verdict,
             bundle.curvature_at_direction.verdict,
@@ -469,15 +469,15 @@ def _run_theorem41(ctx: _Context) -> tuple[dict, int]:
     directions = ctx.require_directions("theorem41")
     entries = []
     exit_code = EXIT_ALL_HOLD
-    for v in directions:
-        report = theorem41_check(
-            objective,
-            ctx.tangent,
-            ctx.problem.query.point,
-            v,
-            ctx.problem.query.z_candidates,
-            ctx.tolerance,
-        )
+    reports = theorem41_check(
+        objective,
+        ctx.tangent,
+        ctx.problem.query.point,
+        directions,
+        ctx.problem.query.z_candidates,
+        ctx.tolerance,
+    )
+    for v, report in zip(directions, reports):
         entries.append(
             {
                 "direction": _vector_json(v),

@@ -5,7 +5,8 @@
 
 Commands: cones, first-order, second-order, qp, ssd, theorem41, verify.
 Exit codes: 0 all checked conditions hold, 1 some condition fails, 3 on
-input or usage errors.  Every check is decided, so no command exits 2.
+input or usage errors and on a failed internal self-check.  Every check is
+decided, so no command exits 2.
 """
 
 from __future__ import annotations
@@ -86,6 +87,9 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except RuntimeError as exc:  # an in-solver self-check failed
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
     if args.format == "json":

@@ -17,12 +17,14 @@ x of  min f over C:
 * QP (c0)/(c1')/(c2') are the same three specialized to quadratic data,
   run entirely in exact arithmetic.
 
-Over a polyhedron (c1) at any one critical direction is equivalent to (c0)
-and to (c1) at every critical direction: T(x) lies inside each second-order
-tangent set T^2(x, v), and a (c0) multiplier is positive only on active rows
-that stay tight along every critical v.  So the (c1') quantifier needs no
-enumeration, and the classical check over a polyhedral second-order set is
-(c1) read exactly plus the curvature sign.
+Over a polyhedron the second-order tangent set at a tangent direction v is
+T^2(x, v) = T(x) + Rv, so one pairing LP on T(x) per point decides (c0) and
+(c1) at every direction: (c1) fails along a ray of T(x) or along v or -v,
+whichever pairs negatively, and otherwise the (c0) multipliers, positive
+only on rows tight at v, certify it.  At a critical direction (c1) is
+therefore (c0), so the (c1') quantifier needs no enumeration, and the
+classical check over a polyhedral second-order set is (c1) read exactly plus
+the curvature sign.
 
 Exact checks take tolerance 0.  Float-regime checks treat violations within
 the tolerance as boundary Holds, because irrational candidate points make
@@ -31,7 +33,7 @@ exact zeros unattainable in binary64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -196,14 +198,37 @@ def _as_rational_vector(values) -> RationalVector:
 def _pairing_lp(gradient: RationalVector, cone: PolyhedralCone) -> LPResult:
     """min <gradient, w> over the cone: optimal at 0 with its multipliers, or
     unbounded along a ray."""
-    if gradient.dim != cone.dim:
-        raise DimensionMismatchError("gradient dimension does not match the cone")
-    return solve_lp(
-        gradient,
-        eq_matrix=cone.eq_rows,
-        eq_rhs=RationalVector.zero(cone.eq_rows.nrows),
-        ineq_matrix=cone.ineq_rows,
-        ineq_rhs=RationalVector.zero(cone.ineq_rows.nrows),
+    return solve_lp(gradient, cone.eq_rows, cone.ineq_rows)
+
+
+def _on_second_order_set(
+    result: LPResult, tangent: PolyhedralCone, v: RationalVector, gradient: RationalVector
+) -> tuple[PolyhedralCone, LPResult]:
+    """T2(x, v) = T(x) + Rv for a tangent direction v, and the pairing LP on
+    it read off ``result``, the pairing LP on the tangent cone T(x).
+
+    A ray of T(x) lies in T2(x, v), and so do v and -v, one of which pairs
+    negatively unless <gradient, v> = 0; the witness is the steeper, scaled
+    as the margin is, a tie keeping T(x)'s ray.  Otherwise <gradient, v> = 0
+    forces the multiplier of every row not tight at v to 0, so the tight
+    rows' multipliers, in T2's order, certify on T2(x, v).
+    """
+    second_order = tangent.tangent_cone_at(v)
+    rays = [] if result.status is LPStatus.OPTIMAL else [result.witness]
+    pairing = gradient.dot(v)
+    if pairing:
+        rays.append(-v if pairing > 0 else v)
+    if rays:
+        ray = min(rays, key=lambda r: gradient.dot(r) / max(abs(a) for a in r.entries))
+        return second_order, LPResult(status=LPStatus.UNBOUNDED, witness=ray)
+    tight = [
+        lam for row, lam in zip(tangent.ineq_rows.rows, result.dual_inequalities)
+        if row.scaled_dot(v) == 0
+    ]
+    return second_order, LPResult(
+        status=LPStatus.OPTIMAL,
+        dual_equalities=result.dual_equalities,
+        dual_inequalities=RationalVector(tight),
     )
 
 
@@ -746,72 +771,77 @@ def theorem33_check(
     objective: SmoothObjective | QuadraticObjective,
     constraint: PolyhedralCone | SmoothLevelSetConstraint,
     point,
-    direction,
+    directions,
     tolerance: float = DEFAULT_FLOAT_TOL,
-) -> SecondOrderBundle:
-    """Bundle (c1), the (c2) sign at one direction, and the classical check.
+) -> tuple[SecondOrderBundle, ...]:
+    """Bundle (c1), the (c2) sign and the classical check, one bundle per
+    direction, from one evaluation of the gradient and the Hessian.
 
     Over a polyhedron, ``constraint`` is its tangent cone T(x) at ``point``
-    (:meth:`Polyhedron.tangent_cone`), which every direction at the point
-    shares.  A :class:`QuadraticObjective` there is checked exactly, with
-    tolerance 0; the ``tolerance`` argument is ignored for such data.  A
+    (:meth:`Polyhedron.tangent_cone`), and one pairing LP on it decides (c1)
+    and the classical check at every direction (:func:`_on_second_order_set`).
+    A :class:`QuadraticObjective` there is checked exactly, with tolerance 0;
+    the ``tolerance`` argument is ignored for such data.  A
     :class:`SmoothObjective` is evaluated in float over the exact cones (the
     gradient converted to exact rationals) or over a single smooth
     level-set constraint (affine descriptors, float arithmetic with
     tolerances).
     """
     exact = isinstance(objective, QuadraticObjective)
+    polyhedral = isinstance(constraint, PolyhedralCone)
     if exact:
-        if not isinstance(constraint, PolyhedralCone):
+        if not polyhedral:
             raise TypeError("exact quadratic data needs the tangent cone of a polyhedral set")
         tolerance = 0
-        vec = _as_rational_vector(direction)
         grad = objective.gradient(_as_rational_vector(point))
-        curvature = objective.quadratic_form(vec)
-        pairing = grad.dot(vec)
     else:
         grad = objective.gradient_at(point)
         hessian = objective.hessian_at(point)
-        vec = np.asarray(direction, dtype=float).reshape(-1)
-        curvature = float(vec @ hessian @ vec)
-        pairing = float(grad @ vec)
-
-    if isinstance(constraint, PolyhedralCone):
-        direction_r = _as_rational_vector(direction)
-        critical = assess_direction_polyhedral(constraint, direction_r, pairing, tolerance)
-        second_order = constraint.tangent_cone_at(direction_r)
+    if polyhedral:
         grad_r = _as_rational_vector(grad)
-        result = _pairing_lp(grad_r, second_order)
-        c1 = _linear_condition_on_cone(grad_r, second_order, result, tolerance, ConditionId.C1)
-        classical = _classical_on_cone(grad_r, curvature, second_order, result, tolerance)
+        result = _pairing_lp(grad_r, constraint)
     else:
         region = constraint.tangent_cone(point, tolerance)
-        critical = assess_direction_region(region, vec, pairing, tolerance)
-        second_order = constraint.second_order_tangent_set(point, vec, tolerance)
-        c1 = check_c1(grad, second_order, tolerance)
-        classical = classical_second_order_check(grad, curvature, second_order, tolerance)
 
-    if curvature >= -tolerance:
+    bundles = []
+    for direction in directions:
+        if exact:
+            vec = _as_rational_vector(direction)
+            curvature = objective.quadratic_form(vec)
+            pairing = grad.dot(vec)
+        else:
+            vec = np.asarray(direction, dtype=float).reshape(-1)
+            curvature = float(vec @ hessian @ vec)
+            pairing = float(grad @ vec)
+        if polyhedral:
+            v = _as_rational_vector(direction)
+            critical = assess_direction_polyhedral(constraint, v, pairing, tolerance)
+            second_order, derived = _on_second_order_set(result, constraint, v, grad_r)
+            c1 = _linear_condition_on_cone(grad_r, second_order, derived, tolerance, ConditionId.C1)
+            classical = _classical_on_cone(grad_r, curvature, second_order, derived, tolerance)
+        else:
+            critical = assess_direction_region(region, vec, pairing, tolerance)
+            second_order = constraint.second_order_tangent_set(point, vec, tolerance)
+            c1 = check_c1(grad, second_order, tolerance)
+            classical = classical_second_order_check(grad, curvature, second_order, tolerance)
+        holds = curvature >= -tolerance
         c2_at_v = ConditionReport(
             condition=ConditionId.C2,
-            verdict=Verdict.HOLDS,
+            verdict=Verdict.HOLDS if holds else Verdict.FAILS,
+            witness=None if holds else vec if exact else tuple(float(a) for a in vec),
             margin=curvature,
-            boundary=(not exact) and abs(curvature) <= tolerance,
+            boundary=holds and not exact and abs(curvature) <= tolerance,
         )
-    else:
-        c2_at_v = ConditionReport(
-            condition=ConditionId.C2,
-            verdict=Verdict.FAILS,
-            witness=vec if exact else tuple(float(a) for a in vec),
-            margin=curvature,
+        bundles.append(
+            SecondOrderBundle(
+                direction=critical,
+                second_order_set=second_order,
+                strengthened_gradient=c1,
+                curvature_at_direction=c2_at_v,
+                classical=classical,
+            )
         )
-    return SecondOrderBundle(
-        direction=critical,
-        second_order_set=second_order,
-        strengthened_gradient=c1,
-        curvature_at_direction=c2_at_v,
-        classical=classical,
-    )
+    return tuple(bundles)
 
 
 @dataclass(frozen=True)
@@ -840,37 +870,29 @@ def check_qp(
 
     (c0) is the first-order check with gradient M x + q; (c1') is (c1) on the
     second-order tangent set at the first critical-cone generator, which
-    over a polyhedron decides it for every critical direction, and
-    ``checked_directions`` lists all the generators it covers; (c2') tests
-    copositivity of M on the critical cone.
+    over a polyhedron decides it for every critical direction, read off the
+    (c0) LP, and ``checked_directions`` lists all the generators it covers;
+    (c2') tests copositivity of M on the critical cone.
     """
     tangent = constraint_set.tangent_cone(point)
     gradient = objective.gradient(point)
-    c0 = first_order_check(gradient, tangent, 0, ConditionId.QP_C0)
+    result = _pairing_lp(gradient, tangent)
+    c0 = _linear_condition_on_cone(gradient, tangent, result, 0, ConditionId.QP_C0)
 
     crit = critical_cone(gradient, tangent)
     directions = crit.generators().spanning_vectors() or (RationalVector.zero(constraint_set.dim),)
     v = directions[0]
-    c1 = check_c1(gradient, tangent.tangent_cone_at(v), 0)
-    if c1.verdict is Verdict.HOLDS:
-        c1p = ConditionReport(
-            condition=ConditionId.QP_C1P,
-            verdict=Verdict.HOLDS,
-            certificate=c1.certificate,
-            margin=Fraction(0),
-            checked_directions=directions,
-            notes="holds at the first critical-cone generator, hence at every critical direction",
-        )
-    else:
-        c1p = ConditionReport(
-            condition=ConditionId.QP_C1P,
-            verdict=Verdict.FAILS,
-            witness=c1.witness,
-            margin=c1.margin,
-            checked_directions=directions,
-            witness_direction=v,
-            notes=f"violated at critical direction {v}",
-        )
+    c1p = _linear_condition_on_cone(
+        gradient, *_on_second_order_set(result, tangent, v, gradient), 0, ConditionId.QP_C1P
+    )
+    holds = c1p.verdict is Verdict.HOLDS
+    c1p = replace(
+        c1p,
+        checked_directions=directions,
+        witness_direction=None if holds else v,
+        notes="holds at the first critical-cone generator, hence at every critical direction"
+        if holds else f"violated at critical direction {v}",
+    )
 
     copositivity = check_c2_copositivity(objective.matrix, crit)
     copositive = copositivity.status is CopositivityStatus.COPOSITIVE

@@ -31,12 +31,15 @@ from .errors import UnsupportedFamilyError
 from .geometry import PolyhedralCone
 from .objectives import QuadraticObjective, SmoothObjective
 from .optimality import (
+    ConditionId,
     ConditionReport,
     CriticalDirection,
     Verdict,
     _as_rational_vector,
+    _linear_condition_on_cone,
+    _on_second_order_set,
+    _pairing_lp,
     assess_direction_polyhedral,
-    check_c1,
 )
 
 DEFAULT_MEMBERSHIP_TOL = 1e-6
@@ -314,51 +317,56 @@ def theorem41_check(
     objective: SmoothObjective | QuadraticObjective,
     tangent: PolyhedralCone,
     point,
-    direction,
+    directions,
     candidates,
     tolerance: float = 1e-9,
-) -> HypothesisReport:
-    """Check the hypothesis triple and both second-order inequalities.
+) -> tuple[HypothesisReport, ...]:
+    """Check the hypothesis triple and both second-order inequalities, one
+    report per direction.
 
     ``tangent`` is the tangent cone T(x) of the polyhedral constraint set
     at ``point`` (:meth:`Polyhedron.tangent_cone`).  The gradient is exact,
     M x + q, for a :class:`QuadraticObjective` and float otherwise.  The
-    gradient condition (<grad f, w> >= 0 on the second-order tangent
-    set) is evaluated whenever v is tangent, even if -v is not, so a failed
-    hypothesis still yields a fully populated report; the pairing condition
-    <z, v> >= 0 is evaluated for every supplied candidate, exactly for a
-    :class:`QuadraticObjective` (where <z, v> = 0 must not round below 0).
+    gradient condition (<grad f, w> >= 0 on the second-order tangent set,
+    read off one pairing LP on T(x)) is evaluated whenever v is tangent,
+    even if -v is not, so a failed hypothesis still yields a fully populated
+    report; the pairing condition <z, v> >= 0 is evaluated for every
+    supplied candidate, exactly for a :class:`QuadraticObjective` (where
+    <z, v> = 0 must not round below 0).
     """
-    direction_r = _as_rational_vector(direction)
-    vec = np.asarray(direction, dtype=float).reshape(-1)
-    if isinstance(objective, QuadraticObjective):
-        grad = objective.gradient(_as_rational_vector(point))
-        pairing = grad.dot(direction_r)
-    else:
-        grad = objective.gradient_at(point)
-        pairing = float(grad @ vec)
-    critical = assess_direction_polyhedral(tangent, direction_r, pairing, tolerance)
-    gradient_condition = None
-    if critical.in_tangent_cone:
-        second_order = tangent.tangent_cone_at(direction_r)
-        gradient_condition = check_c1(grad, second_order, tolerance)
-    entries = []
-    for z in candidates:
-        z_vec = np.asarray(z, dtype=float).reshape(-1)
-        if isinstance(objective, QuadraticObjective):
-            value = _as_rational_vector(z).dot(direction_r)
-        else:
-            value = float(z_vec @ vec)
-        entries.append(
-            PairingEntry(
-                candidate=tuple(float(a) for a in z_vec),
-                pairing=float(value),
-                holds=value >= -tolerance,
+    exact = isinstance(objective, QuadraticObjective)
+    grad = objective.gradient(_as_rational_vector(point)) if exact else objective.gradient_at(point)
+    grad_r = _as_rational_vector(grad)
+    result = None
+    reports = []
+    for direction in directions:
+        v = _as_rational_vector(direction)
+        vec = np.asarray(direction, dtype=float).reshape(-1)
+        pairing = grad.dot(v) if exact else float(grad @ vec)
+        critical = assess_direction_polyhedral(tangent, v, pairing, tolerance)
+        gradient_condition = None
+        if critical.in_tangent_cone:
+            result = result or _pairing_lp(grad_r, tangent)
+            gradient_condition = _linear_condition_on_cone(
+                grad_r, *_on_second_order_set(result, tangent, v, grad_r), tolerance, ConditionId.C1
+            )
+        entries = []
+        for z in candidates:
+            z_vec = np.asarray(z, dtype=float).reshape(-1)
+            value = _as_rational_vector(z).dot(v) if exact else float(z_vec @ vec)
+            entries.append(
+                PairingEntry(
+                    candidate=tuple(float(a) for a in z_vec),
+                    pairing=float(value),
+                    holds=value >= -tolerance,
+                )
+            )
+        reports.append(
+            HypothesisReport(
+                direction=critical,
+                hypothesis_holds=critical.is_bidirectional,
+                gradient_condition=gradient_condition,
+                pairings=tuple(entries),
             )
         )
-    return HypothesisReport(
-        direction=critical,
-        hypothesis_holds=critical.is_bidirectional,
-        gradient_condition=gradient_condition,
-        pairings=tuple(entries),
-    )
+    return tuple(reports)

@@ -1,12 +1,15 @@
 """Shared test helpers: random rational polyhedra built around known feasible
-points, and the LP and linear-algebra helpers only the tests use."""
+points, and the LP and linear-algebra helpers only the tests use.  The LPs
+here have nonzero right-hand sides, which ``solve_lp`` (cone LPs only) does
+not take, so they run on the reference simplex of ``lp_oracle``."""
 
 import random
 from fractions import Fraction
 
 from cone_audit.geometry import PolyhedralCone, Polyhedron
 from cone_audit.linalg import RationalMatrix, RationalVector, rref
-from cone_audit.lp import LPResult, solve_lp
+
+from lp_oracle import OracleResult, oracle_solve_lp
 
 
 def small_fraction(rng: random.Random, span: int = 3) -> Fraction:
@@ -92,9 +95,9 @@ def kernel_basis(mat: RationalMatrix) -> tuple[RationalVector, ...]:
     return tuple(basis)
 
 
-def feasibility(polyhedron: Polyhedron) -> LPResult:
+def feasibility(polyhedron: Polyhedron) -> OracleResult:
     """Feasibility LP: OPTIMAL with a point, or INFEASIBLE with Farkas multipliers."""
-    return solve_lp(
+    return oracle_solve_lp(
         RationalVector.zero(polyhedron.dim),
         eq_matrix=polyhedron.eq_matrix,
         eq_rhs=polyhedron.eq_rhs,
@@ -103,7 +106,7 @@ def feasibility(polyhedron: Polyhedron) -> LPResult:
     )
 
 
-def membership_lp(cone: PolyhedralCone, v: RationalVector) -> LPResult:
+def membership_lp(cone: PolyhedralCone, v: RationalVector) -> OracleResult:
     """Feasibility LP deciding v in cone(rays) + span(lineality).
 
     Independent of the H-form row checks; cross-validates the double
@@ -115,8 +118,8 @@ def membership_lp(cone: PolyhedralCone, v: RationalVector) -> LPResult:
     if not columns:
         # Only the origin; encode 0 = v through an empty-variable system.
         if v.is_zero():
-            return solve_lp(RationalVector([]))
-        return solve_lp(
+            return oracle_solve_lp(RationalVector([]))
+        return oracle_solve_lp(
             RationalVector([]),
             eq_matrix=RationalMatrix([RationalVector([])] * v.dim, 0),
             eq_rhs=v,
@@ -126,7 +129,7 @@ def membership_lp(cone: PolyhedralCone, v: RationalVector) -> LPResult:
         len(columns),
     )
     ineq_rows = [-RationalVector.unit(len(columns), r) for r in range(k_rays)]
-    return solve_lp(
+    return oracle_solve_lp(
         RationalVector.zero(len(columns)),
         eq_matrix=eq,
         eq_rhs=v,

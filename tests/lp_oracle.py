@@ -6,22 +6,70 @@ nonnegative right-hand side starts with its slack basic, every other row
 with its artificial, and Bland's rule picks the pivots.  It keeps one
 artificial column per row; those of slack-start rows equal the slack columns
 plus one unit of phase-1 cost, so they never enter and the pivot path is the
-one ``solve_lp`` takes.  ``solve_lp`` must return an equal ``LPResult``.
+one ``solve_lp`` takes.
+
+It solves general LPs,  min c.x  subject to  E x = f, G x <= h, of which
+``solve_lp`` takes the cone LPs (f = 0, h = 0): on those it must return the
+same status, ray and multipliers (:func:`agrees`).  The tests also use it
+for the feasibility LPs of polyhedra, whose right-hand sides are not 0.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 
-from cone_audit.linalg import RationalMatrix, RationalVector, solve_linear
-from cone_audit.lp import LPResult, LPStatus
+from cone_audit.linalg import RationalMatrix, RationalVector
+from cone_audit.lp import LPResult
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+class OracleStatus(Enum):
+    OPTIMAL = "optimal"
+    UNBOUNDED = "unbounded"
+    INFEASIBLE = "infeasible"
+
+
+@dataclass(frozen=True)
+class OracleResult:
+    """``witness`` is the minimizer on OPTIMAL and the improving recession
+    ray on UNBOUNDED; the duals are the dual solution on OPTIMAL and the
+    Farkas multipliers on INFEASIBLE."""
+
+    status: OracleStatus
+    optimum: Fraction | None = None
+    witness: RationalVector | None = None
+    feasible_point: RationalVector | None = None
+    dual_equalities: RationalVector | None = None
+    dual_inequalities: RationalVector | None = None
+
+    def certificate_bound(self, eq_rhs: RationalVector, ineq_rhs: RationalVector) -> Fraction:
+        """The bound f.y - h.lambda proved by the dual certificate."""
+        bound = _ZERO
+        if self.dual_equalities is not None and eq_rhs.dim:
+            bound += self.dual_equalities.dot(eq_rhs)
+        if self.dual_inequalities is not None and ineq_rhs.dim:
+            bound -= self.dual_inequalities.dot(ineq_rhs)
+        return bound
+
+
+def agrees(result: LPResult, oracle: OracleResult) -> bool:
+    """Same status and, by status, the same ray or the same multipliers."""
+    if result.status.value != oracle.status.value:
+        return False
+    if oracle.status is OracleStatus.UNBOUNDED:
+        return result.witness == oracle.witness
+    return (result.dual_equalities, result.dual_inequalities) == (
+        oracle.dual_equalities,
+        oracle.dual_inequalities,
+    )
+
+
 def oracle_solve_lp(objective, eq_matrix=None, eq_rhs=None, ineq_matrix=None, ineq_rhs=None):
-    """``solve_lp`` on the Fraction tableau; same arguments and result."""
+    """Minimize ``objective . x`` over ``{x | eq_matrix x = eq_rhs, ineq_matrix x <= ineq_rhs}``."""
     n = objective.dim
     eq_matrix = eq_matrix if eq_matrix is not None else RationalMatrix([], n)
     eq_rhs = eq_rhs if eq_rhs is not None else RationalVector([])
@@ -69,7 +117,6 @@ class FractionSimplex:
         for i in range(self.m_eq, m):
             if self.row_sign[i] > 0:
                 self.basis[i] = 2 * self.n + i - self.m_eq
-        self.row_origin = list(range(m))
 
     def _append_row(self, coeffs: list[Fraction], slack_index: int | None, rhs: Fraction):
         row = list(coeffs) + [-a for a in coeffs] + [_ZERO] * self.m_in
@@ -139,36 +186,18 @@ class FractionSimplex:
     def _duals(self, costs: list[Fraction]) -> tuple[RationalVector, RationalVector]:
         """Dual multipliers for the original rows, from the final basis.
 
-        Solves  B' y = c_B  exactly, where B collects the original
-        standard-form columns of the basic variables (artificial columns are
-        unit vectors), then undoes the row sign normalization.  Rows dropped
-        as redundant during phase transition get multiplier zero.
+        y = c_B B^-1, and row i's artificial column started as the unit
+        vector e_i, so it now holds column i of B^-1.  A row dropped as
+        redundant had an artificial basic at cost 0, so it adds nothing to
+        the sum.  The row sign normalization is undone here.
         """
-        m_cur = len(self.row_origin)
-        art_full = self.m_eq + self.m_in
-
-        def std_column(var: int) -> list[Fraction]:
-            if var >= self.art_start:
-                orig = var - self.art_start
-                return [_ONE if self.row_origin[i] == orig else _ZERO for i in range(m_cur)]
-            return [self.std_rows[self.row_origin[i]][var] for i in range(m_cur)]
-
-        basis_matrix = RationalMatrix(
-            [RationalVector(std_column(b)) for b in self.basis], m_cur
-        )  # rows indexed by basic variable -> this is B^T already
-        cb = RationalVector([costs[b] for b in self.basis])
-        y_cur = solve_linear(basis_matrix, cb)
-        if y_cur is None:  # cannot happen for a valid basis
-            raise RuntimeError("singular simplex basis during dual extraction")
-
-        y_full = [_ZERO] * art_full
-        for i, orig in enumerate(self.row_origin):
-            y_full[orig] = y_cur[i]
-        dual_eq = RationalVector(
-            self.row_sign[i] * y_full[i] for i in range(self.m_eq)
-        )
+        y = [
+            sum((costs[b] * row[self.art_start + i] for b, row in zip(self.basis, self.tab)), _ZERO)
+            for i in range(self.m_eq + self.m_in)
+        ]
+        dual_eq = RationalVector(self.row_sign[i] * y[i] for i in range(self.m_eq))
         dual_in = RationalVector(
-            -self.row_sign[self.m_eq + k] * y_full[self.m_eq + k] for k in range(self.m_in)
+            -self.row_sign[self.m_eq + k] * y[self.m_eq + k] for k in range(self.m_in)
         )
         return dual_eq, dual_in
 
@@ -197,7 +226,7 @@ class FractionSimplex:
 
     # -- solve -------------------------------------------------------------
 
-    def solve(self) -> LPResult:
+    def solve(self) -> OracleResult:
         m = self.m_eq + self.m_in
         phase1_costs = [_ZERO] * self.num_real + [_ONE] * m
         unbounded = self._run(phase1_costs, range(self.num_real + m))
@@ -208,8 +237,8 @@ class FractionSimplex:
         if infeasibility > 0:
             dual_eq, dual_in = self._duals(phase1_costs)
             self._verify_dual(dual_eq, dual_in, RationalVector.zero(self.n))
-            result = LPResult(
-                status=LPStatus.INFEASIBLE,
+            result = OracleResult(
+                status=OracleStatus.INFEASIBLE,
                 dual_equalities=dual_eq,
                 dual_inequalities=dual_in,
             )
@@ -228,8 +257,8 @@ class FractionSimplex:
         entering = self._run(costs, range(self.num_real))
         if entering is not None:
             ray = self._ray(entering)
-            return LPResult(
-                status=LPStatus.UNBOUNDED,
+            return OracleResult(
+                status=OracleStatus.UNBOUNDED,
                 witness=ray,
                 feasible_point=self._basic_point(),
             )
@@ -237,8 +266,8 @@ class FractionSimplex:
         optimum = self.objective.dot(point)
         dual_eq, dual_in = self._duals(costs)
         self._verify_dual(dual_eq, dual_in, self.objective)
-        result = LPResult(
-            status=LPStatus.OPTIMAL,
+        result = OracleResult(
+            status=OracleStatus.OPTIMAL,
             optimum=optimum,
             witness=point,
             feasible_point=point,
@@ -261,7 +290,6 @@ class FractionSimplex:
                 if col is None:
                     del self.tab[row]
                     del self.basis[row]
-                    del self.row_origin[row]
                     continue
                 self._pivot(row, col)
             row += 1

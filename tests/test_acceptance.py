@@ -85,7 +85,7 @@ def test_criterion_2_ex31():
     rhs = second.offset / second.normal[0]
     assert abs(rhs - (-6.0 / (4.0 * math.sqrt(3.0)))) <= 1e-9
 
-    bundle = theorem33_check(fx.objective, fx.constraint, point, direction, 1e-9)
+    (bundle,) = theorem33_check(fx.objective, fx.constraint, point, [direction], 1e-9)
     assert bundle.strengthened_gradient.verdict is Verdict.HOLDS
     assert bundle.classical.verdict is Verdict.HOLDS
     assert abs(bundle.classical.margin - 4.0) <= 1e-9
@@ -106,7 +106,7 @@ def test_criterion_3_ex32():
     pairing_on_set = grad[0] * rhs  # <grad, w> is constant on the hyperplane
     assert abs(pairing_on_set - 4.0) <= 1e-12
 
-    bundle = theorem33_check(fx.objective, fx.constraint, point, direction, 1e-9)
+    (bundle,) = theorem33_check(fx.objective, fx.constraint, point, [direction], 1e-9)
     assert bundle.classical.verdict is Verdict.HOLDS
     assert abs(bundle.classical.margin - 2.0) <= 1e-12
     assert bundle.curvature_at_direction.verdict is Verdict.FAILS
@@ -125,7 +125,7 @@ def test_criterion_4_ex41():
             assert member == (lo <= Fraction(z) <= hi), (v, z)
 
     tangent = fx.polyhedron.tangent_cone(vector(0))
-    report = theorem41_check(fx.objective, tangent, (0.0,), (1.0,), [(-1.0,)])
+    (report,) = theorem41_check(fx.objective, tangent, (0.0,), [(1.0,)], [(-1.0,)])
     assert report.status == "HypothesisViolated"
     assert report.pairings[0].pairing == -1.0
     assert report.gradient_condition.verdict is Verdict.HOLDS

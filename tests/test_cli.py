@@ -8,7 +8,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cone_audit import geometry
+from cone_audit import geometry, lp
 from cone_audit.analysis import revalidate_report, run_analysis
 from cone_audit.cli import main
 from cone_audit.linalg import RationalVector
@@ -542,7 +542,7 @@ def test_theorem41_decides_exact_quadratic_data_on_the_exact_gradient():
         "detail": "-grad = sum(lambda_i row_i) + A^T mu re-verified exactly",
     }
     tangent = problem.constraint_polyhedron().tangent_cone(RationalVector.zero(2))
-    floated = theorem41_check(problem.smooth_objective(), tangent, (0.0, 0.0), (0.0, 1.0), [])
+    (floated,) = theorem41_check(problem.smooth_objective(), tangent, (0.0, 0.0), [(0.0, 1.0)], [])
     ((_, _, multiplier),) = floated.gradient_condition.certificate.inequality_multipliers
     assert multiplier == Fraction(1 / 3) != Fraction(1, 3)
 
@@ -750,3 +750,75 @@ def test_verify_builds_one_tangent_cone_beyond_the_rerun(monkeypatch):
         ok, checks = revalidate_report(report)
         assert ok, checks
         assert counts["tangent_cone"] == bare + extra, command
+
+
+def _dependent_equality_problem() -> dict:
+    """0 in R^7 on {E x = 0, G x <= 0} with M = 0: the fourth equality row is
+    twice the first, which phase 1 drops as redundant."""
+    eq = [
+        ["1/3", "-2", "3/5", "-3/2", "1", "-1", "-1"],
+        ["0", "0", "-2", "3/5", "-1/3", "1/2", "-2"],
+        ["2", "1/3", "-1", "-1/5", "-1/5", "-1", "2"],
+        ["2/3", "-4", "6/5", "-3", "2", "-2", "-2"],
+    ]
+    ineq = [
+        ["-3/2", "2", "0", "0", "1/2", "-3/5", "-1/3"],
+        ["-4/5", "-4", "1", "-1", "-3", "-3/5", "0"],
+        ["1", "-2/5", "-1/2", "-1/3", "3/5", "1", "0"],
+        ["3/2", "-1", "2", "-3/2", "4", "-4", "1"],
+        ["-2/5", "1", "-4", "-2/3", "-1/2", "-1", "-2/3"],
+        ["-3/5", "-3/2", "-2", "2/5", "0", "-1/5", "1"],
+        ["3", "-4", "-1", "-3", "0", "-2", "4"],
+        ["1", "3/5", "-1", "3", "4/5", "-4/3", "2"],
+        ["-2", "-4/5", "-1/3", "1/2", "-3", "1/3", "2"],
+        ["0", "0", "3", "-4/5", "2", "-1/3", "0"],
+    ]
+    return {
+        "version": "1",
+        "constraint": {
+            "type": "polyhedron",
+            "dimension": 7,
+            "equalities": {"matrix": eq, "rhs": ["0"] * 4},
+            "inequalities": {"rows": ineq, "bounds": ["0"] * 10},
+        },
+        "objective": {
+            "type": "quadratic",
+            "matrix": [["0"] * 7] * 7,
+            "linear": ["1/3", "-2/5", "1/5", "2", "4/3", "-3", "3/5"],
+        },
+        "query": {"point": ["0"] * 7, "regime": "exact"},
+    }
+
+
+def test_dependent_equality_rows_certify_and_verify(tmp_path, capsys):
+    """Every multiplier is read from its row's own unit column, so the
+    stationarity LP certifies instead of failing its self-check."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(_dependent_equality_problem()))
+    for command, key in (("first-order", "condition"), ("qp", "c0")):
+        code, out, err = run_cli(capsys, command, "--input", str(path), "--format", "json")
+        assert code == 0, err
+        condition = json.loads(out)["results"][key]
+        assert (condition["verdict"], condition["certificate"]["type"]) == ("holds", "lagrange")
+        report_path = tmp_path / "report.json"
+        report_path.write_text(out)
+        code, out, err = run_cli(capsys, "verify", "--input", str(report_path))
+        assert code == 0, err
+        assert "Lagrange certificate identity" in out
+
+
+def test_internal_self_check_failure_exits_three(tmp_path, capsys, monkeypatch):
+    path = os.path.join(PROBLEMS, "orthant_qp.json")
+    code, out, _ = run_cli(capsys, "qp", "--input", path, "--format", "json")
+    assert code == 0
+    report_path = tmp_path / "report.json"
+    report_path.write_text(out)
+
+    def failing(self, dual_eq, dual_in, target):
+        raise RuntimeError("LP dual certificate failed exact verification")
+
+    monkeypatch.setattr(lp._Simplex, "_verify_dual", failing)
+    for argv in (("qp", "--input", path), ("verify", "--input", str(report_path))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert err == "internal error: LP dual certificate failed exact verification\n"

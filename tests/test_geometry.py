@@ -13,7 +13,6 @@ from cone_audit.errors import (
 )
 from cone_audit.geometry import PolyhedralCone, Polyhedron, cone_equal, cone_subset
 from cone_audit.linalg import RationalMatrix, RationalVector, matrix, vector
-from cone_audit.lp import LPStatus
 
 from conftest import (
     feasibility,
@@ -21,6 +20,7 @@ from conftest import (
     random_vector,
     tangent_membership_by_rows,
 )
+from lp_oracle import OracleStatus
 from step_oracles import (
     active_rows,
     cone_contains,
@@ -195,12 +195,12 @@ def test_empty_polyhedron():
         1, ineq_matrix=matrix([[1], [-1]]), ineq_rhs=vector(-1, 0)
     )
     result = feasibility(empty)
-    assert result.status is LPStatus.INFEASIBLE
+    assert result.status is OracleStatus.INFEASIBLE
     assert result.dual_inequalities is not None
     with pytest.raises(NotInSetError):
         empty.tangent_cone(vector(0))
     feasible = feasibility(Polyhedron.nonnegative_orthant(2))
-    assert feasible.status is LPStatus.OPTIMAL
+    assert feasible.status is OracleStatus.OPTIMAL
 
 
 def test_oracle_equivalence_random():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,10 +12,11 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from cone_audit import optimality
+from cone_audit.analysis import run_analysis
 from cone_audit.dd import GeneratorSet, double_description
 from cone_audit.geometry import PolyhedralCone, Polyhedron, cone_equal
 from cone_audit.linalg import RationalMatrix, RationalVector, matrix, vector
-from cone_audit.objectives import AffineRegion, QuadraticObjective, RegionKind, fixture
+from cone_audit.objectives import AffineRegion, QuadraticObjective, RegionKind, SmoothObjective, fixture
 from cone_audit.optimality import (
     CopositivityStatus,
     Verdict,
@@ -26,6 +28,7 @@ from cone_audit.optimality import (
     first_order_check,
     theorem33_check,
 )
+from cone_audit.problem import parse_problem
 
 from conftest import random_feasible_polyhedron, random_vector, small_fraction
 from copositivity_oracle import oracle_copositivity
@@ -511,7 +514,7 @@ def test_classical_smooth_examples():
 
 def test_theorem33_smooth_ex31():
     fx = fixture("ex31")
-    bundle = theorem33_check(fx.objective, fx.constraint, fx.candidate_point, (0.0, 1.0))
+    (bundle,) = theorem33_check(fx.objective, fx.constraint, fx.candidate_point, [(0.0, 1.0)])
     assert bundle.direction.is_critical
     assert bundle.strengthened_gradient.verdict is Verdict.HOLDS
     assert bundle.curvature_at_direction.verdict is Verdict.FAILS
@@ -521,7 +524,7 @@ def test_theorem33_smooth_ex31():
 
 def test_theorem33_smooth_ex32():
     fx = fixture("ex32")
-    bundle = theorem33_check(fx.objective, fx.constraint, fx.candidate_point, (0.0, 1.0))
+    (bundle,) = theorem33_check(fx.objective, fx.constraint, fx.candidate_point, [(0.0, 1.0)])
     assert bundle.strengthened_gradient.verdict is Verdict.HOLDS
     assert abs(bundle.strengthened_gradient.margin - 4.0) < 1e-12
     assert bundle.curvature_at_direction.verdict is Verdict.FAILS
@@ -532,7 +535,7 @@ def test_theorem33_polyhedral_convex():
     # f = ||x||^2 / 2 over the orthant at the origin: everything holds
     quad = QuadraticObjective(matrix([[1, 0], [0, 1]]), vector(0, 0))
     tangent = Polyhedron.nonnegative_orthant(2).tangent_cone(vector(0, 0))
-    bundle = theorem33_check(quad.as_smooth(), tangent, (0.0, 0.0), (0.0, 1.0))
+    (bundle,) = theorem33_check(quad.as_smooth(), tangent, (0.0, 0.0), [(0.0, 1.0)])
     assert bundle.strengthened_gradient.verdict is Verdict.HOLDS
     assert bundle.curvature_at_direction.verdict is Verdict.HOLDS
     assert bundle.classical.verdict is Verdict.HOLDS
@@ -626,6 +629,9 @@ def test_qp_c1_implies_first_order_on_random_instances():
 
 
 def test_lp_count_one_per_second_order_question(monkeypatch):
+    """One pairing LP on T(x) per point: (c0) and (c1') for ``qp``, (c1)
+    and the classical check at every direction for ``theorem33_check``, and
+    the gradient condition at every direction for ``theorem41``."""
     calls = []
     real = optimality.solve_lp
 
@@ -641,17 +647,124 @@ def test_lp_count_one_per_second_order_question(monkeypatch):
     report = check_qp(quad, orthant, origin)
     assert len(report.checked_directions) == 4
     assert report.all_hold
-    assert len(calls) == 2  # (c0) and (c1')
+    assert len(calls) == 1
 
     directions = [RationalVector.unit(4, i) for i in range(4)]
     tangent = orthant.tangent_cone(origin)
     for objective, point in ((quad, origin), (quad.as_smooth(), (0.0,) * 4)):
         calls.clear()
-        for v in directions:
-            bundle = theorem33_check(objective, tangent, point, v)
+        bundles = theorem33_check(objective, tangent, point, directions)
+        assert len(bundles) == len(directions)
+        for bundle in bundles:
             assert bundle.strengthened_gradient.verdict is Verdict.HOLDS
             assert bundle.classical.verdict is Verdict.HOLDS
-        assert len(calls) == len(directions)
+        assert len(calls) == 1
+
+    problem = parse_problem(json.dumps({
+        "version": "1",
+        "constraint": {"type": "polyhedron", "dimension": 4,
+                       "inequalities": {"rows": [[str(-int(i == j)) for j in range(4)] for i in range(4)],
+                                        "bounds": ["0"] * 4}},
+        "objective": {"type": "quadratic", "matrix": [[str(int(i == j)) for j in range(4)] for i in range(4)],
+                      "linear": ["0"] * 4},
+        "query": {"point": ["0"] * 4, "regime": "exact",
+                  "directions": [[str(int(i == j)) for j in range(4)] for i in range(4)]},
+    }))
+    for command in ("second-order", "theorem41"):
+        calls.clear()
+        assert run_analysis(problem, command)["exit_code"] in (0, 1)
+        assert len(calls) == 1, command
+
+
+def _point_with_directions(seed: int):
+    """A random polyhedron at its base point, an exact gradient there, its
+    critical-cone generators and some tangent directions that are not
+    critical, all primitive integer vectors.
+
+    The gradient is a combination of the active rows on two seeds of three:
+    with signs that make the point stationary, or with the opposite signs,
+    so that some rays of T(x) pair with it to 0 and others negatively.
+    Either way the critical cone is a nontrivial face.  On the third seed it
+    is random."""
+    rng = random.Random(seed)
+    dim = rng.randint(1, 5)
+    polyhedron, base = random_feasible_polyhedron(
+        rng, dim, rng.randint(1, 2 * dim), num_eq=rng.randint(0, 2), active_probability=0.7
+    )
+    tangent = polyhedron.tangent_cone(base)
+    if seed % 3 < 2:
+        sign = -1 if seed % 3 == 0 else 1
+        gradient = RationalVector.zero(dim)
+        for row in tangent.ineq_rows.rows:
+            gradient = gradient + row.scale(sign * rng.randint(0, 2))
+        for row in tangent.eq_rows.rows:
+            gradient = gradient + row.scale(small_fraction(rng))
+    else:
+        gradient = random_vector(rng, dim)
+    critical = [v.primitive() for v in critical_cone(gradient, tangent).generators().spanning_vectors()]
+    spanning = tangent.generators().spanning_vectors()
+    others = []
+    for _ in range(3):
+        v = RationalVector.zero(dim)
+        for g in spanning:
+            v = v + g.scale(rng.randint(0, 2))
+        others.append(v.primitive())
+    return rng, base, tangent, gradient, critical, others
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2**32))
+def test_c1_read_off_the_tangent_cone_lp_matches_the_lp_on_the_second_order_set(seed):
+    """Exact regime: (c1) and the classical check read off the one LP on
+    T(x) have the verdicts of the LP on T2(x, v) itself, at critical and
+    non-critical tangent directions; certificates verify on T2(x, v), and
+    witnesses lie in it and pair negatively with the gradient."""
+    rng, base, tangent, gradient, critical, others = _point_with_directions(seed)
+    dim = gradient.dim
+    entries = {(i, j): small_fraction(rng) for i in range(dim) for j in range(i, dim)}
+    hessian = RationalMatrix([[entries[min(i, j), max(i, j)] for j in range(dim)] for i in range(dim)], dim)
+    objective = QuadraticObjective(hessian, gradient - hessian.matvec(base))
+    directions = critical + others + [RationalVector.zero(dim)]
+    bundles = theorem33_check(objective, tangent, base, directions)
+    for v, bundle in zip(directions, bundles):
+        second = tangent.tangent_cone_at(v)
+        reference = check_c1(gradient, second)
+        c1 = bundle.strengthened_gradient
+        assert c1.verdict is reference.verdict
+        if c1.verdict is Verdict.HOLDS:
+            assert c1.certificate.verify(gradient, second)
+        else:
+            assert second.contains(c1.witness) and gradient.dot(c1.witness) < 0
+            assert c1.margin == gradient.dot(c1.witness) / max(abs(a) for a in c1.witness.entries)
+        classical = bundle.classical
+        curvature = objective.quadratic_form(v)
+        assert (classical.verdict is Verdict.HOLDS) == (
+            reference.verdict is Verdict.HOLDS and curvature >= 0
+        )
+        if classical.margin == float("-inf"):
+            assert second.contains(classical.witness) and gradient.dot(classical.witness) < 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2**32))
+def test_c1_at_critical_directions_has_the_first_order_verdict_in_float(seed):
+    """Float regime, tolerance 1e-9, gradient entries perturbed by 1e-15
+    relative: (c1) at every direction critical for the exact gradient has
+    the verdict of (c0), boundary cases included."""
+    rng, base, tangent, gradient, critical, _ = _point_with_directions(seed)
+    noisy = np.array([float(a) * (1 + 1e-15 * rng.uniform(-1, 1)) for a in gradient])
+    objective = SmoothObjective(
+        gradient.dim,
+        value=lambda x: float(noisy @ x),
+        gradient=lambda x: noisy,
+        hessian=lambda x: np.zeros((gradient.dim, gradient.dim)),
+    )
+    c0 = first_order_check(noisy, tangent, 1e-9)
+    directions = [tuple(float(a) for a in v) for v in critical]
+    for bundle in theorem33_check(objective, tangent, base.as_floats(), directions, 1e-9):
+        assert bundle.strengthened_gradient.verdict is c0.verdict
 
 
 def test_equivalence_classical_vs_c1_plus_curvature():

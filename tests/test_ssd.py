@@ -148,7 +148,7 @@ def test_calmness_monotone_in_samples():
 def test_theorem41_counterexample_fixture():
     fx = fixture("ex41")
     tangent = fx.polyhedron.tangent_cone(vector(0))
-    report = theorem41_check(fx.objective, tangent, (0.0,), (1.0,), [(-1.0,)])
+    (report,) = theorem41_check(fx.objective, tangent, (0.0,), [(1.0,)], [(-1.0,)])
     assert report.status == "HypothesisViolated"
     assert report.direction.in_tangent_cone
     assert not report.direction.negation_in_tangent_cone
@@ -166,7 +166,7 @@ def test_theorem41_hypothesis_satisfied():
         gradient=lambda x: np.array([x[0]]),
         hessian=lambda x: np.array([[1.0]]),
     )
-    report = theorem41_check(half_sq, PolyhedralCone(1), (0.0,), (1.0,), [(1.0,)])
+    (report,) = theorem41_check(half_sq, PolyhedralCone(1), (0.0,), [(1.0,)], [(1.0,)])
     assert report.status == "Holds"
     assert report.direction.is_bidirectional
 
@@ -176,11 +176,11 @@ def test_theorem41_hypothesis_satisfied():
         gradient=lambda x: np.array([x[0], 0.0]),
         hessian=lambda x: np.array([[1.0, 0.0], [0.0, 0.0]]),
     )
-    report = theorem41_check(
+    (report,) = theorem41_check(
         plane,
         Polyhedron(2, eq_matrix=matrix([[0, 1]]), eq_rhs=-vector(0)).tangent_cone(vector(0, 0)),
         (0.0, 0.0),
-        (1.0, 0.0),
+        [(1.0, 0.0)],
         [(1.0, 0.0)],
     )
     assert report.status == "Holds"
@@ -195,5 +195,5 @@ def test_theorem41_fails_on_bad_pairing():
         gradient=lambda x: np.array([x[0]]),
         hessian=lambda x: np.array([[1.0]]),
     )
-    report = theorem41_check(half_sq, PolyhedralCone(1), (0.0,), (1.0,), [(-1.0,)])
+    (report,) = theorem41_check(half_sq, PolyhedralCone(1), (0.0,), [(1.0,)], [(-1.0,)])
     assert report.status == "Fails"
