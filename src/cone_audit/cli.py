@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .analysis import COMMANDS, EXIT_ERROR, revalidate_report, run_analysis
@@ -33,6 +34,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite nonnegative number, got {text!r}")
+    return value
+
+
 # built once per process; parse_args leaves the parser unchanged
 _PARSER = _Parser(
     prog="cone-audit",
@@ -49,7 +57,7 @@ _PARSER.add_argument(
 )
 _PARSER.add_argument("--input", required=True, help="problem file (JSON); for 'verify', a report file")
 _PARSER.add_argument("--format", choices=("human", "json"), default="human")
-_PARSER.add_argument("--tolerance", type=float, default=None,
+_PARSER.add_argument("--tolerance", type=_tolerance, default=None,
                      help="override the verdict tolerance (float regime / ssd oracle)")
 _PARSER.add_argument("--mesh", default=None,
                      help="ssd probe mesh as start:stop:step exponents (default 1:8:0.5)")

@@ -280,6 +280,20 @@ def row_space_basis(mat: RationalMatrix) -> tuple[RationalVector, ...]:
     return tuple(RationalVector(rows[i]) for i in range(len(pivots)))
 
 
+def kernel_basis(mat: RationalMatrix) -> tuple[RationalVector, ...]:
+    """A basis of ``{v | mat v = 0}``: one primitive integer vector per free
+    column of :func:`rref`, so the unit vectors when ``mat`` has no rows."""
+    rows, pivots = rref(mat)
+    basis = []
+    for free in sorted(set(range(mat.ncols)) - set(pivots)):
+        v = [Fraction(0)] * mat.ncols
+        v[free] = Fraction(1)
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[free]
+        basis.append(RationalVector(v).primitive())
+    return tuple(basis)
+
+
 def solve_linear(mat: RationalMatrix, rhs: RationalVector) -> RationalVector | None:
     """One exact solution of ``mat x = rhs``, or None if inconsistent."""
     if rhs.dim != mat.nrows:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -116,23 +117,19 @@ class _Validator:
         """A query-block number: rational in exact regime, float otherwise."""
         if regime == "exact":
             return self.rational_entry(value, path)
-        if isinstance(value, bool):
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             self.error(path, f"invalid number: {value!r}")
             return None
-        if isinstance(value, (int, float)):
-            # the stdlib JSON parser admits NaN/Infinity literals
-            if not math.isfinite(value):
-                self.error(path, "numbers must be finite")
-                return None
-            return float(value)
-        if isinstance(value, str):
-            try:
-                return float(rational(value))
-            except ValueError as exc:
-                self.error(path, str(exc))
-                return None
-        self.error(path, f"invalid number: {value!r}")
-        return None
+        try:
+            number = float(rational(value) if isinstance(value, str) else value)
+        except (ValueError, OverflowError) as exc:
+            self.error(path, str(exc))
+            return None
+        # the stdlib JSON parser admits NaN/Infinity literals
+        if not math.isfinite(number):
+            self.error(path, "numbers must be finite")
+            return None
+        return number
 
     def rational_vector(self, values, path: str, expected_len: int | None = None):
         if not isinstance(values, list):
@@ -204,17 +201,21 @@ def parse_problem_dict(data) -> ProblemFile:
             v.error("$.query.regime", f"expected 'exact' or 'float', got {regime!r}")
             regime = "exact"
         raw_tol = query_data.get("tolerance", 1e-9)
-        if not isinstance(raw_tol, (int, float)) or isinstance(raw_tol, bool) or raw_tol <= 0:
-            v.error("$.query.tolerance", "expected a positive number")
+        if (
+            not isinstance(raw_tol, (int, float))
+            or isinstance(raw_tol, bool)
+            or not 0 < raw_tol <= sys.float_info.max
+        ):
+            v.error("$.query.tolerance", "expected a positive finite number")
         else:
             tolerance = float(raw_tol)
         if "point" in query_data:
             point = _numeric_tuple(v, query_data["point"], "$.query.point", regime)
-        for i, direction in enumerate(query_data.get("directions", []) or []):
+        for i, direction in enumerate(_query_list(v, query_data, "directions")):
             parsed = _numeric_tuple(v, direction, f"$.query.directions[{i}]", regime)
             if parsed is not None:
                 directions.append(parsed)
-        for i, z in enumerate(query_data.get("z_candidates", []) or []):
+        for i, z in enumerate(_query_list(v, query_data, "z_candidates")):
             if isinstance(z, (int, float, str)) and not isinstance(z, bool):
                 z = [z]
             parsed = _numeric_tuple(v, z, f"$.query.z_candidates[{i}]", regime)
@@ -311,6 +312,16 @@ def parse_problem_dict(data) -> ProblemFile:
         ),
         source=data,
     )
+
+
+def _query_list(v: _Validator, query: dict, key: str) -> list:
+    values = query.get(key)
+    if values is None:
+        return []
+    if not isinstance(values, list):
+        v.error(f"$.query.{key}", "expected a list")
+        return []
+    return values
 
 
 def _numeric_tuple(v: _Validator, values, path: str, regime: str):

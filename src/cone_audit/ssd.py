@@ -22,6 +22,7 @@ closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,6 +44,8 @@ from .optimality import (
 )
 
 DEFAULT_MEMBERSHIP_TOL = 1e-6
+# bounds the oracle's work per query; the default mesh has 15 offsets
+MAX_MESH_OFFSETS = 1000
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,13 @@ class LogMesh:
     tail_threshold: float = 1e-4
 
     def __post_init__(self):
-        if self.exponent_step <= 0 or self.exponent_stop < self.exponent_start:
-            raise ValueError("mesh exponents must increase with a positive step")
+        start, stop, step = self.exponent_start, self.exponent_stop, self.exponent_step
+        # finite, and 10^-e a normal float
+        if not (-300 <= start <= stop <= 300 and 0 < step < math.inf):
+            raise ValueError("mesh exponents must lie in [-300, 300] and increase with a positive step")
+        # a step too small to move an exponent would never end the mesh
+        if (stop - start) / step >= MAX_MESH_OFFSETS or start + step == start or stop + step == stop:
+            raise ValueError(f"a mesh may have at most {MAX_MESH_OFFSETS} offsets")
 
     def deltas(self) -> list[float]:
         out = []

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 from cone_audit.geometry import PolyhedralCone, Polyhedron
-from cone_audit.linalg import RationalMatrix, RationalVector, rref
+from cone_audit.linalg import RationalMatrix, RationalVector
 
 from lp_oracle import OracleResult, oracle_solve_lp
 
@@ -78,21 +78,6 @@ def transpose(mat: RationalMatrix) -> RationalMatrix:
         [RationalVector(r[j] for r in mat.rows) for j in range(mat.ncols)],
         mat.nrows,
     )
-
-
-def kernel_basis(mat: RationalMatrix) -> tuple[RationalVector, ...]:
-    """Canonical basis of the null space {v | mat v = 0}."""
-    rows, pivots = rref(mat)
-    ncols = mat.ncols
-    pivot_set = set(pivots)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivot_set):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
-        basis.append(RationalVector(v))
-    return tuple(basis)
 
 
 def feasibility(polyhedron: Polyhedron) -> OracleResult:

@@ -5,13 +5,15 @@ integer tableau, with the same slack start: an inequality row with a
 nonnegative right-hand side starts with its slack basic, every other row
 with its artificial, and Bland's rule picks the pivots.  It keeps one
 artificial column per row; those of slack-start rows equal the slack columns
-plus one unit of phase-1 cost, so they never enter and the pivot path is the
-one ``solve_lp`` takes.
+plus one unit of phase-1 cost, so they never enter, and without equality
+rows the pivot path is the one ``solve_lp`` takes.
 
 It solves general LPs,  min c.x  subject to  E x = f, G x <= h, of which
-``solve_lp`` takes the cone LPs (f = 0, h = 0): on those it must return the
-same status, ray and multipliers (:func:`agrees`).  The tests also use it
-for the feasibility LPs of polyhedra, whose right-hand sides are not 0.
+``solve_lp`` takes the cone LPs (f = 0, h = 0): on those without equality
+rows it must return the same status, ray and multipliers (:func:`agrees`);
+``solve_lp`` substitutes equality rows away, so with them only the status
+must agree.  The tests also use it for the feasibility LPs of polyhedra,
+whose right-hand sides are not 0.
 """
 
 from __future__ import annotations

@@ -754,7 +754,7 @@ def test_verify_builds_one_tangent_cone_beyond_the_rerun(monkeypatch):
 
 def _dependent_equality_problem() -> dict:
     """0 in R^7 on {E x = 0, G x <= 0} with M = 0: the fourth equality row is
-    twice the first, which phase 1 drops as redundant."""
+    twice the first, so E has dependent rows."""
     eq = [
         ["1/3", "-2", "3/5", "-3/2", "1", "-1", "-1"],
         ["0", "0", "-2", "3/5", "-1/3", "1/2", "-2"],
@@ -791,8 +791,8 @@ def _dependent_equality_problem() -> dict:
 
 
 def test_dependent_equality_rows_certify_and_verify(tmp_path, capsys):
-    """Every multiplier is read from its row's own unit column, so the
-    stationarity LP certifies instead of failing its self-check."""
+    """The multipliers of dependent equality rows solve E'y = c + G'lambda,
+    so the stationarity LP certifies instead of failing its self-check."""
     path = tmp_path / "p.json"
     path.write_text(json.dumps(_dependent_equality_problem()))
     for command, key in (("first-order", "condition"), ("qp", "c0")):
@@ -814,11 +814,80 @@ def test_internal_self_check_failure_exits_three(tmp_path, capsys, monkeypatch):
     report_path = tmp_path / "report.json"
     report_path.write_text(out)
 
-    def failing(self, dual_eq, dual_in, target):
+    def failing(*args):
         raise RuntimeError("LP dual certificate failed exact verification")
 
-    monkeypatch.setattr(lp._Simplex, "_verify_dual", failing)
+    monkeypatch.setattr(lp, "_verify_dual", failing)
     for argv in (("qp", "--input", path), ("verify", "--input", str(report_path))):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert err == "internal error: LP dual certificate failed exact verification\n"
+
+
+def test_wrong_lp_ray_exits_three(tmp_path, capsys, monkeypatch):
+    """min -x1 + x2 over the nonnegative quadrant at 0: (c0) fails along e1,
+    and a ray that is not one fails the LP's own check."""
+    problem = {
+        "version": "1",
+        "constraint": {
+            "type": "polyhedron",
+            "dimension": 2,
+            "inequalities": {"rows": [["-1", "0"], ["0", "-1"]], "bounds": ["0", "0"]},
+        },
+        "objective": {"type": "quadratic", "matrix": [["0", "0"], ["0", "0"]], "linear": ["-1", "1"]},
+        "query": {"point": ["0", "0"], "regime": "exact"},
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(problem))
+    for command in ("qp", "first-order"):
+        code, _, err = run_cli(capsys, command, "--input", str(path))
+        assert code == 1, err
+    monkeypatch.setattr(lp._Simplex, "_ray", lambda self, entering: RationalVector.zero(self.n))
+    for command in ("qp", "first-order"):
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert code == 3
+        assert err == "internal error: LP recession ray failed exact verification\n"
+
+
+def _ex41_ssd_problem(tmp_path, **query_fields) -> str:
+    query = {"point": [0.0], "directions": [[1.0]], "z_candidates": [-0.5], "regime": "float"}
+    query.update(query_fields)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"version": "1", "constraint": {"type": "fixture", "name": "ex41"}, "query": query}))
+    return str(path)
+
+
+def test_non_list_directions_and_non_finite_tolerance_exit_three(tmp_path, capsys):
+    for fields, message in (
+        ({"directions": 5}, "schema error: $.query.directions: expected a list\n"),
+        ({"z_candidates": 5}, "schema error: $.query.z_candidates: expected a list\n"),
+        ({"tolerance": math.inf}, "schema error: $.query.tolerance: expected a positive finite number\n"),
+    ):
+        code, _, err = run_cli(capsys, "first-order", "--input", _ex41_ssd_problem(tmp_path, **fields))
+        assert (code, err) == (3, message)
+
+
+def test_tolerance_flag_takes_finite_nonnegative_values(tmp_path, capsys):
+    path = _ex41_ssd_problem(tmp_path)
+    for bad in ("nan", "inf", "-inf", "-1e-9", "x"):
+        code, _, err = run_cli(capsys, "first-order", "--input", path, "--tolerance", bad)
+        assert code == 3 and "argument --tolerance" in err
+    code, _, err = run_cli(capsys, "first-order", "--input", path, "--tolerance", "0")
+    assert code == 0, err
+
+
+def test_unbounded_meshes_exit_three(tmp_path, capsys):
+    """A mesh with a non-finite exponent or too many offsets is rejected, on
+    the command line and in a report that `verify` re-runs."""
+    path = _ex41_ssd_problem(tmp_path)
+    code, out, err = run_cli(capsys, "ssd", "--input", path, "--format", "json")
+    assert code == 0, err
+    report = json.loads(out)
+    for spec in ("1:inf:0.5", "nan:8:0.5", "-400:-399:0.5", "1:8:0", "1:200:0.1", "5:5:1e-300"):
+        code, _, err = run_cli(capsys, "ssd", "--input", path, f"--mesh={spec}")
+        assert code == 3 and err.startswith("error: "), spec
+        report["configuration"]["mesh"] = spec
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(report))
+        code, _, err = run_cli(capsys, "verify", "--input", str(report_path))
+        assert code == 3 and err.startswith("not a usable report document"), spec

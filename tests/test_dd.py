@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from cone_audit.dd import double_description
 from cone_audit.errors import DimensionCapExceededError
 from cone_audit.geometry import PolyhedralCone
-from cone_audit.linalg import RationalMatrix, RationalVector, rref, vector
+from cone_audit.linalg import RationalMatrix, RationalVector, kernel_basis, rref, vector
 
-from conftest import kernel_basis, membership_lp, random_feasible_polyhedron, random_vector
+from conftest import membership_lp, random_feasible_polyhedron, random_vector
 from lp_oracle import OracleStatus
 
 

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cone_audit.errors import DimensionMismatchError
 from cone_audit.linalg import (
     RationalMatrix,
     RationalVector,
+    kernel_basis,
     matrix,
     rational,
     row_space_basis,
@@ -14,7 +17,7 @@ from cone_audit.linalg import (
     vector,
 )
 
-from conftest import kernel_basis, transpose
+from conftest import transpose
 
 
 def test_rational_parsing():
@@ -96,3 +99,35 @@ def test_solve_linear():
     underdetermined = solve_linear(matrix([[1, 1]]), vector(3))
     assert underdetermined is not None
     assert underdetermined[0] + underdetermined[1] == 3
+
+
+@st.composite
+def kernel_inputs(draw):
+    """0-4 rows of width 1-6, with some zero rows and some rows that are
+    combinations of earlier ones."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("random", "zero", "combination")))
+        if kind == "zero":
+            rows.append(RationalVector.zero(ncols))
+        elif kind == "combination" and rows:
+            a, b = draw(entry), draw(entry)
+            rows.append(rows[0].scale(a) + rows[-1].scale(b))
+        else:
+            rows.append(RationalVector(draw(st.lists(entry, min_size=ncols, max_size=ncols))))
+    return RationalMatrix(rows, ncols)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(kernel_inputs())
+def test_kernel_basis_is_a_primitive_integer_basis(mat):
+    basis = kernel_basis(mat)
+    assert len(basis) == mat.ncols - len(row_space_basis(mat))
+    for k in basis:
+        assert mat.matvec(k).is_zero()
+        assert k.integer_form[1] == 1 and k.primitive() == k and not k.is_zero()
+    # independent: the basis has full row rank
+    if basis:
+        assert len(row_space_basis(RationalMatrix(basis, mat.ncols))) == len(basis)

@@ -3,9 +3,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cone_audit.errors import ProblemFormatError
-from cone_audit.problem import parse_problem
+from cone_audit.problem import parse_problem, parse_problem_dict
 
 
 def orthant_qp_text():
@@ -158,3 +160,83 @@ def test_z_candidate_scalars_coerced():
     )
     problem = parse_problem(text)
     assert problem.query.z_candidates == ((-1.0,), (0.5,))
+
+
+def ex41_query(**fields):
+    query = {"point": [0.0], "directions": [[1.0]], "regime": "float"}
+    query.update(fields)
+    return {"version": "1", "constraint": {"type": "fixture", "name": "ex41"}, "query": query}
+
+
+@pytest.mark.parametrize("key", ["directions", "z_candidates"])
+@pytest.mark.parametrize("value", [5, "1", True, {"a": 1}])
+def test_non_list_query_fields_rejected(key, value):
+    with pytest.raises(ProblemFormatError) as info:
+        parse_problem_dict(ex41_query(**{key: value}))
+    assert info.value.errors == [f"$.query.{key}: expected a list"]
+
+
+@pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", "0", "-1", "1" + "0" * 400])
+def test_non_finite_or_non_positive_tolerance_rejected(text):
+    problem = json.dumps(ex41_query()).replace('"regime"', f'"tolerance": {text}, "regime"')
+    with pytest.raises(ProblemFormatError) as info:
+        parse_problem(problem)
+    assert info.value.errors == ["$.query.tolerance: expected a positive finite number"]
+
+
+def _paths(value, prefix=()):
+    """Every key path into a JSON document, the document itself first."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(document, path, new):
+    if not path:
+        return new
+    copy = json.loads(json.dumps(document))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return copy
+
+
+FUZZ_BASES = (
+    json.loads(orthant_qp_text()),
+    {
+        "version": "1",
+        "constraint": {
+            "type": "polyhedron",
+            "dimension": 2,
+            "equalities": {"matrix": [["1", "-1"]], "rhs": ["0"]},
+            "inequalities": {"rows": [["-1", "0"]], "bounds": ["0"]},
+        },
+        "objective": {"type": "fixture", "name": "ex32"},
+        "query": {"point": ["0", "0"], "directions": [["1", "1"]], "z_candidates": [["1", "0"]],
+                  "regime": "exact", "tolerance": 1e-9},
+    },
+    ex41_query(z_candidates=[-1.0, [0.5]], tolerance=1e-6),
+)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(json_values)
+def test_parser_raises_only_schema_errors(value):
+    """Any field of a valid problem replaced by any JSON value (NaN, Infinity
+    and integers beyond float range included) parses or raises
+    ProblemFormatError, nothing else."""
+    for base in FUZZ_BASES:
+        for path in _paths(base):
+            try:
+                parse_problem_dict(_replaced(base, path, value))
+            except ProblemFormatError:
+                pass
