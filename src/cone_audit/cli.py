@@ -71,7 +71,7 @@ def main(argv=None) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -90,10 +90,7 @@ def main(argv=None) -> int:
         for line in exc.errors:
             print(f"schema error: {line}", file=sys.stderr)
         return EXIT_ERROR
-    except ConeAuditError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
+    except (ConeAuditError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except RuntimeError as exc:  # an in-solver self-check failed
@@ -101,7 +98,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
     if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_render_json(report))
     else:
         print(_render_human(report))
     return report["exit_code"]
@@ -110,7 +107,7 @@ def main(argv=None) -> int:
 def _run_verify(text: str, args) -> int:
     try:
         report = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         print(f"report is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_ERROR
     try:
@@ -119,7 +116,7 @@ def _run_verify(text: str, args) -> int:
         print(f"not a usable report document: {exc!r}", file=sys.stderr)
         return EXIT_ERROR
     if args.format == "json":
-        print(json.dumps({"verified": ok, "checks": checks}, sort_keys=True, indent=2))
+        print(_render_json({"verified": ok, "checks": checks}))
     else:
         for check in checks:
             mark = "ok " if check["ok"] else "FAIL"
@@ -130,8 +127,50 @@ def _run_verify(text: str, args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Human-readable rendering
+# Report rendering: JSON, and human-readable text
 # ---------------------------------------------------------------------------
+
+_encode_str = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _plain(strings) -> bool:
+    """Whether every item is a string that JSON writes unescaped: printable ASCII, no quote or backslash."""
+    try:
+        text = "".join(strings)
+    except TypeError:  # some item is not a string
+        return False
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+def _render_json(obj, indent: str = "\n") -> str:
+    """What ``json.dumps`` writes with ``sort_keys=True`` and an indent of 2, byte for byte.
+
+    ``json`` indents only in its pure-Python encoder, a generator per nesting
+    level; this returns strings, and a list of plain strings (a vector) is
+    one ``join``.  ``indent`` is the line break and indentation that precede
+    ``obj``'s closing bracket.  Dict keys must be ``str``, as every report's
+    are: any other key raises ``TypeError``, as does a value that ``json``
+    cannot encode."""
+    if type(obj) is str:
+        return _encode_str(obj)
+    if obj is None or obj is True or obj is False:
+        return _CONSTANTS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_encode_str(key) + ": " + _render_json(value, inner) for key, value in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if not isinstance(obj, (list, tuple)):
+        return json.dumps(obj)  # a float as json spells it (NaN, Infinity), a str subclass; else TypeError
+    if not obj:
+        return "[]"
+    if type(obj[0]) is str and _plain(obj):
+        return "[" + inner + '"' + ('",' + inner + '"').join(obj) + '"' + indent + "]"
+    return "[" + inner + ("," + inner).join([_render_json(a, inner) for a in obj]) + indent + "]"
 
 
 def _fmt_vec(values) -> str:

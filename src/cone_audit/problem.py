@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,10 +36,12 @@ SCHEMA_VERSION = "1"
 
 _TOP_KEYS = {"version", "description", "constraint", "objective", "query"}
 _CONSTRAINT_KEYS = {"type", "dimension", "equalities", "inequalities", "name"}
-_EQ_KEYS = {"matrix", "rhs"}
-_INEQ_KEYS = {"rows", "bounds"}
 _OBJECTIVE_KEYS = {"type", "matrix", "linear", "constant", "name"}
 _QUERY_KEYS = {"point", "directions", "z_candidates", "regime", "tolerance"}
+# the polyhedron's two row blocks: key, rows field, right-hand-side field and noun
+_ROW_BLOCKS = (("equalities", "matrix", "rhs", "right-hand sides"), ("inequalities", "rows", "bounds", "bounds"))
+# JSON integers and their digit strings skip Fraction boxing
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -138,10 +141,14 @@ class _Validator:
         if expected_len is not None and len(values) != expected_len:
             self.error(path, f"expected {expected_len} entries, got {len(values)}")
             return None
-        entries = [self.rational_entry(v, f"{path}[{i}]") for i, v in enumerate(values)]
-        if any(e is None for e in entries):
+        try:
+            if all(type(a) is int or type(a) is str and _INTEGER_RE.fullmatch(a) for a in values):
+                return RationalVector.from_ints(tuple(map(int, values)))
+            return RationalVector(values)
+        except ValueError:  # rational() or int() refused an entry, which rational_entry names
+            for i, value in enumerate(values):
+                self.rational_entry(value, f"{path}[{i}]")
             return None
-        return RationalVector(entries)
 
     def rational_matrix(self, values, path: str, width: int | None = None):
         if not isinstance(values, list):
@@ -166,7 +173,7 @@ def parse_problem(text: str) -> ProblemFile:
     carrying every schema error found."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ProblemFormatError([f"not valid JSON: {exc}"]) from None
     return parse_problem_dict(data)
 
@@ -211,16 +218,17 @@ def parse_problem_dict(data) -> ProblemFile:
             tolerance = float(raw_tol)
         if "point" in query_data:
             point = _numeric_tuple(v, query_data["point"], "$.query.point", regime)
-        for i, direction in enumerate(_query_list(v, query_data, "directions")):
-            parsed = _numeric_tuple(v, direction, f"$.query.directions[{i}]", regime)
-            if parsed is not None:
-                directions.append(parsed)
-        for i, z in enumerate(_query_list(v, query_data, "z_candidates")):
-            if isinstance(z, (int, float, str)) and not isinstance(z, bool):
-                z = [z]
-            parsed = _numeric_tuple(v, z, f"$.query.z_candidates[{i}]", regime)
-            if parsed is not None:
-                z_candidates.append(parsed)
+        for key, parsed_list in (("directions", directions), ("z_candidates", z_candidates)):
+            values = query_data.get(key)
+            if values is not None and not isinstance(values, list):
+                v.error(f"$.query.{key}", "expected a list")
+                continue
+            for i, value in enumerate(values or ()):
+                if key == "z_candidates" and isinstance(value, (int, float, str)) and not isinstance(value, bool):
+                    value = [value]
+                parsed = _numeric_tuple(v, value, f"$.query.{key}[{i}]", regime)
+                if parsed is not None:
+                    parsed_list.append(parsed)
 
     # ---- constraint block ----
     constraint = data.get("constraint")
@@ -314,16 +322,6 @@ def parse_problem_dict(data) -> ProblemFile:
     )
 
 
-def _query_list(v: _Validator, query: dict, key: str) -> list:
-    values = query.get(key)
-    if values is None:
-        return []
-    if not isinstance(values, list):
-        v.error(f"$.query.{key}", "expected a list")
-        return []
-    return values
-
-
 def _numeric_tuple(v: _Validator, values, path: str, regime: str):
     if not isinstance(values, list):
         v.error(path, "expected a list of numbers")
@@ -339,37 +337,23 @@ def _parse_polyhedron(v: _Validator, block: dict) -> Polyhedron | None:
     if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
         v.error("$.constraint.dimension", "expected a positive integer")
         return None
-    eq_matrix = RationalMatrix([], dimension)
-    eq_rhs = RationalVector([])
-    if "equalities" in block:
-        eq = block["equalities"]
-        if not isinstance(eq, dict):
-            v.error("$.constraint.equalities", "expected an object")
+    blocks = []
+    for key, rows_key, rhs_key, noun in _ROW_BLOCKS:
+        path = f"$.constraint.{key}"
+        sub = block.get(key, {})
+        if not isinstance(sub, dict):
+            v.error(path, "expected an object")
             return None
-        v.require_keys(eq, _EQ_KEYS, "$.constraint.equalities")
-        eq_matrix = v.rational_matrix(eq.get("matrix", []), "$.constraint.equalities.matrix", dimension)
-        eq_rhs = v.rational_vector(eq.get("rhs", []), "$.constraint.equalities.rhs")
-        if eq_matrix is None or eq_rhs is None:
+        v.require_keys(sub, {rows_key, rhs_key}, path)
+        matrix = v.rational_matrix(sub.get(rows_key, []), f"{path}.{rows_key}", dimension)
+        rhs = v.rational_vector(sub.get(rhs_key, []), f"{path}.{rhs_key}")
+        if matrix is None or rhs is None:
             return None
-        if eq_matrix.nrows != eq_rhs.dim:
-            v.error("$.constraint.equalities", f"{eq_matrix.nrows} rows but {eq_rhs.dim} right-hand sides")
+        if matrix.nrows != rhs.dim:
+            v.error(path, f"{matrix.nrows} rows but {rhs.dim} {noun}")
             return None
-    ineq_matrix = RationalMatrix([], dimension)
-    ineq_rhs = RationalVector([])
-    if "inequalities" in block:
-        ineq = block["inequalities"]
-        if not isinstance(ineq, dict):
-            v.error("$.constraint.inequalities", "expected an object")
-            return None
-        v.require_keys(ineq, _INEQ_KEYS, "$.constraint.inequalities")
-        ineq_matrix = v.rational_matrix(ineq.get("rows", []), "$.constraint.inequalities.rows", dimension)
-        ineq_rhs = v.rational_vector(ineq.get("bounds", []), "$.constraint.inequalities.bounds")
-        if ineq_matrix is None or ineq_rhs is None:
-            return None
-        if ineq_matrix.nrows != ineq_rhs.dim:
-            v.error("$.constraint.inequalities", f"{ineq_matrix.nrows} rows but {ineq_rhs.dim} bounds")
-            return None
-    return Polyhedron(dimension, eq_matrix, eq_rhs, ineq_matrix, ineq_rhs)
+        blocks += (matrix, rhs)
+    return Polyhedron(dimension, *blocks)
 
 
 def _parse_fixture(v: _Validator, name, path: str) -> ExampleFixture | None:

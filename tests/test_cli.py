@@ -1,3 +1,4 @@
+import enum
 import json
 import math
 import os
@@ -5,12 +6,13 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cone_audit import geometry, lp
 from cone_audit.analysis import revalidate_report, run_analysis
-from cone_audit.cli import main
+from cone_audit.cli import _render_json, main
 from cone_audit.linalg import RationalVector
 from cone_audit.problem import parse_problem
 from cone_audit.ssd import theorem41_check
@@ -891,3 +893,116 @@ def test_unbounded_meshes_exit_three(tmp_path, capsys):
         report_path.write_text(json.dumps(report))
         code, _, err = run_cli(capsys, "verify", "--input", str(report_path))
         assert code == 3 and err.startswith("not a usable report document"), spec
+
+
+@pytest.mark.parametrize("command", ["qp", "verify"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe", "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100_000 + b"]" * 100_000, "not valid JSON: maximum recursion depth exceeded"),
+    ],
+    ids=["not-utf8", "nested-100000-deep"],
+)
+def test_unreadable_or_too_deep_input_exits_three(tmp_path, capsys, command, content, message):
+    """A file that is not UTF-8, or JSON nested beyond the parser's recursion
+    limit, is an input error (exit 3), not a traceback or a self-check failure."""
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert (code, out) == (3, "")
+    assert message.format(path=path) in err and "internal error" not in err
+
+
+# plain strings need no escape; each of the others needs one, in JSON or in ASCII
+plain_text = st.sampled_from(["", "0", "-2/3", "a b", "~"])
+escaped_text = st.sampled_from(['"', "\\", "\x7f", "\x00", "\x1f", "\n", "é", "\u2028", "\U0001f600"])
+json_text = plain_text | escaped_text | st.text(max_size=4)
+string_lists = st.lists(plain_text | escaped_text, min_size=1, max_size=4)
+json_trees = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**40), 2**63])
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, 1e16, 1e-7, math.nan, math.inf, -math.inf])
+    | json_text,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(json_text, children, max_size=4)
+    | string_lists
+    | st.lists(string_lists | st.just([]), max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, suppress_health_check=[HealthCheck.too_slow])
+@given(json_trees)
+def test_render_json_is_json_dumps_byte_for_byte(tree):
+    assert _render_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+class _Level(enum.IntEnum):
+    HIGH = 2
+
+
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [[], {}, [[]], [{}], {"a": [], "b": {}}, ([],), {"k": [[], [[]]]},
+     [_Level.HIGH, True, 1], [_Text("a"), "b"], {_Text("k"): _Text('"')}, [float("-0.0"), 1e300 * 10]],
+)
+def test_render_json_matches_json_dumps_on_empty_containers_and_subclasses(tree):
+    assert _render_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("tree", [{"a": [Fraction(1, 3)]}, ["x", Fraction(1)], {1: "a"}, {"a": 1, None: 2}])
+def test_render_json_raises_type_error_on_unencodable_values_and_non_str_keys(tree):
+    with pytest.raises(TypeError):
+        _render_json(tree)
+
+
+def _output_corpus():
+    """Shipped problems and seeded random QPs, with and without equality
+    rows, in the exact and the float regime."""
+    for name in sorted(os.listdir(PROBLEMS)):
+        with open(os.path.join(PROBLEMS, name)) as handle:
+            yield name, handle.read()
+    for k in range(12):
+        problem = random_qp_problem(5000 + k, 2 + k % 3, k % 3, 1 + k % 2, k % 2 == 0)
+        if k % 4 == 3:
+            problem["query"]["regime"] = "float"
+        yield f"random-{k}", json.dumps(problem)
+
+
+def _without_timestamp(text: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True) if not line.startswith('  "timestamp": '))
+
+
+def test_json_output_is_json_dumps_of_the_report(tmp_path, capsys):
+    """Every command's JSON output, and `verify`'s, is what json.dumps with
+    sorted keys and an indent of 2 writes for the same document."""
+    checked = 0
+    for name, text in _output_corpus():
+        path = tmp_path / "problem.json"
+        path.write_text(text)
+        for command in ("cones", "first-order", "second-order", "qp", "ssd", "theorem41"):
+            code, out, err = run_cli(capsys, command, "--input", str(path), "--format", "json")
+            if code == 3:
+                assert out == "", (name, command, err)
+                continue
+            report = run_analysis(parse_problem(text), command)
+            assert _without_timestamp(out) == _without_timestamp(
+                json.dumps(report, sort_keys=True, indent=2) + "\n"
+            ), (name, command)
+            report_path = tmp_path / "report.json"
+            report_path.write_text(out)
+            code, verified, err = run_cli(capsys, "verify", "--input", str(report_path), "--format", "json")
+            ok, checks = revalidate_report(json.loads(out))
+            assert (code, ok) == (0, True), (name, command, err)
+            assert verified == json.dumps({"verified": ok, "checks": checks}, sort_keys=True, indent=2) + "\n"
+            checked += 1
+    assert checked >= 50

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cone_audit.errors import ProblemFormatError
+from cone_audit.linalg import integer_form, rational
 from cone_audit.problem import parse_problem, parse_problem_dict
 
 
@@ -240,3 +241,52 @@ def test_parser_raises_only_schema_errors(value):
                 parse_problem_dict(_replaced(base, path, value))
             except ProblemFormatError:
                 pass
+
+
+row_entries = (
+    st.text(st.sampled_from(" +-0123456789/_\n\uff13"), max_size=5)
+    | st.integers()
+    | st.booleans()
+    | st.floats()
+    | st.just("1" * 5000)
+)
+
+
+def _entry_by_entry(values, path):
+    """The parsed vector, or the schema errors, that rational() taken entry by entry gives."""
+    entries, errors = [], []
+    for i, value in enumerate(values):
+        if isinstance(value, float):
+            errors.append(f"{path}[{i}]: floats are not allowed in exact rational data")
+            continue
+        try:
+            entries.append(rational(value))
+        except ValueError as exc:
+            errors.append(f"{path}[{i}]: {exc}")
+    return entries, errors
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(row_entries, min_size=1, max_size=4), row_entries)
+def test_rows_parse_as_rational_does_entry_by_entry(row, bound):
+    """Integer rows take a fast path to integer vectors; any row parses to the
+    same vector, or fails with the same schema errors, as rational() applied
+    to each entry."""
+    problem = {
+        "version": "1",
+        "constraint": {"type": "polyhedron", "dimension": len(row),
+                       "inequalities": {"rows": [row], "bounds": [bound]}},
+        "query": {"point": ["0"] * len(row), "regime": "exact"},
+    }
+    row_values, row_errors = _entry_by_entry(row, "$.constraint.inequalities.rows[0]")
+    bound_values, bound_errors = _entry_by_entry([bound], "$.constraint.inequalities.bounds")
+    try:
+        polyhedron = parse_problem_dict(problem).polyhedron
+    except ProblemFormatError as exc:
+        assert exc.errors == row_errors + bound_errors
+        return
+    assert not row_errors + bound_errors
+    for vector, entries in ((polyhedron.ineq_matrix.rows[0], row_values), (polyhedron.ineq_rhs, bound_values)):
+        assert vector.entries == tuple(entries)
+        assert vector.integer_form == integer_form(entries)
