@@ -107,7 +107,7 @@ def main(argv=None) -> int:
 def _run_verify(text: str, args) -> int:
     try:
         report = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int too long
         print(f"report is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_ERROR
     try:

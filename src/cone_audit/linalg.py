@@ -1,12 +1,17 @@
-"""Exact dense linear algebra over arbitrary-precision rationals.
+"""Exact dense linear algebra over arbitrary-precision rationals, eliminated
+in integers.
 
 Exact data is `fractions.Fraction` scalars, so memberships, active sets and
 cone equalities are decided without tolerances.  The kernels read signs of
 dot products and primitive rays off a vector's integer form instead (its
 entries times the lcm of their denominators, a positive multiple of it),
-which :class:`RationalVector` computes at most once.  The containers are
-dense and small: problem sizes are desk scale (dimension <= 10, a few dozen
-rows), and clarity beats scalability.
+which :class:`RationalVector` computes at most once.  Every exact
+elimination in the package, here and in the LP tableau and copositivity, is
+:func:`bareiss_step` on integer forms, with Bareiss's exact division
+("Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 1968); `Fraction`s appear only in the output.
+The containers are dense and small: problem sizes are desk scale
+(dimension <= 10, a few dozen rows), and clarity beats scalability.
 """
 
 from __future__ import annotations
@@ -246,32 +251,60 @@ def matrix(rows: Sequence[Sequence], ncols: int | None = None) -> RationalMatrix
     return RationalMatrix(rows, ncols)
 
 
+def bareiss_step(row: list[int], pivot_row: list[int], p: int, col: int, d: int) -> list[int]:
+    """``(p * row - row[col] * pivot_row) / d``: ``row`` eliminated in ``col``
+    by ``pivot_row``, whose entry there is ``p``, with ``d`` the last pivot.
+
+    The division is exact because every entry stays a minor of the input."""
+    f = row[col]
+    if f:
+        return [(p * a - f * b) // d for a, b in zip(row, pivot_row)]
+    if p == d:
+        return row
+    return [p * a // d for a in row]
+
+
+def integer_rref(rows: Iterable[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows on their first
+    ``ncols`` columns: ``(rows, pivots, sign)``.
+
+    Pivots are the first nonzero entry scanning rows top to bottom, columns
+    left to right.  Every pivot row ends with the last pivot d in its pivot
+    column, so row / d is the reduced row echelon row; the rows below the
+    pivot rows are zero there.  ``sign`` is the parity of the row swaps.
+    """
+    rows = [list(r) for r in rows]
+    pivots: list[int] = []
+    sign = d = 1
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            sign = -sign
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        rows = [row if k == r else bareiss_step(row, pivot_row, p, c, d) for k, row in enumerate(rows)]
+        pivots.append(c)
+        d = p
+    return rows, pivots, sign
+
+
+def _reduced(rows: Iterable[RationalVector], ncols: int) -> tuple[list[list[int]], list[int], int]:
+    """:func:`integer_rref` of the rows' integer forms, and its last pivot."""
+    ints, pivots, _ = integer_rref([r.integer_form[0] for r in rows], ncols)
+    return ints, pivots, ints[0][pivots[0]] if pivots else 1
+
+
 def rref(mat: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices).
 
-    Deterministic: pivots are chosen as the first nonzero entry scanning rows
-    top to bottom, columns left to right.
+    Deterministic: pivots are chosen as :func:`integer_rref` chooses them.
     """
-    rows = [list(r.entries) for r in mat.rows]
-    nrows, ncols = len(rows), mat.ncols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [a / pv for a in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    ints, pivots, d = _reduced(mat.rows, mat.ncols)
+    return [[Fraction(a, d) for a in row] for row in ints], pivots
 
 
 def row_space_basis(mat: RationalMatrix) -> tuple[RationalVector, ...]:
@@ -282,15 +315,16 @@ def row_space_basis(mat: RationalMatrix) -> tuple[RationalVector, ...]:
 
 def kernel_basis(mat: RationalMatrix) -> tuple[RationalVector, ...]:
     """A basis of ``{v | mat v = 0}``: one primitive integer vector per free
-    column of :func:`rref`, so the unit vectors when ``mat`` has no rows."""
-    rows, pivots = rref(mat)
+    column of :func:`rref`, positive there, so the unit vectors when ``mat``
+    has no rows."""
+    ints, pivots, d = _reduced(mat.rows, mat.ncols)
     basis = []
     for free in sorted(set(range(mat.ncols)) - set(pivots)):
-        v = [Fraction(0)] * mat.ncols
-        v[free] = Fraction(1)
-        for row, pc in zip(rows, pivots):
-            v[pc] = -row[free]
-        basis.append(RationalVector(v).primitive())
+        v = [0] * mat.ncols
+        v[free] = abs(d)
+        for row, pc in zip(ints, pivots):
+            v[pc] = -row[free] if d > 0 else row[free]
+        basis.append(RationalVector.from_ints(tuple(v)).primitive())
     return tuple(basis)
 
 
@@ -300,15 +334,11 @@ def solve_linear(mat: RationalMatrix, rhs: RationalVector) -> RationalVector | N
         raise DimensionMismatchError(
             f"matrix has {mat.nrows} rows but rhs has dimension {rhs.dim}"
         )
-    augmented = RationalMatrix(
-        [RationalVector(tuple(row.entries) + (rhs[i],)) for i, row in enumerate(mat.rows)]
-        or [],
-        mat.ncols + 1,
-    )
-    rows, pivots = rref(augmented)
+    augmented = [RationalVector(row.entries + (b,)) for row, b in zip(mat.rows, rhs)]
+    ints, pivots, d = _reduced(augmented, mat.ncols + 1)
     if mat.ncols in pivots:
         return None  # a row reduced to 0 = 1
     solution = [Fraction(0)] * mat.ncols
-    for i, pc in enumerate(pivots):
-        solution[pc] = rows[i][mat.ncols]
+    for row, pc in zip(ints, pivots):
+        solution[pc] = Fraction(row[mat.ncols], d)
     return RationalVector(solution)

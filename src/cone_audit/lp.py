@@ -11,9 +11,8 @@ columns of K an integer basis of ker E, the LP is  min (K'c).y  over
 {(G K) y <= 0}.  Each row starts with its slack basic, so there is no
 phase 1.  Every right-hand side is 0 and stays 0, so every ratio test ties
 and Bland's rule leaves on the least basic column.  The tableau is held in
-Python ints over one common denominator and pivoted with Bareiss's exact
-division ("Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 1968); reduced-cost signs compare integers, and
+Python ints over one common denominator and pivoted with
+:func:`linalg.bareiss_step`; reduced-cost signs compare integers, and
 Fractions appear only in the extracted ray and duals.
 
 Every terminal status carries a certificate, checked exactly before it is
@@ -33,7 +32,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DimensionMismatchError
-from .linalg import RationalMatrix, RationalVector, kernel_basis, solve_linear
+from .linalg import RationalMatrix, RationalVector, bareiss_step, kernel_basis, solve_linear
 
 
 class LPStatus(Enum):
@@ -138,28 +137,17 @@ class _Simplex:
         self.reduced = self.costs
 
     def _pivot(self, row: int, col: int) -> None:
-        """Bareiss step: every other row becomes (p*r - r[col]*pivot_row) / denom.
-
-        The division is exact because each entry is a minor of the scaled
-        input; the pivot, and so ``denom``, is positive."""
+        """:func:`bareiss_step` on every other row and the reduced costs; the
+        pivot, and so ``denom``, is positive."""
         tab, d = self.tab, self.denom
         pivot_row = tab[row]
         p = pivot_row[col]
         for i, r in enumerate(tab):
             if i != row:
-                tab[i] = self._eliminated(r, pivot_row, p, col, d)
-        self.reduced = self._eliminated(self.reduced, pivot_row, p, col, d)
+                tab[i] = bareiss_step(r, pivot_row, p, col, d)
+        self.reduced = bareiss_step(self.reduced, pivot_row, p, col, d)
         self.denom = p
         self.basis[row] = col
-
-    @staticmethod
-    def _eliminated(r: list[int], pivot_row: list[int], p: int, col: int, d: int) -> list[int]:
-        f = r[col]
-        if f:
-            return [(p * a - f * b) // d for a, b in zip(r, pivot_row)]
-        if p == d:
-            return r
-        return [p * a // d for a in r]
 
     def _run(self) -> int | None:
         """Iterate to optimality; returns the entering column on unboundedness."""

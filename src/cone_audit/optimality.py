@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .geometry import PolyhedralCone, Polyhedron
-from .linalg import RationalMatrix, RationalVector, row_space_basis
+from .linalg import RationalMatrix, RationalVector, bareiss_step, integer_rref, row_space_basis
 from .lp import LPResult, LPStatus, solve_lp
 from .objectives import (
     AffineRegion,
@@ -361,45 +361,43 @@ def critical_cone(gradient, tangent: PolyhedralCone) -> PolyhedralCone:
 # ---------------------------------------------------------------------------
 
 
-def _psd_witness(q: list[list[Fraction]], free: int, rest) -> list[Fraction] | None:
-    """None if the symmetric rational matrix is PSD on its first ``free``
-    coordinates and the orthant of the others, else u with u'Qu < 0 there.
+def _psd_witness(q: list[list[int]], free: int, rest, d: int = 1) -> list[int] | None:
+    """None if the symmetric integer matrix is PSD on its first ``free``
+    coordinates and the orthant of the others, else integer u with u'Qu < 0
+    there.
 
     Pivoted congruence elimination of the free coordinates: a negative
     diagonal entry is an immediate witness; a zero diagonal with a nonzero
     off-diagonal entry yields an explicit indefinite 2x2 witness; a
-    positive pivot reduces to the Schur complement, through which
-    witnesses lift exactly.  The matrix left on the other coordinates is
-    the minimum of the form over the free ones; ``rest`` decides it and
-    returns a witness >= 0 for it or None (``rest`` is None when no
-    coordinate is left).
+    positive pivot reduces to the Schur complement, a positive multiple of
+    it in integers by :func:`bareiss_step` with ``d`` the previous pivot,
+    through which witnesses lift exactly.  The matrix left on the other
+    coordinates is the minimum of the form over the free ones; ``rest``
+    decides it and returns a witness >= 0 for it or None (``rest`` is None
+    when no coordinate is left).
     """
     k = len(q)
     if free == 0:
         return None if rest is None else rest(q)
     head = q[0][0]
     if head < 0:
-        return [Fraction(1)] + [Fraction(0)] * (k - 1)
+        return [1] + [0] * (k - 1)
     if head == 0:
         j = next((c for c in range(1, k) if q[0][c] != 0), None)
         if j is not None:
-            u = [Fraction(0)] * k
-            # value of t*e0 + ej is 2 t q0j + qjj; pick t so it equals -1
-            u[0] = -(q[j][j] + 1) / (2 * q[0][j])
-            u[j] = Fraction(1)
+            # value of t*e0 + ej is 2 t q0j + qjj; t = -(qjj + |q0j|) / (2 q0j)
+            # makes it -|q0j|, at any scale of q
+            u = [0] * k
+            u[0] = -(q[j][j] + abs(q[0][j])) * (1 if q[0][j] > 0 else -1)
+            u[j] = 2 * abs(q[0][j])
             return u
-        sub = [[q[i][c] for c in range(1, k)] for i in range(1, k)]
-        tail = _psd_witness(sub, free - 1, rest)
-        return None if tail is None else [Fraction(0)] + tail
-    schur = [
-        [q[i][c] - q[0][i] * q[0][c] / head for c in range(1, k)]
-        for i in range(1, k)
-    ]
-    tail = _psd_witness(schur, free - 1, rest)
+        tail = _psd_witness([row[1:] for row in q[1:]], free - 1, rest, d)
+        return None if tail is None else [0] + tail
+    schur = [bareiss_step(row, q[0], head, 0, d)[1:] for row in q[1:]]
+    tail = _psd_witness(schur, free - 1, rest, head)
     if tail is None:
         return None
-    cross = sum((q[0][i + 1] * tail[i] for i in range(k - 1)), Fraction(0))
-    return [-cross / head] + tail
+    return [-sum(map(mul, q[0][1:], tail))] + [head * t for t in tail]
 
 
 def _common_integer_form(vectors: Iterable[RationalVector]):
@@ -431,31 +429,13 @@ def _quadratic_form(matrix: RationalMatrix, v: RationalVector) -> Fraction:
 
 def _det_adjugate(b: list[list[int]]) -> tuple[int, list[list[int]] | None]:
     """``(det B, adj B)`` of a square integer matrix, adj B None when B is
-    singular.
-
-    Fraction-free Gauss-Jordan elimination of [B | I] with Bareiss
-    division, as in the LP tableau: every entry stays a minor, so each
-    division is exact, and [B | I] ends as [d I | d B^-1] with d the
-    determinant of B with its rows swapped.
-    """
+    singular: :func:`integer_rref` turns [B | I] into [d I | d B^-1], with
+    d the determinant of B with its rows swapped."""
     n = len(b)
-    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(b)]
-    sign = prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if rows[i][k]), None)
-        if p is None:
-            return 0, None
-        if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
-            sign = -sign
-        pivot = rows[k]
-        d = pivot[k]
-        for i, row in enumerate(rows):
-            f = row[k]
-            if i != k and (f or d != prev):
-                rows[i] = [(d * a - f * c) // prev for a, c in zip(row, pivot)]
-        prev = d
-    return sign * prev, [[sign * a for a in row[n:]] for row in rows]
+    rows, pivots, sign = integer_rref([row + [int(i == j) for j in range(n)] for i, row in enumerate(b)], n)
+    if len(pivots) < n:
+        return 0, None
+    return sign * rows[0][0], [[sign * a for a in row[n:]] for row in rows]
 
 
 def _principal_witness(b: list[list[int]], subset: tuple[int, ...]) -> list[int] | None:
@@ -504,19 +484,17 @@ def _pulling_triangulation(masks: Sequence[int], full: int) -> list[int]:
     return triangulate(full)
 
 
-def _cell_witness(s: list[list], masks: Sequence[int]) -> tuple[list[int] | None, int]:
-    """``(u, certified)``: u >= 0 over the rays with u' s u < 0, or None
-    when the form ``s`` on the rays' coefficients is copositive, and the
-    number of simplicial cells certified before u was found.
+def _cell_witness(b: list[list[int]], masks: Sequence[int]) -> tuple[list[int] | None, int]:
+    """``(u, certified)``: u >= 0 over the rays with u' b u < 0, or None
+    when the integer form ``b`` on the rays' coefficients is copositive, and
+    the number of simplicial cells certified before u was found.
 
-    A simplicial cell is copositive iff its principal block of ``s`` is
+    A simplicial cell is copositive iff its principal block of ``b`` is
     copositive on the orthant, which the Cottle-Habetler-Lemke test
     decides.  The test runs on each cell's principal submatrices, smallest
     first, in integers; neighbouring cells share faces, so each submatrix
     is tested once.
     """
-    scale = lcm(*[x.denominator for row in s for x in row])
-    b = [[(x * scale).numerator for x in row] for row in s]
     cells = _pulling_triangulation(masks, (1 << len(b)) - 1)
     tested: dict[tuple[int, ...], list[int] | None] = {}
     for certified, cell in enumerate(cells):
@@ -539,22 +517,16 @@ def _witness(matrix: RationalMatrix, lineality: Sequence[RationalVector],
              rays: Sequence[RationalVector], rest=None) -> RationalVector | None:
     """A member of span(lineality) + cone(rays) with negative form, or None.
 
-    :func:`_psd_witness` runs on the Gram matrix of the vectors, with the
-    lineality coefficients free and ``rest`` deciding the rays' (in
-    integers when nothing is eliminated); the witness is the coefficients'
-    combination of the vectors, primitive.
+    :func:`_psd_witness` runs on the integer Gram matrix of the vectors,
+    with the lineality coefficients free and ``rest`` deciding the rays';
+    the witness is the coefficients' combination of the vectors, primitive.
     """
     vectors = list(lineality) + list(rays)
-    unit, _, ints, images = _integer_gram(matrix, vectors)
-    gram = _pairings(ints, images)
-    if lineality:
-        gram = [[Fraction(p, unit) for p in row] for row in gram]
-    coords = _psd_witness(gram, len(lineality), rest if rays else None)
+    _, _, ints, images = _integer_gram(matrix, vectors)
+    coords = _psd_witness(_pairings(ints, images), len(lineality), rest if rays else None)
     if coords is None:
         return None
-    scale = lcm(*[c.denominator for c in coords])
-    weights = [(c * scale).numerator for c in coords]
-    total = tuple(sum(map(mul, weights, column)) for column in zip(*ints))
+    total = tuple(sum(map(mul, coords, column)) for column in zip(*ints))
     return RationalVector.from_ints(total).primitive()
 
 

@@ -173,7 +173,7 @@ def parse_problem(text: str) -> ProblemFile:
     carrying every schema error found."""
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int too long
         raise ProblemFormatError([f"not valid JSON: {exc}"]) from None
     return parse_problem_dict(data)
 

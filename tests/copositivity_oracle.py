@@ -6,6 +6,8 @@ pairings with a fresh `matvec`, the longest edge is measured on the vectors
 themselves, and a seeded falsifier draws and screens one sample at a time.
 It returns None where the partition ended Inconclusive.  The package may
 decide those cases but must agree with every verdict the partition reached.
+Pure subspaces are factorized by `fraction_psd_witness`, the `Fraction`
+Schur elimination the package's integer `_psd_witness` replaced.
 """
 
 import random
@@ -18,7 +20,6 @@ from cone_audit.linalg import RationalMatrix, RationalVector
 from cone_audit.optimality import (
     CopositivityResult,
     CopositivityStatus,
-    _psd_witness,
     _quadratic_form,
 )
 
@@ -33,7 +34,7 @@ def oracle_copositivity(
     if not gens.rays:
         basis = list(gens.lineality)
         restricted = [[_pairing(matrix, a, b) for b in basis] for a in basis]
-        witness_coords = _psd_witness(restricted, len(restricted), None)
+        witness_coords = fraction_psd_witness(restricted, len(restricted), None)
         if witness_coords is None:
             return CopositivityResult(
                 status=CopositivityStatus.COPOSITIVE, method="subspace-factorization"
@@ -107,6 +108,43 @@ def oracle_copositivity(
             method="sphere-sampling",
         )
     return None
+
+
+def fraction_psd_witness(q: list[list[Fraction]], free: int, rest) -> list[Fraction] | None:
+    """None if the symmetric rational matrix is PSD on its first ``free``
+    coordinates and the orthant of the others, else u with u'Qu < 0 there;
+    ``rest`` decides the matrix left on the others (None when none is left).
+
+    A negative pivot is a witness, a zero pivot with a nonzero off-diagonal
+    entry an indefinite 2x2 one, and a positive pivot is eliminated by its
+    Schur complement in `Fraction`s.
+    """
+    k = len(q)
+    if free == 0:
+        return None if rest is None else rest(q)
+    head = q[0][0]
+    if head < 0:
+        return [Fraction(1)] + [Fraction(0)] * (k - 1)
+    if head == 0:
+        j = next((c for c in range(1, k) if q[0][c] != 0), None)
+        if j is not None:
+            u = [Fraction(0)] * k
+            # value of t*e0 + ej is 2 t q0j + qjj; pick t so it equals -1
+            u[0] = -(q[j][j] + 1) / (2 * q[0][j])
+            u[j] = Fraction(1)
+            return u
+        sub = [[q[i][c] for c in range(1, k)] for i in range(1, k)]
+        tail = fraction_psd_witness(sub, free - 1, rest)
+        return None if tail is None else [Fraction(0)] + tail
+    schur = [
+        [q[i][c] - q[0][i] * q[0][c] / head for c in range(1, k)]
+        for i in range(1, k)
+    ]
+    tail = fraction_psd_witness(schur, free - 1, rest)
+    if tail is None:
+        return None
+    cross = sum((q[0][i + 1] * tail[i] for i in range(k - 1)), Fraction(0))
+    return [-cross / head] + tail
 
 
 def _pairing(matrix: RationalMatrix, a: RationalVector, b: RationalVector) -> Fraction:

@@ -901,12 +901,14 @@ def test_unbounded_meshes_exit_three(tmp_path, capsys):
     [
         (b"\xff\xfe", "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
         (b"[" * 100_000 + b"]" * 100_000, "not valid JSON: maximum recursion depth exceeded"),
+        (b'{"version": "1", "x": ' + b"1" * 5000 + b"}", "not valid JSON: Exceeds the limit (4300 digits)"),
     ],
-    ids=["not-utf8", "nested-100000-deep"],
+    ids=["not-utf8", "nested-100000-deep", "int-5000-digits"],
 )
 def test_unreadable_or_too_deep_input_exits_three(tmp_path, capsys, command, content, message):
-    """A file that is not UTF-8, or JSON nested beyond the parser's recursion
-    limit, is an input error (exit 3), not a traceback or a self-check failure."""
+    """A file that is not UTF-8, JSON nested beyond the parser's recursion
+    limit, or an integer literal beyond its digit limit, is an input error
+    (exit 3), not a traceback or a self-check failure."""
     path = tmp_path / "input.json"
     path.write_bytes(content)
     code, out, err = run_cli(capsys, command, "--input", str(path))

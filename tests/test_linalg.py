@@ -131,3 +131,57 @@ def test_kernel_basis_is_a_primitive_integer_basis(mat):
     # independent: the basis has full row rank
     if basis:
         assert len(row_space_basis(RationalMatrix(basis, mat.ncols))) == len(basis)
+
+
+def fraction_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reference Gauss-Jordan elimination in `Fraction`s, pivoting on the
+    first nonzero entry scanning rows top to bottom, columns left to right."""
+    rows = [list(r) for r in rows]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [a / pv for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(kernel_inputs(), st.data())
+def test_integer_elimination_matches_fraction_reference(mat, data):
+    """rref, row_space_basis, kernel_basis and solve_linear, which eliminate
+    the rows' integer forms, give the `Fraction` reference's outputs entry
+    by entry."""
+    expected_rows, pivots = fraction_rref([list(r.entries) for r in mat.rows], mat.ncols)
+    rows, got_pivots = rref(mat)
+    assert got_pivots == pivots and rows == expected_rows
+    assert all(isinstance(a, Fraction) for row in rows for a in row)
+    assert row_space_basis(mat) == tuple(RationalVector(expected_rows[i]) for i in range(len(pivots)))
+    expected_kernel = []
+    for free in sorted(set(range(mat.ncols)) - set(pivots)):
+        v = [Fraction(0)] * mat.ncols
+        v[free] = Fraction(1)
+        for row, pc in zip(expected_rows, pivots):
+            v[pc] = -row[free]
+        expected_kernel.append(RationalVector(v).primitive())
+    assert kernel_basis(mat) == tuple(expected_kernel)
+
+    entry = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+    rhs = RationalVector(data.draw(st.lists(entry, min_size=mat.nrows, max_size=mat.nrows)))
+    augmented, pivots = fraction_rref([list(r.entries) + [b] for r, b in zip(mat.rows, rhs)], mat.ncols + 1)
+    solution = solve_linear(mat, rhs)
+    if mat.ncols in pivots:
+        assert solution is None
+    else:
+        expected = [Fraction(0)] * mat.ncols
+        for row, pc in zip(augmented, pivots):
+            expected[pc] = row[mat.ncols]
+        assert solution == RationalVector(expected)

@@ -3,7 +3,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import numpy as np
 import pytest
@@ -31,7 +31,7 @@ from cone_audit.optimality import (
 from cone_audit.problem import parse_problem
 
 from conftest import random_feasible_polyhedron, random_vector, small_fraction
-from copositivity_oracle import oracle_copositivity
+from copositivity_oracle import fraction_psd_witness, oracle_copositivity
 
 
 def orthant_cone():
@@ -138,6 +138,18 @@ def test_copositivity_subspace():
     assert result.method == "subspace-factorization"
     psd_on_line = check_c2_copositivity(matrix([[-4, 0], [0, 2]]), line)
     assert psd_on_line.status is CopositivityStatus.COPOSITIVE
+
+
+def test_copositivity_subspace_zero_pivot_witness():
+    # The plane's lineality basis is (0, 1), (1, 0), so the Gram matrix is
+    # [[0, 2], [2, 3]]: a zero pivot with a nonzero off-diagonal entry, whose
+    # 2x2 witness has coefficients (-(3 + 2), 2 * 2) and value -4 * 2^2 * 2.
+    m = matrix([[3, 2], [2, 0]])
+    result = check_c2_copositivity(m, PolyhedralCone(2))
+    assert result.status is CopositivityStatus.NOT_COPOSITIVE
+    assert (result.witness, result.witness_value) == (vector(4, -5), -32)
+    assert m.matvec(result.witness).dot(result.witness) == -32
+    assert result.method == "subspace-factorization"
 
 
 def test_copositivity_trivial_cone():
@@ -412,6 +424,51 @@ def test_det_adjugate_matches_fraction_elimination():
         expected_det, inverse = _fraction_det_inverse(b)
         assert det == expected_det
         assert adj == (None if inverse is None else [[det * a for a in row] for row in inverse])
+
+
+@st.composite
+def schur_inputs(draw):
+    """A symmetric integer matrix of size 1-5, often a Gram matrix (PSD,
+    maybe singular), with a zero-heavy diagonal otherwise, and the number
+    of its leading coordinates that are free."""
+    k = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        g = [draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k)) for _ in range(draw(st.integers(1, k)))]
+        q = [[sum(r[i] * r[j] for r in g) for j in range(k)] for i in range(k)]
+    else:
+        q = [[0] * k for _ in range(k)]
+        for i in range(k):
+            q[i][i] = draw(st.sampled_from((0, 0, 1, 2, -1)))
+            for j in range(i + 1, k):
+                q[i][j] = q[j][i] = draw(st.integers(-3, 3))
+    return q, draw(st.integers(0, k))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(schur_inputs())
+def test_integer_schur_elimination_matches_fraction_elimination(problem):
+    """The integer `_psd_witness` and the `Fraction` one agree on None versus
+    a witness, with the orthant copositivity test deciding the coordinates
+    left over, and each integer witness has u'Qu < 0, >= 0 past ``free``."""
+    q, free = problem
+    rest_dim = len(q) - free
+    masks = [((1 << rest_dim) - 1) & ~(1 << i) for i in range(rest_dim)]
+
+    def rest(s):
+        return optimality._cell_witness(s, masks)[0]
+
+    def fraction_rest(s):
+        scale = lcm(*[x.denominator for row in s for x in row])
+        return rest([[int(x * scale) for x in row] for row in s])
+
+    u = optimality._psd_witness(q, free, rest if rest_dim else None)
+    expected = fraction_psd_witness(
+        [[Fraction(a) for a in row] for row in q], free, fraction_rest if rest_dim else None
+    )
+    assert (u is None) == (expected is None)
+    if u is not None:
+        assert all(isinstance(a, int) for a in u) and min(u[free:], default=0) >= 0
+        assert sum(u[i] * q[i][j] * u[j] for i in range(len(q)) for j in range(len(q))) < 0
 
 
 def test_pulling_triangulation_covers_the_cone_once():
