@@ -2,10 +2,12 @@
 in integers.
 
 Exact data is `fractions.Fraction` scalars, so memberships, active sets and
-cone equalities are decided without tolerances.  The kernels read signs of
-dot products and primitive rays off a vector's integer form instead (its
-entries times the lcm of their denominators, a positive multiple of it),
-which :class:`RationalVector` computes at most once.  Every exact
+cone equalities are decided without tolerances.  Arithmetic runs on a
+vector's integer form instead (its entries times the lcm of their
+denominators, a positive multiple of it): sums, scalings, dot products,
+matrix products and :func:`combination` compute it for their results, which
+box their `Fraction` entries only when read, and the kernels read signs of
+dot products and primitive rays off it.  Every exact
 elimination in the package, here and in the LP tableau and copositivity, is
 :func:`bareiss_step` on integer forms, with Bareiss's exact division
 ("Sylvester's identity and multistep integer-preserving Gaussian
@@ -68,22 +70,26 @@ def integer_form(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
 class RationalVector:
     """Immutable dense vector of exact rationals.
 
-    ``entries`` and :attr:`integer_form` are each computed at most once;
-    a vector made :meth:`from_ints` boxes its entries only on first use."""
+    ``entries`` and :attr:`integer_form` are each computed at most once.
+    Arithmetic results and vectors made :meth:`from_ints` carry their
+    integer form and box their entries only on first use."""
 
     def __init__(self, entries: Iterable):
         self.__dict__["entries"] = tuple(rational(v) for v in entries)
 
     @classmethod
-    def from_ints(cls, ints: tuple[int, ...]) -> "RationalVector":
-        """The vector with integer entries ``ints``, boxed into `Fraction`s on first use."""
+    def from_ints(cls, ints: Sequence[int], scale: int = 1) -> "RationalVector":
+        """The vector ``ints / scale``, ``scale`` > 0, boxed into `Fraction`s on
+        first use; its integer form is reduced by ``gcd(scale, *ints)``."""
+        g = math.gcd(scale, *ints) if scale != 1 else 1
         vec = object.__new__(cls)
-        vec.__dict__["integer_form"] = (ints, 1)
+        vec.__dict__["integer_form"] = (tuple([k // g for k in ints]) if g != 1 else tuple(ints), scale // g)
         return vec
 
     @functools.cached_property
     def entries(self) -> tuple[Fraction, ...]:
-        return tuple(map(Fraction, self.integer_form[0]))
+        ints, scale = self.integer_form
+        return tuple(map(Fraction, ints)) if scale == 1 else tuple([Fraction(k, scale) for k in ints])
 
     @functools.cached_property
     def integer_form(self) -> tuple[tuple[int, ...], int]:
@@ -94,20 +100,19 @@ class RationalVector:
         raise AttributeError(f"cannot assign to {name!r}: RationalVector is immutable")
 
     def __eq__(self, other):
-        return self.entries == other.entries if isinstance(other, RationalVector) else NotImplemented
+        # integer forms are canonical, so they are equal exactly when the entries are
+        return self.integer_form == other.integer_form if isinstance(other, RationalVector) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash(self.integer_form)
 
     @classmethod
     def zero(cls, dim: int) -> "RationalVector":
-        return cls([Fraction(0)] * dim)
+        return cls.from_ints((0,) * dim)
 
     @classmethod
     def unit(cls, dim: int, index: int) -> "RationalVector":
-        entries = [Fraction(0)] * dim
-        entries[index] = Fraction(1)
-        return cls(entries)
+        return cls.from_ints([int(i == index) for i in range(dim)])
 
     @property
     def dim(self) -> int:
@@ -130,23 +135,20 @@ class RationalVector:
             )
 
     def __add__(self, other: "RationalVector") -> "RationalVector":
-        self._check_dim(other)
-        return RationalVector(a + b for a, b in zip(self.entries, other.entries))
+        return combination((1, 1), (self, other), self.dim)
 
     def __sub__(self, other: "RationalVector") -> "RationalVector":
-        self._check_dim(other)
-        return RationalVector(a - b for a, b in zip(self.entries, other.entries))
+        return combination((1, -1), (self, other), self.dim)
 
     def __neg__(self) -> "RationalVector":
-        return RationalVector(-a for a in self.entries)
+        ints, scale = self.integer_form
+        return RationalVector.from_ints([-k for k in ints], scale)
 
     def scale(self, factor) -> "RationalVector":
-        f = rational(factor)
-        return RationalVector(f * a for a in self.entries)
+        return combination((rational(factor),), (self,), self.dim)
 
     def dot(self, other: "RationalVector") -> Fraction:
-        self._check_dim(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
+        return Fraction(self.scaled_dot(other), self.integer_form[1] * other.integer_form[1])
 
     def scaled_dot(self, other: "RationalVector") -> int:
         """``self . other`` times both integer-form scales: same sign, in ints."""
@@ -210,12 +212,21 @@ class RationalMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
+    @functools.cached_property
+    def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """``(rows, scale)``: the rows times ``scale``, the lcm of all their
+        denominators, in integers; computed on first use."""
+        forms = [r.integer_form for r in self.rows]
+        scale = math.lcm(*[s for _, s in forms])
+        return tuple([tuple([k * (scale // s) for k in ints]) for ints, s in forms]), scale
+
     def matvec(self, v: RationalVector) -> RationalVector:
         if v.dim != self.ncols:
             raise DimensionMismatchError(
                 f"matrix has {self.ncols} columns but vector has dimension {v.dim}"
             )
-        return RationalVector(r.dot(v) for r in self.rows)
+        (rows, scale), (ints, s) = self.integer_form, v.integer_form
+        return RationalVector.from_ints([sum(map(mul, row, ints)) for row in rows], scale * s)
 
     def stack(self, other: "RationalMatrix") -> "RationalMatrix":
         if other.ncols != self.ncols:
@@ -225,11 +236,8 @@ class RationalMatrix:
     def is_symmetric(self) -> bool:
         if self.nrows != self.ncols:
             return False
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
+        rows = self.integer_form[0]
+        return all(rows[i][j] == rows[j][i] for i in range(self.nrows) for j in range(i + 1, self.ncols))
 
     def as_float_rows(self) -> list[list[float]]:
         return [[float(a) for a in r] for r in self.rows]
@@ -239,6 +247,22 @@ class RationalMatrix:
 
     def __repr__(self) -> str:
         return "[" + "; ".join(repr(r) for r in self.rows) + "]"
+
+
+def combination(coefficients: Sequence, vectors: Sequence[RationalVector], dim: int) -> RationalVector:
+    """``sum(c * v)``, with int or `Fraction` coefficients, of vectors of
+    dimension ``dim``: one integer sum over the lcm of the terms' denominators."""
+    if len(coefficients) != len(vectors):
+        raise DimensionMismatchError(f"{len(coefficients)} coefficients for {len(vectors)} vectors")
+    forms = [v.integer_form for v in vectors]
+    for ints, _ in forms:
+        if len(ints) != dim:
+            raise DimensionMismatchError(f"vector dimensions differ: {dim} vs {len(ints)}")
+    scales = [c.denominator * s for c, (_, s) in zip(coefficients, forms)]
+    scale = math.lcm(*scales)
+    factors = [c.numerator * (scale // s) for c, s in zip(coefficients, scales)]
+    columns = zip(*[ints for ints, _ in forms]) if forms else [()] * dim
+    return RationalVector.from_ints([sum(map(mul, factors, col)) for col in columns], scale)
 
 
 def vector(*values) -> RationalVector:

@@ -12,16 +12,18 @@ columns of K an integer basis of ker E, the LP is  min (K'c).y  over
 phase 1.  Every right-hand side is 0 and stays 0, so every ratio test ties
 and Bland's rule leaves on the least basic column.  The tableau is held in
 Python ints over one common denominator and pivoted with
-:func:`linalg.bareiss_step`; reduced-cost signs compare integers, and
-Fractions appear only in the extracted ray and duals.
+:func:`linalg.bareiss_step`; reduced-cost signs compare integers, the ray
+and duals come out as integer forms, and both certificates are checked in
+integers.
 
 Every terminal status carries a certificate, checked exactly before it is
 returned:
 
 * OPTIMAL    - multipliers y on equalities and lambda >= 0 on inequalities
                with  E'y - G'lambda = c, so c.x >= 0 on the cone.  lambda is
-               read off the slack columns; c + G'lambda is then orthogonal to
-               ker E, and y solves E'y = c + G'lambda.
+               read off the slack columns; c + G'lambda, one integer sum over
+               a common denominator, is then orthogonal to ker E, and y
+               solves E'y = c + G'lambda.
 * UNBOUNDED  - a recession ray r = K y with E r = 0, G r <= 0 and c.r < 0.
 """
 
@@ -29,10 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .errors import DimensionMismatchError
-from .linalg import RationalMatrix, RationalVector, bareiss_step, kernel_basis, solve_linear
+from .linalg import RationalMatrix, RationalVector, bareiss_step, combination, kernel_basis, solve_linear
 
 
 class LPStatus(Enum):
@@ -74,11 +75,11 @@ def solve_lp(
     if entering is not None:
         ray = simplex._ray(entering)
         if kernel is not None:
-            ray = RationalVector(sum(a * k[j] for a, k in zip(ray, kernel)) for j in range(n))
+            ray = combination(ray.entries, kernel, n)
         _verify_ray(ray, objective, eq_matrix, ineq_matrix)
         return LPResult(status=LPStatus.UNBOUNDED, witness=ray)
     dual_in = simplex._duals(objective.integer_form[1])
-    target = RationalVector(c + sum(lam * r[j] for lam, r in zip(dual_in, rows)) for j, c in enumerate(objective))
+    target = combination((1, *dual_in), (objective, *rows), n)
     dual_eq = RationalVector([])
     if kernel is not None:
         transposed = RationalMatrix([[r[j] for r in eq_matrix.rows] for j in range(n)], eq_matrix.nrows)
@@ -90,11 +91,9 @@ def solve_lp(
 def _verify_dual(dual_eq, dual_in, target, eq_matrix) -> None:
     # lambda >= 0 and E'y = target = c + G'lambda, that is E'y - G'lambda = c;
     # both are exact identities, so a failure means a solver bug, not bad data.
-    if any(a < 0 for a in dual_in):
+    if any(k < 0 for k in dual_in.integer_form[0]):
         raise RuntimeError("negative inequality multiplier in LP certificate")
-    if dual_eq is None or any(
-        sum(y * r[j] for y, r in zip(dual_eq, eq_matrix.rows)) != t for j, t in enumerate(target)
-    ):
+    if dual_eq is None or combination(dual_eq.entries, eq_matrix.rows, target.dim) != target:
         raise RuntimeError("LP dual certificate failed exact verification")
 
 
@@ -167,12 +166,12 @@ class _Simplex:
         """lambda = -c_B B^-1 on the rows: each slack column holds ``denom``
         times its column of B^-1; row scales and ``cost_scale`` are undone."""
         first = 2 * self.n
-        return RationalVector(
-            Fraction(
-                -self.scale[i] * sum(self.costs[b] * row[first + i] for b, row in zip(self.basis, self.tab)),
-                self.denom * cost_scale,
-            )
-            for i in range(len(self.tab))
+        return RationalVector.from_ints(
+            [
+                -self.scale[i] * sum(self.costs[b] * row[first + i] for b, row in zip(self.basis, self.tab))
+                for i in range(len(self.tab))
+            ],
+            self.denom * cost_scale,
         )
 
     def _ray(self, entering: int) -> RationalVector:
@@ -186,6 +185,4 @@ class _Simplex:
         # A slack counts in units of 1/scale of its row, so one unit of the
         # input row's slack is scale units of the tableau's.
         unit = 1 if entering < 2 * n else self.scale[entering - 2 * n]
-        return RationalVector(
-            Fraction(unit * (direction[j] - direction[n + j]), self.denom) for j in range(n)
-        )
+        return RationalVector.from_ints([unit * (direction[j] - direction[n + j]) for j in range(n)], self.denom)

@@ -37,15 +37,14 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError
 from .geometry import PolyhedralCone, Polyhedron
-from .linalg import RationalMatrix, RationalVector, bareiss_step, integer_rref, row_space_basis
+from .linalg import RationalMatrix, RationalVector, bareiss_step, combination, integer_rref, row_space_basis
 from .lp import LPResult, LPStatus, solve_lp
 from .objectives import (
     AffineRegion,
@@ -87,14 +86,13 @@ class LagrangeCertificate:
     equality_multipliers: RationalVector
 
     def verify(self, gradient: RationalVector, cone: PolyhedralCone) -> bool:
-        total = RationalVector.zero(gradient.dim)
-        for pos, _origin, lam in self.inequality_multipliers:
-            if lam < 0:
-                return False
-            total = total + cone.ineq_rows.row(pos).scale(lam)
-        for j, mu in enumerate(self.equality_multipliers):
-            total = total + cone.eq_rows.row(j).scale(mu)
-        return total == -gradient
+        """The identity, as one integer sum over a common denominator; False
+        on a negative lambda or not one mu per equality row."""
+        ineq, mus = self.inequality_multipliers, list(self.equality_multipliers)
+        if any(lam < 0 for *_, lam in ineq) or len(mus) != cone.eq_rows.nrows:
+            return False
+        rows = [cone.ineq_rows.row(pos) for pos, *_ in ineq] + list(cone.eq_rows.rows)
+        return combination([lam for *_, lam in ineq] + mus, rows, gradient.dim) == -gradient
 
 
 class CopositivityStatus(Enum):
@@ -215,11 +213,11 @@ def _on_second_order_set(
     """
     second_order = tangent.tangent_cone_at(v)
     rays = [] if result.status is LPStatus.OPTIMAL else [result.witness]
-    pairing = gradient.dot(v)
+    pairing = gradient.scaled_dot(v)
     if pairing:
         rays.append(-v if pairing > 0 else v)
     if rays:
-        ray = min(rays, key=lambda r: gradient.dot(r) / max(abs(a) for a in r.entries))
+        ray = min(rays, key=lambda r: _steepness(gradient, r))
         return second_order, LPResult(status=LPStatus.UNBOUNDED, witness=ray)
     tight = [
         lam for row, lam in zip(tangent.ineq_rows.rows, result.dual_inequalities)
@@ -230,6 +228,11 @@ def _on_second_order_set(
         dual_equalities=result.dual_equalities,
         dual_inequalities=RationalVector(tight),
     )
+
+
+def _steepness(gradient: RationalVector, ray: RationalVector) -> Fraction:
+    """<gradient, ray> / max |ray_j|, read off the integer forms."""
+    return Fraction(gradient.scaled_dot(ray), gradient.integer_form[1] * max(map(abs, ray.integer_form[0])))
 
 
 def _linear_condition_on_cone(
@@ -259,9 +262,7 @@ def _linear_condition_on_cone(
             margin=Fraction(0),
         )
     ray = result.witness.primitive()
-    violation = gradient.dot(ray)
-    sup = max(abs(a) for a in ray.entries)
-    scaled = violation / sup
+    scaled = _steepness(gradient, ray)
     if tolerance and abs(scaled) <= tolerance:
         return ConditionReport(
             condition=condition,
@@ -400,31 +401,19 @@ def _psd_witness(q: list[list[int]], free: int, rest, d: int = 1) -> list[int] |
     return [-sum(map(mul, q[0][1:], tail))] + [head * t for t in tail]
 
 
-def _common_integer_form(vectors: Iterable[RationalVector]):
-    """``(denom, ints)``: ``ints[a] = denom * vectors[a]`` in integers, ``denom`` > 0."""
-    forms = [v.integer_form for v in vectors]
-    denom = lcm(*[scale for _, scale in forms])
-    return denom, tuple([tuple([k * (denom // scale) for k in ints]) for ints, scale in forms])
-
-
 def _integer_gram(matrix: RationalMatrix, vectors: Sequence[RationalVector]):
     """``(unit, denom, ints, images)``: ``ints[a] = denom * vectors[a]`` in
     integers and ``images[a] = (scale * matrix) ints[a]``; positive lcms of the
     denominators as scale and denom keep every sign, and a pairing of the
     vectors is ``ints[a] . images[b] / unit``."""
-    scale, rows = _common_integer_form(matrix)
-    denom, ints = _common_integer_form(vectors)
+    rows, scale = matrix.integer_form
+    ints, denom = RationalMatrix(vectors, matrix.ncols).integer_form
     images = [[sum(map(mul, row, v)) for row in rows] for v in ints]
     return scale * denom * denom, denom, ints, images
 
 
 def _pairings(left, right) -> list[list[int]]:
     return [[sum(map(mul, a, b)) for b in right] for a in left]
-
-
-def _quadratic_form(matrix: RationalMatrix, v: RationalVector) -> Fraction:
-    unit, _, (ints,), (image,) = _integer_gram(matrix, [v])
-    return Fraction(sum(map(mul, ints, image)), unit)
 
 
 def _det_adjugate(b: list[list[int]]) -> tuple[int, list[list[int]] | None]:
@@ -526,8 +515,7 @@ def _witness(matrix: RationalMatrix, lineality: Sequence[RationalVector],
     coords = _psd_witness(_pairings(ints, images), len(lineality), rest if rays else None)
     if coords is None:
         return None
-    total = tuple(sum(map(mul, coords, column)) for column in zip(*ints))
-    return RationalVector.from_ints(total).primitive()
+    return combination(coords, vectors, matrix.ncols).primitive()
 
 
 def _verdict(
@@ -540,7 +528,7 @@ def _verdict(
     return CopositivityResult(
         status=CopositivityStatus.NOT_COPOSITIVE,
         witness=witness,
-        witness_value=_quadratic_form(matrix, witness),
+        witness_value=matrix.matvec(witness).dot(witness),
         cells_certified=cells_certified,
         method=method,
     )
@@ -566,7 +554,7 @@ def _copositivity_exact(matrix: RationalMatrix, cone: PolyhedralCone) -> Coposit
     if vertex is not None:
         return CopositivityResult(
             status=CopositivityStatus.NOT_COPOSITIVE,
-            witness=RationalVector(Fraction(x, denom) for x in ints[vertex]),
+            witness=RationalVector.from_ints(ints[vertex], denom),
             witness_value=Fraction(diagonal[vertex], unit),
             method="generators",
         )

@@ -17,11 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from cone_audit.linalg import RationalMatrix, RationalVector
-from cone_audit.optimality import (
-    CopositivityResult,
-    CopositivityStatus,
-    _quadratic_form,
-)
+from cone_audit.optimality import CopositivityResult, CopositivityStatus
 
 
 def oracle_copositivity(
@@ -46,7 +42,7 @@ def oracle_copositivity(
         return CopositivityResult(
             status=CopositivityStatus.NOT_COPOSITIVE,
             witness=witness,
-            witness_value=_quadratic_form(matrix, witness),
+            witness_value=matrix.matvec(witness).dot(witness),
             method="subspace-factorization",
         )
 
@@ -179,7 +175,7 @@ def _sphere_sampling_falsifier(matrix, generators, samples):
             for c, g in zip(coeffs, generators):
                 exact = exact + g.scale(Fraction(float(c)))
             exact = exact.primitive()
-            value = _quadratic_form(matrix, exact)
+            value = matrix.matvec(exact).dot(exact)
             if value < 0:
                 return exact, value
     return None

@@ -809,6 +809,19 @@ def test_dependent_equality_rows_certify_and_verify(tmp_path, capsys):
         assert "Lagrange certificate identity" in out
 
 
+def test_verify_fails_a_lagrange_certificate_with_one_mu_too_few_or_too_many(tmp_path, capsys):
+    """A report whose certificate has one equality multiplier too many or
+    too few fails the identity check: no IndexError, and no missing mu read
+    as 0."""
+    report = run_analysis(parse_problem(json.dumps(_dependent_equality_problem())), "first-order")
+    certificate = report["results"]["condition"]["certificate"]
+    mus = certificate["equality_multipliers"]
+    for tampered in (mus + ["0"], mus[:-1]):
+        certificate["equality_multipliers"] = tampered
+        out = _tampered_verify(report, capsys, tmp_path)
+        assert "[FAIL] first-order: Lagrange certificate identity" in out
+
+
 def test_internal_self_check_failure_exits_three(tmp_path, capsys, monkeypatch):
     path = os.path.join(PROBLEMS, "orthant_qp.json")
     code, out, _ = run_cli(capsys, "qp", "--input", path, "--format", "json")

@@ -8,6 +8,8 @@ from cone_audit.errors import DimensionMismatchError
 from cone_audit.linalg import (
     RationalMatrix,
     RationalVector,
+    combination,
+    integer_form,
     kernel_basis,
     matrix,
     rational,
@@ -65,6 +67,83 @@ def test_integer_form_and_integer_vectors():
     assert ints.entries == (Fraction(1), Fraction(-2), Fraction(0))
     with pytest.raises(AttributeError):
         ints.entries = ()
+
+
+# Entries: zeros, integers, and fractions over large coprime denominators.
+_ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-10**6, 10**6).map(Fraction),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.sampled_from([2, 3, 7, 10007, 65537, 2**61 - 1])),
+)
+
+
+@st.composite
+def rational_vectors(draw, dim):
+    """A vector of dimension ``dim``: Fraction-built, or :meth:`from_ints` of
+    its integer form times a random factor, so the form arrives unreduced."""
+    values = draw(st.one_of(st.just([Fraction(0)] * dim), st.lists(_ENTRIES, min_size=dim, max_size=dim)))
+    if draw(st.booleans()):
+        return RationalVector(values)
+    ints, scale = integer_form(values)
+    factor = draw(st.sampled_from([1, 1, 2, 6, 10007]))
+    return RationalVector.from_ints(tuple(k * factor for k in ints), scale * factor)
+
+
+def _canonical(vec: RationalVector) -> bool:
+    return vec.integer_form == integer_form(vec.entries)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(*[rational_vectors(n)] * 3)), st.data())
+def test_integer_form_arithmetic_matches_fraction_reference(vectors, data):
+    """+, -, negation, scale, dot and matvec equal the entry-by-entry
+    Fraction computation, and every result carries the canonical integer form
+    (scale the lcm of the denominators) that ``_vector_json`` and
+    ``primitive`` read."""
+    a, b, c = vectors
+    x, y = a.entries, b.entries
+    factor = data.draw(st.one_of(st.just(0), _ENTRIES, st.sampled_from(["-3/7", "5"])))
+    results = [
+        (a + b, [p + q for p, q in zip(x, y)]),
+        (a - b, [p - q for p, q in zip(x, y)]),
+        (-a, [-p for p in x]),
+        (a.scale(factor), [rational(factor) * p for p in x]),
+        (matrix([b, c], len(x)).matvec(a), [sum((p * q for p, q in zip(r, x)), Fraction(0)) for r in (b, c)]),
+        (combination([rational(factor), 2], [b, c], len(x)), [rational(factor) * p + 2 * q for p, q in zip(y, c.entries)]),
+    ]
+    for result, reference in results:
+        assert _canonical(result) and result.entries == tuple(reference)
+        assert result == RationalVector(reference) and hash(result) == hash(RationalVector(reference))
+    assert a.dot(b) == sum((p * q for p, q in zip(x, y)), Fraction(0))
+    assert (a == b) == (x == y) and _canonical(a) and _canonical(b)
+
+
+@pytest.mark.parametrize("longer", [vector(1, "1/2", 3), RationalVector.from_ints((2, 0, 4), 3)])
+@pytest.mark.parametrize("shorter", [vector("2/3", 1), RationalVector.from_ints((1, -1))])
+def test_integer_form_arithmetic_checks_dimensions(longer, shorter):
+    """No integer sum truncates to the shorter operand."""
+    for operation in (
+        lambda: longer + shorter,
+        lambda: shorter + longer,
+        lambda: longer - shorter,
+        lambda: shorter - longer,
+        lambda: longer.dot(shorter),
+        lambda: shorter.dot(longer),
+        lambda: matrix([longer]).matvec(shorter),
+        lambda: matrix([shorter]).matvec(longer),
+        lambda: combination([1, 1], [longer, shorter], 3),
+        lambda: combination([1, 1], [longer, longer], 2),
+        lambda: combination([1], [longer, longer], 3),
+    ):
+        with pytest.raises(DimensionMismatchError):
+            operation()
+
+
+def test_symmetry_reads_integer_forms():
+    assert matrix([["1/2", "2/3", 0], ["2/3", 5, "-7/10007"], [0, "-7/10007", 1]]).is_symmetric()
+    assert not matrix([["1/2", "2/3"], ["2/6", 5]]).is_symmetric()
+    assert not matrix([["1/2", "2/3"], ["4/3", 5]]).is_symmetric()
+    assert not matrix([[1, 2, 3], [2, 1, 3]]).is_symmetric()
 
 
 def test_matrix_basics():

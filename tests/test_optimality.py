@@ -19,6 +19,7 @@ from cone_audit.linalg import RationalMatrix, RationalVector, matrix, vector
 from cone_audit.objectives import AffineRegion, QuadraticObjective, RegionKind, SmoothObjective, fixture
 from cone_audit.optimality import (
     CopositivityStatus,
+    LagrangeCertificate,
     Verdict,
     check_c1,
     check_c2_copositivity,
@@ -49,6 +50,50 @@ def test_first_order_holds_with_certificate():
     # -grad = 1 * (-1, 0) + 0 * (0, -1)
     assert cert.inequality_multipliers[0][2] == 1
     assert cert.verify(vector(1, 0), orthant_cone())
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(0, 2**32), st.integers(1, 4), st.integers(0, 4), st.integers(0, 2))
+def test_lagrange_certificate_verify_rejects_every_single_perturbation(seed, dim, num_ineq, num_eq):
+    """verify holds for -gradient = sum(lambda_i row_i) + sum(mu_j eq_j) with
+    lambda >= 0, and fails when any one multiplier moves, when a lambda is
+    negative (the identity rebuilt to hold), or with one mu too few or too many."""
+    rng = random.Random(seed)
+
+    def row():
+        r = random_vector(rng, dim)
+        return r if not r.is_zero() else RationalVector.unit(dim, 0)
+
+    cone = PolyhedralCone(
+        dim,
+        eq_rows=RationalMatrix([row() for _ in range(num_eq)], dim),
+        ineq_rows=RationalMatrix([row() for _ in range(num_ineq)], dim),
+    )
+    lams = [abs(small_fraction(rng)) for _ in range(num_ineq)]
+    mus = [small_fraction(rng) for _ in range(num_eq)]
+
+    def certificate(lams, mus):
+        return LagrangeCertificate(tuple((i, None, lam) for i, lam in enumerate(lams)), RationalVector(mus))
+
+    def gradient(lams, mus):
+        total = RationalVector.zero(dim)
+        for lam, r in zip(lams + mus, cone.ineq_rows.rows + cone.eq_rows.rows):
+            total = total + r.scale(lam)
+        return -total
+
+    grad = gradient(lams, mus)
+    assert certificate(lams, mus).verify(grad, cone)
+    delta = Fraction(rng.choice((-1, 1)), rng.choice((1, 3, 10007)))
+    for i in range(num_ineq):
+        moved = lams[:i] + [lams[i] + abs(delta)] + lams[i + 1:]
+        assert not certificate(moved, mus).verify(grad, cone)
+        negative = lams[:i] + [-abs(delta)] + lams[i + 1:]
+        assert not certificate(negative, mus).verify(gradient(negative, mus), cone)
+    for j in range(num_eq):
+        assert not certificate(lams, mus[:j] + [mus[j] + delta] + mus[j + 1:]).verify(grad, cone)
+    assert not certificate(lams, mus + [Fraction(0)]).verify(grad, cone)
+    if num_eq:
+        assert not certificate(lams, mus[:-1]).verify(gradient(lams, mus[:-1]), cone)
 
 
 def test_first_order_fails_with_ray():
