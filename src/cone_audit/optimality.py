@@ -44,18 +44,16 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .geometry import PolyhedralCone, Polyhedron
-from .linalg import RationalMatrix, RationalVector, bareiss_step, combination, integer_rref, row_space_basis
+from .linalg import RationalMatrix, RationalVector, bareiss_step, combination, integer_rref
 from .lp import LPResult, LPStatus, solve_lp
 from .objectives import (
     AffineRegion,
     QuadraticObjective,
-    RegionKind,
     SmoothLevelSetConstraint,
     SmoothObjective,
 )
 
 DEFAULT_FLOAT_TOL = 1e-9
-_EIG_TOL = 1e-10
 
 
 class Verdict(Enum):
@@ -87,9 +85,11 @@ class LagrangeCertificate:
 
     def verify(self, gradient: RationalVector, cone: PolyhedralCone) -> bool:
         """The identity, as one integer sum over a common denominator; False
-        on a negative lambda or not one mu per equality row."""
+        on a negative lambda, a position that is not an inequality row, or
+        not one mu per equality row."""
         ineq, mus = self.inequality_multipliers, list(self.equality_multipliers)
-        if any(lam < 0 for *_, lam in ineq) or len(mus) != cone.eq_rows.nrows:
+        positions = range(cone.ineq_rows.nrows)
+        if any(lam < 0 or pos not in positions for pos, _, lam in ineq) or len(mus) != cone.eq_rows.nrows:
             return False
         rows = [cone.ineq_rows.row(pos) for pos, *_ in ineq] + list(cone.eq_rows.rows)
         return combination([lam for *_, lam in ineq] + mus, rows, gradient.dim) == -gradient
@@ -105,14 +105,14 @@ class CopositivityResult:
     """Outcome of a copositivity test over a cone.
 
     On NOT_COPOSITIVE the witness lies in the cone and its quadratic form
-    value is negative (exact whenever the data is rational).
-    ``cells_certified`` counts the simplicial cells certified; ``depth_reached``
-    is always 0, kept for callers that read it (clibench's tracer).
+    value, exact, is negative.  ``cells_certified`` counts the simplicial
+    cells certified; ``depth_reached`` is always 0, kept for callers that
+    read it (clibench's tracer).
     """
 
     status: CopositivityStatus
-    witness: RationalVector | tuple[float, ...] | None = None
-    witness_value: Fraction | float | None = None
+    witness: RationalVector | None = None
+    witness_value: Fraction | None = None
     depth_reached: int = 0
     cells_certified: int = 0
     method: str = ""
@@ -402,18 +402,13 @@ def _psd_witness(q: list[list[int]], free: int, rest, d: int = 1) -> list[int] |
 
 
 def _integer_gram(matrix: RationalMatrix, vectors: Sequence[RationalVector]):
-    """``(unit, denom, ints, images)``: ``ints[a] = denom * vectors[a]`` in
-    integers and ``images[a] = (scale * matrix) ints[a]``; positive lcms of the
-    denominators as scale and denom keep every sign, and a pairing of the
-    vectors is ``ints[a] . images[b] / unit``."""
-    rows, scale = matrix.integer_form
-    ints, denom = RationalMatrix(vectors, matrix.ncols).integer_form
-    images = [[sum(map(mul, row, v)) for row in rows] for v in ints]
-    return scale * denom * denom, denom, ints, images
-
-
-def _pairings(left, right) -> list[list[int]]:
-    return [[sum(map(mul, a, b)) for b in right] for a in left]
+    """``(ints, images)``: ``ints[a]`` is ``vectors[a]`` times the lcm of
+    their denominators and ``images[a]`` is ``ints[a]`` times ``matrix``
+    scaled by the lcm of its own, so ``ints[a] . images[b]`` is a positive
+    multiple, the same for every pair, of the pairing of the vectors."""
+    rows, _ = matrix.integer_form
+    ints, _ = RationalMatrix(vectors, matrix.ncols).integer_form
+    return ints, [[sum(map(mul, row, v)) for row in rows] for v in ints]
 
 
 def _det_adjugate(b: list[list[int]]) -> tuple[int, list[list[int]] | None]:
@@ -502,74 +497,73 @@ def _cell_witness(b: list[list[int]], masks: Sequence[int]) -> tuple[list[int] |
     return None, len(cells)
 
 
-def _witness(matrix: RationalMatrix, lineality: Sequence[RationalVector],
-             rays: Sequence[RationalVector], rest=None) -> RationalVector | None:
-    """A member of span(lineality) + cone(rays) with negative form, or None.
+def check_c2_copositivity(matrix: RationalMatrix, cone: PolyhedralCone) -> CopositivityResult:
+    """Is <matrix v, v> >= 0 for every v in the cone?
 
-    :func:`_psd_witness` runs on the integer Gram matrix of the vectors,
-    with the lineality coefficients free and ``rest`` deciding the rays';
-    the witness is the coefficients' combination of the vectors, primitive.
+    Decided exactly on one integer Gram matrix P = G M G' of the extreme
+    generators G, lineality first: a pure subspace by pivoted factorization
+    of P; most cones on P's diagonal (a negative entry refutes) or on P
+    itself (zero lineality rows and a nonnegative ray block certify); convex
+    data by the same factorization of P's principal block at a basis of the
+    span chosen among the generators; and the rest by eliminating the
+    lineality through Schur complements and testing each cell of a pulling
+    triangulation with the Cottle-Habetler-Lemke criterion: no principal
+    submatrix B' of the cell's Gram matrix has det B' < 0 and adj B' >= 0.
+    The matrix must be exactly symmetric (ValueError otherwise).
     """
-    vectors = list(lineality) + list(rays)
-    _, _, ints, images = _integer_gram(matrix, vectors)
-    coords = _psd_witness(_pairings(ints, images), len(lineality), rest if rays else None)
-    if coords is None:
-        return None
-    return combination(coords, vectors, matrix.ncols).primitive()
-
-
-def _verdict(
-    matrix: RationalMatrix, witness: RationalVector | None, method: str, cells_certified: int = 0
-) -> CopositivityResult:
-    if witness is None:
-        return CopositivityResult(
-            status=CopositivityStatus.COPOSITIVE, cells_certified=cells_certified, method=method
-        )
-    return CopositivityResult(
-        status=CopositivityStatus.NOT_COPOSITIVE,
-        witness=witness,
-        witness_value=matrix.matvec(witness).dot(witness),
-        cells_certified=cells_certified,
-        method=method,
-    )
-
-
-def _copositivity_exact(matrix: RationalMatrix, cone: PolyhedralCone) -> CopositivityResult:
-    gens = cone.generators()
+    if not isinstance(matrix, RationalMatrix) or not isinstance(cone, PolyhedralCone):
+        raise TypeError("copositivity needs a RationalMatrix and a PolyhedralCone")
+    if not matrix.is_symmetric():
+        raise ValueError("copositivity matrix must be exactly symmetric")
+    gens = cone.extreme_generators()
     if gens.is_origin():
         return CopositivityResult(status=CopositivityStatus.COPOSITIVE, method="trivial")
+    vectors = gens.lineality + gens.rays
+    free = len(gens.lineality)
+    ints, images = _integer_gram(matrix, vectors)
 
-    if not gens.rays:
-        # Pure subspace: copositivity there is positive semidefiniteness of
-        # the restriction to the lineality basis, decided exactly.
-        return _verdict(matrix, _witness(matrix, gens.lineality, ()), "subspace-factorization")
-
-    # The generators decide most cones: one with negative form refutes (the
-    # root diagonal comes first, so a refutation needs no k x k matrix), and
-    # pairwise products all >= 0 certify.
-    generators = list(gens.spanning_vectors())
-    unit, denom, ints, images = _integer_gram(matrix, generators)
-    diagonal = [sum(map(mul, a, image)) for a, image in zip(ints, images)]
-    vertex = next((i for i, value in enumerate(diagonal) if value < 0), None)
-    if vertex is not None:
+    def verdict(coords: list[int] | None, method: str, certified: int = 0) -> CopositivityResult:
+        if coords is None:
+            return CopositivityResult(
+                status=CopositivityStatus.COPOSITIVE, cells_certified=certified, method=method
+            )
+        witness = combination(coords, vectors, cone.dim).primitive()
         return CopositivityResult(
             status=CopositivityStatus.NOT_COPOSITIVE,
-            witness=RationalVector.from_ints(ints[vertex], denom),
-            witness_value=Fraction(diagonal[vertex], unit),
-            method="generators",
+            witness=witness,
+            witness_value=matrix.matvec(witness).dot(witness),
+            cells_certified=certified,
+            method=method,
         )
-    if min(map(min, _pairings(ints, images))) >= 0:
-        return CopositivityResult(status=CopositivityStatus.COPOSITIVE, method="generators")
+
+    if gens.rays:
+        # The root diagonal comes first, rays before lineality, so a
+        # refutation needs no k x k matrix.
+        diagonal = [sum(map(mul, a, image)) for a, image in zip(ints, images)]
+        vertex = next((i for i in [*range(free, len(vectors)), *range(free)] if diagonal[i] < 0), None)
+        if vertex is not None:
+            return verdict([int(j == vertex) for j in range(len(vectors))], "generators")
+    # P is symmetric: its lower triangle, then each row's rest from its column
+    gram = [[sum(map(mul, a, b)) for b in images[: i + 1]] for i, a in enumerate(ints)]
+    for i, row in enumerate(gram):
+        row.extend([gram[j][i] for j in range(i + 1, len(gram))])
+    if not gens.rays:
+        # Pure subspace: copositivity there is positive semidefiniteness.
+        return verdict(_psd_witness(gram, free, None), "subspace-factorization")
+    # Every pairing of rays and +-lineality is >= 0 iff the lineality rows
+    # are zero and the ray block is nonnegative.
+    if not any(map(any, gram[:free])) and min(map(min, gram)) >= 0:
+        return verdict(None, "generators")
     # Positive semidefinite on the cone's span is copositive on the cone; this
     # spares convex data a triangulation, which can have 10^5 cells at dim 10.
-    if _witness(matrix, row_space_basis(RationalMatrix(generators, cone.dim)), ()) is None:
-        return CopositivityResult(status=CopositivityStatus.COPOSITIVE, method="subspace-factorization")
+    # The generators at the pivot columns of G' are a basis of the span.
+    _, basis, _ = integer_rref(zip(*ints), len(vectors))
+    if _psd_witness([[gram[i][j] for j in basis] for i in basis], len(basis), None) is None:
+        return verdict(None, "subspace-factorization")
 
-    # Otherwise the lineality is eliminated and the pointed rest triangulated,
-    # on the extreme rays of the H-form: given generators need not be extreme.
-    canonical = cone.extreme_generators()
+    # Otherwise the lineality is eliminated and the pointed rest triangulated.
     masks = [
-        sum(1 << j for j, ray in enumerate(canonical.rays) if row.scaled_dot(ray) == 0)
+        sum(1 << j for j, ray in enumerate(gens.rays) if row.scaled_dot(ray) == 0)
         for row in cone.ineq_rows.rows
     ]
     certified = 0
@@ -579,56 +573,7 @@ def _copositivity_exact(matrix: RationalMatrix, cone: PolyhedralCone) -> Coposit
         u, certified = _cell_witness(s, masks)
         return u
 
-    witness = _witness(matrix, canonical.lineality, canonical.rays, cell_witness)
-    return _verdict(matrix, witness, "cottle-habetler-lemke", certified)
-
-
-def _copositivity_float(m: np.ndarray, region: AffineRegion) -> CopositivityResult:
-    if region.kind is RegionKind.HYPERPLANE:
-        unit = region.normal / np.linalg.norm(region.normal)
-        _, _, vh = np.linalg.svd(unit.reshape(1, -1))
-        basis = vh[1:]
-    else:
-        # q(v) = q(-v), and the half-space plus its negation cover the whole
-        # space, so copositivity on a half-space is plain semidefiniteness.
-        basis = np.eye(region.dim)
-    restricted = basis @ m @ basis.T
-    eigenvalues, eigenvectors = np.linalg.eigh(restricted)
-    smallest = float(eigenvalues[0])
-    if smallest >= -_EIG_TOL:
-        return CopositivityResult(status=CopositivityStatus.COPOSITIVE, method="eigenvalue")
-    witness = eigenvectors[:, 0] @ basis
-    return CopositivityResult(
-        status=CopositivityStatus.NOT_COPOSITIVE,
-        witness=tuple(float(a) for a in witness),
-        witness_value=smallest,
-        method="eigenvalue",
-    )
-
-
-def check_c2_copositivity(matrix, cone: PolyhedralCone | AffineRegion) -> CopositivityResult:
-    """Is <matrix v, v> >= 0 for every v in the cone?
-
-    The matrix must be symmetric, exactly for rational cones and to 1e-12
-    relative for float regions (ValueError otherwise).  A rational cone is
-    always decided, exactly: a pure subspace by pivoted factorization of
-    the restricted matrix, most cones on their generators or by the same
-    factorization on their span, and the rest by eliminating the lineality
-    through Schur complements and testing each cell of a pulling
-    triangulation with the Cottle-Habetler-Lemke criterion: no principal
-    submatrix B' of the cell's Gram matrix has det B' < 0 and adj B' >= 0.
-    Float regions use an eigenvalue threshold of 1e-10.
-    """
-    if isinstance(cone, PolyhedralCone):
-        if not isinstance(matrix, RationalMatrix):
-            raise TypeError("exact copositivity requires a RationalMatrix")
-        if not matrix.is_symmetric():
-            raise ValueError("copositivity matrix must be exactly symmetric")
-        return _copositivity_exact(matrix, cone)
-    m = np.asarray(matrix, dtype=float)
-    if float(np.max(np.abs(m - m.T))) > 1e-12 * max(1.0, float(np.max(np.abs(m)))):
-        raise ValueError("copositivity matrix must be exactly symmetric")
-    return _copositivity_float(m, cone)
+    return verdict(_psd_witness(gram, free, cell_witness), "cottle-habetler-lemke", certified)
 
 
 # ---------------------------------------------------------------------------

@@ -288,9 +288,11 @@ def parse_problem_dict(data) -> ProblemFile:
     if point is not None and dimension is not None and len(point) != dimension:
         v.error("$.query.point", f"point has {len(point)} entries, expected {dimension}")
     if dimension is not None:
-        for i, d in enumerate(directions):
-            if len(d) != dimension:
-                v.error(f"$.query.directions[{i}]", f"direction has {len(d)} entries, expected {dimension}")
+        for key, name, vectors in (("directions", "direction", directions),
+                                   ("z_candidates", "candidate", z_candidates)):
+            for i, d in enumerate(vectors):
+                if len(d) != dimension:
+                    v.error(f"$.query.{key}[{i}]", f"{name} has {len(d)} entries, expected {dimension}")
     if point is None and fixture_obj is not None:
         point = tuple(
             fixture_obj.candidate_point

@@ -1,6 +1,6 @@
 """Reference copositivity partition on `Fraction` vectors, for differential tests.
 
-This is the bisection partition `optimality._copositivity_exact` ran before
+This is the bisection partition `optimality.check_c2_copositivity` ran before
 the Cottle-Habetler-Lemke test replaced it: every cell recomputes its k x k
 pairings with a fresh `matvec`, the longest edge is measured on the vectors
 themselves, and a seeded falsifier draws and screens one sample at a time.

@@ -822,6 +822,17 @@ def test_verify_fails_a_lagrange_certificate_with_one_mu_too_few_or_too_many(tmp
         assert "[FAIL] first-order: Lagrange certificate identity" in out
 
 
+def test_verify_fails_a_lagrange_certificate_with_a_position_out_of_range(tmp_path, capsys):
+    """Position 99 died with an IndexError; -1 read the last row and passed."""
+    code, out, _ = run_cli(capsys, "qp", "--input", os.path.join(PROBLEMS, "orthant_qp.json"), "--format", "json")
+    assert code == 0
+    for position in (99, -1):
+        report = json.loads(out)
+        report["results"]["c0"]["certificate"]["inequality_multipliers"][0]["position"] = position
+        text = _tampered_verify(report, capsys, tmp_path)
+        assert "[FAIL] c0: Lagrange certificate identity" in text and "Traceback" not in text
+
+
 def test_internal_self_check_failure_exits_three(tmp_path, capsys, monkeypatch):
     path = os.path.join(PROBLEMS, "orthant_qp.json")
     code, out, _ = run_cli(capsys, "qp", "--input", path, "--format", "json")
@@ -880,6 +891,24 @@ def test_non_list_directions_and_non_finite_tolerance_exit_three(tmp_path, capsy
     ):
         code, _, err = run_cli(capsys, "first-order", "--input", _ex41_ssd_problem(tmp_path, **fields))
         assert (code, err) == (3, message)
+
+
+def test_z_candidates_of_the_wrong_length_exit_three(tmp_path, capsys):
+    """ssd read only z[0] of a long candidate in 1-D and broadcast a short
+    one against the 2-D Hessian action; theorem41 died in numpy."""
+    ex31 = tmp_path / "ex31.json"
+    ex31.write_text(json.dumps({
+        "version": "1",
+        "constraint": {"type": "fixture", "name": "ex31"},
+        "query": {"point": [0.5, 0.5], "directions": [[1.0, 0.0]], "z_candidates": [[-2.0]], "regime": "float"},
+    }))
+    for command, path, message in (
+        ("ssd", _ex41_ssd_problem(tmp_path, z_candidates=[[-0.5, 99]]), "candidate has 2 entries, expected 1"),
+        ("ssd", str(ex31), "candidate has 1 entries, expected 2"),
+        ("theorem41", _ex41_ssd_problem(tmp_path, z_candidates=[[-0.5, 99]]), "candidate has 2 entries, expected 1"),
+    ):
+        code, out, err = run_cli(capsys, command, "--input", path)
+        assert (code, out, err) == (3, "", f"schema error: $.query.z_candidates[0]: {message}\n")
 
 
 def test_tolerance_flag_takes_finite_nonnegative_values(tmp_path, capsys):

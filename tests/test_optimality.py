@@ -15,7 +15,7 @@ from cone_audit import optimality
 from cone_audit.analysis import run_analysis
 from cone_audit.dd import GeneratorSet, double_description
 from cone_audit.geometry import PolyhedralCone, Polyhedron, cone_equal
-from cone_audit.linalg import RationalMatrix, RationalVector, matrix, vector
+from cone_audit.linalg import RationalMatrix, RationalVector, matrix, row_space_basis, vector
 from cone_audit.objectives import AffineRegion, QuadraticObjective, RegionKind, SmoothObjective, fixture
 from cone_audit.optimality import (
     CopositivityStatus,
@@ -279,28 +279,49 @@ def test_copositivity_witness_after_subdivision():
     assert m.matvec(res.witness).dot(res.witness) == res.witness_value < 0
 
 
-def test_copositivity_float_subspace():
-    region = AffineRegion(RegionKind.HYPERPLANE, [1.0, 0.0], 0.0)
-    result = check_c2_copositivity(np.diag([-4.0, -2.0]), region)
-    assert result.status is CopositivityStatus.NOT_COPOSITIVE
-    assert abs(result.witness_value - (-2.0)) < 1e-9
-    assert abs(abs(result.witness[1]) - 1.0) < 1e-9
-    ok = check_c2_copositivity(np.diag([-4.0, 2.0]), region)
-    assert ok.status is CopositivityStatus.COPOSITIVE
-
-
 def test_copositivity_rejects_non_symmetric_matrix():
     # (1, 1) gives -1, but the upper triangle alone looks copositive
     with pytest.raises(ValueError, match="exactly symmetric"):
         check_c2_copositivity(matrix([[1, -6], [3, 1]]), orthant_cone())
-    # eigh reads one triangle: the form at its witness would be +2.5, not -2
+
+
+def test_copositivity_takes_only_exact_matrices_and_polyhedral_cones():
     half_space = AffineRegion(RegionKind.HALF_SPACE, [1.0, 0.0], 0.0)
-    for asymmetric in ([[1.0, -6.0], [3.0, 1.0]], [[1.0, 3.0], [-6.0, 1.0]]):
-        with pytest.raises(ValueError, match="exactly symmetric"):
-            check_c2_copositivity(np.array(asymmetric), half_space)
-    # asymmetry within 1e-12 relative is accepted, as for Hessians
-    nearly = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
-    assert check_c2_copositivity(nearly, half_space).status is CopositivityStatus.COPOSITIVE
+    with pytest.raises(TypeError):
+        check_c2_copositivity(matrix([[1, 0], [0, 1]]), half_space)
+    with pytest.raises(TypeError):
+        check_c2_copositivity(np.eye(2), orthant_cone())
+
+
+@pytest.mark.parametrize("with_lineality", [False, True])
+def test_copositivity_span_test_picks_a_basis_among_dependent_generators(with_lineality):
+    """Given generators, repeated and not all extreme, whose extreme rays
+    sort as a square cone in w = 0 first and then (1, 1, 1, 1, 0): the first
+    rank-many generators (lineality e5 first, when present) are dependent.
+    M is PSD on the span, yet some generators pair negatively, so only the
+    span test certifies it; with M44 = 1 it is negative on the span but not
+    on the square's subspace, so the span test must not certify it."""
+    square = [vector(-1, 0, 1, 0, 0), vector(0, -1, 1, 0, 0), vector(0, 1, 1, 0, 0), vector(1, 0, 1, 0, 0)]
+    rays = (vector(1, 1, 1, 1, 0), vector(0, 0, 2, 0, 0), square[2].scale(2), *square)
+    lineality = (vector(0, 0, 0, 0, 1),) if with_lineality else ()
+    cone = PolyhedralCone(5, generators=GeneratorSet(5, rays, lineality))
+    extreme = cone.extreme_generators()
+    leading = (extreme.lineality + extreme.rays)[: len(lineality) + 4]
+    assert len(row_space_basis(RationalMatrix(leading, 5))) < len(leading)
+    spanning = cone.generators().spanning_vectors()
+    for m44, copositive in ((5, True), (1, False)):
+        # M55 < 0 is off the span without lineality, and in its Gram block with it
+        m = matrix([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, -2, 0], [0, 0, -2, m44, 0],
+                    [0, 0, 0, 0, 1 if with_lineality else -1]])
+        gram = [[m.matvec(a).dot(b) for b in spanning] for a in spanning]
+        assert min(map(min, gram)) < 0 and _kaplan_copositive(gram) is copositive
+        result = check_c2_copositivity(m, cone)
+        if copositive:
+            assert (result.status, result.method) == (CopositivityStatus.COPOSITIVE, "subspace-factorization")
+        else:
+            assert (result.status, result.method) == (CopositivityStatus.NOT_COPOSITIVE, "cottle-habetler-lemke")
+            assert cone.contains(result.witness)
+            assert m.matvec(result.witness).dot(result.witness) == result.witness_value < 0
 
 
 small_fractions = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 4)))

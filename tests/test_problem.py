@@ -177,6 +177,15 @@ def test_non_list_query_fields_rejected(key, value):
     assert info.value.errors == [f"$.query.{key}: expected a list"]
 
 
+def test_z_candidates_of_the_wrong_length_rejected():
+    with pytest.raises(ProblemFormatError) as info:
+        parse_problem_dict(ex41_query(z_candidates=[-1.0, [0.5, 2.0], [], [1.5]]))
+    assert info.value.errors == [
+        "$.query.z_candidates[1]: candidate has 2 entries, expected 1",
+        "$.query.z_candidates[2]: candidate has 0 entries, expected 1",
+    ]
+
+
 @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", "0", "-1", "1" + "0" * 400])
 def test_non_finite_or_non_positive_tolerance_rejected(text):
     problem = json.dumps(ex41_query()).replace('"regime"', f'"tolerance": {text}, "regime"')
