@@ -58,11 +58,9 @@ from .optimality import (
 )
 from .ssd import (
     CalmnessEstimate,
-    EX41_GRADIENT_FAMILY,
     HypothesisReport,
     LogMesh,
     MembershipVerdict,
-    PiecewiseGradientDescriptor,
     SSDQuery,
     estimate_calmness,
     ssd_hessian_closed_form,

@@ -36,7 +36,6 @@ from .optimality import (
 from .problem import ProblemFile, parse_problem_dict
 from .ssd import (
     DEFAULT_MEMBERSHIP_TOL,
-    EX41_GRADIENT_FAMILY,
     LogMesh,
     SSDQuery,
     _membership_quotient,
@@ -413,14 +412,14 @@ def _run_ssd(ctx: _Context) -> tuple[dict, int]:
                     exit_code = EXIT_SOME_FAIL
         results["memberships"] = queries
         if ctx.problem.fixture is not None and ctx.problem.fixture.name == "ex41":
+            # the closed form covers v >= 0; the second-order subdifferential
+            # is empty at v < 0, which the memberships above report
             intervals = []
-            for v in directions:
-                lo, hi = ssd_interval_1d_example_family(
-                    EX41_GRADIENT_FAMILY, Fraction(float(v[0]))
-                )
-                intervals.append(
-                    {"direction": float(v[0]), "interval": [str(lo), str(hi)]}
-                )
+            for direction in directions:
+                v = float(direction[0])
+                if v >= 0:
+                    lo, hi = ssd_interval_1d_example_family(Fraction(v))
+                    intervals.append({"direction": v, "interval": [str(lo), str(hi)]})
             results["closed_form_intervals"] = intervals
         calmness = estimate_calmness(objective, point, CALMNESS_RADIUS, CALMNESS_SAMPLES)
         results["calmness"] = {
@@ -595,14 +594,20 @@ class _Revalidator:
     def gradient(self) -> RationalVector:
         return _as_rational_vector(_gradient_for(self.ctx))
 
-    def _recedes(self, region: AffineRegion, ray) -> bool:
-        """Is the float vector ``ray`` a recession direction of the
-        half-space or hyperplane ``region``, one its normal does not oppose?"""
-        along = float(np.asarray(region.normal) @ np.asarray(ray))
+    def _holds_witness(self, region, entry: dict) -> tuple[RationalVector, bool]:
+        """The entry's witness, exact, and whether ``region`` holds it: a cone
+        contains it; a half-space or hyperplane contains it within the
+        tolerance, or, for a margin of -inf, has it as a recession direction,
+        one its normal does not oppose."""
+        witness = _as_rational_vector(entry["witness"])
+        if isinstance(region, PolyhedralCone):
+            return witness, region.contains(witness)
+        if entry.get("margin") != "-inf":
+            return witness, region.contains(witness.as_floats(), self.ctx.tolerance)
+        along = float(region.normal @ np.asarray(witness.as_floats()))
         bound = self.ctx.tolerance * max(1.0, float(np.linalg.norm(region.normal)))
-        if region.kind is RegionKind.HYPERPLANE:
-            return abs(along) <= bound
-        return along <= bound
+        inside = abs(along) <= bound if region.kind is RegionKind.HYPERPLANE else along <= bound
+        return witness, inside
 
     def _check_linear_condition(self, label: str, entry: dict, cone) -> None:
         """Substitute a Fails witness / verify a Holds Lagrange certificate."""
@@ -610,14 +615,7 @@ class _Revalidator:
             return
         verdict = entry.get("verdict")
         if verdict == "fails" and entry.get("witness") is not None:
-            witness = _as_rational_vector(entry["witness"])
-            if isinstance(cone, PolyhedralCone):
-                inside = cone.contains(witness)
-            elif entry.get("margin") == "-inf":
-                # the witness is a recession direction of the region, not a point
-                inside = self._recedes(cone, witness.as_floats())
-            else:
-                inside = cone.contains(witness.as_floats(), self.ctx.tolerance)
+            witness, inside = self._holds_witness(cone, entry)
             pairing = self.gradient.dot(witness)
             sup = max(abs(a) for a in witness.entries)
             # the zero vector violates nothing
@@ -707,26 +705,16 @@ class _Revalidator:
         """
         if not entry or entry.get("verdict") != "fails" or entry.get("witness") is None:
             return
-        curvature = self._curvature(direction)
+        witness, inside = self._holds_witness(second, entry)
+        pairing = self.gradient.dot(witness)
         unbounded = entry.get("margin") == "-inf"
-        if isinstance(second, PolyhedralCone):
-            witness = _as_rational_vector(entry["witness"])
-            pairing = self.gradient.dot(witness)
-            violation = pairing if unbounded else pairing + curvature
-            ok = second.contains(witness) and violation < 0
-            detail = f"violation = {float(violation):.6g}"
-        else:
-            witness = np.asarray([float(a) for a in entry["witness"]])
-            grad = self.ctx.smooth_objective().gradient_at(self.ctx.point_floats())
-            pairing = float(grad @ witness)
-            if unbounded:
-                ok = self._recedes(second, witness) and pairing < 0
-                detail = f"<grad, ray> = {pairing:.6g}"
-            else:
-                violation = pairing + float(curvature)
-                ok = second.contains(witness, self.ctx.tolerance) and violation < 0
-                detail = f"violation = {violation:.6g}"
-        self.add("classical: witness reproduces the violation", ok, detail)
+        violation = pairing if unbounded else pairing + self._curvature(direction)
+        quantity = "<grad, ray>" if unbounded and isinstance(second, AffineRegion) else "violation"
+        self.add(
+            "classical: witness reproduces the violation",
+            inside and violation < 0,
+            f"{quantity} = {float(violation):.6g}",
+        )
 
     def _verify_qp(self, results: dict) -> None:
         tangent = self.ctx.tangent

@@ -51,7 +51,7 @@ class VanishingGradientError(ConeAuditError):
 
 
 class UnsupportedFamilyError(ConeAuditError):
-    """A closed-form query was made outside the shipped piecewise family."""
+    """A closed-form query outside the shipped piecewise family's cover (v < 0)."""
 
 
 class ProblemFormatError(ConeAuditError):

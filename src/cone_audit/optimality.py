@@ -26,9 +26,11 @@ therefore (c0), so the (c1') quantifier needs no enumeration, and the
 classical check over a polyhedral second-order set is (c1) read exactly plus
 the curvature sign.
 
-Exact checks take tolerance 0.  Float-regime checks treat violations within
-the tolerance as boundary Holds, because irrational candidate points make
-exact zeros unattainable in binary64.
+Every verdict is one sign rule on a margin (:func:`_sign_report`): an exact
+margin holds iff it is >= 0; a float margin holds iff it is >= -tolerance,
+and is a boundary Hold when it is also within the tolerance of 0, because
+irrational candidate points make exact zeros unattainable in binary64.  A
+margin of -inf fails.  Exact checks take tolerance 0.
 """
 
 from __future__ import annotations
@@ -85,11 +87,12 @@ class LagrangeCertificate:
 
     def verify(self, gradient: RationalVector, cone: PolyhedralCone) -> bool:
         """The identity, as one integer sum over a common denominator; False
-        on a negative lambda, a position that is not an inequality row, or
-        not one mu per equality row."""
+        on a negative lambda, a position that is not the int index of an
+        inequality row, or not one mu per equality row."""
         ineq, mus = self.inequality_multipliers, list(self.equality_multipliers)
         positions = range(cone.ineq_rows.nrows)
-        if any(lam < 0 or pos not in positions for pos, _, lam in ineq) or len(mus) != cone.eq_rows.nrows:
+        usable = all(lam >= 0 and type(pos) is int and pos in positions for pos, _, lam in ineq)
+        if not usable or len(mus) != cone.eq_rows.nrows:
             return False
         rows = [cone.ineq_rows.row(pos) for pos, *_ in ineq] + list(cone.eq_rows.rows)
         return combination([lam for *_, lam in ineq] + mus, rows, gradient.dim) == -gradient
@@ -235,6 +238,34 @@ def _steepness(gradient: RationalVector, ray: RationalVector) -> Fraction:
     return Fraction(gradient.scaled_dot(ray), gradient.integer_form[1] * max(map(abs, ray.integer_form[0])))
 
 
+def _sign_report(
+    condition: ConditionId,
+    margin: Fraction | float,
+    tolerance: float | Fraction,
+    witness,
+    certificate: LagrangeCertificate | None = None,
+    notes: str = "",
+) -> ConditionReport:
+    """The one verdict rule: an exact margin holds iff it is >= 0; a float
+    margin iff it is >= -tolerance, a boundary hold when also within the
+    tolerance of 0 (-inf fails).  The witness is kept on a failure, the
+    certificate on a hold."""
+    if isinstance(margin, Fraction):
+        holds, boundary = margin >= 0, False
+    else:
+        holds = margin >= -tolerance
+        boundary = holds and abs(margin) <= tolerance
+    return ConditionReport(
+        condition=condition,
+        verdict=Verdict.HOLDS if holds else Verdict.FAILS,
+        witness=None if holds else witness,
+        certificate=certificate if holds else None,
+        margin=margin,
+        boundary=boundary,
+        notes=notes,
+    )
+
+
 def _linear_condition_on_cone(
     gradient: RationalVector,
     cone: PolyhedralCone,
@@ -255,58 +286,28 @@ def _linear_condition_on_cone(
         )
         if not certificate.verify(gradient, cone):
             raise RuntimeError("Lagrange certificate failed exact verification")
-        return ConditionReport(
-            condition=condition,
-            verdict=Verdict.HOLDS,
-            certificate=certificate,
-            margin=Fraction(0),
-        )
+        return _sign_report(condition, Fraction(0), tolerance, None, certificate)
     ray = result.witness.primitive()
     scaled = _steepness(gradient, ray)
-    if tolerance and abs(scaled) <= tolerance:
-        return ConditionReport(
-            condition=condition,
-            verdict=Verdict.HOLDS,
-            margin=float(scaled),
-            boundary=True,
-            notes="violation within tolerance; treated as boundary case",
-        )
-    return ConditionReport(
-        condition=condition,
-        verdict=Verdict.FAILS,
-        witness=ray,
-        margin=scaled if tolerance == 0 else float(scaled),
-    )
+    report = _sign_report(condition, scaled if tolerance == 0 else float(scaled), tolerance, ray)
+    if report.boundary:
+        return replace(report, notes="violation within tolerance; treated as boundary case")
+    return report
+
+
+def _region_witness(attained, ray) -> tuple[float, ...]:
+    """The descent ray of an unbounded infimum, else the attaining point."""
+    return tuple(float(a) for a in (attained if ray is None else ray))
 
 
 def _linear_condition_on_region(
-    gradient,
-    region: AffineRegion,
-    tolerance: float,
-    condition: ConditionId,
+    infimum: tuple, tolerance: float, condition: ConditionId
 ) -> ConditionReport:
-    value, attained, ray = region.linear_infimum(gradient, tolerance)
-    if value == float("-inf"):
-        return ConditionReport(
-            condition=condition,
-            verdict=Verdict.FAILS,
-            witness=tuple(float(a) for a in ray),
-            margin=float("-inf"),
-            notes="pairing is unbounded below on the region",
-        )
-    if value >= -tolerance:
-        return ConditionReport(
-            condition=condition,
-            verdict=Verdict.HOLDS,
-            margin=float(value),
-            boundary=abs(value) <= tolerance,
-        )
-    return ConditionReport(
-        condition=condition,
-        verdict=Verdict.FAILS,
-        witness=tuple(float(a) for a in attained),
-        margin=float(value),
-    )
+    """Read :meth:`AffineRegion.linear_infimum`'s (value, attained, ray) as
+    <gradient, .> >= 0 on the region."""
+    value, attained, ray = infimum
+    notes = "" if ray is None else "pairing is unbounded below on the region"
+    return _sign_report(condition, value, tolerance, _region_witness(attained, ray), notes=notes)
 
 
 def first_order_check(
@@ -326,7 +327,9 @@ def first_order_check(
         return _linear_condition_on_cone(
             grad, tangent, _pairing_lp(grad, tangent), tolerance, condition
         )
-    return _linear_condition_on_region(gradient, tangent, float(tolerance), condition)
+    tolerance = float(tolerance)
+    infimum = tangent.linear_infimum(gradient, tolerance)
+    return _linear_condition_on_region(infimum, tolerance, condition)
 
 
 def check_c1(
@@ -599,9 +602,11 @@ def classical_second_order_check(
         return _classical_on_cone(
             grad, curvature, second_order_set, _pairing_lp(grad, second_order_set), tolerance
         )
-    infimum, attained, ray = second_order_set.linear_infimum(gradient, float(tolerance))
-    witness_point = tuple(float(a) for a in (ray if ray is not None else attained))
-    return _classical_report(infimum, witness_point, None, curvature, tolerance)
+    infimum = second_order_set.linear_infimum(gradient, float(tolerance))
+    return _classical_on_region(infimum, curvature, tolerance)
+
+
+_UNBOUNDED_CLASSICAL = "gradient pairing is unbounded below on the second-order set"
 
 
 def _classical_on_cone(
@@ -611,47 +616,25 @@ def _classical_on_cone(
     result: LPResult,
     tolerance: float | Fraction,
 ) -> ConditionReport:
-    """The classical check read off the pairing LP ``result`` with tolerance 0."""
+    """The classical check read off the pairing LP ``result``: the infimum is
+    0, attained at the origin, or -inf along the LP's ray."""
     linear = _linear_condition_on_cone(gradient, cone, result, 0, ConditionId.CLASSICAL_32)
-    if linear.verdict is Verdict.HOLDS:
-        return _classical_report(
-            Fraction(0), RationalVector.zero(gradient.dim), linear.certificate, curvature, tolerance
-        )
-    return _classical_report(float("-inf"), linear.witness, None, curvature, tolerance)
+    if linear.verdict is Verdict.FAILS:
+        return replace(linear, margin=float("-inf"), notes=_UNBOUNDED_CLASSICAL)
+    margin = linear.margin + curvature
+    zero = RationalVector.zero(gradient.dim)
+    return _sign_report(ConditionId.CLASSICAL_32, margin, tolerance, zero, linear.certificate)
 
 
-def _classical_report(
-    infimum: Fraction | float,
-    witness_point: RationalVector | tuple,
-    certificate: LagrangeCertificate | None,
-    curvature: Fraction | float,
-    tolerance: float | Fraction,
+def _classical_on_region(
+    infimum: tuple, curvature: Fraction | float, tolerance: float | Fraction
 ) -> ConditionReport:
-    if infimum == float("-inf"):
-        return ConditionReport(
-            condition=ConditionId.CLASSICAL_32,
-            verdict=Verdict.FAILS,
-            witness=witness_point,
-            margin=float("-inf"),
-            notes="gradient pairing is unbounded below on the second-order set",
-        )
-    total = infimum + curvature
-    exact = isinstance(total, Fraction)
-    holds = (total >= 0) if exact else (total >= -tolerance)
-    if holds:
-        return ConditionReport(
-            condition=ConditionId.CLASSICAL_32,
-            verdict=Verdict.HOLDS,
-            certificate=certificate,
-            margin=total,
-            boundary=(not exact) and abs(total) <= tolerance,
-        )
-    return ConditionReport(
-        condition=ConditionId.CLASSICAL_32,
-        verdict=Verdict.FAILS,
-        witness=witness_point,
-        margin=total,
-    )
+    """The classical check read off :meth:`AffineRegion.linear_infimum`'s
+    (value, attained, ray)."""
+    value, attained, ray = infimum
+    notes = "" if ray is None else _UNBOUNDED_CLASSICAL
+    witness = _region_witness(attained, ray)
+    return _sign_report(ConditionId.CLASSICAL_32, value + curvature, tolerance, witness, notes=notes)
 
 
 @dataclass(frozen=True)
@@ -727,16 +710,11 @@ def theorem33_check(
         else:
             critical = assess_direction_region(region, vec, pairing, tolerance)
             second_order = constraint.second_order_tangent_set(point, vec, tolerance)
-            c1 = check_c1(grad, second_order, tolerance)
-            classical = classical_second_order_check(grad, curvature, second_order, tolerance)
-        holds = curvature >= -tolerance
-        c2_at_v = ConditionReport(
-            condition=ConditionId.C2,
-            verdict=Verdict.HOLDS if holds else Verdict.FAILS,
-            witness=None if holds else vec if exact else tuple(float(a) for a in vec),
-            margin=curvature,
-            boundary=holds and not exact and abs(curvature) <= tolerance,
-        )
+            infimum = second_order.linear_infimum(grad, tolerance)
+            c1 = _linear_condition_on_region(infimum, tolerance, ConditionId.C1)
+            classical = _classical_on_region(infimum, curvature, tolerance)
+        witness = vec if exact else tuple(float(a) for a in vec)
+        c2_at_v = _sign_report(ConditionId.C2, curvature, tolerance, witness)
         bundles.append(
             SecondOrderBundle(
                 direction=critical,

@@ -169,31 +169,13 @@ def _membership_quotient(
     return numerator / denominator
 
 
-@dataclass(frozen=True)
-class PiecewiseGradientDescriptor:
-    """1-D gradient map: slope * x on the left of 0, x^power on the right."""
+def ssd_interval_1d_example_family(direction: Fraction | int) -> tuple[Fraction, Fraction]:
+    """Closed-form membership interval [-v, 0] of the shipped piecewise
+    family (gradient -x left of the origin, x^2 right of it, base point 0).
 
-    left_slope: Fraction = Fraction(-1)
-    right_power: int = 2
-
-
-EX41_GRADIENT_FAMILY = PiecewiseGradientDescriptor()
-
-
-def ssd_interval_1d_example_family(
-    descriptor: PiecewiseGradientDescriptor, direction: Fraction | int
-) -> tuple[Fraction, Fraction]:
-    """Closed-form membership interval [-v, 0] for the shipped family.
-
-    Only the shipped descriptor (slope -1 left of the origin, square right
-    of it, base point 0) with direction v >= 0 is supported; no general
-    closed form is attempted.
+    Only directions v >= 0 are covered (UnsupportedFamilyError otherwise); no
+    general closed form is attempted.
     """
-    if descriptor != EX41_GRADIENT_FAMILY:
-        raise UnsupportedFamilyError(
-            "closed-form membership intervals are only available for the "
-            "shipped piecewise gradient family"
-        )
     v = Fraction(direction)
     if v < 0:
         raise UnsupportedFamilyError(

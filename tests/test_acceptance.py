@@ -25,7 +25,6 @@ from cone_audit.optimality import (
 )
 from cone_audit.linalg import solve_linear
 from cone_audit.ssd import (
-    EX41_GRADIENT_FAMILY,
     SSDQuery,
     estimate_calmness,
     ssd_interval_1d_example_family,
@@ -116,10 +115,10 @@ def test_criterion_3_ex32():
 @criterion(4, 5.0, "piecewise C1 example: interval, oracle grid, hypothesis check, calmness")
 def test_criterion_4_ex41():
     fx = fixture("ex41")
-    assert ssd_interval_1d_example_family(EX41_GRADIENT_FAMILY, 1) == (-1, 0)
+    assert ssd_interval_1d_example_family(1) == (-1, 0)
 
     for v in (0, 1, 2):
-        lo, hi = ssd_interval_1d_example_family(EX41_GRADIENT_FAMILY, v)
+        lo, hi = ssd_interval_1d_example_family(v)
         for z in (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5):
             member = ssd_membership(SSDQuery(fx.objective, 0.0, float(v), z)).member
             assert member == (lo <= Fraction(z) <= hi), (v, z)

@@ -243,6 +243,59 @@ def test_ssd_command(tmp_path, capsys):
     assert "closed-form membership interval" in out
 
 
+def test_ssd_on_ex41_lists_closed_forms_for_nonnegative_directions_only(tmp_path, capsys):
+    """The normal cone of ex41's gradient graph at 0 is {(a, b) | a <= 0,
+    b <= a}, so the second-order subdifferential is empty at v < 0: the
+    mesh oracle reads NotMember for every z there, and the closed form is
+    listed for v >= 0 only (v < 0 exited 3)."""
+    candidates = [[-2.0], [-1.0], [-0.5], [0.0], [0.5]]
+    path = _ex41_ssd_problem(tmp_path, directions=[[-2.0], [-1.0], [1.0]], z_candidates=candidates)
+    code, out, err = run_cli(capsys, "ssd", "--input", path)
+    assert (code, err) == (1, "")
+    for v in ("-2.0", "-1.0"):
+        assert all(f"z = {z[0]}, v = {v}: NotMember" in out for z in candidates)
+    assert "z = -0.5, v = 1.0: Member" in out
+    assert "closed-form membership interval at v = 1.0: [-1, 0]\n" in out
+    assert "interval at v = -" not in out
+    code, out, err = run_cli(capsys, "ssd", "--input", path, "--format", "json")
+    report = json.loads(out)
+    assert report["results"]["closed_form_intervals"] == [{"direction": 1.0, "interval": ["-1", "0"]}]
+    assert revalidate_report(report)[0]
+
+
+def test_ssd_compares_candidates_with_the_hessian_action(tmp_path, capsys):
+    """ex32 at its candidate point, v = (0, 1): the action H v is (0, -2)."""
+    problem = {
+        "version": "1",
+        "constraint": {"type": "fixture", "name": "ex32"},
+        "query": {"directions": [[0.0, 1.0]], "z_candidates": [[0.0, -2.0], [1.0, 1.0]], "regime": "float"},
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(problem))
+    code, out, err = run_cli(capsys, "ssd", "--input", str(path))
+    assert (code, err) == (1, "")
+    assert "second-order action at v = (0.0, 1.0): (0.0, -2.0)\n" in out
+    assert "  z = (0.0, -2.0): Member\n  z = (1.0, 1.0): NotMember\n" in out
+    code, out, err = run_cli(capsys, "ssd", "--input", str(path), "--format", "json")
+    (action,) = json.loads(out)["results"]["hessian_actions"]
+    assert [c["member"] for c in action["candidates"]] == [True, False]
+
+
+def test_fixture_default_direction_when_directions_are_absent(tmp_path, capsys):
+    """Without query.directions a fixture's default direction is used: float
+    on ex31, exact on ex41."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"version": "1", "constraint": {"type": "fixture", "name": "ex31"}, "query": {"regime": "float"}}))
+    code, out, err = run_cli(capsys, "second-order", "--input", str(path))
+    assert (code, err) == (1, "")
+    assert "direction v = (0.0, 1.0):" in out and "C2: FAILS" in out
+    path.write_text(json.dumps({"version": "1", "constraint": {"type": "fixture", "name": "ex41"}, "query": {"regime": "exact"}}))
+    code, out, err = run_cli(capsys, "cones", "--input", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    (entry,) = json.loads(out)["results"]["second_order_tangent_sets"]
+    assert entry["direction"] == ["1"]
+
+
 def test_first_order_smooth_objective_over_polyhedron(tmp_path, capsys):
     problem = {
         "version": "1",
@@ -478,6 +531,32 @@ def test_verify_substitutes_smooth_first_order_witness(tmp_path, capsys):
     report["results"]["condition"]["witness"] = [123.0, -7.0]
     out = _tampered_verify(report, capsys, tmp_path)
     assert "[FAIL] first-order: witness violates the inequality" in out
+
+
+def test_verify_substitutes_smooth_second_order_finite_witnesses(tmp_path, capsys):
+    """x'x over the ex32 ellipse at (-1, 0), v = (0, 1): the second-order set
+    is the line w1 = 2, where (c1) and the classical check fail at the
+    attaining point w = (2, 0); a witness off that line fails both."""
+    problem = parse_problem(
+        json.dumps(
+            {
+                "version": "1",
+                "constraint": {"type": "fixture", "name": "ex32"},
+                "objective": {"type": "quadratic", "matrix": [["2", "0"], ["0", "2"]], "linear": ["0", "0"]},
+                "query": {"point": [-1.0, 0.0], "directions": [[0.0, 1.0]], "regime": "float"},
+            }
+        )
+    )
+    report = run_analysis(problem, "second-order")
+    entry = report["results"]["directions"][0]
+    for name, margin in (("c1", -4.0), ("classical", -2.0)):
+        assert (entry[name]["verdict"], entry[name]["margin"], entry[name]["witness"]) == ("fails", margin, [2.0, 0.0])
+    ok, checks = revalidate_report(report)
+    assert ok and [c["detail"] for c in checks[1:]] == ["<grad, w> = -4", "violation = -2"]
+    entry["c1"]["witness"] = entry["classical"]["witness"] = [1.0, 0.0]
+    out = _tampered_verify(report, capsys, tmp_path)
+    assert "[FAIL] c1: witness violates the inequality" in out
+    assert "[FAIL] classical: witness reproduces the violation" in out
 
 
 def test_verify_substitutes_theorem41_gradient_condition_witness(tmp_path, capsys):
@@ -827,6 +906,17 @@ def test_verify_fails_a_lagrange_certificate_with_a_position_out_of_range(tmp_pa
     code, out, _ = run_cli(capsys, "qp", "--input", os.path.join(PROBLEMS, "orthant_qp.json"), "--format", "json")
     assert code == 0
     for position in (99, -1):
+        report = json.loads(out)
+        report["results"]["c0"]["certificate"]["inequality_multipliers"][0]["position"] = position
+        text = _tampered_verify(report, capsys, tmp_path)
+        assert "[FAIL] c0: Lagrange certificate identity" in text and "Traceback" not in text
+
+
+def test_verify_fails_a_lagrange_certificate_with_a_position_that_is_not_an_int(tmp_path, capsys):
+    """Position 1.0 died with a TypeError; True read row 1 and passed."""
+    code, out, _ = run_cli(capsys, "qp", "--input", os.path.join(PROBLEMS, "orthant_qp.json"), "--format", "json")
+    assert code == 0
+    for position in (1.0, True):
         report = json.loads(out)
         report["results"]["c0"]["certificate"]["inequality_multipliers"][0]["position"] = position
         text = _tampered_verify(report, capsys, tmp_path)

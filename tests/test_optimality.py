@@ -632,6 +632,136 @@ def test_classical_smooth_examples():
     assert abs(report32.margin - 2.0) < 1e-12
 
 
+# --- the verdict rule ---------------------------------------------------------
+
+
+def _half_plane(offset):
+    """{w | w2 <= offset}."""
+    return AffineRegion(RegionKind.HALF_SPACE, [0.0, 1.0], offset)
+
+
+def _c2_sign(objective, direction, tolerance=1e-9):
+    tangent = Polyhedron.nonnegative_orthant(2).tangent_cone(vector(0, 0))
+    (bundle,) = theorem33_check(objective, tangent, (0.0, 0.0), [direction], tolerance)
+    return bundle.curvature_at_direction
+
+
+def _ex32_bundle():
+    fx = fixture("ex32")
+    (bundle,) = theorem33_check(fx.objective, fx.constraint, fx.candidate_point, [(0.0, 1.0)])
+    return bundle
+
+
+TINY = 2.0**-32  # inside the default tolerance 1e-9
+BOUNDARY_NOTE = "violation within tolerance; treated as boundary case"
+REGION_NOTE = "pairing is unbounded below on the region"
+CLASSICAL_NOTE = "gradient pairing is unbounded below on the second-order set"
+
+# (report, verdict, margin, boundary, witness, certificate type, notes); the
+# margin's type is pinned with its value
+VERDICT_TABLE = {
+    "cone_certified_hold": (
+        lambda: first_order_check(vector(1, 0), orthant_cone()),
+        "holds", Fraction(0), False, None, LagrangeCertificate, "",
+    ),
+    "cone_exact_ray": (
+        lambda: first_order_check(vector(-1, 0), orthant_cone()),
+        "fails", Fraction(-1), False, vector(1, 0), type(None), "",
+    ),
+    "cone_float_ray_within_tolerance": (
+        lambda: first_order_check(vector(Fraction(-1, 10**10), 0), orthant_cone(), 1e-9),
+        "holds", -1e-10, True, None, type(None), BOUNDARY_NOTE,
+    ),
+    "cone_float_ray_beyond_tolerance": (
+        lambda: first_order_check(vector(-1, 0), orthant_cone(), 1e-9),
+        "fails", -1.0, False, vector(1, 0), type(None), "",
+    ),
+    "region_unbounded": (
+        lambda: first_order_check((1.0, 0.0), _half_plane(0.0), 1e-9),
+        "fails", float("-inf"), False, (-1.0, 0.0), type(None), REGION_NOTE,
+    ),
+    "region_finite_hold": (
+        lambda: first_order_check((0.0, -2.0), _half_plane(-1.0), 1e-9),
+        "holds", 2.0, False, None, type(None), "",
+    ),
+    "region_boundary": (
+        lambda: first_order_check((0.0, -1.0), _half_plane(TINY), 1e-9),
+        "holds", -TINY, True, None, type(None), "",
+    ),
+    "region_fail": (
+        lambda: check_c1((0.0, -2.0), _half_plane(1.0), 1e-9),
+        "fails", -2.0, False, (0.0, 1.0), type(None), "",
+    ),
+    "classical_region_unbounded": (
+        lambda: classical_second_order_check((1.0, 0.0), 5.0, _half_plane(0.0), 1e-9),
+        "fails", float("-inf"), False, (-1.0, 0.0), type(None), CLASSICAL_NOTE,
+    ),
+    "classical_cone_unbounded": (
+        lambda: classical_second_order_check(vector(-1, 0), Fraction(3), orthant_cone()),
+        "fails", float("-inf"), False, vector(1, 0), type(None), CLASSICAL_NOTE,
+    ),
+    "classical_exact_hold": (
+        lambda: classical_second_order_check(vector(1, 0), Fraction(1), orthant_cone()),
+        "holds", Fraction(1), False, None, LagrangeCertificate, "",
+    ),
+    "classical_cone_float_boundary": (
+        lambda: classical_second_order_check(vector(1, 0), -TINY, orthant_cone(), 1e-9),
+        "holds", -TINY, True, None, LagrangeCertificate, "",
+    ),
+    "classical_region_float_boundary": (
+        lambda: classical_second_order_check((0.0, -2.0), 2.0 - TINY, _half_plane(1.0), 1e-9),
+        "holds", -TINY, True, None, type(None), "",
+    ),
+    "classical_region_finite_fail": (
+        lambda: classical_second_order_check((0.0, -2.0), 1.0, _half_plane(1.0), 1e-9),
+        "fails", -1.0, False, (0.0, 1.0), type(None), "",
+    ),
+    "classical_cone_exact_fail": (
+        lambda: classical_second_order_check(vector(0, 0), Fraction(-1), orthant_cone()),
+        "fails", Fraction(-1), False, vector(0, 0), type(None), "",
+    ),
+    "c2_exact_fail": (
+        lambda: _c2_sign(QuadraticObjective(matrix([[-1, 0], [0, 0]]), vector(0, 0)), vector(1, 0)),
+        "fails", Fraction(-1), False, vector(1, 0), type(None), "",
+    ),
+    "c2_float_boundary": (
+        lambda: _c2_sign(
+            QuadraticObjective(matrix([[Fraction(-1, 2**32), 0], [0, 0]]), vector(0, 0)).as_smooth(),
+            (1.0, 0.0),
+        ),
+        "holds", -TINY, True, None, type(None), "",
+    ),
+    "c2_float_fail": (
+        lambda: _c2_sign(QuadraticObjective(matrix([[-1, 0], [0, 0]]), vector(0, 0)).as_smooth(), (1.0, 0.0)),
+        "fails", -1.0, False, (1.0, 0.0), type(None), "",
+    ),
+    "smooth_c1_hold": (
+        lambda: _ex32_bundle().strengthened_gradient,
+        "holds", 4.0, False, None, type(None), "",
+    ),
+    "smooth_classical_hold": (
+        lambda: _ex32_bundle().classical,
+        "holds", 2.0, False, None, type(None), "",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERDICT_TABLE))
+def test_verdict_rule_table(case):
+    """One rule over every check: an exact margin holds iff >= 0; a float
+    margin holds iff >= -tolerance, on the boundary iff also within the
+    tolerance of 0; the witness is kept on a failure, the certificate on a
+    hold."""
+    make, verdict, margin, boundary, witness, certificate, notes = VERDICT_TABLE[case]
+    report = make()
+    assert report.verdict.value == verdict
+    assert report.margin == margin and type(report.margin) is type(margin)
+    assert report.boundary is boundary
+    assert report.witness == witness
+    assert type(report.certificate) is certificate
+    assert report.notes == notes
+
+
 # --- theorem33_check ---------------------------------------------------------
 
 

@@ -10,9 +10,7 @@ from cone_audit.linalg import matrix, vector
 from cone_audit.objectives import QuadraticObjective, SmoothObjective, fixture
 from cone_audit.optimality import Verdict
 from cone_audit.ssd import (
-    EX41_GRADIENT_FAMILY,
     LogMesh,
-    PiecewiseGradientDescriptor,
     SSDQuery,
     estimate_calmness,
     ssd_hessian_closed_form,
@@ -72,21 +70,19 @@ def test_membership_rejects_high_dimension():
 
 
 def test_interval_family():
-    assert ssd_interval_1d_example_family(EX41_GRADIENT_FAMILY, 1) == (-1, 0)
-    assert ssd_interval_1d_example_family(EX41_GRADIENT_FAMILY, 0) == (0, 0)
-    assert ssd_interval_1d_example_family(EX41_GRADIENT_FAMILY, 2) == (-2, 0)
-    lo, hi = ssd_interval_1d_example_family(EX41_GRADIENT_FAMILY, Fraction(1, 3))
+    assert ssd_interval_1d_example_family(1) == (-1, 0)
+    assert ssd_interval_1d_example_family(0) == (0, 0)
+    assert ssd_interval_1d_example_family(2) == (-2, 0)
+    lo, hi = ssd_interval_1d_example_family(Fraction(1, 3))
     assert lo == Fraction(-1, 3) and hi == 0
     with pytest.raises(UnsupportedFamilyError):
-        ssd_interval_1d_example_family(PiecewiseGradientDescriptor(left_slope=Fraction(-2)), 1)
-    with pytest.raises(UnsupportedFamilyError):
-        ssd_interval_1d_example_family(EX41_GRADIENT_FAMILY, -1)
+        ssd_interval_1d_example_family(-1)
 
 
 def test_oracle_agrees_with_closed_form_on_grid():
     obj = ex41_objective()
     for v in (0, 1, 2):
-        lo, hi = ssd_interval_1d_example_family(EX41_GRADIENT_FAMILY, v)
+        lo, hi = ssd_interval_1d_example_family(v)
         for z in (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5):
             member = ssd_membership(SSDQuery(obj, 0.0, float(v), z)).member
             expected = lo <= Fraction(z) <= hi
