@@ -21,14 +21,14 @@ from .dd import GeneratorSet
 from .errors import AnalysisError
 from .geometry import PolyhedralCone
 from .linalg import RationalMatrix, RationalVector
-from .objectives import AffineRegion, QuadraticObjective, RegionKind, SmoothObjective
+from .objectives import DEFAULT_FLOAT_TOL, AffineRegion, QuadraticObjective, RegionKind, SmoothObjective
 from .optimality import (
     ConditionReport,
     CopositivityResult,
     LagrangeCertificate,
     Verdict,
     _as_rational_vector,
-    check_qp,
+    _qp_conditions,
     critical_cone,
     first_order_check,
     theorem33_check,
@@ -163,6 +163,10 @@ def _exit_of(verdicts: list[Verdict]) -> int:
 
 
 class _Context:
+    """One run's decisions, each made once and read by every handler and by
+    :class:`_Revalidator`: the arithmetic (``objective``, ``gradient``) and
+    the constraint view (``tangent``, ``second_order_set``)."""
+
     def __init__(self, problem: ProblemFile, tolerance: float | None, mesh: LogMesh | None):
         self.problem = problem
         self.tolerance_override = tolerance
@@ -174,9 +178,7 @@ class _Context:
         self.ssd_tolerance = tolerance if tolerance is not None else DEFAULT_MEMBERSHIP_TOL
         self.mesh = mesh or LogMesh()
         self.polyhedron = problem.constraint_polyhedron()
-        self.smooth_constraint = (
-            problem.fixture.constraint if problem.fixture is not None else None
-        )
+        self.mode = "smooth" if self.polyhedron is None else "polyhedral"
 
     # one direction list used by every command; fixture default as fallback
     def directions(self) -> list[tuple]:
@@ -204,12 +206,8 @@ class _Context:
     def point_floats(self) -> tuple[float, ...]:
         return self.problem.query.point_floats()
 
-    @functools.cached_property
-    def tangent(self) -> PolyhedralCone:
-        """T(x) of the constraint polyhedron, built on first use."""
-        return self.polyhedron.tangent_cone(self.point_rational())
-
     def smooth_objective(self) -> SmoothObjective:
+        """The float evaluators: of the quadratic data, or of the fixture."""
         obj = self.problem.smooth_objective()
         if obj is None:
             raise AnalysisError(
@@ -218,8 +216,44 @@ class _Context:
             )
         return obj
 
-    def quadratic_objective(self) -> QuadraticObjective | None:
-        return self.problem.quadratic
+    @functools.cached_property
+    def objective(self) -> QuadraticObjective | SmoothObjective:
+        """The quadratic data in the exact regime, else the float evaluators."""
+        if self.exact and self.problem.quadratic is not None:
+            return self.problem.quadratic
+        return self.smooth_objective()
+
+    @functools.cached_property
+    def gradient(self):
+        """The objective's gradient at the point: exact M x + q, or float."""
+        if isinstance(self.objective, QuadraticObjective):
+            return self.objective.gradient(self.point_rational())
+        return self.objective.gradient_at(self.point_floats())
+
+    @property
+    def level_set(self):
+        """The fixture's smooth constraint, which tolerance 0 cannot decide:
+        its value at a boundary point rounds off zero."""
+        if self.tolerance == 0:
+            raise AnalysisError(
+                f"fixture {self.problem.fixture.name!r} is a smooth level set, "
+                "which needs a positive tolerance",
+                hint="set query.regime = 'float' and leave --tolerance positive",
+            )
+        return self.problem.fixture.constraint
+
+    @functools.cached_property
+    def tangent(self) -> PolyhedralCone | AffineRegion:
+        """T(x) of the polyhedron, or the level set's tangent region."""
+        if self.polyhedron is not None:
+            return self.polyhedron.tangent_cone(self.point_rational())
+        return self.level_set.tangent_cone(self.point_floats(), self.tolerance)
+
+    def second_order_set(self, v) -> PolyhedralCone | AffineRegion:
+        """T2(x, v): read off T(x) at the exact v, or the level set's region."""
+        if self.polyhedron is not None:
+            return self.tangent.tangent_cone_at(v)
+        return self.level_set.second_order_tangent_set(self.point_floats(), v, self.tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -227,93 +261,65 @@ class _Context:
 # ---------------------------------------------------------------------------
 
 
+def _tangent_json(ctx: _Context) -> dict:
+    if ctx.mode == "polyhedral":
+        return {"tangent_cone": _cone_json(ctx.tangent)}
+    return {"tangent_region": _region_json(ctx.tangent)}
+
+
 def _run_cones(ctx: _Context) -> tuple[dict, int]:
+    tangent = ctx.tangent
+    if ctx.mode == "smooth":
+        entries = [
+            {"direction": _vector_json(v), "region": _region_json(ctx.second_order_set(v))}
+            for v in ctx.directions()
+        ]
+        return {"mode": "smooth", **_tangent_json(ctx), "second_order_tangent_regions": entries}, EXIT_ALL_HOLD
+    normal = tangent.polar()
     entries = []
-    if ctx.polyhedron is not None:
-        tangent = ctx.tangent
-        normal = tangent.polar()
-        for v in ctx.directions():
-            direction = RationalVector([Fraction(a) for a in v])
-            cone2 = tangent.tangent_cone_at(direction)
-            entries.append(
-                {
-                    "direction": _vector_json(direction),
-                    "binding_rows": list(cone2.ineq_origins),
-                    "cone": _cone_json(cone2),
-                }
-            )
-        results = {
-            "mode": "polyhedral",
-            "active_rows": list(tangent.ineq_origins),
-            "tangent_cone": _cone_json(tangent),
-            "normal_cone": _cone_json(normal),
-            "second_order_tangent_sets": entries,
-        }
-        return results, EXIT_ALL_HOLD
-    constraint = ctx.smooth_constraint
-    point = ctx.point_floats()
-    region = constraint.tangent_cone(point, ctx.tolerance)
     for v in ctx.directions():
+        direction = _as_rational_vector(v)
+        cone2 = ctx.second_order_set(direction)
         entries.append(
             {
-                "direction": _vector_json(v),
-                "region": _region_json(
-                    constraint.second_order_tangent_set(point, v, ctx.tolerance)
-                ),
+                "direction": _vector_json(direction),
+                "binding_rows": list(cone2.ineq_origins),
+                "cone": _cone_json(cone2),
             }
         )
     results = {
-        "mode": "smooth",
-        "tangent_region": _region_json(region),
-        "second_order_tangent_regions": entries,
+        "mode": "polyhedral",
+        "active_rows": list(tangent.ineq_origins),
+        **_tangent_json(ctx),
+        "normal_cone": _cone_json(normal),
+        "second_order_tangent_sets": entries,
     }
     return results, EXIT_ALL_HOLD
 
 
-def _gradient_for(ctx: _Context):
-    """Gradient at the query point: exact for quadratic data, float otherwise."""
-    quad = ctx.quadratic_objective()
-    if quad is not None and ctx.exact:
-        return quad.gradient(ctx.point_rational())
-    return ctx.smooth_objective().gradient_at(ctx.point_floats())
-
-
 def _run_first_order(ctx: _Context) -> tuple[dict, int]:
-    gradient = _gradient_for(ctx)
-    if ctx.polyhedron is not None:
-        report = first_order_check(gradient, ctx.tangent, ctx.tolerance)
-        results = {
-            "mode": "polyhedral",
-            "gradient": _vector_json(gradient),
-            "condition": _condition_json(report),
-            "tangent_cone": _cone_json(ctx.tangent),
-        }
-    else:
-        region = ctx.smooth_constraint.tangent_cone(ctx.point_floats(), ctx.tolerance)
-        report = first_order_check(gradient, region, ctx.tolerance)
-        results = {
-            "mode": "smooth",
-            "gradient": _vector_json(gradient),
-            "condition": _condition_json(report),
-            "tangent_region": _region_json(region),
-        }
+    gradient = ctx.gradient  # before T(x), so its errors come first
+    report = first_order_check(gradient, ctx.tangent, ctx.tolerance)
+    results = {
+        "mode": ctx.mode,
+        "gradient": _vector_json(gradient),
+        "condition": _condition_json(report),
+        **_tangent_json(ctx),
+    }
     return results, _exit_of([report.verdict])
 
 
 def _run_second_order(ctx: _Context) -> tuple[dict, int]:
     directions = ctx.require_directions("second-order")
-    quad = ctx.quadratic_objective()
-    if ctx.polyhedron is not None and quad is not None and ctx.exact:
-        objective = quad
+    objective = ctx.objective
+    if isinstance(objective, QuadraticObjective):
         directions = [_as_rational_vector(v) for v in directions]
-    else:
-        objective = ctx.smooth_objective()
-        if objective.hessian is None:
-            raise AnalysisError(
-                "second-order analysis needs a Hessian",
-                hint="use a quadratic objective or a fixture with second derivatives",
-            )
-    constraint = ctx.tangent if ctx.polyhedron is not None else ctx.smooth_constraint
+    elif objective.hessian is None:
+        raise AnalysisError(
+            "second-order analysis needs a Hessian",
+            hint="use a quadratic objective or a fixture with second derivatives",
+        )
+    constraint = ctx.tangent if ctx.mode == "polyhedral" else ctx.level_set
     verdicts: list[Verdict] = []
     entries = []
     bundles = theorem33_check(objective, constraint, ctx.problem.query.point, directions, ctx.tolerance)
@@ -330,18 +336,16 @@ def _run_second_order(ctx: _Context) -> tuple[dict, int]:
             "c2_at_direction": _condition_json(bundle.curvature_at_direction),
             "classical": _condition_json(bundle.classical),
         }
-        if ctx.polyhedron is None:
+        if ctx.mode == "smooth":
             entry["second_order_region"] = _region_json(bundle.second_order_set)
         else:
             entry["second_order_set"] = _cone_json(bundle.second_order_set)
         entries.append(entry)
-    mode = "polyhedral" if ctx.polyhedron is not None else "smooth"
-    return {"mode": mode, "directions": entries}, _exit_of(verdicts)
+    return {"mode": ctx.mode, "directions": entries}, _exit_of(verdicts)
 
 
 def _run_qp(ctx: _Context) -> tuple[dict, int]:
-    quad = ctx.quadratic_objective()
-    if quad is None:
+    if ctx.problem.quadratic is None:
         raise AnalysisError(
             "the qp command needs explicit quadratic objective data",
             hint="provide objective.type = 'quadratic' with rational entries",
@@ -356,7 +360,7 @@ def _run_qp(ctx: _Context) -> tuple[dict, int]:
             "the qp command runs in exact arithmetic only",
             hint="set query.regime = 'exact' and use rational entries",
         )
-    conditions = check_qp(quad, ctx.polyhedron, ctx.point_rational())
+    conditions = _qp_conditions(ctx.objective.matrix, ctx.tangent, ctx.gradient)
     results = {
         "c0": _condition_json(conditions.stationarity),
         "c1_prime": _condition_json(conditions.strengthened_gradient),
@@ -444,7 +448,7 @@ def _run_ssd(ctx: _Context) -> tuple[dict, int]:
             for z in ctx.problem.query.z_candidates:
                 z_arr = np.asarray([float(a) for a in z])
                 member = bool(
-                    np.max(np.abs(z_arr - action)) <= max(ctx.tolerance, 1e-9)
+                    np.max(np.abs(z_arr - action)) <= max(ctx.tolerance, DEFAULT_FLOAT_TOL)
                 )
                 comparisons.append(
                     {"candidate": _vector_json(z), "member": member}
@@ -463,8 +467,7 @@ def _run_theorem41(ctx: _Context) -> tuple[dict, int]:
             "this command needs a polyhedral constraint set",
             hint="use constraint.type = 'polyhedron' or the ex41 fixture",
         )
-    quad = ctx.quadratic_objective()
-    objective = quad if quad is not None and ctx.exact else ctx.smooth_objective()
+    objective = ctx.objective
     directions = ctx.require_directions("theorem41")
     entries = []
     exit_code = EXIT_ALL_HOLD
@@ -512,19 +515,12 @@ _HANDLERS = {
 }
 
 
-def run_analysis(
-    problem: ProblemFile,
-    command: str,
-    *,
-    tolerance: float | None = None,
-    mesh: LogMesh | None = None,
-) -> dict:
-    """Run one command over a validated problem and return the report document."""
+def _report(ctx: _Context, command: str) -> dict:
+    """Run one command on a context and return the report document."""
     if command not in _HANDLERS:
         raise AnalysisError(
             f"unknown command {command!r}", hint=f"one of: {', '.join(COMMANDS)}"
         )
-    ctx = _Context(problem, tolerance, mesh)
     results, exit_code = _HANDLERS[command](ctx)
     return {
         "tool": {"name": "cone-audit", "version": _version},
@@ -533,14 +529,25 @@ def run_analysis(
             "regime": ctx.regime,
             "tolerance": ctx.tolerance,
             "ssd_tolerance": ctx.ssd_tolerance,
-            "tolerance_override": tolerance,
+            "tolerance_override": ctx.tolerance_override,
             "mesh": f"{ctx.mesh.exponent_start}:{ctx.mesh.exponent_stop}:{ctx.mesh.exponent_step}",
         },
-        "problem": problem.source,
+        "problem": ctx.problem.source,
         "results": results,
         "exit_code": exit_code,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+
+
+def run_analysis(
+    problem: ProblemFile,
+    command: str,
+    *,
+    tolerance: float | None = None,
+    mesh: LogMesh | None = None,
+) -> dict:
+    """Run one command over a validated problem and return the report document."""
+    return _report(_Context(problem, tolerance, mesh), command)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +556,7 @@ def run_analysis(
 
 
 class _Revalidator:
-    """Re-runs a report and substitutes its witnesses back, on one
+    """Re-runs a report and substitutes its witnesses back, both on one
     :class:`_Context` built from the echoed problem and configuration."""
 
     def __init__(self, report: dict):
@@ -567,13 +574,7 @@ class _Revalidator:
 
     def run(self) -> list[dict]:
         command = self.report.get("command")
-        ctx = self.ctx
-        rerun = run_analysis(
-            ctx.problem,
-            command,
-            tolerance=ctx.tolerance_override,
-            mesh=ctx.mesh,
-        )
+        rerun = _report(self.ctx, command)
         old = {k: v for k, v in self.report.items() if k != "timestamp"}
         new = {k: v for k, v in rerun.items() if k != "timestamp"}
         self.add(
@@ -592,7 +593,7 @@ class _Revalidator:
 
     @functools.cached_property
     def gradient(self) -> RationalVector:
-        return _as_rational_vector(_gradient_for(self.ctx))
+        return _as_rational_vector(self.ctx.gradient)
 
     def _holds_witness(self, region, entry: dict) -> tuple[RationalVector, bool]:
         """The entry's witness, exact, and whether ``region`` holds it: a cone
@@ -658,24 +659,12 @@ class _Revalidator:
             )
 
     def _verify_first_order(self, results: dict) -> None:
-        if results.get("mode") == "polyhedral":
-            tangent = self.ctx.tangent
-        else:
-            ctx = self.ctx
-            tangent = ctx.smooth_constraint.tangent_cone(ctx.point_floats(), ctx.tolerance)
-        self._check_linear_condition("first-order", results.get("condition"), tangent)
+        self._check_linear_condition("first-order", results.get("condition"), self.ctx.tangent)
 
     def _verify_second_order(self, results: dict) -> None:
-        ctx = self.ctx
-        smooth = results.get("mode") == "smooth"
         for entry in results.get("directions", []):
             direction = _as_rational_vector(entry["direction"])
-            if smooth:
-                second = ctx.smooth_constraint.second_order_tangent_set(
-                    ctx.point_floats(), direction.as_floats(), ctx.tolerance
-                )
-            else:
-                second = ctx.tangent.tangent_cone_at(direction)
+            second = self.ctx.second_order_set(direction)
             self._check_linear_condition("c1", entry.get("c1"), second)
             self._check_classical(entry.get("classical"), second, direction)
             c2 = entry.get("c2_at_direction")
@@ -688,7 +677,7 @@ class _Revalidator:
                 )
 
     def _curvature(self, direction: RationalVector) -> Fraction:
-        quad = self.ctx.quadratic_objective()
+        quad = self.ctx.problem.quadratic
         if quad is not None:
             return quad.quadratic_form(direction)
         hess = self.ctx.smooth_objective().hessian_at(self.ctx.point_floats())
@@ -732,7 +721,7 @@ class _Revalidator:
         if c2p and c2p.get("verdict") == "fails" and c2p.get("witness"):
             witness = _as_rational_vector(c2p["witness"])
             crit = critical_cone(self.gradient, tangent)
-            value = self.ctx.quadratic_objective().quadratic_form(witness)
+            value = self.ctx.objective.quadratic_form(witness)
             self.add(
                 "c2': witness is a critical direction with negative form",
                 crit.contains(witness) and value < 0,
@@ -741,12 +730,12 @@ class _Revalidator:
 
     def _verify_theorem41(self, results: dict) -> None:
         # exact quadratic data pair the echoed rational z and v exactly
-        exact = self.ctx.exact and self.ctx.quadratic_objective() is not None
+        exact = isinstance(self.ctx.objective, QuadraticObjective)
         candidates = self.ctx.problem.query.z_candidates
         for v, entry in zip(self.ctx.directions(), results.get("directions", [])):
             condition = entry.get("gradient_condition")
             if condition is not None:
-                second = self.ctx.tangent.tangent_cone_at(_as_rational_vector(v))
+                second = self.ctx.second_order_set(_as_rational_vector(v))
                 self._check_linear_condition("gradient condition", condition, second)
             direction = np.asarray(entry["direction"], dtype=float)
             for z, pairing in zip(candidates, entry.get("pairings", [])):

@@ -37,7 +37,8 @@ from .errors import (
 from .geometry import Polyhedron
 from .linalg import RationalMatrix, RationalVector
 
-DEFAULT_ACTIVITY_TOL = 1e-9
+# the float regime's default verdict and activity tolerance
+DEFAULT_FLOAT_TOL = 1e-9
 
 Array = np.ndarray
 
@@ -136,13 +137,13 @@ class AffineRegion:
         """Offset after scaling the normal to unit Euclidean length."""
         return self.offset / float(np.linalg.norm(self.normal))
 
-    def contains(self, w, tol: float = 1e-9) -> bool:
+    def contains(self, w, tol: float = DEFAULT_FLOAT_TOL) -> bool:
         value = float(self.normal @ np.asarray(w, dtype=float))
         if self.kind is RegionKind.HYPERPLANE:
             return abs(value - self.offset) <= tol
         return value <= self.offset + tol
 
-    def linear_infimum(self, direction, tol: float = 1e-9):
+    def linear_infimum(self, direction, tol: float = DEFAULT_FLOAT_TOL):
         """inf of <direction, w> over the region.
 
         Returns (value, attained point, None) when finite and
@@ -198,7 +199,7 @@ class SmoothLevelSetConstraint:
             )
         return grad
 
-    def tangent_cone(self, x, activity_tol: float = DEFAULT_ACTIVITY_TOL) -> AffineRegion:
+    def tangent_cone(self, x, activity_tol: float = DEFAULT_FLOAT_TOL) -> AffineRegion:
         """Half-space {v | <grad g, v> <= 0}, or the hyperplane for an equality."""
         grad = self._active_gradient(x, activity_tol)
         kind = (
@@ -208,9 +209,7 @@ class SmoothLevelSetConstraint:
         )
         return AffineRegion(kind, grad, 0.0)
 
-    def second_order_tangent_set(
-        self, x, v, activity_tol: float = DEFAULT_ACTIVITY_TOL
-    ) -> AffineRegion:
+    def second_order_tangent_set(self, x, v, activity_tol: float = DEFAULT_FLOAT_TOL) -> AffineRegion:
         """{w | <grad g, w> <=/= -<Hess g v, v>} for boundary-tangential v."""
         if self.hessian is None:
             raise ValueError("constraint has no Hessian evaluator")

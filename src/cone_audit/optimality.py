@@ -49,13 +49,12 @@ from .geometry import PolyhedralCone, Polyhedron
 from .linalg import RationalMatrix, RationalVector, bareiss_step, combination, integer_rref
 from .lp import LPResult, LPStatus, solve_lp
 from .objectives import (
+    DEFAULT_FLOAT_TOL,
     AffineRegion,
     QuadraticObjective,
     SmoothLevelSetConstraint,
     SmoothObjective,
 )
-
-DEFAULT_FLOAT_TOL = 1e-9
 
 
 class Verdict(Enum):
@@ -154,36 +153,6 @@ class CriticalDirection:
         return self.is_critical and self.negation_in_tangent_cone
 
 
-def assess_direction_polyhedral(
-    tangent: PolyhedralCone,
-    direction: RationalVector,
-    gradient_pairing: Fraction | float,
-    tolerance: float | Fraction = 0,
-) -> CriticalDirection:
-    """Flags of a direction against the tangent cone T(x) of a polyhedron."""
-    return CriticalDirection(
-        vector=tuple(direction.entries),
-        in_tangent_cone=tangent.contains(direction),
-        negation_in_tangent_cone=tangent.contains(-direction),
-        gradient_orthogonal=abs(gradient_pairing) <= tolerance,
-    )
-
-
-def assess_direction_region(
-    region: AffineRegion,
-    direction,
-    gradient_pairing: float,
-    tolerance: float = DEFAULT_FLOAT_TOL,
-) -> CriticalDirection:
-    vec = np.asarray(direction, dtype=float).reshape(-1)
-    return CriticalDirection(
-        vector=tuple(float(a) for a in vec),
-        in_tangent_cone=region.contains(vec, tolerance),
-        negation_in_tangent_cone=region.contains(-vec, tolerance),
-        gradient_orthogonal=abs(gradient_pairing) <= tolerance,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Linear conditions: <gradient, .> >= 0 over a cone or affine region
 # ---------------------------------------------------------------------------
@@ -231,6 +200,34 @@ def _on_second_order_set(
         dual_equalities=result.dual_equalities,
         dual_inequalities=RationalVector(tight),
     )
+
+
+def _tangent_directions(gradient, tangent: PolyhedralCone, directions, tolerance):
+    """The one pass over directions at a point of a polyhedron whose tangent
+    cone is ``tangent``: for each direction, the exact v, its flags against
+    T(x), and for a tangent v T2(x, v) with the pairing LP on it, read off
+    one pairing LP on T(x) (:func:`_on_second_order_set`), else None.
+
+    v is gradient-orthogonal when |<gradient, v>| <= tolerance, the pairing
+    exact for an exact gradient and float for a float one.
+    """
+    exact = isinstance(gradient, RationalVector)
+    grad = _as_rational_vector(gradient)
+    result = None
+    for direction in directions:
+        v = _as_rational_vector(direction)
+        pairing = grad.dot(v) if exact else float(gradient @ np.asarray(v.as_floats()))
+        critical = CriticalDirection(
+            vector=tuple(v.entries),
+            in_tangent_cone=tangent.contains(v),
+            negation_in_tangent_cone=tangent.contains(-v),
+            gradient_orthogonal=abs(pairing) <= tolerance,
+        )
+        if not critical.in_tangent_cone:
+            yield v, critical, None
+            continue
+        result = result or _pairing_lp(grad, tangent)
+        yield v, critical, _on_second_order_set(result, tangent, v, grad)
 
 
 def _steepness(gradient: RationalVector, ray: RationalVector) -> Fraction:
@@ -667,7 +664,9 @@ def theorem33_check(
 
     Over a polyhedron, ``constraint`` is its tangent cone T(x) at ``point``
     (:meth:`Polyhedron.tangent_cone`), and one pairing LP on it decides (c1)
-    and the classical check at every direction (:func:`_on_second_order_set`).
+    and the classical check at every direction (:func:`_tangent_directions`,
+    the pass :func:`theorem41_check` shares); a direction that is not
+    tangent raises :class:`NotTangentDirectionError`.
     A :class:`QuadraticObjective` there is checked exactly, with tolerance 0;
     the ``tolerance`` argument is ignored for such data.  A
     :class:`SmoothObjective` is evaluated in float over the exact cones (the
@@ -676,55 +675,47 @@ def theorem33_check(
     tolerances).
     """
     exact = isinstance(objective, QuadraticObjective)
-    polyhedral = isinstance(constraint, PolyhedralCone)
     if exact:
-        if not polyhedral:
+        if not isinstance(constraint, PolyhedralCone):
             raise TypeError("exact quadratic data needs the tangent cone of a polyhedral set")
         tolerance = 0
         grad = objective.gradient(_as_rational_vector(point))
     else:
         grad = objective.gradient_at(point)
         hessian = objective.hessian_at(point)
-    if polyhedral:
-        grad_r = _as_rational_vector(grad)
-        result = _pairing_lp(grad_r, constraint)
-    else:
-        region = constraint.tangent_cone(point, tolerance)
 
-    bundles = []
-    for direction in directions:
-        if exact:
-            vec = _as_rational_vector(direction)
-            curvature = objective.quadratic_form(vec)
-            pairing = grad.dot(vec)
-        else:
-            vec = np.asarray(direction, dtype=float).reshape(-1)
-            curvature = float(vec @ hessian @ vec)
-            pairing = float(grad @ vec)
-        if polyhedral:
-            v = _as_rational_vector(direction)
-            critical = assess_direction_polyhedral(constraint, v, pairing, tolerance)
-            second_order, derived = _on_second_order_set(result, constraint, v, grad_r)
+    checked = []  # (flags, second-order set, (c1), curvature, the direction as witness, classical)
+    if isinstance(constraint, PolyhedralCone):
+        grad_r = _as_rational_vector(grad)
+        for v, critical, on_second in _tangent_directions(grad, constraint, directions, tolerance):
+            if on_second is None:
+                constraint.tangent_cone_at(v)  # raises NotTangentDirectionError
+            second_order, derived = on_second
+            vec = v if exact else np.asarray(v.as_floats())
+            curvature = objective.quadratic_form(v) if exact else float(vec @ hessian @ vec)
             c1 = _linear_condition_on_cone(grad_r, second_order, derived, tolerance, ConditionId.C1)
             classical = _classical_on_cone(grad_r, curvature, second_order, derived, tolerance)
-        else:
-            critical = assess_direction_region(region, vec, pairing, tolerance)
+            checked.append((critical, second_order, c1, curvature, v if exact else v.as_floats(), classical))
+    else:
+        region = constraint.tangent_cone(point, tolerance)
+        for direction in directions:
+            vec = np.asarray(direction, dtype=float).reshape(-1)
+            critical = CriticalDirection(
+                vector=tuple(float(a) for a in vec),
+                in_tangent_cone=region.contains(vec, tolerance),
+                negation_in_tangent_cone=region.contains(-vec, tolerance),
+                gradient_orthogonal=abs(float(grad @ vec)) <= tolerance,
+            )
             second_order = constraint.second_order_tangent_set(point, vec, tolerance)
             infimum = second_order.linear_infimum(grad, tolerance)
+            curvature = float(vec @ hessian @ vec)
             c1 = _linear_condition_on_region(infimum, tolerance, ConditionId.C1)
             classical = _classical_on_region(infimum, curvature, tolerance)
-        witness = vec if exact else tuple(float(a) for a in vec)
-        c2_at_v = _sign_report(ConditionId.C2, curvature, tolerance, witness)
-        bundles.append(
-            SecondOrderBundle(
-                direction=critical,
-                second_order_set=second_order,
-                strengthened_gradient=c1,
-                curvature_at_direction=c2_at_v,
-                classical=classical,
-            )
-        )
-    return tuple(bundles)
+            checked.append((critical, second_order, c1, curvature, tuple(float(a) for a in vec), classical))
+    return tuple(
+        SecondOrderBundle(flags, second, c1, _sign_report(ConditionId.C2, curvature, tolerance, witness), classical)
+        for flags, second, c1, curvature, witness, classical in checked
+    )
 
 
 @dataclass(frozen=True)
@@ -757,13 +748,16 @@ def check_qp(
     (c0) LP, and ``checked_directions`` lists all the generators it covers;
     (c2') tests copositivity of M on the critical cone.
     """
-    tangent = constraint_set.tangent_cone(point)
-    gradient = objective.gradient(point)
+    return _qp_conditions(objective.matrix, constraint_set.tangent_cone(point), objective.gradient(point))
+
+
+def _qp_conditions(matrix: RationalMatrix, tangent: PolyhedralCone, gradient: RationalVector) -> QPConditions:
+    """:func:`check_qp` at a point with tangent cone ``tangent`` and gradient ``gradient``."""
     result = _pairing_lp(gradient, tangent)
     c0 = _linear_condition_on_cone(gradient, tangent, result, 0, ConditionId.QP_C0)
 
     crit = critical_cone(gradient, tangent)
-    directions = crit.generators().spanning_vectors() or (RationalVector.zero(constraint_set.dim),)
+    directions = crit.generators().spanning_vectors() or (RationalVector.zero(tangent.dim),)
     v = directions[0]
     c1p = _linear_condition_on_cone(
         gradient, *_on_second_order_set(result, tangent, v, gradient), 0, ConditionId.QP_C1P
@@ -777,7 +771,7 @@ def check_qp(
         if holds else f"violated at critical direction {v}",
     )
 
-    copositivity = check_c2_copositivity(objective.matrix, crit)
+    copositivity = check_c2_copositivity(matrix, crit)
     copositive = copositivity.status is CopositivityStatus.COPOSITIVE
     c2p = ConditionReport(
         condition=ConditionId.QP_C2P,

@@ -25,6 +25,7 @@ from .errors import ProblemFormatError
 from .geometry import Polyhedron
 from .linalg import RationalMatrix, RationalVector, rational
 from .objectives import (
+    DEFAULT_FLOAT_TOL,
     ExampleFixture,
     FIXTURE_NAMES,
     QuadraticObjective,
@@ -195,7 +196,7 @@ def parse_problem_dict(data) -> ProblemFile:
     # ---- query block (parsed first: the regime gates number parsing) ----
     query_data = data.get("query")
     regime = "exact"
-    tolerance = 1e-9
+    tolerance = DEFAULT_FLOAT_TOL
     point = None
     directions: list[tuple] = []
     z_candidates: list[tuple] = []
@@ -207,7 +208,7 @@ def parse_problem_dict(data) -> ProblemFile:
         if regime not in ("exact", "float"):
             v.error("$.query.regime", f"expected 'exact' or 'float', got {regime!r}")
             regime = "exact"
-        raw_tol = query_data.get("tolerance", 1e-9)
+        raw_tol = query_data.get("tolerance", DEFAULT_FLOAT_TOL)
         if (
             not isinstance(raw_tol, (int, float))
             or isinstance(raw_tol, bool)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import UnsupportedFamilyError
 from .geometry import PolyhedralCone
-from .objectives import QuadraticObjective, SmoothObjective
+from .objectives import DEFAULT_FLOAT_TOL, QuadraticObjective, SmoothObjective
 from .optimality import (
     ConditionId,
     ConditionReport,
@@ -38,12 +38,12 @@ from .optimality import (
     Verdict,
     _as_rational_vector,
     _linear_condition_on_cone,
-    _on_second_order_set,
-    _pairing_lp,
-    assess_direction_polyhedral,
+    _tangent_directions,
 )
 
 DEFAULT_MEMBERSHIP_TOL = 1e-6
+# probe offsets at or below this form the tail the verdict is taken over
+TAIL_THRESHOLD = 1e-4
 # bounds the oracle's work per query; the default mesh has 15 offsets
 MAX_MESH_OFFSETS = 1000
 
@@ -52,7 +52,7 @@ MAX_MESH_OFFSETS = 1000
 class LogMesh:
     """Probe offsets 10^-e for e = start, start+step, ..., stop.
 
-    Offsets at or below ``tail_threshold`` form the tail over which the
+    Offsets at or below :data:`TAIL_THRESHOLD` form the tail over which the
     limsup surrogate (a maximum) is taken; coarser offsets only document
     the configured range.
     """
@@ -60,7 +60,6 @@ class LogMesh:
     exponent_start: float = 1.0
     exponent_stop: float = 8.0
     exponent_step: float = 0.5
-    tail_threshold: float = 1e-4
 
     def __post_init__(self):
         start, stop, step = self.exponent_start, self.exponent_stop, self.exponent_step
@@ -80,7 +79,7 @@ class LogMesh:
         return out
 
     def tail_deltas(self) -> list[float]:
-        return [d for d in self.deltas() if d <= self.tail_threshold * (1 + 1e-12)]
+        return [d for d in self.deltas() if d <= TAIL_THRESHOLD * (1 + 1e-12)]
 
     @classmethod
     def parse(cls, spec: str) -> "LogMesh":
@@ -309,7 +308,7 @@ def theorem41_check(
     point,
     directions,
     candidates,
-    tolerance: float = 1e-9,
+    tolerance: float = DEFAULT_FLOAT_TOL,
 ) -> tuple[HypothesisReport, ...]:
     """Check the hypothesis triple and both second-order inequalities, one
     report per direction.
@@ -318,7 +317,8 @@ def theorem41_check(
     at ``point`` (:meth:`Polyhedron.tangent_cone`).  The gradient is exact,
     M x + q, for a :class:`QuadraticObjective` and float otherwise.  The
     gradient condition (<grad f, w> >= 0 on the second-order tangent set,
-    read off one pairing LP on T(x)) is evaluated whenever v is tangent,
+    read off one pairing LP on T(x) in the direction pass
+    :func:`theorem33_check` shares) is evaluated whenever v is tangent,
     even if -v is not, so a failed hypothesis still yields a fully populated
     report; the pairing condition <z, v> >= 0 is evaluated for every
     supplied candidate, exactly for a :class:`QuadraticObjective` (where
@@ -327,35 +327,20 @@ def theorem41_check(
     exact = isinstance(objective, QuadraticObjective)
     grad = objective.gradient(_as_rational_vector(point)) if exact else objective.gradient_at(point)
     grad_r = _as_rational_vector(grad)
-    result = None
     reports = []
-    for direction in directions:
-        v = _as_rational_vector(direction)
-        vec = np.asarray(direction, dtype=float).reshape(-1)
-        pairing = grad.dot(v) if exact else float(grad @ vec)
-        critical = assess_direction_polyhedral(tangent, v, pairing, tolerance)
-        gradient_condition = None
-        if critical.in_tangent_cone:
-            result = result or _pairing_lp(grad_r, tangent)
-            gradient_condition = _linear_condition_on_cone(
-                grad_r, *_on_second_order_set(result, tangent, v, grad_r), tolerance, ConditionId.C1
-            )
+    for v, critical, on_second in _tangent_directions(grad, tangent, directions, tolerance):
         entries = []
         for z in candidates:
             z_vec = np.asarray(z, dtype=float).reshape(-1)
-            value = _as_rational_vector(z).dot(v) if exact else float(z_vec @ vec)
-            entries.append(
-                PairingEntry(
-                    candidate=tuple(float(a) for a in z_vec),
-                    pairing=float(value),
-                    holds=value >= -tolerance,
-                )
-            )
+            value = _as_rational_vector(z).dot(v) if exact else float(z_vec @ np.asarray(v.as_floats()))
+            entries.append(PairingEntry(tuple(float(a) for a in z_vec), float(value), value >= -tolerance))
         reports.append(
             HypothesisReport(
                 direction=critical,
                 hypothesis_holds=critical.is_bidirectional,
-                gradient_condition=gradient_condition,
+                gradient_condition=None if on_second is None else _linear_condition_on_cone(
+                    grad_r, *on_second, tolerance, ConditionId.C1
+                ),
                 pairings=tuple(entries),
             )
         )

@@ -559,6 +559,81 @@ def test_verify_substitutes_smooth_second_order_finite_witnesses(tmp_path, capsy
     assert "[FAIL] classical: witness reproduces the violation" in out
 
 
+def _ex32_at_one_third(regime: str) -> dict:
+    """x'x over the ex32 ellipse at (1/3, 2/3), a rational point of it."""
+    point = ["1/3", "2/3"] if regime == "exact" else [1 / 3, 2 / 3]
+    return {
+        "version": "1",
+        "constraint": {"type": "fixture", "name": "ex32"},
+        "objective": {"type": "quadratic", "matrix": [["2", "0"], ["0", "2"]], "linear": ["0", "0"]},
+        "query": {"point": point, "regime": regime},
+    }
+
+
+LEVEL_SET_ERROR = "error: fixture {!r} is a smooth level set, which needs a positive tolerance"
+
+
+@pytest.mark.parametrize(
+    "doc, command, flags, name",
+    [
+        ({"version": "1", "constraint": {"type": "fixture", "name": "ex31"}, "query": {"regime": "exact"}},
+         "second-order", (), "ex31"),
+        (_ex32_at_one_third("exact"), "first-order", (), "ex32"),
+        (_ex32_at_one_third("float"), "first-order", ("--tolerance", "0"), "ex32"),
+    ],
+)
+def test_smooth_level_set_with_tolerance_zero_exits_three(tmp_path, capsys, doc, command, flags, name):
+    """A smooth level set is decided only with a positive tolerance: with 0
+    ex31's boundary point reads as inactive (its value is -8.9e-16), and
+    ex32's first-order witness fails `verify`, its <normal, ray> being
+    1e-17 rather than 0."""
+    path = tmp_path / "level_set.json"
+    path.write_text(json.dumps(doc))
+    for fmt in ("json", "human"):
+        code, out, err = run_cli(capsys, command, "--input", str(path), "--format", fmt, *flags)
+        assert (code, out) == (3, "") and err.startswith(LEVEL_SET_ERROR.format(name)), err
+
+
+def test_verify_of_a_zero_tolerance_level_set_report_exits_three(tmp_path, capsys):
+    """A report of first-order on exact ex32 at (1/3, 2/3), as earlier
+    versions wrote it, cannot be re-run."""
+    report = {
+        "command": "first-order",
+        "configuration": {"mesh": "1.0:8.0:0.5", "regime": "exact", "ssd_tolerance": 1e-06,
+                          "tolerance": 0.0, "tolerance_override": None},
+        "exit_code": 1,
+        "problem": _ex32_at_one_third("exact"),
+        "results": {
+            "condition": {
+                "boundary": False, "certificate": None, "checked_directions": None,
+                "condition": "FirstOrder", "margin": "-inf",
+                "notes": "pairing is unbounded below on the region", "verdict": "fails",
+                "witness": [-0.3137254901960784, 0.07843137254901955], "witness_direction": None,
+            },
+            "gradient": ["2/3", "4/3"],
+            "mode": "smooth",
+            "tangent_region": {"kind": "hyperplane", "normal": [0.6666666666666666, 2.6666666666666665],
+                               "normalized_offset": 0.0, "offset": 0.0},
+        },
+        "timestamp": "2026-01-01T00:00:00+00:00",
+        "tool": {"name": "cone-audit", "version": "0.1.0"},
+    }
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("not a usable report document: AnalysisError(\"fixture 'ex32' is a smooth level set")
+
+
+def test_ssd_on_exact_ex31_reads_no_constraint(tmp_path, capsys):
+    """ssd never reads the level set, so the exact regime leaves it working."""
+    path = tmp_path / "ex31.json"
+    path.write_text(json.dumps({"version": "1", "constraint": {"type": "fixture", "name": "ex31"},
+                                "query": {"regime": "exact", "z_candidates": [["0", "-2"]]}}))
+    code, out, err = run_cli(capsys, "ssd", "--input", str(path))
+    assert (code, err) == (0, "") and "z = (0.0, -2.0): Member" in out
+
+
 def test_verify_substitutes_theorem41_gradient_condition_witness(tmp_path, capsys):
     """x^2/2 - x over x >= 0 at 0, direction 0: the gradient condition fails
     with witness 1, and a swapped witness is checked on T2(x, v)."""
@@ -811,9 +886,35 @@ def test_random_qp_reports_revalidate(seed, dim, num_eq, num_directions, station
         assert ok, (command, checks)
 
 
-def test_verify_builds_one_tangent_cone_beyond_the_rerun(monkeypatch):
-    """`verify` re-runs the command, then reads every T2(x, v) and the
-    critical cone from one tangent cone T(x)."""
+@pytest.mark.parametrize("regime", ["exact", "float"])
+def test_theorem41_and_second_order_agree_at_every_tangent_direction(regime):
+    """Both commands read a direction's flags and (c1) off one pass over
+    T(x): theorem41's flags and gradient condition are second-order's
+    critical flags and c1, entry for entry.  Float problems keep the seeds
+    whose point and directions are dyadic, so binary64 holds them exactly."""
+    compared = 0
+    for seed in range(60):
+        doc = random_qp_problem(seed, 2 + seed % 3, seed % 2, 2, seed % 3 == 0)
+        query = doc["query"]
+        if regime == "float":
+            vectors = [query["point"], *query["directions"]]
+            if any(Fraction(a).denominator & (Fraction(a).denominator - 1) for vec in vectors for a in vec):
+                continue
+            floats = [[float(Fraction(a)) for a in vec] for vec in vectors]
+            query.update(regime="float", point=floats[0], directions=floats[1:])
+        problem = parse_problem(json.dumps(doc))
+        second = run_analysis(problem, "second-order")["results"]["directions"]
+        theorem41 = run_analysis(problem, "theorem41")["results"]["directions"]
+        for ours, theirs in zip(theorem41, second, strict=True):
+            assert ours["flags"] == theirs["critical_flags"], seed
+            assert ours["gradient_condition"] == theirs["c1"], seed
+            compared += 1
+    assert compared >= 40
+
+
+def test_verify_builds_no_tangent_cone_beyond_the_rerun(monkeypatch):
+    """`verify` re-runs the command on the context it checks on, so every
+    T2(x, v) and the critical cone are read from the re-run's T(x)."""
     counts = Counter()
     real = geometry.Polyhedron.tangent_cone
 
@@ -823,14 +924,14 @@ def test_verify_builds_one_tangent_cone_beyond_the_rerun(monkeypatch):
 
     monkeypatch.setattr(geometry.Polyhedron, "tangent_cone", counted)
     problem = parse_problem(json.dumps(random_qp_problem(3, 3, 1, 2, True)))
-    for command, extra in (("cones", 0), ("first-order", 1), ("second-order", 1), ("qp", 1)):
+    for command in ("cones", "first-order", "second-order", "qp", "theorem41"):
         counts.clear()
         report = run_analysis(problem, command)
         bare = counts["tangent_cone"]
         counts.clear()
         ok, checks = revalidate_report(report)
         assert ok, checks
-        assert counts["tangent_cone"] == bare + extra, command
+        assert counts["tangent_cone"] == bare, command
 
 
 def _dependent_equality_problem() -> dict:
