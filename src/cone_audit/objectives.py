@@ -185,12 +185,16 @@ class SmoothLevelSetConstraint:
         return np.asarray(x, dtype=float).reshape(self.dimension)
 
     def _active_gradient(self, x, activity_tol: float) -> Array:
+        """The constraint gradient at an active point.  Activity is capped at
+        the default tolerance, so a loose verdict tolerance cannot accept a
+        point off the set."""
         point = self._point(x)
         level = float(self.value(point))
-        if abs(level) > activity_tol:
+        bound = min(activity_tol, DEFAULT_FLOAT_TOL)
+        if abs(level) > bound:
             raise InactiveConstraintError(
                 f"constraint value {level} at the queried point exceeds the "
-                f"activity tolerance {activity_tol}"
+                f"activity tolerance {bound}"
             )
         grad = np.asarray(self.gradient(point), dtype=float).reshape(-1)
         if float(np.linalg.norm(grad)) <= activity_tol:

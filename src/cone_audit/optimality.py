@@ -22,9 +22,13 @@ T^2(x, v) = T(x) + Rv, so one pairing LP on T(x) per point decides (c0) and
 (c1) at every direction: (c1) fails along a ray of T(x) or along v or -v,
 whichever pairs negatively, and otherwise the (c0) multipliers, positive
 only on rows tight at v, certify it.  At a critical direction (c1) is
-therefore (c0), so the (c1') quantifier needs no enumeration, and the
-classical check over a polyhedral second-order set is (c1) read exactly plus
-the curvature sign.
+therefore (c0), so the (c1') quantifier needs no enumeration.
+
+Every linear and classical check reads one record of the infimum of
+<gradient, w> over its pairing set, a cone or an affine region
+(:func:`_infimum`): the linear checks sign its margin (:func:`_linear`),
+the classical check its value plus the curvature (:func:`_classical`), so
+a cone's Lagrange certificate is built and verified once per direction.
 
 Every verdict is one sign rule on a margin (:func:`_sign_report`): an exact
 margin holds iff it is >= 0; a float margin holds iff it is >= -tolerance,
@@ -205,8 +209,8 @@ def _on_second_order_set(
 def _tangent_directions(gradient, tangent: PolyhedralCone, directions, tolerance):
     """The one pass over directions at a point of a polyhedron whose tangent
     cone is ``tangent``: for each direction, the exact v, its flags against
-    T(x), and for a tangent v T2(x, v) with the pairing LP on it, read off
-    one pairing LP on T(x) (:func:`_on_second_order_set`), else None.
+    T(x), and for a tangent v T2(x, v) with the pairing infimum on it, read
+    off one pairing LP on T(x) (:func:`_on_second_order_set`), else None.
 
     v is gradient-orthogonal when |<gradient, v>| <= tolerance, the pairing
     exact for an exact gradient and float for a float one.
@@ -224,10 +228,29 @@ def _tangent_directions(gradient, tangent: PolyhedralCone, directions, tolerance
             gradient_orthogonal=abs(pairing) <= tolerance,
         )
         if not critical.in_tangent_cone:
-            yield v, critical, None
+            yield v, critical, None, None
             continue
         result = result or _pairing_lp(grad, tangent)
-        yield v, critical, _on_second_order_set(result, tangent, v, grad)
+        second_order, derived = _on_second_order_set(result, tangent, v, grad)
+        yield v, critical, second_order, _infimum(grad, second_order, derived, tolerance)
+
+
+def _level_set_directions(gradient, constraint: SmoothLevelSetConstraint, point, directions, tolerance):
+    """:func:`_tangent_directions` at a point of a smooth level set: the
+    float v, its flags against the tangent region, T2(x, v) from
+    :meth:`SmoothLevelSetConstraint.second_order_tangent_set` and the
+    pairing infimum on it."""
+    region = constraint.tangent_cone(point, tolerance)
+    for direction in directions:
+        vec = np.asarray(direction, dtype=float).reshape(-1)
+        critical = CriticalDirection(
+            vector=tuple(float(a) for a in vec),
+            in_tangent_cone=region.contains(vec, tolerance),
+            negation_in_tangent_cone=region.contains(-vec, tolerance),
+            gradient_orthogonal=abs(float(gradient @ vec)) <= tolerance,
+        )
+        second_order = constraint.second_order_tangent_set(point, vec, tolerance)
+        yield vec, critical, second_order, _infimum(gradient, second_order, None, tolerance)
 
 
 def _steepness(gradient: RationalVector, ray: RationalVector) -> Fraction:
@@ -263,48 +286,54 @@ def _sign_report(
     )
 
 
-def _linear_condition_on_cone(
-    gradient: RationalVector,
-    cone: PolyhedralCone,
-    result: LPResult,
-    tolerance,
-    condition: ConditionId,
-) -> ConditionReport:
-    """Read the pairing LP ``result`` as <gradient, .> >= 0 on the cone."""
-    if result.status is LPStatus.OPTIMAL:
-        # The infimum over a cone is 0; the dual multipliers certify
-        # -gradient = sum(lambda_i row_i) + sum(mu_j eq_j).
-        certificate = LagrangeCertificate(
-            inequality_multipliers=tuple(
-                (pos, cone.ineq_origins[pos], lam)
-                for pos, lam in enumerate(result.dual_inequalities)
-            ),
-            equality_multipliers=-result.dual_equalities,
-        )
-        if not certificate.verify(gradient, cone):
-            raise RuntimeError("Lagrange certificate failed exact verification")
-        return _sign_report(condition, Fraction(0), tolerance, None, certificate)
-    ray = result.witness.primitive()
-    scaled = _steepness(gradient, ray)
-    report = _sign_report(condition, scaled if tolerance == 0 else float(scaled), tolerance, ray)
-    if report.boundary:
+def _infimum(gradient, pairing_set: PolyhedralCone | AffineRegion, result: LPResult | None, tolerance):
+    """inf <gradient, w> over a cone or an affine region, as ``(value,
+    margin, witness, certificate, notes)``.
+
+    On a region, :meth:`AffineRegion.linear_infimum` gives the value, which
+    is also the margin; the witness is the descent ray, else the attaining
+    point.  On a cone, the pairing LP ``result`` (solved here when None)
+    gives the value: 0, attained at the origin and certified by the
+    verified Lagrange multipliers, or -inf along a ray, whose steepness is
+    the margin, exact at tolerance 0 and float otherwise.
+    """
+    if isinstance(pairing_set, AffineRegion):
+        value, attained, ray = pairing_set.linear_infimum(gradient, float(tolerance))
+        witness = tuple(float(a) for a in (attained if ray is None else ray))
+        return value, value, witness, None, "" if ray is None else "pairing is unbounded below on the region"
+    grad = _as_rational_vector(gradient)
+    result = result or _pairing_lp(grad, pairing_set)
+    if result.status is LPStatus.UNBOUNDED:
+        ray = result.witness.primitive()
+        scaled = _steepness(grad, ray)
+        return float("-inf"), scaled if tolerance == 0 else float(scaled), ray, None, ""
+    # -gradient = sum(lambda_i row_i) + sum(mu_j eq_j) by the dual multipliers
+    certificate = LagrangeCertificate(
+        inequality_multipliers=tuple(
+            (pos, pairing_set.ineq_origins[pos], lam) for pos, lam in enumerate(result.dual_inequalities)
+        ),
+        equality_multipliers=-result.dual_equalities,
+    )
+    if not certificate.verify(grad, pairing_set):
+        raise RuntimeError("Lagrange certificate failed exact verification")
+    return Fraction(0), Fraction(0), RationalVector.zero(grad.dim), certificate, ""
+
+
+def _linear(condition: ConditionId, infimum: tuple, tolerance) -> ConditionReport:
+    """<gradient, .> >= 0 on the pairing set, read off :func:`_infimum`."""
+    value, margin, witness, certificate, notes = infimum
+    report = _sign_report(condition, margin, tolerance, witness, certificate, notes)
+    if report.boundary and value == float("-inf"):
         return replace(report, notes="violation within tolerance; treated as boundary case")
     return report
 
 
-def _region_witness(attained, ray) -> tuple[float, ...]:
-    """The descent ray of an unbounded infimum, else the attaining point."""
-    return tuple(float(a) for a in (attained if ray is None else ray))
-
-
-def _linear_condition_on_region(
-    infimum: tuple, tolerance: float, condition: ConditionId
-) -> ConditionReport:
-    """Read :meth:`AffineRegion.linear_infimum`'s (value, attained, ray) as
-    <gradient, .> >= 0 on the region."""
-    value, attained, ray = infimum
-    notes = "" if ray is None else "pairing is unbounded below on the region"
-    return _sign_report(condition, value, tolerance, _region_witness(attained, ray), notes=notes)
+def _classical(infimum: tuple, curvature: Fraction | float, tolerance) -> ConditionReport:
+    """inf <gradient, w> over the second-order set plus the curvature, >= 0,
+    read off :func:`_infimum`."""
+    value, _, witness, certificate, _ = infimum
+    notes = "gradient pairing is unbounded below on the second-order set" if value == float("-inf") else ""
+    return _sign_report(ConditionId.CLASSICAL_32, value + curvature, tolerance, witness, certificate, notes)
 
 
 def first_order_check(
@@ -319,14 +348,7 @@ def first_order_check(
     lies in the normal cone).  Exact cones go through the certificate LP;
     affine regions use the closed form.
     """
-    if isinstance(tangent, PolyhedralCone):
-        grad = _as_rational_vector(gradient)
-        return _linear_condition_on_cone(
-            grad, tangent, _pairing_lp(grad, tangent), tolerance, condition
-        )
-    tolerance = float(tolerance)
-    infimum = tangent.linear_infimum(gradient, tolerance)
-    return _linear_condition_on_region(infimum, tolerance, condition)
+    return _linear(condition, _infimum(gradient, tangent, None, tolerance), tolerance)
 
 
 def check_c1(
@@ -594,44 +616,7 @@ def classical_second_order_check(
     infimum is 0 or -inf; over the one-constraint affine descriptors it has
     the closed form handled by the region itself.
     """
-    if isinstance(second_order_set, PolyhedralCone):
-        grad = _as_rational_vector(gradient)
-        return _classical_on_cone(
-            grad, curvature, second_order_set, _pairing_lp(grad, second_order_set), tolerance
-        )
-    infimum = second_order_set.linear_infimum(gradient, float(tolerance))
-    return _classical_on_region(infimum, curvature, tolerance)
-
-
-_UNBOUNDED_CLASSICAL = "gradient pairing is unbounded below on the second-order set"
-
-
-def _classical_on_cone(
-    gradient: RationalVector,
-    curvature: Fraction | float,
-    cone: PolyhedralCone,
-    result: LPResult,
-    tolerance: float | Fraction,
-) -> ConditionReport:
-    """The classical check read off the pairing LP ``result``: the infimum is
-    0, attained at the origin, or -inf along the LP's ray."""
-    linear = _linear_condition_on_cone(gradient, cone, result, 0, ConditionId.CLASSICAL_32)
-    if linear.verdict is Verdict.FAILS:
-        return replace(linear, margin=float("-inf"), notes=_UNBOUNDED_CLASSICAL)
-    margin = linear.margin + curvature
-    zero = RationalVector.zero(gradient.dim)
-    return _sign_report(ConditionId.CLASSICAL_32, margin, tolerance, zero, linear.certificate)
-
-
-def _classical_on_region(
-    infimum: tuple, curvature: Fraction | float, tolerance: float | Fraction
-) -> ConditionReport:
-    """The classical check read off :meth:`AffineRegion.linear_infimum`'s
-    (value, attained, ray)."""
-    value, attained, ray = infimum
-    notes = "" if ray is None else _UNBOUNDED_CLASSICAL
-    witness = _region_witness(attained, ray)
-    return _sign_report(ConditionId.CLASSICAL_32, value + curvature, tolerance, witness, notes=notes)
+    return _classical(_infimum(gradient, second_order_set, None, tolerance), curvature, tolerance)
 
 
 @dataclass(frozen=True)
@@ -666,7 +651,8 @@ def theorem33_check(
     (:meth:`Polyhedron.tangent_cone`), and one pairing LP on it decides (c1)
     and the classical check at every direction (:func:`_tangent_directions`,
     the pass :func:`theorem41_check` shares); a direction that is not
-    tangent raises :class:`NotTangentDirectionError`.
+    tangent raises :class:`NotTangentDirectionError`.  Over a level set the
+    same reads come from :func:`_level_set_directions`.
     A :class:`QuadraticObjective` there is checked exactly, with tolerance 0;
     the ``tolerance`` argument is ignored for such data.  A
     :class:`SmoothObjective` is evaluated in float over the exact cones (the
@@ -684,38 +670,25 @@ def theorem33_check(
         grad = objective.gradient_at(point)
         hessian = objective.hessian_at(point)
 
-    checked = []  # (flags, second-order set, (c1), curvature, the direction as witness, classical)
     if isinstance(constraint, PolyhedralCone):
-        grad_r = _as_rational_vector(grad)
-        for v, critical, on_second in _tangent_directions(grad, constraint, directions, tolerance):
-            if on_second is None:
-                constraint.tangent_cone_at(v)  # raises NotTangentDirectionError
-            second_order, derived = on_second
-            vec = v if exact else np.asarray(v.as_floats())
-            curvature = objective.quadratic_form(v) if exact else float(vec @ hessian @ vec)
-            c1 = _linear_condition_on_cone(grad_r, second_order, derived, tolerance, ConditionId.C1)
-            classical = _classical_on_cone(grad_r, curvature, second_order, derived, tolerance)
-            checked.append((critical, second_order, c1, curvature, v if exact else v.as_floats(), classical))
+        passes = _tangent_directions(grad, constraint, directions, tolerance)
     else:
-        region = constraint.tangent_cone(point, tolerance)
-        for direction in directions:
-            vec = np.asarray(direction, dtype=float).reshape(-1)
-            critical = CriticalDirection(
-                vector=tuple(float(a) for a in vec),
-                in_tangent_cone=region.contains(vec, tolerance),
-                negation_in_tangent_cone=region.contains(-vec, tolerance),
-                gradient_orthogonal=abs(float(grad @ vec)) <= tolerance,
-            )
-            second_order = constraint.second_order_tangent_set(point, vec, tolerance)
-            infimum = second_order.linear_infimum(grad, tolerance)
-            curvature = float(vec @ hessian @ vec)
-            c1 = _linear_condition_on_region(infimum, tolerance, ConditionId.C1)
-            classical = _classical_on_region(infimum, curvature, tolerance)
-            checked.append((critical, second_order, c1, curvature, tuple(float(a) for a in vec), classical))
-    return tuple(
-        SecondOrderBundle(flags, second, c1, _sign_report(ConditionId.C2, curvature, tolerance, witness), classical)
-        for flags, second, c1, curvature, witness, classical in checked
-    )
+        passes = _level_set_directions(grad, constraint, point, directions, tolerance)
+    bundles = []
+    for v, critical, second_order, infimum in passes:
+        if second_order is None:
+            constraint.tangent_cone_at(v)  # raises NotTangentDirectionError
+        floats = tuple(map(float, critical.vector))
+        vec = np.asarray(floats)
+        curvature = objective.quadratic_form(v) if exact else float(vec @ hessian @ vec)
+        bundles.append(SecondOrderBundle(
+            critical,
+            second_order,
+            _linear(ConditionId.C1, infimum, tolerance),
+            _sign_report(ConditionId.C2, curvature, tolerance, v if exact else floats),
+            _classical(infimum, curvature, tolerance),
+        ))
+    return tuple(bundles)
 
 
 @dataclass(frozen=True)
@@ -754,14 +727,12 @@ def check_qp(
 def _qp_conditions(matrix: RationalMatrix, tangent: PolyhedralCone, gradient: RationalVector) -> QPConditions:
     """:func:`check_qp` at a point with tangent cone ``tangent`` and gradient ``gradient``."""
     result = _pairing_lp(gradient, tangent)
-    c0 = _linear_condition_on_cone(gradient, tangent, result, 0, ConditionId.QP_C0)
+    c0 = _linear(ConditionId.QP_C0, _infimum(gradient, tangent, result, 0), 0)
 
     crit = critical_cone(gradient, tangent)
     directions = crit.generators().spanning_vectors() or (RationalVector.zero(tangent.dim),)
     v = directions[0]
-    c1p = _linear_condition_on_cone(
-        gradient, *_on_second_order_set(result, tangent, v, gradient), 0, ConditionId.QP_C1P
-    )
+    c1p = _linear(ConditionId.QP_C1P, _infimum(gradient, *_on_second_order_set(result, tangent, v, gradient), 0), 0)
     holds = c1p.verdict is Verdict.HOLDS
     c1p = replace(
         c1p,

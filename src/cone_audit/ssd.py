@@ -37,7 +37,7 @@ from .optimality import (
     CriticalDirection,
     Verdict,
     _as_rational_vector,
-    _linear_condition_on_cone,
+    _linear,
     _tangent_directions,
 )
 
@@ -226,8 +226,12 @@ def estimate_calmness(
 
     Uses a deterministic Halton sequence mapped into the ball of the given
     radius; candidates outside the ball or equal to the base point are
-    skipped until ``samples`` quotients have been evaluated.
+    skipped until ``samples`` quotients have been evaluated.  The sequence
+    has one prime base per coordinate, so at most ``len(_HALTON_BASES)``
+    dimensions are supported (ValueError otherwise).
     """
+    if objective.dimension > len(_HALTON_BASES):
+        raise ValueError(f"calmness estimation supports at most {len(_HALTON_BASES)} dimensions")
     if radius <= 0:
         raise ValueError("radius must be positive")
     if samples < 1:
@@ -326,9 +330,8 @@ def theorem41_check(
     """
     exact = isinstance(objective, QuadraticObjective)
     grad = objective.gradient(_as_rational_vector(point)) if exact else objective.gradient_at(point)
-    grad_r = _as_rational_vector(grad)
     reports = []
-    for v, critical, on_second in _tangent_directions(grad, tangent, directions, tolerance):
+    for v, critical, _, infimum in _tangent_directions(grad, tangent, directions, tolerance):
         entries = []
         for z in candidates:
             z_vec = np.asarray(z, dtype=float).reshape(-1)
@@ -338,9 +341,7 @@ def theorem41_check(
             HypothesisReport(
                 direction=critical,
                 hypothesis_holds=critical.is_bidirectional,
-                gradient_condition=None if on_second is None else _linear_condition_on_cone(
-                    grad_r, *on_second, tolerance, ConditionId.C1
-                ),
+                gradient_condition=None if infimum is None else _linear(ConditionId.C1, infimum, tolerance),
                 pairings=tuple(entries),
             )
         )

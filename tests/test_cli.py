@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cone_audit import geometry, lp
+from cone_audit import geometry, lp, optimality
 from cone_audit.analysis import revalidate_report, run_analysis
 from cone_audit.cli import _render_json, main
 from cone_audit.linalg import RationalVector
@@ -594,6 +594,21 @@ def test_smooth_level_set_with_tolerance_zero_exits_three(tmp_path, capsys, doc,
         assert (code, out) == (3, "") and err.startswith(LEVEL_SET_ERROR.format(name)), err
 
 
+def test_loose_tolerance_does_not_make_an_off_set_point_active(tmp_path, capsys):
+    """ex32 at (0.5, 0.5), where h = -0.25, with a verdict tolerance of 0.5:
+    activity is tested at the default tolerance, not the verdict one."""
+    path = tmp_path / "off_set.json"
+    path.write_text(json.dumps({
+        "version": "1",
+        "constraint": {"type": "fixture", "name": "ex32"},
+        "query": {"point": [0.5, 0.5], "directions": [[2.0, -1.0]], "regime": "float", "tolerance": 0.5},
+    }))
+    for command in ("cones", "first-order", "second-order"):
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert (code, out) == (3, ""), command
+        assert err.startswith("error: constraint value -0.25 at the queried point exceeds the activity tolerance 1e-09")
+
+
 def test_verify_of_a_zero_tolerance_level_set_report_exits_three(tmp_path, capsys):
     """A report of first-order on exact ex32 at (1/3, 2/3), as earlier
     versions wrote it, cannot be re-run."""
@@ -932,6 +947,24 @@ def test_verify_builds_no_tangent_cone_beyond_the_rerun(monkeypatch):
         ok, checks = revalidate_report(report)
         assert ok, checks
         assert counts["tangent_cone"] == bare, command
+
+
+def test_second_order_verifies_each_certificate_once(monkeypatch):
+    """`second-order` checks one Lagrange certificate per direction whose
+    (c1) holds on a cone: (c1) and the classical check read the same one."""
+    calls = Counter()
+    real = optimality.LagrangeCertificate.verify
+
+    def counted(self, gradient, cone):
+        calls["verify"] += 1
+        return real(self, gradient, cone)
+
+    monkeypatch.setattr(optimality.LagrangeCertificate, "verify", counted)
+    problem = parse_problem(json.dumps(random_qp_problem(3, 3, 1, 2, True)))
+    report = run_analysis(problem, "second-order")
+    certified = [entry for entry in report["results"]["directions"] if entry["c1"]["certificate"] is not None]
+    assert certified
+    assert calls["verify"] == len(certified)
 
 
 def _dependent_equality_problem() -> dict:

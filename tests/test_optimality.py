@@ -1022,7 +1022,12 @@ def test_c1_at_critical_directions_has_the_first_order_verdict_in_float(seed):
 
 def test_equivalence_classical_vs_c1_plus_curvature():
     """Over polyhedral second-order sets (cones), the classical condition at v
-    is equivalent to (c1 at v) and nonnegative curvature at v."""
+    is equivalent to (c1 at v) and nonnegative curvature at v, for an exact
+    and a float gradient, because both read one infimum: where (c1) at
+    tolerance 0 fails, the classical margin is -inf with (c1)'s witness;
+    where it holds, the classical margin is the curvature, with (c1)'s
+    certificate.  Over a half-plane the classical margin is (c1)'s plus the
+    curvature, or -inf with (c1)'s witness."""
     rng = random.Random(31)
     checked = 0
     for _ in range(30):
@@ -1037,15 +1042,39 @@ def test_equivalence_classical_vs_c1_plus_curvature():
             dim,
         )
         quad = QuadraticObjective(sym, random_vector(rng, dim))
-        gradient = quad.gradient(base)
         tangent = polyhedron.tangent_cone(base)
-        for v in critical_cone(gradient, tangent).generators().spanning_vectors():
-            second = polyhedron.second_order_tangent_set(base, v)
-            curvature = quad.quadratic_form(v)
-            classical = classical_second_order_check(gradient, curvature, second)
-            c1 = check_c1(gradient, second)
-            lhs = classical.verdict is Verdict.HOLDS
-            rhs = c1.verdict is Verdict.HOLDS and curvature >= 0
-            assert lhs == rhs
-            checked += 1
+        # and a gradient -sum(w_i row_i), w >= 0, that (c1) holds for
+        stationary = RationalVector.zero(dim)
+        for row in tangent.ineq_rows.rows:
+            stationary = stationary - row.scale(rng.randint(0, 2))
+        for gradient in (quad.gradient(base), stationary):
+            for v in critical_cone(gradient, tangent).generators().spanning_vectors():
+                second = polyhedron.second_order_tangent_set(base, v)
+                curvature = quad.quadratic_form(v)
+                for grad, curv, tolerance in (
+                    (gradient, curvature, 0),
+                    (np.array(gradient.as_floats()), float(curvature), 1e-9),
+                ):
+                    classical = classical_second_order_check(grad, curv, second, tolerance)
+                    c1 = check_c1(grad, second)
+                    lhs = classical.verdict is Verdict.HOLDS
+                    rhs = c1.verdict is Verdict.HOLDS and curv >= -tolerance
+                    assert lhs == rhs
+                    if c1.verdict is Verdict.FAILS:
+                        assert classical.margin == float("-inf") and classical.witness == c1.witness
+                    else:
+                        assert classical.margin == curv and type(classical.margin) is type(curv)
+                        if lhs:
+                            assert classical.certificate == c1.certificate is not None
+                checked += 1
     assert checked > 20
+    for offset in (-1.0, 0.0, TINY, 1.0):
+        region = _half_plane(offset)
+        for grad in ((0.0, -2.0), (0.0, -TINY), (0.0, 0.0), (0.0, 1.0), (1.0, -1.0)):
+            c1 = check_c1(grad, region, 1e-9)
+            for curvature in (-3.0, -TINY, 0.0, 2.0):
+                classical = classical_second_order_check(grad, curvature, region, 1e-9)
+                if c1.margin == float("-inf"):
+                    assert classical.margin == float("-inf") and classical.witness == c1.witness
+                else:
+                    assert classical.margin == c1.margin + curvature

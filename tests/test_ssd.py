@@ -132,6 +132,18 @@ def test_calmness_estimates():
     assert est.modulus > 0.09
 
 
+def test_calmness_dimension_limit():
+    """Ten dimensions sample; eleven, one more than the Halton bases, are
+    refused before any gradient is evaluated."""
+    def objective(n):
+        return SmoothObjective(n, value=lambda x: 0.5 * float(x @ x), gradient=lambda x: x)
+
+    est = estimate_calmness(objective(10), np.zeros(10), 0.5, samples=8)
+    assert abs(est.modulus - 1.0) < 1e-9
+    with pytest.raises(ValueError, match="at most 10 dimensions"):
+        estimate_calmness(objective(11), np.zeros(11), 0.5, samples=8)
+
+
 def test_calmness_monotone_in_samples():
     obj = ex41_objective()
     values = [
