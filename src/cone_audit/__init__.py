@@ -21,7 +21,6 @@ from .errors import (
     NotInSetError,
     NotTangentDirectionError,
     ProblemFormatError,
-    UnsupportedFamilyError,
     VanishingGradientError,
 )
 from .geometry import PolyhedralCone, Polyhedron, cone_equal, cone_subset
@@ -64,7 +63,6 @@ from .ssd import (
     SSDQuery,
     estimate_calmness,
     ssd_hessian_closed_form,
-    ssd_interval_1d_example_family,
     ssd_membership,
     theorem41_check,
 )

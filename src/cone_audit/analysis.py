@@ -21,7 +21,7 @@ from .dd import GeneratorSet
 from .errors import AnalysisError
 from .geometry import PolyhedralCone
 from .linalg import RationalMatrix, RationalVector
-from .objectives import DEFAULT_FLOAT_TOL, AffineRegion, QuadraticObjective, RegionKind, SmoothObjective
+from .objectives import DEFAULT_FLOAT_TOL, AffineRegion, QuadraticObjective, SmoothObjective
 from .optimality import (
     ConditionReport,
     CopositivityResult,
@@ -41,7 +41,6 @@ from .ssd import (
     _membership_quotient,
     estimate_calmness,
     ssd_hessian_closed_form,
-    ssd_interval_1d_example_family,
     ssd_membership,
     theorem41_check,
 )
@@ -416,15 +415,13 @@ def _run_ssd(ctx: _Context) -> tuple[dict, int]:
                     exit_code = EXIT_SOME_FAIL
         results["memberships"] = queries
         if ctx.problem.fixture is not None and ctx.problem.fixture.name == "ex41":
-            # the closed form covers v >= 0; the second-order subdifferential
-            # is empty at v < 0, which the memberships above report
-            intervals = []
-            for direction in directions:
-                v = float(direction[0])
-                if v >= 0:
-                    lo, hi = ssd_interval_1d_example_family(Fraction(v))
-                    intervals.append({"direction": v, "interval": [str(lo), str(hi)]})
-            results["closed_form_intervals"] = intervals
+            # ex41's second-order subdifferential at 0 is [-v, 0] for v >= 0;
+            # it is empty at v < 0, which the memberships above report
+            results["closed_form_intervals"] = [
+                {"direction": v, "interval": [str(-Fraction(v)), "0"]}
+                for v in (float(direction[0]) for direction in directions)
+                if v >= 0
+            ]
         calmness = estimate_calmness(objective, point, CALMNESS_RADIUS, CALMNESS_SAMPLES)
         results["calmness"] = {
             "modulus": calmness.modulus,
@@ -603,12 +600,9 @@ class _Revalidator:
         witness = _as_rational_vector(entry["witness"])
         if isinstance(region, PolyhedralCone):
             return witness, region.contains(witness)
-        if entry.get("margin") != "-inf":
-            return witness, region.contains(witness.as_floats(), self.ctx.tolerance)
-        along = float(region.normal @ np.asarray(witness.as_floats()))
-        bound = self.ctx.tolerance * max(1.0, float(np.linalg.norm(region.normal)))
-        inside = abs(along) <= bound if region.kind is RegionKind.HYPERPLANE else along <= bound
-        return witness, inside
+        if entry.get("margin") == "-inf":
+            region = AffineRegion(region.kind, region.normal, 0.0)
+        return witness, region.contains(witness.as_floats(), self.ctx.tolerance)
 
     def _check_linear_condition(self, label: str, entry: dict, cone) -> None:
         """Substitute a Fails witness / verify a Holds Lagrange certificate."""
@@ -677,12 +671,13 @@ class _Revalidator:
                 )
 
     def _curvature(self, direction: RationalVector) -> Fraction:
-        quad = self.ctx.problem.quadratic
-        if quad is not None:
-            return quad.quadratic_form(direction)
-        hess = self.ctx.smooth_objective().hessian_at(self.ctx.point_floats())
+        """<Mv, v> in the run's arithmetic: exact for exact quadratic data,
+        else off the float Hessian the run used."""
+        objective = self.ctx.objective
+        if isinstance(objective, QuadraticObjective):
+            return objective.quadratic_form(direction)
         vec = np.asarray(direction.as_floats())
-        return Fraction(float(vec @ hess @ vec))
+        return Fraction(float(vec @ objective.hessian_at(self.ctx.point_floats()) @ vec))
 
     def _check_classical(self, entry, second, direction: RationalVector) -> None:
         """Substitute a failing classical-condition witness.

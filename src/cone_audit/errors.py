@@ -50,10 +50,6 @@ class VanishingGradientError(ConeAuditError):
     """The constraint gradient vanishes at the queried point (regularity failure)."""
 
 
-class UnsupportedFamilyError(ConeAuditError):
-    """A closed-form query outside the shipped piecewise family's cover (v < 0)."""
-
-
 class ProblemFormatError(ConeAuditError):
     """A problem file failed validation; lists every schema error found."""
 

@@ -138,10 +138,13 @@ class AffineRegion:
         return self.offset / float(np.linalg.norm(self.normal))
 
     def contains(self, w, tol: float = DEFAULT_FLOAT_TOL) -> bool:
-        value = float(self.normal @ np.asarray(w, dtype=float))
+        """<normal, w> against the offset within tol * max(1, |normal| |w|)."""
+        vec = np.asarray(w, dtype=float)
+        excess = float(self.normal @ vec) - self.offset
+        bound = tol * max(1.0, float(np.linalg.norm(self.normal)) * float(np.linalg.norm(vec)))
         if self.kind is RegionKind.HYPERPLANE:
-            return abs(value - self.offset) <= tol
-        return value <= self.offset + tol
+            return abs(excess) <= bound
+        return excess <= bound
 
     def linear_infimum(self, direction, tol: float = DEFAULT_FLOAT_TOL):
         """inf of <direction, w> over the region.
@@ -219,13 +222,10 @@ class SmoothLevelSetConstraint:
             raise ValueError("constraint has no Hessian evaluator")
         grad = self._active_gradient(x, activity_tol)
         direction = np.asarray(v, dtype=float).reshape(self.dimension)
-        pairing = float(grad @ direction)
-        if abs(pairing) > activity_tol * max(
-            1.0, float(np.linalg.norm(grad)) * float(np.linalg.norm(direction))
-        ):
+        if not AffineRegion(RegionKind.HYPERPLANE, grad, 0.0).contains(direction, activity_tol):
             raise NotTangentDirectionError(
                 "direction is not tangential to the constraint boundary: "
-                f"<grad, v> = {pairing}"
+                f"<grad, v> = {float(grad @ direction)}"
             )
         hess = np.asarray(self.hessian(self._point(x)), dtype=float)
         curvature = float(direction @ hess @ direction)

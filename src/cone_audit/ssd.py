@@ -11,11 +11,13 @@ A true limsup cannot be computed from finitely many samples, so the oracle
 approximates it by the maximum quotient over a logarithmic mesh of probe
 points and judges the tail (deltas below a threshold) against a verdict
 tolerance.  The mesh and tolerance are part of the contract, are
-CLI-configurable, and are validated against the shipped closed-form family.
-The correction term <grad f(base), v> vanishes at critical base points and
-is always included so the oracle stays usable elsewhere.
+CLI-configurable, and are tested against ex41's closed form [-v, 0] (v >= 0),
+which the ``ssd`` report writes out for that fixture.  The correction term
+<grad f(base), v> vanishes at critical base points and is always included so
+the oracle stays usable elsewhere.
 
-Only dimension one is supported by the mesh oracle; for twice-differentiable
+The mesh oracle and the calmness estimate are one-dimensional, the only
+dimension the ``ssd`` command asks them for; for twice-differentiable
 objectives of any dimension the action is the Hessian product, available in
 closed form.
 """
@@ -24,11 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import UnsupportedFamilyError
 from .geometry import PolyhedralCone
 from .objectives import DEFAULT_FLOAT_TOL, QuadraticObjective, SmoothObjective
 from .optimality import (
@@ -168,21 +168,6 @@ def _membership_quotient(
     return numerator / denominator
 
 
-def ssd_interval_1d_example_family(direction: Fraction | int) -> tuple[Fraction, Fraction]:
-    """Closed-form membership interval [-v, 0] of the shipped piecewise
-    family (gradient -x left of the origin, x^2 right of it, base point 0).
-
-    Only directions v >= 0 are covered (UnsupportedFamilyError otherwise); no
-    general closed form is attempted.
-    """
-    v = Fraction(direction)
-    if v < 0:
-        raise UnsupportedFamilyError(
-            "the closed form covers nonnegative directions only"
-        )
-    return (-v, Fraction(0))
-
-
 def ssd_hessian_closed_form(objective: SmoothObjective, point, direction) -> np.ndarray:
     """For C2 objectives the action is a singleton: the Hessian product."""
     hessian = objective.hessian_at(point)
@@ -204,16 +189,15 @@ class CalmnessEstimate:
     sample_count: int
 
 
-def _van_der_corput(index: int, base: int) -> float:
+def _van_der_corput(index: int) -> float:
+    """The index-th point of the base-2 van der Corput sequence, a dyadic
+    rational in [0, 1)."""
     value, denom = 0.0, 1.0
     while index:
-        index, digit = divmod(index, base)
-        denom *= base
+        index, digit = divmod(index, 2)
+        denom *= 2
         value += digit / denom
     return value
-
-
-_HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
 def estimate_calmness(
@@ -222,44 +206,32 @@ def estimate_calmness(
     radius: float,
     samples: int = 512,
 ) -> CalmnessEstimate:
-    """Estimate the local gradient Lipschitz modulus near ``point``.
+    """Estimate the local gradient Lipschitz modulus near ``point`` of a
+    one-dimensional objective (ValueError in any other dimension).
 
-    Uses a deterministic Halton sequence mapped into the ball of the given
-    radius; candidates outside the ball or equal to the base point are
-    skipped until ``samples`` quotients have been evaluated.  The sequence
-    has one prime base per coordinate, so at most ``len(_HALTON_BASES)``
-    dimensions are supported (ValueError otherwise).
+    Probe i = 1, 2, ... is point + radius * (2 vdc(i) - 1), vdc the base-2
+    van der Corput sequence; a probe that rounds onto the base point is
+    skipped until ``samples`` quotients have been evaluated.
     """
-    if objective.dimension > len(_HALTON_BASES):
-        raise ValueError(f"calmness estimation supports at most {len(_HALTON_BASES)} dimensions")
+    if objective.dimension != 1:
+        raise ValueError("calmness estimation is one-dimensional")
     if radius <= 0:
         raise ValueError("radius must be positive")
     if samples < 1:
         raise ValueError("at least one sample is required")
-    n = objective.dimension
-    base_point = np.asarray(point, dtype=float).reshape(n)
-    grad_base = objective.gradient_at(base_point)
-    bases = _HALTON_BASES[:n]
+    base = float(np.asarray(point, dtype=float).reshape(1)[0])
+    grad_base = _gradient_1d(objective, base)
     best = 0.0
     accepted = 0
-    index = 1
+    index = 0
     while accepted < samples:
-        offset = np.array(
-            [2.0 * _van_der_corput(index, b) - 1.0 for b in bases]
-        )
         index += 1
-        norm = float(np.linalg.norm(offset))
-        if norm == 0.0 or norm > 1.0:
-            continue
-        probe = base_point + radius * offset
-        distance = float(np.linalg.norm(probe - base_point))
+        probe = base + radius * (2.0 * _van_der_corput(index) - 1.0)
+        distance = abs(probe - base)
         if distance == 0.0:
             continue
         accepted += 1
-        quotient = float(
-            np.linalg.norm(objective.gradient_at(probe) - grad_base)
-        ) / distance
-        best = max(best, quotient)
+        best = max(best, abs(_gradient_1d(objective, probe) - grad_base) / distance)
     return CalmnessEstimate(modulus=best, radius=radius, sample_count=accepted)
 
 

@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cone_audit import geometry, lp, optimality
@@ -559,6 +559,31 @@ def test_verify_substitutes_smooth_second_order_finite_witnesses(tmp_path, capsy
     assert "[FAIL] classical: witness reproduces the violation" in out
 
 
+def test_verify_reads_float_curvature_as_the_run_did(tmp_path, capsys):
+    """Float-regime quadratic data are decided on the float Hessian: at
+    v = (4, -4), <Mv, v> is exactly 0 but -1.776e-15 in binary64, so at
+    tolerance 0 (c2) and the classical check fail, and `verify` reproduces
+    both failures in the same arithmetic."""
+    path = tmp_path / "float_quadratic.json"
+    path.write_text(json.dumps({
+        "version": "1",
+        "constraint": {"type": "polyhedron", "dimension": 2, "inequalities": {"rows": [], "bounds": []}},
+        "objective": {"type": "quadratic", "matrix": [["-9/7", "-1"], ["-1", "-5/7"]], "linear": ["0", "0"]},
+        "query": {"regime": "float", "point": [0.0, 0.0], "directions": [[4.0, -4.0]]},
+    }))
+    code, out, err = run_cli(capsys, "second-order", "--input", str(path), "--tolerance", "0", "--format", "json")
+    assert (code, err) == (1, "")
+    entry = json.loads(out)["results"]["directions"][0]
+    for name in ("c2_at_direction", "classical"):
+        assert entry[name]["verdict"] == "fails" and entry[name]["margin"] == -1.7763568394002505e-15
+    report_path = tmp_path / "report.json"
+    report_path.write_text(out)
+    code, out, err = run_cli(capsys, "verify", "--input", str(report_path))
+    assert (code, err) == (0, ""), out
+    assert "[ok ] c2: negative curvature reproduces" in out
+    assert "[ok ] classical: witness reproduces the violation" in out
+
+
 def _ex32_at_one_third(regime: str) -> dict:
     """x'x over the ex32 ellipse at (1/3, 2/3), a rational point of it."""
     point = ["1/3", "2/3"] if regime == "exact" else [1 / 3, 2 / 3]
@@ -884,19 +909,44 @@ def random_qp_problem(seed: int, dim: int, num_eq: int, num_directions: int, sta
     }
 
 
+def _is_dyadic(doc: dict) -> bool:
+    """Whether the query's point and directions are dyadic, so binary64
+    holds them exactly."""
+    query = doc["query"]
+    vectors = [query["point"], *query["directions"]]
+    return not any(Fraction(a).denominator & (Fraction(a).denominator - 1) for vec in vectors for a in vec)
+
+
+def _as_float_query(doc: dict) -> None:
+    query = doc["query"]
+    floats = [[float(Fraction(a)) for a in vec] for vec in [query["point"], *query["directions"]]]
+    query.update(regime="float", point=floats[0], directions=floats[1:])
+
+
 @settings(
     derandomize=True,
     deadline=None,
-    max_examples=40,
-    suppress_health_check=[HealthCheck.too_slow],
+    max_examples=100,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
-@given(st.integers(0, 2**32), st.integers(2, 5), st.integers(0, 2), st.integers(1, 3), st.booleans())
-def test_random_qp_reports_revalidate(seed, dim, num_eq, num_directions, stationary):
+@given(
+    st.integers(0, 2**32), st.integers(2, 5), st.integers(0, 2), st.integers(1, 3), st.booleans(),
+    st.sampled_from([("exact", None), ("float", 0.0), ("float", None), ("exact", 0.0)]),
+)
+def test_random_qp_reports_revalidate(seed, dim, num_eq, num_directions, stationary, regime_and_tolerance):
     """Every polyhedral command's JSON report re-verifies: it reproduces and
-    its witnesses and certificates substitute back."""
-    problem = parse_problem(json.dumps(random_qp_problem(seed, dim, num_eq, num_directions, stationary)))
-    for command in ("cones", "first-order", "second-order", "qp", "theorem41"):
-        report = json.loads(json.dumps(run_analysis(problem, command)))
+    its witnesses and certificates substitute back.  Float problems keep
+    the draws whose point and directions are dyadic; `qp` is exact only."""
+    regime, tolerance = regime_and_tolerance
+    doc = random_qp_problem(seed, dim, num_eq, num_directions, stationary)
+    commands = ["cones", "first-order", "second-order", "qp", "theorem41"]
+    if regime == "float":
+        assume(_is_dyadic(doc))
+        _as_float_query(doc)
+        commands.remove("qp")
+    problem = parse_problem(json.dumps(doc))
+    for command in commands:
+        report = json.loads(json.dumps(run_analysis(problem, command, tolerance=tolerance)))
         ok, checks = revalidate_report(report)
         assert ok, (command, checks)
 
@@ -910,13 +960,10 @@ def test_theorem41_and_second_order_agree_at_every_tangent_direction(regime):
     compared = 0
     for seed in range(60):
         doc = random_qp_problem(seed, 2 + seed % 3, seed % 2, 2, seed % 3 == 0)
-        query = doc["query"]
         if regime == "float":
-            vectors = [query["point"], *query["directions"]]
-            if any(Fraction(a).denominator & (Fraction(a).denominator - 1) for vec in vectors for a in vec):
+            if not _is_dyadic(doc):
                 continue
-            floats = [[float(Fraction(a)) for a in vec] for vec in vectors]
-            query.update(regime="float", point=floats[0], directions=floats[1:])
+            _as_float_query(doc)
         problem = parse_problem(json.dumps(doc))
         second = run_analysis(problem, "second-order")["results"]["directions"]
         theorem41 = run_analysis(problem, "theorem41")["results"]["directions"]

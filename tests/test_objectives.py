@@ -20,6 +20,7 @@ from cone_audit.objectives import (
     SmoothObjective,
     fixture,
 )
+from cone_audit.optimality import theorem33_check
 
 from step_oracles import contains
 
@@ -152,6 +153,15 @@ def test_smooth_second_order_sets():
     assert abs(second32.offset / second32.normal[0] - 2.0) < 1e-12
     with pytest.raises(NotTangentDirectionError):
         fx31.constraint.second_order_tangent_set(fx31.candidate_point, [1.0, 0.0])
+    # <(-2, 0), (0.4, 1)> = -0.8 lies within 0.5 |normal| |v|: at tolerance
+    # 0.5 the tangent flag and T2 both accept v, at 1e-9 neither does
+    v = [0.4, 1.0]
+    (bundle,) = theorem33_check(fx32.objective, fx32.constraint, fx32.candidate_point, [v], 0.5)
+    assert bundle.direction.in_tangent_cone and bundle.direction.negation_in_tangent_cone
+    assert abs(bundle.second_order_set.offset + 4.32) < 1e-12
+    assert not fx32.constraint.tangent_cone(fx32.candidate_point).contains(v)
+    with pytest.raises(NotTangentDirectionError):
+        fx32.constraint.second_order_tangent_set(fx32.candidate_point, v)
 
 
 def test_constraint_preconditions():

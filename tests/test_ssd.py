@@ -1,20 +1,21 @@
 import math
-from fractions import Fraction
+import random
 
 import numpy as np
 import pytest
 
-from cone_audit.errors import UnsupportedFamilyError
+from calmness_oracle import reference_calmness
+from cone_audit.analysis import run_analysis
 from cone_audit.geometry import PolyhedralCone, Polyhedron
 from cone_audit.linalg import matrix, vector
 from cone_audit.objectives import QuadraticObjective, SmoothObjective, fixture
 from cone_audit.optimality import Verdict
+from cone_audit.problem import parse_problem_dict
 from cone_audit.ssd import (
     LogMesh,
     SSDQuery,
     estimate_calmness,
     ssd_hessian_closed_form,
-    ssd_interval_1d_example_family,
     ssd_membership,
     theorem41_check,
 )
@@ -70,23 +71,28 @@ def test_membership_rejects_high_dimension():
 
 
 def test_interval_family():
-    assert ssd_interval_1d_example_family(1) == (-1, 0)
-    assert ssd_interval_1d_example_family(0) == (0, 0)
-    assert ssd_interval_1d_example_family(2) == (-2, 0)
-    lo, hi = ssd_interval_1d_example_family(Fraction(1, 3))
-    assert lo == Fraction(-1, 3) and hi == 0
-    with pytest.raises(UnsupportedFamilyError):
-        ssd_interval_1d_example_family(-1)
+    """The ssd report on ex41 writes the interval [-v, 0] for each v >= 0."""
+    problem = parse_problem_dict({
+        "version": "1",
+        "constraint": {"type": "fixture", "name": "ex41"},
+        "query": {"regime": "float", "point": [0.0], "directions": [[1.0], [0.0], [2.0], [0.25], [-1.0]],
+                  "z_candidates": [[-0.5]]},
+    })
+    intervals = run_analysis(problem, "ssd")["results"]["closed_form_intervals"]
+    assert intervals == [
+        {"direction": 1.0, "interval": ["-1", "0"]},
+        {"direction": 0.0, "interval": ["0", "0"]},
+        {"direction": 2.0, "interval": ["-2", "0"]},
+        {"direction": 0.25, "interval": ["-1/4", "0"]},
+    ]
 
 
 def test_oracle_agrees_with_closed_form_on_grid():
     obj = ex41_objective()
     for v in (0, 1, 2):
-        lo, hi = ssd_interval_1d_example_family(v)
         for z in (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5):
             member = ssd_membership(SSDQuery(obj, 0.0, float(v), z)).member
-            expected = lo <= Fraction(z) <= hi
-            assert member == expected, (v, z)
+            assert member == (-v <= z <= 0), (v, z)
 
 
 def test_scaling_invariance():
@@ -133,15 +139,46 @@ def test_calmness_estimates():
 
 
 def test_calmness_dimension_limit():
-    """Ten dimensions sample; eleven, one more than the Halton bases, are
-    refused before any gradient is evaluated."""
-    def objective(n):
-        return SmoothObjective(n, value=lambda x: 0.5 * float(x @ x), gradient=lambda x: x)
+    """Calmness is estimated in one dimension; any other is refused before
+    any gradient is evaluated."""
+    calls = []
 
-    est = estimate_calmness(objective(10), np.zeros(10), 0.5, samples=8)
-    assert abs(est.modulus - 1.0) < 1e-9
-    with pytest.raises(ValueError, match="at most 10 dimensions"):
-        estimate_calmness(objective(11), np.zeros(11), 0.5, samples=8)
+    def gradient(x):
+        calls.append(x)
+        return x
+
+    plane = SmoothObjective(2, value=lambda x: 0.5 * float(x @ x), gradient=gradient)
+    with pytest.raises(ValueError, match="calmness estimation is one-dimensional"):
+        estimate_calmness(plane, np.zeros(2), 0.5, samples=8)
+    assert calls == []
+
+
+def _calmness_objectives():
+    """ex41 and 30 seeded gradients a x^3 + b sin(c x) + d x."""
+    yield ex41_objective()
+    rng = random.Random(0)
+    for _ in range(30):
+        a, b, c, d = (rng.uniform(-3, 3) for _ in range(4))
+        yield SmoothObjective(
+            1,
+            value=lambda x: 0.0,
+            gradient=lambda x, a=a, b=b, c=c, d=d: np.array([a * x[0] ** 3 + b * math.sin(c * x[0]) + d * x[0]]),
+        )
+
+
+def test_calmness_matches_the_halton_reference():
+    """The one-dimensional estimate is bit-identical to the Halton-ball
+    estimator restricted to one coordinate, at base points from 1e-300 to
+    1e6 and radii from 1e-3 to 1."""
+    compared = 0
+    for objective in _calmness_objectives():
+        for base in (0.0, 0.3, -1.7, 1e6, 1e-300):
+            for radius in (0.5, 1, 0.1, 1e-3):
+                for samples in (1, 8, 256, 512):
+                    expected = reference_calmness(objective, (base,), radius, samples)
+                    assert estimate_calmness(objective, (base,), radius, samples) == expected
+                    compared += 1
+    assert compared == 2480
 
 
 def test_calmness_monotone_in_samples():
