@@ -274,7 +274,6 @@ def _run_cones(ctx: _Context) -> tuple[dict, int]:
             for v in ctx.directions()
         ]
         return {"mode": "smooth", **_tangent_json(ctx), "second_order_tangent_regions": entries}, EXIT_ALL_HOLD
-    normal = tangent.polar()
     entries = []
     for v in ctx.directions():
         direction = _as_rational_vector(v)
@@ -290,7 +289,7 @@ def _run_cones(ctx: _Context) -> tuple[dict, int]:
         "mode": "polyhedral",
         "active_rows": list(tangent.ineq_origins),
         **_tangent_json(ctx),
-        "normal_cone": _cone_json(normal),
+        "normal_cone": _cone_json(tangent.polar()),
         "second_order_tangent_sets": entries,
     }
     return results, EXIT_ALL_HOLD
@@ -513,12 +512,14 @@ _HANDLERS = {
 
 
 def _report(ctx: _Context, command: str) -> dict:
-    """Run one command on a context and return the report document."""
+    """Run one command on a context and return the report document.  A
+    float overflow or invalid value raises ``FloatingPointError``."""
     if command not in _HANDLERS:
         raise AnalysisError(
             f"unknown command {command!r}", hint=f"one of: {', '.join(COMMANDS)}"
         )
-    results, exit_code = _HANDLERS[command](ctx)
+    with np.errstate(over="raise", invalid="raise"):
+        results, exit_code = _HANDLERS[command](ctx)
     return {
         "tool": {"name": "cone-audit", "version": _version},
         "command": command,
@@ -583,7 +584,8 @@ class _Revalidator:
         results = self.report.get("results", {})
         handler = getattr(self, "_verify_" + command.replace("-", "_"), None)
         if handler is not None:
-            handler(results)
+            with np.errstate(over="raise", invalid="raise"):
+                handler(results)
         return self.checks
 
     # -- helpers ---------------------------------------------------------

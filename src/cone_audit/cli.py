@@ -90,7 +90,7 @@ def main(argv=None) -> int:
         for line in exc.errors:
             print(f"schema error: {line}", file=sys.stderr)
         return EXIT_ERROR
-    except (ConeAuditError, ValueError) as exc:
+    except (ConeAuditError, ValueError, FloatingPointError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except RuntimeError as exc:  # an in-solver self-check failed
@@ -112,7 +112,8 @@ def _run_verify(text: str, args) -> int:
         return EXIT_ERROR
     try:
         ok, checks = revalidate_report(report)
-    except (ConeAuditError, KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (ConeAuditError, KeyError, TypeError, ValueError, AttributeError,
+            FloatingPointError, OverflowError) as exc:
         print(f"not a usable report document: {exc!r}", file=sys.stderr)
         return EXIT_ERROR
     if args.format == "json":

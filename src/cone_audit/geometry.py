@@ -1,14 +1,15 @@
 """Polyhedral constraint sets and their first/second-order cones.
 
 A :class:`Polyhedron` is the H-form set {x | A x = y, <row_i, x> <= bound_i}.
-From a feasible base point it produces, in exact arithmetic:
+From a feasible base point it produces, in exact arithmetic, each as a
+:class:`PolyhedralCone` held by its H-form:
 
 * the contingent (tangent) cone,
 * second-order tangent sets in a tangent direction, together with the
   active rows that remain tight along that direction,
-* the normal cone, as the tangent cone's polar (by generators: active rows
-  plus the row space of A),
-* polars.
+* the normal cone, the tangent cone's polar: its H-form is the tangent
+  cone's generators, its generators are the active rows and the row space
+  of A.
 
 Memberships and active sets are decided on integer forms (see
 :mod:`cone_audit.linalg`), each vector scaled once however often it is
@@ -31,16 +32,15 @@ from .errors import (
 from .linalg import RationalMatrix, RationalVector, row_space_basis
 
 class PolyhedralCone:
-    """A polyhedral cone, held as {v | eq v = 0, ineq v <= 0} and/or generators.
+    """A polyhedral cone {v | eq v = 0, ineq v <= 0}, held by its H-form.
 
-    Whichever representation is missing is computed on demand and cached:
-    the generators by double description, the H-form as the polar's
-    generators, read from the cone :meth:`polar` was called on where there
-    is one (the normal cone N(x) = T(x)° reads the tangent cone's).
-    Instances are immutable apart from those caches, so concurrent read-only
-    use is safe.  ``ineq_origins`` tags each inequality row with the 1-based
-    row of the polyhedron it came from (None for rows without such
-    provenance).
+    Its generators come from double description on first use and are then
+    cached, except on a polar: :meth:`polar` seeds them from the rows of
+    the cone it was called on (the normal cone N(x) = T(x)° reads the
+    tangent cone's).  Instances are immutable apart from those caches, so
+    concurrent read-only use is safe.  ``ineq_origins`` tags each
+    inequality row with the 1-based row of the polyhedron it came from
+    (None for rows without such provenance).
     """
 
     def __init__(
@@ -49,30 +49,19 @@ class PolyhedralCone:
         eq_rows: RationalMatrix | None = None,
         ineq_rows: RationalMatrix | None = None,
         ineq_origins: tuple[int | None, ...] | None = None,
-        *,
-        generators: GeneratorSet | None = None,
     ):
-        if eq_rows is None and ineq_rows is None and generators is None:
-            eq_rows = RationalMatrix([], dim)
-            ineq_rows = RationalMatrix([], dim)
         self.dim = dim
-        has_h = eq_rows is not None or ineq_rows is not None
-        self._eq = eq_rows if eq_rows is not None else (RationalMatrix([], dim) if has_h else None)
-        self._ineq = ineq_rows if ineq_rows is not None else (RationalMatrix([], dim) if has_h else None)
-        if self._eq is not None and self._eq.ncols != dim:
+        self.eq_rows = eq_rows if eq_rows is not None else RationalMatrix([], dim)
+        self.ineq_rows = ineq_rows if ineq_rows is not None else RationalMatrix([], dim)
+        if self.eq_rows.ncols != dim:
             raise DimensionMismatchError("equality rows do not match cone dimension")
-        if self._ineq is not None and self._ineq.ncols != dim:
+        if self.ineq_rows.ncols != dim:
             raise DimensionMismatchError("inequality rows do not match cone dimension")
-        if ineq_origins is not None and self._ineq is not None and len(ineq_origins) != self._ineq.nrows:
+        if ineq_origins is not None and len(ineq_origins) != self.ineq_rows.nrows:
             raise DimensionMismatchError("one origin tag per inequality row is required")
-        if ineq_origins is None and self._ineq is not None:
-            ineq_origins = (None,) * self._ineq.nrows
-        self.ineq_origins = ineq_origins if self._ineq is not None else ()
-        if generators is not None and generators.dim != dim:
-            raise DimensionMismatchError("generators do not match cone dimension")
-        self._generators = generators
+        self.ineq_origins = ineq_origins if ineq_origins is not None else (None,) * self.ineq_rows.nrows
+        self._generators: GeneratorSet | None = None
         self._extreme: GeneratorSet | None = None
-        self._polar: PolyhedralCone | None = None
 
     # -- constructors --------------------------------------------------
 
@@ -85,40 +74,21 @@ class PolyhedralCone:
             ineq_origins=tuple(range(1, dim + 1)),
         )
 
-    # -- representations ------------------------------------------------
-
-    @property
-    def eq_rows(self) -> RationalMatrix:
-        self._ensure_h()
-        return self._eq
-
-    @property
-    def ineq_rows(self) -> RationalMatrix:
-        self._ensure_h()
-        return self._ineq
+    # -- generators -------------------------------------------------------
 
     def generators(self) -> GeneratorSet:
+        """The cone's generators: its extreme generators, apart from a
+        polar's, which are the rows of the cone it is the polar of."""
         if self._generators is None:
             self._generators = self.extreme_generators()
         return self._generators
 
     def extreme_generators(self) -> GeneratorSet:
         """Extreme rays and a lineality basis by double description of the
-        H-form; computed apart from :meth:`generators` only for given ones."""
+        H-form, computed once."""
         if self._extreme is None:
-            self._ensure_h()
-            self._extreme = double_description(self.dim, tuple(self._eq.rows), tuple(self._ineq.rows))
+            self._extreme = double_description(self.dim, tuple(self.eq_rows.rows), tuple(self.ineq_rows.rows))
         return self._extreme
-
-    def _ensure_h(self) -> None:
-        if self._eq is not None:
-            return
-        # H-form of cone(R) + span(L): each polar ray gives one inequality,
-        # each polar lineality vector one equality
-        polar_gens = (self._polar if self._polar is not None else self.polar()).generators()
-        self._eq = RationalMatrix(polar_gens.lineality, self.dim)
-        self._ineq = RationalMatrix(polar_gens.rays, self.dim)
-        self.ineq_origins = (None,) * self._ineq.nrows
 
     # -- queries ----------------------------------------------------------
 
@@ -127,37 +97,31 @@ class PolyhedralCone:
             raise DimensionMismatchError(
                 f"vector dimension {v.dim} does not match cone dimension {self.dim}"
             )
-        self._ensure_h()
-        return all(row.scaled_dot(v) == 0 for row in self._eq.rows) and all(
-            row.scaled_dot(v) <= 0 for row in self._ineq.rows
+        return all(row.scaled_dot(v) == 0 for row in self.eq_rows.rows) and all(
+            row.scaled_dot(v) <= 0 for row in self.ineq_rows.rows
         )
 
     def polar(self) -> "PolyhedralCone":
         """The cone of functionals nonpositive on this cone.
 
-        Each representation of the polar is this cone's other one.  H-form
-        rows give the polar's generators: inequality rows as rays, the RREF
-        basis of the equality rows as lineality, primitive and sorted.
-        Generators give its H-form: one inequality per ray, one equality per
-        lineality basis vector.
+        Its H-form is this cone's generators: one equality per lineality
+        vector, one inequality per ray.  Its generators are this cone's
+        rows: the inequality rows as rays, the RREF basis of the equality
+        rows as lineality, primitive and sorted.
         """
-        if self._eq is None:
-            gens = self._generators
-            polar = PolyhedralCone(
-                self.dim,
-                eq_rows=RationalMatrix(gens.lineality, self.dim),
-                ineq_rows=RationalMatrix(gens.rays, self.dim),
-            )
-        else:
-            rays = {r.integer_form[0]: r for r in map(RationalVector.primitive, self._ineq.rows)}
-            lineality = [l.primitive() for l in row_space_basis(self._eq)]
-            gens = GeneratorSet(
-                self.dim,
-                tuple(rays[key] for key in sorted(rays)),
-                tuple(sorted(lineality, key=lambda r: r.integer_form[0])),
-            )
-            polar = PolyhedralCone(self.dim, generators=gens)
-        polar._polar = self
+        gens = self.generators()
+        polar = PolyhedralCone(
+            self.dim,
+            eq_rows=RationalMatrix(gens.lineality, self.dim),
+            ineq_rows=RationalMatrix(gens.rays, self.dim),
+        )
+        rays = {r.integer_form[0]: r for r in map(RationalVector.primitive, self.ineq_rows.rows)}
+        lineality = [l.primitive() for l in row_space_basis(self.eq_rows)]
+        polar._generators = GeneratorSet(
+            self.dim,
+            tuple(rays[key] for key in sorted(rays)),
+            tuple(sorted(lineality, key=lambda r: r.integer_form[0])),
+        )
         return polar
 
     def tangent_cone_at(self, v: RationalVector) -> "PolyhedralCone":
@@ -184,9 +148,7 @@ class PolyhedralCone:
         )
 
     def __repr__(self) -> str:
-        if self._eq is not None:
-            return f"PolyhedralCone(dim={self.dim}, eq={self._eq.nrows}, ineq={self._ineq.nrows})"
-        return f"PolyhedralCone(dim={self.dim}, generators cached)"
+        return f"PolyhedralCone(dim={self.dim}, eq={self.eq_rows.nrows}, ineq={self.ineq_rows.nrows})"
 
 
 def cone_subset(inner: PolyhedralCone, outer: PolyhedralCone) -> tuple[bool, RationalVector | None]:

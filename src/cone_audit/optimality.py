@@ -295,7 +295,9 @@ def _infimum(gradient, pairing_set: PolyhedralCone | AffineRegion, result: LPRes
     point.  On a cone, the pairing LP ``result`` (solved here when None)
     gives the value: 0, attained at the origin and certified by the
     verified Lagrange multipliers, or -inf along a ray, whose steepness is
-    the margin, exact at tolerance 0 and float otherwise.
+    the margin, exact at tolerance 0 and float otherwise.  At a tolerance
+    > 0 a ray within the tolerance gives way to a steeper generator of the
+    cone where there is one, so the verdict does not follow the pivot order.
     """
     if isinstance(pairing_set, AffineRegion):
         value, attained, ray = pairing_set.linear_infimum(gradient, float(tolerance))
@@ -306,6 +308,9 @@ def _infimum(gradient, pairing_set: PolyhedralCone | AffineRegion, result: LPRes
     if result.status is LPStatus.UNBOUNDED:
         ray = result.witness.primitive()
         scaled = _steepness(grad, ray)
+        if tolerance and scaled >= -tolerance:
+            ray = min((ray, *pairing_set.generators().spanning_vectors()), key=lambda r: _steepness(grad, r))
+            scaled = _steepness(grad, ray)
         return float("-inf"), scaled if tolerance == 0 else float(scaled), ray, None, ""
     # -gradient = sum(lambda_i row_i) + sum(mu_j eq_j) by the dual multipliers
     certificate = LagrangeCertificate(

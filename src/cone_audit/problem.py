@@ -66,10 +66,8 @@ class ProblemFile:
 
     version: str
     description: str
-    constraint_kind: str  # "polyhedron" or "fixture"
     polyhedron: Polyhedron | None
     fixture: ExampleFixture | None
-    objective_kind: str | None  # "quadratic", "fixture", or None
     quadratic: QuadraticObjective | None
     query: Query
     source: dict = field(repr=False, default_factory=dict)
@@ -90,9 +88,7 @@ class ProblemFile:
     def smooth_objective(self) -> SmoothObjective | None:
         if self.quadratic is not None:
             return self.quadratic.as_smooth()
-        if self.objective_kind == "fixture" or self.constraint_kind == "fixture":
-            return self.fixture.objective
-        return None
+        return self.fixture.objective if self.fixture is not None else None
 
 
 class _Validator:
@@ -309,10 +305,8 @@ def parse_problem_dict(data) -> ProblemFile:
     return ProblemFile(
         version=version,
         description=description,
-        constraint_kind=constraint_kind,
         polyhedron=polyhedron,
         fixture=fixture_obj,
-        objective_kind=objective_kind,
         quadratic=quadratic,
         query=Query(
             point=point,

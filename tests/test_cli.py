@@ -951,6 +951,84 @@ def test_random_qp_reports_revalidate(seed, dim, num_eq, num_directions, station
         assert ok, (command, checks)
 
 
+BOUNDED_FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
+SMALL_QUADRATICS = st.lists(st.integers(-3, 3), min_size=5, max_size=5).map(
+    lambda e: {"type": "quadratic", "matrix": [[str(e[0]), str(e[1])], [str(e[1]), str(e[2])]],
+               "linear": [str(e[3]), str(e[4])]}
+)
+
+
+def _assert_reports_revalidate(doc: dict, commands) -> None:
+    problem = parse_problem(json.dumps(doc))
+    for command in commands:
+        report = json.loads(json.dumps(run_analysis(problem, command)))
+        ok, checks = revalidate_report(report)
+        assert ok, (command, checks)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    st.sampled_from(["ex31", "ex32"]), st.floats(0, 2 * math.pi),
+    st.lists(BOUNDED_FLOATS, min_size=1, max_size=3), st.one_of(st.none(), SMALL_QUADRATICS),
+)
+def test_level_set_reports_revalidate(name, angle, lengths, objective):
+    """ex31 and ex32 at float points of their boundaries, with directions
+    along the boundary (the smooth second-order set's domain), under the
+    fixture's or a quadratic objective: every cones, first-order and
+    second-order report re-verifies."""
+    (a, b), scale = ((math.sqrt(3), math.sqrt(2)), (4, 6)) if name == "ex31" else ((1, math.sqrt(0.5)), (2, 4))
+    point = [a * math.cos(angle), b * math.sin(angle)]
+    normal = [scale[0] * point[0], scale[1] * point[1]]
+    length = math.hypot(*normal)
+    doc = {
+        "version": "1",
+        "constraint": {"type": "fixture", "name": name},
+        "query": {"point": point, "directions": [[-s * normal[1] / length, s * normal[0] / length] for s in lengths],
+                  "regime": "float"},
+    }
+    if objective is not None:
+        doc["objective"] = objective
+    _assert_reports_revalidate(doc, ["cones", "first-order", "second-order"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    st.one_of(st.just(0.0), st.floats(0, 1e3)),
+    st.lists(BOUNDED_FLOATS, min_size=1, max_size=2),
+    st.lists(BOUNDED_FLOATS, min_size=1, max_size=2),
+)
+def test_ex41_ssd_reports_revalidate(point, directions, candidates):
+    """ssd on ex41 at a point of the half-line: the report re-verifies."""
+    doc = {
+        "version": "1",
+        "constraint": {"type": "fixture", "name": "ex41"},
+        "query": {"point": [point], "directions": [[d] for d in directions],
+                  "z_candidates": [[z] for z in candidates], "regime": "float"},
+    }
+    _assert_reports_revalidate(doc, ["ssd"])
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(
+    st.integers(0, 2**32), st.integers(1, 3), st.integers(0, 1), st.booleans(),
+    st.lists(st.tuples(BOUNDED_FLOATS, BOUNDED_FLOATS, BOUNDED_FLOATS), min_size=1, max_size=3),
+)
+def test_theorem41_float_reports_revalidate(seed, dim, num_eq, stationary, candidates):
+    """theorem41 on a seeded 1-3-D polyhedron with a float quadratic
+    objective and float candidates z: the report re-verifies.  Keeps the
+    draws whose point and directions are dyadic."""
+    doc = random_qp_problem(seed, dim, min(num_eq, dim - 1), 2, stationary)
+    assume(_is_dyadic(doc))
+    _as_float_query(doc)
+    doc["query"]["z_candidates"] = [list(z[:dim]) for z in candidates]
+    _assert_reports_revalidate(doc, ["theorem41"])
+
+
 @pytest.mark.parametrize("regime", ["exact", "float"])
 def test_theorem41_and_second_order_agree_at_every_tangent_direction(regime):
     """Both commands read a direction's flags and (c1) off one pass over
@@ -1321,3 +1399,70 @@ def test_json_output_is_json_dumps_of_the_report(tmp_path, capsys):
             assert verified == json.dumps({"verified": ok, "checks": checks}, sort_keys=True, indent=2) + "\n"
             checked += 1
     assert checked >= 50
+
+
+OVERFLOWING_QUADRANT = {
+    "version": "1",
+    "constraint": {"type": "polyhedron", "dimension": 2,
+                   "inequalities": {"rows": [["-1", "0"], ["0", "-1"]], "bounds": ["0", "0"]}},
+    "objective": {"type": "fixture", "name": "ex31"},
+    "query": {"regime": "float", "point": [0.0, 0.0], "directions": [[1e300, 1e300]]},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, command",
+    [
+        (OVERFLOWING_QUADRANT, "second-order"),
+        ({"version": "1", "constraint": {"type": "fixture", "name": "ex32"},
+          "query": {"regime": "float", "directions": [[1e308, 1e308]]}}, "second-order"),
+        ({**OVERFLOWING_QUADRANT,
+          "objective": {"type": "quadratic", "matrix": [["1", "0"], ["0", "1"]], "linear": ["0", "0"]},
+          "query": {**OVERFLOWING_QUADRANT["query"], "z_candidates": [[1e300, -1e300]]}}, "theorem41"),
+    ],
+)
+def test_float_overflow_exits_three(tmp_path, capsys, doc, command):
+    """A float overflow in a command is an error, not a report with -inf,
+    NaN or Infinity read off it."""
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    for fmt in ("json", "human"):
+        code, out, err = run_cli(capsys, command, "--input", str(path), "--format", fmt)
+        assert (code, out) == (3, "") and err.startswith("error: overflow encountered"), err
+
+
+BOUNDARY_RAY_PROBLEM = {
+    "version": "1",
+    "constraint": {"type": "polyhedron", "dimension": 2, "inequalities": {"rows": [["1", "0"]], "bounds": ["0"]}},
+    "objective": {"type": "quadratic", "matrix": [["0", "0"], ["0", "0"]], "linear": ["1", "-1/10000000000000000"]},
+    "query": {"regime": "float", "point": [0.0, 0.0], "directions": [[-1.0, 0.0]]},
+}
+
+
+def test_verify_of_an_infinite_witness_exits_three(tmp_path, capsys):
+    """A witness entry of Infinity has no exact value to substitute."""
+    problem = parse_problem(json.dumps(BOUNDARY_RAY_PROBLEM))
+    report = json.loads(json.dumps(run_analysis(problem, "first-order")))
+    report["results"]["condition"]["witness"] = [math.inf, 0.0]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert (code, out) == (3, "") and err.startswith("not a usable report document: OverflowError("), err
+
+
+def test_float_first_order_does_not_read_a_boundary_ray(tmp_path, capsys):
+    """On {x1 <= 0} the gradient (1, -1e-16) pairs at -1 with v = (-1, 0);
+    the pairing LP's ray may pair within the tolerance, and first-order
+    fails with the steepest generator as second-order's (c1) does."""
+    path = tmp_path / "boundary.json"
+    path.write_text(json.dumps(BOUNDARY_RAY_PROBLEM))
+    code, out, _ = run_cli(capsys, "first-order", "--input", str(path), "--format", "json")
+    condition = json.loads(out)["results"]["condition"]
+    assert code == 1 and (condition["verdict"], condition["margin"], condition["witness"]) == ("fails", -1.0, ["-1", "0"])
+    code, out, _ = run_cli(capsys, "second-order", "--input", str(path), "--format", "json")
+    c1 = json.loads(out)["results"]["directions"][0]["c1"]
+    assert (c1["verdict"], c1["margin"], c1["witness"]) == ("fails", -1.0, ["-1", "0"])
+    report = tmp_path / "report.json"
+    report.write_text(run_cli(capsys, "first-order", "--input", str(path), "--format", "json")[1])
+    code, out, _ = run_cli(capsys, "verify", "--input", str(report))
+    assert code == 0 and out.endswith("verification passed: 2 checks\n")

@@ -190,16 +190,9 @@ def test_output_rays_are_extreme():
         gens = cone.generators()
         rays = list(gens.rays)
         for i, ray in enumerate(rays):
-            from cone_audit.dd import GeneratorSet
-
             sub = PolyhedralCone(
-                dim,
-                generators=GeneratorSet(
-                    dim=dim,
-                    rays=tuple(rays[:i] + rays[i + 1:]),
-                    lineality=gens.lineality,
-                ),
-            )
+                dim, RationalMatrix(gens.lineality, dim), RationalMatrix(rays[:i] + rays[i + 1:], dim)
+            ).polar()
             assert membership_lp(sub, ray).status is not OracleStatus.OPTIMAL
 
 

@@ -142,14 +142,14 @@ def test_polar():
 
 
 def test_extreme_generators():
-    """An H-form cone's generators are its extreme generators, computed
-    once; given generators keep their non-extreme ray, and the extreme
-    ones come from the H-form."""
+    """A cone's generators are its extreme generators, computed once; a
+    polar's generators are its cone's rows and keep their non-extreme ray,
+    and the extreme ones come from the polar's H-form."""
     orthant = PolyhedralCone.nonnegative_orthant(2)
     assert orthant.extreme_generators() is orthant.generators()
-    given = GeneratorSet(2, (vector(1, 0), vector(1, 1), vector(0, 1)), ())
-    cone = PolyhedralCone(2, generators=given)
-    assert cone.generators() is given
+    rays = (vector(0, 1), vector(1, 0), vector(1, 1))
+    cone = PolyhedralCone(2, ineq_rows=RationalMatrix(rays, 2)).polar()
+    assert cone.generators() == GeneratorSet(2, rays, ())
     assert set(cone.extreme_generators().rays) == {vector(1, 0), vector(0, 1)}
     assert cone.extreme_generators() is cone.extreme_generators()
 

@@ -13,7 +13,7 @@ from scipy.spatial import ConvexHull
 
 from cone_audit import optimality
 from cone_audit.analysis import run_analysis
-from cone_audit.dd import GeneratorSet, double_description
+from cone_audit.dd import double_description
 from cone_audit.geometry import PolyhedralCone, Polyhedron, cone_equal
 from cone_audit.linalg import RationalMatrix, RationalVector, matrix, row_space_basis, vector
 from cone_audit.objectives import AffineRegion, QuadraticObjective, RegionKind, SmoothObjective, fixture
@@ -304,7 +304,7 @@ def test_copositivity_span_test_picks_a_basis_among_dependent_generators(with_li
     square = [vector(-1, 0, 1, 0, 0), vector(0, -1, 1, 0, 0), vector(0, 1, 1, 0, 0), vector(1, 0, 1, 0, 0)]
     rays = (vector(1, 1, 1, 1, 0), vector(0, 0, 2, 0, 0), square[2].scale(2), *square)
     lineality = (vector(0, 0, 0, 0, 1),) if with_lineality else ()
-    cone = PolyhedralCone(5, generators=GeneratorSet(5, rays, lineality))
+    cone = PolyhedralCone(5, RationalMatrix(lineality, 5), RationalMatrix(rays, 5)).polar()
     extreme = cone.extreme_generators()
     leading = (extreme.lineality + extreme.rays)[: len(lineality) + 4]
     assert len(row_space_basis(RationalMatrix(leading, 5))) < len(leading)
@@ -355,7 +355,7 @@ def copositivity_problems(draw):
     else:
         rays = draw(st.lists(vectors_of(dim), max_size=5))
         lineality = draw(st.lists(vectors_of(dim), max_size=2))
-        cone = PolyhedralCone(dim, generators=GeneratorSet(dim, tuple(rays), tuple(lineality)))
+        cone = PolyhedralCone(dim, RationalMatrix(lineality, dim), RationalMatrix(rays, dim)).polar()
     max_depth = draw(st.integers(0, 6))
     samples = draw(st.one_of(st.integers(0, 40), st.integers(4090, 4200)))
     return m, cone, max_depth, samples
@@ -446,7 +446,7 @@ def test_copositivity_agrees_with_kaplan_on_cones_with_lineality():
         else:
             rays = tuple(vec() for _ in range(rng.randint(2, 4)))
             lineality = tuple(vec() for _ in range(rng.randint(0, 1)))
-            cone = PolyhedralCone(dim, generators=GeneratorSet(dim, rays, lineality))
+            cone = PolyhedralCone(dim, RationalMatrix(lineality, dim), RationalMatrix(rays, dim)).polar()
         res = check_c2_copositivity(RationalMatrix(m), cone)
         spanning = cone.generators().spanning_vectors()
         gram = [[RationalMatrix(m).matvec(a).dot(b) for b in spanning] for a in spanning]
@@ -1024,10 +1024,12 @@ def test_equivalence_classical_vs_c1_plus_curvature():
     """Over polyhedral second-order sets (cones), the classical condition at v
     is equivalent to (c1 at v) and nonnegative curvature at v, for an exact
     and a float gradient, because both read one infimum: where (c1) at
-    tolerance 0 fails, the classical margin is -inf with (c1)'s witness;
-    where it holds, the classical margin is the curvature, with (c1)'s
-    certificate.  Over a half-plane the classical margin is (c1)'s plus the
-    curvature, or -inf with (c1)'s witness."""
+    tolerance 0 fails, the classical margin is -inf with the infimum's
+    witness at the run's tolerance (at a tolerance > 0 a boundary ray gives
+    way to a steeper generator); where it holds, the classical margin is
+    the curvature, with (c1)'s certificate.  Over a half-plane the
+    classical margin is (c1)'s plus the curvature, or -inf with (c1)'s
+    witness."""
     rng = random.Random(31)
     checked = 0
     for _ in range(30):
@@ -1061,7 +1063,8 @@ def test_equivalence_classical_vs_c1_plus_curvature():
                     rhs = c1.verdict is Verdict.HOLDS and curv >= -tolerance
                     assert lhs == rhs
                     if c1.verdict is Verdict.FAILS:
-                        assert classical.margin == float("-inf") and classical.witness == c1.witness
+                        witness = optimality._infimum(grad, second, None, tolerance)[2]
+                        assert classical.margin == float("-inf") and classical.witness == witness
                     else:
                         assert classical.margin == curv and type(classical.margin) is type(curv)
                         if lhs:
