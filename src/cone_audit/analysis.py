@@ -21,7 +21,7 @@ from .dd import GeneratorSet
 from .errors import AnalysisError
 from .geometry import PolyhedralCone
 from .linalg import RationalMatrix, RationalVector
-from .objectives import DEFAULT_FLOAT_TOL, AffineRegion, QuadraticObjective, SmoothObjective
+from .objectives import DEFAULT_FLOAT_TOL, AffineRegion, QuadraticObjective, SmoothObjective, TangentRegion
 from .optimality import (
     ConditionReport,
     CopositivityResult,
@@ -176,19 +176,11 @@ class _Context:
         )
         self.ssd_tolerance = tolerance if tolerance is not None else DEFAULT_MEMBERSHIP_TOL
         self.mesh = mesh or LogMesh()
-        self.polyhedron = problem.constraint_polyhedron()
+        self.polyhedron = problem.polyhedron
         self.mode = "smooth" if self.polyhedron is None else "polyhedral"
 
-    # one direction list used by every command; fixture default as fallback
     def directions(self) -> list[tuple]:
-        if self.problem.query.directions:
-            return list(self.problem.query.directions)
-        if self.problem.fixture is not None:
-            default = self.problem.fixture.default_direction
-            if self.exact:
-                return [tuple(Fraction(a) for a in default)]
-            return [default]
-        return []
+        return list(self.problem.query.directions)
 
     def require_directions(self, command: str) -> list[tuple]:
         dirs = self.directions()
@@ -198,12 +190,6 @@ class _Context:
                 hint="add query.directions to the problem file",
             )
         return dirs
-
-    def point_rational(self) -> RationalVector:
-        return self.problem.query.point_rational()
-
-    def point_floats(self) -> tuple[float, ...]:
-        return self.problem.query.point_floats()
 
     def smooth_objective(self) -> SmoothObjective:
         """The float evaluators: of the quadratic data, or of the fixture."""
@@ -226,33 +212,27 @@ class _Context:
     def gradient(self):
         """The objective's gradient at the point: exact M x + q, or float."""
         if isinstance(self.objective, QuadraticObjective):
-            return self.objective.gradient(self.point_rational())
-        return self.objective.gradient_at(self.point_floats())
+            return self.objective.gradient(self.problem.query.point_rational())
+        return self.objective.gradient_at(self.problem.query.point_floats())
 
-    @property
-    def level_set(self):
-        """The fixture's smooth constraint, which tolerance 0 cannot decide:
-        its value at a boundary point rounds off zero."""
+    @functools.cached_property
+    def tangent(self) -> PolyhedralCone | TangentRegion:
+        """T(x) of the polyhedron, or of the fixture's smooth level set, which
+        tolerance 0 cannot decide: its value at a boundary point rounds off
+        zero."""
+        if self.polyhedron is not None:
+            return self.polyhedron.tangent_cone(self.problem.query.point_rational())
         if self.tolerance == 0:
             raise AnalysisError(
                 f"fixture {self.problem.fixture.name!r} is a smooth level set, "
                 "which needs a positive tolerance",
                 hint="set query.regime = 'float' and leave --tolerance positive",
             )
-        return self.problem.fixture.constraint
-
-    @functools.cached_property
-    def tangent(self) -> PolyhedralCone | AffineRegion:
-        """T(x) of the polyhedron, or the level set's tangent region."""
-        if self.polyhedron is not None:
-            return self.polyhedron.tangent_cone(self.point_rational())
-        return self.level_set.tangent_cone(self.point_floats(), self.tolerance)
+        return self.problem.fixture.constraint.tangent_cone(self.problem.query.point_floats(), self.tolerance)
 
     def second_order_set(self, v) -> PolyhedralCone | AffineRegion:
-        """T2(x, v): read off T(x) at the exact v, or the level set's region."""
-        if self.polyhedron is not None:
-            return self.tangent.tangent_cone_at(v)
-        return self.level_set.second_order_tangent_set(self.point_floats(), v, self.tolerance)
+        """T2(x, v), read off T(x)."""
+        return self.tangent.tangent_cone_at(v)
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +246,19 @@ def _tangent_json(ctx: _Context) -> dict:
     return {"tangent_region": _region_json(ctx.tangent)}
 
 
+def _set_json(second_order, region_key: str, cone_key: str) -> dict:
+    """T2(x, v) under the key of its type: an affine region, or a cone (the
+    whole space, at a direction into a level set)."""
+    if isinstance(second_order, AffineRegion):
+        return {region_key: _region_json(second_order)}
+    return {cone_key: _cone_json(second_order)}
+
+
 def _run_cones(ctx: _Context) -> tuple[dict, int]:
     tangent = ctx.tangent
     if ctx.mode == "smooth":
         entries = [
-            {"direction": _vector_json(v), "region": _region_json(ctx.second_order_set(v))}
+            {"direction": _vector_json(v), **_set_json(ctx.second_order_set(v), "region", "cone")}
             for v in ctx.directions()
         ]
         return {"mode": "smooth", **_tangent_json(ctx), "second_order_tangent_regions": entries}, EXIT_ALL_HOLD
@@ -317,28 +305,23 @@ def _run_second_order(ctx: _Context) -> tuple[dict, int]:
             "second-order analysis needs a Hessian",
             hint="use a quadratic objective or a fixture with second derivatives",
         )
-    constraint = ctx.tangent if ctx.mode == "polyhedral" else ctx.level_set
     verdicts: list[Verdict] = []
     entries = []
-    bundles = theorem33_check(objective, constraint, ctx.problem.query.point, directions, ctx.tolerance)
+    bundles = theorem33_check(objective, ctx.tangent, ctx.problem.query.point, directions, ctx.tolerance)
     for v, bundle in zip(directions, bundles):
         verdicts += [
             bundle.strengthened_gradient.verdict,
             bundle.curvature_at_direction.verdict,
             bundle.classical.verdict,
         ]
-        entry = {
+        entries.append({
             "direction": _vector_json(v),
             "critical_flags": _flags_json(bundle.direction),
             "c1": _condition_json(bundle.strengthened_gradient),
             "c2_at_direction": _condition_json(bundle.curvature_at_direction),
             "classical": _condition_json(bundle.classical),
-        }
-        if ctx.mode == "smooth":
-            entry["second_order_region"] = _region_json(bundle.second_order_set)
-        else:
-            entry["second_order_set"] = _cone_json(bundle.second_order_set)
-        entries.append(entry)
+            **_set_json(bundle.second_order_set, "second_order_region", "second_order_set"),
+        })
     return {"mode": ctx.mode, "directions": entries}, _exit_of(verdicts)
 
 
@@ -377,7 +360,7 @@ def _run_qp(ctx: _Context) -> tuple[dict, int]:
 
 def _run_ssd(ctx: _Context) -> tuple[dict, int]:
     objective = ctx.smooth_objective()
-    point = ctx.point_floats()
+    point = ctx.problem.query.point_floats()
     results: dict = {}
     exit_code = EXIT_ALL_HOLD
     if objective.dimension == 1:
@@ -648,11 +631,12 @@ class _Revalidator:
                 f"{name}: generators satisfy the H-representation",
                 _generators_match(cone),
             )
-        for entry in results.get("second_order_tangent_sets", []):
-            self.add(
-                "second-order set: generators satisfy the H-representation",
-                _generators_match(entry["cone"]),
-            )
+        for entry in results.get("second_order_tangent_sets", []) + results.get("second_order_tangent_regions", []):
+            if "cone" in entry:
+                self.add(
+                    "second-order set: generators satisfy the H-representation",
+                    _generators_match(entry["cone"]),
+                )
 
     def _verify_first_order(self, results: dict) -> None:
         self._check_linear_condition("first-order", results.get("condition"), self.ctx.tangent)
@@ -679,7 +663,7 @@ class _Revalidator:
         if isinstance(objective, QuadraticObjective):
             return objective.quadratic_form(direction)
         vec = np.asarray(direction.as_floats())
-        return Fraction(float(vec @ objective.hessian_at(self.ctx.point_floats()) @ vec))
+        return Fraction(float(vec @ objective.hessian_at(self.ctx.problem.query.point_floats()) @ vec))
 
     def _check_classical(self, entry, second, direction: RationalVector) -> None:
         """Substitute a failing classical-condition witness.
@@ -752,7 +736,7 @@ class _Revalidator:
     def _verify_ssd(self, results: dict) -> None:
         objective = self.ctx.smooth_objective()
         for entry in results.get("memberships", []):
-            base = self.ctx.point_floats()[0]
+            base = self.ctx.problem.query.point_floats()[0]
             query = SSDQuery(objective, base, entry["direction"], entry["candidate"])
             grad_base = float(objective.gradient_at([base])[0])
             quotient = _membership_quotient(query, entry["attaining_sample"], base, grad_base)

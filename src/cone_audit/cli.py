@@ -256,8 +256,12 @@ def _render_human(report: dict) -> str:
             lines.append("tangent region:")
             lines.append(_fmt_region(results["tangent_region"]))
             for entry in results["second_order_tangent_regions"]:
-                lines.append(f"second-order region at v = {_fmt_vec(entry['direction'])}:")
-                lines.append(_fmt_region(entry["region"]))
+                if "region" in entry:
+                    lines.append(f"second-order region at v = {_fmt_vec(entry['direction'])}:")
+                    lines.append(_fmt_region(entry["region"]))
+                else:
+                    lines.append(f"second-order tangent set at v = {_fmt_vec(entry['direction'])}:")
+                    lines.append(_fmt_cone(entry["cone"]))
     elif command == "first-order":
         lines.append(f"gradient: {_fmt_vec(results['gradient'])}")
         lines.append(_fmt_condition(results["condition"]))

@@ -156,16 +156,14 @@ def double_description(
     dim: int,
     eq_rows: Sequence[RationalVector] = (),
     ineq_rows: Sequence[RationalVector] = (),
-    *,
-    dim_cap: int = DEFAULT_DIMENSION_CAP,
 ) -> GeneratorSet:
     """Generators of {v in R^dim | eq_rows . v = 0, ineq_rows . v <= 0}.
 
     Equalities are processed first (as opposing inequality pairs), which
     shrinks the lineality space early and keeps ray counts small.
     """
-    if dim > dim_cap:
-        raise DimensionCapExceededError(dim, dim_cap)
+    if dim > DEFAULT_DIMENSION_CAP:
+        raise DimensionCapExceededError(dim, DEFAULT_DIMENSION_CAP)
     state = _State(dim)
     for row in eq_rows:
         if not row.is_zero():

@@ -3,16 +3,17 @@
 Two arithmetic regimes coexist.  :class:`QuadraticObjective` is exact
 rational data (symmetric matrix, linear term, constant) whose gradients feed
 the tolerance-free polyhedral checkers.  :class:`SmoothObjective` wraps
-binary64 evaluators for value/gradient/Hessian and is used wherever the
+binary64 evaluators for the gradient and Hessian and is used wherever the
 candidate point is irrational; verdicts in that regime carry explicit
 tolerances.
 
 A :class:`SmoothLevelSetConstraint` describes a set {g <= 0} or {h = 0} cut
 out by one smooth function.  At a regular active point its tangent cone is
-the half-space (or hyperplane) of the constraint gradient, and the
-second-order tangent set in a boundary-tangential direction is the affine
-translate whose offset is the negated curvature of the constraint; both come
-back as :class:`AffineRegion` descriptors.
+the half-space (or hyperplane) of the constraint gradient, a
+:class:`TangentRegion`, which gives the second-order tangent set as a
+polyhedral tangent cone does: in a boundary-tangential direction the affine
+translate whose offset is the negated curvature of the constraint, and in a
+direction into an inequality's set the whole space.
 
 The worked examples used by the CLI and acceptance suite ship as named
 fixtures: "ex31", "ex32", "ex41".
@@ -20,6 +21,7 @@ fixtures: "ex31", "ex32", "ex41".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -34,7 +36,7 @@ from .errors import (
     NotTangentDirectionError,
     VanishingGradientError,
 )
-from .geometry import Polyhedron
+from .geometry import PolyhedralCone, Polyhedron
 from .linalg import RationalMatrix, RationalVector
 
 # the float regime's default verdict and activity tolerance
@@ -76,10 +78,8 @@ class QuadraticObjective:
     def as_smooth(self) -> "SmoothObjective":
         m = np.array(self.matrix.as_float_rows(), dtype=float).reshape(self.dim, self.dim)
         q = np.array(self.linear.as_floats(), dtype=float)
-        c = float(self.constant)
         return SmoothObjective(
             dimension=self.dim,
-            value=lambda x: 0.5 * float(x @ m @ x) + float(q @ x) + c,
             gradient=lambda x: m @ x + q,
             hessian=lambda x: m,
         )
@@ -90,7 +90,6 @@ class SmoothObjective:
     """Black-box C1 (optionally C2) objective with float evaluators."""
 
     dimension: int
-    value: Callable[[Array], float]
     gradient: Callable[[Array], Array]
     hessian: Callable[[Array], Array] | None = None
 
@@ -184,14 +183,12 @@ class SmoothLevelSetConstraint:
     gradient: Callable[[Array], Array]
     hessian: Callable[[Array], Array] | None = None
 
-    def _point(self, x) -> Array:
-        return np.asarray(x, dtype=float).reshape(self.dimension)
-
-    def _active_gradient(self, x, activity_tol: float) -> Array:
-        """The constraint gradient at an active point.  Activity is capped at
-        the default tolerance, so a loose verdict tolerance cannot accept a
-        point off the set."""
-        point = self._point(x)
+    def tangent_cone(self, x, activity_tol: float = DEFAULT_FLOAT_TOL) -> "TangentRegion":
+        """Half-space {v | <grad g, v> <= 0}, or the hyperplane for an
+        equality, at an active point.  Activity is capped at the default
+        tolerance, so a loose verdict tolerance cannot accept a point off
+        the set."""
+        point = np.asarray(x, dtype=float).reshape(self.dimension)
         level = float(self.value(point))
         bound = min(activity_tol, DEFAULT_FLOAT_TOL)
         if abs(level) > bound:
@@ -204,37 +201,48 @@ class SmoothLevelSetConstraint:
             raise VanishingGradientError(
                 "constraint gradient vanishes at the queried point"
             )
-        return grad
-
-    def tangent_cone(self, x, activity_tol: float = DEFAULT_FLOAT_TOL) -> AffineRegion:
-        """Half-space {v | <grad g, v> <= 0}, or the hyperplane for an equality."""
-        grad = self._active_gradient(x, activity_tol)
         kind = (
             RegionKind.HALF_SPACE
             if self.kind is ConstraintKind.INEQUALITY
             else RegionKind.HYPERPLANE
         )
-        return AffineRegion(kind, grad, 0.0)
+        hessian = None if self.hessian is None else functools.partial(self.hessian, point)
+        return TangentRegion(kind, grad, hessian, activity_tol)
 
-    def second_order_tangent_set(self, x, v, activity_tol: float = DEFAULT_FLOAT_TOL) -> AffineRegion:
-        """{w | <grad g, w> <=/= -<Hess g v, v>} for boundary-tangential v."""
+    def second_order_tangent_set(
+        self, x, v, activity_tol: float = DEFAULT_FLOAT_TOL
+    ) -> AffineRegion | PolyhedralCone:
+        """T2(x, v), read off T(x) (:meth:`TangentRegion.tangent_cone_at`)."""
+        return self.tangent_cone(x, activity_tol).tangent_cone_at(v)
+
+
+class TangentRegion(AffineRegion):
+    """T(x) of a level set at an active point x, {v | <grad g(x), v> <=/= 0},
+    with the means to evaluate the constraint's Hessian at x and the
+    tolerance it was built at, from which it reads T2(x, v)."""
+
+    def __init__(self, kind: RegionKind, gradient, hessian: Callable[[], Array] | None, tol: float):
+        super().__init__(kind, gradient, 0.0)
+        self.hessian = hessian
+        self.tol = tol
+
+    def tangent_cone_at(self, v) -> AffineRegion | PolyhedralCone:
+        """T2(x, v) for v in T(x) (Bonnans & Shapiro 2000): the region
+        {w | <grad g, w> <=/= -<Hess g v, v>} when <grad g, v> = 0, and the
+        whole space when v points into an inequality's set.  Both tests run
+        at the region's tolerance."""
         if self.hessian is None:
             raise ValueError("constraint has no Hessian evaluator")
-        grad = self._active_gradient(x, activity_tol)
-        direction = np.asarray(v, dtype=float).reshape(self.dimension)
-        if not AffineRegion(RegionKind.HYPERPLANE, grad, 0.0).contains(direction, activity_tol):
+        direction = np.asarray(v, dtype=float).reshape(self.dim)
+        if not AffineRegion(RegionKind.HYPERPLANE, self.normal, 0.0).contains(direction, self.tol):
+            if self.contains(direction, self.tol):
+                return PolyhedralCone(self.dim)
             raise NotTangentDirectionError(
                 "direction is not tangential to the constraint boundary: "
-                f"<grad, v> = {float(grad @ direction)}"
+                f"<grad, v> = {float(self.normal @ direction)}"
             )
-        hess = np.asarray(self.hessian(self._point(x)), dtype=float)
-        curvature = float(direction @ hess @ direction)
-        kind = (
-            RegionKind.HALF_SPACE
-            if self.kind is ConstraintKind.INEQUALITY
-            else RegionKind.HYPERPLANE
-        )
-        return AffineRegion(kind, grad, -curvature)
+        hess = np.asarray(self.hessian(), dtype=float)
+        return AffineRegion(self.kind, self.normal, -float(direction @ hess @ direction))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +267,6 @@ class ExampleFixture:
 def _ex31() -> ExampleFixture:
     objective = SmoothObjective(
         dimension=2,
-        value=lambda x: -2.0 * x[0] ** 2 - x[1] ** 2,
         gradient=lambda x: np.array([-4.0 * x[0], -2.0 * x[1]]),
         hessian=lambda x: np.array([[-4.0, 0.0], [0.0, -2.0]]),
     )
@@ -285,7 +292,6 @@ def _ex31() -> ExampleFixture:
 def _ex32() -> ExampleFixture:
     objective = SmoothObjective(
         dimension=2,
-        value=lambda x: -x[0] ** 2 - x[1] ** 2,
         gradient=lambda x: np.array([-2.0 * x[0], -2.0 * x[1]]),
         hessian=lambda x: np.array([[-2.0, 0.0], [0.0, -2.0]]),
     )
@@ -316,7 +322,6 @@ def _ex41() -> ExampleFixture:
     # C1 but not C2 at the origin: gradient -x on the left, x^2 on the right.
     objective = SmoothObjective(
         dimension=1,
-        value=lambda x: (-0.5 * x[0] ** 2) if x[0] <= 0.0 else (x[0] ** 3 / 3.0),
         gradient=lambda x: np.array([_ex41_gradient(float(x[0]))]),
         hessian=None,
     )

@@ -52,13 +52,7 @@ from .errors import DimensionMismatchError
 from .geometry import PolyhedralCone, Polyhedron
 from .linalg import RationalMatrix, RationalVector, bareiss_step, combination, integer_rref
 from .lp import LPResult, LPStatus, solve_lp
-from .objectives import (
-    DEFAULT_FLOAT_TOL,
-    AffineRegion,
-    QuadraticObjective,
-    SmoothLevelSetConstraint,
-    SmoothObjective,
-)
+from .objectives import DEFAULT_FLOAT_TOL, AffineRegion, QuadraticObjective, SmoothObjective, TangentRegion
 
 
 class Verdict(Enum):
@@ -235,12 +229,10 @@ def _tangent_directions(gradient, tangent: PolyhedralCone, directions, tolerance
         yield v, critical, second_order, _infimum(grad, second_order, derived, tolerance)
 
 
-def _level_set_directions(gradient, constraint: SmoothLevelSetConstraint, point, directions, tolerance):
-    """:func:`_tangent_directions` at a point of a smooth level set: the
-    float v, its flags against the tangent region, T2(x, v) from
-    :meth:`SmoothLevelSetConstraint.second_order_tangent_set` and the
-    pairing infimum on it."""
-    region = constraint.tangent_cone(point, tolerance)
+def _level_set_directions(gradient, region: TangentRegion, directions, tolerance):
+    """:func:`_tangent_directions` at a point of a smooth level set whose
+    tangent region is ``region``: the float v, its flags against T(x), T2(x, v)
+    from :meth:`TangentRegion.tangent_cone_at` and the pairing infimum on it."""
     for direction in directions:
         vec = np.asarray(direction, dtype=float).reshape(-1)
         critical = CriticalDirection(
@@ -249,7 +241,7 @@ def _level_set_directions(gradient, constraint: SmoothLevelSetConstraint, point,
             negation_in_tangent_cone=region.contains(-vec, tolerance),
             gradient_orthogonal=abs(float(gradient @ vec)) <= tolerance,
         )
-        second_order = constraint.second_order_tangent_set(point, vec, tolerance)
+        second_order = region.tangent_cone_at(vec)
         yield vec, critical, second_order, _infimum(gradient, second_order, None, tolerance)
 
 
@@ -644,7 +636,7 @@ class SecondOrderBundle:
 
 def theorem33_check(
     objective: SmoothObjective | QuadraticObjective,
-    constraint: PolyhedralCone | SmoothLevelSetConstraint,
+    tangent: PolyhedralCone | TangentRegion,
     point,
     directions,
     tolerance: float = DEFAULT_FLOAT_TOL,
@@ -652,22 +644,23 @@ def theorem33_check(
     """Bundle (c1), the (c2) sign and the classical check, one bundle per
     direction, from one evaluation of the gradient and the Hessian.
 
-    Over a polyhedron, ``constraint`` is its tangent cone T(x) at ``point``
-    (:meth:`Polyhedron.tangent_cone`), and one pairing LP on it decides (c1)
-    and the classical check at every direction (:func:`_tangent_directions`,
-    the pass :func:`theorem41_check` shares); a direction that is not
-    tangent raises :class:`NotTangentDirectionError`.  Over a level set the
-    same reads come from :func:`_level_set_directions`.
+    ``tangent`` is T(x) at ``point``, and every T2(x, v) is read off it:
+    over a polyhedron it is the tangent cone (:meth:`Polyhedron.tangent_cone`),
+    and one pairing LP on it decides (c1) and the classical check at every
+    direction (:func:`_tangent_directions`, the pass :func:`theorem41_check`
+    shares); over a smooth level set it is the :class:`TangentRegion` the
+    constraint's ``tangent_cone`` returns, read by
+    :func:`_level_set_directions`.  A direction outside T(x) raises
+    :class:`NotTangentDirectionError`.
     A :class:`QuadraticObjective` there is checked exactly, with tolerance 0;
     the ``tolerance`` argument is ignored for such data.  A
     :class:`SmoothObjective` is evaluated in float over the exact cones (the
-    gradient converted to exact rationals) or over a single smooth
-    level-set constraint (affine descriptors, float arithmetic with
-    tolerances).
+    gradient converted to exact rationals) or over a tangent region (float
+    arithmetic with tolerances).
     """
     exact = isinstance(objective, QuadraticObjective)
     if exact:
-        if not isinstance(constraint, PolyhedralCone):
+        if not isinstance(tangent, PolyhedralCone):
             raise TypeError("exact quadratic data needs the tangent cone of a polyhedral set")
         tolerance = 0
         grad = objective.gradient(_as_rational_vector(point))
@@ -675,14 +668,14 @@ def theorem33_check(
         grad = objective.gradient_at(point)
         hessian = objective.hessian_at(point)
 
-    if isinstance(constraint, PolyhedralCone):
-        passes = _tangent_directions(grad, constraint, directions, tolerance)
+    if isinstance(tangent, PolyhedralCone):
+        passes = _tangent_directions(grad, tangent, directions, tolerance)
     else:
-        passes = _level_set_directions(grad, constraint, point, directions, tolerance)
+        passes = _level_set_directions(grad, tangent, directions, tolerance)
     bundles = []
     for v, critical, second_order, infimum in passes:
         if second_order is None:
-            constraint.tangent_cone_at(v)  # raises NotTangentDirectionError
+            tangent.tangent_cone_at(v)  # raises NotTangentDirectionError
         floats = tuple(map(float, critical.vector))
         vec = np.asarray(floats)
         curvature = objective.quadratic_form(v) if exact else float(vec @ hessian @ vec)

@@ -62,7 +62,10 @@ class Query:
 
 @dataclass(frozen=True)
 class ProblemFile:
-    """A validated problem description, ready to analyze."""
+    """A validated problem description, ready to analyze.  A fixture is
+    resolved: ``polyhedron`` is the explicit polyhedron or the fixture's
+    (None for a smooth level set), and the query holds the fixture's
+    default point and direction where the file gives none."""
 
     version: str
     description: str
@@ -77,13 +80,6 @@ class ProblemFile:
         if self.polyhedron is not None:
             return self.polyhedron.dim
         return self.fixture.dimension
-
-    def constraint_polyhedron(self) -> Polyhedron | None:
-        """The exact polyhedron, from either representation (None for the
-        smooth level-set fixtures)."""
-        if self.polyhedron is not None:
-            return self.polyhedron
-        return self.fixture.polyhedron
 
     def smooth_objective(self) -> SmoothObjective | None:
         if self.quadratic is not None:
@@ -290,12 +286,15 @@ def parse_problem_dict(data) -> ProblemFile:
             for i, d in enumerate(vectors):
                 if len(d) != dimension:
                     v.error(f"$.query.{key}[{i}]", f"{name} has {len(d)} entries, expected {dimension}")
-    if point is None and fixture_obj is not None:
-        point = tuple(
-            fixture_obj.candidate_point
-            if regime == "float"
-            else (Fraction(a) for a in fixture_obj.candidate_point)
-        )
+    if fixture_obj is not None:
+        # the fixture's point, direction and polyhedron fill what the file leaves out
+        number = float if regime == "float" else Fraction
+        if point is None:
+            point = tuple(map(number, fixture_obj.candidate_point))
+        if not directions:
+            directions.append(tuple(map(number, fixture_obj.default_direction)))
+        if polyhedron is None:
+            polyhedron = fixture_obj.polyhedron
     if point is None:
         v.error("$.query.point", "required (no fixture default available)")
 

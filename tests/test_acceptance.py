@@ -83,7 +83,7 @@ def test_criterion_2_ex31():
     rhs = second.offset / second.normal[0]
     assert abs(rhs - (-6.0 / (4.0 * math.sqrt(3.0)))) <= 1e-9
 
-    (bundle,) = theorem33_check(fx.objective, fx.constraint, point, [direction], 1e-9)
+    (bundle,) = theorem33_check(fx.objective, fx.constraint.tangent_cone(point, 1e-9), point, [direction], 1e-9)
     assert bundle.strengthened_gradient.verdict is Verdict.HOLDS
     assert bundle.classical.verdict is Verdict.HOLDS
     assert abs(bundle.classical.margin - 4.0) <= 1e-9
@@ -104,7 +104,7 @@ def test_criterion_3_ex32():
     pairing_on_set = grad[0] * rhs  # <grad, w> is constant on the hyperplane
     assert abs(pairing_on_set - 4.0) <= 1e-12
 
-    (bundle,) = theorem33_check(fx.objective, fx.constraint, point, [direction], 1e-9)
+    (bundle,) = theorem33_check(fx.objective, fx.constraint.tangent_cone(point, 1e-9), point, [direction], 1e-9)
     assert bundle.classical.verdict is Verdict.HOLDS
     assert abs(bundle.classical.margin - 2.0) <= 1e-12
     assert bundle.curvature_at_direction.verdict is Verdict.FAILS

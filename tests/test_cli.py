@@ -1,3 +1,4 @@
+import dataclasses
 import enum
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cone_audit import geometry, lp, optimality
+from cone_audit import geometry, lp, objectives, optimality
 from cone_audit.analysis import revalidate_report, run_analysis
 from cone_audit.cli import _render_json, main
 from cone_audit.linalg import RationalVector
@@ -737,7 +738,7 @@ def test_theorem41_decides_exact_quadratic_data_on_the_exact_gradient():
         "ok": True,
         "detail": "-grad = sum(lambda_i row_i) + A^T mu re-verified exactly",
     }
-    tangent = problem.constraint_polyhedron().tangent_cone(RationalVector.zero(2))
+    tangent = problem.polyhedron.tangent_cone(RationalVector.zero(2))
     (floated,) = theorem41_check(problem.smooth_objective(), tangent, (0.0, 0.0), [(0.0, 1.0)], [])
     ((_, _, multiplier),) = floated.gradient_condition.certificate.inequality_multipliers
     assert multiplier == Fraction(1 / 3) != Fraction(1, 3)
@@ -969,22 +970,26 @@ def _assert_reports_revalidate(doc: dict, commands) -> None:
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     st.sampled_from(["ex31", "ex32"]), st.floats(0, 2 * math.pi),
-    st.lists(BOUNDED_FLOATS, min_size=1, max_size=3), st.one_of(st.none(), SMALL_QUADRATICS),
+    st.lists(st.tuples(BOUNDED_FLOATS, st.one_of(st.just(0.0), st.floats(0, 1e3))), min_size=1, max_size=3),
+    st.one_of(st.none(), SMALL_QUADRATICS),
 )
-def test_level_set_reports_revalidate(name, angle, lengths, objective):
+def test_level_set_reports_revalidate(name, angle, steps, objective):
     """ex31 and ex32 at float points of their boundaries, with directions
-    along the boundary (the smooth second-order set's domain), under the
-    fixture's or a quadratic objective: every cones, first-order and
-    second-order report re-verifies."""
+    along the boundary and, on ex31, into the disk (where T2(x, v) is the
+    whole plane), under the fixture's or a quadratic objective: every cones,
+    first-order and second-order report re-verifies."""
     (a, b), scale = ((math.sqrt(3), math.sqrt(2)), (4, 6)) if name == "ex31" else ((1, math.sqrt(0.5)), (2, 4))
     point = [a * math.cos(angle), b * math.sin(angle)]
     normal = [scale[0] * point[0], scale[1] * point[1]]
     length = math.hypot(*normal)
+    inward = 1.0 if name == "ex31" else 0.0
     doc = {
         "version": "1",
         "constraint": {"type": "fixture", "name": name},
-        "query": {"point": point, "directions": [[-s * normal[1] / length, s * normal[0] / length] for s in lengths],
-                  "regime": "float"},
+        "query": {"point": point, "regime": "float", "directions": [
+            [(-s * normal[1] - inward * t * normal[0]) / length, (s * normal[0] - inward * t * normal[1]) / length]
+            for s, t in steps
+        ]},
     }
     if objective is not None:
         doc["objective"] = objective
@@ -1090,6 +1095,70 @@ def test_second_order_verifies_each_certificate_once(monkeypatch):
     certified = [entry for entry in report["results"]["directions"] if entry["c1"]["certificate"] is not None]
     assert certified
     assert calls["verify"] == len(certified)
+
+
+def test_level_set_runs_evaluate_the_constraint_once(monkeypatch):
+    """A two-direction `second-order` on ex31 reads every T2(x, v) off one
+    T(x), so it evaluates the constraint's value and gradient once, and so
+    does `verify` of its report."""
+    calls = Counter()
+    build = objectives._FIXTURE_BUILDERS["ex31"]
+
+    def counted_ex31():
+        fx = build()
+        constraint = fx.constraint
+
+        def value(x):
+            calls["value"] += 1
+            return constraint.value(x)
+
+        def gradient(x):
+            calls["gradient"] += 1
+            return constraint.gradient(x)
+
+        return dataclasses.replace(fx, constraint=dataclasses.replace(constraint, value=value, gradient=gradient))
+
+    monkeypatch.setitem(objectives._FIXTURE_BUILDERS, "ex31", counted_ex31)
+    doc = {"version": "1", "constraint": {"type": "fixture", "name": "ex31"},
+           "query": {"regime": "float", "directions": [[0.0, 1.0], [0.0, -1.0]]}}
+    report = run_analysis(parse_problem(json.dumps(doc)), "second-order")
+    assert calls == {"value": 1, "gradient": 1}
+    calls.clear()
+    ok, checks = revalidate_report(report)
+    assert ok, checks
+    assert calls == {"value": 1, "gradient": 1}
+
+
+def test_direction_into_a_level_set_gets_the_whole_space(tmp_path, capsys):
+    """ex31 at (sqrt 3, 0) along (-1, 0), into the disk: T2(x, v) is the whole
+    space, on which (c1) fails along (1, 0) and the classical infimum is
+    -inf; `cones` reports that cone, and both reports verify."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"version": "1", "constraint": {"type": "fixture", "name": "ex31"},
+                                "query": {"regime": "float", "directions": [[-1.0, 0.0]]}}))
+    whole_plane = {"dimension": 2, "equalities": [], "inequalities": [], "row_origins": [], "rays": [],
+                   "lineality": [["0", "1"], ["1", "0"]]}
+    code, out, err = run_cli(capsys, "second-order", "--input", str(path), "--format", "json")
+    assert (code, err) == (1, "")
+    (entry,) = json.loads(out)["results"]["directions"]
+    assert entry["second_order_set"] == whole_plane and "second_order_region" not in entry
+    assert (entry["c1"]["verdict"], entry["c1"]["witness"]) == ("fails", ["1", "0"])
+    assert math.isclose(entry["c1"]["margin"], -4 * math.sqrt(3))
+    assert (entry["classical"]["verdict"], entry["classical"]["margin"]) == ("fails", "-inf")
+    second_order = tmp_path / "second_order.json"
+    second_order.write_text(out)
+    code, out, err = run_cli(capsys, "cones", "--input", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    (entry,) = json.loads(out)["results"]["second_order_tangent_regions"]
+    assert entry == {"direction": [-1.0, 0.0], "cone": whole_plane}
+    cones = tmp_path / "cones.json"
+    cones.write_text(out)
+    for report in (second_order, cones):
+        code, out, err = run_cli(capsys, "verify", "--input", str(report))
+        assert (code, err) == (0, ""), out
+    assert "[ok ] second-order set: generators satisfy the H-representation" in out
+    code, out, err = run_cli(capsys, "cones", "--input", str(path))
+    assert "second-order tangent set at v = (-1.0, 0.0):\n  (no constraints: the whole space)\n" in out
 
 
 def _dependent_equality_problem() -> dict:

@@ -59,16 +59,13 @@ def test_smooth_wrapper_matches_exact():
 
 
 def test_hessian_finite_difference_consistency():
-    def value(x):
-        return math.sin(x[0]) + x[0] * x[1] ** 2
-
     def gradient(x):
         return np.array([math.cos(x[0]) + x[1] ** 2, 2 * x[0] * x[1]])
 
     def hessian(x):
         return np.array([[-math.sin(x[0]), 2 * x[1]], [2 * x[1], 2 * x[0]]])
 
-    obj = SmoothObjective(2, value, gradient, hessian)
+    obj = SmoothObjective(2, gradient, hessian)
     rng = random.Random(5)
     step = 1e-6
     for _ in range(10):
@@ -85,7 +82,6 @@ def test_hessian_finite_difference_consistency():
 def test_hessian_symmetry_enforced():
     obj = SmoothObjective(
         2,
-        value=lambda x: 0.0,
         gradient=lambda x: np.zeros(2),
         hessian=lambda x: np.array([[0.0, 1.0], [0.0, 0.0]]),
     )
@@ -156,7 +152,8 @@ def test_smooth_second_order_sets():
     # <(-2, 0), (0.4, 1)> = -0.8 lies within 0.5 |normal| |v|: at tolerance
     # 0.5 the tangent flag and T2 both accept v, at 1e-9 neither does
     v = [0.4, 1.0]
-    (bundle,) = theorem33_check(fx32.objective, fx32.constraint, fx32.candidate_point, [v], 0.5)
+    tangent = fx32.constraint.tangent_cone(fx32.candidate_point, 0.5)
+    (bundle,) = theorem33_check(fx32.objective, tangent, fx32.candidate_point, [v], 0.5)
     assert bundle.direction.in_tangent_cone and bundle.direction.negation_in_tangent_cone
     assert abs(bundle.second_order_set.offset + 4.32) < 1e-12
     assert not fx32.constraint.tangent_cone(fx32.candidate_point).contains(v)
@@ -176,6 +173,14 @@ def test_constraint_preconditions():
     )
     with pytest.raises(VanishingGradientError):
         degenerate.tangent_cone([0.0])
+    without_hessian = SmoothLevelSetConstraint(
+        kind=ConstraintKind.INEQUALITY,
+        dimension=1,
+        value=lambda x: x[0],
+        gradient=lambda x: np.array([1.0]),
+    )
+    with pytest.raises(ValueError, match="no Hessian"):
+        without_hessian.tangent_cone([0.0]).tangent_cone_at([0.0])
 
 
 def test_fixtures_catalog():

@@ -648,7 +648,7 @@ def _c2_sign(objective, direction, tolerance=1e-9):
 
 def _ex32_bundle():
     fx = fixture("ex32")
-    (bundle,) = theorem33_check(fx.objective, fx.constraint, fx.candidate_point, [(0.0, 1.0)])
+    (bundle,) = theorem33_check(fx.objective, fx.constraint.tangent_cone(fx.candidate_point), fx.candidate_point, [(0.0, 1.0)])
     return bundle
 
 
@@ -767,7 +767,7 @@ def test_verdict_rule_table(case):
 
 def test_theorem33_smooth_ex31():
     fx = fixture("ex31")
-    (bundle,) = theorem33_check(fx.objective, fx.constraint, fx.candidate_point, [(0.0, 1.0)])
+    (bundle,) = theorem33_check(fx.objective, fx.constraint.tangent_cone(fx.candidate_point), fx.candidate_point, [(0.0, 1.0)])
     assert bundle.direction.is_critical
     assert bundle.strengthened_gradient.verdict is Verdict.HOLDS
     assert bundle.curvature_at_direction.verdict is Verdict.FAILS
@@ -777,7 +777,7 @@ def test_theorem33_smooth_ex31():
 
 def test_theorem33_smooth_ex32():
     fx = fixture("ex32")
-    (bundle,) = theorem33_check(fx.objective, fx.constraint, fx.candidate_point, [(0.0, 1.0)])
+    (bundle,) = theorem33_check(fx.objective, fx.constraint.tangent_cone(fx.candidate_point), fx.candidate_point, [(0.0, 1.0)])
     assert bundle.strengthened_gradient.verdict is Verdict.HOLDS
     assert abs(bundle.strengthened_gradient.margin - 4.0) < 1e-12
     assert bundle.curvature_at_direction.verdict is Verdict.FAILS
@@ -1010,7 +1010,6 @@ def test_c1_at_critical_directions_has_the_first_order_verdict_in_float(seed):
     noisy = np.array([float(a) * (1 + 1e-15 * rng.uniform(-1, 1)) for a in gradient])
     objective = SmoothObjective(
         gradient.dim,
-        value=lambda x: float(noisy @ x),
         gradient=lambda x: noisy,
         hessian=lambda x: np.zeros((gradient.dim, gradient.dim)),
     )

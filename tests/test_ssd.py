@@ -54,7 +54,6 @@ def test_membership_example_values():
 def test_membership_quadratic_hessian_action():
     half_sq = SmoothObjective(
         1,
-        value=lambda x: 0.5 * x[0] ** 2,
         gradient=lambda x: np.array([x[0]]),
         hessian=lambda x: np.array([[1.0]]),
     )
@@ -109,7 +108,6 @@ def test_hessian_closed_form():
     assert np.allclose(ssd_hessian_closed_form(diag, (0, 0), (1, 1)), [2.0, 3.0])
     rank_one = SmoothObjective(
         2,
-        value=lambda x: 0.5 * (x[0] + x[1]) ** 2,
         gradient=lambda x: np.array([x[0] + x[1], x[0] + x[1]]),
         hessian=lambda x: np.ones((2, 2)),
     )
@@ -127,11 +125,11 @@ def test_calmness_estimates():
     assert est.modulus <= 1 + 1e-6
     assert est.modulus > 0.9  # the left branch has slope exactly 1
     half_sq = SmoothObjective(
-        1, value=lambda x: 0.5 * x[0] ** 2, gradient=lambda x: np.array([x[0]])
+        1, gradient=lambda x: np.array([x[0]])
     )
     assert abs(estimate_calmness(half_sq, (0.0,), 1.0, samples=256).modulus - 1.0) < 1e-6
     cubic = SmoothObjective(
-        1, value=lambda x: x[0] ** 3 / 3, gradient=lambda x: np.array([x[0] ** 2])
+        1, gradient=lambda x: np.array([x[0] ** 2])
     )
     est = estimate_calmness(cubic, (0.0,), 0.1, samples=256)
     assert est.modulus <= 0.1 + 1e-9
@@ -147,7 +145,7 @@ def test_calmness_dimension_limit():
         calls.append(x)
         return x
 
-    plane = SmoothObjective(2, value=lambda x: 0.5 * float(x @ x), gradient=gradient)
+    plane = SmoothObjective(2, gradient=gradient)
     with pytest.raises(ValueError, match="calmness estimation is one-dimensional"):
         estimate_calmness(plane, np.zeros(2), 0.5, samples=8)
     assert calls == []
@@ -161,7 +159,6 @@ def _calmness_objectives():
         a, b, c, d = (rng.uniform(-3, 3) for _ in range(4))
         yield SmoothObjective(
             1,
-            value=lambda x: 0.0,
             gradient=lambda x, a=a, b=b, c=c, d=d: np.array([a * x[0] ** 3 + b * math.sin(c * x[0]) + d * x[0]]),
         )
 
@@ -207,7 +204,6 @@ def test_theorem41_counterexample_fixture():
 def test_theorem41_hypothesis_satisfied():
     half_sq = SmoothObjective(
         1,
-        value=lambda x: 0.5 * x[0] ** 2,
         gradient=lambda x: np.array([x[0]]),
         hessian=lambda x: np.array([[1.0]]),
     )
@@ -217,7 +213,6 @@ def test_theorem41_hypothesis_satisfied():
 
     plane = SmoothObjective(
         2,
-        value=lambda x: 0.5 * x[0] ** 2,
         gradient=lambda x: np.array([x[0], 0.0]),
         hessian=lambda x: np.array([[1.0, 0.0], [0.0, 0.0]]),
     )
@@ -236,7 +231,6 @@ def test_theorem41_hypothesis_satisfied():
 def test_theorem41_fails_on_bad_pairing():
     half_sq = SmoothObjective(
         1,
-        value=lambda x: 0.5 * x[0] ** 2,
         gradient=lambda x: np.array([x[0]]),
         hessian=lambda x: np.array([[1.0]]),
     )
