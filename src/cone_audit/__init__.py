@@ -23,7 +23,7 @@ from .errors import (
     ProblemFormatError,
     VanishingGradientError,
 )
-from .geometry import PolyhedralCone, Polyhedron, cone_equal, cone_subset
+from .geometry import PolyhedralCone, Polyhedron
 from .linalg import Rational, RationalMatrix, RationalVector, matrix, rational, vector
 from .lp import LPResult, LPStatus, solve_lp
 from .objectives import (

@@ -14,8 +14,6 @@ import datetime
 import functools
 from fractions import Fraction
 
-import numpy as np
-
 from ._version import __version__ as _version
 from .dd import GeneratorSet
 from .errors import AnalysisError
@@ -76,7 +74,7 @@ def _vector_json(vec):
     if isinstance(vec, RationalVector):
         ints, scale = vec.integer_form
         return list(map(str, ints if scale == 1 else vec))
-    return [float(a) for a in np.asarray(vec, dtype=float).reshape(-1)]
+    return [float(a) for a in vec]
 
 
 def _cone_json(cone: PolyhedralCone) -> dict:
@@ -164,7 +162,12 @@ def _exit_of(verdicts: list[Verdict]) -> int:
 class _Context:
     """One run's decisions, each made once and read by every handler and by
     :class:`_Revalidator`: the arithmetic (``objective``, ``gradient``) and
-    the constraint view (``tangent``, ``second_order_set``)."""
+    the constraint view (``tangent``, ``second_order_set``).
+
+    Handing out the first float evaluator (:meth:`smooth_objective`, or the
+    ``tangent`` of a level set) makes numpy raise ``FloatingPointError`` on
+    overflow and invalid values until the caller that ran the context exits
+    it; an exact run never imports numpy."""
 
     def __init__(self, problem: ProblemFile, tolerance: float | None, mesh: LogMesh | None):
         self.problem = problem
@@ -178,6 +181,21 @@ class _Context:
         self.mesh = mesh or LogMesh()
         self.polyhedron = problem.polyhedron
         self.mode = "smooth" if self.polyhedron is None else "polyhedral"
+        self._errstate = None
+
+    def __enter__(self) -> "_Context":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._errstate is not None:
+            self._errstate.__exit__(*exc)
+            self._errstate = None
+
+    def _raise_float_errors(self) -> None:
+        if self._errstate is None:
+            import numpy as np
+            self._errstate = np.errstate(over="raise", invalid="raise")
+            self._errstate.__enter__()
 
     def directions(self) -> list[tuple]:
         return list(self.problem.query.directions)
@@ -199,6 +217,7 @@ class _Context:
                 "this command needs an objective",
                 hint="add an objective block (quadratic data or a fixture name)",
             )
+        self._raise_float_errors()
         return obj
 
     @functools.cached_property
@@ -228,6 +247,7 @@ class _Context:
                 "which needs a positive tolerance",
                 hint="set query.regime = 'float' and leave --tolerance positive",
             )
+        self._raise_float_errors()
         return self.problem.fixture.constraint.tangent_cone(self.problem.query.point_floats(), self.tolerance)
 
     def second_order_set(self, v) -> PolyhedralCone | AffineRegion:
@@ -423,6 +443,7 @@ def _run_ssd(ctx: _Context) -> tuple[dict, int]:
         action = ssd_hessian_closed_form(objective, point, v)
         entry = {"direction": _vector_json(v), "action": _vector_json(action)}
         if ctx.problem.query.z_candidates:
+            import numpy as np
             comparisons = []
             for z in ctx.problem.query.z_candidates:
                 z_arr = np.asarray([float(a) for a in z])
@@ -495,14 +516,12 @@ _HANDLERS = {
 
 
 def _report(ctx: _Context, command: str) -> dict:
-    """Run one command on a context and return the report document.  A
-    float overflow or invalid value raises ``FloatingPointError``."""
+    """Run one command on a context and return the report document."""
     if command not in _HANDLERS:
         raise AnalysisError(
             f"unknown command {command!r}", hint=f"one of: {', '.join(COMMANDS)}"
         )
-    with np.errstate(over="raise", invalid="raise"):
-        results, exit_code = _HANDLERS[command](ctx)
+    results, exit_code = _HANDLERS[command](ctx)
     return {
         "tool": {"name": "cone-audit", "version": _version},
         "command": command,
@@ -527,8 +546,10 @@ def run_analysis(
     tolerance: float | None = None,
     mesh: LogMesh | None = None,
 ) -> dict:
-    """Run one command over a validated problem and return the report document."""
-    return _report(_Context(problem, tolerance, mesh), command)
+    """Run one command over a validated problem and return the report
+    document.  A float overflow or invalid value raises ``FloatingPointError``."""
+    with _Context(problem, tolerance, mesh) as ctx:
+        return _report(ctx, command)
 
 
 # ---------------------------------------------------------------------------
@@ -555,20 +576,19 @@ class _Revalidator:
 
     def run(self) -> list[dict]:
         command = self.report.get("command")
-        rerun = _report(self.ctx, command)
-        old = {k: v for k, v in self.report.items() if k != "timestamp"}
-        new = {k: v for k, v in rerun.items() if k != "timestamp"}
-        self.add(
-            "deterministic reproduction",
-            old == new,
-            "re-running the echoed problem reproduces the report" if old == new
-            else "re-run produced a different report",
-        )
-        results = self.report.get("results", {})
-        handler = getattr(self, "_verify_" + command.replace("-", "_"), None)
-        if handler is not None:
-            with np.errstate(over="raise", invalid="raise"):
-                handler(results)
+        with self.ctx:
+            rerun = _report(self.ctx, command)
+            old = {k: v for k, v in self.report.items() if k != "timestamp"}
+            new = {k: v for k, v in rerun.items() if k != "timestamp"}
+            self.add(
+                "deterministic reproduction",
+                old == new,
+                "re-running the echoed problem reproduces the report" if old == new
+                else "re-run produced a different report",
+            )
+            handler = getattr(self, "_verify_" + command.replace("-", "_"), None)
+            if handler is not None:
+                handler(self.report.get("results", {}))
         return self.checks
 
     # -- helpers ---------------------------------------------------------
@@ -662,6 +682,7 @@ class _Revalidator:
         objective = self.ctx.objective
         if isinstance(objective, QuadraticObjective):
             return objective.quadratic_form(direction)
+        import numpy as np
         vec = np.asarray(direction.as_floats())
         return Fraction(float(vec @ objective.hessian_at(self.ctx.problem.query.point_floats()) @ vec))
 
@@ -718,7 +739,9 @@ class _Revalidator:
             if condition is not None:
                 second = self.ctx.second_order_set(_as_rational_vector(v))
                 self._check_linear_condition("gradient condition", condition, second)
-            direction = np.asarray(entry["direction"], dtype=float)
+            if not exact:
+                import numpy as np
+                direction = np.asarray(entry["direction"], dtype=float)
             for z, pairing in zip(candidates, entry.get("pairings", [])):
                 if exact:
                     value = _as_rational_vector(z).dot(_as_rational_vector(v))

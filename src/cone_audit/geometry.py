@@ -63,17 +63,6 @@ class PolyhedralCone:
         self._generators: GeneratorSet | None = None
         self._extreme: GeneratorSet | None = None
 
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def nonnegative_orthant(cls, dim: int) -> "PolyhedralCone":
-        return cls(
-            dim,
-            eq_rows=RationalMatrix([], dim),
-            ineq_rows=RationalMatrix([-RationalVector.unit(dim, i) for i in range(dim)], dim),
-            ineq_origins=tuple(range(1, dim + 1)),
-        )
-
     # -- generators -------------------------------------------------------
 
     def generators(self) -> GeneratorSet:
@@ -151,27 +140,6 @@ class PolyhedralCone:
         return f"PolyhedralCone(dim={self.dim}, eq={self.eq_rows.nrows}, ineq={self.ineq_rows.nrows})"
 
 
-def cone_subset(inner: PolyhedralCone, outer: PolyhedralCone) -> tuple[bool, RationalVector | None]:
-    """Decide cone inclusion; on failure return a generator of ``inner`` outside ``outer``."""
-    if inner.dim != outer.dim:
-        raise DimensionMismatchError("cones live in different ambient dimensions")
-    for vec in inner.generators().spanning_vectors():
-        if not outer.contains(vec):
-            return False, vec
-    return True, None
-
-
-def cone_equal(first: PolyhedralCone, second: PolyhedralCone) -> tuple[bool, RationalVector | None]:
-    """Mutual inclusion test; the witness vector lies in one cone only."""
-    ok, witness = cone_subset(first, second)
-    if not ok:
-        return False, witness
-    ok, witness = cone_subset(second, first)
-    if not ok:
-        return False, witness
-    return True, None
-
-
 class Polyhedron:
     """H-form convex polyhedron {x | A x = y, <row_i, x> <= bound_i}.
 
@@ -198,13 +166,6 @@ class Polyhedron:
             raise DimensionMismatchError("equality block and its right-hand side differ in size")
         if self.ineq_matrix.nrows != self.ineq_rhs.dim:
             raise DimensionMismatchError("inequality rows and bounds differ in size")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def nonnegative_orthant(cls, dim: int) -> "Polyhedron":
-        rows = RationalMatrix([-RationalVector.unit(dim, i) for i in range(dim)], dim)
-        return cls(dim, ineq_matrix=rows, ineq_rhs=RationalVector.zero(dim))
 
     # -- cones -------------------------------------------------------------
 

@@ -26,9 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import (
     DimensionMismatchError,
@@ -42,7 +40,8 @@ from .linalg import RationalMatrix, RationalVector
 # the float regime's default verdict and activity tolerance
 DEFAULT_FLOAT_TOL = 1e-9
 
-Array = np.ndarray
+if TYPE_CHECKING:  # numpy is imported where floats are computed
+    from numpy import ndarray as Array
 
 
 @dataclass(frozen=True)
@@ -76,6 +75,7 @@ class QuadraticObjective:
         return self.matrix.matvec(v).dot(v)
 
     def as_smooth(self) -> "SmoothObjective":
+        import numpy as np
         m = np.array(self.matrix.as_float_rows(), dtype=float).reshape(self.dim, self.dim)
         q = np.array(self.linear.as_floats(), dtype=float)
         return SmoothObjective(
@@ -94,6 +94,7 @@ class SmoothObjective:
     hessian: Callable[[Array], Array] | None = None
 
     def gradient_at(self, x) -> Array:
+        import numpy as np
         point = np.asarray(x, dtype=float).reshape(self.dimension)
         grad = np.asarray(self.gradient(point), dtype=float).reshape(-1)
         if grad.shape != (self.dimension,):
@@ -103,6 +104,7 @@ class SmoothObjective:
     def hessian_at(self, x) -> Array:
         if self.hessian is None:
             raise ValueError("objective has no Hessian evaluator")
+        import numpy as np
         point = np.asarray(x, dtype=float).reshape(self.dimension)
         hess = np.asarray(self.hessian(point), dtype=float)
         if hess.shape != (self.dimension, self.dimension):
@@ -122,10 +124,11 @@ class AffineRegion:
     """{w | <normal, w> <= offset} or {w | <normal, w> = offset}, float data."""
 
     def __init__(self, kind: RegionKind, normal, offset: float):
+        import numpy as np
         self.kind = kind
         self.normal = np.asarray(normal, dtype=float).reshape(-1)
         self.offset = float(offset)
-        if not np.any(self.normal):
+        if not self.normal.any():
             raise VanishingGradientError("affine region needs a nonzero normal")
 
     @property
@@ -134,10 +137,12 @@ class AffineRegion:
 
     def normalized_offset(self) -> float:
         """Offset after scaling the normal to unit Euclidean length."""
+        import numpy as np
         return self.offset / float(np.linalg.norm(self.normal))
 
     def contains(self, w, tol: float = DEFAULT_FLOAT_TOL) -> bool:
         """<normal, w> against the offset within tol * max(1, |normal| |w|)."""
+        import numpy as np
         vec = np.asarray(w, dtype=float)
         excess = float(self.normal @ vec) - self.offset
         bound = tol * max(1.0, float(np.linalg.norm(self.normal)) * float(np.linalg.norm(vec)))
@@ -155,6 +160,7 @@ class AffineRegion:
         half-space a positive multiple of the normal descends through the
         interior.
         """
+        import numpy as np
         grad = np.asarray(direction, dtype=float).reshape(-1)
         norm_sq = float(self.normal @ self.normal)
         mu = float(grad @ self.normal) / norm_sq
@@ -188,6 +194,7 @@ class SmoothLevelSetConstraint:
         equality, at an active point.  Activity is capped at the default
         tolerance, so a loose verdict tolerance cannot accept a point off
         the set."""
+        import numpy as np
         point = np.asarray(x, dtype=float).reshape(self.dimension)
         level = float(self.value(point))
         bound = min(activity_tol, DEFAULT_FLOAT_TOL)
@@ -209,12 +216,6 @@ class SmoothLevelSetConstraint:
         hessian = None if self.hessian is None else functools.partial(self.hessian, point)
         return TangentRegion(kind, grad, hessian, activity_tol)
 
-    def second_order_tangent_set(
-        self, x, v, activity_tol: float = DEFAULT_FLOAT_TOL
-    ) -> AffineRegion | PolyhedralCone:
-        """T2(x, v), read off T(x) (:meth:`TangentRegion.tangent_cone_at`)."""
-        return self.tangent_cone(x, activity_tol).tangent_cone_at(v)
-
 
 class TangentRegion(AffineRegion):
     """T(x) of a level set at an active point x, {v | <grad g(x), v> <=/= 0},
@@ -233,6 +234,7 @@ class TangentRegion(AffineRegion):
         at the region's tolerance."""
         if self.hessian is None:
             raise ValueError("constraint has no Hessian evaluator")
+        import numpy as np
         direction = np.asarray(v, dtype=float).reshape(self.dim)
         if not AffineRegion(RegionKind.HYPERPLANE, self.normal, 0.0).contains(direction, self.tol):
             if self.contains(direction, self.tol):
@@ -265,6 +267,7 @@ class ExampleFixture:
 
 
 def _ex31() -> ExampleFixture:
+    import numpy as np
     objective = SmoothObjective(
         dimension=2,
         gradient=lambda x: np.array([-4.0 * x[0], -2.0 * x[1]]),
@@ -290,6 +293,7 @@ def _ex31() -> ExampleFixture:
 
 
 def _ex32() -> ExampleFixture:
+    import numpy as np
     objective = SmoothObjective(
         dimension=2,
         gradient=lambda x: np.array([-2.0 * x[0], -2.0 * x[1]]),
@@ -320,6 +324,7 @@ def _ex41_gradient(x: float) -> float:
 
 def _ex41() -> ExampleFixture:
     # C1 but not C2 at the origin: gradient -x on the left, x^2 on the right.
+    import numpy as np
     objective = SmoothObjective(
         dimension=1,
         gradient=lambda x: np.array([_ex41_gradient(float(x[0]))]),

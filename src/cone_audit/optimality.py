@@ -46,8 +46,6 @@ from itertools import combinations
 from operator import mul
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DimensionMismatchError
 from .geometry import PolyhedralCone, Polyhedron
 from .linalg import RationalMatrix, RationalVector, bareiss_step, combination, integer_rref
@@ -157,10 +155,14 @@ class CriticalDirection:
 
 
 def _as_rational_vector(values) -> RationalVector:
-    """Exact entries: Fraction(a) is exact for rationals and binary64 floats alike."""
+    """Exact entries: Fraction(a) is exact for rationals and binary64 floats
+    alike.  An entry with a zero denominator raises ValueError."""
     if isinstance(values, RationalVector):
         return values
-    return RationalVector([Fraction(a) for a in np.asarray(values, dtype=object).reshape(-1)])
+    try:
+        return RationalVector([Fraction(a) for a in values])
+    except ZeroDivisionError as exc:
+        raise ValueError(f"an entry of {values!r} has a zero denominator") from exc
 
 
 def _pairing_lp(gradient: RationalVector, cone: PolyhedralCone) -> LPResult:
@@ -214,7 +216,7 @@ def _tangent_directions(gradient, tangent: PolyhedralCone, directions, tolerance
     result = None
     for direction in directions:
         v = _as_rational_vector(direction)
-        pairing = grad.dot(v) if exact else float(gradient @ np.asarray(v.as_floats()))
+        pairing = grad.dot(v) if exact else float(gradient @ v.as_floats())
         critical = CriticalDirection(
             vector=tuple(v.entries),
             in_tangent_cone=tangent.contains(v),
@@ -233,6 +235,7 @@ def _level_set_directions(gradient, region: TangentRegion, directions, tolerance
     """:func:`_tangent_directions` at a point of a smooth level set whose
     tangent region is ``region``: the float v, its flags against T(x), T2(x, v)
     from :meth:`TangentRegion.tangent_cone_at` and the pairing infimum on it."""
+    import numpy as np
     for direction in directions:
         vec = np.asarray(direction, dtype=float).reshape(-1)
         critical = CriticalDirection(
@@ -665,6 +668,7 @@ def theorem33_check(
         tolerance = 0
         grad = objective.gradient(_as_rational_vector(point))
     else:
+        import numpy as np
         grad = objective.gradient_at(point)
         hessian = objective.hessian_at(point)
 
@@ -677,8 +681,7 @@ def theorem33_check(
         if second_order is None:
             tangent.tangent_cone_at(v)  # raises NotTangentDirectionError
         floats = tuple(map(float, critical.vector))
-        vec = np.asarray(floats)
-        curvature = objective.quadratic_form(v) if exact else float(vec @ hessian @ vec)
+        curvature = objective.quadratic_form(v) if exact else float(np.asarray(floats) @ hessian @ floats)
         bundles.append(SecondOrderBundle(
             critical,
             second_order,
@@ -699,11 +702,6 @@ class QPConditions:
     tangent_cone: PolyhedralCone
     critical_cone: PolyhedralCone
     checked_directions: tuple[RationalVector, ...] = field(default=())
-
-    @property
-    def all_hold(self) -> bool:
-        reports = (self.stationarity, self.strengthened_gradient, self.curvature_on_critical_cone)
-        return all(r.verdict is Verdict.HOLDS for r in reports)
 
 
 def check_qp(

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .geometry import PolyhedralCone
 from .objectives import DEFAULT_FLOAT_TOL, QuadraticObjective, SmoothObjective
@@ -40,6 +39,9 @@ from .optimality import (
     _linear,
     _tangent_directions,
 )
+
+if TYPE_CHECKING:  # numpy is imported where floats are computed
+    import numpy as np
 
 DEFAULT_MEMBERSHIP_TOL = 1e-6
 # probe offsets at or below this form the tail the verdict is taken over
@@ -113,7 +115,7 @@ class MembershipVerdict:
 
 
 def _gradient_1d(objective: SmoothObjective, x: float) -> float:
-    return float(objective.gradient_at(np.array([x]))[0])
+    return float(objective.gradient_at((x,))[0])
 
 
 def ssd_membership(
@@ -170,6 +172,7 @@ def _membership_quotient(
 
 def ssd_hessian_closed_form(objective: SmoothObjective, point, direction) -> np.ndarray:
     """For C2 objectives the action is a singleton: the Hessian product."""
+    import numpy as np
     hessian = objective.hessian_at(point)
     vec = np.asarray(direction, dtype=float).reshape(-1)
     return hessian.T @ vec
@@ -219,6 +222,7 @@ def estimate_calmness(
         raise ValueError("radius must be positive")
     if samples < 1:
         raise ValueError("at least one sample is required")
+    import numpy as np
     base = float(np.asarray(point, dtype=float).reshape(1)[0])
     grad_base = _gradient_1d(objective, base)
     best = 0.0
@@ -301,14 +305,15 @@ def theorem41_check(
     <z, v> = 0 must not round below 0).
     """
     exact = isinstance(objective, QuadraticObjective)
+    if not exact:
+        import numpy as np
     grad = objective.gradient(_as_rational_vector(point)) if exact else objective.gradient_at(point)
     reports = []
     for v, critical, _, infimum in _tangent_directions(grad, tangent, directions, tolerance):
         entries = []
         for z in candidates:
-            z_vec = np.asarray(z, dtype=float).reshape(-1)
-            value = _as_rational_vector(z).dot(v) if exact else float(z_vec @ np.asarray(v.as_floats()))
-            entries.append(PairingEntry(tuple(float(a) for a in z_vec), float(value), value >= -tolerance))
+            value = _as_rational_vector(z).dot(v) if exact else float(np.asarray(z, dtype=float) @ v.as_floats())
+            entries.append(PairingEntry(tuple(float(a) for a in z), float(value), value >= -tolerance))
         reports.append(
             HypothesisReport(
                 direction=critical,

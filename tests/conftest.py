@@ -1,11 +1,13 @@
 """Shared test helpers: random rational polyhedra built around known feasible
-points, and the LP and linear-algebra helpers only the tests use.  The LPs
-here have nonzero right-hand sides, which ``solve_lp`` (cone LPs only) does
-not take, so they run on the reference simplex of ``lp_oracle``."""
+points, the orthant, cone inclusion and equality, and the LP and linear-algebra helpers
+only the tests use.  The LPs here have nonzero right-hand sides, which
+``solve_lp`` (cone LPs only) does not take, so they run on the reference
+simplex of ``lp_oracle``."""
 
 import random
 from fractions import Fraction
 
+from cone_audit.errors import DimensionMismatchError
 from cone_audit.geometry import PolyhedralCone, Polyhedron
 from cone_audit.linalg import RationalMatrix, RationalVector
 
@@ -18,6 +20,39 @@ def small_fraction(rng: random.Random, span: int = 3) -> Fraction:
 
 def random_vector(rng: random.Random, dim: int, span: int = 3) -> RationalVector:
     return RationalVector([small_fraction(rng, span) for _ in range(dim)])
+
+
+def orthant_cone(dim: int = 2) -> PolyhedralCone:
+    """The nonnegative orthant as a cone, its rows -e_i tagged 1..dim."""
+    rows = RationalMatrix([-RationalVector.unit(dim, i) for i in range(dim)], dim)
+    return PolyhedralCone(dim, ineq_rows=rows, ineq_origins=tuple(range(1, dim + 1)))
+
+
+def orthant_polyhedron(dim: int = 2) -> Polyhedron:
+    """The nonnegative orthant {x | -x_i <= 0}."""
+    rows = RationalMatrix([-RationalVector.unit(dim, i) for i in range(dim)], dim)
+    return Polyhedron(dim, ineq_matrix=rows, ineq_rhs=RationalVector.zero(dim))
+
+
+def cone_subset(inner: PolyhedralCone, outer: PolyhedralCone) -> tuple[bool, RationalVector | None]:
+    """Decide cone inclusion; on failure return a generator of ``inner`` outside ``outer``."""
+    if inner.dim != outer.dim:
+        raise DimensionMismatchError("cones live in different ambient dimensions")
+    for vec in inner.generators().spanning_vectors():
+        if not outer.contains(vec):
+            return False, vec
+    return True, None
+
+
+def cone_equal(first: PolyhedralCone, second: PolyhedralCone) -> tuple[bool, RationalVector | None]:
+    """Mutual inclusion test; the witness vector lies in one cone only."""
+    ok, witness = cone_subset(first, second)
+    if not ok:
+        return False, witness
+    ok, witness = cone_subset(second, first)
+    if not ok:
+        return False, witness
+    return True, None
 
 
 def random_feasible_polyhedron(

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from cone_audit.geometry import PolyhedralCone, Polyhedron, cone_equal, cone_subset
+from cone_audit.geometry import PolyhedralCone, Polyhedron
 from cone_audit.linalg import RationalMatrix, RationalVector, matrix, vector
 from cone_audit.objectives import QuadraticObjective, fixture
 from cone_audit.optimality import (
@@ -31,7 +31,14 @@ from cone_audit.ssd import (
     theorem41_check,
 )
 
-from conftest import random_feasible_polyhedron, random_vector
+from conftest import (
+    cone_equal,
+    cone_subset,
+    orthant_cone,
+    orthant_polyhedron,
+    random_feasible_polyhedron,
+    random_vector,
+)
 from step_oracles import contains, second_order_step_oracle, tangent_step_oracle
 
 
@@ -54,11 +61,11 @@ def criterion(number, budget_seconds, description):
 
 @criterion(1, 1.0, "strict inclusion of tangent cone in second-order tangent set")
 def test_criterion_1_strict_inclusion_fixture():
-    orthant = Polyhedron.nonnegative_orthant(2)
+    orthant = orthant_polyhedron(2)
     origin = vector(0, 0)
     tangent = orthant.tangent_cone(origin)
     second = orthant.second_order_tangent_set(origin, vector(1, 0))
-    equal, _ = cone_equal(tangent, PolyhedralCone.nonnegative_orthant(2))
+    equal, _ = cone_equal(tangent, orthant_cone(2))
     assert equal
     upper = PolyhedralCone(2, ineq_rows=matrix([[0, -1]]))
     equal, _ = cone_equal(second, upper)
@@ -79,7 +86,7 @@ def test_criterion_2_ex31():
     grad = fx.objective.gradient_at(point)
     assert first_order_check(grad, region, 1e-9).verdict is Verdict.HOLDS
 
-    second = fx.constraint.second_order_tangent_set(point, direction)
+    second = fx.constraint.tangent_cone(point).tangent_cone_at(direction)
     rhs = second.offset / second.normal[0]
     assert abs(rhs - (-6.0 / (4.0 * math.sqrt(3.0)))) <= 1e-9
 
@@ -96,7 +103,7 @@ def test_criterion_3_ex32():
     fx = fixture("ex32")
     point = fx.candidate_point
     direction = (0.0, 1.0)
-    second = fx.constraint.second_order_tangent_set(point, direction)
+    second = fx.constraint.tangent_cone(point).tangent_cone_at(direction)
     rhs = second.offset / second.normal[0]
     assert abs(rhs - 2.0) <= 1e-12
 
@@ -321,7 +328,7 @@ def test_criterion_9_qp_sanity():
 
 @criterion(10, 1.0, "copositivity unit set")
 def test_criterion_10_copositivity():
-    orthant = PolyhedralCone.nonnegative_orthant(2)
+    orthant = orthant_cone(2)
     assert (
         check_c2_copositivity(matrix([[1, 0], [0, 1]]), orthant).status
         is CopositivityStatus.COPOSITIVE

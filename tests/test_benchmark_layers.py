@@ -10,6 +10,8 @@ from cone_audit.geometry import PolyhedralCone
 from cone_audit.linalg import matrix
 from cone_audit.optimality import check_c2_copositivity
 
+from conftest import orthant_cone
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "clibench"))
 
 from tracing import LAYERS, Tracer  # noqa: E402
@@ -33,13 +35,13 @@ def test_tracer_counts_every_copositivity_method():
     """The traced pass reads ``cells_certified``, ``depth_reached``,
     ``method`` and ``status.value`` off each result; a renamed attribute
     fails here instead of as failed benchmark operations."""
-    orthant = PolyhedralCone.nonnegative_orthant(2)
+    orthant = orthant_cone(2)
     results = [
         check_c2_copositivity(matrix([[-1]]), PolyhedralCone(1, eq_rows=matrix([[1]]))),
         check_c2_copositivity(matrix([[-1, 0], [0, 1]]), PolyhedralCone(2, eq_rows=matrix([[1, 0]]))),
         check_c2_copositivity(matrix([[1, 0], [0, -1]]), orthant),
         check_c2_copositivity(
-            matrix([[1, 1, 1], [1, 1, -1], [1, -1, 1]]), PolyhedralCone.nonnegative_orthant(3)
+            matrix([[1, 1, 1], [1, 1, -1], [1, -1, 1]]), orthant_cone(3)
         ),
     ]
     assert [r.method for r in results] == [

@@ -1519,6 +1519,36 @@ def test_verify_of_an_infinite_witness_exits_three(tmp_path, capsys):
     assert (code, out) == (3, "") and err.startswith("not a usable report document: OverflowError("), err
 
 
+
+def test_verify_of_a_zero_denominator_exits_three(tmp_path, capsys):
+    """A report entry "1/0" has no rational value: verify refuses the
+    report instead of dying on ``Fraction(1, 0)``."""
+    code, out, _ = run_cli(capsys, "cones", "--input", os.path.join(PROBLEMS, "orthant_qp.json"), "--format", "json")
+    report = json.loads(out)
+    report["results"]["tangent_cone"]["rays"][0][0] = "1/0"
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert (code, out) == (3, "") and err.startswith("not a usable report document: ValueError("), err
+
+
+def test_float_overflow_in_verify_checks_exits_three(tmp_path, capsys, recwarn):
+    """An overflow in verify's own float checks, after the re-run, is an
+    error too: a tampered candidate 1e308 pairs with v = 2 past the largest
+    float, and numpy raises rather than warns."""
+    doc = {"version": "1", "constraint": {"type": "fixture", "name": "ex41"},
+           "query": {"regime": "float", "directions": [[2.0]], "z_candidates": [[-1.0]]}}
+    problem = tmp_path / "ex41.json"
+    problem.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "theorem41", "--input", str(problem), "--format", "json")
+    report = json.loads(out)
+    report["results"]["directions"][0]["pairings"][0]["candidate"] = [1e308]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert (code, out) == (3, "") and err.startswith("not a usable report document: FloatingPointError("), err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 def test_float_first_order_does_not_read_a_boundary_ray(tmp_path, capsys):
     """On {x1 <= 0} the gradient (1, -1e-16) pairs at -1 with v = (-1, 0);
     the pairing LP's ray may pair within the tolerance, and first-order

@@ -11,11 +11,15 @@ from cone_audit.errors import (
     NotInSetError,
     NotTangentDirectionError,
 )
-from cone_audit.geometry import PolyhedralCone, Polyhedron, cone_equal, cone_subset
+from cone_audit.geometry import PolyhedralCone, Polyhedron
 from cone_audit.linalg import RationalMatrix, RationalVector, matrix, vector
 
 from conftest import (
+    cone_equal,
+    cone_subset,
     feasibility,
+    orthant_cone,
+    orthant_polyhedron,
     random_feasible_polyhedron,
     random_vector,
     tangent_membership_by_rows,
@@ -46,7 +50,7 @@ def simplex_face():
 
 def test_contains():
     """``tangent_cone`` accepts exactly the members the oracle accepts."""
-    orthant = Polyhedron.nonnegative_orthant(2)
+    orthant = orthant_polyhedron(2)
     assert contains(orthant, vector(0, 0))
     orthant.tangent_cone(vector(0, 0))
     assert not contains(orthant, vector(-1, 0))
@@ -61,7 +65,7 @@ def test_contains():
 
 def test_active_set():
     # the active rows, 1-based, are the tangent cone's row origins
-    orthant = Polyhedron.nonnegative_orthant(2)
+    orthant = orthant_polyhedron(2)
     assert orthant.tangent_cone(vector(0, 0)).ineq_origins == (1, 2)
     assert orthant.tangent_cone(vector(1, 1)).ineq_origins == ()
     assert orthant.tangent_cone(vector(0, 3)).ineq_origins == (1,)
@@ -71,9 +75,9 @@ def test_active_set():
 
 
 def test_tangent_cone():
-    orthant = Polyhedron.nonnegative_orthant(2)
+    orthant = orthant_polyhedron(2)
     at_corner = orthant.tangent_cone(vector(0, 0))
-    equal, _ = cone_equal(at_corner, PolyhedralCone.nonnegative_orthant(2))
+    equal, _ = cone_equal(at_corner, orthant_cone(2))
     assert equal
     interior = orthant.tangent_cone(vector(1, 1))
     equal, _ = cone_equal(interior, PolyhedralCone(2))
@@ -93,7 +97,7 @@ def test_tangent_cone():
 
 
 def test_second_order_tangent_set():
-    orthant = Polyhedron.nonnegative_orthant(2)
+    orthant = orthant_polyhedron(2)
     origin = vector(0, 0)
     cone = orthant.second_order_tangent_set(origin, vector(1, 0))
     expected = PolyhedralCone(2, ineq_rows=matrix([[0, -1]]))
@@ -114,7 +118,7 @@ def test_second_order_tangent_set():
 
 
 def test_normal_cone():
-    orthant = Polyhedron.nonnegative_orthant(2)
+    orthant = orthant_polyhedron(2)
     corner = orthant.normal_cone(vector(0, 0))
     assert set(corner.generators().rays) == {vector(-1, 0), vector(0, -1)}
     edge = orthant.normal_cone(vector(1, 0))
@@ -126,7 +130,7 @@ def test_normal_cone():
 
 
 def test_polar():
-    orthant = PolyhedralCone.nonnegative_orthant(2)
+    orthant = orthant_cone(2)
     negated, _ = cone_equal(
         orthant.polar(), PolyhedralCone(2, ineq_rows=matrix([[1, 0], [0, 1]]))
     )
@@ -145,7 +149,7 @@ def test_extreme_generators():
     """A cone's generators are its extreme generators, computed once; a
     polar's generators are its cone's rows and keep their non-extreme ray,
     and the extreme ones come from the polar's H-form."""
-    orthant = PolyhedralCone.nonnegative_orthant(2)
+    orthant = orthant_cone(2)
     assert orthant.extreme_generators() is orthant.generators()
     rays = (vector(0, 1), vector(1, 0), vector(1, 1))
     cone = PolyhedralCone(2, ineq_rows=RationalMatrix(rays, 2)).polar()
@@ -155,7 +159,7 @@ def test_extreme_generators():
 
 
 def test_cone_equal_strictness_witness():
-    orthant = PolyhedralCone.nonnegative_orthant(2)
+    orthant = orthant_cone(2)
     upper = PolyhedralCone(2, ineq_rows=matrix([[0, -1]]))
     equal, _ = cone_equal(orthant, orthant)
     assert equal
@@ -167,7 +171,7 @@ def test_cone_equal_strictness_witness():
 
 
 def test_step_oracles_known_values():
-    orthant = Polyhedron.nonnegative_orthant(2)
+    orthant = orthant_polyhedron(2)
     origin = vector(0, 0)
     assert tangent_step_oracle(orthant, origin, vector(0, 1))
     assert not tangent_step_oracle(orthant, origin, vector(-1, 0))
@@ -182,7 +186,7 @@ def test_step_oracles_known_values():
 def test_second_order_oracle_large_coefficients():
     """An active row moving strictly away from its facet must tolerate huge
     opposing second-order terms (threshold must shrink accordingly)."""
-    orthant = Polyhedron.nonnegative_orthant(2)
+    orthant = orthant_polyhedron(2)
     origin = vector(0, 0)
     v = vector(1, Fraction(1, 50))  # row 1 strictly negative, row 2 too
     w = vector(-1, -200)            # second-order pull against row 2
@@ -199,7 +203,7 @@ def test_empty_polyhedron():
     assert result.dual_inequalities is not None
     with pytest.raises(NotInSetError):
         empty.tangent_cone(vector(0))
-    feasible = feasibility(Polyhedron.nonnegative_orthant(2))
+    feasible = feasibility(orthant_polyhedron(2))
     assert feasible.status is OracleStatus.OPTIMAL
 
 

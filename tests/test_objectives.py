@@ -134,21 +134,21 @@ def test_smooth_tangent_cone_affine_constraint():
     region = linear.tangent_cone([0.0, 0.0])
     assert region.kind is RegionKind.HALF_SPACE
     assert np.allclose(region.normal, [1.0, 0.0])
-    second = linear.second_order_tangent_set([0.0, 0.0], [0.0, 1.0])
+    second = linear.tangent_cone([0.0, 0.0]).tangent_cone_at([0.0, 1.0])
     assert second.offset == 0.0
 
 
 def test_smooth_second_order_sets():
     fx31 = fixture("ex31")
-    second = fx31.constraint.second_order_tangent_set(fx31.candidate_point, [0.0, 1.0])
+    second = fx31.constraint.tangent_cone(fx31.candidate_point).tangent_cone_at([0.0, 1.0])
     assert abs(second.normalized_offset() * np.linalg.norm(second.normal) / second.normal[0]
                - (-6 / (4 * math.sqrt(3)))) < 1e-9
     fx32 = fixture("ex32")
-    second32 = fx32.constraint.second_order_tangent_set(fx32.candidate_point, [0.0, 1.0])
+    second32 = fx32.constraint.tangent_cone(fx32.candidate_point).tangent_cone_at([0.0, 1.0])
     # hyperplane -2 w1 = -4, i.e. w1 = 2
     assert abs(second32.offset / second32.normal[0] - 2.0) < 1e-12
     with pytest.raises(NotTangentDirectionError):
-        fx31.constraint.second_order_tangent_set(fx31.candidate_point, [1.0, 0.0])
+        fx31.constraint.tangent_cone(fx31.candidate_point).tangent_cone_at([1.0, 0.0])
     # <(-2, 0), (0.4, 1)> = -0.8 lies within 0.5 |normal| |v|: at tolerance
     # 0.5 the tangent flag and T2 both accept v, at 1e-9 neither does
     v = [0.4, 1.0]
@@ -158,7 +158,7 @@ def test_smooth_second_order_sets():
     assert abs(bundle.second_order_set.offset + 4.32) < 1e-12
     assert not fx32.constraint.tangent_cone(fx32.candidate_point).contains(v)
     with pytest.raises(NotTangentDirectionError):
-        fx32.constraint.second_order_tangent_set(fx32.candidate_point, v)
+        fx32.constraint.tangent_cone(fx32.candidate_point).tangent_cone_at(v)
 
 
 def test_constraint_preconditions():

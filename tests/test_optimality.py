@@ -14,7 +14,7 @@ from scipy.spatial import ConvexHull
 from cone_audit import optimality
 from cone_audit.analysis import run_analysis
 from cone_audit.dd import double_description
-from cone_audit.geometry import PolyhedralCone, Polyhedron, cone_equal
+from cone_audit.geometry import PolyhedralCone, Polyhedron
 from cone_audit.linalg import RationalMatrix, RationalVector, matrix, row_space_basis, vector
 from cone_audit.objectives import AffineRegion, QuadraticObjective, RegionKind, SmoothObjective, fixture
 from cone_audit.optimality import (
@@ -31,12 +31,15 @@ from cone_audit.optimality import (
 )
 from cone_audit.problem import parse_problem
 
-from conftest import random_feasible_polyhedron, random_vector, small_fraction
+from conftest import (
+    cone_equal,
+    orthant_cone,
+    orthant_polyhedron,
+    random_feasible_polyhedron,
+    random_vector,
+    small_fraction,
+)
 from copositivity_oracle import fraction_psd_witness, oracle_copositivity
-
-
-def orthant_cone():
-    return PolyhedralCone.nonnegative_orthant(2)
 
 
 # --- first_order_check -----------------------------------------------------
@@ -244,7 +247,7 @@ def test_copositivity_horn_matrix_copositive():
             [-1, 1, 1, -1, 1],
         ]
     )
-    res = check_c2_copositivity(horn, PolyhedralCone.nonnegative_orthant(5))
+    res = check_c2_copositivity(horn, orthant_cone(5))
     assert res.status is CopositivityStatus.COPOSITIVE
     assert (res.method, res.cells_certified) == ("cottle-habetler-lemke", 1)
 
@@ -253,7 +256,7 @@ def test_copositivity_strictly_copositive_not_psd():
     """Unit diagonal, off-diagonal 1, -1/4, -1/2: strictly copositive, and
     bisection left it Inconclusive after 12 certified cells."""
     m = matrix([["1", "1", "-1/4"], ["1", "1", "-1/2"], ["-1/4", "-1/2", "1"]])
-    res = check_c2_copositivity(m, PolyhedralCone.nonnegative_orthant(3))
+    res = check_c2_copositivity(m, orthant_cone(3))
     assert res.status is CopositivityStatus.COPOSITIVE
     assert res.method == "cottle-habetler-lemke"
 
@@ -262,7 +265,7 @@ def test_copositivity_verdict_independent_of_coordinate_order():
     """Bisection broke ties between equally long edges by index, so one
     permutation of this matrix was certified and another left Inconclusive."""
     base = [[1, 1, 1], [1, 1, -1], [1, -1, 1]]
-    orthant = PolyhedralCone.nonnegative_orthant(3)
+    orthant = orthant_cone(3)
     results = set()
     for p in itertools.permutations(range(3)):
         permuted = matrix([[base[p[i]][p[j]] for j in range(3)] for i in range(3)])
@@ -273,9 +276,9 @@ def test_copositivity_verdict_independent_of_coordinate_order():
 
 def test_copositivity_witness_after_subdivision():
     m = matrix([[1, -3, 1], [-3, 1, -3], [1, -3, 1]])
-    res = check_c2_copositivity(m, PolyhedralCone.nonnegative_orthant(3))
+    res = check_c2_copositivity(m, orthant_cone(3))
     assert res.status is CopositivityStatus.NOT_COPOSITIVE
-    assert PolyhedralCone.nonnegative_orthant(3).contains(res.witness)
+    assert orthant_cone(3).contains(res.witness)
     assert m.matvec(res.witness).dot(res.witness) == res.witness_value < 0
 
 
@@ -410,7 +413,7 @@ def test_copositivity_agrees_with_kaplan_on_the_orthant():
                     m[i][i] = Fraction(rng.randint(-1, 4), rng.choice((1, 2, 3)))
                 else:
                     m[i][j] = m[j][i] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 4)))
-        res = check_c2_copositivity(RationalMatrix(m), PolyhedralCone.nonnegative_orthant(n))
+        res = check_c2_copositivity(RationalMatrix(m), orthant_cone(n))
         copositive = res.status is CopositivityStatus.COPOSITIVE
         assert copositive == _kaplan_copositive(m), m
         decided[copositive, res.method] += 1
@@ -570,7 +573,7 @@ def test_copositivity_root_diagonal_refutes_at_a_later_vertex():
     """The first generator with negative form, at an index above 0, is the
     witness, as the partition gave it, and no cell is triangulated."""
     m = matrix([[-2, 1, 2], [1, -1, -3], [2, -3, 1]])
-    cone = PolyhedralCone.nonnegative_orthant(3)
+    cone = orthant_cone(3)
     generators = list(cone.generators().spanning_vectors())
     forms = [m.matvec(g).dot(g) for g in generators]
     first = next(i for i, value in enumerate(forms) if value < 0)
@@ -619,14 +622,14 @@ def test_classical_fails_on_cone():
 def test_classical_smooth_examples():
     fx31 = fixture("ex31")
     grad = fx31.objective.gradient_at(fx31.candidate_point)
-    second = fx31.constraint.second_order_tangent_set(fx31.candidate_point, [0.0, 1.0])
+    second = fx31.constraint.tangent_cone(fx31.candidate_point).tangent_cone_at([0.0, 1.0])
     report = classical_second_order_check(grad, -2.0, second, 1e-9)
     assert report.verdict is Verdict.HOLDS
     assert abs(report.margin - 4.0) < 1e-9
 
     fx32 = fixture("ex32")
     grad32 = fx32.objective.gradient_at(fx32.candidate_point)
-    second32 = fx32.constraint.second_order_tangent_set(fx32.candidate_point, [0.0, 1.0])
+    second32 = fx32.constraint.tangent_cone(fx32.candidate_point).tangent_cone_at([0.0, 1.0])
     report32 = classical_second_order_check(grad32, -2.0, second32, 1e-9)
     assert report32.verdict is Verdict.HOLDS
     assert abs(report32.margin - 2.0) < 1e-12
@@ -641,7 +644,7 @@ def _half_plane(offset):
 
 
 def _c2_sign(objective, direction, tolerance=1e-9):
-    tangent = Polyhedron.nonnegative_orthant(2).tangent_cone(vector(0, 0))
+    tangent = orthant_polyhedron(2).tangent_cone(vector(0, 0))
     (bundle,) = theorem33_check(objective, tangent, (0.0, 0.0), [direction], tolerance)
     return bundle.curvature_at_direction
 
@@ -787,7 +790,7 @@ def test_theorem33_smooth_ex32():
 def test_theorem33_polyhedral_convex():
     # f = ||x||^2 / 2 over the orthant at the origin: everything holds
     quad = QuadraticObjective(matrix([[1, 0], [0, 1]]), vector(0, 0))
-    tangent = Polyhedron.nonnegative_orthant(2).tangent_cone(vector(0, 0))
+    tangent = orthant_polyhedron(2).tangent_cone(vector(0, 0))
     (bundle,) = theorem33_check(quad.as_smooth(), tangent, (0.0, 0.0), [(0.0, 1.0)])
     assert bundle.strengthened_gradient.verdict is Verdict.HOLDS
     assert bundle.curvature_at_direction.verdict is Verdict.HOLDS
@@ -797,10 +800,15 @@ def test_theorem33_polyhedral_convex():
 # --- check_qp ----------------------------------------------------------------
 
 
+def _all_hold(report) -> bool:
+    conditions = (report.stationarity, report.strengthened_gradient, report.curvature_on_critical_cone)
+    return all(c.verdict is Verdict.HOLDS for c in conditions)
+
+
 def test_qp_global_minimum_convex():
     quad = QuadraticObjective(matrix([[1, 0], [0, 1]]), vector(0, 0))
-    report = check_qp(quad, Polyhedron.nonnegative_orthant(2), vector(0, 0))
-    assert report.all_hold
+    report = check_qp(quad, orthant_polyhedron(2), vector(0, 0))
+    assert _all_hold(report)
 
 
 def test_qp_face_example():
@@ -815,7 +823,7 @@ def test_qp_face_example():
         ineq_rhs=vector(0),
     )
     report = check_qp(quad, face, vector(0, 0))
-    assert report.all_hold
+    assert _all_hold(report)
     # grid oracle over the critical cone
     for a in range(0, 4):
         v = vector(a, 0)
@@ -824,7 +832,7 @@ def test_qp_face_example():
 
 def test_qp_c2_failure_witnessed():
     quad = QuadraticObjective(matrix([[-1, 0], [0, 0]]), vector(0, 0))
-    report = check_qp(quad, Polyhedron.nonnegative_orthant(2), vector(0, 0))
+    report = check_qp(quad, orthant_polyhedron(2), vector(0, 0))
     assert report.stationarity.verdict is Verdict.HOLDS
     assert report.curvature_on_critical_cone.verdict is Verdict.FAILS
     witness = report.curvature_on_critical_cone.witness
@@ -893,13 +901,13 @@ def test_lp_count_one_per_second_order_question(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(optimality, "solve_lp", counting)
-    orthant = Polyhedron.nonnegative_orthant(4)
+    orthant = orthant_polyhedron(4)
     origin = RationalVector.zero(4)
     quad = QuadraticObjective(matrix([[int(i == j) for j in range(4)] for i in range(4)]), origin)
     # zero gradient: the critical cone is the whole orthant, 4 generators
     report = check_qp(quad, orthant, origin)
     assert len(report.checked_directions) == 4
-    assert report.all_hold
+    assert _all_hold(report)
     assert len(calls) == 1
 
     directions = [RationalVector.unit(4, i) for i in range(4)]
