@@ -56,11 +56,9 @@ from .optimality import (
     theorem33_check,
 )
 from .ssd import (
-    CalmnessEstimate,
     HypothesisReport,
     LogMesh,
     MembershipVerdict,
-    SSDQuery,
     estimate_calmness,
     ssd_hessian_closed_form,
     ssd_membership,

@@ -11,6 +11,7 @@ recorded witness back into its defining inequality.
 from __future__ import annotations
 
 import datetime
+import decimal
 import functools
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from .optimality import (
     LagrangeCertificate,
     Verdict,
     _as_rational_vector,
-    _qp_conditions,
+    check_qp,
     critical_cone,
     first_order_check,
     theorem33_check,
@@ -35,7 +36,6 @@ from .problem import ProblemFile, parse_problem_dict
 from .ssd import (
     DEFAULT_MEMBERSHIP_TOL,
     LogMesh,
-    SSDQuery,
     _membership_quotient,
     estimate_calmness,
     ssd_hessian_closed_form,
@@ -150,6 +150,17 @@ def _flags_json(direction) -> dict:
     }
 
 
+def _detail(value) -> str:
+    """A number to 6 significant digits for a check's detail: its float's
+    ``.6g``, or past the float range the same digits in exact decimal
+    arithmetic."""
+    try:
+        return f"{float(value):.6g}"
+    except OverflowError:
+        with decimal.localcontext(prec=6):
+            return f"{(decimal.Decimal(value.numerator) / value.denominator).normalize():.6g}"
+
+
 def _exit_of(verdicts: list[Verdict]) -> int:
     return EXIT_SOME_FAIL if Verdict.FAILS in verdicts else EXIT_ALL_HOLD
 
@@ -230,9 +241,7 @@ class _Context:
     @functools.cached_property
     def gradient(self):
         """The objective's gradient at the point: exact M x + q, or float."""
-        if isinstance(self.objective, QuadraticObjective):
-            return self.objective.gradient(self.problem.query.point_rational())
-        return self.objective.gradient_at(self.problem.query.point_floats())
+        return self.objective.gradient_at(self.problem.query.point)
 
     @functools.cached_property
     def tangent(self) -> PolyhedralCone | TangentRegion:
@@ -318,9 +327,7 @@ def _run_first_order(ctx: _Context) -> tuple[dict, int]:
 def _run_second_order(ctx: _Context) -> tuple[dict, int]:
     directions = ctx.require_directions("second-order")
     objective = ctx.objective
-    if isinstance(objective, QuadraticObjective):
-        directions = [_as_rational_vector(v) for v in directions]
-    elif objective.hessian is None:
+    if not isinstance(objective, QuadraticObjective) and objective.hessian is None:
         raise AnalysisError(
             "second-order analysis needs a Hessian",
             hint="use a quadratic objective or a fixture with second derivatives",
@@ -328,14 +335,14 @@ def _run_second_order(ctx: _Context) -> tuple[dict, int]:
     verdicts: list[Verdict] = []
     entries = []
     bundles = theorem33_check(objective, ctx.tangent, ctx.problem.query.point, directions, ctx.tolerance)
-    for v, bundle in zip(directions, bundles):
+    for bundle in bundles:
         verdicts += [
             bundle.strengthened_gradient.verdict,
             bundle.curvature_at_direction.verdict,
             bundle.classical.verdict,
         ]
         entries.append({
-            "direction": _vector_json(v),
+            "direction": _vector_json(bundle.direction.vector),
             "critical_flags": _flags_json(bundle.direction),
             "c1": _condition_json(bundle.strengthened_gradient),
             "c2_at_direction": _condition_json(bundle.curvature_at_direction),
@@ -361,13 +368,13 @@ def _run_qp(ctx: _Context) -> tuple[dict, int]:
             "the qp command runs in exact arithmetic only",
             hint="set query.regime = 'exact' and use rational entries",
         )
-    conditions = _qp_conditions(ctx.objective.matrix, ctx.tangent, ctx.gradient)
+    conditions = check_qp(ctx.objective, ctx.tangent, ctx.problem.query.point)
     results = {
         "c0": _condition_json(conditions.stationarity),
         "c1_prime": _condition_json(conditions.strengthened_gradient),
         "c2_prime": _condition_json(conditions.curvature_on_critical_cone),
-        "checked_directions": [_vector_json(v) for v in conditions.checked_directions],
-        "tangent_cone": _cone_json(conditions.tangent_cone),
+        "checked_directions": [_vector_json(v) for v in conditions.strengthened_gradient.checked_directions],
+        "tangent_cone": _cone_json(ctx.tangent),
         "critical_cone": _cone_json(conditions.critical_cone),
     }
     verdicts = [
@@ -395,14 +402,7 @@ def _run_ssd(ctx: _Context) -> tuple[dict, int]:
         for v in directions:
             for z in candidates:
                 verdict = ssd_membership(
-                    SSDQuery(
-                        objective,
-                        float(point[0]),
-                        float(v[0]),
-                        float(z[0]),
-                    ),
-                    ctx.mesh,
-                    ctx.ssd_tolerance,
+                    objective, float(point[0]), float(v[0]), float(z[0]), ctx.mesh, ctx.ssd_tolerance
                 )
                 queries.append(
                     {
@@ -424,11 +424,10 @@ def _run_ssd(ctx: _Context) -> tuple[dict, int]:
                 for v in (float(direction[0]) for direction in directions)
                 if v >= 0
             ]
-        calmness = estimate_calmness(objective, point, CALMNESS_RADIUS, CALMNESS_SAMPLES)
         results["calmness"] = {
-            "modulus": calmness.modulus,
-            "radius": calmness.radius,
-            "sample_count": calmness.sample_count,
+            "modulus": estimate_calmness(objective, point, CALMNESS_RADIUS, CALMNESS_SAMPLES),
+            "radius": CALMNESS_RADIUS,
+            "sample_count": CALMNESS_SAMPLES,
         }
         return results, exit_code
 
@@ -479,23 +478,15 @@ def _run_theorem41(ctx: _Context) -> tuple[dict, int]:
         ctx.problem.query.z_candidates,
         ctx.tolerance,
     )
-    for v, report in zip(directions, reports):
+    for report in reports:
         entries.append(
             {
-                "direction": _vector_json(v),
+                "direction": _vector_json(report.direction.vector),
                 "flags": _flags_json(report.direction),
                 "status": report.status,
-                "gradient_condition": (
-                    None
-                    if report.gradient_condition is None
-                    else _condition_json(report.gradient_condition)
-                ),
+                "gradient_condition": report.gradient_condition and _condition_json(report.gradient_condition),
                 "pairings": [
-                    {
-                        "candidate": list(e.candidate),
-                        "pairing": e.pairing,
-                        "holds": e.holds,
-                    }
+                    {"candidate": _vector_json(e.candidate), "pairing": _value_json(e.pairing), "holds": e.holds}
                     for e in report.pairings
                 ],
             }
@@ -623,7 +614,7 @@ class _Revalidator:
             self.add(
                 label + ": witness violates the inequality",
                 inside and violated,
-                f"<grad, w> = {float(pairing):.6g}",
+                f"<grad, w> = {_detail(pairing)}",
             )
         if verdict == "holds" and entry.get("certificate") and entry["certificate"].get("type") == "lagrange":
             cert = entry["certificate"]
@@ -673,18 +664,13 @@ class _Revalidator:
                 self.add(
                     "c2: negative curvature reproduces",
                     curvature < 0,
-                    f"<Mv, v> = {float(curvature):.6g}",
+                    f"<Mv, v> = {_detail(curvature)}",
                 )
 
     def _curvature(self, direction: RationalVector) -> Fraction:
-        """<Mv, v> in the run's arithmetic: exact for exact quadratic data,
-        else off the float Hessian the run used."""
-        objective = self.ctx.objective
-        if isinstance(objective, QuadraticObjective):
-            return objective.quadratic_form(direction)
-        import numpy as np
-        vec = np.asarray(direction.as_floats())
-        return Fraction(float(vec @ objective.hessian_at(self.ctx.problem.query.point_floats()) @ vec))
+        """<Mv, v> in the run's arithmetic, as the objective's
+        ``curvature_at`` gives it, made exact."""
+        return Fraction(self.ctx.objective.curvature_at(self.ctx.problem.query.point, direction))
 
     def _check_classical(self, entry, second, direction: RationalVector) -> None:
         """Substitute a failing classical-condition witness.
@@ -704,7 +690,7 @@ class _Revalidator:
         self.add(
             "classical: witness reproduces the violation",
             inside and violation < 0,
-            f"{quantity} = {float(violation):.6g}",
+            f"{quantity} = {_detail(violation)}",
         )
 
     def _verify_qp(self, results: dict) -> None:
@@ -723,11 +709,11 @@ class _Revalidator:
         if c2p and c2p.get("verdict") == "fails" and c2p.get("witness"):
             witness = _as_rational_vector(c2p["witness"])
             crit = critical_cone(self.gradient, tangent)
-            value = self.ctx.objective.quadratic_form(witness)
+            value = self._curvature(witness)
             self.add(
                 "c2': witness is a critical direction with negative form",
                 crit.contains(witness) and value < 0,
-                f"<Mv, v> = {float(value):.6g}",
+                f"<Mv, v> = {_detail(value)}",
             )
 
     def _verify_theorem41(self, results: dict) -> None:
@@ -745,24 +731,24 @@ class _Revalidator:
             for z, pairing in zip(candidates, entry.get("pairings", [])):
                 if exact:
                     value = _as_rational_vector(z).dot(_as_rational_vector(v))
+                    same = _value_json(value) == pairing["pairing"]
                 else:
                     value = float(np.asarray(pairing["candidate"], dtype=float) @ direction)
-                consistent = abs(float(value) - pairing["pairing"]) <= 1e-12 and (
-                    (value >= -self.ctx.tolerance) == pairing["holds"]
-                )
+                    same = abs(value - pairing["pairing"]) <= 1e-12
                 self.add(
                     "pairing <z, v> reproduces",
-                    consistent,
-                    f"<z, v> = {float(value):.6g}",
+                    same and (value >= -self.ctx.tolerance) == pairing["holds"],
+                    f"<z, v> = {_detail(value)}",
                 )
 
     def _verify_ssd(self, results: dict) -> None:
         objective = self.ctx.smooth_objective()
         for entry in results.get("memberships", []):
             base = self.ctx.problem.query.point_floats()[0]
-            query = SSDQuery(objective, base, entry["direction"], entry["candidate"])
             grad_base = float(objective.gradient_at([base])[0])
-            quotient = _membership_quotient(query, entry["attaining_sample"], base, grad_base)
+            quotient = _membership_quotient(
+                objective, base, entry["direction"], entry["candidate"], entry["attaining_sample"], grad_base
+            )
             self.add(
                 "ssd: attaining sample reproduces the worst quotient",
                 quotient is not None and abs(quotient - entry["worst_quotient"]) <= 1e-12,

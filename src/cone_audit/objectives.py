@@ -1,11 +1,11 @@
 """Objective models and single smooth level-set constraints.
 
-Two arithmetic regimes coexist.  :class:`QuadraticObjective` is exact
-rational data (symmetric matrix, linear term, constant) whose gradients feed
-the tolerance-free polyhedral checkers.  :class:`SmoothObjective` wraps
-binary64 evaluators for the gradient and Hessian and is used wherever the
-candidate point is irrational; verdicts in that regime carry explicit
-tolerances.
+Two arithmetic regimes coexist behind one interface, ``gradient_at(x)`` and
+``curvature_at(x, v)``.  :class:`QuadraticObjective` is exact rational data
+(symmetric matrix, linear term, constant) and answers both exactly for the
+tolerance-free polyhedral checkers.  :class:`SmoothObjective` wraps binary64
+evaluators for the gradient and Hessian and is used wherever the candidate
+point is irrational; verdicts in that regime carry explicit tolerances.
 
 A :class:`SmoothLevelSetConstraint` describes a set {g <= 0} or {h = 0} cut
 out by one smooth function.  At a regular active point its tangent cone is
@@ -71,8 +71,16 @@ class QuadraticObjective:
         """Exact M x + q."""
         return self.matrix.matvec(x) + self.linear
 
+    def gradient_at(self, x) -> RationalVector:
+        """Exact M x + q at a point of any entries ``Fraction`` accepts."""
+        return self.gradient(RationalVector(map(Fraction, x)))
+
     def quadratic_form(self, v: RationalVector) -> Fraction:
         return self.matrix.matvec(v).dot(v)
+
+    def curvature_at(self, x, v: RationalVector) -> Fraction:
+        """Exact <M v, v>, the same at every x."""
+        return self.quadratic_form(v)
 
     def as_smooth(self) -> "SmoothObjective":
         import numpy as np
@@ -113,6 +121,12 @@ class SmoothObjective:
         if float(np.max(np.abs(hess - hess.T))) > 1e-12 * scale:
             raise ValueError("Hessian evaluator is not symmetric at the queried point")
         return hess
+
+    def curvature_at(self, x, v) -> float:
+        """<Hess f(x) v, v> in binary64."""
+        import numpy as np
+        vec = np.asarray(v, dtype=float)
+        return float(vec @ self.hessian_at(x) @ vec)
 
 
 class RegionKind(Enum):

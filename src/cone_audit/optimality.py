@@ -39,7 +39,7 @@ margin of -inf fails.  Exact checks take tolerance 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -47,7 +47,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatchError
-from .geometry import PolyhedralCone, Polyhedron
+from .geometry import PolyhedralCone
 from .linalg import RationalMatrix, RationalVector, bareiss_step, combination, integer_rref
 from .lp import LPResult, LPStatus, solve_lp
 from .objectives import DEFAULT_FLOAT_TOL, AffineRegion, QuadraticObjective, SmoothObjective, TangentRegion
@@ -131,9 +131,10 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class CriticalDirection:
-    """A direction with its verified tangency/orthogonality flags."""
+    """A direction with its verified tangency/orthogonality flags; the
+    vector is exact in an exact run and a float tuple otherwise."""
 
-    vector: tuple
+    vector: RationalVector | tuple[float, ...]
     in_tangent_cone: bool
     negation_in_tangent_cone: bool
     gradient_orthogonal: bool
@@ -209,7 +210,8 @@ def _tangent_directions(gradient, tangent: PolyhedralCone, directions, tolerance
     off one pairing LP on T(x) (:func:`_on_second_order_set`), else None.
 
     v is gradient-orthogonal when |<gradient, v>| <= tolerance, the pairing
-    exact for an exact gradient and float for a float one.
+    exact for an exact gradient and float for a float one; the flags carry v
+    in the gradient's arithmetic.
     """
     exact = isinstance(gradient, RationalVector)
     grad = _as_rational_vector(gradient)
@@ -218,7 +220,7 @@ def _tangent_directions(gradient, tangent: PolyhedralCone, directions, tolerance
         v = _as_rational_vector(direction)
         pairing = grad.dot(v) if exact else float(gradient @ v.as_floats())
         critical = CriticalDirection(
-            vector=tuple(v.entries),
+            vector=v if exact else v.as_floats(),
             in_tangent_cone=tangent.contains(v),
             negation_in_tangent_cone=tangent.contains(-v),
             gradient_orthogonal=abs(pairing) <= tolerance,
@@ -330,10 +332,13 @@ def _linear(condition: ConditionId, infimum: tuple, tolerance) -> ConditionRepor
 
 def _classical(infimum: tuple, curvature: Fraction | float, tolerance) -> ConditionReport:
     """inf <gradient, w> over the second-order set plus the curvature, >= 0,
-    read off :func:`_infimum`."""
+    read off :func:`_infimum`; an infimum of -inf is the margin, whatever
+    the curvature (an exact one may be past the float range)."""
     value, _, witness, certificate, _ = infimum
-    notes = "gradient pairing is unbounded below on the second-order set" if value == float("-inf") else ""
-    return _sign_report(ConditionId.CLASSICAL_32, value + curvature, tolerance, witness, certificate, notes)
+    if value == float("-inf"):
+        notes = "gradient pairing is unbounded below on the second-order set"
+        return _sign_report(ConditionId.CLASSICAL_32, value, tolerance, witness, certificate, notes)
+    return _sign_report(ConditionId.CLASSICAL_32, value + curvature, tolerance, witness, certificate)
 
 
 def first_order_check(
@@ -637,6 +642,20 @@ class SecondOrderBundle:
     classical: ConditionReport
 
 
+def _direction_passes(objective, tangent: PolyhedralCone | TangentRegion, point, directions, tolerance):
+    """``(tolerance, passes)``, the preamble :func:`theorem33_check` and
+    :func:`theorem41_check` share: exact quadratic data need a polyhedral
+    T(x) and run at tolerance 0; the gradient is evaluated once, and the
+    directions pass over the tangent cone (:func:`_tangent_directions`) or
+    over a level set's tangent region (:func:`_level_set_directions`)."""
+    if isinstance(objective, QuadraticObjective):
+        if not isinstance(tangent, PolyhedralCone):
+            raise TypeError("exact quadratic data needs the tangent cone of a polyhedral set")
+        tolerance = 0
+    walk = _tangent_directions if isinstance(tangent, PolyhedralCone) else _level_set_directions
+    return tolerance, walk(objective.gradient_at(point), tangent, directions, tolerance)
+
+
 def theorem33_check(
     objective: SmoothObjective | QuadraticObjective,
     tangent: PolyhedralCone | TangentRegion,
@@ -645,48 +664,32 @@ def theorem33_check(
     tolerance: float = DEFAULT_FLOAT_TOL,
 ) -> tuple[SecondOrderBundle, ...]:
     """Bundle (c1), the (c2) sign and the classical check, one bundle per
-    direction, from one evaluation of the gradient and the Hessian.
+    direction, from one evaluation of the gradient.
 
     ``tangent`` is T(x) at ``point``, and every T2(x, v) is read off it:
     over a polyhedron it is the tangent cone (:meth:`Polyhedron.tangent_cone`),
     and one pairing LP on it decides (c1) and the classical check at every
-    direction (:func:`_tangent_directions`, the pass :func:`theorem41_check`
-    shares); over a smooth level set it is the :class:`TangentRegion` the
-    constraint's ``tangent_cone`` returns, read by
-    :func:`_level_set_directions`.  A direction outside T(x) raises
-    :class:`NotTangentDirectionError`.
+    direction; over a smooth level set it is the :class:`TangentRegion` the
+    constraint's ``tangent_cone`` returns (:func:`_direction_passes`).  A
+    direction outside T(x) raises :class:`NotTangentDirectionError`.
     A :class:`QuadraticObjective` there is checked exactly, with tolerance 0;
     the ``tolerance`` argument is ignored for such data.  A
     :class:`SmoothObjective` is evaluated in float over the exact cones (the
     gradient converted to exact rationals) or over a tangent region (float
-    arithmetic with tolerances).
+    arithmetic with tolerances).  The curvature is the objective's
+    ``curvature_at``, and the (c2) witness the direction's vector.
     """
-    exact = isinstance(objective, QuadraticObjective)
-    if exact:
-        if not isinstance(tangent, PolyhedralCone):
-            raise TypeError("exact quadratic data needs the tangent cone of a polyhedral set")
-        tolerance = 0
-        grad = objective.gradient(_as_rational_vector(point))
-    else:
-        import numpy as np
-        grad = objective.gradient_at(point)
-        hessian = objective.hessian_at(point)
-
-    if isinstance(tangent, PolyhedralCone):
-        passes = _tangent_directions(grad, tangent, directions, tolerance)
-    else:
-        passes = _level_set_directions(grad, tangent, directions, tolerance)
+    tolerance, passes = _direction_passes(objective, tangent, point, directions, tolerance)
     bundles = []
     for v, critical, second_order, infimum in passes:
         if second_order is None:
             tangent.tangent_cone_at(v)  # raises NotTangentDirectionError
-        floats = tuple(map(float, critical.vector))
-        curvature = objective.quadratic_form(v) if exact else float(np.asarray(floats) @ hessian @ floats)
+        curvature = objective.curvature_at(point, critical.vector)
         bundles.append(SecondOrderBundle(
             critical,
             second_order,
             _linear(ConditionId.C1, infimum, tolerance),
-            _sign_report(ConditionId.C2, curvature, tolerance, v if exact else floats),
+            _sign_report(ConditionId.C2, curvature, tolerance, critical.vector),
             _classical(infimum, curvature, tolerance),
         ))
     return tuple(bundles)
@@ -694,34 +697,28 @@ def theorem33_check(
 
 @dataclass(frozen=True)
 class QPConditions:
-    """The (c0)/(c1')/(c2') reports for a quadratic program at a point."""
+    """The (c0)/(c1')/(c2') reports for a quadratic program at a point; the
+    (c1') report's ``checked_directions`` lists the critical directions it
+    covers."""
 
     stationarity: ConditionReport
     strengthened_gradient: ConditionReport
     curvature_on_critical_cone: ConditionReport
-    tangent_cone: PolyhedralCone
     critical_cone: PolyhedralCone
-    checked_directions: tuple[RationalVector, ...] = field(default=())
 
 
-def check_qp(
-    objective: QuadraticObjective,
-    constraint_set: Polyhedron,
-    point: RationalVector,
-) -> QPConditions:
-    """Exact (c0)/(c1')/(c2') verification for min (1/2)<Mx,x> + <q,x> over a polyhedron.
+def check_qp(objective: QuadraticObjective, tangent: PolyhedralCone, point) -> QPConditions:
+    """Exact (c0)/(c1')/(c2') verification for min (1/2)<Mx,x> + <q,x> over a
+    polyhedron whose tangent cone at ``point`` is ``tangent``
+    (:meth:`Polyhedron.tangent_cone`).
 
     (c0) is the first-order check with gradient M x + q; (c1') is (c1) on the
     second-order tangent set at the first critical-cone generator, which
     over a polyhedron decides it for every critical direction, read off the
-    (c0) LP, and ``checked_directions`` lists all the generators it covers;
-    (c2') tests copositivity of M on the critical cone.
+    (c0) LP, and its ``checked_directions`` lists all the generators it
+    covers; (c2') tests copositivity of M on the critical cone.
     """
-    return _qp_conditions(objective.matrix, constraint_set.tangent_cone(point), objective.gradient(point))
-
-
-def _qp_conditions(matrix: RationalMatrix, tangent: PolyhedralCone, gradient: RationalVector) -> QPConditions:
-    """:func:`check_qp` at a point with tangent cone ``tangent`` and gradient ``gradient``."""
+    gradient = objective.gradient_at(point)
     result = _pairing_lp(gradient, tangent)
     c0 = _linear(ConditionId.QP_C0, _infimum(gradient, tangent, result, 0), 0)
 
@@ -738,7 +735,7 @@ def _qp_conditions(matrix: RationalMatrix, tangent: PolyhedralCone, gradient: Ra
         if holds else f"violated at critical direction {v}",
     )
 
-    copositivity = check_c2_copositivity(matrix, crit)
+    copositivity = check_c2_copositivity(objective.matrix, crit)
     copositive = copositivity.status is CopositivityStatus.COPOSITIVE
     c2p = ConditionReport(
         condition=ConditionId.QP_C2P,
@@ -747,11 +744,4 @@ def _qp_conditions(matrix: RationalMatrix, tangent: PolyhedralCone, gradient: Ra
         certificate=copositivity,
         margin=copositivity.witness_value,
     )
-    return QPConditions(
-        stationarity=c0,
-        strengthened_gradient=c1p,
-        curvature_on_critical_cone=c2p,
-        tangent_cone=tangent,
-        critical_cone=crit,
-        checked_directions=directions,
-    )
+    return QPConditions(stationarity=c0, strengthened_gradient=c1p, curvature_on_critical_cone=c2p, critical_cone=crit)

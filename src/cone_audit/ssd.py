@@ -26,18 +26,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .geometry import PolyhedralCone
-from .objectives import DEFAULT_FLOAT_TOL, QuadraticObjective, SmoothObjective
+from .linalg import RationalVector
+from .objectives import DEFAULT_FLOAT_TOL, QuadraticObjective, SmoothObjective, TangentRegion
 from .optimality import (
     ConditionId,
     ConditionReport,
     CriticalDirection,
     Verdict,
     _as_rational_vector,
+    _direction_passes,
     _linear,
-    _tangent_directions,
 )
 
 if TYPE_CHECKING:  # numpy is imported where floats are computed
@@ -94,16 +96,6 @@ class LogMesh:
 
 
 @dataclass(frozen=True)
-class SSDQuery:
-    """A (objective, base point, direction, candidate) membership query."""
-
-    objective: SmoothObjective
-    base_point: float
-    direction: float
-    candidate: float
-
-
-@dataclass(frozen=True)
 class MembershipVerdict:
     member: bool
     worst_quotient: float
@@ -119,29 +111,32 @@ def _gradient_1d(objective: SmoothObjective, x: float) -> float:
 
 
 def ssd_membership(
-    query: SSDQuery,
+    objective: SmoothObjective,
+    base: float,
+    direction: float,
+    candidate: float,
     mesh: LogMesh | None = None,
     tolerance: float = DEFAULT_MEMBERSHIP_TOL,
 ) -> MembershipVerdict:
-    """Mesh oracle for the membership quotient; Member iff the tail maximum
-    stays at or below ``tolerance``.
+    """Mesh oracle for the membership quotient of ``candidate`` at ``base``
+    in ``direction``; Member iff the tail maximum stays at or below
+    ``tolerance``.
 
     Probe points with an exactly zero denominator (the base point itself,
     after rounding) are skipped, as the quotient is undefined there.
     """
-    if query.objective.dimension != 1:
+    if objective.dimension != 1:
         raise ValueError(
             "the mesh oracle supports dimension one only; use the Hessian "
             "closed form for higher dimensions"
         )
     mesh = mesh or LogMesh()
-    base = float(query.base_point)
-    grad_base = _gradient_1d(query.objective, base)
+    grad_base = _gradient_1d(objective, base)
     worst = float("-inf")
     attaining = None
     for delta in mesh.tail_deltas():
         for x in (base + delta, base - delta):
-            quotient = _membership_quotient(query, x, base, grad_base)
+            quotient = _membership_quotient(objective, base, direction, candidate, x, grad_base)
             if quotient is None:
                 continue
             if quotient > worst:
@@ -156,18 +151,15 @@ def ssd_membership(
 
 
 def _membership_quotient(
-    query: SSDQuery, x: float, base: float, grad_base: float
+    objective: SmoothObjective, base: float, direction: float, candidate: float, x: float, grad_base: float
 ) -> float | None:
-    grad_x = _gradient_1d(query.objective, x)
+    """The quotient at the probe ``x``, ``grad_base`` the gradient at ``base``;
+    None where its denominator is 0."""
+    grad_x = _gradient_1d(objective, x)
     denominator = abs(x - base) + abs(grad_x - grad_base)
     if denominator == 0.0:
         return None
-    numerator = (
-        query.candidate * (x - base)
-        - grad_x * query.direction
-        + grad_base * query.direction
-    )
-    return numerator / denominator
+    return (candidate * (x - base) - grad_x * direction + grad_base * direction) / denominator
 
 
 def ssd_hessian_closed_form(objective: SmoothObjective, point, direction) -> np.ndarray:
@@ -176,20 +168,6 @@ def ssd_hessian_closed_form(objective: SmoothObjective, point, direction) -> np.
     hessian = objective.hessian_at(point)
     vec = np.asarray(direction, dtype=float).reshape(-1)
     return hessian.T @ vec
-
-
-@dataclass(frozen=True)
-class CalmnessEstimate:
-    """Max difference quotient of the gradient over a sampled ball.
-
-    A lower estimate of the true local Lipschitz modulus of the gradient;
-    ``modulus`` is nondecreasing in the sample count because the sample
-    sequence is nested.
-    """
-
-    modulus: float
-    radius: float
-    sample_count: int
 
 
 def _van_der_corput(index: int) -> float:
@@ -208,13 +186,16 @@ def estimate_calmness(
     point,
     radius: float,
     samples: int = 512,
-) -> CalmnessEstimate:
+) -> float:
     """Estimate the local gradient Lipschitz modulus near ``point`` of a
-    one-dimensional objective (ValueError in any other dimension).
+    one-dimensional objective (ValueError in any other dimension): the
+    largest difference quotient of the gradient over ``samples`` probes.
 
     Probe i = 1, 2, ... is point + radius * (2 vdc(i) - 1), vdc the base-2
     van der Corput sequence; a probe that rounds onto the base point is
-    skipped until ``samples`` quotients have been evaluated.
+    skipped until ``samples`` quotients have been evaluated.  The estimate
+    is a lower bound of the true modulus, nondecreasing in ``samples``
+    because the probe sequence is nested.
     """
     if objective.dimension != 1:
         raise ValueError("calmness estimation is one-dimensional")
@@ -236,7 +217,7 @@ def estimate_calmness(
             continue
         accepted += 1
         best = max(best, abs(_gradient_1d(objective, probe) - grad_base) / distance)
-    return CalmnessEstimate(modulus=best, radius=radius, sample_count=accepted)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +227,11 @@ def estimate_calmness(
 
 @dataclass(frozen=True)
 class PairingEntry:
-    """One candidate z with its pairing <z, v> and the sign verdict."""
+    """One candidate z with its pairing <z, v> and the sign verdict, both
+    exact in an exact run."""
 
-    candidate: tuple[float, ...]
-    pairing: float
+    candidate: RationalVector | tuple[float, ...]
+    pairing: Fraction | float
     holds: bool
 
 
@@ -265,26 +247,22 @@ class HypothesisReport:
     """
 
     direction: CriticalDirection
-    hypothesis_holds: bool
     gradient_condition: ConditionReport | None
     pairings: tuple[PairingEntry, ...]
 
     @property
     def status(self) -> str:
-        if not self.hypothesis_holds:
+        if not self.direction.is_bidirectional:
             return "HypothesisViolated"
-        failed = any(not entry.holds for entry in self.pairings)
-        if failed or (
-            self.gradient_condition is not None
-            and self.gradient_condition.verdict is Verdict.FAILS
-        ):
+        condition = self.gradient_condition
+        if not all(entry.holds for entry in self.pairings) or (condition and condition.verdict is Verdict.FAILS):
             return "Fails"
         return "Holds"
 
 
 def theorem41_check(
     objective: SmoothObjective | QuadraticObjective,
-    tangent: PolyhedralCone,
+    tangent: PolyhedralCone | TangentRegion,
     point,
     directions,
     candidates,
@@ -293,33 +271,29 @@ def theorem41_check(
     """Check the hypothesis triple and both second-order inequalities, one
     report per direction.
 
-    ``tangent`` is the tangent cone T(x) of the polyhedral constraint set
-    at ``point`` (:meth:`Polyhedron.tangent_cone`).  The gradient is exact,
-    M x + q, for a :class:`QuadraticObjective` and float otherwise.  The
-    gradient condition (<grad f, w> >= 0 on the second-order tangent set,
-    read off one pairing LP on T(x) in the direction pass
-    :func:`theorem33_check` shares) is evaluated whenever v is tangent,
-    even if -v is not, so a failed hypothesis still yields a fully populated
-    report; the pairing condition <z, v> >= 0 is evaluated for every
-    supplied candidate, exactly for a :class:`QuadraticObjective` (where
-    <z, v> = 0 must not round below 0).
+    ``tangent`` is T(x) at ``point``, as for :func:`theorem33_check`, whose
+    preamble this check shares: a :class:`QuadraticObjective` needs a
+    polyhedral T(x) and is checked exactly, with tolerance 0, and any other
+    objective in float.  The gradient condition (<grad f, w> >= 0 on the
+    second-order tangent set) is evaluated whenever v is tangent, even if -v
+    is not, so a failed hypothesis still yields a fully populated report;
+    the pairing condition <z, v> >= 0 is evaluated for every supplied
+    candidate, exactly against an exact v (where <z, v> = 0 must not round
+    below 0).
     """
-    exact = isinstance(objective, QuadraticObjective)
-    if not exact:
-        import numpy as np
-    grad = objective.gradient(_as_rational_vector(point)) if exact else objective.gradient_at(point)
+    tolerance, passes = _direction_passes(objective, tangent, point, directions, tolerance)
     reports = []
-    for v, critical, _, infimum in _tangent_directions(grad, tangent, directions, tolerance):
-        entries = []
+    for _, critical, _, infimum in passes:
+        v, entries = critical.vector, []
         for z in candidates:
-            value = _as_rational_vector(z).dot(v) if exact else float(np.asarray(z, dtype=float) @ v.as_floats())
-            entries.append(PairingEntry(tuple(float(a) for a in z), float(value), value >= -tolerance))
-        reports.append(
-            HypothesisReport(
-                direction=critical,
-                hypothesis_holds=critical.is_bidirectional,
-                gradient_condition=None if infimum is None else _linear(ConditionId.C1, infimum, tolerance),
-                pairings=tuple(entries),
-            )
-        )
+            if isinstance(v, RationalVector):
+                z = _as_rational_vector(z)
+                value = z.dot(v)
+            else:
+                import numpy as np
+                z = tuple(map(float, z))
+                value = float(np.asarray(z) @ np.asarray(v))
+            entries.append(PairingEntry(z, value, value >= -tolerance))
+        gradient_condition = None if infimum is None else _linear(ConditionId.C1, infimum, tolerance)
+        reports.append(HypothesisReport(critical, gradient_condition, tuple(entries)))
     return tuple(reports)

@@ -6,7 +6,7 @@ one-dimensional, restricted to its one-coordinate case: the offset is the
 base-2 van der Corput point mapped to [-1, 1), kept when its Euclidean norm
 lies in (0, 1], and distances and gradient differences are numpy norms of
 one-element arrays.  The one-dimensional estimator must return the same
-``CalmnessEstimate``, bit for bit.
+modulus, bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from cone_audit.objectives import SmoothObjective
-from cone_audit.ssd import CalmnessEstimate
 
 
 def _van_der_corput(index: int, base: int) -> float:
@@ -26,7 +25,7 @@ def _van_der_corput(index: int, base: int) -> float:
     return value
 
 
-def reference_calmness(objective: SmoothObjective, point, radius: float, samples: int) -> CalmnessEstimate:
+def reference_calmness(objective: SmoothObjective, point, radius: float, samples: int) -> float:
     base_point = np.asarray(point, dtype=float).reshape(1)
     grad_base = objective.gradient_at(base_point)
     best = 0.0
@@ -45,4 +44,4 @@ def reference_calmness(objective: SmoothObjective, point, radius: float, samples
         accepted += 1
         quotient = float(np.linalg.norm(objective.gradient_at(probe) - grad_base)) / distance
         best = max(best, quotient)
-    return CalmnessEstimate(modulus=best, radius=radius, sample_count=accepted)
+    return best

@@ -811,12 +811,46 @@ def test_theorem41_pairs_exact_candidates_exactly(tmp_path, capsys):
     assert code == 0
     entry = json.loads(out)["results"]["directions"][0]
     assert entry["status"] == "Holds"
-    assert entry["pairings"] == [{"candidate": [-1.0, -1.0, 1.0], "pairing": 0.0, "holds": True}]
+    assert entry["pairings"] == [{"candidate": ["-1", "-1", "1"], "pairing": "0", "holds": True}]
     report_path = tmp_path / "report.json"
     report_path.write_text(out)
     code, out, err = run_cli(capsys, "verify", "--input", str(report_path))
     assert code == 0, err
     assert "[ok ] pairing <z, v> reproduces  (<z, v> = 0)" in out
+
+
+def _orthant_qp_with(tmp_path, **query) -> str:
+    """problems/orthant_qp.json with its query block extended, as a file."""
+    with open(os.path.join(PROBLEMS, "orthant_qp.json"), encoding="utf-8") as handle:
+        problem = json.load(handle)
+    problem["query"].update(query)
+    path = tmp_path / "orthant_query.json"
+    path.write_text(json.dumps(problem))
+    return str(path)
+
+
+def test_a_direction_past_the_float_range_stays_exact(tmp_path, capsys):
+    """A 401-digit direction, beyond binary64, which an exact run never
+    enters: second-order holds along it, theorem41 finds -v not tangent,
+    and verify re-reads both reports, <z, v> = 10^400 in its detail."""
+    path = _orthant_qp_with(tmp_path, directions=[["1" + "0" * 400, "0"]], z_candidates=[["1", "1"]])
+    for command, expected in (("second-order", 0), ("theorem41", 1)):
+        code, out, err = run_cli(capsys, command, "--input", path, "--format", "json")
+        assert code == expected, err
+        report = tmp_path / "report.json"
+        report.write_text(out)
+        code, out, err = run_cli(capsys, "verify", "--input", str(report))
+        assert code == 0, out + err
+    assert "(<z, v> = 1e+400)" in out
+
+
+def test_exact_theorem41_reports_rationals(tmp_path, capsys):
+    path = _orthant_qp_with(tmp_path, directions=[["1/3", "0"]], z_candidates=[["1", "1"]])
+    code, out, _ = run_cli(capsys, "theorem41", "--input", path, "--format", "json")
+    assert code == 1  # -v is not tangent to the orthant
+    (entry,) = json.loads(out)["results"]["directions"]
+    assert entry["direction"] == ["1/3", "0"]
+    assert entry["pairings"] == [{"candidate": ["1", "1"], "pairing": "1/3", "holds": True}]
 
 
 # x1 >= 0, x2 >= 0 in R^3 at the origin with zero gradient: the critical cone

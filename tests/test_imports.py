@@ -105,7 +105,7 @@ EXACT_PROBLEM = {
     "constraint": {"type": "polyhedron", "dimension": 2,
                    "inequalities": {"rows": [["-1", "0"], ["0", "-1"], ["1", "1"]], "bounds": ["0", "0", "1"]}},
     "objective": {"type": "quadratic", "matrix": [["1", "0"], ["0", "-1"]], "linear": ["1", "0"]},
-    "query": {"regime": "exact", "point": ["0", "0"], "directions": [["0", "1"], ["1", "1/3"]],
+    "query": {"regime": "exact", "point": ["0", "0"], "directions": [["0", "1"], ["1", "1/3"], ["1" + "0" * 400, "0"]],
               "z_candidates": [["1/2", "-1"]]},
 }
 

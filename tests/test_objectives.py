@@ -34,6 +34,21 @@ def test_quadratic_gradient():
     assert swap.gradient(vector(1, 0)) == vector(0, 1)
 
 
+def test_both_objectives_answer_the_same_calls():
+    """gradient_at and curvature_at: exact for quadratic data at a point
+    of strings, ints, Fractions or floats, binary64 for its evaluators."""
+    q = QuadraticObjective(matrix([[2, 1], [1, 4]]), vector("1/2", -3))
+    for point in (("1/3", 2), (Fraction(1, 3), 2), vector("1/3", 2)):
+        assert q.gradient_at(point) == vector("19/6", "16/3")
+    assert q.gradient_at((0.5, 0)) == vector("3/2", "-5/2")
+    v = vector("1/3", 1)
+    assert q.curvature_at(None, v) == q.quadratic_form(v) == Fraction(2 * 1 + 2 * 3 + 4 * 9, 9)
+    smooth = q.as_smooth()
+    assert list(smooth.gradient_at((0.5, 0.0))) == [1.5, -2.5]
+    assert smooth.curvature_at((0.5, 0.0), v) == float(np.asarray(v.as_floats()) @ smooth.hessian_at((0.5, 0.0)) @ v.as_floats())
+    assert math.isclose(smooth.curvature_at((0.0, 0.0), (1.0, 3.0)), 2 + 6 + 36)
+
+
 def test_quadratic_rejects_asymmetric():
     with pytest.raises(ValueError):
         QuadraticObjective(matrix([[1, 2], [0, 1]]), vector(0, 0))

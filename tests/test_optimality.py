@@ -602,7 +602,7 @@ def test_copositivity_twenty_generator_cone_copositive():
                 rows[i][j] = rows[j][i] = small_fraction(rng)
     m = RationalMatrix(rows)
     objective = QuadraticObjective(m, -m.matvec(base))
-    result = check_qp(objective, polyhedron, base).curvature_on_critical_cone.certificate
+    result = check_qp(objective, polyhedron.tangent_cone(base), base).curvature_on_critical_cone.certificate
     assert result.status is CopositivityStatus.COPOSITIVE
     assert (result.method, result.cells_certified) == ("cottle-habetler-lemke", 35)
 
@@ -807,7 +807,7 @@ def _all_hold(report) -> bool:
 
 def test_qp_global_minimum_convex():
     quad = QuadraticObjective(matrix([[1, 0], [0, 1]]), vector(0, 0))
-    report = check_qp(quad, orthant_polyhedron(2), vector(0, 0))
+    report = check_qp(quad, orthant_polyhedron(2).tangent_cone(vector(0, 0)), vector(0, 0))
     assert _all_hold(report)
 
 
@@ -822,7 +822,7 @@ def test_qp_face_example():
         ineq_matrix=matrix([[-1, 0]]),
         ineq_rhs=vector(0),
     )
-    report = check_qp(quad, face, vector(0, 0))
+    report = check_qp(quad, face.tangent_cone(vector(0, 0)), vector(0, 0))
     assert _all_hold(report)
     # grid oracle over the critical cone
     for a in range(0, 4):
@@ -832,7 +832,7 @@ def test_qp_face_example():
 
 def test_qp_c2_failure_witnessed():
     quad = QuadraticObjective(matrix([[-1, 0], [0, 0]]), vector(0, 0))
-    report = check_qp(quad, orthant_polyhedron(2), vector(0, 0))
+    report = check_qp(quad, orthant_polyhedron(2).tangent_cone(vector(0, 0)), vector(0, 0))
     assert report.stationarity.verdict is Verdict.HOLDS
     assert report.curvature_on_critical_cone.verdict is Verdict.FAILS
     witness = report.curvature_on_critical_cone.witness
@@ -870,7 +870,7 @@ def test_qp_c1_implies_first_order_on_random_instances():
         generators = generators or [RationalVector.zero(dim)]
         # f(x) = <gradient, x> has the drawn gradient everywhere
         objective = QuadraticObjective(matrix([[0] * dim] * dim), gradient)
-        report = check_qp(objective, polyhedron, base)
+        report = check_qp(objective, tangent, base)
         c0 = report.stationarity.verdict
         for v in generators:
             second = polyhedron.second_order_tangent_set(base, v)
@@ -904,14 +904,14 @@ def test_lp_count_one_per_second_order_question(monkeypatch):
     orthant = orthant_polyhedron(4)
     origin = RationalVector.zero(4)
     quad = QuadraticObjective(matrix([[int(i == j) for j in range(4)] for i in range(4)]), origin)
+    tangent = orthant.tangent_cone(origin)
     # zero gradient: the critical cone is the whole orthant, 4 generators
-    report = check_qp(quad, orthant, origin)
-    assert len(report.checked_directions) == 4
+    report = check_qp(quad, tangent, origin)
+    assert len(report.strengthened_gradient.checked_directions) == 4
     assert _all_hold(report)
     assert len(calls) == 1
 
     directions = [RationalVector.unit(4, i) for i in range(4)]
-    tangent = orthant.tangent_cone(origin)
     for objective, point in ((quad, origin), (quad.as_smooth(), (0.0,) * 4)):
         calls.clear()
         bundles = theorem33_check(objective, tangent, point, directions)

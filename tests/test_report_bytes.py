@@ -11,7 +11,8 @@ A change meant to alter some report regenerates the digests with
 
     PYTHONPATH=src python tests/test_report_bytes.py
 
-and names the runs that changed.
+which prints the label of every run whose digest changed against the
+recorded file before it overwrites that file.
 """
 
 import contextlib
@@ -170,11 +171,18 @@ def report_digests(workdir: str) -> dict[str, str]:
     return digests
 
 
+def changed_labels(actual: dict[str, str]) -> list[str]:
+    """The labels whose digest differs from, or is missing in, the recorded
+    file (all of them when there is none)."""
+    expected = {}
+    if os.path.exists(DIGESTS):
+        with open(DIGESTS, encoding="utf-8") as handle:
+            expected = json.load(handle)
+    return sorted(label for label in expected.keys() | actual.keys() if expected.get(label) != actual.get(label))
+
+
 def test_reports_are_byte_identical_to_the_recorded_digests(tmp_path):
-    with open(DIGESTS, encoding="utf-8") as handle:
-        expected = json.load(handle)
-    actual = report_digests(str(tmp_path))
-    changed = sorted(label for label in expected.keys() | actual.keys() if expected.get(label) != actual.get(label))
+    changed = changed_labels(report_digests(str(tmp_path)))
     assert not changed, f"{len(changed)} runs differ from the recorded digests, e.g. {changed[:10]}"
 
 
@@ -183,8 +191,11 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as workdir:
         digests = report_digests(workdir)
+    changed = changed_labels(digests)
+    for label in changed:
+        print(f"changed: {label}", file=sys.stderr)
     os.makedirs(os.path.dirname(DIGESTS), exist_ok=True)
     with open(DIGESTS, "w", encoding="utf-8") as handle:
         json.dump(digests, handle, indent=1, sort_keys=True)
         handle.write("\n")
-    print(f"{len(digests)} digests written to {DIGESTS}", file=sys.stderr)
+    print(f"{len(digests)} digests written to {DIGESTS}, {len(changed)} changed", file=sys.stderr)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,18 +8,19 @@ import pytest
 from calmness_oracle import reference_calmness
 from cone_audit.analysis import run_analysis
 from cone_audit.geometry import PolyhedralCone, Polyhedron
-from cone_audit.linalg import matrix, vector
+from cone_audit.linalg import RationalVector, matrix, vector
 from cone_audit.objectives import QuadraticObjective, SmoothObjective, fixture
-from cone_audit.optimality import Verdict
+from cone_audit.optimality import Verdict, theorem33_check
 from cone_audit.problem import parse_problem_dict
 from cone_audit.ssd import (
     LogMesh,
-    SSDQuery,
     estimate_calmness,
     ssd_hessian_closed_form,
     ssd_membership,
     theorem41_check,
 )
+
+from conftest import orthant_polyhedron
 
 
 def ex41_objective():
@@ -41,12 +43,12 @@ def test_log_mesh():
 
 def test_membership_example_values():
     obj = ex41_objective()
-    assert ssd_membership(SSDQuery(obj, 0.0, 1.0, -0.5)).member
-    verdict = ssd_membership(SSDQuery(obj, 0.0, 1.0, 0.25))
+    assert ssd_membership(obj, 0.0, 1.0, -0.5).member
+    verdict = ssd_membership(obj, 0.0, 1.0, 0.25)
     assert not verdict.member
     assert verdict.worst_quotient > 1e-6
     # the attaining sample reproduces the worst quotient on re-evaluation
-    repeat = ssd_membership(SSDQuery(obj, 0.0, 1.0, 0.25))
+    repeat = ssd_membership(obj, 0.0, 1.0, 0.25)
     assert repeat.worst_quotient == verdict.worst_quotient
     assert repeat.attaining_sample == verdict.attaining_sample
 
@@ -57,16 +59,16 @@ def test_membership_quadratic_hessian_action():
         gradient=lambda x: np.array([x[0]]),
         hessian=lambda x: np.array([[1.0]]),
     )
-    assert ssd_membership(SSDQuery(half_sq, 0.0, 1.0, 1.0)).member
+    assert ssd_membership(half_sq, 0.0, 1.0, 1.0).member
     # a perturbation of 0.5 decisively clears the tolerance
-    assert not ssd_membership(SSDQuery(half_sq, 0.0, 1.0, 1.5)).member
-    assert not ssd_membership(SSDQuery(half_sq, 0.0, 1.0, 0.5)).member
+    assert not ssd_membership(half_sq, 0.0, 1.0, 1.5).member
+    assert not ssd_membership(half_sq, 0.0, 1.0, 0.5).member
 
 
 def test_membership_rejects_high_dimension():
     q = QuadraticObjective(matrix([[1, 0], [0, 1]]), vector(0, 0)).as_smooth()
     with pytest.raises(ValueError):
-        ssd_membership(SSDQuery(q, 0.0, 1.0, 1.0))
+        ssd_membership(q, 0.0, 1.0, 1.0)
 
 
 def test_interval_family():
@@ -90,7 +92,7 @@ def test_oracle_agrees_with_closed_form_on_grid():
     obj = ex41_objective()
     for v in (0, 1, 2):
         for z in (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5):
-            member = ssd_membership(SSDQuery(obj, 0.0, float(v), z)).member
+            member = ssd_membership(obj, 0.0, float(v), z).member
             assert member == (-v <= z <= 0), (v, z)
 
 
@@ -98,8 +100,8 @@ def test_scaling_invariance():
     obj = ex41_objective()
     for v in (0, 1, 2):
         for z in (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5):
-            base = ssd_membership(SSDQuery(obj, 0.0, float(v), z)).member
-            scaled = ssd_membership(SSDQuery(obj, 0.0, 2.0 * v, 2.0 * z)).member
+            base = ssd_membership(obj, 0.0, float(v), z).member
+            scaled = ssd_membership(obj, 0.0, 2.0 * v, 2.0 * z).member
             assert base == scaled
 
 
@@ -122,18 +124,18 @@ def test_hessian_closed_form():
 
 def test_calmness_estimates():
     est = estimate_calmness(ex41_objective(), (0.0,), 0.5, samples=256)
-    assert est.modulus <= 1 + 1e-6
-    assert est.modulus > 0.9  # the left branch has slope exactly 1
+    assert est <= 1 + 1e-6
+    assert est > 0.9  # the left branch has slope exactly 1
     half_sq = SmoothObjective(
         1, gradient=lambda x: np.array([x[0]])
     )
-    assert abs(estimate_calmness(half_sq, (0.0,), 1.0, samples=256).modulus - 1.0) < 1e-6
+    assert abs(estimate_calmness(half_sq, (0.0,), 1.0, samples=256) - 1.0) < 1e-6
     cubic = SmoothObjective(
         1, gradient=lambda x: np.array([x[0] ** 2])
     )
     est = estimate_calmness(cubic, (0.0,), 0.1, samples=256)
-    assert est.modulus <= 0.1 + 1e-9
-    assert est.modulus > 0.09
+    assert est <= 0.1 + 1e-9
+    assert est > 0.09
 
 
 def test_calmness_dimension_limit():
@@ -181,7 +183,7 @@ def test_calmness_matches_the_halton_reference():
 def test_calmness_monotone_in_samples():
     obj = ex41_objective()
     values = [
-        estimate_calmness(obj, (0.0,), 0.5, samples=n).modulus
+        estimate_calmness(obj, (0.0,), 0.5, samples=n)
         for n in (8, 32, 128, 512)
     ]
     assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
@@ -236,3 +238,17 @@ def test_theorem41_fails_on_bad_pairing():
     )
     (report,) = theorem41_check(half_sq, PolyhedralCone(1), (0.0,), [(1.0,)], [(-1.0,)])
     assert report.status == "Fails"
+
+
+def test_theorem41_checks_exact_data_at_tolerance_zero():
+    """Exact quadratic data run at tolerance 0 whatever tolerance is asked
+    for, in theorem41_check as in theorem33_check: a gradient of 1e-12
+    along v = (1, 0) is not orthogonal to it."""
+    quad = QuadraticObjective(matrix([[1, 0], [0, 1]]), RationalVector([Fraction(1e-12), Fraction(0)]))
+    origin = vector(0, 0)
+    tangent = orthant_polyhedron(2).tangent_cone(origin)
+    (report,) = theorem41_check(quad, tangent, origin, [vector(1, 0)], [])
+    (bundle,) = theorem33_check(quad, tangent, origin, [vector(1, 0)])
+    assert not bundle.direction.gradient_orthogonal
+    assert not report.direction.gradient_orthogonal
+    assert report.direction.vector == vector(1, 0)
