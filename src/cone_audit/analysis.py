@@ -77,13 +77,20 @@ def _vector_json(vec):
     return [float(a) for a in vec]
 
 
-def _cone_json(cone: PolyhedralCone) -> dict:
-    gens = cone.generators()
+def _h_json(cone: PolyhedralCone) -> dict:
+    """A cone by its H-form alone: no double description runs."""
     return {
         "dimension": cone.dim,
         "equalities": [_vector_json(r) for r in cone.eq_rows.rows],
         "inequalities": [_vector_json(r) for r in cone.ineq_rows.rows],
         "row_origins": list(cone.ineq_origins),
+    }
+
+
+def _cone_json(cone: PolyhedralCone) -> dict:
+    gens = cone.generators()
+    return {
+        **_h_json(cone),
         "rays": [_vector_json(r) for r in gens.rays],
         "lineality": [_vector_json(r) for r in gens.lineality],
     }
@@ -374,8 +381,8 @@ def _run_qp(ctx: _Context) -> tuple[dict, int]:
         "c1_prime": _condition_json(conditions.strengthened_gradient),
         "c2_prime": _condition_json(conditions.curvature_on_critical_cone),
         "checked_directions": [_vector_json(v) for v in conditions.strengthened_gradient.checked_directions],
-        "tangent_cone": _cone_json(ctx.tangent),
-        "critical_cone": _cone_json(conditions.critical_cone),
+        "tangent_cone": _h_json(ctx.tangent),
+        "critical_cone": _h_json(conditions.critical_cone),
     }
     verdicts = [
         conditions.stationarity.verdict,
@@ -705,10 +712,18 @@ class _Revalidator:
             self._check_linear_condition(
                 "c1'", c1p, tangent.tangent_cone_at(_as_rational_vector(direction))
             )
+        # the report gives C by its H-form: its generators, the checked
+        # directions, are substituted into C rebuilt from the echoed problem
+        crit = critical_cone(self.gradient, tangent)
+        directions = [_as_rational_vector(v) for v in results.get("checked_directions") or []]
+        self.add(
+            "checked directions: each lies in the critical cone",
+            all(map(crit.contains, directions)),
+            f"{len(directions)} directions substituted",
+        )
         c2p = results.get("c2_prime")
         if c2p and c2p.get("verdict") == "fails" and c2p.get("witness"):
             witness = _as_rational_vector(c2p["witness"])
-            crit = critical_cone(self.gradient, tangent)
             value = self._curvature(witness)
             self.add(
                 "c2': witness is a critical direction with negative form",

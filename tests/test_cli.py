@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from cone_audit import geometry, lp, objectives, optimality
 from cone_audit.analysis import revalidate_report, run_analysis
 from cone_audit.cli import _render_json, main
-from cone_audit.linalg import RationalVector
+from cone_audit.linalg import RationalMatrix, RationalVector
 from cone_audit.problem import parse_problem
 from cone_audit.ssd import theorem41_check
 
@@ -446,6 +446,62 @@ def test_cones_enumerates_one_tangent_cone_per_point(monkeypatch):
     assert counts["tangent_cone"] == 1
 
 
+def test_qp_enumerates_only_the_critical_cone(monkeypatch):
+    """``qp`` runs double description once, for the critical cone C, whose
+    generators are its checked directions; T(x) is reported by its H-form.
+    ``verify`` of the report runs it once more, in the re-run only."""
+    calls = Counter()
+    real = geometry.double_description
+
+    def counted(*args, **kwargs):
+        calls["dd"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "double_description", counted)
+    with open(os.path.join(PROBLEMS, "orthant_qp.json")) as handle:
+        docs = [json.load(handle)]
+    docs += [random_qp_problem(seed, 3 + seed % 3, seed % 2, 1, seed % 3 == 0) for seed in range(6)]
+    for doc in docs:
+        calls.clear()
+        report = run_analysis(parse_problem(json.dumps(doc)), "qp")
+        assert calls["dd"] == 1
+        calls.clear()
+        ok, checks = revalidate_report(report)
+        assert ok, checks
+        assert calls["dd"] == 1
+
+
+def _cone_of_h_json(cone: dict) -> geometry.PolyhedralCone:
+    dim = cone["dimension"]
+    rows = {key: RationalMatrix([RationalVector(map(Fraction, r)) for r in cone[key]], dim)
+            for key in ("equalities", "inequalities")}
+    return geometry.PolyhedralCone(dim, rows["equalities"], rows["inequalities"], tuple(cone["row_origins"]))
+
+
+def test_qp_report_keeps_the_critical_cone_exactly():
+    """A ``qp`` report's ``critical_cone`` H-form rebuilds C: its generators
+    are the checked directions, in order, or the zero vector alone when
+    C = {0}; its ``tangent_cone`` is the H-form part of ``cones``'s."""
+    zero_cones = nonzero_cones = 0
+    for seed in range(40):
+        dim = 2 + seed % 5
+        doc = random_qp_problem(seed, dim, (seed // 5) % 2, 1, seed % 2 == 0)
+        problem = parse_problem(json.dumps(doc))
+        results = run_analysis(problem, "qp")["results"]
+        checked = [RationalVector(map(Fraction, v)) for v in results["checked_directions"]]
+        spanning = list(_cone_of_h_json(results["critical_cone"]).generators().spanning_vectors())
+        if spanning:
+            assert checked == spanning, seed
+            nonzero_cones += 1
+        else:
+            assert checked == [RationalVector.zero(dim)], seed
+            zero_cones += 1
+        tangent = run_analysis(problem, "cones")["results"]["tangent_cone"]
+        assert results["tangent_cone"] == {key: tangent[key] for key in results["tangent_cone"]}, seed
+        assert set(tangent) - set(results["tangent_cone"]) == {"rays", "lineality"}
+    assert zero_cones and nonzero_cones
+
+
 def test_verify_fails_ssd_sample_at_base_point(tmp_path, capsys):
     """A sample at the base point has a zero quotient denominator: the check
     fails instead of dividing by zero."""
@@ -482,6 +538,28 @@ def test_verify_fails_zero_witness(tmp_path, capsys):
     assert code == 1
     assert "[FAIL] c0: witness violates the inequality  (<grad, w> = 0)" in out
     assert err == ""
+
+
+def test_verify_substitutes_the_checked_directions(tmp_path, capsys):
+    """A `qp` report gives C by its H-form: `verify` substitutes each checked
+    direction into C rebuilt from the echoed problem, and a direction off C
+    fails that check."""
+    code, out, _ = run_cli(
+        capsys, "qp", "--input", os.path.join(PROBLEMS, "orthant_qp.json"), "--format", "json"
+    )
+    report = json.loads(out)
+    directions = report["results"]["checked_directions"]
+    report_path = tmp_path / "report.json"
+    report_path.write_text(out)
+    code, out, err = run_cli(capsys, "verify", "--input", str(report_path))
+    assert (code, err) == (0, "")
+    assert f"[ok ] checked directions: each lies in the critical cone  ({len(directions)} directions substituted)" in out
+    report["results"]["checked_directions"] = [["-1", "0"], *directions]
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "verify", "--input", str(tampered))
+    assert (code, err) == (1, "")
+    assert "[FAIL] checked directions: each lies in the critical cone" in out
 
 
 def test_main_twice_in_one_process(capsys):
