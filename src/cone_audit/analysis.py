@@ -121,8 +121,6 @@ def _certificate_json(cert) -> dict | None:
         return {
             "type": "copositivity",
             "status": cert.status.value,
-            "witness": _vector_json(cert.witness),
-            "witness_value": _value_json(cert.witness_value),
             "cells_certified": cert.cells_certified,
             "method": cert.method,
         }
@@ -134,14 +132,8 @@ def _condition_json(report: ConditionReport) -> dict:
         "condition": report.condition.value,
         "verdict": report.verdict.value,
         "witness": _vector_json(report.witness),
-        "witness_direction": _vector_json(report.witness_direction),
         "margin": _value_json(report.margin) if report.margin != float("-inf") else "-inf",
         "boundary": report.boundary,
-        "checked_directions": (
-            None
-            if report.checked_directions is None
-            else [_vector_json(v) for v in report.checked_directions]
-        ),
         "certificate": _certificate_json(report.certificate),
         "notes": report.notes,
     }
@@ -276,28 +268,24 @@ class _Context:
 # ---------------------------------------------------------------------------
 
 
-def _tangent_json(ctx: _Context) -> dict:
-    if ctx.mode == "polyhedral":
-        return {"tangent_cone": _cone_json(ctx.tangent)}
-    return {"tangent_region": _region_json(ctx.tangent)}
-
-
-def _set_json(second_order, region_key: str, cone_key: str) -> dict:
-    """T2(x, v) under the key of its type: an affine region, or a cone (the
-    whole space, at a direction into a level set)."""
-    if isinstance(second_order, AffineRegion):
-        return {region_key: _region_json(second_order)}
-    return {cone_key: _cone_json(second_order)}
+def _set_json(tangent_set, region_key: str, cone_key: str, cone_json=_h_json) -> dict:
+    """T(x) or T2(x, v) under the key of its type: an affine region, or a cone
+    (the whole space, at a direction into a level set) by ``cone_json``, its
+    H-form unless the report lists generators."""
+    if isinstance(tangent_set, AffineRegion):
+        return {region_key: _region_json(tangent_set)}
+    return {cone_key: cone_json(tangent_set)}
 
 
 def _run_cones(ctx: _Context) -> tuple[dict, int]:
     tangent = ctx.tangent
+    tangent_json = _set_json(tangent, "tangent_region", "tangent_cone", _cone_json)
     if ctx.mode == "smooth":
         entries = [
-            {"direction": _vector_json(v), **_set_json(ctx.second_order_set(v), "region", "cone")}
+            {"direction": _vector_json(v), **_set_json(ctx.second_order_set(v), "region", "cone", _cone_json)}
             for v in ctx.directions()
         ]
-        return {"mode": "smooth", **_tangent_json(ctx), "second_order_tangent_regions": entries}, EXIT_ALL_HOLD
+        return {"mode": "smooth", **tangent_json, "second_order_tangent_regions": entries}, EXIT_ALL_HOLD
     entries = []
     for v in ctx.directions():
         direction = _as_rational_vector(v)
@@ -312,7 +300,7 @@ def _run_cones(ctx: _Context) -> tuple[dict, int]:
     results = {
         "mode": "polyhedral",
         "active_rows": list(tangent.ineq_origins),
-        **_tangent_json(ctx),
+        **tangent_json,
         "normal_cone": _cone_json(tangent.polar()),
         "second_order_tangent_sets": entries,
     }
@@ -326,7 +314,7 @@ def _run_first_order(ctx: _Context) -> tuple[dict, int]:
         "mode": ctx.mode,
         "gradient": _vector_json(gradient),
         "condition": _condition_json(report),
-        **_tangent_json(ctx),
+        **_set_json(ctx.tangent, "tangent_region", "tangent_cone"),
     }
     return results, _exit_of([report.verdict])
 
@@ -378,9 +366,12 @@ def _run_qp(ctx: _Context) -> tuple[dict, int]:
     conditions = check_qp(ctx.objective, ctx.tangent, ctx.problem.query.point)
     results = {
         "c0": _condition_json(conditions.stationarity),
-        "c1_prime": _condition_json(conditions.strengthened_gradient),
+        "c1_prime": {
+            **_condition_json(conditions.strengthened_gradient),
+            "witness_direction": _vector_json(conditions.witness_direction),
+        },
         "c2_prime": _condition_json(conditions.curvature_on_critical_cone),
-        "checked_directions": [_vector_json(v) for v in conditions.strengthened_gradient.checked_directions],
+        "checked_directions": [_vector_json(v) for v in conditions.checked_directions],
         "tangent_cone": _h_json(ctx.tangent),
         "critical_cone": _h_json(conditions.critical_cone),
     }
@@ -489,7 +480,7 @@ def _run_theorem41(ctx: _Context) -> tuple[dict, int]:
         entries.append(
             {
                 "direction": _vector_json(report.direction.vector),
-                "flags": _flags_json(report.direction),
+                "critical_flags": _flags_json(report.direction),
                 "status": report.status,
                 "gradient_condition": report.gradient_condition and _condition_json(report.gradient_condition),
                 "pairings": [
@@ -660,8 +651,9 @@ class _Revalidator:
         self._check_linear_condition("first-order", results.get("condition"), self.ctx.tangent)
 
     def _verify_second_order(self, results: dict) -> None:
-        for entry in results.get("directions", []):
-            direction = _as_rational_vector(entry["direction"])
+        # the echoed directions, which the reproduction check ties to the report's
+        for v, entry in zip(self.ctx.directions(), results.get("directions", [])):
+            direction = _as_rational_vector(v)
             second = self.ctx.second_order_set(direction)
             self._check_linear_condition("c1", entry.get("c1"), second)
             self._check_classical(entry.get("classical"), second, direction)
@@ -703,19 +695,20 @@ class _Revalidator:
     def _verify_qp(self, results: dict) -> None:
         tangent = self.ctx.tangent
         self._check_linear_condition("c0", results.get("c0"), tangent)
-        # (c1') is checked on T2(x, v) at its witness direction, else at the
-        # first checked direction
-        c1p = results.get("c1_prime") or {}
-        fails = c1p.get("verdict") == "fails"
-        if fails or c1p.get("checked_directions"):
-            direction = c1p["witness_direction"] if fails else c1p["checked_directions"][0]
-            self._check_linear_condition(
-                "c1'", c1p, tangent.tangent_cone_at(_as_rational_vector(direction))
-            )
         # the report gives C by its H-form: its generators, the checked
         # directions, are substituted into C rebuilt from the echoed problem
         crit = critical_cone(self.gradient, tangent)
         directions = [_as_rational_vector(v) for v in results.get("checked_directions") or []]
+        # (c1') is checked on T2(x, v) at its witness direction, else at the
+        # first checked direction; a direction off C fails
+        c1p = results.get("c1_prime") or {}
+        fails = c1p.get("verdict") == "fails"
+        if fails or directions:
+            direction = _as_rational_vector(c1p["witness_direction"]) if fails else directions[0]
+            if crit.contains(direction):
+                self._check_linear_condition("c1'", c1p, tangent.tangent_cone_at(direction))
+            else:
+                self.add("c1': its direction lies in the critical cone", False, f"v = {direction}")
         self.add(
             "checked directions: each lies in the critical cone",
             all(map(crit.contains, directions)),

@@ -313,7 +313,7 @@ def _render_human(report: dict) -> str:
     elif command == "theorem41":
         for entry in results["directions"]:
             lines.append(f"direction v = {_fmt_vec(entry['direction'])}: {entry['status']}")
-            flags = entry["flags"]
+            flags = entry["critical_flags"]
             lines.append(
                 "  hypothesis: v tangent {in_tangent_cone}, -v tangent "
                 "{negation_in_tangent_cone}, gradient-orthogonal "

@@ -124,8 +124,6 @@ class ConditionReport:
     certificate: LagrangeCertificate | CopositivityResult | None = None
     margin: Fraction | float | None = None
     boundary: bool = False
-    checked_directions: tuple | None = None
-    witness_direction: RationalVector | tuple | None = None
     notes: str = ""
 
 
@@ -235,8 +233,10 @@ def _tangent_directions(gradient, tangent: PolyhedralCone, directions, tolerance
 
 def _level_set_directions(gradient, region: TangentRegion, directions, tolerance):
     """:func:`_tangent_directions` at a point of a smooth level set whose
-    tangent region is ``region``: the float v, its flags against T(x), T2(x, v)
-    from :meth:`TangentRegion.tangent_cone_at` and the pairing infimum on it."""
+    tangent region is ``region``: the float v, its flags against T(x), and for
+    a tangent v T2(x, v) from :meth:`TangentRegion.tangent_cone_at` with the
+    pairing infimum on it, else None.  Tangency for T2 is tested at the
+    region's tolerance, as that method tests it; the flags use ``tolerance``."""
     import numpy as np
     for direction in directions:
         vec = np.asarray(direction, dtype=float).reshape(-1)
@@ -246,6 +246,9 @@ def _level_set_directions(gradient, region: TangentRegion, directions, tolerance
             negation_in_tangent_cone=region.contains(-vec, tolerance),
             gradient_orthogonal=abs(float(gradient @ vec)) <= tolerance,
         )
+        if not region.contains(vec, region.tol):
+            yield vec, critical, None, None
+            continue
         second_order = region.tangent_cone_at(vec)
         yield vec, critical, second_order, _infimum(gradient, second_order, None, tolerance)
 
@@ -697,14 +700,16 @@ def theorem33_check(
 
 @dataclass(frozen=True)
 class QPConditions:
-    """The (c0)/(c1')/(c2') reports for a quadratic program at a point; the
-    (c1') report's ``checked_directions`` lists the critical directions it
-    covers."""
+    """The (c0)/(c1')/(c2') reports for a quadratic program at a point, with
+    ``checked_directions``, the critical directions (c1') covers, and
+    ``witness_direction``, the one it fails at (None when it holds)."""
 
     stationarity: ConditionReport
     strengthened_gradient: ConditionReport
     curvature_on_critical_cone: ConditionReport
     critical_cone: PolyhedralCone
+    checked_directions: tuple[RationalVector, ...]
+    witness_direction: RationalVector | None
 
 
 def check_qp(objective: QuadraticObjective, tangent: PolyhedralCone, point) -> QPConditions:
@@ -715,8 +720,8 @@ def check_qp(objective: QuadraticObjective, tangent: PolyhedralCone, point) -> Q
     (c0) is the first-order check with gradient M x + q; (c1') is (c1) on the
     second-order tangent set at the first critical-cone generator, which
     over a polyhedron decides it for every critical direction, read off the
-    (c0) LP, and its ``checked_directions`` lists all the generators it
-    covers; (c2') tests copositivity of M on the critical cone.
+    (c0) LP, and ``checked_directions`` lists all the generators it covers;
+    (c2') tests copositivity of M on the critical cone.
     """
     gradient = objective.gradient_at(point)
     result = _pairing_lp(gradient, tangent)
@@ -729,8 +734,6 @@ def check_qp(objective: QuadraticObjective, tangent: PolyhedralCone, point) -> Q
     holds = c1p.verdict is Verdict.HOLDS
     c1p = replace(
         c1p,
-        checked_directions=directions,
-        witness_direction=None if holds else v,
         notes="holds at the first critical-cone generator, hence at every critical direction"
         if holds else f"violated at critical direction {v}",
     )
@@ -744,4 +747,4 @@ def check_qp(objective: QuadraticObjective, tangent: PolyhedralCone, point) -> Q
         certificate=copositivity,
         margin=copositivity.witness_value,
     )
-    return QPConditions(stationarity=c0, strengthened_gradient=c1p, curvature_on_critical_cone=c2p, critical_cone=crit)
+    return QPConditions(c0, c1p, c2p, crit, directions, None if holds else v)

@@ -471,6 +471,61 @@ def test_qp_enumerates_only_the_critical_cone(monkeypatch):
         assert calls["dd"] == 1
 
 
+def test_verdict_reports_run_no_double_description(monkeypatch):
+    """Exact ``first-order``, ``second-order`` and ``theorem41`` decide on
+    one pairing LP over T(x) and report cones by their H-forms, so neither a
+    run nor ``verify`` of its report enumerates generators."""
+    calls = Counter()
+    real = geometry.double_description
+
+    def counted(*args, **kwargs):
+        calls["dd"] += 1
+        return real(*args, **kwargs)
+
+    with open(os.path.join(PROBLEMS, "orthant_qp.json")) as handle:
+        orthant = json.load(handle)
+    orthant["query"]["directions"] = [["1", "0"], ["0", "1"]]
+    docs = [orthant] + [random_qp_problem(seed, 2 + seed % 4, seed % 2, 2, seed % 3 == 0) for seed in range(8)]
+    monkeypatch.setattr(geometry, "double_description", counted)
+    for doc in docs:
+        problem = parse_problem(json.dumps(doc))
+        for command in ("first-order", "second-order", "theorem41"):
+            calls.clear()
+            report = run_analysis(problem, command)
+            ok, checks = revalidate_report(report)
+            assert ok, (command, checks)
+            assert calls["dd"] == 0, command
+
+
+def _keys(node, path=()):
+    """(path, key) of every dict key in a report, depth first."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path, key
+            yield from _keys(value, path + (key,))
+    elif isinstance(node, list):
+        for value in node:
+            yield from _keys(value, path)
+
+
+def test_qp_report_writes_each_list_once():
+    """A ``qp`` report lists C's generators once, as ``checked_directions``;
+    only ``c1_prime`` names a ``witness_direction``, and the (c2') witness
+    is c2''s ``witness``, not repeated in its certificate."""
+    failing = 0
+    for seed in range(12):
+        doc = random_qp_problem(seed, 2 + seed % 3, seed % 2, 1, seed % 2 == 0)
+        results = run_analysis(parse_problem(json.dumps(doc)), "qp")["results"]
+        keys = list(_keys(results))
+        assert [path for path, key in keys if key == "checked_directions"] == [()], seed
+        assert [path for path, key in keys if key == "witness_direction"] == [("c1_prime",)], seed
+        assert not {"witness", "witness_value"} & set(results["c2_prime"]["certificate"]), seed
+        assert "rays" not in results["critical_cone"] and "rays" not in results["tangent_cone"], seed
+        failing += results["c2_prime"]["verdict"] == "fails"
+        assert (results["c2_prime"]["witness"] is None) == (results["c2_prime"]["verdict"] == "holds"), seed
+    assert failing
+
+
 def _cone_of_h_json(cone: dict) -> geometry.PolyhedralCone:
     dim = cone["dimension"]
     rows = {key: RationalMatrix([RationalVector(map(Fraction, r)) for r in cone[key]], dim)
@@ -560,6 +615,47 @@ def test_verify_substitutes_the_checked_directions(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", "--input", str(tampered))
     assert (code, err) == (1, "")
     assert "[FAIL] checked directions: each lies in the critical cone" in out
+
+
+def _orthant_with_direction(tmp_path, linear) -> str:
+    with open(os.path.join(PROBLEMS, "orthant_qp.json")) as handle:
+        doc = json.load(handle)
+    doc["objective"]["linear"] = linear
+    doc["query"]["directions"] = [["1", "0"]]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["second-order", "theorem41"])
+def test_verify_of_an_edited_direction_fails(tmp_path, capsys, command):
+    """A report whose direction is edited off T(x) is reproduced from the
+    echoed problem's directions, so the edit fails the reproduction: exit
+    1, not an unusable document."""
+    problem = _orthant_with_direction(tmp_path, ["0", "0"])
+    code, out, _ = run_cli(capsys, command, "--input", problem, "--format", "json")
+    report = json.loads(out)
+    report["results"]["directions"][0]["direction"] = ["-1", "0"]
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "verify", "--input", str(tampered))
+    assert (code, err) == (1, "")
+    assert "[FAIL] deterministic reproduction" in out
+
+
+def test_verify_fails_a_c1_prime_witness_direction_off_the_critical_cone(tmp_path, capsys):
+    """(c1') fails at the first generator of C when q = (-1, 0) on the
+    orthant; a witness direction edited off C fails its check."""
+    problem = _orthant_with_direction(tmp_path, ["-1", "0"])
+    code, out, _ = run_cli(capsys, "qp", "--input", problem, "--format", "json")
+    report = json.loads(out)
+    assert report["results"]["c1_prime"]["witness_direction"] == ["0", "1"]
+    report["results"]["c1_prime"]["witness_direction"] = ["-1", "0"]
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "verify", "--input", str(tampered))
+    assert (code, err) == (1, "")
+    assert "[FAIL] c1': its direction lies in the critical cone  (v = (-1, 0))" in out
 
 
 def test_main_twice_in_one_process(capsys):
@@ -1163,7 +1259,7 @@ def test_theorem41_and_second_order_agree_at_every_tangent_direction(regime):
         second = run_analysis(problem, "second-order")["results"]["directions"]
         theorem41 = run_analysis(problem, "theorem41")["results"]["directions"]
         for ours, theirs in zip(theorem41, second, strict=True):
-            assert ours["flags"] == theirs["critical_flags"], seed
+            assert ours["critical_flags"] == theirs["critical_flags"], seed
             assert ours["gradient_condition"] == theirs["c1"], seed
             compared += 1
     assert compared >= 40
@@ -1248,8 +1344,7 @@ def test_direction_into_a_level_set_gets_the_whole_space(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"version": "1", "constraint": {"type": "fixture", "name": "ex31"},
                                 "query": {"regime": "float", "directions": [[-1.0, 0.0]]}}))
-    whole_plane = {"dimension": 2, "equalities": [], "inequalities": [], "row_origins": [], "rays": [],
-                   "lineality": [["0", "1"], ["1", "0"]]}
+    whole_plane = {"dimension": 2, "equalities": [], "inequalities": [], "row_origins": []}
     code, out, err = run_cli(capsys, "second-order", "--input", str(path), "--format", "json")
     assert (code, err) == (1, "")
     (entry,) = json.loads(out)["results"]["directions"]
@@ -1262,6 +1357,7 @@ def test_direction_into_a_level_set_gets_the_whole_space(tmp_path, capsys):
     code, out, err = run_cli(capsys, "cones", "--input", str(path), "--format", "json")
     assert (code, err) == (0, "")
     (entry,) = json.loads(out)["results"]["second_order_tangent_regions"]
+    whole_plane.update(rays=[], lineality=[["0", "1"], ["1", "0"]])
     assert entry == {"direction": [-1.0, 0.0], "cone": whole_plane}
     cones = tmp_path / "cones.json"
     cones.write_text(out)

@@ -877,12 +877,14 @@ def test_qp_c1_implies_first_order_on_random_instances():
             assert check_c1(gradient, second).verdict is c0
         c1p = report.strengthened_gradient
         assert c1p.verdict is c0
-        assert list(c1p.checked_directions) == generators
+        assert list(report.checked_directions) == generators
         if c1p.verdict is Verdict.HOLDS:
-            second = polyhedron.second_order_tangent_set(base, c1p.checked_directions[0])
+            assert report.witness_direction is None
+            second = polyhedron.second_order_tangent_set(base, report.checked_directions[0])
             assert c1p.certificate.verify(gradient, second)
         else:
-            second = polyhedron.second_order_tangent_set(base, c1p.witness_direction)
+            assert report.witness_direction == report.checked_directions[0]
+            second = polyhedron.second_order_tangent_set(base, report.witness_direction)
             assert second.contains(c1p.witness)
             assert gradient.dot(c1p.witness) < 0
         observed[c1p.verdict] += 1
@@ -907,7 +909,7 @@ def test_lp_count_one_per_second_order_question(monkeypatch):
     tangent = orthant.tangent_cone(origin)
     # zero gradient: the critical cone is the whole orthant, 4 generators
     report = check_qp(quad, tangent, origin)
-    assert len(report.strengthened_gradient.checked_directions) == 4
+    assert len(report.checked_directions) == 4
     assert _all_hold(report)
     assert len(calls) == 1
 

@@ -12,7 +12,9 @@ A change meant to alter some report regenerates the digests with
     PYTHONPATH=src python tests/test_report_bytes.py
 
 which prints the label of every run whose digest changed against the
-recorded file before it overwrites that file.
+recorded file before it overwrites that file, and then the number of
+changed runs per command, format and override, such as ``first-order json:
+35`` or ``qp json --tolerance 1e-6 verify: 13``.
 """
 
 import contextlib
@@ -25,6 +27,7 @@ import math
 import os
 import random
 import sys
+from collections import Counter
 
 from cone_audit.cli import main
 from cone_audit.linalg import RationalVector
@@ -194,6 +197,9 @@ if __name__ == "__main__":
     changed = changed_labels(digests)
     for label in changed:
         print(f"changed: {label}", file=sys.stderr)
+    # a label less its input name: command, format, override, verify
+    for key, count in sorted(Counter(label.split(" ", 1)[1] for label in changed).items()):
+        print(f"{key}: {count}", file=sys.stderr)
     os.makedirs(os.path.dirname(DIGESTS), exist_ok=True)
     with open(DIGESTS, "w", encoding="utf-8") as handle:
         json.dump(digests, handle, indent=1, sort_keys=True)

@@ -203,6 +203,25 @@ def test_theorem41_counterexample_fixture():
     assert report.gradient_condition.verdict is Verdict.HOLDS
 
 
+def test_theorem41_reports_a_direction_out_of_a_level_set():
+    """ex31 at (sqrt 3, 0) along (1, 0), out of the disk: the hypothesis
+    fails and no gradient condition is evaluated, as on a polyhedron (ex41
+    along -1), instead of raising on T2(x, v)."""
+    fx = fixture("ex31")
+    tangent = fx.constraint.tangent_cone(fx.candidate_point, 1e-9)
+    (report,) = theorem41_check(fx.objective, tangent, fx.candidate_point, [(1.0, 0.0)], [(0.0, 0.0)])
+    ex41 = fixture("ex41")
+    (polyhedral,) = theorem41_check(ex41.objective, ex41.polyhedron.tangent_cone(vector(0)), (0.0,), [(-1.0,)], [])
+    for outward in (report, polyhedral):
+        assert outward.status == "HypothesisViolated"
+        assert not outward.direction.in_tangent_cone
+        assert outward.gradient_condition is None
+    assert report.pairings[0].holds
+    # T2(x, v) is read at the region's tolerance whatever the verdict's is
+    (bundle,) = theorem33_check(fx.objective, tangent, fx.candidate_point, [(1e-10, 1.0)], 1e-12)
+    assert not bundle.direction.in_tangent_cone and bundle.second_order_set.kind.value == "half-space"
+
+
 def test_theorem41_hypothesis_satisfied():
     half_sq = SmoothObjective(
         1,
