@@ -700,15 +700,15 @@ class _Revalidator:
         crit = critical_cone(self.gradient, tangent)
         directions = [_as_rational_vector(v) for v in results.get("checked_directions") or []]
         # (c1') is checked on T2(x, v) at its witness direction, else at the
-        # first checked direction; a direction off C fails
+        # first checked direction, else at 0 (T2(x, 0) = T(x)); a direction
+        # off C fails
         c1p = results.get("c1_prime") or {}
-        fails = c1p.get("verdict") == "fails"
-        if fails or directions:
-            direction = _as_rational_vector(c1p["witness_direction"]) if fails else directions[0]
-            if crit.contains(direction):
-                self._check_linear_condition("c1'", c1p, tangent.tangent_cone_at(direction))
-            else:
-                self.add("c1': its direction lies in the critical cone", False, f"v = {direction}")
+        at = c1p.get("witness_direction")
+        direction = (directions or [RationalVector.zero(tangent.dim)])[0] if at is None else _as_rational_vector(at)
+        if crit.contains(direction):
+            self._check_linear_condition("c1'", c1p, tangent.tangent_cone_at(direction))
+        else:
+            self.add("c1': its direction lies in the critical cone", False, f"v = {direction}")
         self.add(
             "checked directions: each lies in the critical cone",
             all(map(crit.contains, directions)),

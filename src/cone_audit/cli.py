@@ -280,9 +280,11 @@ def _render_human(report: dict) -> str:
     elif command == "qp":
         for key in ("c0", "c1_prime", "c2_prime"):
             lines.append(_fmt_condition(results[key]))
+        kernel = results["c2_prime"]["certificate"]["method"] == "kernel-factorization"
         lines.append(
             "checked critical directions: "
-            + (", ".join(_fmt_vec(v) for v in results["checked_directions"]) or "none")
+            + (", ".join(_fmt_vec(v) for v in results["checked_directions"])
+               or ("none enumerated: (c2') certified on ker E" if kernel else "none: C = {0}"))
         )
     elif command == "ssd":
         for entry in results.get("memberships", []):

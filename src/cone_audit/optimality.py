@@ -48,7 +48,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatchError
 from .geometry import PolyhedralCone
-from .linalg import RationalMatrix, RationalVector, bareiss_step, combination, integer_rref
+from .linalg import RationalMatrix, RationalVector, bareiss_step, combination, integer_rref, kernel_basis
 from .lp import LPResult, LPStatus, solve_lp
 from .objectives import DEFAULT_FLOAT_TOL, AffineRegion, QuadraticObjective, SmoothObjective, TangentRegion
 
@@ -701,8 +701,8 @@ def theorem33_check(
 @dataclass(frozen=True)
 class QPConditions:
     """The (c0)/(c1')/(c2') reports for a quadratic program at a point, with
-    ``checked_directions``, the critical directions (c1') covers, and
-    ``witness_direction``, the one it fails at (None when it holds)."""
+    ``checked_directions``, C's generators when (c2') enumerated them, and
+    ``witness_direction``, the one (c1') fails at (None when it holds)."""
 
     stationarity: ConditionReport
     strengthened_gradient: ConditionReport
@@ -717,28 +717,40 @@ def check_qp(objective: QuadraticObjective, tangent: PolyhedralCone, point) -> Q
     polyhedron whose tangent cone at ``point`` is ``tangent``
     (:meth:`Polyhedron.tangent_cone`).
 
-    (c0) is the first-order check with gradient M x + q; (c1') is (c1) on the
-    second-order tangent set at the first critical-cone generator, which
-    over a polyhedron decides it for every critical direction, read off the
-    (c0) LP, and ``checked_directions`` lists all the generators it covers;
-    (c2') tests copositivity of M on the critical cone.
+    (c0) is the first-order check with gradient M x + q.  (c2') holds when M
+    is PSD on ker E, E the critical cone C's equality rows (one factorization
+    of K'MK, K a kernel basis); only otherwise is C enumerated and tested for
+    copositivity, and ``checked_directions`` lists its generators.  (c1') is
+    (c1) on the second-order tangent set at the first of them, else at v = 0
+    (T2(x, 0) = T(x)), which over a polyhedron decides it for every critical
+    direction, read off the (c0) LP.
     """
     gradient = objective.gradient_at(point)
     result = _pairing_lp(gradient, tangent)
     c0 = _linear(ConditionId.QP_C0, _infimum(gradient, tangent, result, 0), 0)
 
     crit = critical_cone(gradient, tangent)
-    directions = crit.generators().spanning_vectors() or (RationalVector.zero(tangent.dim),)
-    v = directions[0]
+    if any(map(any, crit.eq_rows.rows)):
+        ints, images = _integer_gram(objective.matrix, kernel_basis(crit.eq_rows))
+        q = [[sum(map(mul, a, b)) for b in images] for a in ints]
+    else:
+        q = objective.matrix.integer_form[0]
+    kernel_psd = _psd_witness(q, len(q), None) is None
+    copositivity = (
+        CopositivityResult(CopositivityStatus.COPOSITIVE, method="kernel-factorization")
+        if kernel_psd else check_c2_copositivity(objective.matrix, crit)
+    )
+    directions = () if kernel_psd else crit.generators().spanning_vectors()
+    v = directions[0] if directions else RationalVector.zero(tangent.dim)
     c1p = _linear(ConditionId.QP_C1P, _infimum(gradient, *_on_second_order_set(result, tangent, v, gradient), 0), 0)
     holds = c1p.verdict is Verdict.HOLDS
+    at = "at the first critical-cone generator" if directions else "on T2(x, 0) = T(x)"
     c1p = replace(
         c1p,
-        notes="holds at the first critical-cone generator, hence at every critical direction"
-        if holds else f"violated at critical direction {v}",
+        notes=f"holds {at}, hence at every critical direction"
+        if holds else f"violated at critical direction {v}" + ("" if directions else f" {at}"),
     )
 
-    copositivity = check_c2_copositivity(objective.matrix, crit)
     copositive = copositivity.status is CopositivityStatus.COPOSITIVE
     c2p = ConditionReport(
         condition=ConditionId.QP_C2P,

@@ -36,6 +36,7 @@ def test_qp_command_all_hold(capsys):
     assert code == 0
     assert "QP_c0: HOLDS" in out
     assert "QP_c2p: HOLDS" in out
+    assert "checked critical directions: none enumerated: (c2') certified on ker E" in out
 
 
 def test_second_order_command_exit_one(capsys):
@@ -447,9 +448,10 @@ def test_cones_enumerates_one_tangent_cone_per_point(monkeypatch):
 
 
 def test_qp_enumerates_only_the_critical_cone(monkeypatch):
-    """``qp`` runs double description once, for the critical cone C, whose
-    generators are its checked directions; T(x) is reported by its H-form.
-    ``verify`` of the report runs it once more, in the re-run only."""
+    """``qp`` runs double description at most once, for the critical cone C,
+    and only when M is not PSD on ker E, E the equality rows of C; T(x) is
+    reported by its H-form.  ``verify`` of the report runs it as often, in
+    the re-run only."""
     calls = Counter()
     real = geometry.double_description
 
@@ -461,14 +463,18 @@ def test_qp_enumerates_only_the_critical_cone(monkeypatch):
     with open(os.path.join(PROBLEMS, "orthant_qp.json")) as handle:
         docs = [json.load(handle)]
     docs += [random_qp_problem(seed, 3 + seed % 3, seed % 2, 1, seed % 3 == 0) for seed in range(6)]
+    seen = Counter()
     for doc in docs:
         calls.clear()
         report = run_analysis(parse_problem(json.dumps(doc)), "qp")
-        assert calls["dd"] == 1
+        enumerated = report["results"]["c2_prime"]["certificate"]["method"] != "kernel-factorization"
+        assert calls["dd"] == enumerated
         calls.clear()
         ok, checks = revalidate_report(report)
         assert ok, checks
-        assert calls["dd"] == 1
+        assert calls["dd"] == enumerated
+        seen[enumerated] += 1
+    assert seen[True] and seen[False]
 
 
 def test_verdict_reports_run_no_double_description(monkeypatch):
@@ -535,9 +541,10 @@ def _cone_of_h_json(cone: dict) -> geometry.PolyhedralCone:
 
 def test_qp_report_keeps_the_critical_cone_exactly():
     """A ``qp`` report's ``critical_cone`` H-form rebuilds C: its generators
-    are the checked directions, in order, or the zero vector alone when
-    C = {0}; its ``tangent_cone`` is the H-form part of ``cones``'s."""
-    zero_cones = nonzero_cones = 0
+    are the checked directions, in order, when (c2') enumerated C, and none
+    is listed when (c2') was certified on ker E or C = {0}; its
+    ``tangent_cone`` is the H-form part of ``cones``'s."""
+    enumerated = certified = 0
     for seed in range(40):
         dim = 2 + seed % 5
         doc = random_qp_problem(seed, dim, (seed // 5) % 2, 1, seed % 2 == 0)
@@ -545,16 +552,16 @@ def test_qp_report_keeps_the_critical_cone_exactly():
         results = run_analysis(problem, "qp")["results"]
         checked = [RationalVector(map(Fraction, v)) for v in results["checked_directions"]]
         spanning = list(_cone_of_h_json(results["critical_cone"]).generators().spanning_vectors())
-        if spanning:
-            assert checked == spanning, seed
-            nonzero_cones += 1
+        if results["c2_prime"]["certificate"]["method"] == "kernel-factorization":
+            assert checked == [], seed
+            certified += 1
         else:
-            assert checked == [RationalVector.zero(dim)], seed
-            zero_cones += 1
+            assert checked == spanning, seed
+            enumerated += 1
         tangent = run_analysis(problem, "cones")["results"]["tangent_cone"]
         assert results["tangent_cone"] == {key: tangent[key] for key in results["tangent_cone"]}, seed
         assert set(tangent) - set(results["tangent_cone"]) == {"rays", "lineality"}
-    assert zero_cones and nonzero_cones
+    assert enumerated and certified
 
 
 def test_verify_fails_ssd_sample_at_base_point(tmp_path, capsys):
@@ -617,10 +624,12 @@ def test_verify_substitutes_the_checked_directions(tmp_path, capsys):
     assert "[FAIL] checked directions: each lies in the critical cone" in out
 
 
-def _orthant_with_direction(tmp_path, linear) -> str:
+def _orthant_with_direction(tmp_path, linear, hessian=None) -> str:
     with open(os.path.join(PROBLEMS, "orthant_qp.json")) as handle:
         doc = json.load(handle)
     doc["objective"]["linear"] = linear
+    if hessian is not None:
+        doc["objective"]["matrix"] = hessian
     doc["query"]["directions"] = [["1", "0"]]
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
@@ -645,8 +654,9 @@ def test_verify_of_an_edited_direction_fails(tmp_path, capsys, command):
 
 def test_verify_fails_a_c1_prime_witness_direction_off_the_critical_cone(tmp_path, capsys):
     """(c1') fails at the first generator of C when q = (-1, 0) on the
-    orthant; a witness direction edited off C fails its check."""
-    problem = _orthant_with_direction(tmp_path, ["-1", "0"])
+    orthant and M = diag(1, -1), which is not PSD on ker E = span (0, 1),
+    so C is enumerated; a witness direction edited off C fails its check."""
+    problem = _orthant_with_direction(tmp_path, ["-1", "0"], [["1", "0"], ["0", "-1"]])
     code, out, _ = run_cli(capsys, "qp", "--input", problem, "--format", "json")
     report = json.loads(out)
     assert report["results"]["c1_prime"]["witness_direction"] == ["0", "1"]
@@ -656,6 +666,63 @@ def test_verify_fails_a_c1_prime_witness_direction_off_the_critical_cone(tmp_pat
     code, out, err = run_cli(capsys, "verify", "--input", str(tampered))
     assert (code, err) == (1, "")
     assert "[FAIL] c1': its direction lies in the critical cone  (v = (-1, 0))" in out
+
+
+def test_verify_checks_a_c1_prime_certificate_with_no_direction_listed(tmp_path, capsys):
+    """With q = (1, 0) on the orthant and M = I, (c2') is certified on
+    ker E = span (0, 1) and no direction is listed; (c1')'s certificate is
+    then checked on T2(x, 0) = T(x), and an edited multiplier fails it."""
+    problem = _orthant_with_direction(tmp_path, ["1", "0"])
+    code, out, _ = run_cli(capsys, "qp", "--input", problem, "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["results"]["checked_directions"] == []
+    multipliers = report["results"]["c1_prime"]["certificate"]["inequality_multipliers"]
+    assert [m["value"] for m in multipliers] == ["1", "0"]
+    multipliers[0]["value"] = "2"
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "verify", "--input", str(tampered))
+    assert (code, err) == (1, "")
+    assert "[FAIL] c1': Lagrange certificate identity" in out
+
+
+def _convex_qp_above_the_cap(dim: int, seed: int | None) -> dict:
+    """{x in R^dim : x1 >= 0, x2 >= 0} with M = I at 0 when ``seed`` is
+    None, else a seeded polyhedron with 64 rows and M = A'A; q = -M x."""
+    if seed is None:
+        rows, bounds, base = [[-int(i == j) for j in range(dim)] for i in range(2)], [0, 0], [0] * dim
+        a = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    else:
+        rng = random.Random(seed)
+        polyhedron, base = random_feasible_polyhedron(rng, dim, 64, 0, active_probability=0.7)
+        rows, bounds = polyhedron.ineq_matrix.rows, polyhedron.ineq_rhs
+        a = [random_vector(rng, dim) for _ in range(dim)]
+    hessian = [[sum(r[i] * r[j] for r in a) for j in range(dim)] for i in range(dim)]
+    linear = [-sum(h * b for h, b in zip(row, base)) for row in hessian]
+    return {
+        "version": "1",
+        "constraint": {"type": "polyhedron", "dimension": dim,
+                       "inequalities": {"rows": [_fractions(r) for r in rows], "bounds": _fractions(bounds)}},
+        "objective": {"type": "quadratic", "matrix": [_fractions(r) for r in hessian], "linear": _fractions(linear)},
+        "query": {"point": _fractions(base), "regime": "exact"},
+    }
+
+
+@pytest.mark.parametrize("dim, seed", [(11, None), (30, 0)])
+def test_convex_qp_above_the_enumeration_cap_decides_and_verifies(tmp_path, capsys, dim, seed):
+    """M PSD on ker E certifies (c2') with no generator of C, so a convex QP
+    above the dimension cap of double description exits 0 and verifies."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_convex_qp_above_the_cap(dim, seed)))
+    code, out, err = run_cli(capsys, "qp", "--input", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    assert results["c2_prime"]["certificate"]["method"] == "kernel-factorization"
+    assert results["checked_directions"] == []
+    report = tmp_path / "report.json"
+    report.write_text(out)
+    code, out, err = run_cli(capsys, "verify", "--input", str(report))
+    assert (code, err) == (0, ""), out
 
 
 def test_main_twice_in_one_process(capsys):

@@ -843,14 +843,18 @@ def test_qp_c2_failure_witnessed():
 
 def test_qp_c1_implies_first_order_on_random_instances():
     """Over a polyhedron (c1') is equivalent to (c0) and to (c1) at every
-    critical direction; check_qp decides it with one LP.
+    critical direction; check_qp decides it with one LP, at the first
+    checked direction, or at v = 0 when none is listed.
 
     The oracle is (c1) checked at every critical-cone generator.  Gradients
     are drawn from the normal cone at the base point (so the critical cone
-    is a nontrivial face) and, interleaved, fully at random.
+    is a nontrivial face) and, interleaved, fully at random.  M is 0, which
+    (c2') certifies on ker E with no generator listed, or -I, which makes
+    it enumerate C unless ker E = {0}.
     """
     rng = random.Random(23)
     observed = {Verdict.HOLDS: 0, Verdict.FAILS: 0}
+    listed = Counter()
     for trial in range(60):
         dim = rng.randint(1, 4)
         polyhedron, base = random_feasible_polyhedron(
@@ -865,30 +869,70 @@ def test_qp_c1_implies_first_order_on_random_instances():
         else:
             gradient = random_vector(rng, dim)
         tangent = polyhedron.tangent_cone(base)
-        # 0 is always critical, and T^2(x, 0) = T(x)
-        generators = list(critical_cone(gradient, tangent).generators().spanning_vectors())
-        generators = generators or [RationalVector.zero(dim)]
-        # f(x) = <gradient, x> has the drawn gradient everywhere
-        objective = QuadraticObjective(matrix([[0] * dim] * dim), gradient)
+        crit = critical_cone(gradient, tangent)
+        generators = list(crit.generators().spanning_vectors())
+        # f(x) = (1/2)<Mx, x> + <gradient - M base, x> has the drawn gradient at base
+        hessian = matrix([[-int(i == j and trial % 4 < 2) for j in range(dim)] for i in range(dim)])
+        objective = QuadraticObjective(hessian, gradient - hessian.matvec(base))
         report = check_qp(objective, tangent, base)
         c0 = report.stationarity.verdict
-        for v in generators:
+        # 0 is always critical, and T^2(x, 0) = T(x)
+        for v in generators or [RationalVector.zero(dim)]:
             second = polyhedron.second_order_tangent_set(base, v)
             assert check_c1(gradient, second).verdict is c0
         c1p = report.strengthened_gradient
         assert c1p.verdict is c0
-        assert list(report.checked_directions) == generators
+        enumerated = report.curvature_on_critical_cone.certificate.method != "kernel-factorization"
+        assert list(report.checked_directions) == (generators if enumerated else [])
+        v = report.checked_directions[0] if report.checked_directions else RationalVector.zero(dim)
+        second = polyhedron.second_order_tangent_set(base, v)
         if c1p.verdict is Verdict.HOLDS:
             assert report.witness_direction is None
-            second = polyhedron.second_order_tangent_set(base, report.checked_directions[0])
             assert c1p.certificate.verify(gradient, second)
         else:
-            assert report.witness_direction == report.checked_directions[0]
-            second = polyhedron.second_order_tangent_set(base, report.witness_direction)
+            assert report.witness_direction == v
             assert second.contains(c1p.witness)
             assert gradient.dot(c1p.witness) < 0
         observed[c1p.verdict] += 1
+        listed[bool(report.checked_directions)] += 1
     assert min(observed.values()) > 10
+    assert min(listed[True], listed[False]) > 10
+
+
+def test_qp_kernel_test_agrees_with_double_description():
+    """check_qp certifies (c2') on ker E before any double description; its
+    verdict is always the one check_c2_copositivity finds on the enumerated
+    critical cone, (c1') stays (c0), and listed directions are C's
+    generators in order.  QPs in dimensions 2-8, with and without an
+    equality row, stationary or not, with M = A'A or indefinite."""
+    seen = Counter()
+
+    @settings(derandomize=True, deadline=None, max_examples=80,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(0, 2**32), st.integers(2, 8), st.integers(0, 1), st.booleans(), st.booleans())
+    def check(seed, dim, num_eq, stationary, convex):
+        rng = random.Random(seed)
+        polyhedron, base = random_feasible_polyhedron(rng, dim, rng.randint(1, dim + 2), num_eq, 0.7)
+        if convex:
+            a = [random_vector(rng, dim) for _ in range(rng.randint(1, dim))]
+            hessian = matrix([[sum(r[i] * r[j] for r in a) for j in range(dim)] for i in range(dim)])
+        else:
+            entries = {(i, j): small_fraction(rng) for i in range(dim) for j in range(i, dim)}
+            hessian = matrix([[entries[min(i, j), max(i, j)] for j in range(dim)] for i in range(dim)])
+        linear = -hessian.matvec(base) if stationary else random_vector(rng, dim)
+        objective = QuadraticObjective(hessian, linear)
+        tangent = polyhedron.tangent_cone(base)
+        report = check_qp(objective, tangent, base)
+        crit = critical_cone(objective.gradient_at(base), tangent)
+        oracle = check_c2_copositivity(hessian, crit)
+        assert report.curvature_on_critical_cone.certificate.status is oracle.status
+        assert report.strengthened_gradient.verdict is report.stationarity.verdict
+        if report.checked_directions:
+            assert report.checked_directions == crit.generators().spanning_vectors()
+        seen[report.curvature_on_critical_cone.certificate.method == "kernel-factorization"] += 1
+
+    check()
+    assert seen[True] and seen[False]
 
 
 def test_lp_count_one_per_second_order_question(monkeypatch):
@@ -907,10 +951,17 @@ def test_lp_count_one_per_second_order_question(monkeypatch):
     origin = RationalVector.zero(4)
     quad = QuadraticObjective(matrix([[int(i == j) for j in range(4)] for i in range(4)]), origin)
     tangent = orthant.tangent_cone(origin)
-    # zero gradient: the critical cone is the whole orthant, 4 generators
+    # zero gradient: the critical cone is the whole orthant; M = I is PSD on
+    # it, so no generator is listed, and M = diag(1, 1, 1, -1) needs its 4
     report = check_qp(quad, tangent, origin)
-    assert len(report.checked_directions) == 4
+    assert report.checked_directions == ()
     assert _all_hold(report)
+    assert len(calls) == 1
+    calls.clear()
+    indefinite = QuadraticObjective(matrix([[int(i == j) - 2 * (i == j == 3) for j in range(4)] for i in range(4)]), origin)
+    report = check_qp(indefinite, tangent, origin)
+    assert len(report.checked_directions) == 4
+    assert report.curvature_on_critical_cone.verdict is Verdict.FAILS
     assert len(calls) == 1
 
     directions = [RationalVector.unit(4, i) for i in range(4)]
