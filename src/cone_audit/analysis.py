@@ -616,12 +616,11 @@ class _Revalidator:
             )
         if verdict == "holds" and entry.get("certificate") and entry["certificate"].get("type") == "lagrange":
             cert = entry["certificate"]
+            items = cert["inequality_multipliers"]
+            values = _as_rational_vector([item["value"] for item in items]).entries
             certificate = LagrangeCertificate(
-                inequality_multipliers=tuple(
-                    (item["position"], item.get("origin_row"), Fraction(item["value"]))
-                    for item in cert["inequality_multipliers"]
-                ),
-                equality_multipliers=_as_rational_vector(cert["equality_multipliers"]),
+                tuple((item["position"], item.get("origin_row"), lam) for item, lam in zip(items, values)),
+                _as_rational_vector(cert["equality_multipliers"]),
             )
             self.add(
                 label + ": Lagrange certificate identity",

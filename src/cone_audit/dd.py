@@ -42,11 +42,10 @@ bit-identical generator sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionCapExceededError, DimensionMismatchError
 from .linalg import RationalVector
@@ -54,8 +53,7 @@ from .linalg import RationalVector
 DEFAULT_DIMENSION_CAP = 10
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     """V-representation of a polyhedral cone: cone(rays) + span(lineality)."""
 
     dim: int

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -177,7 +176,6 @@ class RationalVector:
         return "(" + ", ".join(str(a) for a in self.entries) + ")"
 
 
-@dataclass(frozen=True)
 class RationalMatrix:
     """Immutable dense row-major matrix of exact rationals.
 
@@ -199,8 +197,18 @@ class RationalMatrix:
                 raise DimensionMismatchError(
                     f"row width {r.dim} differs from declared ncols {ncols}"
                 )
-        object.__setattr__(self, "rows", vecs)
-        object.__setattr__(self, "ncols", ncols)
+        self.__dict__.update(rows=vecs, ncols=ncols)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: RationalMatrix is immutable")
+
+    def __eq__(self, other):
+        if isinstance(other, RationalMatrix):
+            return self.ncols == other.ncols and self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.ncols))
 
     @property
     def nrows(self) -> int:

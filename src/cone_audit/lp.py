@@ -29,8 +29,8 @@ returned:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DimensionMismatchError
 from .linalg import RationalMatrix, RationalVector, bareiss_step, combination, kernel_basis, solve_linear
@@ -41,8 +41,7 @@ class LPStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(NamedTuple):
     """Outcome of :func:`solve_lp`: the improving recession ray ``witness``
     on UNBOUNDED, the dual solution on OPTIMAL."""
 

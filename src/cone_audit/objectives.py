@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import (
     DimensionMismatchError,
@@ -44,21 +43,26 @@ if TYPE_CHECKING:  # numpy is imported where floats are computed
     from numpy import ndarray as Array
 
 
-@dataclass(frozen=True)
-class QuadraticObjective:
-    """f(x) = (1/2) <M x, x> + <q, x> + constant with M exactly symmetric."""
-
+class _QuadraticData(NamedTuple):  # a NamedTuple cannot override __new__ itself
     matrix: RationalMatrix
     linear: RationalVector
-    constant: Fraction = Fraction(0)
+    constant: Fraction
 
-    def __post_init__(self):
-        if self.matrix.nrows != self.matrix.ncols:
+
+class QuadraticObjective(_QuadraticData):
+    """f(x) = (1/2) <M x, x> + <q, x> + constant with M exactly symmetric."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace validates too
+
+    def __new__(cls, matrix: RationalMatrix, linear: RationalVector, constant: Fraction = Fraction(0)):
+        if matrix.nrows != matrix.ncols:
             raise DimensionMismatchError("quadratic matrix must be square")
-        if not self.matrix.is_symmetric():
+        if not matrix.is_symmetric():
             raise ValueError("quadratic matrix must be exactly symmetric")
-        if self.linear.dim != self.matrix.ncols:
+        if linear.dim != matrix.ncols:
             raise DimensionMismatchError("linear term does not match the matrix size")
+        return super().__new__(cls, matrix, linear, constant)
 
     @property
     def dim(self) -> int:
@@ -93,8 +97,7 @@ class QuadraticObjective:
         )
 
 
-@dataclass(frozen=True)
-class SmoothObjective:
+class SmoothObjective(NamedTuple):
     """Black-box C1 (optionally C2) objective with float evaluators."""
 
     dimension: int
@@ -193,8 +196,7 @@ class ConstraintKind(Enum):
     EQUALITY = "equality"
 
 
-@dataclass(frozen=True)
-class SmoothLevelSetConstraint:
+class SmoothLevelSetConstraint(NamedTuple):
     """One smooth constraint g(x) <= 0 or h(x) = 0 with supplied derivatives."""
 
     kind: ConstraintKind
@@ -266,8 +268,7 @@ class TangentRegion(AffineRegion):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExampleFixture:
+class ExampleFixture(NamedTuple):
     """A named, self-contained worked example for the CLI and test suites."""
 
     name: str

@@ -39,12 +39,11 @@ margin of -inf fails.  Exact checks take tolerance 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError
 from .geometry import PolyhedralCone
@@ -68,8 +67,7 @@ class ConditionId(Enum):
     QP_C2P = "QP_c2p"
 
 
-@dataclass(frozen=True)
-class LagrangeCertificate:
+class LagrangeCertificate(NamedTuple):
     """Multipliers proving -gradient = sum(lambda_i * row_i) + A^T mu exactly.
 
     ``inequality_multipliers`` are (position, origin row, lambda) triples over
@@ -98,8 +96,7 @@ class CopositivityStatus(Enum):
     NOT_COPOSITIVE = "not copositive"
 
 
-@dataclass(frozen=True)
-class CopositivityResult:
+class CopositivityResult(NamedTuple):
     """Outcome of a copositivity test over a cone.
 
     On NOT_COPOSITIVE the witness lies in the cone and its quadratic form
@@ -116,8 +113,7 @@ class CopositivityResult:
     method: str = ""
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     condition: ConditionId
     verdict: Verdict
     witness: RationalVector | tuple[float, ...] | None = None
@@ -127,8 +123,7 @@ class ConditionReport:
     notes: str = ""
 
 
-@dataclass(frozen=True)
-class CriticalDirection:
+class CriticalDirection(NamedTuple):
     """A direction with its verified tangency/orthogonality flags; the
     vector is exact in an exact run and a float tuple otherwise."""
 
@@ -329,7 +324,7 @@ def _linear(condition: ConditionId, infimum: tuple, tolerance) -> ConditionRepor
     value, margin, witness, certificate, notes = infimum
     report = _sign_report(condition, margin, tolerance, witness, certificate, notes)
     if report.boundary and value == float("-inf"):
-        return replace(report, notes="violation within tolerance; treated as boundary case")
+        return report._replace(notes="violation within tolerance; treated as boundary case")
     return report
 
 
@@ -627,8 +622,7 @@ def classical_second_order_check(
     return _classical(_infimum(gradient, second_order_set, None, tolerance), curvature, tolerance)
 
 
-@dataclass(frozen=True)
-class SecondOrderBundle:
+class SecondOrderBundle(NamedTuple):
     """Checks performed at one critical direction.
 
     ``strengthened_gradient`` is (c1) on ``second_order_set``, the
@@ -698,8 +692,7 @@ def theorem33_check(
     return tuple(bundles)
 
 
-@dataclass(frozen=True)
-class QPConditions:
+class QPConditions(NamedTuple):
     """The (c0)/(c1')/(c2') reports for a quadratic program at a point, with
     ``checked_directions``, C's generators when (c2') enumerated them, and
     ``witness_direction``, the one (c1') fails at (None when it holds)."""
@@ -745,8 +738,7 @@ def check_qp(objective: QuadraticObjective, tangent: PolyhedralCone, point) -> Q
     c1p = _linear(ConditionId.QP_C1P, _infimum(gradient, *_on_second_order_set(result, tangent, v, gradient), 0), 0)
     holds = c1p.verdict is Verdict.HOLDS
     at = "at the first critical-cone generator" if directions else "on T2(x, 0) = T(x)"
-    c1p = replace(
-        c1p,
+    c1p = c1p._replace(
         notes=f"holds {at}, hence at every critical direction"
         if holds else f"violated at critical direction {v}" + ("" if directions else f" {at}"),
     )

@@ -18,8 +18,8 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ProblemFormatError
 from .geometry import Polyhedron
@@ -45,8 +45,7 @@ _ROW_BLOCKS = (("equalities", "matrix", "rhs", "right-hand sides"), ("inequaliti
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     point: tuple | None
     directions: tuple[tuple, ...]
     z_candidates: tuple[tuple, ...]
@@ -60,8 +59,7 @@ class Query:
         return RationalVector([Fraction(a) for a in self.point])
 
 
-@dataclass(frozen=True)
-class ProblemFile:
+class ProblemFile(NamedTuple):
     """A validated problem description, ready to analyze.  A fixture is
     resolved: ``polyhedron`` is the explicit polyhedron or the fixture's
     (None for a smooth level set), and the query holds the fixture's
@@ -73,7 +71,10 @@ class ProblemFile:
     fixture: ExampleFixture | None
     quadratic: QuadraticObjective | None
     query: Query
-    source: dict = field(repr=False, default_factory=dict)
+    source: dict
+
+    def __repr__(self) -> str:  # every field but the echoed source document
+        return "ProblemFile(" + ", ".join(f"{k}={v!r}" for k, v in zip(self._fields[:-1], self)) + ")"
 
     @property
     def dimension(self) -> int:

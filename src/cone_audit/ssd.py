@@ -25,9 +25,8 @@ closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .geometry import PolyhedralCone
 from .linalg import RationalVector
@@ -52,8 +51,13 @@ TAIL_THRESHOLD = 1e-4
 MAX_MESH_OFFSETS = 1000
 
 
-@dataclass(frozen=True)
-class LogMesh:
+class _MeshExponents(NamedTuple):  # a NamedTuple cannot override __new__ itself
+    exponent_start: float
+    exponent_stop: float
+    exponent_step: float
+
+
+class LogMesh(_MeshExponents):
     """Probe offsets 10^-e for e = start, start+step, ..., stop.
 
     Offsets at or below :data:`TAIL_THRESHOLD` form the tail over which the
@@ -61,18 +65,18 @@ class LogMesh:
     the configured range.
     """
 
-    exponent_start: float = 1.0
-    exponent_stop: float = 8.0
-    exponent_step: float = 0.5
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace validates too
 
-    def __post_init__(self):
-        start, stop, step = self.exponent_start, self.exponent_stop, self.exponent_step
+    def __new__(cls, exponent_start: float = 1.0, exponent_stop: float = 8.0, exponent_step: float = 0.5):
+        start, stop, step = exponent_start, exponent_stop, exponent_step
         # finite, and 10^-e a normal float
         if not (-300 <= start <= stop <= 300 and 0 < step < math.inf):
             raise ValueError("mesh exponents must lie in [-300, 300] and increase with a positive step")
         # a step too small to move an exponent would never end the mesh
         if (stop - start) / step >= MAX_MESH_OFFSETS or start + step == start or stop + step == stop:
             raise ValueError(f"a mesh may have at most {MAX_MESH_OFFSETS} offsets")
+        return super().__new__(cls, start, stop, step)
 
     def deltas(self) -> list[float]:
         out = []
@@ -95,8 +99,7 @@ class LogMesh:
         return cls(exponent_start=start, exponent_stop=stop, exponent_step=step)
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(NamedTuple):
     member: bool
     worst_quotient: float
     attaining_sample: float | None
@@ -225,8 +228,7 @@ def estimate_calmness(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairingEntry:
+class PairingEntry(NamedTuple):
     """One candidate z with its pairing <z, v> and the sign verdict, both
     exact in an exact run."""
 
@@ -235,8 +237,7 @@ class PairingEntry:
     holds: bool
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Verdict of the bidirectional-critical-direction condition check.
 
     The hypothesis triple is: v tangent, -v tangent, gradient orthogonal to

@@ -1,4 +1,3 @@
-import dataclasses
 import enum
 import json
 import math
@@ -1391,7 +1390,7 @@ def test_level_set_runs_evaluate_the_constraint_once(monkeypatch):
             calls["gradient"] += 1
             return constraint.gradient(x)
 
-        return dataclasses.replace(fx, constraint=dataclasses.replace(constraint, value=value, gradient=gradient))
+        return fx._replace(constraint=constraint._replace(value=value, gradient=gradient))
 
     monkeypatch.setitem(objectives._FIXTURE_BUILDERS, "ex31", counted_ex31)
     doc = {"version": "1", "constraint": {"type": "fixture", "name": "ex31"},
@@ -1801,6 +1800,20 @@ def test_verify_of_a_zero_denominator_exits_three(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "cones", "--input", os.path.join(PROBLEMS, "orthant_qp.json"), "--format", "json")
     report = json.loads(out)
     report["results"]["tangent_cone"]["rays"][0][0] = "1/0"
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert (code, out) == (3, "") and err.startswith("not a usable report document: ValueError("), err
+
+
+@pytest.mark.parametrize("command, condition", [("qp", "c0"), ("first-order", "condition")])
+@pytest.mark.parametrize("value", ["1/0", "0/0"])
+def test_verify_of_a_zero_denominator_multiplier_exits_three(tmp_path, capsys, command, condition, value):
+    """A Lagrange multiplier with a zero denominator is refused like any
+    other report entry, not with a ``ZeroDivisionError`` traceback."""
+    code, out, _ = run_cli(capsys, command, "--input", os.path.join(PROBLEMS, "orthant_qp.json"), "--format", "json")
+    report = json.loads(out)
+    report["results"][condition]["certificate"]["inequality_multipliers"][0]["value"] = value
     path = tmp_path / "report.json"
     path.write_text(json.dumps(report))
     code, out, err = run_cli(capsys, "verify", "--input", str(path))

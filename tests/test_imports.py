@@ -9,7 +9,9 @@ out: its imports are the package's exports.
 
 numpy serves only the float regime, so no module imports it when the
 package is imported, and exact commands run in a fresh interpreter without
-ever loading it.
+ever loading it.  No module imports ``dataclasses`` either: a frozen
+dataclass generates and compiles its methods at import, and the module
+itself loads ``inspect``; the package's records are NamedTuples.
 """
 
 import ast
@@ -100,6 +102,15 @@ def test_numpy_is_not_imported_at_module_level(path):
     assert not numpy, f"{os.path.basename(path)} imports numpy at module level"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=os.path.basename)
+def test_dataclasses_is_never_imported(path):
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "dataclasses" not in {name.split(".")[0] for name in modules}, os.path.basename(path)
+
+
 EXACT_PROBLEM = {
     "version": "1",
     "constraint": {"type": "polyhedron", "dimension": 2,
@@ -121,7 +132,8 @@ def run(*argv):
         code = main(list(argv))
     return code, out.getvalue()
 
-assert "numpy" not in sys.modules, "import cone_audit.cli loaded numpy"
+for module in ("numpy", "dataclasses", "inspect"):
+    assert module not in sys.modules, f"import cone_audit.cli loaded {module}"
 directory, exact, ex31 = sys.argv[1:]
 for command in ("cones", "first-order", "second-order", "qp", "theorem41"):
     code, out = run(command, "--input", exact, "--format", "json")

@@ -157,6 +157,20 @@ def test_matrix_basics():
     assert empty.matvec(vector(1, 2, 3)).dim == 0
 
 
+def test_matrix_equality_hash_and_immutability():
+    """Matrices are equal, and hash equal, exactly when their rows and width
+    are; no attribute can be assigned."""
+    m = matrix([["1/2", 2], [3, 4]])
+    same = RationalMatrix([RationalVector.from_ints((1, 4), 2), vector(3, 4)])
+    assert m == same and hash(m) == hash(same) and len({m, same}) == 1
+    assert m != matrix([[1, 2], [3, 4]]) and m != m.rows
+    assert RationalMatrix([], 2) != RationalMatrix([], 3)
+    for name, value in (("rows", ()), ("ncols", 3), ("extra", 0)):
+        with pytest.raises(AttributeError):
+            setattr(m, name, value)
+    assert m.integer_form == (((1, 4), (6, 8)), 2) and m == same
+
+
 def test_rref_and_kernel():
     m = matrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     rows, pivots = rref(m)

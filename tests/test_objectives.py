@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cone_audit.errors import (
+    DimensionMismatchError,
     InactiveConstraintError,
     NotTangentDirectionError,
     VanishingGradientError,
@@ -52,6 +53,23 @@ def test_both_objectives_answer_the_same_calls():
 def test_quadratic_rejects_asymmetric():
     with pytest.raises(ValueError):
         QuadraticObjective(matrix([[1, 2], [0, 1]]), vector(0, 0))
+    with pytest.raises(DimensionMismatchError):
+        QuadraticObjective(matrix([[1, 0, 0], [0, 1, 0]]), vector(0, 0, 0))
+    with pytest.raises(DimensionMismatchError):
+        QuadraticObjective(matrix([[1, 0], [0, 1]]), vector(0, 0, 0))
+
+
+def test_quadratic_is_an_immutable_record():
+    q = QuadraticObjective(matrix([[2, 0], [0, 4]]), vector(1, -1), 3)
+    assert q == QuadraticObjective(matrix([[2, 0], [0, 4]]), vector(1, -1), Fraction(3))
+    assert hash(q) == hash(QuadraticObjective(matrix([[2, 0], [0, 4]]), vector(1, -1), 3))
+    assert QuadraticObjective(q.matrix, q.linear).constant == 0
+    assert q._replace(constant=Fraction(5)).value(vector(0, 0)) == 5
+    with pytest.raises(ValueError):
+        q._replace(matrix=matrix([[1, 2], [0, 1]]))
+    for name in ("matrix", "constant", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(q, name, None)
 
 
 def test_quadratic_value_and_form():

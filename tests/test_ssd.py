@@ -39,6 +39,16 @@ def test_log_mesh():
         LogMesh.parse("2:6")
     with pytest.raises(ValueError):
         LogMesh(exponent_start=3, exponent_stop=1)
+    for bad in ((math.nan, 8, 0.5), (1, math.inf, 0.5), (-400, 1, 0.5), (1, 8, 0), (1, 8, -1), (1, 200, 0.1)):
+        with pytest.raises(ValueError):
+            LogMesh(*bad)
+    assert mesh == LogMesh(1.0, 8.0, 0.5) and hash(mesh) == hash(LogMesh())
+    assert mesh._replace(exponent_step=1.0).deltas() == LogMesh(1, 8, 1).deltas()
+    with pytest.raises(ValueError):
+        mesh._replace(exponent_step=0)
+    for name in ("exponent_step", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(mesh, name, 1.0)
 
 
 def test_membership_example_values():
