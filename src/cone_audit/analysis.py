@@ -20,7 +20,7 @@ from .dd import GeneratorSet
 from .errors import AnalysisError
 from .geometry import PolyhedralCone
 from .linalg import RationalMatrix, RationalVector
-from .objectives import DEFAULT_FLOAT_TOL, AffineRegion, QuadraticObjective, SmoothObjective, TangentRegion
+from .objectives import DEFAULT_FLOAT_TOL, AffineRegion, QuadraticObjective, SmoothObjective, TangentRegion, _dot, _finite
 from .optimality import (
     ConditionReport,
     CopositivityResult,
@@ -174,10 +174,9 @@ class _Context:
     :class:`_Revalidator`: the arithmetic (``objective``, ``gradient``) and
     the constraint view (``tangent``, ``second_order_set``).
 
-    Handing out the first float evaluator (:meth:`smooth_objective`, or the
-    ``tangent`` of a level set) makes numpy raise ``FloatingPointError`` on
-    overflow and invalid values until the caller that ran the context exits
-    it; an exact run never imports numpy."""
+    The float regime computes on tuples of Python floats, and a float
+    overflow or invalid value raises ``FloatingPointError`` where evaluator
+    outputs, pairings and Hessian actions enter (:mod:`.objectives`)."""
 
     def __init__(self, problem: ProblemFile, tolerance: float | None, mesh: LogMesh | None):
         self.problem = problem
@@ -191,21 +190,6 @@ class _Context:
         self.mesh = mesh or LogMesh()
         self.polyhedron = problem.polyhedron
         self.mode = "smooth" if self.polyhedron is None else "polyhedral"
-        self._errstate = None
-
-    def __enter__(self) -> "_Context":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._errstate is not None:
-            self._errstate.__exit__(*exc)
-            self._errstate = None
-
-    def _raise_float_errors(self) -> None:
-        if self._errstate is None:
-            import numpy as np
-            self._errstate = np.errstate(over="raise", invalid="raise")
-            self._errstate.__enter__()
 
     def directions(self) -> list[tuple]:
         return list(self.problem.query.directions)
@@ -227,7 +211,6 @@ class _Context:
                 "this command needs an objective",
                 hint="add an objective block (quadratic data or a fixture name)",
             )
-        self._raise_float_errors()
         return obj
 
     @functools.cached_property
@@ -255,7 +238,6 @@ class _Context:
                 "which needs a positive tolerance",
                 hint="set query.regime = 'float' and leave --tolerance positive",
             )
-        self._raise_float_errors()
         return self.problem.fixture.constraint.tangent_cone(self.problem.query.point_floats(), self.tolerance)
 
     def second_order_set(self, v) -> PolyhedralCone | AffineRegion:
@@ -440,13 +422,10 @@ def _run_ssd(ctx: _Context) -> tuple[dict, int]:
         action = ssd_hessian_closed_form(objective, point, v)
         entry = {"direction": _vector_json(v), "action": _vector_json(action)}
         if ctx.problem.query.z_candidates:
-            import numpy as np
             comparisons = []
             for z in ctx.problem.query.z_candidates:
-                z_arr = np.asarray([float(a) for a in z])
-                member = bool(
-                    np.max(np.abs(z_arr - action)) <= max(ctx.tolerance, DEFAULT_FLOAT_TOL)
-                )
+                gap = _finite((float(a) - b for a, b in zip(z, action, strict=True)), "subtract")
+                member = max(map(abs, gap)) <= max(ctx.tolerance, DEFAULT_FLOAT_TOL)
                 comparisons.append(
                     {"candidate": _vector_json(z), "member": member}
                 )
@@ -537,8 +516,7 @@ def run_analysis(
 ) -> dict:
     """Run one command over a validated problem and return the report
     document.  A float overflow or invalid value raises ``FloatingPointError``."""
-    with _Context(problem, tolerance, mesh) as ctx:
-        return _report(ctx, command)
+    return _report(_Context(problem, tolerance, mesh), command)
 
 
 # ---------------------------------------------------------------------------
@@ -565,19 +543,18 @@ class _Revalidator:
 
     def run(self) -> list[dict]:
         command = self.report.get("command")
-        with self.ctx:
-            rerun = _report(self.ctx, command)
-            old = {k: v for k, v in self.report.items() if k != "timestamp"}
-            new = {k: v for k, v in rerun.items() if k != "timestamp"}
-            self.add(
-                "deterministic reproduction",
-                old == new,
-                "re-running the echoed problem reproduces the report" if old == new
-                else "re-run produced a different report",
-            )
-            handler = getattr(self, "_verify_" + command.replace("-", "_"), None)
-            if handler is not None:
-                handler(self.report.get("results", {}))
+        rerun = _report(self.ctx, command)
+        old = {k: v for k, v in self.report.items() if k != "timestamp"}
+        new = {k: v for k, v in rerun.items() if k != "timestamp"}
+        self.add(
+            "deterministic reproduction",
+            old == new,
+            "re-running the echoed problem reproduces the report" if old == new
+            else "re-run produced a different report",
+        )
+        handler = getattr(self, "_verify_" + command.replace("-", "_"), None)
+        if handler is not None:
+            handler(self.report.get("results", {}))
         return self.checks
 
     # -- helpers ---------------------------------------------------------
@@ -732,15 +709,12 @@ class _Revalidator:
             if condition is not None:
                 second = self.ctx.second_order_set(_as_rational_vector(v))
                 self._check_linear_condition("gradient condition", condition, second)
-            if not exact:
-                import numpy as np
-                direction = np.asarray(entry["direction"], dtype=float)
             for z, pairing in zip(candidates, entry.get("pairings", [])):
                 if exact:
                     value = _as_rational_vector(z).dot(_as_rational_vector(v))
                     same = _value_json(value) == pairing["pairing"]
                 else:
-                    value = float(np.asarray(pairing["candidate"], dtype=float) @ direction)
+                    value = _dot(map(float, pairing["candidate"]), map(float, entry["direction"]))
                     same = abs(value - pairing["pairing"]) <= 1e-12
                 self.add(
                     "pairing <z, v> reproduces",
@@ -752,7 +726,7 @@ class _Revalidator:
         objective = self.ctx.smooth_objective()
         for entry in results.get("memberships", []):
             base = self.ctx.problem.query.point_floats()[0]
-            grad_base = float(objective.gradient_at([base])[0])
+            grad_base = objective.gradient_at([base])[0]
             quotient = _membership_quotient(
                 objective, base, entry["direction"], entry["candidate"], entry["attaining_sample"], grad_base
             )

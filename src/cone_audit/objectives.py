@@ -7,6 +7,13 @@ tolerance-free polyhedral checkers.  :class:`SmoothObjective` wraps binary64
 evaluators for the gradient and Hessian and is used wherever the candidate
 point is irrational; verdicts in that regime carry explicit tolerances.
 
+The float regime is tuples of Python floats: a vector is a tuple, a matrix
+a tuple of rows.  Plain float arithmetic overflows to inf or NaN silently,
+so every evaluator output, pairing and Hessian action is checked where it
+enters (:func:`_finite`, :func:`_dot`): an infinity raises
+``FloatingPointError("overflow encountered in ...")`` and a NaN
+``FloatingPointError("invalid value encountered in ...")``.
+
 A :class:`SmoothLevelSetConstraint` describes a set {g <= 0} or {h = 0} cut
 out by one smooth function.  At a regular active point its tangent cone is
 the half-space (or hyperplane) of the constraint gradient, a
@@ -25,7 +32,8 @@ import functools
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from operator import add
+from typing import Callable, NamedTuple
 
 from .errors import (
     DimensionMismatchError,
@@ -39,8 +47,40 @@ from .linalg import RationalMatrix, RationalVector
 # the float regime's default verdict and activity tolerance
 DEFAULT_FLOAT_TOL = 1e-9
 
-if TYPE_CHECKING:  # numpy is imported where floats are computed
-    from numpy import ndarray as Array
+Floats = tuple[float, ...]
+
+
+def _finite(values, where: str) -> Floats:
+    """``values`` as floats, each finite: an infinity overflowed and a NaN is
+    an invalid value, each a ``FloatingPointError`` naming ``where``."""
+    floats = tuple(map(float, values))
+    for a in floats:
+        if not math.isfinite(a):
+            raise FloatingPointError(f"{'invalid value' if a != a else 'overflow'} encountered in {where}")
+    return floats
+
+
+def _dot(a, b) -> float:
+    """<a, b> in binary64, the products summed left to right; a product or
+    the sum that overflows raises ``FloatingPointError``."""
+    products = _finite((x * y for x, y in zip(a, b, strict=True)), "multiply")
+    return _finite([functools.reduce(add, products, 0.0)], "add")[0]
+
+
+def _norm(a) -> float:
+    return math.sqrt(_dot(a, a))
+
+
+def _action(hessian, v) -> Floats:
+    """v H, each column of H paired with v: the Hessian action H^T v."""
+    return tuple(_dot(v, column) for column in zip(*hessian))
+
+
+def _point(x, dimension: int) -> Floats:
+    point = tuple(map(float, x))
+    if len(point) != dimension:
+        raise DimensionMismatchError(f"a point of {len(point)} entries in dimension {dimension}")
+    return point
 
 
 class _QuadraticData(NamedTuple):  # a NamedTuple cannot override __new__ itself
@@ -87,12 +127,11 @@ class QuadraticObjective(_QuadraticData):
         return self.quadratic_form(v)
 
     def as_smooth(self) -> "SmoothObjective":
-        import numpy as np
-        m = np.array(self.matrix.as_float_rows(), dtype=float).reshape(self.dim, self.dim)
-        q = np.array(self.linear.as_floats(), dtype=float)
+        m = self.matrix.as_float_rows()
+        q = self.linear.as_floats()
         return SmoothObjective(
             dimension=self.dim,
-            gradient=lambda x: m @ x + q,
+            gradient=lambda x: [_dot(row, x) + b for row, b in zip(m, q)],
             hessian=lambda x: m,
         )
 
@@ -101,35 +140,30 @@ class SmoothObjective(NamedTuple):
     """Black-box C1 (optionally C2) objective with float evaluators."""
 
     dimension: int
-    gradient: Callable[[Array], Array]
-    hessian: Callable[[Array], Array] | None = None
+    gradient: Callable[[Floats], Floats]
+    hessian: Callable[[Floats], tuple[Floats, ...]] | None = None
 
-    def gradient_at(self, x) -> Array:
-        import numpy as np
-        point = np.asarray(x, dtype=float).reshape(self.dimension)
-        grad = np.asarray(self.gradient(point), dtype=float).reshape(-1)
-        if grad.shape != (self.dimension,):
+    def gradient_at(self, x) -> Floats:
+        grad = _finite(self.gradient(_point(x, self.dimension)), "the gradient evaluator")
+        if len(grad) != self.dimension:
             raise DimensionMismatchError("gradient evaluator returned a wrong shape")
         return grad
 
-    def hessian_at(self, x) -> Array:
+    def hessian_at(self, x) -> tuple[Floats, ...]:
         if self.hessian is None:
             raise ValueError("objective has no Hessian evaluator")
-        import numpy as np
-        point = np.asarray(x, dtype=float).reshape(self.dimension)
-        hess = np.asarray(self.hessian(point), dtype=float)
-        if hess.shape != (self.dimension, self.dimension):
+        hess = tuple(_finite(row, "the Hessian evaluator") for row in self.hessian(_point(x, self.dimension)))
+        if len(hess) != self.dimension or any(len(row) != self.dimension for row in hess):
             raise DimensionMismatchError("Hessian evaluator returned a wrong shape")
-        scale = max(1.0, float(np.max(np.abs(hess))))
-        if float(np.max(np.abs(hess - hess.T))) > 1e-12 * scale:
+        scale = max(1.0, *(abs(a) for row in hess for a in row))
+        if max(abs(a - b) for row, column in zip(hess, zip(*hess)) for a, b in zip(row, column)) > 1e-12 * scale:
             raise ValueError("Hessian evaluator is not symmetric at the queried point")
         return hess
 
     def curvature_at(self, x, v) -> float:
         """<Hess f(x) v, v> in binary64."""
-        import numpy as np
-        vec = np.asarray(v, dtype=float)
-        return float(vec @ self.hessian_at(x) @ vec)
+        vec = _point(v, self.dimension)
+        return _dot(_action(self.hessian_at(x), vec), vec)
 
 
 class RegionKind(Enum):
@@ -141,28 +175,24 @@ class AffineRegion:
     """{w | <normal, w> <= offset} or {w | <normal, w> = offset}, float data."""
 
     def __init__(self, kind: RegionKind, normal, offset: float):
-        import numpy as np
         self.kind = kind
-        self.normal = np.asarray(normal, dtype=float).reshape(-1)
+        self.normal = tuple(map(float, normal))
         self.offset = float(offset)
-        if not self.normal.any():
+        if not any(self.normal):
             raise VanishingGradientError("affine region needs a nonzero normal")
 
     @property
     def dim(self) -> int:
-        return self.normal.shape[0]
+        return len(self.normal)
 
     def normalized_offset(self) -> float:
         """Offset after scaling the normal to unit Euclidean length."""
-        import numpy as np
-        return self.offset / float(np.linalg.norm(self.normal))
+        return self.offset / _norm(self.normal)
 
     def contains(self, w, tol: float = DEFAULT_FLOAT_TOL) -> bool:
         """<normal, w> against the offset within tol * max(1, |normal| |w|)."""
-        import numpy as np
-        vec = np.asarray(w, dtype=float)
-        excess = float(self.normal @ vec) - self.offset
-        bound = tol * max(1.0, float(np.linalg.norm(self.normal)) * float(np.linalg.norm(vec)))
+        excess = _dot(self.normal, w) - self.offset
+        bound = tol * max(1.0, _norm(self.normal) * _norm(w))
         if self.kind is RegionKind.HYPERPLANE:
             return abs(excess) <= bound
         return excess <= bound
@@ -177,17 +207,14 @@ class AffineRegion:
         half-space a positive multiple of the normal descends through the
         interior.
         """
-        import numpy as np
-        grad = np.asarray(direction, dtype=float).reshape(-1)
-        norm_sq = float(self.normal @ self.normal)
-        mu = float(grad @ self.normal) / norm_sq
-        residual = grad - mu * self.normal
-        base = (self.offset / norm_sq) * self.normal
-        scale = max(1.0, float(np.linalg.norm(grad)))
-        if float(np.linalg.norm(residual)) > tol * scale:
-            return float("-inf"), base, -residual
+        norm_sq = _dot(self.normal, self.normal)
+        mu = _dot(direction, self.normal) / norm_sq
+        residual = _finite((g - mu * a for g, a in zip(direction, self.normal)), "subtract")
+        base = _finite((self.offset / norm_sq * a for a in self.normal), "multiply")
+        if _norm(residual) > tol * max(1.0, _norm(direction)):
+            return float("-inf"), base, tuple(-a for a in residual)
         if self.kind is RegionKind.HALF_SPACE and mu > tol:
-            return float("-inf"), base, -self.normal
+            return float("-inf"), base, tuple(-a for a in self.normal)
         return mu * self.offset, base, None
 
 
@@ -201,26 +228,25 @@ class SmoothLevelSetConstraint(NamedTuple):
 
     kind: ConstraintKind
     dimension: int
-    value: Callable[[Array], float]
-    gradient: Callable[[Array], Array]
-    hessian: Callable[[Array], Array] | None = None
+    value: Callable[[Floats], float]
+    gradient: Callable[[Floats], Floats]
+    hessian: Callable[[Floats], tuple[Floats, ...]] | None = None
 
     def tangent_cone(self, x, activity_tol: float = DEFAULT_FLOAT_TOL) -> "TangentRegion":
         """Half-space {v | <grad g, v> <= 0}, or the hyperplane for an
         equality, at an active point.  Activity is capped at the default
         tolerance, so a loose verdict tolerance cannot accept a point off
         the set."""
-        import numpy as np
-        point = np.asarray(x, dtype=float).reshape(self.dimension)
-        level = float(self.value(point))
+        point = _point(x, self.dimension)
+        (level,) = _finite([self.value(point)], "the constraint evaluator")
         bound = min(activity_tol, DEFAULT_FLOAT_TOL)
         if abs(level) > bound:
             raise InactiveConstraintError(
                 f"constraint value {level} at the queried point exceeds the "
                 f"activity tolerance {bound}"
             )
-        grad = np.asarray(self.gradient(point), dtype=float).reshape(-1)
-        if float(np.linalg.norm(grad)) <= activity_tol:
+        grad = _finite(self.gradient(point), "the constraint's gradient evaluator")
+        if _norm(grad) <= activity_tol:
             raise VanishingGradientError(
                 "constraint gradient vanishes at the queried point"
             )
@@ -238,7 +264,7 @@ class TangentRegion(AffineRegion):
     with the means to evaluate the constraint's Hessian at x and the
     tolerance it was built at, from which it reads T2(x, v)."""
 
-    def __init__(self, kind: RegionKind, gradient, hessian: Callable[[], Array] | None, tol: float):
+    def __init__(self, kind: RegionKind, gradient, hessian: Callable[[], tuple[Floats, ...]] | None, tol: float):
         super().__init__(kind, gradient, 0.0)
         self.hessian = hessian
         self.tol = tol
@@ -250,17 +276,16 @@ class TangentRegion(AffineRegion):
         at the region's tolerance."""
         if self.hessian is None:
             raise ValueError("constraint has no Hessian evaluator")
-        import numpy as np
-        direction = np.asarray(v, dtype=float).reshape(self.dim)
+        direction = _point(v, self.dim)
         if not AffineRegion(RegionKind.HYPERPLANE, self.normal, 0.0).contains(direction, self.tol):
             if self.contains(direction, self.tol):
                 return PolyhedralCone(self.dim)
             raise NotTangentDirectionError(
                 "direction is not tangential to the constraint boundary: "
-                f"<grad, v> = {float(self.normal @ direction)}"
+                f"<grad, v> = {_dot(self.normal, direction)}"
             )
-        hess = np.asarray(self.hessian(), dtype=float)
-        return AffineRegion(self.kind, self.normal, -float(direction @ hess @ direction))
+        hess = tuple(_finite(row, "the constraint's Hessian evaluator") for row in self.hessian())
+        return AffineRegion(self.kind, self.normal, -_dot(_action(hess, direction), direction))
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +307,17 @@ class ExampleFixture(NamedTuple):
 
 
 def _ex31() -> ExampleFixture:
-    import numpy as np
     objective = SmoothObjective(
         dimension=2,
-        gradient=lambda x: np.array([-4.0 * x[0], -2.0 * x[1]]),
-        hessian=lambda x: np.array([[-4.0, 0.0], [0.0, -2.0]]),
+        gradient=lambda x: (-4.0 * x[0], -2.0 * x[1]),
+        hessian=lambda x: ((-4.0, 0.0), (0.0, -2.0)),
     )
     constraint = SmoothLevelSetConstraint(
         kind=ConstraintKind.INEQUALITY,
         dimension=2,
-        value=lambda x: 2.0 * x[0] ** 2 + 3.0 * x[1] ** 2 - 6.0,
-        gradient=lambda x: np.array([4.0 * x[0], 6.0 * x[1]]),
-        hessian=lambda x: np.array([[4.0, 0.0], [0.0, 6.0]]),
+        value=lambda x: 2.0 * (x[0] * x[0]) + 3.0 * (x[1] * x[1]) - 6.0,
+        gradient=lambda x: (4.0 * x[0], 6.0 * x[1]),
+        hessian=lambda x: ((4.0, 0.0), (0.0, 6.0)),
     )
     return ExampleFixture(
         name="ex31",
@@ -308,18 +332,17 @@ def _ex31() -> ExampleFixture:
 
 
 def _ex32() -> ExampleFixture:
-    import numpy as np
     objective = SmoothObjective(
         dimension=2,
-        gradient=lambda x: np.array([-2.0 * x[0], -2.0 * x[1]]),
-        hessian=lambda x: np.array([[-2.0, 0.0], [0.0, -2.0]]),
+        gradient=lambda x: (-2.0 * x[0], -2.0 * x[1]),
+        hessian=lambda x: ((-2.0, 0.0), (0.0, -2.0)),
     )
     constraint = SmoothLevelSetConstraint(
         kind=ConstraintKind.EQUALITY,
         dimension=2,
-        value=lambda x: x[0] ** 2 + 2.0 * x[1] ** 2 - 1.0,
-        gradient=lambda x: np.array([2.0 * x[0], 4.0 * x[1]]),
-        hessian=lambda x: np.array([[2.0, 0.0], [0.0, 4.0]]),
+        value=lambda x: x[0] * x[0] + 2.0 * (x[1] * x[1]) - 1.0,
+        gradient=lambda x: (2.0 * x[0], 4.0 * x[1]),
+        hessian=lambda x: ((2.0, 0.0), (0.0, 4.0)),
     )
     return ExampleFixture(
         name="ex32",
@@ -339,10 +362,9 @@ def _ex41_gradient(x: float) -> float:
 
 def _ex41() -> ExampleFixture:
     # C1 but not C2 at the origin: gradient -x on the left, x^2 on the right.
-    import numpy as np
     objective = SmoothObjective(
         dimension=1,
-        gradient=lambda x: np.array([_ex41_gradient(float(x[0]))]),
+        gradient=lambda x: (_ex41_gradient(x[0]),),
         hessian=None,
     )
     halfline = Polyhedron(

@@ -49,7 +49,15 @@ from .errors import DimensionMismatchError
 from .geometry import PolyhedralCone
 from .linalg import RationalMatrix, RationalVector, bareiss_step, combination, integer_rref, kernel_basis
 from .lp import LPResult, LPStatus, solve_lp
-from .objectives import DEFAULT_FLOAT_TOL, AffineRegion, QuadraticObjective, SmoothObjective, TangentRegion
+from .objectives import (
+    DEFAULT_FLOAT_TOL,
+    AffineRegion,
+    QuadraticObjective,
+    SmoothObjective,
+    TangentRegion,
+    _dot,
+    _point,
+)
 
 
 class Verdict(Enum):
@@ -211,7 +219,7 @@ def _tangent_directions(gradient, tangent: PolyhedralCone, directions, tolerance
     result = None
     for direction in directions:
         v = _as_rational_vector(direction)
-        pairing = grad.dot(v) if exact else float(gradient @ v.as_floats())
+        pairing = grad.dot(v) if exact else _dot(gradient, v.as_floats())
         critical = CriticalDirection(
             vector=v if exact else v.as_floats(),
             in_tangent_cone=tangent.contains(v),
@@ -232,14 +240,13 @@ def _level_set_directions(gradient, region: TangentRegion, directions, tolerance
     a tangent v T2(x, v) from :meth:`TangentRegion.tangent_cone_at` with the
     pairing infimum on it, else None.  Tangency for T2 is tested at the
     region's tolerance, as that method tests it; the flags use ``tolerance``."""
-    import numpy as np
     for direction in directions:
-        vec = np.asarray(direction, dtype=float).reshape(-1)
+        vec = _point(direction, region.dim)
         critical = CriticalDirection(
-            vector=tuple(float(a) for a in vec),
+            vector=vec,
             in_tangent_cone=region.contains(vec, tolerance),
-            negation_in_tangent_cone=region.contains(-vec, tolerance),
-            gradient_orthogonal=abs(float(gradient @ vec)) <= tolerance,
+            negation_in_tangent_cone=region.contains(tuple(-a for a in vec), tolerance),
+            gradient_orthogonal=abs(_dot(gradient, vec)) <= tolerance,
         )
         if not region.contains(vec, region.tol):
             yield vec, critical, None, None

@@ -26,11 +26,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .geometry import PolyhedralCone
 from .linalg import RationalVector
-from .objectives import DEFAULT_FLOAT_TOL, QuadraticObjective, SmoothObjective, TangentRegion
+from .objectives import (
+    DEFAULT_FLOAT_TOL,
+    Floats,
+    QuadraticObjective,
+    SmoothObjective,
+    TangentRegion,
+    _action,
+    _dot,
+    _point,
+)
 from .optimality import (
     ConditionId,
     ConditionReport,
@@ -40,9 +49,6 @@ from .optimality import (
     _direction_passes,
     _linear,
 )
-
-if TYPE_CHECKING:  # numpy is imported where floats are computed
-    import numpy as np
 
 DEFAULT_MEMBERSHIP_TOL = 1e-6
 # probe offsets at or below this form the tail the verdict is taken over
@@ -110,7 +116,7 @@ class MembershipVerdict(NamedTuple):
 
 
 def _gradient_1d(objective: SmoothObjective, x: float) -> float:
-    return float(objective.gradient_at((x,))[0])
+    return objective.gradient_at((x,))[0]
 
 
 def ssd_membership(
@@ -165,23 +171,15 @@ def _membership_quotient(
     return (candidate * (x - base) - grad_x * direction + grad_base * direction) / denominator
 
 
-def ssd_hessian_closed_form(objective: SmoothObjective, point, direction) -> np.ndarray:
+def ssd_hessian_closed_form(objective: SmoothObjective, point, direction) -> Floats:
     """For C2 objectives the action is a singleton: the Hessian product."""
-    import numpy as np
-    hessian = objective.hessian_at(point)
-    vec = np.asarray(direction, dtype=float).reshape(-1)
-    return hessian.T @ vec
+    return _action(objective.hessian_at(point), _point(direction, objective.dimension))
 
 
 def _van_der_corput(index: int) -> float:
     """The index-th point of the base-2 van der Corput sequence, a dyadic
-    rational in [0, 1)."""
-    value, denom = 0.0, 1.0
-    while index:
-        index, digit = divmod(index, 2)
-        denom *= 2
-        value += digit / denom
-    return value
+    rational in [0, 1): the binary digits of ``index`` mirrored about the binary point."""
+    return int(format(index, "b")[::-1], 2) / (1 << index.bit_length())
 
 
 def estimate_calmness(
@@ -206,8 +204,7 @@ def estimate_calmness(
         raise ValueError("radius must be positive")
     if samples < 1:
         raise ValueError("at least one sample is required")
-    import numpy as np
-    base = float(np.asarray(point, dtype=float).reshape(1)[0])
+    (base,) = _point(point, 1)
     grad_base = _gradient_1d(objective, base)
     best = 0.0
     accepted = 0
@@ -291,9 +288,8 @@ def theorem41_check(
                 z = _as_rational_vector(z)
                 value = z.dot(v)
             else:
-                import numpy as np
                 z = tuple(map(float, z))
-                value = float(np.asarray(z) @ np.asarray(v))
+                value = _dot(z, v)
             entries.append(PairingEntry(z, value, value >= -tolerance))
         gradient_condition = None if infimum is None else _linear(ConditionId.C1, infimum, tolerance)
         reports.append(HypothesisReport(critical, gradient_condition, tuple(entries)))

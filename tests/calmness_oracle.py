@@ -42,6 +42,6 @@ def reference_calmness(objective: SmoothObjective, point, radius: float, samples
         if distance == 0.0:
             continue
         accepted += 1
-        quotient = float(np.linalg.norm(objective.gradient_at(probe) - grad_base)) / distance
+        quotient = float(np.linalg.norm(np.asarray(objective.gradient_at(probe)) - np.asarray(grad_base))) / distance
         best = max(best, quotient)
     return best

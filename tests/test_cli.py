@@ -1762,6 +1762,25 @@ OVERFLOWING_QUADRANT = {
         ({**OVERFLOWING_QUADRANT,
           "objective": {"type": "quadratic", "matrix": [["1", "0"], ["0", "1"]], "linear": ["0", "0"]},
           "query": {**OVERFLOWING_QUADRANT["query"], "z_candidates": [[1e300, -1e300]]}}, "theorem41"),
+        # the gradient evaluator's output
+        ({**OVERFLOWING_QUADRANT, "query": {"regime": "float", "point": [1e308, 0.0], "directions": [[1.0, 0.0]]}},
+         "first-order"),
+        # the constraint evaluator's value
+        ({"version": "1", "constraint": {"type": "fixture", "name": "ex31"},
+          "query": {"regime": "float", "point": [1e200, 0.0]}}, "cones"),
+        # the constraint's curvature, the offset of T2(x, v)
+        ({"version": "1", "constraint": {"type": "fixture", "name": "ex31"},
+          "query": {"regime": "float", "directions": [[0.0, 1e154]]}}, "second-order"),
+        # the sum of a pairing whose products are finite
+        ({**OVERFLOWING_QUADRANT,
+          "objective": {"type": "quadratic", "matrix": [["1", "0"], ["0", "1"]], "linear": ["0", "0"]},
+          "query": {**OVERFLOWING_QUADRANT["query"], "directions": [[1.0, 1.0]], "z_candidates": [[1e308, 1e308]]}},
+         "theorem41"),
+        # ssd's Hessian action, and its distance to a candidate
+        ({"version": "1", "constraint": {"type": "fixture", "name": "ex32"},
+          "query": {"regime": "float", "directions": [[1e308, 0.0]]}}, "ssd"),
+        ({"version": "1", "constraint": {"type": "fixture", "name": "ex32"},
+          "query": {"regime": "float", "directions": [[5e307, 0.0]], "z_candidates": [[1e308, 0.0]]}}, "ssd"),
     ],
 )
 def test_float_overflow_exits_three(tmp_path, capsys, doc, command):

@@ -1,5 +1,5 @@
 """Every name a module of the package imports is read in that module, and
-numpy stays off the exact path.
+the package never imports numpy.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
 with the standard library: an imported name counts as used when a load of
@@ -7,11 +7,12 @@ it appears anywhere in the module, annotations included (a string
 annotation is parsed as the expression it names).  ``__init__.py`` is left
 out: its imports are the package's exports.
 
-numpy serves only the float regime, so no module imports it when the
-package is imported, and exact commands run in a fresh interpreter without
-ever loading it.  No module imports ``dataclasses`` either: a frozen
-dataclass generates and compiles its methods at import, and the module
-itself loads ``inspect``; the package's records are NamedTuples.
+The float regime computes on tuples of Python floats and ``math``, so no
+module imports numpy anywhere, and every command, exact or float, runs in a
+fresh interpreter without loading it; tests and the benchmark keep numpy for
+their oracles.  No module imports ``dataclasses`` either: a frozen dataclass
+generates and compiles its methods at import, and the module itself loads
+``inspect``; the package's records are NamedTuples.
 """
 
 import ast
@@ -77,38 +78,26 @@ def test_every_import_is_read(path):
     assert not unused, f"{os.path.basename(path)} imports names it never reads: {', '.join(unused)}"
 
 
-def _imported_on_import(body):
-    """Modules a block imports when it runs at import time: function bodies
-    and ``if TYPE_CHECKING:`` blocks are left out, class bodies kept."""
-    for node in body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
-            yield from _imported_on_import(node.orelse)
-            continue
-        if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            yield node.module or ""
-        for block in ("body", "orelse", "finalbody", "handlers"):
-            yield from _imported_on_import(getattr(node, block, []))
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=os.path.basename)
-def test_numpy_is_not_imported_at_module_level(path):
-    with open(path, encoding="utf-8") as handle:
-        tree = ast.parse(handle.read(), filename=path)
-    numpy = [name for name in _imported_on_import(tree.body) if name.split(".")[0] == "numpy"]
-    assert not numpy, f"{os.path.basename(path)} imports numpy at module level"
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=os.path.basename)
-def test_dataclasses_is_never_imported(path):
+def _top_level_modules(path) -> set[str]:
+    """The top-level package of every module an ``Import``/``ImportFrom``
+    node anywhere in the file names: function bodies and ``if
+    TYPE_CHECKING:`` blocks included."""
     with open(path, encoding="utf-8") as handle:
         tree = ast.parse(handle.read(), filename=path)
     modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
     modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    assert "dataclasses" not in {name.split(".")[0] for name in modules}, os.path.basename(path)
+    return {name.split(".")[0] for name in modules}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=os.path.basename)
+def test_numpy_is_not_imported_at_module_level(path):
+    """Nor anywhere else: numpy is not a runtime dependency."""
+    assert "numpy" not in _top_level_modules(path), f"{os.path.basename(path)} imports numpy"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=os.path.basename)
+def test_dataclasses_is_never_imported(path):
+    assert "dataclasses" not in _top_level_modules(path), os.path.basename(path)
 
 
 EXACT_PROBLEM = {
@@ -121,7 +110,8 @@ EXACT_PROBLEM = {
 }
 
 # Runs in a fresh interpreter: argv[1] is a scratch directory, argv[2] the
-# exact problem file, argv[3] a float-regime ex31 problem file.
+# exact problem file, argv[3] and argv[4] the shipped float-regime ex31 and
+# ex41 problem files.
 NUMPY_PROBE = """
 import contextlib, io, os, sys
 from cone_audit.cli import main
@@ -134,27 +124,27 @@ def run(*argv):
 
 for module in ("numpy", "dataclasses", "inspect"):
     assert module not in sys.modules, f"import cone_audit.cli loaded {module}"
-directory, exact, ex31 = sys.argv[1:]
-for command in ("cones", "first-order", "second-order", "qp", "theorem41"):
-    code, out = run(command, "--input", exact, "--format", "json")
-    assert code in (0, 1), (command, code)
+directory, exact, ex31, ex41 = sys.argv[1:]
+runs = [(exact, command) for command in ("cones", "first-order", "second-order", "qp", "theorem41")]
+for problem, command in runs + [(ex31, "second-order"), (ex41, "ssd"), (ex41, "theorem41")]:
+    code, out = run(command, "--input", problem, "--format", "json")
+    assert code in (0, 1), (problem, command, code)
     report = os.path.join(directory, command + ".json")
     with open(report, "w") as handle:
         handle.write(out)
-    assert run("verify", "--input", report)[0] == 0, command
-    assert "numpy" not in sys.modules, f"exact {command} and its verify loaded numpy"
-assert run("second-order", "--input", ex31, "--format", "json")[0] in (0, 1)
-assert "numpy" in sys.modules, "a float-regime ex31 run did not load numpy"
+    assert run("verify", "--input", report)[0] == 0, (problem, command)
+    assert "numpy" not in sys.modules, f"{command} on {problem} and its verify loaded numpy"
 """
 
 
 def test_exact_commands_never_load_numpy(tmp_path):
     exact = tmp_path / "exact.json"
     exact.write_text(json.dumps(EXACT_PROBLEM))
-    ex31 = os.path.join(PACKAGE, "..", "..", "problems", "ex31_second_order.json")
+    problems = os.path.join(PACKAGE, "..", "..", "problems")
+    float_problems = [os.path.join(problems, name) for name in ("ex31_second_order.json", "ex41_theorem41.json")]
     env = {**os.environ, "PYTHONPATH": os.path.join(PACKAGE, "..")}
     probe = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, str(tmp_path), str(exact), ex31],
+        [sys.executable, "-c", NUMPY_PROBE, str(tmp_path), str(exact), *float_problems],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert probe.returncode == 0, probe.stderr

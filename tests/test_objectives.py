@@ -103,11 +103,11 @@ def test_hessian_finite_difference_consistency():
     step = 1e-6
     for _ in range(10):
         x = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2)])
-        hess = obj.hessian_at(x)
+        hess = np.asarray(obj.hessian_at(x))
         for j in range(2):
             offset = np.zeros(2)
             offset[j] = step
-            column = (obj.gradient_at(x + offset) - obj.gradient_at(x - offset)) / (2 * step)
+            column = (np.asarray(obj.gradient_at(x + offset)) - np.asarray(obj.gradient_at(x - offset))) / (2 * step)
             denominator = max(1.0, float(np.max(np.abs(hess[:, j]))))
             assert np.max(np.abs(column - hess[:, j])) / denominator < 1e-5
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from calmness_oracle import _van_der_corput as van_der_corput_digit_loop
 from calmness_oracle import reference_calmness
 from cone_audit.analysis import run_analysis
 from cone_audit.geometry import PolyhedralCone, Polyhedron
@@ -14,6 +15,7 @@ from cone_audit.optimality import Verdict, theorem33_check
 from cone_audit.problem import parse_problem_dict
 from cone_audit.ssd import (
     LogMesh,
+    _van_der_corput,
     estimate_calmness,
     ssd_hessian_closed_form,
     ssd_membership,
@@ -173,6 +175,12 @@ def _calmness_objectives():
             1,
             gradient=lambda x, a=a, b=b, c=c, d=d: np.array([a * x[0] ** 3 + b * math.sin(c * x[0]) + d * x[0]]),
         )
+
+
+def test_van_der_corput_by_bit_reversal():
+    """Mirroring the binary digits of i gives the same binary64 point as
+    summing them digit by digit, for every i below 2^16."""
+    assert all(_van_der_corput(i) == van_der_corput_digit_loop(i, 2) for i in range(1, 2**16 + 1))
 
 
 def test_calmness_matches_the_halton_reference():
