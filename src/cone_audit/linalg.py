@@ -2,13 +2,14 @@
 in integers.
 
 Exact data is `fractions.Fraction` scalars, so memberships, active sets and
-cone equalities are decided without tolerances.  Arithmetic runs on a
-vector's integer form instead (its entries times the lcm of their
+cone equalities are decided without tolerances; it enters through one
+reader, :func:`read_vector` (:func:`rational` for a scalar).  Arithmetic
+runs on a vector's integer form instead (its entries times the lcm of their
 denominators, a positive multiple of it): sums, scalings, dot products,
 matrix products and :func:`combination` compute it for their results, which
 box their `Fraction` entries only when read, and the kernels read signs of
-dot products and primitive rays off it.  Every exact
-elimination in the package, here and in the LP tableau and copositivity, is
+dot products and primitive rays off it.  Every exact elimination in the
+package, here and in the LP tableau and copositivity, is
 :func:`bareiss_step` on integer forms, with Bareiss's exact division
 ("Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 1968); `Fraction`s appear only in the output.
@@ -31,33 +32,43 @@ from .errors import DimensionMismatchError
 # denominator, exact arithmetic.
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# the one exact grammar, of problem files and reports alike
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def read_vector(values: Sequence) -> "RationalVector":
+    """The exact reader: a vector of JSON integers (not bools) and ASCII strings
+    of the grammar with nonzero denominators, built from its integer form with
+    no `Fraction` per entry; ValueError, one ``(index, message)`` per bad entry."""
+    nums, dens, errors = [], [], []
+    for i, value in enumerate(values):
+        match = _RATIONAL_RE.fullmatch(value) if type(value) is str else None
+        try:
+            if type(value) is int or match and match[2] is None:
+                nums.append(int(value))
+                dens.append(1)
+            elif match and int(match[2]):
+                nums.append(int(match[1]))
+                dens.append(int(match[2]))
+            elif match:
+                raise ValueError(f"invalid rational (zero denominator): {value!r}")
+            else:
+                raise ValueError("floats are not allowed in exact rational data" if isinstance(value, float)
+                                 else f"invalid rational: {value!r}")
+        except ValueError as exc:  # these, or int() past its digit limit
+            errors.append((i, str(exc)))
+    if errors:
+        raise ValueError(*errors)
+    scale = math.lcm(*dens)
+    return RationalVector.from_ints(nums if scale == 1 else [n * (scale // d) for n, d in zip(nums, dens)], scale)
 
 
 def rational(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction, or a string like ``"-3/4"`` to an exact Fraction.
-
-    Floats are rejected on purpose: exact-regime data must never pass through
-    binary64.  Convert floats explicitly with ``Fraction(x)`` where that is
-    actually intended.
-    """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise ValueError(f"invalid rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL_RE.match(text):
-            raise ValueError(f"invalid rational: {value!r}")
-        if "/" in text:
-            num, den = text.split("/")
-            if int(den) == 0:
-                raise ValueError(f"invalid rational (zero denominator): {value!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    raise ValueError(f"invalid rational: {value!r}")
+    """``value`` (an int, a Fraction or a string like ``"-3/4"``, never a float) as a Fraction."""
+    try:
+        return value if isinstance(value, Fraction) else read_vector((value,))[0]
+    except ValueError as exc:  # its one (index, message) argument
+        raise ValueError(exc.args[0][1]) from None
 
 
 def integer_form(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:

@@ -68,7 +68,9 @@ def _dot(a, b) -> float:
 
 
 def _norm(a) -> float:
-    return math.sqrt(_dot(a, a))
+    """|a| by ``math.hypot``, which overflows only where |a| does, not where
+    <a, a> does; an overflow raises ``FloatingPointError``."""
+    return _finite([math.hypot(*a)], "hypot")[0]
 
 
 def _action(hessian, v) -> Floats:

@@ -47,7 +47,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError
 from .geometry import PolyhedralCone
-from .linalg import RationalMatrix, RationalVector, bareiss_step, combination, integer_rref, kernel_basis
+from .linalg import RationalMatrix, RationalVector, bareiss_step, combination, integer_rref, kernel_basis, read_vector
 from .lp import LPResult, LPStatus, solve_lp
 from .objectives import (
     DEFAULT_FLOAT_TOL,
@@ -157,14 +157,14 @@ class CriticalDirection(NamedTuple):
 
 
 def _as_rational_vector(values) -> RationalVector:
-    """Exact entries: Fraction(a) is exact for rationals and binary64 floats
-    alike.  An entry with a zero denominator raises ValueError."""
+    """Exact entries: floats (a float-regime witness or direction) by
+    Fraction(a), which is exact, and a report's exact entries by
+    :func:`read_vector`, the grammar that wrote them (ValueError if off it)."""
     if isinstance(values, RationalVector):
         return values
-    try:
-        return RationalVector([Fraction(a) for a in values])
-    except ZeroDivisionError as exc:
-        raise ValueError(f"an entry of {values!r} has a zero denominator") from exc
+    if all(isinstance(a, (float, Fraction)) for a in values):
+        return RationalVector(map(Fraction, values))
+    return read_vector(values)
 
 
 def _pairing_lp(gradient: RationalVector, cone: PolyhedralCone) -> LPResult:

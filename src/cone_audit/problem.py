@@ -6,24 +6,26 @@ objective (explicit quadratic data, or a fixture), and a query block with
 the candidate point, optional directions and candidate z vectors, the
 arithmetic regime, and tolerances.
 
-The schema is strict: unknown fields are rejected, rational entries are
-strings like "2/3" (or integers), and floats are accepted only inside
-query blocks of float-regime files.  Validation reports every error found,
-not just the first.
+The schema is strict: unknown fields are rejected, and floats are accepted
+only inside query blocks of float-regime files.  An exact entry is a JSON
+integer (not a bool) or an ASCII string ``[+-]?[0-9]+(/[0-9]+)?`` with a
+nonzero denominator, such as "-2/3": no space, decimal point, exponent or
+non-ASCII digit.  :func:`linalg.read_vector` is that grammar's one reader,
+and ``verify`` reads a report's exact entries by it too.  Validation
+reports every error found, not just the first.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 import sys
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ProblemFormatError
 from .geometry import Polyhedron
-from .linalg import RationalMatrix, RationalVector, rational
+from .linalg import RationalMatrix, RationalVector, rational, read_vector
 from .objectives import (
     DEFAULT_FLOAT_TOL,
     ExampleFixture,
@@ -41,8 +43,6 @@ _OBJECTIVE_KEYS = {"type", "matrix", "linear", "constant", "name"}
 _QUERY_KEYS = {"point", "directions", "z_candidates", "regime", "tolerance"}
 # the polyhedron's two row blocks: key, rows field, right-hand-side field and noun
 _ROW_BLOCKS = (("equalities", "matrix", "rhs", "right-hand sides"), ("inequalities", "rows", "bounds", "bounds"))
-# JSON integers and their digit strings skip Fraction boxing
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
 class Query(NamedTuple):
@@ -100,33 +100,21 @@ class _Validator:
             if key not in allowed:
                 self.error(path, f"unknown field {key!r}")
 
-    def rational_entry(self, value, path: str) -> Fraction | None:
-        if isinstance(value, float):
-            self.error(path, "floats are not allowed in exact rational data")
-            return None
+    def numeric_entry(self, value, path: str, regime: str = "exact"):
+        """A number: rational in exact regime, a finite float otherwise."""
         try:
-            return rational(value)
-        except ValueError as exc:
-            self.error(path, str(exc))
-            return None
-
-    def numeric_entry(self, value, path: str, regime: str):
-        """A query-block number: rational in exact regime, float otherwise."""
-        if regime == "exact":
-            return self.rational_entry(value, path)
-        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-            self.error(path, f"invalid number: {value!r}")
-            return None
-        try:
+            if regime == "exact":
+                return rational(value)
+            if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+                raise ValueError(f"invalid number: {value!r}")
             number = float(rational(value) if isinstance(value, str) else value)
+            # the stdlib JSON parser admits NaN/Infinity literals
+            if not math.isfinite(number):
+                raise ValueError("numbers must be finite")
+            return number
         except (ValueError, OverflowError) as exc:
             self.error(path, str(exc))
             return None
-        # the stdlib JSON parser admits NaN/Infinity literals
-        if not math.isfinite(number):
-            self.error(path, "numbers must be finite")
-            return None
-        return number
 
     def rational_vector(self, values, path: str, expected_len: int | None = None):
         if not isinstance(values, list):
@@ -136,12 +124,10 @@ class _Validator:
             self.error(path, f"expected {expected_len} entries, got {len(values)}")
             return None
         try:
-            if all(type(a) is int or type(a) is str and _INTEGER_RE.fullmatch(a) for a in values):
-                return RationalVector.from_ints(tuple(map(int, values)))
-            return RationalVector(values)
-        except ValueError:  # rational() or int() refused an entry, which rational_entry names
-            for i, value in enumerate(values):
-                self.rational_entry(value, f"{path}[{i}]")
+            return read_vector(values)
+        except ValueError as exc:
+            for i, message in exc.args:
+                self.error(f"{path}[{i}]", message)
             return None
 
     def rational_matrix(self, values, path: str, width: int | None = None):
@@ -154,8 +140,7 @@ class _Validator:
             if vec is None:
                 return None
             rows.append(vec)
-            if width is None:
-                width = vec.dim
+            width = vec.dim  # the first row's, which every later row is checked against
         if width is None:
             self.error(path, "cannot infer row width from an empty matrix")
             return None
@@ -323,10 +308,11 @@ def _numeric_tuple(v: _Validator, values, path: str, regime: str):
     if not isinstance(values, list):
         v.error(path, "expected a list of numbers")
         return None
+    if regime == "exact":
+        vector = v.rational_vector(values, path)
+        return None if vector is None else vector.entries
     parsed = [v.numeric_entry(a, f"{path}[{i}]", regime) for i, a in enumerate(values)]
-    if any(p is None for p in parsed):
-        return None
-    return tuple(parsed)
+    return None if any(p is None for p in parsed) else tuple(parsed)
 
 
 def _parse_polyhedron(v: _Validator, block: dict) -> Polyhedron | None:
@@ -365,7 +351,7 @@ def _parse_quadratic(v: _Validator, block: dict) -> QuadraticObjective | None:
     if mat is None:
         return None
     linear = v.rational_vector(block.get("linear", [0] * mat.ncols), "$.objective.linear", mat.ncols)
-    constant = v.rational_entry(block.get("constant", 0), "$.objective.constant")
+    constant = v.numeric_entry(block.get("constant", 0), "$.objective.constant")
     if linear is None or constant is None:
         return None
     if mat.nrows != mat.ncols:

@@ -1793,6 +1793,23 @@ def test_float_overflow_exits_three(tmp_path, capsys, doc, command):
         assert (code, out) == (3, "") and err.startswith("error: overflow encountered"), err
 
 
+# a direction into ex31's disk whose |v| is finite but whose <v, v> is not
+EX31_FAR_DIRECTION = {"version": "1", "constraint": {"type": "fixture", "name": "ex31"},
+                      "query": {"regime": "float", "directions": [[-1e200, 0.0]]}}
+
+
+def test_a_norm_past_the_square_root_of_the_float_range_decides(tmp_path, capsys):
+    """The test that v lies in T(x) bounds its tolerance by |normal| |v|,
+    which math.hypot computes without squaring v: ``cones`` decides, while
+    ``second-order`` needs the curvature <Hv, v>, which does overflow."""
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(EX31_FAR_DIRECTION))
+    code, out, _ = run_cli(capsys, "cones", "--input", str(path), "--format", "json")
+    assert code == 0 and json.loads(out)["results"]["second_order_tangent_regions"], out
+    code, out, err = run_cli(capsys, "second-order", "--input", str(path))
+    assert (code, out) == (3, "") and err.startswith("error: overflow encountered"), err
+
+
 BOUNDARY_RAY_PROBLEM = {
     "version": "1",
     "constraint": {"type": "polyhedron", "dimension": 2, "inequalities": {"rows": [["1", "0"]], "bounds": ["0"]}},
@@ -1811,6 +1828,37 @@ def test_verify_of_an_infinite_witness_exits_three(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", "--input", str(path))
     assert (code, out) == (3, "") and err.startswith("not a usable report document: OverflowError("), err
 
+
+
+@pytest.mark.parametrize("entry", [" 1", "1\n", "\uff11", "\u0661"])
+def test_a_problem_entry_off_the_grammar_is_a_schema_error(tmp_path, capsys, entry):
+    """Exact entries are ASCII digits with no surrounding space: a padded
+    entry, a fullwidth or an Arabic-Indic digit is named, not read as 1, in a
+    vector and as a single number alike."""
+    with open(os.path.join(PROBLEMS, "orthant_qp.json"), encoding="utf-8") as handle:
+        problem = json.load(handle)
+    problem["objective"]["matrix"][0][0] = entry
+    problem["query"]["directions"] = [["0", entry]]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    code, out, err = run_cli(capsys, "qp", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [f"schema error: {where}: invalid rational: {entry!r}"
+                                for where in ("$.query.directions[0][1]", "$.objective.matrix[0][0]")]
+
+
+@pytest.mark.parametrize("value", ["1.0", "1e0", True])
+def test_verify_reads_a_report_by_the_grammar_that_wrote_it(tmp_path, capsys, value):
+    """A multiplier that Fraction would read but the exact grammar does not
+    makes the report unusable, before any check runs."""
+    code, out, _ = run_cli(capsys, "qp", "--input", os.path.join(PROBLEMS, "orthant_qp.json"), "--format", "json")
+    report = json.loads(out)
+    report["results"]["c0"]["certificate"]["inequality_multipliers"][0]["value"] = value
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    expected = ValueError((0, f"invalid rational: {value!r}"))
+    assert (code, out, err) == (3, "", f"not a usable report document: {expected!r}\n")
 
 
 def test_verify_of_a_zero_denominator_exits_three(tmp_path, capsys):

@@ -36,6 +36,8 @@ RUN_SECONDS = 3.0
 VOCABULARY = (
     None, True, False, "1/0", "0/0", "NaN", 1e308, math.inf, 10**50, 2**64,
     "", [], {}, [[]], "7" * 300 + "/" + "3" * 299,
+    # off the exact grammar, though int() or Fraction() would read them
+    " 1", "1\n", "\uff11", "\u0661", "1.0", "1e0",
 )
 
 

@@ -13,6 +13,7 @@ from cone_audit.linalg import (
     kernel_basis,
     matrix,
     rational,
+    read_vector,
     row_space_basis,
     rref,
     solve_linear,
@@ -29,10 +30,24 @@ def test_rational_parsing():
     assert rational(Fraction(1, 3)) == Fraction(1, 3)
 
 
-@pytest.mark.parametrize("bad", ["1/0", "x", "1.5", 1.5, "3 / 4", None, True])
+@pytest.mark.parametrize("bad", ["1/0", "x", "1.5", 1.5, "3 / 4", None, True,
+                                 " 1", "1\n", "\uff11", "\u0661", "1e0", "1/-2"])
 def test_rational_rejects(bad):
     with pytest.raises(ValueError):
         rational(bad)
+
+
+def test_read_vector_builds_the_integer_form_and_names_every_bad_entry():
+    vec = read_vector(["2/4", -3, "+7/6", "-0/9"])
+    assert vec.integer_form == ((3, -18, 7, 0), 6)
+    assert vec.entries == (Fraction(1, 2), Fraction(-3), Fraction(7, 6), Fraction(0))
+    with pytest.raises(ValueError) as exc:
+        read_vector(["1", "1/0", 2.0, "2", False])
+    assert exc.value.args == (
+        (1, "invalid rational (zero denominator): '1/0'"),
+        (2, "floats are not allowed in exact rational data"),
+        (4, "invalid rational: False"),
+    )
 
 
 def test_vector_arithmetic():

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cone_audit.errors import ProblemFormatError
-from cone_audit.linalg import integer_form, rational
+from cone_audit.linalg import integer_form
 from cone_audit.problem import parse_problem, parse_problem_dict
 
 
@@ -258,6 +258,7 @@ def test_parser_raises_only_schema_errors(value):
 
 row_entries = (
     st.text(st.sampled_from(" +-0123456789/_\n\uff13"), max_size=5)
+    | st.from_regex(r"[+-]?[0-9]{1,3}(/[0-9]{1,3})?", fullmatch=True)
     | st.integers()
     | st.booleans()
     | st.floats()
@@ -265,15 +266,33 @@ row_entries = (
 )
 
 
-def _entry_by_entry(values, path):
-    """The parsed vector, or the schema errors, that rational() taken entry by entry gives."""
+def _grammar_reference(value) -> Fraction:
+    """The exact grammar by hand, without a regex: a JSON integer (not a
+    bool), or a string of an optional sign, ASCII digits and optionally a
+    slash and more ASCII digits, not all zero; ValueError with the schema's
+    message otherwise."""
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, float):
+        raise ValueError("floats are not allowed in exact rational data")
+    if not isinstance(value, str):
+        raise ValueError(f"invalid rational: {value!r}")
+    numerator, slash, denominator = value.partition("/")
+    digits = numerator[1:] if numerator[:1] in ("+", "-") else numerator
+    for part in (digits, denominator) if slash else (digits,):
+        if not part or any(c not in "0123456789" for c in part):
+            raise ValueError(f"invalid rational: {value!r}")
+    if slash and not any(c != "0" for c in denominator):
+        raise ValueError(f"invalid rational (zero denominator): {value!r}")
+    return Fraction(int(numerator), int(denominator) if slash else 1)
+
+
+def _by_reference(values, path):
+    """The entries, or the schema errors, that the reference reads."""
     entries, errors = [], []
     for i, value in enumerate(values):
-        if isinstance(value, float):
-            errors.append(f"{path}[{i}]: floats are not allowed in exact rational data")
-            continue
         try:
-            entries.append(rational(value))
+            entries.append(_grammar_reference(value))
         except ValueError as exc:
             errors.append(f"{path}[{i}]: {exc}")
     return entries, errors
@@ -282,18 +301,17 @@ def _entry_by_entry(values, path):
 @settings(derandomize=True, deadline=None, max_examples=300,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(row_entries, min_size=1, max_size=4), row_entries)
-def test_rows_parse_as_rational_does_entry_by_entry(row, bound):
-    """Integer rows take a fast path to integer vectors; any row parses to the
-    same vector, or fails with the same schema errors, as rational() applied
-    to each entry."""
+def test_rows_read_as_the_grammar_reference_reads_them(row, bound):
+    """Rows and bounds parse to the reference's values, with canonical
+    integer forms, or fail with the schema errors it names, entry by entry."""
     problem = {
         "version": "1",
         "constraint": {"type": "polyhedron", "dimension": len(row),
                        "inequalities": {"rows": [row], "bounds": [bound]}},
         "query": {"point": ["0"] * len(row), "regime": "exact"},
     }
-    row_values, row_errors = _entry_by_entry(row, "$.constraint.inequalities.rows[0]")
-    bound_values, bound_errors = _entry_by_entry([bound], "$.constraint.inequalities.bounds")
+    row_values, row_errors = _by_reference(row, "$.constraint.inequalities.rows[0]")
+    bound_values, bound_errors = _by_reference([bound], "$.constraint.inequalities.bounds")
     try:
         polyhedron = parse_problem_dict(problem).polyhedron
     except ProblemFormatError as exc:
