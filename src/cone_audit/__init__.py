@@ -24,7 +24,7 @@ from .errors import (
     VanishingGradientError,
 )
 from .geometry import PolyhedralCone, Polyhedron
-from .linalg import Rational, RationalMatrix, RationalVector, matrix, rational, vector
+from .linalg import RationalMatrix, RationalVector, matrix, rational, vector
 from .lp import LPResult, LPStatus, solve_lp
 from .objectives import (
     AffineRegion,

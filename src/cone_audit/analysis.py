@@ -172,7 +172,7 @@ def _exit_of(verdicts: list[Verdict]) -> int:
 class _Context:
     """One run's decisions, each made once and read by every handler and by
     :class:`_Revalidator`: the arithmetic (``objective``, ``gradient``) and
-    the constraint view (``tangent``, ``second_order_set``).
+    the constraint view (``tangent``; T2(x, v) is its ``tangent_cone_at``).
 
     The float regime computes on tuples of Python floats, and a float
     overflow or invalid value raises ``FloatingPointError`` where evaluator
@@ -191,11 +191,8 @@ class _Context:
         self.polyhedron = problem.polyhedron
         self.mode = "smooth" if self.polyhedron is None else "polyhedral"
 
-    def directions(self) -> list[tuple]:
-        return list(self.problem.query.directions)
-
-    def require_directions(self, command: str) -> list[tuple]:
-        dirs = self.directions()
+    def require_directions(self, command: str) -> tuple[tuple, ...]:
+        dirs = self.problem.query.directions
         if not dirs:
             raise AnalysisError(
                 f"command {command!r} needs at least one direction",
@@ -240,10 +237,6 @@ class _Context:
             )
         return self.problem.fixture.constraint.tangent_cone(self.problem.query.point_floats(), self.tolerance)
 
-    def second_order_set(self, v) -> PolyhedralCone | AffineRegion:
-        """T2(x, v), read off T(x)."""
-        return self.tangent.tangent_cone_at(v)
-
 
 # ---------------------------------------------------------------------------
 # Command handlers
@@ -264,14 +257,14 @@ def _run_cones(ctx: _Context) -> tuple[dict, int]:
     tangent_json = _set_json(tangent, "tangent_region", "tangent_cone", _cone_json)
     if ctx.mode == "smooth":
         entries = [
-            {"direction": _vector_json(v), **_set_json(ctx.second_order_set(v), "region", "cone", _cone_json)}
-            for v in ctx.directions()
+            {"direction": _vector_json(v), **_set_json(tangent.tangent_cone_at(v), "region", "cone", _cone_json)}
+            for v in ctx.problem.query.directions
         ]
         return {"mode": "smooth", **tangent_json, "second_order_tangent_regions": entries}, EXIT_ALL_HOLD
     entries = []
-    for v in ctx.directions():
+    for v in ctx.problem.query.directions:
         direction = _as_rational_vector(v)
-        cone2 = ctx.second_order_set(direction)
+        cone2 = tangent.tangent_cone_at(direction)
         entries.append(
             {
                 "direction": _vector_json(direction),
@@ -628,9 +621,9 @@ class _Revalidator:
 
     def _verify_second_order(self, results: dict) -> None:
         # the echoed directions, which the reproduction check ties to the report's
-        for v, entry in zip(self.ctx.directions(), results.get("directions", [])):
+        for v, entry in zip(self.ctx.problem.query.directions, results.get("directions", [])):
             direction = _as_rational_vector(v)
-            second = self.ctx.second_order_set(direction)
+            second = self.ctx.tangent.tangent_cone_at(direction)
             self._check_linear_condition("c1", entry.get("c1"), second)
             self._check_classical(entry.get("classical"), second, direction)
             c2 = entry.get("c2_at_direction")
@@ -704,10 +697,10 @@ class _Revalidator:
         # exact quadratic data pair the echoed rational z and v exactly
         exact = isinstance(self.ctx.objective, QuadraticObjective)
         candidates = self.ctx.problem.query.z_candidates
-        for v, entry in zip(self.ctx.directions(), results.get("directions", [])):
+        for v, entry in zip(self.ctx.problem.query.directions, results.get("directions", [])):
             condition = entry.get("gradient_condition")
             if condition is not None:
-                second = self.ctx.second_order_set(_as_rational_vector(v))
+                second = self.ctx.tangent.tangent_cone_at(_as_rational_vector(v))
                 self._check_linear_condition("gradient condition", condition, second)
             for z, pairing in zip(candidates, entry.get("pairings", [])):
                 if exact:

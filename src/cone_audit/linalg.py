@@ -28,10 +28,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError
 
-# Scalars are plain stdlib Fractions: always in lowest terms, positive
-# denominator, exact arithmetic.
-Rational = Fraction
-
 # the one exact grammar, of problem files and reports alike
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 

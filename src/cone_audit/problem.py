@@ -76,12 +76,6 @@ class ProblemFile(NamedTuple):
     def __repr__(self) -> str:  # every field but the echoed source document
         return "ProblemFile(" + ", ".join(f"{k}={v!r}" for k, v in zip(self._fields[:-1], self)) + ")"
 
-    @property
-    def dimension(self) -> int:
-        if self.polyhedron is not None:
-            return self.polyhedron.dim
-        return self.fixture.dimension
-
     def smooth_objective(self) -> SmoothObjective | None:
         if self.quadratic is not None:
             return self.quadratic.as_smooth()

@@ -94,6 +94,42 @@ def test_command_mismatch_exit_three(tmp_path, capsys):
     assert "hint" in err
 
 
+_HALF_PLANE = {"type": "polyhedron", "dimension": 2, "inequalities": {"rows": [["-1", "0"]], "bounds": ["0"]}}
+_AT_ORIGIN = {"regime": "exact", "point": ["0", "0"]}
+
+
+@pytest.mark.parametrize(
+    "command, constraint, objective, query, line",
+    [
+        ("second-order", _HALF_PLANE, None, {**_AT_ORIGIN, "directions": [["0", "1"]]},
+         "error: this command needs an objective (hint: add an objective block (quadratic data or a fixture name))"),
+        ("qp", {"type": "fixture", "name": "ex32"}, {"type": "quadratic", "matrix": [["1", "0"], ["0", "1"]]},
+         {"regime": "exact", "point": ["-1", "0"]},
+         "error: the qp command needs a polyhedral constraint set (hint: use constraint.type = 'polyhedron')"),
+        ("ssd", {"type": "fixture", "name": "ex41"}, None, {"regime": "float", "point": [0.0], "directions": [[1.0]]},
+         "error: the ssd command needs candidate z values (hint: add query.z_candidates to the problem file)"),
+        ("qp", {"type": "fixture", "name": "ex41", "dimension": 1}, None, {"regime": "float"},
+         "schema error: $.constraint.dimension: not allowed for a fixture constraint"),
+        ("qp", {"type": "fixture", "name": "ex41"}, {"type": "fixture", "name": "ex31"}, {"regime": "float"},
+         "schema error: $.objective.name: objective fixture differs from constraint fixture"),
+        ("qp", _HALF_PLANE, {"type": "fixture", "name": "ex41"}, _AT_ORIGIN,
+         "schema error: $.objective.name: fixture dimension 1 does not match constraint dimension 2"),
+        ("qp", _HALF_PLANE, {"type": "quadratic", "matrix": [["1", "0"]]}, _AT_ORIGIN,
+         "schema error: $.objective.matrix: must be square"),
+    ],
+    ids=["no-objective", "qp-on-a-level-set", "ssd-without-z", "fixture-with-dimension",
+         "two-fixtures", "fixture-dimension", "non-square-matrix"],
+)
+def test_usage_and_schema_errors_exit_three_with_one_line(tmp_path, capsys, command, constraint, objective, query, line):
+    problem = {"version": "1", "constraint": constraint, "query": query}
+    if objective is not None:
+        problem["objective"] = objective
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(problem))
+    code, _, err = run_cli(capsys, command, "--input", str(path))
+    assert (code, err.splitlines()) == (3, [line])
+
+
 def test_missing_file_exit_three(capsys):
     code, _, err = run_cli(capsys, "qp", "--input", "/nonexistent/x.json")
     assert code == 3

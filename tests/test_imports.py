@@ -7,6 +7,9 @@ it appears anywhere in the module, annotations included (a string
 annotation is parsed as the expression it names).  ``__init__.py`` is left
 out: its imports are the package's exports.
 
+Across the package, every private name a module defines at its top level
+is read somewhere in ``src/``: a helper only tests call is dead code.
+
 The float regime computes on tuples of Python floats and ``math``, so no
 module imports numpy anywhere, and every command, exact or float, runs in a
 fresh interpreter without loading it; tests and the benchmark keep numpy for
@@ -76,6 +79,38 @@ def test_every_import_is_read(path):
     read = _read(tree)
     unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items() if name not in read)
     assert not unused, f"{os.path.basename(path)} imports names it never reads: {', '.join(unused)}"
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, line) of each private function, class or constant the module
+    binds at its top level; dunder names are left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def test_every_private_definition_is_read_in_the_package():
+    """A private helper that only tests call is dead code of the package."""
+    trees = {}
+    for path in SOURCES:
+        with open(path, encoding="utf-8") as handle:
+            trees[os.path.basename(path)] = ast.parse(handle.read(), filename=path)
+    read = set().union(*map(_read, trees.values()))
+    unread = sorted(
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree)
+        if name not in read
+    )
+    assert not unread, f"private names the package never reads: {', '.join(unread)}"
 
 
 def _top_level_modules(path) -> set[str]:

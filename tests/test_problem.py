@@ -32,7 +32,7 @@ def orthant_qp_text():
 
 def test_minimal_orthant_qp_file():
     problem = parse_problem(orthant_qp_text())
-    assert problem.dimension == 2
+    assert problem.polyhedron.dim == 2
     assert problem.polyhedron.ineq_matrix.nrows == 2
     assert problem.quadratic is not None
     assert problem.query.point_rational().entries == (Fraction(0), Fraction(0))
