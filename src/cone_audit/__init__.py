@@ -57,7 +57,6 @@ from .optimality import (
 )
 from .ssd import (
     HypothesisReport,
-    LogMesh,
     MembershipVerdict,
     estimate_calmness,
     ssd_hessian_closed_form,

@@ -35,7 +35,7 @@ from .optimality import (
 from .problem import ProblemFile, parse_problem_dict
 from .ssd import (
     DEFAULT_MEMBERSHIP_TOL,
-    LogMesh,
+    MESH_SPEC,
     _membership_quotient,
     estimate_calmness,
     ssd_hessian_closed_form,
@@ -178,7 +178,7 @@ class _Context:
     overflow or invalid value raises ``FloatingPointError`` where evaluator
     outputs, pairings and Hessian actions enter (:mod:`.objectives`)."""
 
-    def __init__(self, problem: ProblemFile, tolerance: float | None, mesh: LogMesh | None):
+    def __init__(self, problem: ProblemFile, tolerance: float | None):
         self.problem = problem
         self.tolerance_override = tolerance
         self.regime = problem.query.regime
@@ -187,7 +187,6 @@ class _Context:
             tolerance if tolerance is not None else problem.query.tolerance
         )
         self.ssd_tolerance = tolerance if tolerance is not None else DEFAULT_MEMBERSHIP_TOL
-        self.mesh = mesh or LogMesh()
         self.polyhedron = problem.polyhedron
         self.mode = "smooth" if self.polyhedron is None else "polyhedral"
 
@@ -375,7 +374,7 @@ def _run_ssd(ctx: _Context) -> tuple[dict, int]:
         for v in directions:
             for z in candidates:
                 verdict = ssd_membership(
-                    objective, float(point[0]), float(v[0]), float(z[0]), ctx.mesh, ctx.ssd_tolerance
+                    objective, float(point[0]), float(v[0]), float(z[0]), ctx.ssd_tolerance
                 )
                 queries.append(
                     {
@@ -404,11 +403,6 @@ def _run_ssd(ctx: _Context) -> tuple[dict, int]:
         }
         return results, exit_code
 
-    if objective.hessian is None:
-        raise AnalysisError(
-            "ssd membership in dimension > 1 needs a Hessian (closed form)",
-            hint="only 1-D objectives support the mesh oracle",
-        )
     directions = ctx.require_directions("ssd")
     actions = []
     for v in directions:
@@ -491,7 +485,7 @@ def _report(ctx: _Context, command: str) -> dict:
             "tolerance": ctx.tolerance,
             "ssd_tolerance": ctx.ssd_tolerance,
             "tolerance_override": ctx.tolerance_override,
-            "mesh": f"{ctx.mesh.exponent_start}:{ctx.mesh.exponent_stop}:{ctx.mesh.exponent_step}",
+            "mesh": MESH_SPEC,
         },
         "problem": ctx.problem.source,
         "results": results,
@@ -505,11 +499,10 @@ def run_analysis(
     command: str,
     *,
     tolerance: float | None = None,
-    mesh: LogMesh | None = None,
 ) -> dict:
     """Run one command over a validated problem and return the report
     document.  A float overflow or invalid value raises ``FloatingPointError``."""
-    return _report(_Context(problem, tolerance, mesh), command)
+    return _report(_Context(problem, tolerance), command)
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +518,7 @@ class _Revalidator:
         self.report = report
         self.checks: list[dict] = []
         config = report.get("configuration", {})
-        self.ctx = _Context(
-            parse_problem_dict(report["problem"]),
-            config.get("tolerance_override"),
-            LogMesh.parse(config.get("mesh", "1.0:8.0:0.5")),
-        )
+        self.ctx = _Context(parse_problem_dict(report["problem"]), config.get("tolerance_override"))
 
     def add(self, label: str, ok: bool, detail: str = "") -> None:
         self.checks.append({"check": label, "ok": bool(ok), "detail": detail})

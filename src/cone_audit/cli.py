@@ -1,7 +1,6 @@
 """Command-line front end.
 
-    cone-audit <command> --input FILE [--format human|json]
-                         [--tolerance T] [--mesh SPEC]
+    cone-audit <command> --input FILE [--format human|json] [--tolerance T]
 
 Commands: cones, first-order, second-order, qp, ssd, theorem41, verify.
 Exit codes: 0 all checked conditions hold, 1 some condition fails, 3 on
@@ -19,7 +18,6 @@ import sys
 from .analysis import COMMANDS, EXIT_ERROR, revalidate_report, run_analysis
 from .errors import ConeAuditError, ProblemFormatError
 from .problem import parse_problem
-from .ssd import LogMesh
 
 
 class _UsageError(Exception):
@@ -59,8 +57,6 @@ _PARSER.add_argument("--input", required=True, help="problem file (JSON); for 'v
 _PARSER.add_argument("--format", choices=("human", "json"), default="human")
 _PARSER.add_argument("--tolerance", type=_tolerance, default=None,
                      help="override the verdict tolerance (float regime / ssd oracle)")
-_PARSER.add_argument("--mesh", default=None,
-                     help="ssd probe mesh as start:stop:step exponents (default 1:8:0.5)")
 
 
 def main(argv=None) -> int:
@@ -78,14 +74,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return _run_verify(text, args)
-        problem = parse_problem(text)
-        mesh = LogMesh.parse(args.mesh) if args.mesh else None
-        report = run_analysis(
-            problem,
-            args.command,
-            tolerance=args.tolerance,
-            mesh=mesh,
-        )
+        report = run_analysis(parse_problem(text), args.command, tolerance=args.tolerance)
     except ProblemFormatError as exc:
         for line in exc.errors:
             print(f"schema error: {line}", file=sys.stderr)
@@ -175,8 +164,6 @@ def _render_json(obj, indent: str = "\n") -> str:
 
 
 def _fmt_vec(values) -> str:
-    if values is None:
-        return "-"
     return "(" + ", ".join(str(v) for v in values) + ")"
 
 

@@ -257,9 +257,6 @@ class RationalMatrix:
     def as_float_rows(self) -> list[list[float]]:
         return [[float(a) for a in r] for r in self.rows]
 
-    def __iter__(self) -> Iterator[RationalVector]:
-        return iter(self.rows)
-
     def __repr__(self) -> str:
         return "[" + "; ".join(repr(r) for r in self.rows) + "]"
 

@@ -8,10 +8,11 @@ action at a base point in direction v exactly when
                         / (||x-base|| + ||grad f(x) - grad f(base)||)  <=  0.
 
 A true limsup cannot be computed from finitely many samples, so the oracle
-approximates it by the maximum quotient over a logarithmic mesh of probe
-points and judges the tail (deltas below a threshold) against a verdict
-tolerance.  The mesh and tolerance are part of the contract, are
-CLI-configurable, and are tested against ex41's closed form [-v, 0] (v >= 0),
+approximates it by the maximum quotient over a mesh of probe points
+base +- delta, delta in :data:`TAIL_DELTAS` = 10^-4, 10^-4.5, ..., 10^-8,
+and judges that maximum against a verdict tolerance.  The mesh is fixed:
+coarser offsets never entered a verdict.  Mesh and tolerance are part of
+the contract, and are tested against ex41's closed form [-v, 0] (v >= 0),
 which the ``ssd`` report writes out for that fixture.  The correction term
 <grad f(base), v> vanishes at critical base points and is always included so
 the oracle stays usable elsewhere.
@@ -24,7 +25,6 @@ closed form.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -51,58 +51,11 @@ from .optimality import (
 )
 
 DEFAULT_MEMBERSHIP_TOL = 1e-6
-# probe offsets at or below this form the tail the verdict is taken over
-TAIL_THRESHOLD = 1e-4
-# bounds the oracle's work per query; the default mesh has 15 offsets
-MAX_MESH_OFFSETS = 1000
-
-
-class _MeshExponents(NamedTuple):  # a NamedTuple cannot override __new__ itself
-    exponent_start: float
-    exponent_stop: float
-    exponent_step: float
-
-
-class LogMesh(_MeshExponents):
-    """Probe offsets 10^-e for e = start, start+step, ..., stop.
-
-    Offsets at or below :data:`TAIL_THRESHOLD` form the tail over which the
-    limsup surrogate (a maximum) is taken; coarser offsets only document
-    the configured range.
-    """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace validates too
-
-    def __new__(cls, exponent_start: float = 1.0, exponent_stop: float = 8.0, exponent_step: float = 0.5):
-        start, stop, step = exponent_start, exponent_stop, exponent_step
-        # finite, and 10^-e a normal float
-        if not (-300 <= start <= stop <= 300 and 0 < step < math.inf):
-            raise ValueError("mesh exponents must lie in [-300, 300] and increase with a positive step")
-        # a step too small to move an exponent would never end the mesh
-        if (stop - start) / step >= MAX_MESH_OFFSETS or start + step == start or stop + step == stop:
-            raise ValueError(f"a mesh may have at most {MAX_MESH_OFFSETS} offsets")
-        return super().__new__(cls, start, stop, step)
-
-    def deltas(self) -> list[float]:
-        out = []
-        e = self.exponent_start
-        while e <= self.exponent_stop + 1e-12:
-            out.append(10.0 ** (-e))
-            e += self.exponent_step
-        return out
-
-    def tail_deltas(self) -> list[float]:
-        return [d for d in self.deltas() if d <= TAIL_THRESHOLD * (1 + 1e-12)]
-
-    @classmethod
-    def parse(cls, spec: str) -> "LogMesh":
-        """Parse "start:stop:step" as used by the CLI --mesh flag."""
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"mesh spec must be start:stop:step, got {spec!r}")
-        start, stop, step = (float(p) for p in parts)
-        return cls(exponent_start=start, exponent_stop=stop, exponent_step=step)
+# the probe offsets 10^-e, e = 4, 4.5, ..., 8; each e is exact in binary
+TAIL_DELTAS = tuple(10.0 ** (-k / 2) for k in range(8, 17))
+# a report's configuration.mesh: the exponents start:stop:step of a range
+# whose offsets above TAIL_DELTAS enter no verdict
+MESH_SPEC = "1.0:8.0:0.5"
 
 
 class MembershipVerdict(NamedTuple):
@@ -124,7 +77,6 @@ def ssd_membership(
     base: float,
     direction: float,
     candidate: float,
-    mesh: LogMesh | None = None,
     tolerance: float = DEFAULT_MEMBERSHIP_TOL,
 ) -> MembershipVerdict:
     """Mesh oracle for the membership quotient of ``candidate`` at ``base``
@@ -139,11 +91,10 @@ def ssd_membership(
             "the mesh oracle supports dimension one only; use the Hessian "
             "closed form for higher dimensions"
         )
-    mesh = mesh or LogMesh()
     grad_base = _gradient_1d(objective, base)
     worst = float("-inf")
     attaining = None
-    for delta in mesh.tail_deltas():
+    for delta in TAIL_DELTAS:
         for x in (base + delta, base - delta):
             quotient = _membership_quotient(objective, base, direction, candidate, x, grad_base)
             if quotient is None:

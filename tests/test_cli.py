@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cone_audit import geometry, lp, objectives, optimality
+from cone_audit import cli, geometry, lp, objectives, optimality
 from cone_audit.analysis import revalidate_report, run_analysis
 from cone_audit.cli import _render_json, main
 from cone_audit.linalg import RationalMatrix, RationalVector
@@ -1648,21 +1649,42 @@ def test_tolerance_flag_takes_finite_nonnegative_values(tmp_path, capsys):
     assert code == 0, err
 
 
-def test_unbounded_meshes_exit_three(tmp_path, capsys):
-    """A mesh with a non-finite exponent or too many offsets is rejected, on
-    the command line and in a report that `verify` re-runs."""
-    path = _ex41_ssd_problem(tmp_path)
-    code, out, err = run_cli(capsys, "ssd", "--input", path, "--format", "json")
+def test_mesh_is_not_an_option(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "ssd", "--input", _ex41_ssd_problem(tmp_path), "--mesh", "1:8:0.5")
+    assert (code, out) == (3, "") and "error: unrecognized arguments: --mesh 1:8:0.5" in err
+
+
+def test_verify_of_an_edited_mesh_fails_reproduction(tmp_path, capsys):
+    """The probe grid is fixed, so a report whose ``configuration.mesh`` was
+    edited no longer reproduces: `verify` exits 1 with that check failing."""
+    code, out, err = run_cli(capsys, "ssd", "--input", _ex41_ssd_problem(tmp_path), "--format", "json")
     assert code == 0, err
     report = json.loads(out)
-    for spec in ("1:inf:0.5", "nan:8:0.5", "-400:-399:0.5", "1:8:0", "1:200:0.1", "5:5:1e-300"):
-        code, _, err = run_cli(capsys, "ssd", "--input", path, f"--mesh={spec}")
-        assert code == 3 and err.startswith("error: "), spec
-        report["configuration"]["mesh"] = spec
-        report_path = tmp_path / "report.json"
+    assert report["configuration"]["mesh"] == "1.0:8.0:0.5"
+    report_path = tmp_path / "report.json"
+    for mesh in ("1.0:8.0:1.0", "1:inf:0.5", "nan:8:0.5", "5:5:1e-300", "", None, 7, ["1", "8", "0.5"]):
+        report["configuration"]["mesh"] = mesh
         report_path.write_text(json.dumps(report))
-        code, _, err = run_cli(capsys, "verify", "--input", str(report_path))
-        assert code == 3 and err.startswith("not a usable report document"), spec
+        code, out, err = run_cli(capsys, "verify", "--input", str(report_path), "--format", "json")
+        assert (code, err) == (1, ""), mesh
+        checks = {check["check"]: check["ok"] for check in json.loads(out)["checks"]}
+        assert checks.pop("deterministic reproduction") is False and all(checks.values()), mesh
+
+
+def test_documented_usage_names_exactly_the_parser_options():
+    """README's usage block and the cli docstring's usage line name the
+    parser's positional and every option it defines, and nothing else."""
+    (positional,) = [a.dest for a in cli._PARSER._actions if not a.option_strings]
+    options = {s for a in cli._PARSER._actions if a.dest != "help" for s in a.option_strings}
+    head = f"cone-audit <{positional}>"
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as handle:
+        readme = handle.read()
+    usages = {
+        "README": readme.partition("```sh\n" + head)[2].partition("```")[0],
+        "cli docstring": cli.__doc__.partition(head)[2].partition("\n\n")[0],
+    }
+    for where, usage in usages.items():
+        assert usage and set(re.findall(r"--[a-z][a-z-]*", usage)) == options, where
 
 
 @pytest.mark.parametrize("command", ["qp", "verify"])

@@ -14,7 +14,7 @@ from cone_audit.objectives import QuadraticObjective, SmoothObjective, fixture
 from cone_audit.optimality import Verdict, theorem33_check
 from cone_audit.problem import parse_problem_dict
 from cone_audit.ssd import (
-    LogMesh,
+    TAIL_DELTAS,
     _van_der_corput,
     estimate_calmness,
     ssd_hessian_closed_form,
@@ -29,28 +29,11 @@ def ex41_objective():
     return fixture("ex41").objective
 
 
-def test_log_mesh():
-    mesh = LogMesh()
-    deltas = mesh.deltas()
-    assert len(deltas) == 15
-    assert math.isclose(deltas[0], 0.1) and math.isclose(deltas[-1], 1e-8)
-    assert len(mesh.tail_deltas()) == 9
-    parsed = LogMesh.parse("2:6:1")
-    assert len(parsed.deltas()) == 5
-    with pytest.raises(ValueError):
-        LogMesh.parse("2:6")
-    with pytest.raises(ValueError):
-        LogMesh(exponent_start=3, exponent_stop=1)
-    for bad in ((math.nan, 8, 0.5), (1, math.inf, 0.5), (-400, 1, 0.5), (1, 8, 0), (1, 8, -1), (1, 200, 0.1)):
-        with pytest.raises(ValueError):
-            LogMesh(*bad)
-    assert mesh == LogMesh(1.0, 8.0, 0.5) and hash(mesh) == hash(LogMesh())
-    assert mesh._replace(exponent_step=1.0).deltas() == LogMesh(1, 8, 1).deltas()
-    with pytest.raises(ValueError):
-        mesh._replace(exponent_step=0)
-    for name in ("exponent_step", "extra"):
-        with pytest.raises(AttributeError):
-            setattr(mesh, name, 1.0)
+def test_tail_deltas_are_the_nine_fixed_offsets():
+    assert TAIL_DELTAS == (
+        10.0 ** -4.0, 10.0 ** -4.5, 10.0 ** -5.0, 10.0 ** -5.5, 10.0 ** -6.0,
+        10.0 ** -6.5, 10.0 ** -7.0, 10.0 ** -7.5, 10.0 ** -8.0,
+    )
 
 
 def test_membership_example_values():
