@@ -35,7 +35,6 @@ from .optimality import (
 from .problem import ProblemFile, parse_problem_dict
 from .ssd import (
     DEFAULT_MEMBERSHIP_TOL,
-    MESH_SPEC,
     _membership_quotient,
     estimate_calmness,
     ssd_hessian_closed_form,
@@ -186,7 +185,6 @@ class _Context:
         self.tolerance = 0.0 if self.exact else (
             tolerance if tolerance is not None else problem.query.tolerance
         )
-        self.ssd_tolerance = tolerance if tolerance is not None else DEFAULT_MEMBERSHIP_TOL
         self.polyhedron = problem.polyhedron
         self.mode = "smooth" if self.polyhedron is None else "polyhedral"
 
@@ -370,12 +368,12 @@ def _run_ssd(ctx: _Context) -> tuple[dict, int]:
                 "the ssd command needs candidate z values",
                 hint="add query.z_candidates to the problem file",
             )
+        override = ctx.tolerance_override
+        tolerance = override if override is not None else DEFAULT_MEMBERSHIP_TOL
         queries = []
         for v in directions:
             for z in candidates:
-                verdict = ssd_membership(
-                    objective, float(point[0]), float(v[0]), float(z[0]), ctx.ssd_tolerance
-                )
+                verdict = ssd_membership(objective, float(point[0]), float(v[0]), float(z[0]), tolerance)
                 queries.append(
                     {
                         "direction": float(v[0]),
@@ -483,9 +481,7 @@ def _report(ctx: _Context, command: str) -> dict:
         "configuration": {
             "regime": ctx.regime,
             "tolerance": ctx.tolerance,
-            "ssd_tolerance": ctx.ssd_tolerance,
             "tolerance_override": ctx.tolerance_override,
-            "mesh": MESH_SPEC,
         },
         "problem": ctx.problem.source,
         "results": results,

@@ -53,9 +53,6 @@ from .optimality import (
 DEFAULT_MEMBERSHIP_TOL = 1e-6
 # the probe offsets 10^-e, e = 4, 4.5, ..., 8; each e is exact in binary
 TAIL_DELTAS = tuple(10.0 ** (-k / 2) for k in range(8, 17))
-# a report's configuration.mesh: the exponents start:stop:step of a range
-# whose offsets above TAIL_DELTAS enter no verdict
-MESH_SPEC = "1.0:8.0:0.5"
 
 
 class MembershipVerdict(NamedTuple):

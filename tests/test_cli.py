@@ -917,8 +917,7 @@ def test_verify_of_a_zero_tolerance_level_set_report_exits_three(tmp_path, capsy
     versions wrote it, cannot be re-run."""
     report = {
         "command": "first-order",
-        "configuration": {"mesh": "1.0:8.0:0.5", "regime": "exact", "ssd_tolerance": 1e-06,
-                          "tolerance": 0.0, "tolerance_override": None},
+        "configuration": {"regime": "exact", "tolerance": 0.0, "tolerance_override": None},
         "exit_code": 1,
         "problem": _ex32_at_one_third("exact"),
         "results": {
@@ -1655,20 +1654,22 @@ def test_mesh_is_not_an_option(tmp_path, capsys):
 
 
 def test_verify_of_an_edited_mesh_fails_reproduction(tmp_path, capsys):
-    """The probe grid is fixed, so a report whose ``configuration.mesh`` was
-    edited no longer reproduces: `verify` exits 1 with that check failing."""
+    """A report's configuration holds the regime and the tolerances only, so
+    a report with a ``configuration.mesh`` or ``configuration.ssd_tolerance``
+    added, as earlier versions wrote them, no longer reproduces: `verify`
+    exits 1 with that check failing."""
     code, out, err = run_cli(capsys, "ssd", "--input", _ex41_ssd_problem(tmp_path), "--format", "json")
     assert code == 0, err
     report = json.loads(out)
-    assert report["configuration"]["mesh"] == "1.0:8.0:0.5"
+    assert report["configuration"] == {"regime": "float", "tolerance": 1e-9, "tolerance_override": None}
     report_path = tmp_path / "report.json"
-    for mesh in ("1.0:8.0:1.0", "1:inf:0.5", "nan:8:0.5", "5:5:1e-300", "", None, 7, ["1", "8", "0.5"]):
-        report["configuration"]["mesh"] = mesh
-        report_path.write_text(json.dumps(report))
+    for key, value in (("mesh", "1.0:8.0:0.5"), ("mesh", None), ("ssd_tolerance", 1e-06)):
+        edited = {**report, "configuration": {**report["configuration"], key: value}}
+        report_path.write_text(json.dumps(edited))
         code, out, err = run_cli(capsys, "verify", "--input", str(report_path), "--format", "json")
-        assert (code, err) == (1, ""), mesh
+        assert (code, err) == (1, ""), key
         checks = {check["check"]: check["ok"] for check in json.loads(out)["checks"]}
-        assert checks.pop("deterministic reproduction") is False and all(checks.values()), mesh
+        assert checks.pop("deterministic reproduction") is False and all(checks.values()), key
 
 
 def test_documented_usage_names_exactly_the_parser_options():
