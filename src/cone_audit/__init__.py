@@ -5,8 +5,8 @@ arithmetic, computes their contingent cones, second-order tangent sets and
 normal cones in closed form, and verifies first-order and second-order
 necessary optimality conditions at user-supplied candidate points, with
 witnesses and certificates.  A float regime with explicit tolerances covers
-single smooth level-set constraints and the second-order subdifferential
-membership oracle.
+single smooth level-set constraints; the second-order subdifferential of a
+one-dimensional objective is decided exactly from its one-sided slopes.
 """
 
 from ._version import __version__

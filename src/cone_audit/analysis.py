@@ -13,6 +13,7 @@ from __future__ import annotations
 import datetime
 import decimal
 import functools
+import itertools
 from fractions import Fraction
 
 from ._version import __version__ as _version
@@ -33,19 +34,9 @@ from .optimality import (
     theorem33_check,
 )
 from .problem import ProblemFile, parse_problem_dict
-from .ssd import (
-    DEFAULT_MEMBERSHIP_TOL,
-    _membership_quotient,
-    estimate_calmness,
-    ssd_hessian_closed_form,
-    ssd_membership,
-    theorem41_check,
-)
+from .ssd import _contains, estimate_calmness, ssd_hessian_closed_form, ssd_interval, ssd_membership, theorem41_check
 
 COMMANDS = ("cones", "first-order", "second-order", "qp", "ssd", "theorem41")
-
-CALMNESS_RADIUS = 0.5
-CALMNESS_SAMPLES = 512
 
 EXIT_ALL_HOLD = 0
 EXIT_SOME_FAIL = 1
@@ -198,7 +189,8 @@ class _Context:
         return dirs
 
     def smooth_objective(self) -> SmoothObjective:
-        """The float evaluators: of the quadratic data, or of the fixture."""
+        """The float evaluators, with a 1-D objective's exact slopes: of the
+        quadratic data, or of the fixture."""
         obj = self.problem.smooth_objective()
         if obj is None:
             raise AnalysisError(
@@ -213,6 +205,12 @@ class _Context:
         if self.exact and self.problem.quadratic is not None:
             return self.problem.quadratic
         return self.smooth_objective()
+
+    @property
+    def membership_tolerance(self) -> float:
+        """How far a candidate may lie off an ``ssd`` set: 0 in the exact
+        regime, where a 1-D set is decided exactly."""
+        return 0.0 if self.exact else max(self.tolerance, DEFAULT_FLOAT_TOL)
 
     @functools.cached_property
     def gradient(self):
@@ -357,51 +355,34 @@ def _run_qp(ctx: _Context) -> tuple[dict, int]:
 
 def _run_ssd(ctx: _Context) -> tuple[dict, int]:
     objective = ctx.smooth_objective()
-    point = ctx.problem.query.point_floats()
-    results: dict = {}
+    directions = ctx.require_directions("ssd")
     exit_code = EXIT_ALL_HOLD
     if objective.dimension == 1:
-        directions = ctx.require_directions("ssd")
         candidates = ctx.problem.query.z_candidates
         if not candidates:
             raise AnalysisError(
                 "the ssd command needs candidate z values",
                 hint="add query.z_candidates to the problem file",
             )
-        override = ctx.tolerance_override
-        tolerance = override if override is not None else DEFAULT_MEMBERSHIP_TOL
-        queries = []
-        for v in directions:
-            for z in candidates:
-                verdict = ssd_membership(objective, float(point[0]), float(v[0]), float(z[0]), tolerance)
-                queries.append(
-                    {
-                        "direction": float(v[0]),
-                        "candidate": float(z[0]),
-                        "verdict": verdict.verdict,
-                        "worst_quotient": verdict.worst_quotient,
-                        "attaining_sample": verdict.attaining_sample,
-                    }
-                )
+        (point,) = ctx.problem.query.point
+        queries, intervals = [], []
+        for (v,) in directions:
+            interval = ssd_interval(objective, point, v)
+            if interval is not None:
+                intervals.append({"direction": float(v), "interval": list(map(str, interval))})
+            for (z,) in candidates:
+                verdict = ssd_membership(objective, point, v, z, ctx.membership_tolerance)
+                queries.append({"direction": float(v), "candidate": float(z), "verdict": verdict.verdict})
                 if not verdict.member:
                     exit_code = EXIT_SOME_FAIL
-        results["memberships"] = queries
-        if ctx.problem.fixture is not None and ctx.problem.fixture.name == "ex41":
-            # ex41's second-order subdifferential at 0 is [-v, 0] for v >= 0;
-            # it is empty at v < 0, which the memberships above report
-            results["closed_form_intervals"] = [
-                {"direction": v, "interval": [str(-Fraction(v)), "0"]}
-                for v in (float(direction[0]) for direction in directions)
-                if v >= 0
-            ]
-        results["calmness"] = {
-            "modulus": estimate_calmness(objective, point, CALMNESS_RADIUS, CALMNESS_SAMPLES),
-            "radius": CALMNESS_RADIUS,
-            "sample_count": CALMNESS_SAMPLES,
-        }
-        return results, exit_code
+        calmness = estimate_calmness(objective, ctx.problem.query.point)
+        return {
+            "memberships": queries,
+            "closed_form_intervals": intervals,
+            "calmness": {"modulus": _value_json(calmness)},
+        }, exit_code
 
-    directions = ctx.require_directions("ssd")
+    point = ctx.problem.query.point_floats()
     actions = []
     for v in directions:
         action = ssd_hessian_closed_form(objective, point, v)
@@ -418,8 +399,7 @@ def _run_ssd(ctx: _Context) -> tuple[dict, int]:
                     exit_code = EXIT_SOME_FAIL
             entry["candidates"] = comparisons
         actions.append(entry)
-    results["hessian_actions"] = actions
-    return results, exit_code
+    return {"hessian_actions": actions}, exit_code
 
 
 def _run_theorem41(ctx: _Context) -> tuple[dict, int]:
@@ -701,17 +681,20 @@ class _Revalidator:
                 )
 
     def _verify_ssd(self, results: dict) -> None:
-        objective = self.ctx.smooth_objective()
-        for entry in results.get("memberships", []):
-            base = self.ctx.problem.query.point_floats()[0]
-            grad_base = objective.gradient_at([base])[0]
-            quotient = _membership_quotient(
-                objective, base, entry["direction"], entry["candidate"], entry["attaining_sample"], grad_base
-            )
+        # each membership against the interval the report wrote for its
+        # direction, exactly; a direction with none written has an empty set
+        intervals = {
+            entry["direction"]: _as_rational_vector(entry["interval"]).entries
+            for entry in results.get("closed_form_intervals", [])
+        }
+        query = self.ctx.problem.query
+        pairs = itertools.product(query.directions, query.z_candidates)
+        for ((v,), (z,)), entry in zip(pairs, results.get("memberships", [])):
+            member = _contains(intervals.get(float(v)), z, self.ctx.membership_tolerance)
             self.add(
-                "ssd: attaining sample reproduces the worst quotient",
-                quotient is not None and abs(quotient - entry["worst_quotient"]) <= 1e-12,
-                "zero denominator" if quotient is None else f"quotient = {quotient:.6g}",
+                "ssd: verdict matches the written interval",
+                entry["verdict"] == ("Member" if member else "NotMember"),
+                f"z = {_detail(z)}, v = {_detail(v)}",
             )
 
 

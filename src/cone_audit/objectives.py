@@ -129,21 +129,34 @@ class QuadraticObjective(_QuadraticData):
         return self.quadratic_form(v)
 
     def as_smooth(self) -> "SmoothObjective":
+        """The float evaluators, and in 1-D the exact slopes (M, M)."""
         m = self.matrix.as_float_rows()
         q = self.linear.as_floats()
+        slope = self.matrix.entry(0, 0)
         return SmoothObjective(
             dimension=self.dim,
             gradient=lambda x: [_dot(row, x) + b for row, b in zip(m, q)],
             hessian=lambda x: m,
+            slopes=(lambda x: (slope, slope)) if self.dim == 1 else None,
         )
 
 
 class SmoothObjective(NamedTuple):
-    """Black-box C1 (optionally C2) objective with float evaluators."""
+    """Black-box C1 (optionally C2) objective with float evaluators; a 1-D
+    one may also give the exact one-sided slopes of f' at a point."""
 
     dimension: int
     gradient: Callable[[Floats], Floats]
     hessian: Callable[[Floats], tuple[Floats, ...]] | None = None
+    slopes: Callable[[Fraction], tuple[Fraction, Fraction]] | None = None
+
+    def one_sided_slopes(self, x) -> tuple[Fraction, Fraction]:
+        """(a, b), the derivatives of f' from the left and from the right at
+        the 1-D point x, exact at x's exact value (a float's binary64 value)."""
+        if self.slopes is None:
+            raise ValueError("the one-sided slopes need a 1-D objective with a slope evaluator")
+        (point,) = x
+        return self.slopes(Fraction(point))
 
     def gradient_at(self, x) -> Floats:
         grad = _finite(self.gradient(_point(x, self.dimension)), "the gradient evaluator")
@@ -309,11 +322,8 @@ class ExampleFixture(NamedTuple):
 
 
 def _ex31() -> ExampleFixture:
-    objective = SmoothObjective(
-        dimension=2,
-        gradient=lambda x: (-4.0 * x[0], -2.0 * x[1]),
-        hessian=lambda x: ((-4.0, 0.0), (0.0, -2.0)),
-    )
+    # -2 x^2 - y^2
+    objective = QuadraticObjective(RationalMatrix([[-4, 0], [0, -2]]), RationalVector([0, 0])).as_smooth()
     constraint = SmoothLevelSetConstraint(
         kind=ConstraintKind.INEQUALITY,
         dimension=2,
@@ -334,11 +344,8 @@ def _ex31() -> ExampleFixture:
 
 
 def _ex32() -> ExampleFixture:
-    objective = SmoothObjective(
-        dimension=2,
-        gradient=lambda x: (-2.0 * x[0], -2.0 * x[1]),
-        hessian=lambda x: ((-2.0, 0.0), (0.0, -2.0)),
-    )
+    # -x^2 - y^2
+    objective = QuadraticObjective(RationalMatrix([[-2, 0], [0, -2]]), RationalVector([0, 0])).as_smooth()
     constraint = SmoothLevelSetConstraint(
         kind=ConstraintKind.EQUALITY,
         dimension=2,
@@ -362,12 +369,17 @@ def _ex41_gradient(x: float) -> float:
     return -x if x <= 0.0 else x * x
 
 
+def _ex41_slopes(x: Fraction) -> tuple[Fraction, Fraction]:
+    """f'' from the left and from the right: -1 on x < 0, 2x on x > 0."""
+    return (Fraction(-1) if x <= 0 else 2 * x), (Fraction(-1) if x < 0 else 2 * x)
+
+
 def _ex41() -> ExampleFixture:
     # C1 but not C2 at the origin: gradient -x on the left, x^2 on the right.
     objective = SmoothObjective(
         dimension=1,
         gradient=lambda x: (_ex41_gradient(x[0]),),
-        hessian=None,
+        slopes=_ex41_slopes,
     )
     halfline = Polyhedron(
         1,

@@ -1,26 +1,20 @@
-"""Numerical membership oracle for the second-order subdifferential of the
-gradient map, calmness estimation, and the combined hypothesis checker.
+"""The Fréchet second-order subdifferential of a 1-D objective, the calmness
+modulus of its derivative, and the combined hypothesis checker.
 
-For a C1 objective f, a candidate z belongs to the generalized second-order
-action at a base point in direction v exactly when
+Let f be C1 in one variable, and let f' have the one-sided derivatives a
+(from the left) and b (from the right) at the base point.  Near it the graph
+of f' has the contingent cone {(u, a u) : u <= 0} u {(u, b u) : u >= 0}, and
+the Fréchet normal cone is its polar (Rockafellar & Wets, *Variational
+Analysis*, 1998, ch. 6).  So z lies in the second-order subdifferential in
+direction v, (z, -v) a Fréchet normal, exactly when
 
-    limsup_{x -> base}  [<z, x-base> - <grad f(x), v> + <grad f(base), v>]
-                        / (||x-base|| + ||grad f(x) - grad f(base)||)  <=  0.
+    a v <= z <= b v,
 
-A true limsup cannot be computed from finitely many samples, so the oracle
-approximates it by the maximum quotient over a mesh of probe points
-base +- delta, delta in :data:`TAIL_DELTAS` = 10^-4, 10^-4.5, ..., 10^-8,
-and judges that maximum against a verdict tolerance.  The mesh is fixed:
-coarser offsets never entered a verdict.  Mesh and tolerance are part of
-the contract, and are tested against ex41's closed form [-v, 0] (v >= 0),
-which the ``ssd`` report writes out for that fixture.  The correction term
-<grad f(base), v> vanishes at critical base points and is always included so
-the oracle stays usable elsewhere.
-
-The mesh oracle and the calmness estimate are one-dimensional, the only
-dimension the ``ssd`` command asks them for; for twice-differentiable
-objectives of any dimension the action is the Hessian product, available in
-closed form.
+an interval that is empty when a v > b v; and the calmness modulus of f' at
+the base point is max(|a|, |b|).  Both are exact: the slopes come from
+:meth:`SmoothObjective.one_sided_slopes`, and a float point, direction or
+candidate enters as its binary64 value.  For a twice-differentiable objective
+of any dimension the action is the Hessian product.
 """
 
 from __future__ import annotations
@@ -50,73 +44,41 @@ from .optimality import (
     _linear,
 )
 
-DEFAULT_MEMBERSHIP_TOL = 1e-6
-# the probe offsets 10^-e, e = 4, 4.5, ..., 8; each e is exact in binary
-TAIL_DELTAS = tuple(10.0 ** (-k / 2) for k in range(8, 17))
-
 
 class MembershipVerdict(NamedTuple):
     member: bool
-    worst_quotient: float
-    attaining_sample: float | None
 
     @property
     def verdict(self) -> str:
         return "Member" if self.member else "NotMember"
 
 
-def _gradient_1d(objective: SmoothObjective, x: float) -> float:
-    return objective.gradient_at((x,))[0]
+def ssd_interval(objective: SmoothObjective, base, direction) -> tuple[Fraction, Fraction] | None:
+    """The second-order subdifferential of a 1-D objective at ``base`` in
+    ``direction``: the interval (a v, b v) of exact ends, or None where it
+    is empty."""
+    a, b = objective.one_sided_slopes((base,))
+    v = Fraction(direction)
+    return (a * v, b * v) if a * v <= b * v else None
+
+
+def _contains(interval: tuple[Fraction, Fraction] | None, candidate, tolerance) -> bool:
+    """Whether ``candidate`` lies within ``tolerance`` of ``interval``, an
+    empty one (None) holding nothing, compared exactly."""
+    z, slack = Fraction(candidate), Fraction(tolerance)
+    return interval is not None and interval[0] - slack <= z <= interval[1] + slack
 
 
 def ssd_membership(
     objective: SmoothObjective,
-    base: float,
-    direction: float,
-    candidate: float,
-    tolerance: float = DEFAULT_MEMBERSHIP_TOL,
+    base,
+    direction,
+    candidate,
+    tolerance: float = 0.0,
 ) -> MembershipVerdict:
-    """Mesh oracle for the membership quotient of ``candidate`` at ``base``
-    in ``direction``; Member iff the tail maximum stays at or below
-    ``tolerance``.
-
-    Probe points with an exactly zero denominator (the base point itself,
-    after rounding) are skipped, as the quotient is undefined there.
-    """
-    if objective.dimension != 1:
-        raise ValueError(
-            "the mesh oracle supports dimension one only; use the Hessian "
-            "closed form for higher dimensions"
-        )
-    grad_base = _gradient_1d(objective, base)
-    worst = float("-inf")
-    attaining = None
-    for delta in TAIL_DELTAS:
-        for x in (base + delta, base - delta):
-            quotient = _membership_quotient(objective, base, direction, candidate, x, grad_base)
-            if quotient is None:
-                continue
-            if quotient > worst:
-                worst, attaining = quotient, x
-    if attaining is None:
-        raise ValueError("the mesh produced no usable probe points")
-    return MembershipVerdict(
-        member=worst <= tolerance,
-        worst_quotient=worst,
-        attaining_sample=attaining,
-    )
-
-
-def _membership_quotient(
-    objective: SmoothObjective, base: float, direction: float, candidate: float, x: float, grad_base: float
-) -> float | None:
-    """The quotient at the probe ``x``, ``grad_base`` the gradient at ``base``;
-    None where its denominator is 0."""
-    grad_x = _gradient_1d(objective, x)
-    denominator = abs(x - base) + abs(grad_x - grad_base)
-    if denominator == 0.0:
-        return None
-    return (candidate * (x - base) - grad_x * direction + grad_base * direction) / denominator
+    """Member iff ``candidate`` lies in :func:`ssd_interval` at ``base`` in
+    ``direction``, or within ``tolerance`` of its ends."""
+    return MembershipVerdict(_contains(ssd_interval(objective, base, direction), candidate, tolerance))
 
 
 def ssd_hessian_closed_form(objective: SmoothObjective, point, direction) -> Floats:
@@ -124,48 +86,9 @@ def ssd_hessian_closed_form(objective: SmoothObjective, point, direction) -> Flo
     return _action(objective.hessian_at(point), _point(direction, objective.dimension))
 
 
-def _van_der_corput(index: int) -> float:
-    """The index-th point of the base-2 van der Corput sequence, a dyadic
-    rational in [0, 1): the binary digits of ``index`` mirrored about the binary point."""
-    return int(format(index, "b")[::-1], 2) / (1 << index.bit_length())
-
-
-def estimate_calmness(
-    objective: SmoothObjective,
-    point,
-    radius: float,
-    samples: int = 512,
-) -> float:
-    """Estimate the local gradient Lipschitz modulus near ``point`` of a
-    one-dimensional objective (ValueError in any other dimension): the
-    largest difference quotient of the gradient over ``samples`` probes.
-
-    Probe i = 1, 2, ... is point + radius * (2 vdc(i) - 1), vdc the base-2
-    van der Corput sequence; a probe that rounds onto the base point is
-    skipped until ``samples`` quotients have been evaluated.  The estimate
-    is a lower bound of the true modulus, nondecreasing in ``samples``
-    because the probe sequence is nested.
-    """
-    if objective.dimension != 1:
-        raise ValueError("calmness estimation is one-dimensional")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if samples < 1:
-        raise ValueError("at least one sample is required")
-    (base,) = _point(point, 1)
-    grad_base = _gradient_1d(objective, base)
-    best = 0.0
-    accepted = 0
-    index = 0
-    while accepted < samples:
-        index += 1
-        probe = base + radius * (2.0 * _van_der_corput(index) - 1.0)
-        distance = abs(probe - base)
-        if distance == 0.0:
-            continue
-        accepted += 1
-        best = max(best, abs(_gradient_1d(objective, probe) - grad_base) / distance)
-    return best
+def estimate_calmness(objective: SmoothObjective, point) -> Fraction:
+    """The calmness modulus max(|a|, |b|) of f' at the 1-D ``point``, exact."""
+    return max(map(abs, objective.one_sided_slopes(point)))
 
 
 # ---------------------------------------------------------------------------

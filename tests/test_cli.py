@@ -283,9 +283,8 @@ def test_ssd_command(tmp_path, capsys):
 
 def test_ssd_on_ex41_lists_closed_forms_for_nonnegative_directions_only(tmp_path, capsys):
     """The normal cone of ex41's gradient graph at 0 is {(a, b) | a <= 0,
-    b <= a}, so the second-order subdifferential is empty at v < 0: the
-    mesh oracle reads NotMember for every z there, and the closed form is
-    listed for v >= 0 only (v < 0 exited 3)."""
+    b <= a}, so the second-order subdifferential is empty at v < 0: every z
+    is NotMember there, and the interval is listed for v >= 0 only."""
     candidates = [[-2.0], [-1.0], [-0.5], [0.0], [0.5]]
     path = _ex41_ssd_problem(tmp_path, directions=[[-2.0], [-1.0], [1.0]], z_candidates=candidates)
     code, out, err = run_cli(capsys, "ssd", "--input", path)
@@ -600,25 +599,90 @@ def test_qp_report_keeps_the_critical_cone_exactly():
     assert enumerated and certified
 
 
-def test_verify_fails_ssd_sample_at_base_point(tmp_path, capsys):
-    """A sample at the base point has a zero quotient denominator: the check
-    fails instead of dividing by zero."""
-    problem = {
-        "version": "1",
-        "constraint": {"type": "fixture", "name": "ex41"},
-        "query": {"point": [0.0], "directions": [[1.0]], "z_candidates": [-0.5], "regime": "float"},
-    }
-    path = tmp_path / "p.json"
-    path.write_text(json.dumps(problem))
-    code, out, _ = run_cli(capsys, "ssd", "--input", str(path), "--format", "json")
+def test_verify_fails_an_edited_ssd_interval_or_verdict(tmp_path, capsys):
+    """`verify` re-checks every membership exactly against the interval the
+    report wrote for its direction (none for an empty set): an edited end
+    or a flipped verdict fails that check as well as reproduction."""
+    path = _ex41_ssd_problem(tmp_path, directions=[[1.0], [-1.0]], z_candidates=[[-1.0], [0.5]])
+    code, out, _ = run_cli(capsys, "ssd", "--input", path, "--format", "json")
     report = json.loads(out)
-    report["results"]["memberships"][0]["attaining_sample"] = 0.0
+    assert code == 1 and report["results"]["closed_form_intervals"] == [{"direction": 1.0, "interval": ["-1", "0"]}]
+    assert [m["verdict"] for m in report["results"]["memberships"]] == ["Member", "NotMember", "NotMember", "NotMember"]
     tampered = tmp_path / "tampered.json"
-    tampered.write_text(json.dumps(report))
-    code, out, err = run_cli(capsys, "verify", "--input", str(tampered))
-    assert code == 1
-    assert "[FAIL] ssd: attaining sample reproduces the worst quotient  (zero denominator)" in out
-    assert err == ""
+
+    def edit(change):
+        edited = json.loads(json.dumps(report))
+        change(edited["results"])
+        tampered.write_text(json.dumps(edited))
+        code, out, err = run_cli(capsys, "verify", "--input", str(tampered))
+        assert (code, err) == (1, "")
+        assert "[FAIL] deterministic reproduction" in out
+        return [line for line in out.splitlines() if line.startswith("[FAIL] ssd:")]
+
+    interval_end = edit(lambda results: results["closed_form_intervals"][0].update(interval=["-1/2", "0"]))
+    assert interval_end == ["[FAIL] ssd: verdict matches the written interval  (z = -1, v = 1)"]
+    flipped = edit(lambda results: results["memberships"][3].update(verdict="Member"))
+    assert flipped == ["[FAIL] ssd: verdict matches the written interval  (z = 0.5, v = -1)"]
+    # an interval written for a direction whose set is empty
+    extra = edit(lambda results: results["closed_form_intervals"].append({"direction": -1.0, "interval": ["-1", "1"]}))
+    assert extra == [f"[FAIL] ssd: verdict matches the written interval  (z = {z}, v = -1)" for z in ("-1", "0.5")]
+
+
+def test_ssd_on_ex41_writes_the_set_at_its_point(tmp_path, capsys):
+    """ex41 right of 0 has f'' = 2x, so its set at 1e9 in direction 1 is
+    {2e9}: the report writes that interval, not the origin's [-1, 0], and
+    reads z = -0.5 as NotMember."""
+    path = _ex41_ssd_problem(tmp_path, point=[1e9], z_candidates=[[-0.5], [2e9]])
+    code, out, err = run_cli(capsys, "ssd", "--input", path)
+    assert (code, err) == (1, "")
+    assert "z = -0.5, v = 1.0: NotMember\nz = 2000000000.0, v = 1.0: Member\n" in out
+    assert "closed-form membership interval at v = 1.0: [2000000000, 2000000000]\n" in out
+    assert "[-1, 0]" not in out and "calmness modulus: 2000000000\n" in out
+    code, out, err = run_cli(capsys, "ssd", "--input", path, "--format", "json")
+    results = json.loads(out)["results"]
+    assert results["closed_form_intervals"] == [{"direction": 1.0, "interval": ["2000000000", "2000000000"]}]
+    assert results["calmness"] == {"modulus": "2000000000"}
+
+
+def test_ssd_on_ex41_far_out_decides(tmp_path, capsys):
+    """At 1e13, where every float probe offset of 10^-4 or less rounds onto
+    the point, the exact set is decided and the report verifies."""
+    path = _ex41_ssd_problem(tmp_path, point=[1e13], directions=[[1.0], [0.5]], z_candidates=[[2e13], [-0.5]])
+    code, out, err = run_cli(capsys, "ssd", "--input", path, "--format", "json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["results"]["closed_form_intervals"] == [
+        {"direction": 1.0, "interval": ["20000000000000", "20000000000000"]},
+        {"direction": 0.5, "interval": ["10000000000000", "10000000000000"]},
+    ]
+    assert [m["verdict"] for m in report["results"]["memberships"]] == ["Member", "NotMember", "NotMember", "NotMember"]
+    assert revalidate_report(report)[0]
+
+
+def test_ssd_on_exact_one_dimensional_quadratic_data(tmp_path, capsys):
+    """1-D quadratic data give the exact slopes (M, M): with M = 1/3 the set
+    at v = 3 is {1}, so z = 1 is a member in both regimes, and in the exact
+    regime a candidate off 1 by 10^-30 is not."""
+    for regime, v, candidates, verdicts in (
+        ("float", [3.0], [[1.0], [1.0000001]], ["Member", "NotMember"]),
+        ("exact", ["3"], [["1"], ["1000000000000000000000000000001/1000000000000000000000000000000"]],
+         ["Member", "NotMember"]),
+    ):
+        path = tmp_path / f"{regime}.json"
+        path.write_text(json.dumps({
+            "version": "1",
+            "constraint": {"type": "polyhedron", "dimension": 1, "inequalities": {"rows": [["-1"]], "bounds": ["0"]}},
+            "objective": {"type": "quadratic", "matrix": [["1/3"]], "linear": ["-1"]},
+            "query": {"point": ["2"] if regime == "exact" else [2.0], "directions": [v], "z_candidates": candidates,
+                      "regime": regime},
+        }))
+        code, out, err = run_cli(capsys, "ssd", "--input", str(path), "--format", "json")
+        assert (code, err) == (1, ""), regime
+        report = json.loads(out)
+        assert report["results"]["closed_form_intervals"] == [{"direction": 3.0, "interval": ["1", "1"]}]
+        assert [m["verdict"] for m in report["results"]["memberships"]] == verdicts
+        assert report["results"]["calmness"] == {"modulus": "1/3"}
+        assert revalidate_report(report)[0]
 
 
 def test_verify_fails_zero_witness(tmp_path, capsys):

@@ -1,12 +1,8 @@
-import math
-import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from calmness_oracle import _van_der_corput as van_der_corput_digit_loop
-from calmness_oracle import reference_calmness
 from cone_audit.analysis import run_analysis
 from cone_audit.geometry import PolyhedralCone, Polyhedron
 from cone_audit.linalg import RationalVector, matrix, vector
@@ -14,22 +10,27 @@ from cone_audit.objectives import QuadraticObjective, SmoothObjective, fixture
 from cone_audit.optimality import Verdict, theorem33_check
 from cone_audit.problem import parse_problem_dict
 from cone_audit.ssd import (
-    TAIL_DELTAS,
-    _van_der_corput,
     estimate_calmness,
     ssd_hessian_closed_form,
+    ssd_interval,
     ssd_membership,
     theorem41_check,
 )
 
 from conftest import orthant_polyhedron
+from ssd_mesh_oracle import TAIL_DELTAS, mesh_member
 
 
 def ex41_objective():
     return fixture("ex41").objective
 
 
+def quadratic_1d(m, q=0):
+    return QuadraticObjective(matrix([[m]]), vector(q)).as_smooth()
+
+
 def test_tail_deltas_are_the_nine_fixed_offsets():
+    """The reference mesh probes at the offsets the former oracle used."""
     assert TAIL_DELTAS == (
         10.0 ** -4.0, 10.0 ** -4.5, 10.0 ** -5.0, 10.0 ** -5.5, 10.0 ** -6.0,
         10.0 ** -6.5, 10.0 ** -7.0, 10.0 ** -7.5, 10.0 ** -8.0,
@@ -37,33 +38,39 @@ def test_tail_deltas_are_the_nine_fixed_offsets():
 
 
 def test_membership_example_values():
+    """ex41 at 0 in direction 1: the set is [-1, 0], decided exactly, so
+    its ends are members and a candidate 2^-60 past an end is not."""
     obj = ex41_objective()
     assert ssd_membership(obj, 0.0, 1.0, -0.5).member
-    verdict = ssd_membership(obj, 0.0, 1.0, 0.25)
-    assert not verdict.member
-    assert verdict.worst_quotient > 1e-6
-    # the attaining sample reproduces the worst quotient on re-evaluation
-    repeat = ssd_membership(obj, 0.0, 1.0, 0.25)
-    assert repeat.worst_quotient == verdict.worst_quotient
-    assert repeat.attaining_sample == verdict.attaining_sample
+    assert not ssd_membership(obj, 0.0, 1.0, 0.25).member
+    assert ssd_membership(obj, 0.0, 1.0, -1.0).member and ssd_membership(obj, 0.0, 1.0, 0.0).member
+    assert not ssd_membership(obj, 0.0, 1.0, 2.0 ** -60).member
+    assert not ssd_membership(obj, 0.0, 1.0, -1.0 - 2.0 ** -52).member
+    # a tolerance widens the set by its width at both ends, never an empty set
+    assert ssd_membership(obj, 0.0, 1.0, 2.0 ** -60, 1e-9).member
+    assert not ssd_membership(obj, 0.0, -1.0, 0.0, 1.0).member
+    assert ssd_interval(obj, 0.0, 1.0) == (-1, 0)
+    assert ssd_interval(obj, 0.0, -1.0) is None
 
 
 def test_membership_quadratic_hessian_action():
-    half_sq = SmoothObjective(
-        1,
-        gradient=lambda x: np.array([x[0]]),
-        hessian=lambda x: np.array([[1.0]]),
-    )
+    half_sq = quadratic_1d(1)
     assert ssd_membership(half_sq, 0.0, 1.0, 1.0).member
-    # a perturbation of 0.5 decisively clears the tolerance
     assert not ssd_membership(half_sq, 0.0, 1.0, 1.5).member
     assert not ssd_membership(half_sq, 0.0, 1.0, 0.5).member
+    # the slopes are the exact data: M = 1/3 stays 1/3, at any point
+    third = QuadraticObjective(matrix([["1/3"]]), vector(5)).as_smooth()
+    assert ssd_interval(third, 7.0, 3) == (1, 1)
+    assert ssd_membership(third, Fraction(1, 3), Fraction(3, 7), Fraction(1, 7)).member
 
 
 def test_membership_rejects_high_dimension():
     q = QuadraticObjective(matrix([[1, 0], [0, 1]]), vector(0, 0)).as_smooth()
     with pytest.raises(ValueError):
         ssd_membership(q, 0.0, 1.0, 1.0)
+    # a 1-D objective without exact slopes has no exact set either
+    with pytest.raises(ValueError, match="slope evaluator"):
+        ssd_membership(SmoothObjective(1, gradient=lambda x: x), 0.0, 1.0, 1.0)
 
 
 def test_interval_family():
@@ -83,6 +90,16 @@ def test_interval_family():
     ]
 
 
+def test_ex41_sets_follow_the_point():
+    """ex41's slopes are (-1, -1) left of 0, (-1, 0) at 0 and (2x, 2x) right
+    of it, so the set at v is {-v}, [-v, 0] (empty for v < 0) and {2xv}."""
+    obj = ex41_objective()
+    assert ssd_interval(obj, -0.5, 2.0) == (-2, -2)
+    assert ssd_interval(obj, 0.5, -1.0) == (-1, -1)
+    assert ssd_interval(obj, 1e9, 1.0) == (2 * 10**9, 2 * 10**9)
+    assert ssd_interval(obj, 0.1, 1.0) == (2 * Fraction(0.1),) * 2  # the binary64 point
+
+
 def test_oracle_agrees_with_closed_form_on_grid():
     obj = ex41_objective()
     for v in (0, 1, 2):
@@ -98,6 +115,44 @@ def test_scaling_invariance():
             base = ssd_membership(obj, 0.0, float(v), z).member
             scaled = ssd_membership(obj, 0.0, 2.0 * v, 2.0 * z).member
             assert base == scaled
+
+
+def _mesh_cases():
+    """ex41 at five points and 1-D dyadic quadratics at dyadic points."""
+    yield from ((ex41_objective(), base) for base in (-2.0, -0.5, 0.0, 0.5, 2.0))
+    for m, q, base in ((1, 0, 0.0), ("-2", "1/2", 0.75), ("3/4", "-1", -1.5), (0, 2, 0.25), ("-1/8", 0, 4.0)):
+        yield quadratic_1d(m, q), base
+
+
+def test_exact_verdicts_agree_with_the_mesh_oracle():
+    """The exact verdict equals the former mesh oracle's for candidates at
+    least 1e-3 from either end of the set, where the mesh's finite tail
+    cannot blur the verdict."""
+    compared = 0
+    for objective, base in _mesh_cases():
+        for v in (0.5, 1.0, 2.0, -0.5, -1.0, -2.0):
+            a, b = objective.one_sided_slopes((base,))
+            ends = (float(a * Fraction(v)), float(b * Fraction(v)))
+            grid = [k / 8 for k in range(-40, 41)] + [e + s for e in ends for s in (-0.5, -1e-3, 1e-3, 0.5)]
+            for z in grid:
+                if min(abs(z - e) for e in ends) < 1e-3:
+                    continue
+                exact = ssd_membership(objective, base, v, z).member
+                assert exact == mesh_member(objective, base, v, z), (base, v, z)
+                compared += 1
+    assert compared > 5000
+
+
+def test_quadratic_interval_is_the_hessian_action():
+    """On 1-D quadratic data the set [a v, b v] is the singleton {M v} of
+    the Hessian closed form."""
+    for m in ("-2", "-1/2", "0", "1/4", "3/2", "5"):
+        objective = quadratic_1d(m, "1/2")
+        for base in (-1.0, 0.0, 3.5):
+            for v in (-2.0, -0.5, 1.0, 4.0):
+                (action,) = ssd_hessian_closed_form(objective, (base,), (v,))
+                assert ssd_interval(objective, base, v) == (Fraction(action), Fraction(action))
+                assert estimate_calmness(objective, (base,)) == abs(Fraction(m))
 
 
 def test_hessian_closed_form():
@@ -118,23 +173,17 @@ def test_hessian_closed_form():
 
 
 def test_calmness_estimates():
-    est = estimate_calmness(ex41_objective(), (0.0,), 0.5, samples=256)
-    assert est <= 1 + 1e-6
-    assert est > 0.9  # the left branch has slope exactly 1
-    half_sq = SmoothObjective(
-        1, gradient=lambda x: np.array([x[0]])
-    )
-    assert abs(estimate_calmness(half_sq, (0.0,), 1.0, samples=256) - 1.0) < 1e-6
-    cubic = SmoothObjective(
-        1, gradient=lambda x: np.array([x[0] ** 2])
-    )
-    est = estimate_calmness(cubic, (0.0,), 0.1, samples=256)
-    assert est <= 0.1 + 1e-9
-    assert est > 0.09
+    """The calmness modulus max(|a|, |b|) of f' is exact: 1 at ex41's
+    origin, 2x right of it, and |M| for quadratic data."""
+    assert estimate_calmness(ex41_objective(), (0.0,)) == 1
+    assert estimate_calmness(ex41_objective(), (-3.0,)) == 1
+    assert estimate_calmness(ex41_objective(), (1e9,)) == 2 * 10**9
+    assert estimate_calmness(quadratic_1d(1), (0.0,)) == 1
+    assert estimate_calmness(quadratic_1d("-1/3"), (2.0,)) == Fraction(1, 3)
 
 
 def test_calmness_dimension_limit():
-    """Calmness is estimated in one dimension; any other is refused before
+    """Calmness is computed in one dimension; any other is refused before
     any gradient is evaluated."""
     calls = []
 
@@ -143,51 +192,11 @@ def test_calmness_dimension_limit():
         return x
 
     plane = SmoothObjective(2, gradient=gradient)
-    with pytest.raises(ValueError, match="calmness estimation is one-dimensional"):
-        estimate_calmness(plane, np.zeros(2), 0.5, samples=8)
+    with pytest.raises(ValueError, match="1-D objective"):
+        estimate_calmness(plane, np.zeros(2))
+    with pytest.raises(ValueError, match="1-D objective"):
+        estimate_calmness(QuadraticObjective(matrix([[1, 0], [0, 1]]), vector(0, 0)).as_smooth(), (0.0, 0.0))
     assert calls == []
-
-
-def _calmness_objectives():
-    """ex41 and 30 seeded gradients a x^3 + b sin(c x) + d x."""
-    yield ex41_objective()
-    rng = random.Random(0)
-    for _ in range(30):
-        a, b, c, d = (rng.uniform(-3, 3) for _ in range(4))
-        yield SmoothObjective(
-            1,
-            gradient=lambda x, a=a, b=b, c=c, d=d: np.array([a * x[0] ** 3 + b * math.sin(c * x[0]) + d * x[0]]),
-        )
-
-
-def test_van_der_corput_by_bit_reversal():
-    """Mirroring the binary digits of i gives the same binary64 point as
-    summing them digit by digit, for every i below 2^16."""
-    assert all(_van_der_corput(i) == van_der_corput_digit_loop(i, 2) for i in range(1, 2**16 + 1))
-
-
-def test_calmness_matches_the_halton_reference():
-    """The one-dimensional estimate is bit-identical to the Halton-ball
-    estimator restricted to one coordinate, at base points from 1e-300 to
-    1e6 and radii from 1e-3 to 1."""
-    compared = 0
-    for objective in _calmness_objectives():
-        for base in (0.0, 0.3, -1.7, 1e6, 1e-300):
-            for radius in (0.5, 1, 0.1, 1e-3):
-                for samples in (1, 8, 256, 512):
-                    expected = reference_calmness(objective, (base,), radius, samples)
-                    assert estimate_calmness(objective, (base,), radius, samples) == expected
-                    compared += 1
-    assert compared == 2480
-
-
-def test_calmness_monotone_in_samples():
-    obj = ex41_objective()
-    values = [
-        estimate_calmness(obj, (0.0,), 0.5, samples=n)
-        for n in (8, 32, 128, 512)
-    ]
-    assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
 
 def test_theorem41_counterexample_fixture():
