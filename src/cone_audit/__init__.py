@@ -5,8 +5,9 @@ arithmetic, computes their contingent cones, second-order tangent sets and
 normal cones in closed form, and verifies first-order and second-order
 necessary optimality conditions at user-supplied candidate points, with
 witnesses and certificates.  A float regime with explicit tolerances covers
-single smooth level-set constraints; the second-order subdifferential of a
-one-dimensional objective is decided exactly from its one-sided slopes.
+single smooth level-set constraints; the second-order subdifferential is
+decided exactly from the objective's one-sided slopes: an interval in one
+dimension, the Hessian action of a C2 objective in any.
 """
 
 from ._version import __version__
@@ -59,7 +60,6 @@ from .ssd import (
     HypothesisReport,
     MembershipVerdict,
     estimate_calmness,
-    ssd_hessian_closed_form,
     ssd_membership,
     theorem41_check,
 )

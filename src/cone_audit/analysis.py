@@ -13,7 +13,6 @@ from __future__ import annotations
 import datetime
 import decimal
 import functools
-import itertools
 from fractions import Fraction
 
 from ._version import __version__ as _version
@@ -21,7 +20,7 @@ from .dd import GeneratorSet
 from .errors import AnalysisError
 from .geometry import PolyhedralCone
 from .linalg import RationalMatrix, RationalVector
-from .objectives import DEFAULT_FLOAT_TOL, AffineRegion, QuadraticObjective, SmoothObjective, TangentRegion, _dot, _finite
+from .objectives import DEFAULT_FLOAT_TOL, AffineRegion, QuadraticObjective, SmoothObjective, TangentRegion, _dot
 from .optimality import (
     ConditionReport,
     CopositivityResult,
@@ -34,7 +33,7 @@ from .optimality import (
     theorem33_check,
 )
 from .problem import ProblemFile, parse_problem_dict
-from .ssd import _contains, estimate_calmness, ssd_hessian_closed_form, ssd_interval, ssd_membership, theorem41_check
+from .ssd import MembershipVerdict, _contains, estimate_calmness, ssd_interval, theorem41_check
 
 COMMANDS = ("cones", "first-order", "second-order", "qp", "ssd", "theorem41")
 
@@ -65,6 +64,11 @@ def _vector_json(vec):
         ints, scale = vec.integer_form
         return list(map(str, ints if scale == 1 else vec))
     return [float(a) for a in vec]
+
+
+def _one_or_all(items: list):
+    """How an ``ssd`` report writes a vector: a 1-D one as its one entry."""
+    return items[0] if len(items) == 1 else items
 
 
 def _h_json(cone: PolyhedralCone) -> dict:
@@ -150,6 +154,13 @@ def _detail(value) -> str:
             return f"{(decimal.Decimal(value.numerator) / value.denominator).normalize():.6g}"
 
 
+def _details(values) -> str:
+    """A query entry for a check's detail by :func:`_detail`: a 1-D one as
+    its number, else the tuple."""
+    details = _one_or_all([_detail(a) for a in values])
+    return details if isinstance(details, str) else "(" + ", ".join(details) + ")"
+
+
 def _exit_of(verdicts: list[Verdict]) -> int:
     return EXIT_SOME_FAIL if Verdict.FAILS in verdicts else EXIT_ALL_HOLD
 
@@ -189,7 +200,7 @@ class _Context:
         return dirs
 
     def smooth_objective(self) -> SmoothObjective:
-        """The float evaluators, with a 1-D objective's exact slopes: of the
+        """The float evaluators, with the objective's exact slopes: of the
         quadratic data, or of the fixture."""
         obj = self.problem.smooth_objective()
         if obj is None:
@@ -209,8 +220,13 @@ class _Context:
     @property
     def membership_tolerance(self) -> float:
         """How far a candidate may lie off an ``ssd`` set: 0 in the exact
-        regime, where a 1-D set is decided exactly."""
+        regime, where the set is decided exactly."""
         return 0.0 if self.exact else max(self.tolerance, DEFAULT_FLOAT_TOL)
+
+    def entry_json(self, values):
+        """A query's direction or candidate as an ``ssd`` report writes it:
+        exact strings in the exact regime, numbers in the float regime."""
+        return _one_or_all([str(a) if self.exact else float(a) for a in values])
 
     @functools.cached_property
     def gradient(self):
@@ -356,50 +372,29 @@ def _run_qp(ctx: _Context) -> tuple[dict, int]:
 def _run_ssd(ctx: _Context) -> tuple[dict, int]:
     objective = ctx.smooth_objective()
     directions = ctx.require_directions("ssd")
+    candidates = ctx.problem.query.z_candidates
+    if not candidates:
+        raise AnalysisError(
+            "the ssd command needs candidate z values",
+            hint="add query.z_candidates to the problem file",
+        )
+    point = ctx.problem.query.point
+    queries, intervals = [], []
     exit_code = EXIT_ALL_HOLD
-    if objective.dimension == 1:
-        candidates = ctx.problem.query.z_candidates
-        if not candidates:
-            raise AnalysisError(
-                "the ssd command needs candidate z values",
-                hint="add query.z_candidates to the problem file",
-            )
-        (point,) = ctx.problem.query.point
-        queries, intervals = [], []
-        for (v,) in directions:
-            interval = ssd_interval(objective, point, v)
-            if interval is not None:
-                intervals.append({"direction": float(v), "interval": list(map(str, interval))})
-            for (z,) in candidates:
-                verdict = ssd_membership(objective, point, v, z, ctx.membership_tolerance)
-                queries.append({"direction": float(v), "candidate": float(z), "verdict": verdict.verdict})
-                if not verdict.member:
-                    exit_code = EXIT_SOME_FAIL
-        calmness = estimate_calmness(objective, ctx.problem.query.point)
-        return {
-            "memberships": queries,
-            "closed_form_intervals": intervals,
-            "calmness": {"modulus": _value_json(calmness)},
-        }, exit_code
-
-    point = ctx.problem.query.point_floats()
-    actions = []
     for v in directions:
-        action = ssd_hessian_closed_form(objective, point, v)
-        entry = {"direction": _vector_json(v), "action": _vector_json(action)}
-        if ctx.problem.query.z_candidates:
-            comparisons = []
-            for z in ctx.problem.query.z_candidates:
-                gap = _finite((float(a) - b for a, b in zip(z, action, strict=True)), "subtract")
-                member = max(map(abs, gap)) <= max(ctx.tolerance, DEFAULT_FLOAT_TOL)
-                comparisons.append(
-                    {"candidate": _vector_json(z), "member": member}
-                )
-                if not member:
-                    exit_code = EXIT_SOME_FAIL
-            entry["candidates"] = comparisons
-        actions.append(entry)
-    return {"hessian_actions": actions}, exit_code
+        interval, direction = ssd_interval(objective, point, v), ctx.entry_json(v)
+        if interval is not None:
+            ends = [_one_or_all(list(map(str, end))) for end in interval]
+            intervals.append({"direction": direction, "interval": ends})
+        for z in candidates:
+            verdict = MembershipVerdict(_contains(interval, z, ctx.membership_tolerance))
+            queries.append({"direction": direction, "candidate": ctx.entry_json(z), "verdict": verdict.verdict})
+            if not verdict.member:
+                exit_code = EXIT_SOME_FAIL
+    results = {"memberships": queries, "closed_form_intervals": intervals}
+    if objective.dimension == 1:
+        results["calmness"] = {"modulus": _value_json(estimate_calmness(objective, point))}
+    return results, exit_code
 
 
 def _run_theorem41(ctx: _Context) -> tuple[dict, int]:
@@ -681,21 +676,23 @@ class _Revalidator:
                 )
 
     def _verify_ssd(self, results: dict) -> None:
-        # each membership against the interval the report wrote for its
+        # each membership against the set the report wrote for its
         # direction, exactly; a direction with none written has an empty set
-        intervals = {
-            entry["direction"]: _as_rational_vector(entry["interval"]).entries
-            for entry in results.get("closed_form_intervals", [])
-        }
+        written = results.get("closed_form_intervals", [])
+        memberships = iter(results.get("memberships", []))
         query = self.ctx.problem.query
-        pairs = itertools.product(query.directions, query.z_candidates)
-        for ((v,), (z,)), entry in zip(pairs, results.get("memberships", [])):
-            member = _contains(intervals.get(float(v)), z, self.ctx.membership_tolerance)
-            self.add(
-                "ssd: verdict matches the written interval",
-                entry["verdict"] == ("Member" if member else "NotMember"),
-                f"z = {_detail(z)}, v = {_detail(v)}",
-            )
+        for v in query.directions:
+            direction = self.ctx.entry_json(v)
+            ends = next((e["interval"] for e in written if e["direction"] == direction), None)
+            if ends is not None:
+                ends = [_as_rational_vector(end if isinstance(end, list) else [end]).entries for end in ends]
+            for z, entry in zip(query.z_candidates, memberships):
+                member = _contains(ends, z, self.ctx.membership_tolerance)
+                self.add(
+                    "ssd: verdict matches the written interval",
+                    entry["verdict"] == ("Member" if member else "NotMember"),
+                    f"z = {_details(z)}, v = {_details(v)}",
+                )
 
 
 def _generators_match(cone_json: dict) -> bool:

@@ -167,6 +167,11 @@ def _fmt_vec(values) -> str:
     return "(" + ", ".join(str(v) for v in values) + ")"
 
 
+def _fmt_entry(value) -> str:
+    """An ``ssd`` entry: a vector as a tuple, a 1-D one as its number."""
+    return _fmt_vec(value) if isinstance(value, list) else str(value)
+
+
 def _fmt_condition(entry: dict, indent: str = "  ") -> str:
     lines = [f"{indent}{entry['condition']}: {entry['verdict'].upper()}"]
     if entry.get("margin") is not None:
@@ -274,23 +279,14 @@ def _render_human(report: dict) -> str:
                or ("none enumerated: (c2') certified on ker E" if kernel else "none: C = {0}"))
         )
     elif command == "ssd":
-        for entry in results.get("memberships", []):
-            lines.append(f"z = {entry['candidate']}, v = {entry['direction']}: {entry['verdict']}")
-        for entry in results.get("closed_form_intervals", []):
-            lines.append(
-                f"closed-form membership interval at v = {entry['direction']}: "
-                f"[{entry['interval'][0]}, {entry['interval'][1]}]"
-            )
+        for entry in results["memberships"]:
+            z, v = _fmt_entry(entry["candidate"]), _fmt_entry(entry["direction"])
+            lines.append(f"z = {z}, v = {v}: {entry['verdict']}")
+        for entry in results["closed_form_intervals"]:
+            lower, upper = map(_fmt_entry, entry["interval"])
+            lines.append(f"closed-form membership interval at v = {_fmt_entry(entry['direction'])}: [{lower}, {upper}]")
         if "calmness" in results:
             lines.append(f"calmness modulus: {results['calmness']['modulus']}")
-        for entry in results.get("hessian_actions", []):
-            lines.append(
-                f"second-order action at v = {_fmt_vec(entry['direction'])}: "
-                f"{_fmt_vec(entry['action'])}"
-            )
-            for cand in entry.get("candidates", []):
-                member = "Member" if cand["member"] else "NotMember"
-                lines.append(f"  z = {_fmt_vec(cand['candidate'])}: {member}")
     elif command == "theorem41":
         for entry in results["directions"]:
             lines.append(f"direction v = {_fmt_vec(entry['direction'])}: {entry['status']}")

@@ -129,34 +129,37 @@ class QuadraticObjective(_QuadraticData):
         return self.quadratic_form(v)
 
     def as_smooth(self) -> "SmoothObjective":
-        """The float evaluators, and in 1-D the exact slopes (M, M)."""
+        """The float evaluators, and the exact slopes (M, M) at every point."""
         m = self.matrix.as_float_rows()
         q = self.linear.as_floats()
-        slope = self.matrix.entry(0, 0)
         return SmoothObjective(
             dimension=self.dim,
             gradient=lambda x: [_dot(row, x) + b for row, b in zip(m, q)],
             hessian=lambda x: m,
-            slopes=(lambda x: (slope, slope)) if self.dim == 1 else None,
+            slopes=lambda x: (self.matrix, self.matrix),
         )
 
 
 class SmoothObjective(NamedTuple):
-    """Black-box C1 (optionally C2) objective with float evaluators; a 1-D
-    one may also give the exact one-sided slopes of f' at a point."""
+    """Black-box C1 (optionally C2) objective with float evaluators; it may
+    also give the exact one-sided slopes of its gradient at a point."""
 
     dimension: int
     gradient: Callable[[Floats], Floats]
     hessian: Callable[[Floats], tuple[Floats, ...]] | None = None
-    slopes: Callable[[Fraction], tuple[Fraction, Fraction]] | None = None
+    slopes: Callable[[tuple[Fraction, ...]], tuple[RationalMatrix, RationalMatrix]] | None = None
 
-    def one_sided_slopes(self, x) -> tuple[Fraction, Fraction]:
-        """(a, b), the derivatives of f' from the left and from the right at
-        the 1-D point x, exact at x's exact value (a float's binary64 value)."""
+    def one_sided_slopes(self, x) -> tuple[RationalMatrix, RationalMatrix]:
+        """(A, B), the second-order data of the gradient at x, exact at x's
+        exact value (a float's binary64 value): in 1-D the derivatives of f'
+        from the left and from the right, and for a C2 objective the Hessian
+        twice."""
         if self.slopes is None:
-            raise ValueError("the one-sided slopes need a 1-D objective with a slope evaluator")
-        (point,) = x
-        return self.slopes(Fraction(point))
+            raise ValueError("the one-sided slopes need an objective with a slope evaluator")
+        point = tuple(map(Fraction, x))
+        if len(point) != self.dimension:
+            raise DimensionMismatchError(f"a point of {len(point)} entries in dimension {self.dimension}")
+        return self.slopes(point)
 
     def gradient_at(self, x) -> Floats:
         grad = _finite(self.gradient(_point(x, self.dimension)), "the gradient evaluator")
@@ -318,7 +321,6 @@ class ExampleFixture(NamedTuple):
     polyhedron: Polyhedron | None
     candidate_point: tuple[float, ...]
     default_direction: tuple[float, ...]
-    description: str
 
 
 def _ex31() -> ExampleFixture:
@@ -339,7 +341,6 @@ def _ex31() -> ExampleFixture:
         polyhedron=None,
         candidate_point=(math.sqrt(3.0), 0.0),
         default_direction=(0.0, 1.0),
-        description="concave quadratic over one smooth inequality (elliptic disk)",
     )
 
 
@@ -361,7 +362,6 @@ def _ex32() -> ExampleFixture:
         polyhedron=None,
         candidate_point=(-1.0, 0.0),
         default_direction=(0.0, 1.0),
-        description="negative square norm over one smooth equality (ellipse)",
     )
 
 
@@ -369,9 +369,10 @@ def _ex41_gradient(x: float) -> float:
     return -x if x <= 0.0 else x * x
 
 
-def _ex41_slopes(x: Fraction) -> tuple[Fraction, Fraction]:
+def _ex41_slopes(point: tuple[Fraction]) -> tuple[RationalMatrix, RationalMatrix]:
     """f'' from the left and from the right: -1 on x < 0, 2x on x > 0."""
-    return (Fraction(-1) if x <= 0 else 2 * x), (Fraction(-1) if x < 0 else 2 * x)
+    (x,) = point
+    return RationalMatrix([[-1 if x <= 0 else 2 * x]]), RationalMatrix([[-1 if x < 0 else 2 * x]])
 
 
 def _ex41() -> ExampleFixture:
@@ -394,7 +395,6 @@ def _ex41() -> ExampleFixture:
         polyhedron=halfline,
         candidate_point=(0.0,),
         default_direction=(1.0,),
-        description="piecewise C1 objective on the nonnegative half-line",
     )
 
 

@@ -65,8 +65,6 @@ class ProblemFile(NamedTuple):
     (None for a smooth level set), and the query holds the fixture's
     default point and direction where the file gives none."""
 
-    version: str
-    description: str
     polyhedron: Polyhedron | None
     fixture: ExampleFixture | None
     quadratic: QuadraticObjective | None
@@ -160,10 +158,8 @@ def parse_problem_dict(data) -> ProblemFile:
     version = data.get("version")
     if version != SCHEMA_VERSION:
         v.error("$.version", f"expected {SCHEMA_VERSION!r}, got {version!r}")
-    description = data.get("description", "")
-    if not isinstance(description, str):
+    if not isinstance(data.get("description", ""), str):
         v.error("$.description", "expected a string")
-        description = ""
 
     # ---- query block (parsed first: the regime gates number parsing) ----
     query_data = data.get("query")
@@ -282,8 +278,6 @@ def parse_problem_dict(data) -> ProblemFile:
         raise ProblemFormatError(v.errors)
 
     return ProblemFile(
-        version=version,
-        description=description,
         polyhedron=polyhedron,
         fixture=fixture_obj,
         quadratic=quadratic,

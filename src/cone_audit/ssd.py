@@ -1,5 +1,5 @@
-"""The Fréchet second-order subdifferential of a 1-D objective, the calmness
-modulus of its derivative, and the combined hypothesis checker.
+"""The Fréchet second-order subdifferential of an objective, the calmness
+modulus of a 1-D derivative, and the combined hypothesis checker.
 
 Let f be C1 in one variable, and let f' have the one-sided derivatives a
 (from the left) and b (from the right) at the base point.  Near it the graph
@@ -11,10 +11,11 @@ direction v, (z, -v) a Fréchet normal, exactly when
     a v <= z <= b v,
 
 an interval that is empty when a v > b v; and the calmness modulus of f' at
-the base point is max(|a|, |b|).  Both are exact: the slopes come from
-:meth:`SmoothObjective.one_sided_slopes`, and a float point, direction or
-candidate enters as its binary64 value.  For a twice-differentiable objective
-of any dimension the action is the Hessian product.
+the base point is max(|a|, |b|).  For a C2 objective of any dimension the
+set is the singleton {M v} of the Hessian M, the pair (M, M).  Both are
+read entry by entry as {z : A v <= z <= B v} from the exact pair (A, B) of
+:meth:`SmoothObjective.one_sided_slopes`; a float point, direction or
+candidate enters as its binary64 value.
 """
 
 from __future__ import annotations
@@ -26,13 +27,10 @@ from .geometry import PolyhedralCone
 from .linalg import RationalVector
 from .objectives import (
     DEFAULT_FLOAT_TOL,
-    Floats,
     QuadraticObjective,
     SmoothObjective,
     TangentRegion,
-    _action,
     _dot,
-    _point,
 )
 from .optimality import (
     ConditionId,
@@ -44,6 +42,8 @@ from .optimality import (
     _linear,
 )
 
+Fractions = tuple[Fraction, ...]
+
 
 class MembershipVerdict(NamedTuple):
     member: bool
@@ -53,20 +53,25 @@ class MembershipVerdict(NamedTuple):
         return "Member" if self.member else "NotMember"
 
 
-def ssd_interval(objective: SmoothObjective, base, direction) -> tuple[Fraction, Fraction] | None:
-    """The second-order subdifferential of a 1-D objective at ``base`` in
-    ``direction``: the interval (a v, b v) of exact ends, or None where it
-    is empty."""
-    a, b = objective.one_sided_slopes((base,))
-    v = Fraction(direction)
-    return (a * v, b * v) if a * v <= b * v else None
+def ssd_interval(objective: SmoothObjective, base, direction) -> tuple[Fractions, Fractions] | None:
+    """The second-order subdifferential at the point ``base`` in
+    ``direction``: its exact ends (A v, B v), or None where it is empty.
+    Beyond 1-D only a C2 pair (A = B) has this form."""
+    lower, upper = objective.one_sided_slopes(base)
+    if objective.dimension > 1 and lower != upper:
+        raise ValueError("the second-order subdifferential beyond 1-D needs equal slopes (a C2 objective)")
+    v = RationalVector(map(Fraction, direction))
+    ends = lower.matvec(v).entries, upper.matvec(v).entries
+    return ends if all(a <= b for a, b in zip(*ends)) else None
 
 
-def _contains(interval: tuple[Fraction, Fraction] | None, candidate, tolerance) -> bool:
-    """Whether ``candidate`` lies within ``tolerance`` of ``interval``, an
-    empty one (None) holding nothing, compared exactly."""
-    z, slack = Fraction(candidate), Fraction(tolerance)
-    return interval is not None and interval[0] - slack <= z <= interval[1] + slack
+def _contains(interval: tuple[Fractions, Fractions] | None, candidate, tolerance) -> bool:
+    """Whether every entry of ``candidate`` lies within ``tolerance`` of
+    ``interval``, an empty one (None) holding nothing, compared exactly."""
+    if interval is None:
+        return False
+    (lower, upper), slack = interval, Fraction(tolerance)
+    return all(lo - slack <= Fraction(z) <= hi + slack for lo, z, hi in zip(lower, candidate, upper, strict=True))
 
 
 def ssd_membership(
@@ -81,14 +86,11 @@ def ssd_membership(
     return MembershipVerdict(_contains(ssd_interval(objective, base, direction), candidate, tolerance))
 
 
-def ssd_hessian_closed_form(objective: SmoothObjective, point, direction) -> Floats:
-    """For C2 objectives the action is a singleton: the Hessian product."""
-    return _action(objective.hessian_at(point), _point(direction, objective.dimension))
-
-
 def estimate_calmness(objective: SmoothObjective, point) -> Fraction:
     """The calmness modulus max(|a|, |b|) of f' at the 1-D ``point``, exact."""
-    return max(map(abs, objective.one_sided_slopes(point)))
+    if objective.dimension != 1:
+        raise ValueError("the calmness modulus is computed for a 1-D objective")
+    return max(abs(slope.entry(0, 0)) for slope in objective.one_sided_slopes(point))
 
 
 # ---------------------------------------------------------------------------

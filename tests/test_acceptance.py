@@ -123,7 +123,7 @@ def test_criterion_4_ex41():
     # the second-order subdifferential at 0 in direction v >= 0 is [-v, 0]
     for v in (0, 1, 2):
         for z in (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5):
-            member = ssd_membership(fx.objective, 0.0, float(v), z).member
+            member = ssd_membership(fx.objective, (0.0,), (float(v),), (z,)).member
             assert member == (-v <= z <= 0), (v, z)
 
     tangent = fx.polyhedron.tangent_cone(vector(0))

@@ -301,7 +301,9 @@ def test_ssd_on_ex41_lists_closed_forms_for_nonnegative_directions_only(tmp_path
 
 
 def test_ssd_compares_candidates_with_the_hessian_action(tmp_path, capsys):
-    """ex32 at its candidate point, v = (0, 1): the action H v is (0, -2)."""
+    """ex32 at its candidate point, v = (0, 1): the set is the singleton
+    {H v} = {(0, -2)}, written as the interval [H v, H v] with exact ends;
+    a 2-D objective has no calmness modulus."""
     problem = {
         "version": "1",
         "constraint": {"type": "fixture", "name": "ex32"},
@@ -311,11 +313,67 @@ def test_ssd_compares_candidates_with_the_hessian_action(tmp_path, capsys):
     path.write_text(json.dumps(problem))
     code, out, err = run_cli(capsys, "ssd", "--input", str(path))
     assert (code, err) == (1, "")
-    assert "second-order action at v = (0.0, 1.0): (0.0, -2.0)\n" in out
-    assert "  z = (0.0, -2.0): Member\n  z = (1.0, 1.0): NotMember\n" in out
+    assert (
+        "z = (0.0, -2.0), v = (0.0, 1.0): Member\n"
+        "z = (1.0, 1.0), v = (0.0, 1.0): NotMember\n"
+        "closed-form membership interval at v = (0.0, 1.0): [(0, -2), (0, -2)]\n"
+    ) in out
     code, out, err = run_cli(capsys, "ssd", "--input", str(path), "--format", "json")
-    (action,) = json.loads(out)["results"]["hessian_actions"]
-    assert [c["member"] for c in action["candidates"]] == [True, False]
+    report = json.loads(out)
+    assert report["results"] == {
+        "memberships": [
+            {"direction": [0.0, 1.0], "candidate": [0.0, -2.0], "verdict": "Member"},
+            {"direction": [0.0, 1.0], "candidate": [1.0, 1.0], "verdict": "NotMember"},
+        ],
+        "closed_form_intervals": [{"direction": [0.0, 1.0], "interval": [["0", "-2"], ["0", "-2"]]}],
+    }
+    assert revalidate_report(report)[0]
+
+
+def test_ssd_decides_exact_quadratic_data_exactly_in_every_dimension(tmp_path, capsys):
+    """M = diag(1/3, 1) at v = (3, 0) has the set {(1, 0)}: a candidate
+    off it by 10^-10 in one entry is NotMember in the exact regime, where
+    a float comparison within 1e-9 took it for a member."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "version": "1",
+        "constraint": {"type": "polyhedron", "dimension": 2, "inequalities": {"rows": [["-1", "0"]], "bounds": ["0"]}},
+        "objective": {"type": "quadratic", "matrix": [["1/3", "0"], ["0", "1"]]},
+        "query": {"regime": "exact", "point": ["0", "0"], "directions": [["3", "0"]],
+                  "z_candidates": [["10000000001/10000000000", "0"]]},
+    }))
+    code, out, err = run_cli(capsys, "ssd", "--input", str(path))
+    assert (code, err) == (1, "")
+    assert "z = (10000000001/10000000000, 0), v = (3, 0): NotMember\n" in out
+    assert "closed-form membership interval at v = (3, 0): [(1, 0), (1, 0)]\n" in out
+    code, out, err = run_cli(capsys, "ssd", "--input", str(path), "--format", "json")
+    report = json.loads(out)
+    assert code == 1 and [m["verdict"] for m in report["results"]["memberships"]] == ["NotMember"]
+    assert revalidate_report(report)[0]
+
+
+def test_verify_tells_exact_directions_apart_that_one_float_prints(tmp_path, capsys):
+    """1/3 and the binary64 value of 1/3 both print as 0.3333333333333333;
+    an exact report writes them as exact strings, so `verify` checks each
+    membership against its own direction's set and passes the report."""
+    third = str(Fraction(1 / 3))
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "version": "1",
+        "constraint": {"type": "polyhedron", "dimension": 1, "inequalities": {"rows": [["-1"]], "bounds": ["0"]}},
+        "objective": {"type": "quadratic", "matrix": [["3"]]},
+        "query": {"regime": "exact", "point": ["0"], "directions": [["1/3"], [third]], "z_candidates": [["1"]]},
+    }))
+    code, out, err = run_cli(capsys, "ssd", "--input", str(path), "--format", "json")
+    assert (code, err) == (1, "")
+    results = json.loads(out)["results"]
+    assert [(m["direction"], m["candidate"], m["verdict"]) for m in results["memberships"]] == [
+        ("1/3", "1", "Member"), (third, "1", "NotMember"),
+    ]
+    report = tmp_path / "report.json"
+    report.write_text(out)
+    code, out, err = run_cli(capsys, "verify", "--input", str(report))
+    assert (code, err) == (0, ""), out
 
 
 def test_fixture_default_direction_when_directions_are_absent(tmp_path, capsys):
@@ -610,7 +668,7 @@ def test_verify_fails_an_edited_ssd_interval_or_verdict(tmp_path, capsys):
     assert [m["verdict"] for m in report["results"]["memberships"]] == ["Member", "NotMember", "NotMember", "NotMember"]
     tampered = tmp_path / "tampered.json"
 
-    def edit(change):
+    def edit(change, report=report):
         edited = json.loads(json.dumps(report))
         change(edited["results"])
         tampered.write_text(json.dumps(edited))
@@ -626,6 +684,17 @@ def test_verify_fails_an_edited_ssd_interval_or_verdict(tmp_path, capsys):
     # an interval written for a direction whose set is empty
     extra = edit(lambda results: results["closed_form_intervals"].append({"direction": -1.0, "interval": ["-1", "1"]}))
     assert extra == [f"[FAIL] ssd: verdict matches the written interval  (z = {z}, v = -1)" for z in ("-1", "0.5")]
+    # in 2-D, on ex32 at v = (0, 1), whose set is {(0, -2)}
+    plane = tmp_path / "plane.json"
+    plane.write_text(json.dumps({"version": "1", "constraint": {"type": "fixture", "name": "ex32"}, "query": {
+        "regime": "float", "directions": [[0.0, 1.0]], "z_candidates": [[0.0, -2.0], [1.0, 1.0]]}}))
+    code, out, _ = run_cli(capsys, "ssd", "--input", str(plane), "--format", "json")
+    report = json.loads(out)
+    assert code == 1 and revalidate_report(report)[0]
+    widened = edit(lambda results: results["closed_form_intervals"][0].update(interval=[["0", "-2"], ["1", "1"]]), report)
+    assert widened == ["[FAIL] ssd: verdict matches the written interval  (z = (1, 1), v = (0, 1))"]
+    flipped = edit(lambda results: results["memberships"][0].update(verdict="NotMember"), report)
+    assert flipped == ["[FAIL] ssd: verdict matches the written interval  (z = (0, -2), v = (0, 1))"]
 
 
 def test_ssd_on_ex41_writes_the_set_at_its_point(tmp_path, capsys):
@@ -679,7 +748,8 @@ def test_ssd_on_exact_one_dimensional_quadratic_data(tmp_path, capsys):
         code, out, err = run_cli(capsys, "ssd", "--input", str(path), "--format", "json")
         assert (code, err) == (1, ""), regime
         report = json.loads(out)
-        assert report["results"]["closed_form_intervals"] == [{"direction": 3.0, "interval": ["1", "1"]}]
+        direction = 3.0 if regime == "float" else "3"
+        assert report["results"]["closed_form_intervals"] == [{"direction": direction, "interval": ["1", "1"]}]
         assert [m["verdict"] for m in report["results"]["memberships"]] == verdicts
         assert report["results"]["calmness"] == {"modulus": "1/3"}
         assert revalidate_report(report)[0]
@@ -1012,7 +1082,7 @@ def test_ssd_on_exact_ex31_reads_no_constraint(tmp_path, capsys):
     path.write_text(json.dumps({"version": "1", "constraint": {"type": "fixture", "name": "ex31"},
                                 "query": {"regime": "exact", "z_candidates": [["0", "-2"]]}}))
     code, out, err = run_cli(capsys, "ssd", "--input", str(path))
-    assert (code, err) == (0, "") and "z = (0.0, -2.0): Member" in out
+    assert (code, err) == (0, "") and "z = (0, -2), v = (0, 1): Member" in out
 
 
 def test_verify_substitutes_theorem41_gradient_condition_witness(tmp_path, capsys):
@@ -1899,11 +1969,6 @@ OVERFLOWING_QUADRANT = {
           "objective": {"type": "quadratic", "matrix": [["1", "0"], ["0", "1"]], "linear": ["0", "0"]},
           "query": {**OVERFLOWING_QUADRANT["query"], "directions": [[1.0, 1.0]], "z_candidates": [[1e308, 1e308]]}},
          "theorem41"),
-        # ssd's Hessian action, and its distance to a candidate
-        ({"version": "1", "constraint": {"type": "fixture", "name": "ex32"},
-          "query": {"regime": "float", "directions": [[1e308, 0.0]]}}, "ssd"),
-        ({"version": "1", "constraint": {"type": "fixture", "name": "ex32"},
-          "query": {"regime": "float", "directions": [[5e307, 0.0]], "z_candidates": [[1e308, 0.0]]}}, "ssd"),
     ],
 )
 def test_float_overflow_exits_three(tmp_path, capsys, doc, command):
@@ -1914,6 +1979,30 @@ def test_float_overflow_exits_three(tmp_path, capsys, doc, command):
     for fmt in ("json", "human"):
         code, out, err = run_cli(capsys, command, "--input", str(path), "--format", fmt)
         assert (code, out) == (3, "") and err.startswith("error: overflow encountered"), err
+
+
+@pytest.mark.parametrize(
+    "v, candidates, verdicts",
+    [
+        pytest.param([1e308, 0.0], [[0.0, 0.0]], ["NotMember"], id="action"),
+        pytest.param([5e307, 0.0], [[1e308, 0.0], [-1e308, 0.0]], ["NotMember", "Member"], id="candidate"),
+    ],
+)
+def test_ssd_past_the_float_range_decides(tmp_path, capsys, v, candidates, verdicts):
+    """ssd reads H v in exact arithmetic, so an action past the float range,
+    which a float product overflows, is decided: on ex32 (H = -2 I) the set
+    at v = (1e308, 0) is {(-2e308, 0)}, and at (5e307, 0) it is {(-1e308, 0)},
+    the binary64 value of -1e308 exactly."""
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"version": "1", "constraint": {"type": "fixture", "name": "ex32"},
+                                "query": {"regime": "float", "directions": [v], "z_candidates": candidates}}))
+    code, out, err = run_cli(capsys, "ssd", "--input", str(path), "--format", "json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert [m["verdict"] for m in report["results"]["memberships"]] == verdicts
+    ((lower, upper),) = [e["interval"] for e in report["results"]["closed_form_intervals"]]
+    assert lower == upper == [str(-2 * Fraction(v[0])), "0"]
+    assert revalidate_report(report)[0]
 
 
 # a direction into ex31's disk whose |v| is finite but whose <v, v> is not

@@ -8,7 +8,9 @@ annotation is parsed as the expression it names).  ``__init__.py`` is left
 out: its imports are the package's exports.
 
 Across the package, every private name a module defines at its top level
-is read somewhere in ``src/``: a helper only tests call is dead code.
+is read somewhere in ``src/``: a helper only tests call is dead code.  And
+every field of a NamedTuple the package defines is read as an attribute
+somewhere in ``src/``, ``tests/`` or ``clibench/``.
 
 The float regime computes on tuples of Python floats and ``math``, so no
 module imports numpy anywhere, and every command, exact or float, runs in a
@@ -111,6 +113,39 @@ def test_every_private_definition_is_read_in_the_package():
         if name not in read
     )
     assert not unread, f"private names the package never reads: {', '.join(unread)}"
+
+
+def _namedtuple_fields(tree: ast.Module):
+    """(class, field) of each field a ``NamedTuple`` class of the module declares."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases):
+            for statement in node.body:
+                if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+                    yield node.name, statement.target.id
+
+
+def test_every_namedtuple_field_is_read():
+    """Every field of a record the package defines is read as an attribute
+    somewhere in ``src/``, ``tests/`` or ``clibench/``: a field nothing reads
+    is dead data that every construction still has to fill."""
+    root = os.path.join(PACKAGE, "..", "..")
+    trees = {}
+    for path in SOURCES + glob.glob(os.path.join(root, "tests", "*.py")) + glob.glob(os.path.join(root, "clibench", "*.py")):
+        with open(path, encoding="utf-8") as handle:
+            trees[path] = ast.parse(handle.read(), filename=path)
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = sorted(
+        f"{os.path.basename(path)}: {cls}.{field}"
+        for path in SOURCES
+        for cls, field in _namedtuple_fields(trees[path])
+        if field not in read
+    )
+    assert not unread, f"record fields nothing reads: {', '.join(unread)}"
 
 
 def _top_level_modules(path) -> set[str]:

@@ -38,7 +38,7 @@ def test_minimal_orthant_qp_file():
     assert problem.query.point_rational().entries == (Fraction(0), Fraction(0))
     assert problem.source["query"] == {"point": ["0", "0"], "regime": "exact"}
     shown = repr(problem)
-    assert shown.startswith("ProblemFile(version='1', description=") and shown.endswith(")")
+    assert shown.startswith("ProblemFile(polyhedron=") and shown.endswith(")")
     assert "source" not in shown and "query=Query(point=" in shown
 
 
