@@ -58,11 +58,11 @@ def _value_json(value):
 
 
 def _vector_json(vec):
+    """A fresh list of the vector's :attr:`~RationalVector.strings` (made once per vector), or of floats."""
     if vec is None:
         return None
     if isinstance(vec, RationalVector):
-        ints, scale = vec.integer_form
-        return list(map(str, ints if scale == 1 else vec))
+        return list(vec.strings)
     return [float(a) for a in vec]
 
 

@@ -28,14 +28,21 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError
 
-# the one exact grammar, of problem files and reports alike
+# the one exact grammar, of problem files and reports alike, and its integers joined by ","
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_INTEGERS_RE = re.compile(r"[+-]?[0-9]+(?:,[+-]?[0-9]+)*")
 
 
 def read_vector(values: Sequence) -> "RationalVector":
     """The exact reader: a vector of JSON integers (not bools) and ASCII strings
     of the grammar with nonzero denominators, built from its integer form with
-    no `Fraction` per entry; ValueError, one ``(index, message)`` per bad entry."""
+    no `Fraction` per entry, integer strings all at once by one match of their
+    join; else entry by entry: ValueError, one ``(index, message)`` per bad entry."""
+    try:
+        if _INTEGERS_RE.fullmatch(",".join(values)):
+            return RationalVector.from_ints(tuple(map(int, values)))
+    except (TypeError, ValueError):  # a non-string entry, or int() past its digit limit
+        pass
     nums, dens, errors = [], [], []
     for i, value in enumerate(values):
         match = _RATIONAL_RE.fullmatch(value) if type(value) is str else None
@@ -76,12 +83,13 @@ def integer_form(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
 class RationalVector:
     """Immutable dense vector of exact rationals.
 
-    ``entries`` and :attr:`integer_form` are each computed at most once.
-    Arithmetic results and vectors made :meth:`from_ints` carry their
-    integer form and box their entries only on first use."""
+    ``entries``, :attr:`integer_form` and :attr:`strings` are each computed at
+    most once, ``dim`` on construction.  Arithmetic results and vectors made
+    :meth:`from_ints` carry their integer form and box entries on first use."""
 
     def __init__(self, entries: Iterable):
-        self.__dict__["entries"] = tuple(rational(v) for v in entries)
+        values = tuple(rational(v) for v in entries)
+        self.__dict__.update(entries=values, dim=len(values))
 
     @classmethod
     def from_ints(cls, ints: Sequence[int], scale: int = 1) -> "RationalVector":
@@ -89,7 +97,8 @@ class RationalVector:
         first use; its integer form is reduced by ``gcd(scale, *ints)``."""
         g = math.gcd(scale, *ints) if scale != 1 else 1
         vec = object.__new__(cls)
-        vec.__dict__["integer_form"] = (tuple([k // g for k in ints]) if g != 1 else tuple(ints), scale // g)
+        form = tuple([k // g for k in ints]) if g != 1 else tuple(ints)
+        vec.__dict__.update(integer_form=(form, scale // g), dim=len(form))
         return vec
 
     @functools.cached_property
@@ -101,6 +110,12 @@ class RationalVector:
     def integer_form(self) -> tuple[tuple[int, ...], int]:
         """:func:`integer_form` of the entries, computed on first use."""
         return integer_form(self.entries)
+
+    @functools.cached_property
+    def strings(self) -> tuple[str, ...]:
+        """The entries as the grammar writes them, ``"n"`` or ``"n/d"``, computed on first use."""
+        ints, scale = self.integer_form
+        return tuple(map(str, ints if scale == 1 else self.entries))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: RationalVector is immutable")
@@ -115,15 +130,6 @@ class RationalVector:
     @classmethod
     def zero(cls, dim: int) -> "RationalVector":
         return cls.from_ints((0,) * dim)
-
-    @classmethod
-    def unit(cls, dim: int, index: int) -> "RationalVector":
-        return cls.from_ints([int(i == index) for i in range(dim)])
-
-    @property
-    def dim(self) -> int:
-        """The length, read without boxing a vector made :meth:`from_ints`."""
-        return len(self.__dict__.get("entries") or self.integer_form[0])
 
     def __len__(self) -> int:
         return self.dim

@@ -22,15 +22,20 @@ def random_vector(rng: random.Random, dim: int, span: int = 3) -> RationalVector
     return RationalVector([small_fraction(rng, span) for _ in range(dim)])
 
 
+def unit_vector(dim: int, index: int) -> RationalVector:
+    """The standard basis vector e_index of R^dim."""
+    return RationalVector.from_ints([int(i == index) for i in range(dim)])
+
+
 def orthant_cone(dim: int = 2) -> PolyhedralCone:
     """The nonnegative orthant as a cone, its rows -e_i tagged 1..dim."""
-    rows = RationalMatrix([-RationalVector.unit(dim, i) for i in range(dim)], dim)
+    rows = RationalMatrix([-unit_vector(dim, i) for i in range(dim)], dim)
     return PolyhedralCone(dim, ineq_rows=rows, ineq_origins=tuple(range(1, dim + 1)))
 
 
 def orthant_polyhedron(dim: int = 2) -> Polyhedron:
     """The nonnegative orthant {x | -x_i <= 0}."""
-    rows = RationalMatrix([-RationalVector.unit(dim, i) for i in range(dim)], dim)
+    rows = RationalMatrix([-unit_vector(dim, i) for i in range(dim)], dim)
     return Polyhedron(dim, ineq_matrix=rows, ineq_rhs=RationalVector.zero(dim))
 
 
@@ -74,7 +79,7 @@ def random_feasible_polyhedron(
     for _ in range(num_ineq):
         row = random_vector(rng, dim)
         if row.is_zero():
-            row = RationalVector.unit(dim, rng.randrange(dim))
+            row = unit_vector(dim, rng.randrange(dim))
         slack = Fraction(0)
         if rng.random() >= active_probability:
             slack = Fraction(rng.randint(1, 4), rng.choice((1, 2)))
@@ -148,7 +153,7 @@ def membership_lp(cone: PolyhedralCone, v: RationalVector) -> OracleResult:
         [RationalVector(col[i] for col in columns) for i in range(cone.dim)],
         len(columns),
     )
-    ineq_rows = [-RationalVector.unit(len(columns), r) for r in range(k_rays)]
+    ineq_rows = [-unit_vector(len(columns), r) for r in range(k_rays)]
     return oracle_solve_lp(
         RationalVector.zero(len(columns)),
         eq_matrix=eq,

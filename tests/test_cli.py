@@ -1860,7 +1860,8 @@ json_trees = st.recursive(
     | st.lists(children, max_size=3).map(tuple)
     | st.dictionaries(json_text, children, max_size=4)
     | string_lists
-    | st.lists(string_lists | st.just([]), max_size=3),
+    | st.lists(string_lists | st.just([]), max_size=3)
+    | st.lists(st.lists(plain_text | st.integers(), min_size=1, max_size=3), min_size=1, max_size=3),
     max_leaves=12,
 )
 
@@ -1882,7 +1883,8 @@ class _Text(str):
 @pytest.mark.parametrize(
     "tree",
     [[], {}, [[]], [{}], {"a": [], "b": {}}, ([],), {"k": [[], [[]]]},
-     [_Level.HIGH, True, 1], [_Text("a"), "b"], {_Text("k"): _Text('"')}, [float("-0.0"), 1e300 * 10]],
+     [_Level.HIGH, True, 1], [_Text("a"), "b"], {_Text("k"): _Text('"')}, [float("-0.0"), 1e300 * 10],
+     [["a"], "bc"], [["a"], {"k": 1}], [["a"], ("b",)], [["a", _Text("b")], ["c"]]],
 )
 def test_render_json_matches_json_dumps_on_empty_containers_and_subclasses(tree):
     assert _render_json(tree) == json.dumps(tree, sort_keys=True, indent=2)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cone_audit.analysis import _vector_json
 from cone_audit.errors import DimensionMismatchError
 from cone_audit.linalg import (
     RationalMatrix,
@@ -48,6 +49,40 @@ def test_read_vector_builds_the_integer_form_and_names_every_bad_entry():
         (2, "floats are not allowed in exact rational data"),
         (4, "invalid rational: False"),
     )
+
+
+def _int_error(text: str) -> str:
+    try:
+        int(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"int() reads {text[:10]!r}...")
+
+
+@pytest.mark.parametrize(
+    "values, read",
+    [
+        (["1,2", "3"], [(0, "invalid rational: '1,2'")]),
+        (["1,", "2"], [(0, "invalid rational: '1,'")]),
+        (["1", ""], [(1, "invalid rational: ''")]),
+        (["1" * 5000, "2"], [(0, _int_error("1" * 5000))]),
+        (["+1", "-0", "007"], ((1, 0, 7), 1)),
+        ([1, "2"], ((1, 2), 1)),
+    ],
+    ids=["comma-inside", "trailing-comma", "empty", "digit-limit", "signs-and-zeros", "json-integer"],
+)
+def test_read_vector_reads_a_joined_vector_as_entry_by_entry(values, read):
+    """Reading integer strings whole by their join with "," changes no result:
+    a comma inside an entry, an empty entry, or an entry past int()'s digit
+    limit is named alone, and signs, leading zeros and JSON integers read as
+    they do one by one."""
+    if isinstance(read, list):
+        with pytest.raises(ValueError) as exc:
+            read_vector(values)
+        assert list(exc.value.args) == read
+    else:
+        vec = read_vector(values)
+        assert (vec.integer_form, vec.dim) == (read, len(values))
 
 
 def test_vector_arithmetic():
@@ -131,6 +166,18 @@ def test_integer_form_arithmetic_matches_fraction_reference(vectors, data):
         assert result == RationalVector(reference) and hash(result) == hash(RationalVector(reference))
     assert a.dot(b) == sum((p * q for p, q in zip(x, y)), Fraction(0))
     assert (a == b) == (x == y) and _canonical(a) and _canonical(b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(0, 6).flatmap(rational_vectors))
+def test_strings_read_back_to_the_same_vector(vec):
+    """A vector's strings are the grammar's: read back, they give an equal
+    vector with the same integer form and dimension; ``_vector_json`` hands
+    out an equal but distinct list of them on every call."""
+    back = read_vector(list(vec.strings))
+    assert back == vec and back.integer_form == vec.integer_form and back.dim == vec.dim == len(vec.entries)
+    first, second = _vector_json(vec), _vector_json(vec)
+    assert first == second == list(vec.strings) and first is not second
 
 
 @pytest.mark.parametrize("longer", [vector(1, "1/2", 3), RationalVector.from_ints((2, 0, 4), 3)])

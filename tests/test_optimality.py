@@ -38,6 +38,7 @@ from conftest import (
     random_feasible_polyhedron,
     random_vector,
     small_fraction,
+    unit_vector,
 )
 from copositivity_oracle import fraction_psd_witness, oracle_copositivity
 
@@ -65,7 +66,7 @@ def test_lagrange_certificate_verify_rejects_every_single_perturbation(seed, dim
 
     def row():
         r = random_vector(rng, dim)
-        return r if not r.is_zero() else RationalVector.unit(dim, 0)
+        return r if not r.is_zero() else unit_vector(dim, 0)
 
     cone = PolyhedralCone(
         dim,
@@ -964,7 +965,7 @@ def test_lp_count_one_per_second_order_question(monkeypatch):
     assert report.curvature_on_critical_cone.verdict is Verdict.FAILS
     assert len(calls) == 1
 
-    directions = [RationalVector.unit(4, i) for i in range(4)]
+    directions = [unit_vector(4, i) for i in range(4)]
     for objective, point in ((quad, origin), (quad.as_smooth(), (0.0,) * 4)):
         calls.clear()
         bundles = theorem33_check(objective, tangent, point, directions)

@@ -257,7 +257,7 @@ def test_parser_raises_only_schema_errors(value):
 
 
 row_entries = (
-    st.text(st.sampled_from(" +-0123456789/_\n\uff13"), max_size=5)
+    st.text(st.sampled_from(" +-0123456789/,_\n\uff13"), max_size=5)
     | st.from_regex(r"[+-]?[0-9]{1,3}(/[0-9]{1,3})?", fullmatch=True)
     | st.integers()
     | st.booleans()
