@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import datetime
 import decimal
-import functools
 from fractions import Fraction
 
 from ._version import __version__ as _version
 from .dd import GeneratorSet
 from .errors import AnalysisError
 from .geometry import PolyhedralCone
-from .linalg import RationalMatrix, RationalVector
+from .linalg import RationalMatrix, RationalVector, lazy
 from .objectives import DEFAULT_FLOAT_TOL, AffineRegion, QuadraticObjective, SmoothObjective, TangentRegion, _dot
 from .optimality import (
     ConditionReport,
@@ -210,7 +209,7 @@ class _Context:
             )
         return obj
 
-    @functools.cached_property
+    @lazy
     def objective(self) -> QuadraticObjective | SmoothObjective:
         """The quadratic data in the exact regime, else the float evaluators."""
         if self.exact and self.problem.quadratic is not None:
@@ -228,18 +227,28 @@ class _Context:
         exact strings in the exact regime, numbers in the float regime."""
         return _one_or_all([str(a) if self.exact else float(a) for a in values])
 
-    @functools.cached_property
+    @lazy
+    def point(self) -> RationalVector:
+        """The query point, exact, made once: T(x) and the exact regime's objective read it."""
+        return RationalVector(map(Fraction, self.problem.query.point))
+
+    @property
+    def objective_point(self):
+        """Where the objective is evaluated: :attr:`point`, or the float regime's floats."""
+        return self.point if self.exact else self.problem.query.point
+
+    @lazy
     def gradient(self):
         """The objective's gradient at the point: exact M x + q, or float."""
-        return self.objective.gradient_at(self.problem.query.point)
+        return self.objective.gradient_at(self.objective_point)
 
-    @functools.cached_property
+    @lazy
     def tangent(self) -> PolyhedralCone | TangentRegion:
         """T(x) of the polyhedron, or of the fixture's smooth level set, which
         tolerance 0 cannot decide: its value at a boundary point rounds off
         zero."""
         if self.polyhedron is not None:
-            return self.polyhedron.tangent_cone(self.problem.query.point_rational())
+            return self.polyhedron.tangent_cone(self.point)
         if self.tolerance == 0:
             raise AnalysisError(
                 f"fixture {self.problem.fixture.name!r} is a smooth level set, "
@@ -315,7 +324,7 @@ def _run_second_order(ctx: _Context) -> tuple[dict, int]:
         )
     verdicts: list[Verdict] = []
     entries = []
-    bundles = theorem33_check(objective, ctx.tangent, ctx.problem.query.point, directions, ctx.tolerance)
+    bundles = theorem33_check(objective, ctx.tangent, ctx.objective_point, directions, ctx.tolerance)
     for bundle in bundles:
         verdicts += [
             bundle.strengthened_gradient.verdict,
@@ -349,7 +358,7 @@ def _run_qp(ctx: _Context) -> tuple[dict, int]:
             "the qp command runs in exact arithmetic only",
             hint="set query.regime = 'exact' and use rational entries",
         )
-    conditions = check_qp(ctx.objective, ctx.tangent, ctx.problem.query.point)
+    conditions = check_qp(ctx.objective, ctx.tangent, ctx.point)
     results = {
         "c0": _condition_json(conditions.stationarity),
         "c1_prime": {
@@ -410,7 +419,7 @@ def _run_theorem41(ctx: _Context) -> tuple[dict, int]:
     reports = theorem41_check(
         objective,
         ctx.tangent,
-        ctx.problem.query.point,
+        ctx.objective_point,
         directions,
         ctx.problem.query.z_candidates,
         ctx.tolerance,
@@ -512,7 +521,7 @@ class _Revalidator:
 
     # -- helpers ---------------------------------------------------------
 
-    @functools.cached_property
+    @lazy
     def gradient(self) -> RationalVector:
         return _as_rational_vector(self.ctx.gradient)
 
@@ -598,7 +607,7 @@ class _Revalidator:
     def _curvature(self, direction: RationalVector) -> Fraction:
         """<Mv, v> in the run's arithmetic, as the objective's
         ``curvature_at`` gives it, made exact."""
-        return Fraction(self.ctx.objective.curvature_at(self.ctx.problem.query.point, direction))
+        return Fraction(self.ctx.objective.curvature_at(self.ctx.objective_point, direction))
 
     def _check_classical(self, entry, second, direction: RationalVector) -> None:
         """Substitute a failing classical-condition witness.

@@ -137,12 +137,12 @@ def _render_json(obj, indent: str = "\n") -> str:
     """What ``json.dumps`` writes with ``sort_keys=True`` and an indent of 2, byte for byte.
 
     ``json`` indents only in its pure-Python encoder, a generator per nesting
-    level; this returns strings, a list of plain strings (a vector) is one
-    ``join``, and a list of such vectors (rays, rows) one per vector and one
-    for the list.  ``indent`` is the line break and indentation that precede
-    ``obj``'s closing bracket.  Dict keys must be ``str``, as every report's
-    are: any other key raises ``TypeError``, as does a value that ``json``
-    cannot encode."""
+    level; this returns strings, a list of plain strings (a vector) or of ints
+    and nulls (row origins) is one ``join``, and a list of vectors (rays, rows)
+    one per vector and one for the list.  ``indent`` is the line break and
+    indentation that precede ``obj``'s closing bracket.  Dict keys must be
+    ``str``, as every report's are: any other key raises ``TypeError``, as
+    does a value that ``json`` cannot encode."""
     if type(obj) is str:
         return _encode_str(obj)
     if obj is None or obj is True or obj is False:
@@ -164,6 +164,8 @@ def _render_json(obj, indent: str = "\n") -> str:
     if type(obj[0]) is list and all(obj) and set(map(type, obj)) == {list} and _plain(map("".join, obj)):
         head, quote, tail = "[" + inner + '  "', '",' + inner + '  "', '"' + inner + "]"
         return "[" + inner + head + (tail + "," + inner + head).join(map(quote.join, obj)) + tail + indent + "]"
+    if set(map(type, obj)) <= {int, type(None)}:  # not bool
+        return "[" + inner + ("," + inner).join(["null" if a is None else str(a) for a in obj]) + indent + "]"
     return "[" + inner + ("," + inner).join([_render_json(a, inner) for a in obj]) + indent + "]"
 
 

@@ -19,7 +19,6 @@ The containers are dense and small: problem sizes are desk scale
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from fractions import Fraction
@@ -80,6 +79,18 @@ def integer_form(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple([a.numerator * (scale // a.denominator) for a in values]), scale
 
 
+class lazy:
+    """An attribute that ``func`` computes on first read into the instance
+    ``__dict__``, where later reads find it; unlike CPython 3.11's
+    ``functools.cached_property`` it takes no lock, as the values are immutable."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
+
+
 class RationalVector:
     """Immutable dense vector of exact rationals.
 
@@ -101,17 +112,17 @@ class RationalVector:
         vec.__dict__.update(integer_form=(form, scale // g), dim=len(form))
         return vec
 
-    @functools.cached_property
+    @lazy
     def entries(self) -> tuple[Fraction, ...]:
         ints, scale = self.integer_form
         return tuple(map(Fraction, ints)) if scale == 1 else tuple([Fraction(k, scale) for k in ints])
 
-    @functools.cached_property
+    @lazy
     def integer_form(self) -> tuple[tuple[int, ...], int]:
         """:func:`integer_form` of the entries, computed on first use."""
         return integer_form(self.entries)
 
-    @functools.cached_property
+    @lazy
     def strings(self) -> tuple[str, ...]:
         """The entries as the grammar writes them, ``"n"`` or ``"n/d"``, computed on first use."""
         ints, scale = self.integer_form
@@ -233,7 +244,7 @@ class RationalMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
-    @functools.cached_property
+    @lazy
     def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """``(rows, scale)``: the rows times ``scale``, the lcm of all their
         denominators, in integers; computed on first use."""

@@ -118,8 +118,8 @@ class QuadraticObjective(_QuadraticData):
         return self.matrix.matvec(x) + self.linear
 
     def gradient_at(self, x) -> RationalVector:
-        """Exact M x + q at a point of any entries ``Fraction`` accepts."""
-        return self.gradient(RationalVector(map(Fraction, x)))
+        """Exact M x + q at a :class:`RationalVector`, as it is, or at a point of entries ``Fraction`` accepts."""
+        return self.gradient(x if isinstance(x, RationalVector) else RationalVector(map(Fraction, x)))
 
     def quadratic_form(self, v: RationalVector) -> Fraction:
         return self.matrix.matvec(v).dot(v)

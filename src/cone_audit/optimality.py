@@ -187,15 +187,9 @@ def _on_second_order_set(
     if rays:
         ray = min(rays, key=lambda r: _steepness(gradient, r))
         return second_order, LPResult(status=LPStatus.UNBOUNDED, witness=ray)
-    tight = [
-        lam for row, lam in zip(tangent.ineq_rows.rows, result.dual_inequalities)
-        if row.scaled_dot(v) == 0
-    ]
-    return second_order, LPResult(
-        status=LPStatus.OPTIMAL,
-        dual_equalities=result.dual_equalities,
-        dual_inequalities=RationalVector(tight),
-    )
+    ints, scale = result.dual_inequalities.integer_form
+    tight = [k for row, k in zip(tangent.ineq_rows.rows, ints) if row.scaled_dot(v) == 0]
+    return second_order, result._replace(dual_inequalities=RationalVector.from_ints(tight, scale))
 
 
 def _tangent_directions(gradient, tangent: PolyhedralCone, directions, tolerance):
@@ -714,13 +708,14 @@ def check_qp(objective: QuadraticObjective, tangent: PolyhedralCone, point) -> Q
     is PSD on ker E, E the critical cone C's equality rows (one factorization
     of K'MK, K a kernel basis); only otherwise is C enumerated and tested for
     copositivity, and ``checked_directions`` lists its generators.  (c1') is
-    (c1) on the second-order tangent set at the first of them, else at v = 0
-    (T2(x, 0) = T(x)), which over a polyhedron decides it for every critical
-    direction, read off the (c0) LP.
+    (c1) on T2(x, v) at the first of them, read off the (c0) LP, else at v = 0,
+    where it is (c0), infimum and certificate, as T2(x, 0) = T(x); over a
+    polyhedron it is decided for every critical direction.
     """
     gradient = objective.gradient_at(point)
     result = solve_lp(gradient, tangent.eq_rows, tangent.ineq_rows)
-    c0 = _linear(ConditionId.QP_C0, _infimum(gradient, tangent, result, 0), 0)
+    c0_infimum = _infimum(gradient, tangent, result, 0)
+    c0 = _linear(ConditionId.QP_C0, c0_infimum, 0)
 
     crit = critical_cone(gradient, tangent)
     # E = 0: M's own form; K'MK from the unit basis cost the zero-gradient
@@ -737,7 +732,8 @@ def check_qp(objective: QuadraticObjective, tangent: PolyhedralCone, point) -> Q
     )
     directions = () if kernel_psd else crit.generators().spanning_vectors()
     v = directions[0] if directions else RationalVector.zero(tangent.dim)
-    c1p = _linear(ConditionId.QP_C1P, _infimum(gradient, *_on_second_order_set(result, tangent, v, gradient), 0), 0)
+    infimum = _infimum(gradient, *_on_second_order_set(result, tangent, v, gradient), 0) if directions else c0_infimum
+    c1p = _linear(ConditionId.QP_C1P, infimum, 0)
     holds = c1p.verdict is Verdict.HOLDS
     at = "at the first critical-cone generator" if directions else "on T2(x, 0) = T(x)"
     c1p = c1p._replace(

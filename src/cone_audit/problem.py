@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .errors import ProblemFormatError
 from .geometry import Polyhedron
-from .linalg import RationalMatrix, RationalVector, rational, read_vector
+from .linalg import RationalMatrix, rational, read_vector
 from .objectives import (
     DEFAULT_FLOAT_TOL,
     ExampleFixture,
@@ -54,9 +54,6 @@ class Query(NamedTuple):
 
     def point_floats(self) -> tuple[float, ...]:
         return tuple(float(a) for a in self.point)
-
-    def point_rational(self) -> RationalVector:
-        return RationalVector([Fraction(a) for a in self.point])
 
 
 class ProblemFile(NamedTuple):

@@ -1541,6 +1541,31 @@ def test_second_order_verifies_each_certificate_once(monkeypatch):
     assert calls["verify"] == len(certified)
 
 
+def test_qp_verifies_one_certificate_when_c1_prime_is_c0(monkeypatch):
+    """When (c0) holds and (c2') holds on ker E, no direction is listed and
+    (c1') is (c0) on T2(x, 0) = T(x): `qp` verifies one Lagrange certificate
+    and writes it under both, and `verify` still checks each on its own."""
+    calls = Counter()
+    real = optimality.LagrangeCertificate.verify
+
+    def counted(self, gradient, cone):
+        calls["verify"] += 1
+        return real(self, gradient, cone)
+
+    monkeypatch.setattr(optimality.LagrangeCertificate, "verify", counted)
+    report = run_analysis(parse_problem(json.dumps(random_qp_problem(23, 3, 0, 0, True))), "qp")
+    results = report["results"]
+    assert results["c2_prime"]["certificate"]["method"] == "kernel-factorization"
+    assert results["c0"]["verdict"] == results["c1_prime"]["verdict"] == "holds"
+    assert results["checked_directions"] == []
+    assert calls["verify"] == 1
+    assert results["c1_prime"]["certificate"] == results["c0"]["certificate"]
+    assert len(results["c0"]["certificate"]["inequality_multipliers"]) == 3
+    ok, checks = revalidate_report(report)
+    assert ok and {"c0: Lagrange certificate identity", "c1': Lagrange certificate identity"} <= {
+        c["check"] for c in checks}
+
+
 def test_level_set_runs_evaluate_the_constraint_once(monkeypatch):
     """A two-direction `second-order` on ex31 reads every T2(x, v) off one
     T(x), so it evaluates the constraint's value and gradient once, and so
@@ -1861,7 +1886,9 @@ json_trees = st.recursive(
     | st.dictionaries(json_text, children, max_size=4)
     | string_lists
     | st.lists(string_lists | st.just([]), max_size=3)
-    | st.lists(st.lists(plain_text | st.integers(), min_size=1, max_size=3), min_size=1, max_size=3),
+    | st.lists(st.lists(plain_text | st.integers(), min_size=1, max_size=3), min_size=1, max_size=3)
+    | st.lists(st.none() | st.integers(), min_size=1, max_size=5)
+    | st.lists(st.none() | st.integers() | st.booleans(), min_size=1, max_size=5),
     max_leaves=12,
 )
 
@@ -1884,7 +1911,8 @@ class _Text(str):
     "tree",
     [[], {}, [[]], [{}], {"a": [], "b": {}}, ([],), {"k": [[], [[]]]},
      [_Level.HIGH, True, 1], [_Text("a"), "b"], {_Text("k"): _Text('"')}, [float("-0.0"), 1e300 * 10],
-     [["a"], "bc"], [["a"], {"k": 1}], [["a"], ("b",)], [["a", _Text("b")], ["c"]]],
+     [["a"], "bc"], [["a"], {"k": 1}], [["a"], ("b",)], [["a", _Text("b")], ["c"]],
+     [None, 1, True], [False, None], [None, _Level.HIGH, -3], (None, 10**400), [None, 1, 2.0], [None, [None]]],
 )
 def test_render_json_matches_json_dumps_on_empty_containers_and_subclasses(tree):
     assert _render_json(tree) == json.dumps(tree, sort_keys=True, indent=2)

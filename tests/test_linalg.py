@@ -12,6 +12,7 @@ from cone_audit.linalg import (
     combination,
     integer_form,
     kernel_basis,
+    lazy,
     matrix,
     rational,
     read_vector,
@@ -115,8 +116,34 @@ def test_integer_form_and_integer_vectors():
     assert ints.primitive() is ints and v.primitive() == ints
     assert ints == vector(1, -2, 0) and len({ints, vector(1, -2, 0)}) == 1
     assert ints.entries == (Fraction(1), Fraction(-2), Fraction(0))
-    with pytest.raises(AttributeError):
-        ints.entries = ()
+    for name in ("entries", "integer_form", "strings"):
+        with pytest.raises(AttributeError):
+            setattr(ints, name, ())
+
+
+def test_lazy_attribute_is_computed_once_per_instance_into_its_dict():
+    """A :class:`lazy` attribute runs its function on the first read of each
+    instance and stores the value in ``vars(obj)``, where later reads find
+    it; read on the class, it is the descriptor, with the function's doc."""
+    calls = []
+
+    class Box:
+        @lazy
+        def value(self):
+            """The doc."""
+            calls.append(self)
+            return len(calls)
+
+    a, b = Box(), Box()
+    assert vars(a) == {}
+    assert (a.value, a.value, b.value, a.value) == (1, 1, 2, 1)
+    assert calls == [a, b] and vars(a) == {"value": 1} and vars(b) == {"value": 2}
+    assert isinstance(Box.value, lazy) and Box.value.__doc__ == "The doc."
+    for attribute in (RationalVector.entries, RationalVector.integer_form,
+                      RationalVector.strings, RationalMatrix.integer_form):
+        assert isinstance(attribute, lazy)
+    v = vector("1/2", 3)
+    assert "strings" not in vars(v) and v.strings == ("1/2", "3") and vars(v)["strings"] is v.strings
 
 
 # Entries: zeros, integers, and fractions over large coprime denominators.

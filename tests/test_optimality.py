@@ -41,6 +41,7 @@ from conftest import (
     unit_vector,
 )
 from copositivity_oracle import fraction_psd_witness, oracle_copositivity
+from test_cli import random_qp_problem
 
 
 # --- first_order_check -----------------------------------------------------
@@ -934,6 +935,21 @@ def test_qp_kernel_test_agrees_with_double_description():
 
     check()
     assert seen[True] and seen[False]
+
+
+def test_check_qp_reads_a_fraction_point_as_its_vector():
+    """check_qp gives the same conditions at a point given as a tuple of
+    Fractions as at the RationalVector of it, over seeded random QPs."""
+    seen = Counter()
+    for seed in range(16):
+        problem = parse_problem(json.dumps(random_qp_problem(seed, 2 + seed % 4, seed % 2, 0, seed % 3 != 0)))
+        point = RationalVector(problem.query.point)
+        tangent = problem.polyhedron.tangent_cone(point)
+        a, b = (check_qp(problem.quadratic, tangent, x) for x in (problem.query.point, point))
+        assert a._replace(critical_cone=None) == b._replace(critical_cone=None)
+        assert (a.critical_cone.eq_rows, a.critical_cone.ineq_rows) == (b.critical_cone.eq_rows, b.critical_cone.ineq_rows)
+        seen[a.stationarity.verdict, bool(a.checked_directions)] += 1
+    assert len(seen) >= 3
 
 
 def test_lp_count_one_per_second_order_question(monkeypatch):

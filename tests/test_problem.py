@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cone_audit.errors import ProblemFormatError
-from cone_audit.linalg import integer_form
+from cone_audit.linalg import RationalVector, integer_form, vector
 from cone_audit.problem import parse_problem, parse_problem_dict
 
 
@@ -35,7 +35,8 @@ def test_minimal_orthant_qp_file():
     assert problem.polyhedron.dim == 2
     assert problem.polyhedron.ineq_matrix.nrows == 2
     assert problem.quadratic is not None
-    assert problem.query.point_rational().entries == (Fraction(0), Fraction(0))
+    assert problem.query.point == (Fraction(0), Fraction(0))
+    assert RationalVector(problem.query.point) == vector(0, 0)
     assert problem.source["query"] == {"point": ["0", "0"], "regime": "exact"}
     shown = repr(problem)
     assert shown.startswith("ProblemFile(polyhedron=") and shown.endswith(")")
